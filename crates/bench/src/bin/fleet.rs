@@ -99,6 +99,7 @@ fn main() {
         json: cli.json,
         json_out: None,
         trace_out,
+        trace_exports: Default::default(),
         flags,
     };
 
@@ -131,6 +132,7 @@ fn main() {
         jobs,
         secs
     );
+    args.trace_exports.exit_on_failure();
 }
 
 /// Time the selection serially and at `jobs` workers, insist the

@@ -188,6 +188,9 @@ pub struct CliArgs {
     /// `--trace-out PATH`: scenarios that support trace export stream
     /// their structured JSONL trace here (see `DESIGN.md` §Trace).
     pub trace_out: Option<String>,
+    /// The exports actually opened for `trace_out`, so `main` can fail
+    /// the run if one was cut short by an I/O error.
+    pub trace_exports: crate::harness::TraceExports,
     /// All other arguments, for scenario-specific flags.
     pub flags: Vec<String>,
 }
@@ -321,6 +324,7 @@ pub fn main_for(s: &dyn ScenarioReport) {
     } else {
         print!("{}", to_text(s, &report));
     }
+    args.trace_exports.exit_on_failure();
 }
 
 #[cfg(test)]

@@ -22,14 +22,16 @@ use crate::report::{Cell, CliArgs, Report, ScenarioReport, Table};
 /// scenarios that honor the flag attach it to their headline arm and
 /// note the export in the report; `trace_analyze` reads the file back.
 fn trace_instr(args: &CliArgs) -> InstrumentationProfile {
+    let profile = InstrumentationProfile::paper_default();
     match &args.trace_out {
-        Some(path) => InstrumentationProfile::paper_default()
-            .trace_jsonl(path)
-            .unwrap_or_else(|e| {
+        Some(path) => match args.trace_exports.create(path) {
+            Ok(sink) => profile.trace_sink(sink),
+            Err(e) => {
                 eprintln!("cannot create trace file {path}: {e}");
                 std::process::exit(1);
-            }),
-        None => InstrumentationProfile::paper_default(),
+            }
+        },
+        None => profile,
     }
 }
 

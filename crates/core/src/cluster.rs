@@ -429,14 +429,10 @@ impl ClusterBuilder {
             // Port roles from the topology.
             let mut roles = vec![PortRole::Fabric; ports as usize];
             let mut max_meters = 2u32;
-            for l in &topo.links {
-                for (me, peer) in [(l.a, l.b), (l.b, l.a)] {
-                    if me.0 == idx {
-                        max_meters = max_meters.max(l.meters);
-                        if topo.nodes[peer.0].tier == Tier::Server {
-                            roles[me.1.index()] = PortRole::Server;
-                        }
-                    }
+            for n in topo.neighbors(idx) {
+                max_meters = max_meters.max(topo.links[n.link].meters);
+                if topo.nodes[n.peer].tier == Tier::Server {
+                    roles[n.port.index()] = PortRole::Server;
                 }
             }
             cfg.port_roles = roles;
@@ -480,27 +476,22 @@ impl ClusterBuilder {
             }
             // Seed ARP + MAC for directly attached servers; peer MACs for
             // fabric links.
-            for l in &topo.links {
-                for (me, peer) in [(l.a, l.b), (l.b, l.a)] {
-                    if me.0 != idx {
-                        continue;
-                    }
-                    match topo.nodes[peer.0].tier {
-                        Tier::Server => {
-                            let ip = topo.nodes[peer.0].ip.expect("servers have IPs");
-                            sw.seed_arp(ip, server_mac(peer.0), SimTime::ZERO);
-                            // Dead-but-remembered servers (§4.2): the ARP
-                            // entry survives but the MAC→port binding is
-                            // gone, so lossless traffic to them hits the
-                            // incomplete-ARP path.
-                            let dead = order_of[peer.0]
-                                .is_some_and(|o| self.faults.dead_servers.contains(&o));
-                            if !dead {
-                                sw.seed_mac(server_mac(peer.0), me.1, SimTime::ZERO);
-                            }
+            for n in topo.neighbors(idx) {
+                match topo.nodes[n.peer].tier {
+                    Tier::Server => {
+                        let ip = topo.nodes[n.peer].ip.expect("servers have IPs");
+                        sw.seed_arp(ip, server_mac(n.peer), SimTime::ZERO);
+                        // Dead-but-remembered servers (§4.2): the ARP
+                        // entry survives but the MAC→port binding is
+                        // gone, so lossless traffic to them hits the
+                        // incomplete-ARP path.
+                        let dead =
+                            order_of[n.peer].is_some_and(|o| self.faults.dead_servers.contains(&o));
+                        if !dead {
+                            sw.seed_mac(server_mac(n.peer), n.port, SimTime::ZERO);
                         }
-                        _ => sw.set_peer_mac(me.1, switch_mac(peer.0)),
                     }
+                    _ => sw.set_peer_mac(n.port, switch_mac(n.peer)),
                 }
             }
             let sim = worlds[shard as usize].add_node(Box::new(sw));
@@ -629,17 +620,7 @@ impl ClusterBuilder {
                     .unwrap_or_else(|| panic!("script server {server} out of range"));
                 let (tor_t, srv_t) = (info.tor_topo_idx, info.topo_idx);
                 let port = topo
-                    .links
-                    .iter()
-                    .find_map(|l| {
-                        if l.a.0 == tor_t && l.b.0 == srv_t {
-                            Some(l.a.1)
-                        } else if l.b.0 == tor_t && l.a.0 == srv_t {
-                            Some(l.b.1)
-                        } else {
-                            None
-                        }
-                    })
+                    .port_toward(tor_t, srv_t)
                     .expect("server has a ToR link");
                 let (shard, sim) = sim_ids[tor_t].expect("ToR instantiated");
                 (shard, sim, port, srv_t)
@@ -659,17 +640,7 @@ impl ClusterBuilder {
                     ScriptAction::FabricLink { a, b, up } => {
                         let (sa, sb) = (find_switch(a), find_switch(b));
                         let port = topo
-                            .links
-                            .iter()
-                            .find_map(|l| {
-                                if l.a.0 == sa.topo_idx && l.b.0 == sb.topo_idx {
-                                    Some(l.a.1)
-                                } else if l.b.0 == sa.topo_idx && l.a.0 == sb.topo_idx {
-                                    Some(l.b.1)
-                                } else {
-                                    None
-                                }
-                            })
+                            .port_toward(sa.topo_idx, sb.topo_idx)
                             .unwrap_or_else(|| panic!("no fabric link {a:?} <-> {b:?}"));
                         sched_admin(
                             &mut worlds[sa.shard as usize],
@@ -797,13 +768,15 @@ pub(crate) fn probe_wiring(
         .iter()
         .map(|s| (s.name.clone(), s.shard, s.sim))
         .collect();
+    // Topology node id → position in `switches`.
+    let mut switch_at: Vec<Option<usize>> = vec![None; topo.nodes.len()];
+    for (i, s) in switches.iter().enumerate() {
+        switch_at[s.topo_idx] = Some(i);
+    }
     let mut probe_links = Vec::new();
     for l in &topo.links {
         for (me, peer) in [(l.a, l.b), (l.b, l.a)] {
-            if topo.nodes[me.0].tier == Tier::Server {
-                continue;
-            }
-            let Some(sw_idx) = switches.iter().position(|s| s.topo_idx == me.0) else {
+            let Some(sw_idx) = switch_at[me.0] else {
                 continue;
             };
             probe_links.push(ProbeLink {

@@ -20,7 +20,7 @@
 //! [`TransportProfile`]: crate::TransportProfile
 //! [`FaultProfile`]: crate::FaultProfile
 
-use rocescale_monitor::{JsonlSink, MetricsHub, TraceFilter, TraceSink};
+use rocescale_monitor::{MetricsHub, TraceFilter, TraceSink};
 use rocescale_sim::{DigestMode, ProfileMode};
 
 /// How a cluster run is observed: telemetry hub, dispatch digest,
@@ -84,12 +84,6 @@ impl InstrumentationProfile {
     pub fn trace_sink_filtered(mut self, sink: impl TraceSink + 'static, f: TraceFilter) -> Self {
         self.sink = Some((Box::new(sink), f));
         self
-    }
-
-    /// Attach a [`JsonlSink`] streaming to a file at `path` — the
-    /// `--trace-out` convenience.
-    pub fn trace_jsonl(self, path: &str) -> std::io::Result<Self> {
-        Ok(self.trace_sink(JsonlSink::create(path)?))
     }
 }
 

@@ -5,7 +5,10 @@
 //! conservative cross-shard exchange with a configurable worker-shard
 //! count. The [`spec_with`] knobs raise the same shape to the paper's
 //! full deployments — 8 pods × 40 ToRs × 320 servers is a 102 400-host
-//! fabric; nothing in the build path is quadratic in hosts.
+//! fabric. The build answers every per-node question (ports, ToR,
+//! attached servers) from the topology's adjacency index, so with
+//! telemetry off its cost is linear in nodes + links; an enabled hub
+//! adds a sorted insert per registered instrument, which is not.
 //!
 //! The workload is deliberately light — one cross-pod bursting flow per
 //! pod (a ring, so every flow crosses a shard boundary when

@@ -8,7 +8,7 @@
 //! through `f64`), so diffs of `BENCH_*.json` trajectory files stay
 //! meaningful.
 
-use std::fmt::Write as _;
+use std::io::Write as _;
 
 /// A JSON value. Integers keep their own variants so 64-bit counters
 /// (packet ids, byte totals) render exactly instead of rounding through
@@ -66,18 +66,16 @@ impl Json {
 
     /// Render to a compact JSON string.
     pub fn render(&self) -> String {
-        let mut out = String::new();
+        let mut out = Vec::new();
         self.write(&mut out);
-        out
+        String::from_utf8(out).expect("the writers emit whole strs and ASCII")
     }
 
-    fn write(&self, out: &mut String) {
+    fn write(&self, out: &mut Vec<u8>) {
         match self {
-            Json::Null => out.push_str("null"),
-            Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Json::U64(v) => {
-                let _ = write!(out, "{v}");
-            }
+            Json::Null => out.extend_from_slice(b"null"),
+            Json::Bool(b) => out.extend_from_slice(if *b { b"true" } else { b"false" }),
+            Json::U64(v) => write_u64(*v, out),
             Json::I64(v) => {
                 let _ = write!(out, "{v}");
             }
@@ -91,52 +89,114 @@ impl Json {
                         let _ = write!(out, "{v}");
                     }
                 } else {
-                    out.push_str("null");
+                    out.extend_from_slice(b"null");
                 }
             }
-            Json::Str(s) => escape_into(s, out),
+            Json::Str(s) => write_str(s, out),
             Json::Arr(items) => {
-                out.push('[');
+                out.push(b'[');
                 for (i, item) in items.iter().enumerate() {
                     if i > 0 {
-                        out.push(',');
+                        out.push(b',');
                     }
                     item.write(out);
                 }
-                out.push(']');
+                out.push(b']');
             }
             Json::Obj(pairs) => {
-                out.push('{');
+                out.push(b'{');
                 for (i, (k, v)) in pairs.iter().enumerate() {
                     if i > 0 {
-                        out.push(',');
+                        out.push(b',');
                     }
-                    escape_into(k, out);
-                    out.push(':');
+                    write_str(k, out);
+                    out.push(b':');
                     v.write(out);
                 }
-                out.push('}');
+                out.push(b'}');
             }
         }
     }
 }
 
-fn escape_into(s: &str, out: &mut String) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
+// The two writers below are shared by `Json::render` and the per-record
+// trace encoder (`sink`). They append UTF-8 text to a byte buffer — bytes
+// rather than a `String` so digits and escapes, built in place, need no
+// validation pass — and allocate only when the buffer has to grow.
+
+/// `00`..`99`, so the integer writer emits two digits per division.
+const DIGIT_PAIRS: &[u8; 200] = b"0001020304050607080910111213141516171819\
+2021222324252627282930313233343536373839\
+4041424344454647484950515253545556575859\
+6061626364656667686970717273747576777879\
+8081828384858687888990919293949596979899";
+
+/// Append `v` in decimal.
+#[inline]
+pub fn write_u64(mut v: u64, out: &mut Vec<u8>) {
+    let mut digits = [0u8; 20]; // u64::MAX has 20 digits
+    let mut at = digits.len();
+    while v >= 100 {
+        let pair = (v % 100) as usize * 2;
+        v /= 100;
+        at -= 2;
+        digits[at..at + 2].copy_from_slice(&DIGIT_PAIRS[pair..pair + 2]);
+    }
+    if v >= 10 {
+        let pair = v as usize * 2;
+        at -= 2;
+        digits[at..at + 2].copy_from_slice(&DIGIT_PAIRS[pair..pair + 2]);
+    } else {
+        at -= 1;
+        digits[at] = b'0' + v as u8;
+    }
+    out.extend_from_slice(&digits[at..]);
+}
+
+/// Whether `b` cannot appear verbatim inside a JSON string.
+#[inline]
+pub(crate) fn needs_escape(b: u8) -> bool {
+    b < 0x20 || b == b'"' || b == b'\\'
+}
+
+/// Append `s` as a quoted JSON string, escaping `"`, `\\` and control
+/// characters. A string with nothing to escape — every field name and
+/// nearly every value — is one scan and one copy.
+#[inline]
+pub fn write_str(s: &str, out: &mut Vec<u8>) {
+    out.push(b'"');
+    if s.bytes().any(needs_escape) {
+        write_escaped(s.as_bytes(), out);
+    } else {
+        out.extend_from_slice(s.as_bytes());
+    }
+    out.push(b'"');
+}
+
+/// The slow path of [`write_str`]: copy plain runs, expand the rest.
+fn write_escaped(s: &[u8], out: &mut Vec<u8>) {
+    let mut plain_from = 0;
+    for (i, &b) in s.iter().enumerate() {
+        if !needs_escape(b) {
+            continue;
+        }
+        out.extend_from_slice(&s[plain_from..i]);
+        plain_from = i + 1;
+        match b {
+            b'"' => out.extend_from_slice(b"\\\""),
+            b'\\' => out.extend_from_slice(b"\\\\"),
+            b'\n' => out.extend_from_slice(b"\\n"),
+            b'\r' => out.extend_from_slice(b"\\r"),
+            b'\t' => out.extend_from_slice(b"\\t"),
+            _ => {
+                const HEX: &[u8; 16] = b"0123456789abcdef";
+                out.extend_from_slice(b"\\u00");
+                out.push(HEX[(b >> 4) as usize]);
+                out.push(HEX[(b & 0xf) as usize]);
             }
-            c => out.push(c),
         }
     }
-    out.push('"');
+    out.extend_from_slice(&s[plain_from..]);
 }
 
 /// Parse error with byte offset, for CI diagnostics.

@@ -55,8 +55,9 @@ pub use engine::{profile_json, EngineReport};
 pub use json::Json;
 pub use pingmesh::Pingmesh;
 pub use sink::{
-    parse_jsonl, parse_line, HopRecord, JsonlSink, MemorySink, OwnedRecord, ParsedRecord,
-    QueueSample, RatePoint, RecordBody, StreamRecord, TraceFilter, TraceSink,
+    parse_jsonl, parse_line, FieldSink, HopRecord, IoErrorLatch, JsonlSink, MemorySink,
+    OwnedRecord, ParsedRecord, QueueSample, RatePoint, RecordBody, StreamRecord, TraceFilter,
+    TraceSink,
 };
 pub use stats::{Percentiles, TimeSeries};
 pub use telemetry::{

@@ -22,16 +22,73 @@
 //!   flag load; with no sink attached the per-packet hop path costs a
 //!   single compare.
 //! * **Self-describing lines.** Every record renders as one JSON object
-//!   with `t_ps`, `scope`, `kind` and kind-specific fields, through the
-//!   in-tree serde-free renderer. The strict [`parse_line`] parser reads
-//!   them back; `trace_analyze` is built on it, and a property test pins
-//!   the round trip.
+//!   with `t_ps`, `scope`, `kind` and kind-specific fields. The strict
+//!   [`parse_line`] parser reads them back; `trace_analyze` is built on
+//!   it, and a property test pins the round trip.
+//! * **One description per record.** A record names its fields exactly
+//!   once, in [`StreamRecord::visit`]; the JSONL text, the [`Json`] tree
+//!   and the flight-recorder export are all [`FieldSink`]s over that one
+//!   walk, so they cannot disagree on names or order. The text sink
+//!   writes into a buffer [`JsonlSink`] reuses: no heap allocation per
+//!   record.
 
-use std::io::Write;
-use std::sync::{Arc, Mutex};
+use std::io::{self, Write};
+use std::sync::{Arc, Mutex, OnceLock};
 
 use crate::json::{self, Json};
 use crate::telemetry::TraceEvent;
+
+/// Receives one record's fields, in canonical line order. A field `name`
+/// is a program constant of characters JSON passes through unescaped:
+/// the text encoding writes it verbatim (checked in debug builds).
+pub trait FieldSink {
+    /// An unsigned integer field.
+    fn u64(&mut self, name: &'static str, v: u64);
+    /// A string field.
+    fn str(&mut self, name: &'static str, v: &str);
+}
+
+/// The tree encoding: fields become the members of a [`Json::Obj`].
+impl FieldSink for Vec<(String, Json)> {
+    fn u64(&mut self, name: &'static str, v: u64) {
+        self.push((name.to_string(), Json::U64(v)));
+    }
+    fn str(&mut self, name: &'static str, v: &str) {
+        self.push((name.to_string(), Json::Str(v.to_string())));
+    }
+}
+
+/// The text encoding: fields are appended to `out` as the members of one
+/// JSON object, byte-identical to rendering the tree encoding.
+struct ObjectText<'a> {
+    out: &'a mut Vec<u8>,
+    /// What opens the next member: `{"` for the first, `,"` after.
+    open: &'static [u8; 2],
+}
+
+impl ObjectText<'_> {
+    fn key(&mut self, name: &'static str) {
+        debug_assert!(
+            !name.bytes().any(json::needs_escape),
+            "field name {name:?} would need escaping"
+        );
+        self.out.extend_from_slice(self.open);
+        self.open = b",\"";
+        self.out.extend_from_slice(name.as_bytes());
+        self.out.extend_from_slice(b"\":");
+    }
+}
+
+impl FieldSink for ObjectText<'_> {
+    fn u64(&mut self, name: &'static str, v: u64) {
+        self.key(name);
+        json::write_u64(v, self.out);
+    }
+    fn str(&mut self, name: &'static str, v: &str) {
+        self.key(name);
+        json::write_str(v, self.out);
+    }
+}
 
 /// One per-packet hop: a data packet was enqueued at a switch egress
 /// port. The combination of (`scope`, `port`, `queue_bytes`) over time is
@@ -123,39 +180,54 @@ pub struct StreamRecord<'a> {
 }
 
 impl StreamRecord<'_> {
-    /// The canonical JSON object for this record — exactly what
-    /// [`JsonlSink`] writes per line and [`parse_line`] reads back.
-    pub fn to_json(&self) -> Json {
-        let mut pairs = vec![
-            ("t_ps".to_string(), Json::U64(self.t_ps)),
-            ("scope".to_string(), Json::Str(self.scope.to_string())),
-            ("kind".to_string(), Json::Str(self.body.kind().to_string())),
-        ];
+    /// Describe this record to `out`: the header (`t_ps`, `scope`,
+    /// `kind`, `shard` when tagged), then the kind-specific fields. The
+    /// single source of truth for field names and order.
+    pub fn visit(&self, out: &mut impl FieldSink) {
+        out.u64("t_ps", self.t_ps);
+        out.str("scope", self.scope);
+        out.str("kind", self.body.kind());
         if let Some(s) = self.shard {
-            pairs.push(("shard".to_string(), Json::U64(s as u64)));
+            out.u64("shard", s as u64);
         }
         match self.body {
-            RecordBody::Event(e) => pairs.extend(e.detail_json()),
+            RecordBody::Event(e) => e.visit(out),
             RecordBody::Hop(h) => {
-                pairs.push(("port".into(), Json::U64(h.port as u64)));
-                pairs.push(("prio".into(), Json::U64(h.prio as u64)));
-                pairs.push(("bytes".into(), Json::U64(h.bytes as u64)));
-                pairs.push(("src_ip".into(), Json::U64(h.src_ip as u64)));
-                pairs.push(("dst_ip".into(), Json::U64(h.dst_ip as u64)));
-                pairs.push(("queue_bytes".into(), Json::U64(h.queue_bytes)));
+                out.u64("port", h.port as u64);
+                out.u64("prio", h.prio as u64);
+                out.u64("bytes", h.bytes as u64);
+                out.u64("src_ip", h.src_ip as u64);
+                out.u64("dst_ip", h.dst_ip as u64);
+                out.u64("queue_bytes", h.queue_bytes);
             }
             RecordBody::Queue(q) => {
-                pairs.push(("backlog_bytes".into(), Json::U64(q.backlog_bytes)));
-                pairs.push(("max_port_bytes".into(), Json::U64(q.max_port_bytes)));
-                pairs.push(("tx_pkts".into(), Json::U64(q.tx_pkts)));
+                out.u64("backlog_bytes", q.backlog_bytes);
+                out.u64("max_port_bytes", q.max_port_bytes);
+                out.u64("tx_pkts", q.tx_pkts);
             }
             RecordBody::Rate(r) => {
-                pairs.push(("qp".into(), Json::U64(r.qp as u64)));
-                pairs.push(("rate_mbps".into(), Json::U64(r.rate_mbps as u64)));
-                pairs.push(("cc".into(), Json::Str(r.cc.to_string())));
-                pairs.push(("cause".into(), Json::Str(r.cause.to_string())));
+                out.u64("qp", r.qp as u64);
+                out.u64("rate_mbps", r.rate_mbps as u64);
+                out.str("cc", r.cc);
+                out.str("cause", r.cause);
             }
         }
+    }
+
+    /// Append the canonical JSON object for this record to `out` —
+    /// exactly what [`JsonlSink`] writes per line (before the newline)
+    /// and [`parse_line`] reads back: UTF-8 text, as bytes because that
+    /// is what a writer takes. Allocates only if `out` must grow.
+    pub fn write_json(&self, out: &mut Vec<u8>) {
+        self.visit(&mut ObjectText { out, open: b"{\"" });
+        out.push(b'}');
+    }
+
+    /// The same object as a [`Json`] tree;
+    /// `to_json().render()` equals what [`Self::write_json`] appends.
+    pub fn to_json(&self) -> Json {
+        let mut pairs = Vec::new();
+        self.visit(&mut pairs);
         Json::Obj(pairs)
     }
 }
@@ -223,46 +295,88 @@ pub trait TraceSink: Send {
     fn flush(&mut self) {}
 }
 
+/// Shared view of the first I/O error a [`JsonlSink`] met. The sink is
+/// boxed into the hub for the run; a clone of the latch is how its owner
+/// still learns, afterwards, that the export is incomplete.
+pub type IoErrorLatch = Arc<OnceLock<io::Error>>;
+
 /// Line-delimited JSON sink over any writer (file, pipe, `Vec<u8>`).
-/// One [`StreamRecord::to_json`] object per line, in emission order.
+/// One [`StreamRecord::write_json`] object per line, in emission order,
+/// each handed to the writer as one `write_all`.
+///
+/// A failed write or flush (full disk, closed pipe) is not a simulation
+/// error, so it never panics the run — but it is not swallowed either:
+/// the first error is latched, nothing is written after it (a trace with
+/// a hole is worse than a short one), and [`Self::io_error`] / the
+/// [`IoErrorLatch`] report it.
 pub struct JsonlSink {
     w: Box<dyn Write + Send>,
+    /// The line under construction; reused, so steady-state records
+    /// allocate nothing.
+    line: Vec<u8>,
     records: u64,
+    error: IoErrorLatch,
 }
 
 impl JsonlSink {
     /// Stream to a buffered file at `path` (created/truncated).
-    pub fn create(path: &str) -> std::io::Result<JsonlSink> {
+    pub fn create(path: &str) -> io::Result<JsonlSink> {
         let f = std::fs::File::create(path)?;
-        Ok(JsonlSink::to_writer(std::io::BufWriter::new(f)))
+        Ok(JsonlSink::to_writer(io::BufWriter::new(f)))
     }
 
     /// Stream to an arbitrary writer.
     pub fn to_writer(w: impl Write + Send + 'static) -> JsonlSink {
         JsonlSink {
             w: Box::new(w),
+            line: Vec::new(),
             records: 0,
+            error: IoErrorLatch::default(),
         }
     }
 
-    /// Records written so far.
+    /// Records written so far (none are counted after an I/O error).
     pub fn records_written(&self) -> u64 {
         self.records
+    }
+
+    /// The first I/O error a write or flush met, if any. Once set, the
+    /// sink has stopped writing.
+    pub fn io_error(&self) -> Option<&io::Error> {
+        self.error.get()
+    }
+
+    /// A handle to [`Self::io_error`] that outlives handing the sink to
+    /// the hub.
+    pub fn error_latch(&self) -> IoErrorLatch {
+        self.error.clone()
     }
 }
 
 impl TraceSink for JsonlSink {
     fn write(&mut self, rec: &StreamRecord<'_>) {
-        let mut line = rec.to_json().render();
-        line.push('\n');
-        // A full disk mid-export is not a simulation error; the writer
-        // surfaces it on flush.
-        let _ = self.w.write_all(line.as_bytes());
-        self.records += 1;
+        if self.error.get().is_some() {
+            return;
+        }
+        self.line.clear();
+        rec.write_json(&mut self.line);
+        self.line.push(b'\n');
+        // This sink is the latch's only writer and stops at the first
+        // error, so `set` cannot find it occupied.
+        match self.w.write_all(&self.line) {
+            Ok(()) => self.records += 1,
+            Err(e) => {
+                let _ = self.error.set(e);
+            }
+        }
     }
 
     fn flush(&mut self) {
-        let _ = self.w.flush();
+        if self.error.get().is_none() {
+            if let Err(e) = self.w.flush() {
+                let _ = self.error.set(e);
+            }
+        }
     }
 }
 
@@ -531,6 +645,77 @@ mod tests {
         assert_eq!(parsed[3].kind, "queue");
         assert_eq!(parsed[3].u64_field("backlog_bytes"), Some(1 << 20));
         assert_eq!(parsed[2].str_field("cc"), Some("dcqcn"));
+    }
+
+    /// A writer that accepts `budget` bytes, then fails every call;
+    /// `calls` counts how often it was asked.
+    struct FailAfter {
+        budget: usize,
+        calls: Arc<Mutex<u32>>,
+    }
+    impl Write for FailAfter {
+        fn write(&mut self, b: &[u8]) -> io::Result<usize> {
+            *self.calls.lock().unwrap() += 1;
+            if b.len() > self.budget {
+                return Err(io::Error::other("disk full"));
+            }
+            self.budget -= b.len();
+            Ok(b.len())
+        }
+        fn flush(&mut self) -> io::Result<()> {
+            *self.calls.lock().unwrap() += 1;
+            Err(io::Error::other("flush failed"))
+        }
+    }
+
+    fn write_all_samples(sink: &mut JsonlSink) {
+        for r in sample_records() {
+            sink.write(&StreamRecord {
+                t_ps: r.t_ps,
+                scope: &r.scope,
+                shard: r.shard,
+                body: r.body,
+            });
+        }
+    }
+
+    /// The first failed write is latched, visible through the sink and
+    /// through a latch handle taken before the sink was boxed away, and
+    /// nothing — not even a flush — reaches the writer after it.
+    #[test]
+    fn jsonl_sink_latches_first_write_error_and_stops() {
+        let first = sample_records()[0].to_json().render().len() + 1;
+        let calls = Arc::new(Mutex::new(0));
+        let mut sink = JsonlSink::to_writer(FailAfter {
+            budget: first + 10, // room for line 1, not for line 2
+            calls: calls.clone(),
+        });
+        let latch = sink.error_latch();
+        assert!(sink.io_error().is_none() && latch.get().is_none());
+        write_all_samples(&mut sink);
+        sink.flush();
+        assert_eq!(sink.io_error().unwrap().to_string(), "disk full");
+        assert_eq!(latch.get().unwrap().to_string(), "disk full");
+        assert_eq!(sink.records_written(), 1);
+        assert_eq!(
+            *calls.lock().unwrap(),
+            2,
+            "line 1, failed line 2, then silence"
+        );
+    }
+
+    /// A flush error is latched exactly like a write error.
+    #[test]
+    fn jsonl_sink_latches_flush_error() {
+        let mut sink = JsonlSink::to_writer(FailAfter {
+            budget: usize::MAX,
+            calls: Arc::default(),
+        });
+        write_all_samples(&mut sink);
+        assert!(sink.io_error().is_none());
+        sink.flush();
+        assert_eq!(sink.io_error().unwrap().to_string(), "flush failed");
+        assert_eq!(sink.records_written(), 4);
     }
 
     /// Canonical round trip: render → parse → re-render is the identity

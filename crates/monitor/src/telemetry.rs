@@ -40,7 +40,7 @@ use std::sync::{Arc, Mutex, OnceLock};
 
 use crate::json::Json;
 use crate::sink::{
-    HopRecord, QueueSample, RatePoint, RecordBody, StreamRecord, TraceFilter, TraceSink,
+    FieldSink, HopRecord, QueueSample, RatePoint, RecordBody, StreamRecord, TraceFilter, TraceSink,
 };
 use crate::stats::{Percentiles, TimeSeries};
 
@@ -227,46 +227,46 @@ impl TraceEvent {
         }
     }
 
-    pub(crate) fn detail_json(&self) -> Vec<(String, Json)> {
-        let mut d = Vec::new();
+    /// Describe the kind-specific fields to `out`, in line order (the
+    /// `kind` tag itself belongs to the record header).
+    pub(crate) fn visit(&self, out: &mut impl FieldSink) {
         match *self {
-            TraceEvent::Drop { reason } => d.push(("reason".into(), Json::Str(reason.into()))),
+            TraceEvent::Drop { reason } => out.str("reason", reason),
             TraceEvent::PauseTx { port, prio }
             | TraceEvent::PauseRx { port, prio }
             | TraceEvent::ResumeTx { port, prio } => {
-                d.push(("port".into(), Json::U64(port as u64)));
-                d.push(("prio".into(), Json::U64(prio as u64)));
+                out.u64("port", port as u64);
+                out.u64("prio", prio as u64);
             }
             TraceEvent::WatchdogDisabled { port } | TraceEvent::WatchdogReenabled { port } => {
-                d.push(("port".into(), Json::U64(port as u64)));
+                out.u64("port", port as u64);
             }
             TraceEvent::Rollback {
                 cause,
                 to_psn,
                 pkts,
             } => {
-                d.push(("cause".into(), Json::Str(cause.into())));
-                d.push(("to_psn".into(), Json::U64(to_psn as u64)));
-                d.push(("pkts".into(), Json::U64(pkts as u64)));
+                out.str("cause", cause);
+                out.u64("to_psn", to_psn as u64);
+                out.u64("pkts", pkts as u64);
             }
             TraceEvent::RateChange {
                 cc,
                 rate_mbps,
                 cause,
             } => {
-                d.push(("cc".into(), Json::Str(cc.into())));
-                d.push(("rate_mbps".into(), Json::U64(rate_mbps as u64)));
-                d.push(("cause".into(), Json::Str(cause.into())));
+                out.str("cc", cc);
+                out.u64("rate_mbps", rate_mbps as u64);
+                out.str("cause", cause);
             }
             TraceEvent::DeadlockSuspected { cycle_len } => {
-                d.push(("cycle_len".into(), Json::U64(cycle_len as u64)));
+                out.u64("cycle_len", cycle_len as u64);
             }
             TraceEvent::NicWatchdogFired
             | TraceEvent::ArpIncompleteDrop
             | TraceEvent::StormStart
             | TraceEvent::StormStop => {}
         }
-        d
     }
 }
 
@@ -416,7 +416,6 @@ struct HubInner {
     histogram_names: Vec<String>,
     histograms: Vec<Percentiles>,
     histograms_by_name: Vec<u32>,
-    scope_names: Vec<String>,
     next_sample_ps: u64,
     samples_taken: u64,
 }
@@ -437,7 +436,6 @@ impl HubInner {
             histogram_names: Vec::new(),
             histograms: Vec::new(),
             histograms_by_name: Vec::new(),
-            scope_names: Vec::new(),
             next_sample_ps: 0,
             samples_taken: 0,
         }
@@ -452,9 +450,28 @@ fn insert_sorted(order: &mut Vec<u32>, names: &[String], id: u32) {
     order.insert(pos, id);
 }
 
+/// Everything a streamed record needs, under one mutex: the sink and the
+/// scope-name table its records borrow from. Emission takes this lock
+/// and no other.
+#[derive(Default)]
+struct StreamState {
+    /// Attached streaming trace sink, if any.
+    sink: Option<Box<dyn TraceSink>>,
+    /// Scope names by [`ScopeId`], appended at registration.
+    scope_names: Vec<String>,
+}
+
+/// The name `id` was registered under (`"?"` for a foreign or sentinel
+/// id).
+fn scope_name(names: &[String], id: ScopeId) -> &str {
+    names.get(id.0 as usize).map_or("?", |n| n)
+}
+
 /// Shared state behind an enabled hub: the lock-free value banks, the
-/// flight recorder under its own small mutex, and everything rare
-/// (registration, series, histograms, sampling) under the inner mutex.
+/// flight recorder under its own small mutex, the streaming state under
+/// another, and everything rare (registration, series, histograms,
+/// sampling) under the inner mutex. Where locks nest, the order is
+/// `inner` → `stream` → `flight`.
 struct HubShared {
     counters: AtomicBank,
     gauges: AtomicBank,
@@ -463,11 +480,7 @@ struct HubShared {
     /// Copied out of `TelemetryConfig` so the hot path reads it without
     /// locking.
     locked_reference: bool,
-    /// Attached streaming trace sink, if any. Locked only while writing
-    /// a record; lock order is always `inner` → `sink` (scope-name
-    /// resolution happens under `inner` so the borrowed record can be
-    /// written without cloning the name).
-    sink: Mutex<Option<Box<dyn TraceSink>>>,
+    stream: Mutex<StreamState>,
     /// [`TraceFilter::bits`] of the attached sink, 0 when detached. The
     /// per-packet emission guard is one relaxed load of this word — with
     /// no sink the hop path costs a single compare, like a disabled hub.
@@ -558,7 +571,7 @@ impl MetricsHub {
                 flight: Mutex::new(FlightRecorder::new(cfg.flight_capacity)),
                 inner: Mutex::new(HubInner::new(cfg)),
                 locked_reference: cfg.locked_reference,
-                sink: Mutex::new(None),
+                stream: Mutex::new(StreamState::default()),
                 sink_flags: AtomicU32::new(0),
             })),
         }
@@ -656,8 +669,9 @@ impl MetricsHub {
         if let Some(&id) = h.names.get(&key) {
             return ScopeId(id);
         }
-        let id = h.scope_names.len() as u32;
-        h.scope_names.push(name.to_string());
+        let mut st = s.stream.lock().unwrap();
+        let id = st.scope_names.len() as u32;
+        st.scope_names.push(name.to_string());
         h.names.insert(key, id);
         ScopeId(id)
     }
@@ -741,8 +755,8 @@ impl MetricsHub {
         let Some(s) = &self.inner else {
             return Some(sink);
         };
-        let mut slot = s.sink.lock().unwrap();
-        let mut old = slot.replace(sink);
+        let mut st = s.stream.lock().unwrap();
+        let mut old = st.sink.replace(sink);
         if let Some(prev) = old.as_mut() {
             prev.flush();
         }
@@ -754,7 +768,7 @@ impl MetricsHub {
     pub fn detach_sink(&self) -> Option<Box<dyn TraceSink>> {
         let s = self.inner.as_ref()?;
         s.sink_flags.store(0, Ordering::Relaxed);
-        let mut old = s.sink.lock().unwrap().take();
+        let mut old = s.stream.lock().unwrap().sink.take();
         if let Some(prev) = old.as_mut() {
             prev.flush();
         }
@@ -764,7 +778,7 @@ impl MetricsHub {
     /// Flush the attached sink's buffered output, if any.
     pub fn flush_sink(&self) {
         if let Some(s) = &self.inner {
-            if let Some(sink) = s.sink.lock().unwrap().as_mut() {
+            if let Some(sink) = s.stream.lock().unwrap().sink.as_mut() {
                 sink.flush();
             }
         }
@@ -829,21 +843,17 @@ impl MetricsHub {
         }
     }
 
-    /// Resolve the scope name and hand one record to the sink. Cold
-    /// relative to the guards above; takes `inner` then `sink` (the
-    /// global lock order).
+    /// Resolve the scope name and hand one record to the sink: one lock,
+    /// no allocation (the record borrows the name from the table the
+    /// lock guards).
     fn stream(&self, t_ps: u64, scope: ScopeId, body: RecordBody) {
         let Some(s) = &self.inner else { return };
-        let h = s.inner.lock().unwrap();
-        let name = h
-            .scope_names
-            .get(scope.0 as usize)
-            .map(|n| n.as_str())
-            .unwrap_or("?");
-        if let Some(sink) = s.sink.lock().unwrap().as_mut() {
+        let mut st = s.stream.lock().unwrap();
+        let StreamState { sink, scope_names } = &mut *st;
+        if let Some(sink) = sink {
             sink.write(&StreamRecord {
                 t_ps,
-                scope: name,
+                scope: scope_name(scope_names, scope),
                 // Direct emission never knows its shard; the sharded
                 // merge stamps the tag when moving bank records into the
                 // final sink.
@@ -978,17 +988,17 @@ impl MetricsHub {
         let Some(s) = &self.inner else {
             return (Vec::new(), 0);
         };
-        let h = s.inner.lock().unwrap();
+        let st = s.stream.lock().unwrap();
         let flight = s.flight.lock().unwrap();
         let rows = flight
             .records()
             .map(|r| {
-                let scope = h
-                    .scope_names
-                    .get(r.scope.0 as usize)
-                    .cloned()
-                    .unwrap_or_else(|| "?".to_string());
-                (r.seq, r.t_ps, scope, r.event)
+                (
+                    r.seq,
+                    r.t_ps,
+                    scope_name(&st.scope_names, r.scope).to_string(),
+                    r.event,
+                )
             })
             .collect();
         (rows, flight.dropped())
@@ -1092,22 +1102,17 @@ impl MetricsHub {
             }
         }
 
+        let st = s.stream.lock().unwrap();
         let flight_lock = s.flight.lock().unwrap();
         let flight: Vec<Json> = flight_lock
             .records()
             .map(|r| {
-                let scope = h
-                    .scope_names
-                    .get(r.scope.0 as usize)
-                    .map(|s| s.as_str())
-                    .unwrap_or("?");
-                let mut pairs = vec![
-                    ("seq".to_string(), Json::U64(r.seq)),
-                    ("t_ps".to_string(), Json::U64(r.t_ps)),
-                    ("scope".to_string(), Json::Str(scope.to_string())),
-                    ("kind".to_string(), Json::Str(r.event.kind().to_string())),
-                ];
-                pairs.extend(r.event.detail_json());
+                let mut pairs: Vec<(String, Json)> = Vec::new();
+                pairs.u64("seq", r.seq);
+                pairs.u64("t_ps", r.t_ps);
+                pairs.str("scope", scope_name(&st.scope_names, r.scope));
+                pairs.str("kind", r.event.kind());
+                r.event.visit(&mut pairs);
                 Json::Obj(pairs)
             })
             .collect();

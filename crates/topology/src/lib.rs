@@ -81,6 +81,19 @@ pub enum RouteSpec {
     },
 }
 
+/// One end of a cable as seen from a node: its own `port`, the `peer`
+/// node on the far end, and the [`Topology::links`] entry that is the
+/// cable.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Neighbor {
+    /// This node's port.
+    pub port: PortId,
+    /// Node id at the far end.
+    pub peer: usize,
+    /// Index into [`Topology::links`].
+    pub link: usize,
+}
+
 /// A complete topology: nodes, links, and per-switch routes.
 #[derive(Debug, Clone)]
 pub struct Topology {
@@ -90,6 +103,14 @@ pub struct Topology {
     pub links: Vec<TopoLink>,
     /// Routes per node id (empty for servers).
     pub routes: Vec<Vec<RouteSpec>>,
+    /// Per-node adjacency over `links` as built by [`Topology::clos`], in
+    /// compressed rows: node `i`'s neighbours are
+    /// `adj[adj_start[i]..adj_start[i + 1]]`, in link order. Every
+    /// per-node question (ports, ToR, attached servers) is answered from
+    /// here in time proportional to the node's radix, not the fabric's
+    /// link count.
+    adj: Vec<Neighbor>,
+    adj_start: Vec<usize>,
 }
 
 /// Parameters of a Clos fabric.
@@ -204,6 +225,8 @@ impl Topology {
             nodes: Vec::new(),
             links: Vec::new(),
             routes: Vec::new(),
+            adj: Vec::new(),
+            adj_start: Vec::new(),
         };
         let mut tor_ids = vec![vec![0usize; spec.tors_per_pod as usize]; spec.pods as usize];
         let mut leaf_ids = vec![vec![0usize; spec.leaves_per_pod as usize]; spec.pods as usize];
@@ -331,12 +354,59 @@ impl Topology {
                 });
             }
         }
+        t.index_links();
         t
     }
 
     fn push(&mut self, n: TopoNode) -> usize {
         self.nodes.push(n);
         self.nodes.len() - 1
+    }
+
+    /// Build the adjacency rows from `links` (a counting sort by node,
+    /// so each row keeps link order and the whole index is two
+    /// allocations however many nodes there are).
+    fn index_links(&mut self) {
+        let mut start = vec![0usize; self.nodes.len() + 1];
+        for l in &self.links {
+            start[l.a.0 + 1] += 1;
+            start[l.b.0 + 1] += 1;
+        }
+        for i in 0..self.nodes.len() {
+            start[i + 1] += start[i];
+        }
+        let unset = Neighbor {
+            port: PortId(0),
+            peer: 0,
+            link: 0,
+        };
+        let mut adj = vec![unset; 2 * self.links.len()];
+        let mut next = start.clone();
+        for (link, l) in self.links.iter().enumerate() {
+            for (me, peer) in [(l.a, l.b), (l.b, l.a)] {
+                adj[next[me.0]] = Neighbor {
+                    port: me.1,
+                    peer: peer.0,
+                    link,
+                };
+                next[me.0] += 1;
+            }
+        }
+        self.adj = adj;
+        self.adj_start = start;
+    }
+
+    /// The cable ends at `node`, in link order.
+    pub fn neighbors(&self, node: usize) -> &[Neighbor] {
+        &self.adj[self.adj_start[node]..self.adj_start[node + 1]]
+    }
+
+    /// The port of `node` cabled to `peer`, if they are adjacent.
+    pub fn port_toward(&self, node: usize, peer: usize) -> Option<PortId> {
+        self.neighbors(node)
+            .iter()
+            .find(|n| n.peer == peer)
+            .map(|n| n.port)
     }
 
     /// Number of pods actually present (max pod index + 1 over
@@ -362,32 +432,20 @@ impl Topology {
 
     /// Number of ports each node needs (max port index + 1 over links).
     pub fn port_count(&self, node: usize) -> u16 {
-        let mut max = 0u16;
-        for l in &self.links {
-            if l.a.0 == node {
-                max = max.max(l.a.1 .0 + 1);
-            }
-            if l.b.0 == node {
-                max = max.max(l.b.1 .0 + 1);
-            }
-        }
-        max
+        self.neighbors(node)
+            .iter()
+            .map(|n| n.port.0 + 1)
+            .max()
+            .unwrap_or(0)
     }
 
     /// The server node ids under a given ToR id, in port order.
     pub fn servers_of_tor(&self, tor: usize) -> Vec<usize> {
         let mut out: Vec<(PortId, usize)> = self
-            .links
+            .neighbors(tor)
             .iter()
-            .filter_map(|l| {
-                if l.a.0 == tor && self.nodes[l.b.0].tier == Tier::Server {
-                    Some((l.a.1, l.b.0))
-                } else if l.b.0 == tor && self.nodes[l.a.0].tier == Tier::Server {
-                    Some((l.b.1, l.a.0))
-                } else {
-                    None
-                }
-            })
+            .filter(|n| self.nodes[n.peer].tier == Tier::Server)
+            .map(|n| (n.port, n.peer))
             .collect();
         out.sort();
         out.into_iter().map(|(_, s)| s).collect()
@@ -395,15 +453,11 @@ impl Topology {
 
     /// The ToR id a server connects to.
     pub fn tor_of_server(&self, server: usize) -> usize {
-        for l in &self.links {
-            if l.a.0 == server && self.nodes[l.b.0].tier == Tier::Tor {
-                return l.b.0;
-            }
-            if l.b.0 == server && self.nodes[l.a.0].tier == Tier::Tor {
-                return l.a.0;
-            }
-        }
-        panic!("server {server} has no ToR link");
+        self.neighbors(server)
+            .iter()
+            .find(|n| self.nodes[n.peer].tier == Tier::Tor)
+            .map(|n| n.peer)
+            .unwrap_or_else(|| panic!("server {server} has no ToR link"))
     }
 }
 
@@ -617,6 +671,46 @@ mod tests {
             assert_eq!(servers.len(), 3);
             for s in servers {
                 assert_eq!(t.tor_of_server(s), tor);
+            }
+        }
+    }
+
+    /// The adjacency index answers exactly what a scan over `links`
+    /// answers — same values, same order — on the rack, two-tier and
+    /// multi-pod shapes the cluster builders use.
+    #[test]
+    fn adjacency_index_matches_link_scan() {
+        for spec in [
+            ClosSpec::uniform_40g(1, 1, 1, 1, 8), // ClusterBuilder::single_tor
+            ClosSpec::uniform_40g(1, 8, 2, 2, 16), // ClusterBuilder::two_tier
+            ClosSpec::uniform_40g(3, 4, 2, 6, 5),
+        ] {
+            let t = Topology::clos(&spec);
+            for node in 0..t.nodes.len() {
+                // Every cable end at `node`, by scanning all links.
+                let mut scan = Vec::new();
+                for (link, l) in t.links.iter().enumerate() {
+                    for (me, peer) in [(l.a, l.b), (l.b, l.a)] {
+                        if me.0 == node {
+                            scan.push(Neighbor {
+                                port: me.1,
+                                peer: peer.0,
+                                link,
+                            });
+                        }
+                    }
+                }
+                assert_eq!(t.neighbors(node), scan, "node {node}");
+                let ports = scan.iter().map(|n| n.port.0 + 1).max().unwrap_or(0);
+                assert_eq!(t.port_count(node), ports);
+                for n in &scan {
+                    assert_eq!(t.port_toward(node, n.peer), Some(n.port));
+                }
+                assert_eq!(t.port_toward(node, node), None);
+                if t.nodes[node].tier == Tier::Server {
+                    let tor = scan.iter().find(|n| t.nodes[n.peer].tier == Tier::Tor);
+                    assert_eq!(t.tor_of_server(node), tor.unwrap().peer);
+                }
             }
         }
     }

@@ -240,6 +240,16 @@ pub struct QpEndpoint {
     /// exactly once; RTO covers a lost NAK), pruned as `rcv_nxt`
     /// advances.
     sr_naked: BTreeSet<u32>,
+    /// Selective repeat: one past the highest PSN the gap scan has
+    /// examined. Every PSN in `rcv_nxt..sr_scanned` is already in
+    /// `rx_buf` or `sr_naked`, so an arrival only has to scan above it —
+    /// without this a hole stuck at `rcv_nxt` makes every later arrival
+    /// re-walk the whole window (quadratic).
+    sr_scanned: u32,
+    /// Test oracle: rescan from `rcv_nxt` on every arrival, as the
+    /// receiver did before `sr_scanned` existed.
+    #[cfg(test)]
+    sr_naive_rescan: bool,
     /// In-order data packets since the last ACK.
     pkts_since_ack: u32,
     /// PSN of the first packet of the message currently being reassembled
@@ -279,6 +289,9 @@ impl QpEndpoint {
             nak_armed: true,
             rx_buf: BTreeMap::new(),
             sr_naked: BTreeSet::new(),
+            sr_scanned: 0,
+            #[cfg(test)]
+            sr_naive_rescan: false,
             pkts_since_ack: 0,
             cur_msg_base: 0,
             cur_msg_bytes: 0,
@@ -698,7 +711,15 @@ impl QpEndpoint {
             self.rx_buf.insert(desc.psn, *desc);
             // NAK each PSN this arrival proves missing, exactly once. A
             // lost NAK is covered by the sender's RTO, not repetition.
-            for psn in self.rcv_nxt..desc.psn {
+            let from = self.rcv_nxt.max(self.sr_scanned);
+            #[cfg(test)]
+            let from = if self.sr_naive_rescan {
+                self.rcv_nxt
+            } else {
+                from
+            };
+            self.sr_scanned = self.sr_scanned.max(desc.psn + 1);
+            for psn in from..desc.psn {
                 if !self.rx_buf.contains_key(&psn) && self.sr_naked.insert(psn) {
                     self.stats.naks_tx += 1;
                     self.ctrl_out.push_back(PacketDesc {
@@ -1268,5 +1289,114 @@ mod tests {
             b.on_packet(&d, 0);
         }
         assert_eq!(b.goodput_bytes(), 0, "message incomplete");
+    }
+
+    /// Differential test of the selective-repeat receiver's gap scan: the
+    /// high-water mark (`sr_scanned`) against the naive rescan from
+    /// `rcv_nxt` it replaced, as oracle. One hole sticks at `rcv_nxt`
+    /// (the original and every retransmission of it are lost) while more
+    /// than 20 000 later packets arrive — with further losses, lost and
+    /// late retransmissions, and duplicates — and is plugged at the very
+    /// end. After every arrival both receivers must have emitted the
+    /// same control packets and completions and hold the same counters.
+    /// (The oracle is quadratic by nature: about a minute in a debug
+    /// build, 8 s in release.)
+    #[test]
+    fn sr_gap_scan_mark_matches_naive_rescan() {
+        use rocescale_sim::SimRng;
+        const MSG: u32 = 64;
+        const N: u32 = 322 * MSG; // 20 608 packets, whole messages
+        const STUCK: u32 = 300;
+        /// The receiver under test and its oracle, fed in lockstep.
+        struct Twin {
+            fast: QpEndpoint,
+            naive: QpEndpoint,
+            arrivals: u64,
+            naks: u64,
+        }
+        impl Twin {
+            fn deliver(&mut self, psn: u32, now: u64) {
+                let data = PacketDesc {
+                    opcode: RoceOpcode::Send,
+                    psn,
+                    payload: 1024,
+                    is_first: psn.is_multiple_of(MSG),
+                    is_last: psn % MSG == MSG - 1,
+                    ack_req: false,
+                };
+                let Twin { fast, naive, .. } = self;
+                fast.on_packet(&data, now);
+                naive.on_packet(&data, now);
+                assert_eq!(fast.ctrl_out, naive.ctrl_out, "control after psn {psn}");
+                assert_eq!(fast.completions, naive.completions, "psn {psn}");
+                assert_eq!(fast.stats, naive.stats, "psn {psn}");
+                self.arrivals += 1;
+                self.naks += fast
+                    .ctrl_out
+                    .drain(..)
+                    .filter(|c| c.opcode == RoceOpcode::Nak)
+                    .count() as u64;
+                naive.ctrl_out.clear();
+                fast.completions.clear();
+                naive.completions.clear();
+            }
+        }
+        let (fast, mut naive) = pair(LossRecovery::SelectiveRepeat);
+        naive.sr_naive_rescan = true;
+        let mut t = Twin {
+            fast,
+            naive,
+            arrivals: 0,
+            naks: 0,
+        };
+
+        let mut rng = SimRng::from_seed(0x5e1ec7);
+        // Retransmissions in flight: (step they arrive at, psn).
+        let mut retx: Vec<(u64, u32)> = Vec::new();
+        let mut lost_for_good = vec![STUCK];
+        for psn in 0..N {
+            let step = psn as u64;
+            if psn == STUCK {
+                continue;
+            }
+            if rng.gen_below(64) == 0 {
+                retx.push((step + 20 + rng.gen_below(200), psn));
+            } else {
+                t.deliver(psn, step);
+            }
+            if psn > 0 && rng.gen_below(200) == 0 {
+                t.deliver(rng.gen_below(psn as u64) as u32, step); // duplicate
+            }
+            let mut i = 0;
+            while i < retx.len() {
+                if retx[i].0 > step {
+                    i += 1;
+                    continue;
+                }
+                let (_, p) = retx.swap_remove(i);
+                match rng.gen_below(8) {
+                    0 => lost_for_good.push(p),          // never re-NAK'd, so never resent
+                    1 | 2 => retx.push((step + 500, p)), // lost, recovered late (RTO)
+                    _ => t.deliver(p, step),
+                }
+            }
+        }
+        assert!(
+            t.arrivals > 20_000 + STUCK as u64,
+            "{} arrivals",
+            t.arrivals
+        );
+        assert!(t.fast.rcv_nxt <= STUCK, "a hole held the edge all run long");
+        assert!(t.fast.rx_buf.len() > 20_000);
+        // The sender's RTO finally resends everything outstanding.
+        lost_for_good.extend(retx.iter().map(|&(_, p)| p));
+        lost_for_good.sort_unstable();
+        for p in lost_for_good {
+            t.deliver(p, N as u64);
+        }
+        assert_eq!((t.fast.rcv_nxt, t.naive.rcv_nxt), (N, N));
+        assert!(t.fast.rx_buf.is_empty() && t.fast.sr_naked.is_empty());
+        assert_eq!(t.fast.stats.goodput_bytes, N as u64 * 1024);
+        assert!(t.naks > 300, "{} NAKs compared", t.naks);
     }
 }
