@@ -3,7 +3,7 @@
 //!
 //! ```text
 //! fleet [--jobs N] [--only SUBSTR] [--json] [--json-out PATH]
-//!       [--trace-out PATH] [--bench-out PATH] [scenario flags…]
+//!       [--trace-out PATH] [scenario flags…]
 //! ```
 //!
 //! * `--jobs N` — worker threads (default: available parallelism).
@@ -13,11 +13,10 @@
 //!   element the same schema the standalone binaries emit with `--json`
 //!   (validated by `json_check`).
 //! * `--json-out PATH` — also write that document to a file.
-//! * `--bench-out PATH` — time the selection at `--jobs 1` and at
-//!   `--jobs N`, check the outputs are byte-identical, and write a JSON
-//!   artifact (e.g. `BENCH_fleet.json`) with the headline numbers.
 //! * anything else (e.g. `--full-scale`, `--no-pfc`) is forwarded to
-//!   every scenario.
+//!   every scenario. `--deterministic` makes scenarios that report
+//!   their own wall-clock suppress those fields, so two runs can be
+//!   compared byte for byte (CI does, across `--jobs 1` and `--jobs 2`).
 //!
 //! `--trace-out` is forwarded when the selection is exactly one
 //! scenario (the usual `--only` case); with several scenarios racing to
@@ -32,7 +31,6 @@ use std::time::Instant;
 use rocescale_bench::fleet::{matching_indices, run_selected, suite_json};
 use rocescale_bench::harness::ScenarioCli;
 use rocescale_bench::CliArgs;
-use rocescale_monitor::Json;
 
 fn usage(msg: &str) -> ! {
     if !msg.is_empty() {
@@ -40,7 +38,7 @@ fn usage(msg: &str) -> ! {
     }
     eprintln!(
         "usage: fleet [--jobs N] [--only SUBSTR] [--json] [--json-out PATH] \
-         [--trace-out PATH] [--bench-out PATH] [scenario flags...]"
+         [--trace-out PATH] [scenario flags...]"
     );
     std::process::exit(2);
 }
@@ -103,11 +101,6 @@ fn main() {
         flags,
     };
 
-    if let Some(path) = &cli.bench_out {
-        bench_mode(&args, jobs, path, &indices);
-        return;
-    }
-
     let t0 = Instant::now();
     let outcomes = run_selected(&args, jobs, &indices);
     let secs = t0.elapsed().as_secs_f64();
@@ -133,54 +126,4 @@ fn main() {
         secs
     );
     args.trace_exports.exit_on_failure();
-}
-
-/// Time the selection serially and at `jobs` workers, insist the
-/// rendered output is byte-identical, and write the headline artifact.
-fn bench_mode(cli: &CliArgs, jobs: usize, path: &str, indices: &[usize]) {
-    let cores = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    // Byte-identity requires deterministic reports: scenarios that
-    // measure their own wall-clock (inc_fleet_scale's per-shard split)
-    // suppress those fields under this flag.
-    let mut cli = cli.clone();
-    cli.flags.push("--deterministic".to_string());
-    let cli = &cli;
-
-    eprintln!("fleet bench: {} scenario(s) at --jobs 1 ...", indices.len());
-    let t0 = Instant::now();
-    let serial = run_selected(cli, 1, indices);
-    let serial_ms = t0.elapsed().as_secs_f64() * 1e3;
-    eprintln!(
-        "fleet bench: {} scenario(s) at --jobs {jobs} ...",
-        indices.len()
-    );
-    let t1 = Instant::now();
-    let parallel = run_selected(cli, jobs, indices);
-    let parallel_ms = t1.elapsed().as_secs_f64() * 1e3;
-
-    let a = suite_json(&serial).render();
-    let b = suite_json(&parallel).render();
-    assert_eq!(
-        a, b,
-        "fleet output must be byte-identical across worker counts"
-    );
-
-    let doc = Json::obj(vec![
-        ("bench", Json::Str("fleet".to_string())),
-        ("cores", Json::U64(cores as u64)),
-        ("jobs", Json::U64(jobs as u64)),
-        ("scenarios", Json::U64(serial.len() as u64)),
-        ("serial_ms", Json::F64(serial_ms)),
-        ("parallel_ms", Json::F64(parallel_ms)),
-        ("speedup", Json::F64(serial_ms / parallel_ms)),
-        ("identical_output", Json::Bool(true)),
-    ]);
-    std::fs::write(path, doc.render() + "\n").expect("write fleet bench artifact");
-    eprintln!(
-        "fleet bench: serial {serial_ms:.0} ms, --jobs {jobs} {parallel_ms:.0} ms \
-         (speedup {:.2}x on {cores} core(s)); wrote {path}",
-        serial_ms / parallel_ms
-    );
 }

@@ -1170,8 +1170,8 @@ impl ScenarioReport for IncFleetScale {
             EpochPacing::Adaptive
         };
         // Wall-clock fields are real measurements, hence nondeterministic;
-        // the fleet's --bench-out byte-identity check forwards
-        // --deterministic to drop them.
+        // --deterministic drops them so two fleet runs can be compared
+        // byte for byte (CI does, across worker counts).
         let walls = !args.has("--deterministic");
         let r = fleet_scale::run_spec(
             fleet_scale::spec_with(tors_per_pod, servers_per_tor),

@@ -6,7 +6,7 @@
 use rocescale_bench::fleet::run_sweep;
 use rocescale_bench::report::{to_json, Report, ScenarioReport};
 use rocescale_bench::{Cell, CliArgs, Table};
-use rocescale_core::{ClusterBuilder, SweepAxis, SweepJob, SweepSpec};
+use rocescale_core::{CcKind, ClusterBuilder, SweepAxis, SweepJob, SweepSpec};
 use rocescale_monitor::{merge_reports, Json};
 use rocescale_nic::QpApp;
 
@@ -23,8 +23,8 @@ fn spec() -> SweepSpec {
         )
         .axis(
             SweepAxis::new("dcqcn")
-                .variant("on", |p| p.transport = p.transport.dcqcn(true))
-                .variant("off", |p| p.transport = p.transport.dcqcn(false)),
+                .variant("on", |p| p.transport = p.transport.cc(CcKind::Dcqcn))
+                .variant("off", |p| p.transport = p.transport.cc(CcKind::Off)),
         )
         .replicates(2)
 }

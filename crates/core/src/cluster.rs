@@ -1,10 +1,13 @@
 //! Cluster construction and operation: topology → simulated fabric.
 
+use std::collections::BTreeMap;
+
 use rocescale_cc::CcParams;
 use rocescale_dcqcn::CpParams;
 use rocescale_monitor::deadlock::Snapshot;
 use rocescale_monitor::{
-    GaugeId, MemorySink, MetricsHub, QueueSample, ScopeId, TelemetryConfig, TraceSink,
+    GaugeId, MemorySink, MetricsHub, Pingmesh, QueueSample, ScopeId, StreamRecord, TelemetryConfig,
+    TraceSink,
 };
 use rocescale_nic::{
     host::{TOK_INJECT_STORM, TOK_STOP_STORM},
@@ -12,7 +15,8 @@ use rocescale_nic::{
 };
 use rocescale_packet::{MacAddr, Priority};
 use rocescale_sim::{
-    DigestMode, EngineKind, LinkSpec, NodeId, PortId, ProfileMode, RemotePort, SimTime, World,
+    merged_digest, EngineKind, LinkSpec, Node, NodeId, PortId, RemotePort, ShardedWorld, SimTime,
+    World, WorldSet,
 };
 use rocescale_switch::{
     AdminAction, BufferConfig, ClassifyMode, DropReason, EcmpGroup, PortRole, Switch, SwitchConfig,
@@ -151,35 +155,17 @@ impl ClusterBuilder {
 
     /// Replace the observation profile: telemetry hub, dispatch digest,
     /// dispatch profiler, and streaming trace sink, as one coherent
-    /// group. This is the preferred surface; the loose
-    /// [`telemetry`](Self::telemetry) / [`digest`](Self::digest) /
-    /// [`profile`](Self::profile) setters below are shims into it.
+    /// group.
     pub fn instrumentation(mut self, i: InstrumentationProfile) -> Self {
         self.instr = i;
         self
     }
 
-    /// Replace the execution profile: single-threaded (the default) or
-    /// pod-granular shards. [`build`](Self::build) always produces a
-    /// single-world [`Cluster`] regardless; the profile takes effect
-    /// through [`build_sharded`](Self::build_sharded), which honours the
-    /// requested shard count (clamped to the topology's pod count).
+    /// Replace the execution profile: the shard count
+    /// [`build_sharded`](Self::build_sharded) asks for (clamped to the
+    /// pod count); [`build`](Self::build) is always one shard.
     pub fn execution(mut self, e: ExecutionProfile) -> Self {
         self.execution = e;
-        self
-    }
-
-    /// Attach a telemetry hub. Every switch, NIC and TCP host registers
-    /// its instruments on it, and [`Cluster::run_until`] drives
-    /// sim-time-aligned time-series sampling. The default (disabled) hub
-    /// costs nothing and leaves the dispatch digest untouched.
-    ///
-    /// Deprecated shim into [`InstrumentationProfile::telemetry`], kept
-    /// so pre-profile callers keep compiling; it preserves any sink or
-    /// mode already set. New code should pass one
-    /// [`instrumentation`](Self::instrumentation) profile.
-    pub fn telemetry(mut self, hub: MetricsHub) -> Self {
-        self.instr.telemetry = hub;
         self
     }
 
@@ -194,28 +180,6 @@ impl ClusterBuilder {
     /// and wheel-vs-heap benchmarks.
     pub fn engine(mut self, e: EngineKind) -> Self {
         self.engine = e;
-        self
-    }
-
-    /// Dispatch-digest mode for the world (default: on). Fleet/bench runs
-    /// that don't check golden traces can switch it off to trim the
-    /// per-event hot path; results are identical either way.
-    ///
-    /// Deprecated shim into [`InstrumentationProfile::digest`].
-    pub fn digest(mut self, d: DigestMode) -> Self {
-        self.instr.digest = d;
-        self
-    }
-
-    /// Dispatch-profiler mode for the world (default: off). With it on,
-    /// the world wall-clocks every handler dispatch bucketed by event
-    /// kind; read the result via [`rocescale_sim::World::event_profile`]
-    /// on `cluster.world`. Simulated results and the dispatch digest are
-    /// identical either way.
-    ///
-    /// Deprecated shim into [`InstrumentationProfile::profiler`].
-    pub fn profile(mut self, p: ProfileMode) -> Self {
-        self.instr.profile = p;
         self
     }
 
@@ -244,68 +208,38 @@ impl ClusterBuilder {
         self
     }
 
-    /// Instantiate the cluster (one world, one thread — the golden-trace
-    /// path, whatever the execution profile says).
-    pub fn build(mut self) -> Cluster {
-        let spec = self.spec;
-        let BuiltParts {
-            mut worlds,
-            topo,
-            servers,
-            switches,
-            hubs,
-            ..
-        } = self.build_parts(1);
-        let world = worlds.pop().expect("one shard builds one world");
-        let telemetry = hubs.into_iter().next().expect("one shard builds one hub");
-
-        // Live deadlock probe over every switch egress that faces another
-        // device (fabric links both directions, plus switch→server ports
-        // so storm victims show up as wait-chain leaves).
-        let (probe_switches, probe_links) = probe_wiring(&topo, &switches);
-        let deadlock = DeadlockProbe::new_sharded(
-            &telemetry,
-            probe_switches,
-            probe_links,
-            vec![Priority::new(3), Priority::new(4)],
-            3,
-        );
-
-        // Fleet-level gauges published at each sample tick.
-        let tele = ClusterTele::register(&telemetry, &switches);
-
-        Cluster {
-            world,
-            topo,
-            spec,
-            servers,
-            switches,
-            telemetry,
-            tele,
-            deadlock,
-        }
+    /// Instantiate the cluster on one world, one thread — the
+    /// golden-trace path. `cluster.world` is the [`World`] itself.
+    pub fn build(self) -> Cluster {
+        self.assemble(1, |mut worlds| {
+            worlds.pop().expect("one shard builds one world")
+        })
     }
 
     /// Instantiate the cluster as per-pod worker shards advanced through
-    /// the conservative exchange (see [`crate::ShardedCluster`]). The
+    /// the conservative exchange (see [`crate::sharded`]). The
     /// [`ExecutionProfile`] chooses the shard count; `SingleThread` (or a
     /// single-pod topology, which the partition collapses) yields one
     /// shard whose event stream — and dispatch digest — is byte-identical
     /// to [`build`](Self::build)'s.
-    pub fn build_sharded(mut self) -> crate::ShardedCluster {
-        let spec = self.spec;
+    pub fn build_sharded(self) -> crate::ShardedCluster {
         let shards = self.execution.shard_count();
-        let parts = self.build_parts(shards);
-        crate::ShardedCluster::from_parts(parts, spec)
+        self.assemble(shards, ShardedWorld::new)
     }
 
-    /// Everything `build` and `build_sharded` share: instantiate every
-    /// device into its shard's world (the pod-granular [`Partition`]
-    /// decides ownership), wire local links directly and boundary links
-    /// as mirrored remote ports, and translate the fault profile into
-    /// timers on the owning shards. With one effective shard this is
-    /// exactly the historical single-world construction.
-    fn build_parts(&mut self, shards: u32) -> BuiltParts {
+    /// The one constructor: instantiate every device into its shard's
+    /// world (the pod-granular [`Partition`] decides ownership), wire
+    /// local links directly and boundary links as mirrored remote ports,
+    /// translate the fault profile into timers on the owning shards,
+    /// register the per-shard observation banks and the deadlock probe,
+    /// and hand the worlds to `wrap` — the only step that differs
+    /// between [`build`](Self::build) and
+    /// [`build_sharded`](Self::build_sharded).
+    fn assemble<W: WorldSet>(
+        mut self,
+        shards: u32,
+        wrap: impl FnOnce(Vec<World>) -> W,
+    ) -> Cluster<W> {
         // A trace sink needs a live hub to stream through; upgrade a
         // disabled hub before any device registers instruments, then
         // attach the sink so records flow from the first event on.
@@ -319,7 +253,7 @@ impl ClusterBuilder {
         // the hub (the historical path — record bytes unchanged, no shard
         // tag). With several, each shard's hub streams into its own
         // MemorySink bank and the caller's sink becomes the merge target:
-        // ShardedCluster drains the banks in deterministic order at every
+        // the cluster drains the banks in deterministic order at every
         // flush boundary and stamps each record with its shard.
         let mut deferred_sink = None;
         if let Some((sink, filter)) = self.instr.sink.take() {
@@ -332,8 +266,7 @@ impl ClusterBuilder {
         // Shard-local telemetry banks: shard 0 keeps the builder's hub
         // (so the single-shard path is unchanged and callers hold a live
         // handle), every other shard gets its own bank with the same
-        // enablement and sampling cadence. Snapshots merge them by name
-        // (ShardedCluster).
+        // enablement and sampling cadence. Snapshots merge them by name.
         let hubs: Vec<MetricsHub> = (0..nshards)
             .map(|s| {
                 if s == 0 {
@@ -742,141 +675,166 @@ impl ClusterBuilder {
             }
         }
 
-        BuiltParts {
-            worlds,
-            partition,
+        let deadlock = probe(&hubs[0], &topo, &switches);
+        let obs = hubs
+            .iter()
+            .enumerate()
+            .map(|(s, hub)| ShardObs::register(hub, s as u32, &switches))
+            .collect();
+
+        Cluster {
+            world: wrap(worlds),
             topo,
+            spec: self.spec,
+            partition,
             servers,
             switches,
             hubs,
+            obs,
+            deadlock,
             banks,
             sink: deferred_sink.map(|(sink, _)| sink),
         }
     }
 }
 
-/// The deadlock probe's wiring over a built fabric: every switch keyed by
-/// (name, shard, sim id), and every switch egress that faces another
-/// device (fabric links both directions, plus switch→server ports so
-/// storm victims show up as wait-chain leaves). Shared by `build` and the
-/// sharded cluster so both flavours run the identical probe.
-pub(crate) fn probe_wiring(
-    topo: &Topology,
-    switches: &[SwitchInfo],
-) -> (Vec<(String, u32, NodeId)>, Vec<ProbeLink>) {
-    let probe_switches: Vec<(String, u32, NodeId)> = switches
-        .iter()
-        .map(|s| (s.name.clone(), s.shard, s.sim))
-        .collect();
+/// The live deadlock probe over a built fabric: every switch keyed by
+/// (name, shard, sim id), watching every switch egress that faces
+/// another device (fabric links both directions, plus switch→server
+/// ports so storm victims show up as wait-chain leaves), for the two
+/// lossless priorities.
+fn probe(hub: &MetricsHub, topo: &Topology, switches: &[SwitchInfo]) -> DeadlockProbe {
     // Topology node id → position in `switches`.
     let mut switch_at: Vec<Option<usize>> = vec![None; topo.nodes.len()];
     for (i, s) in switches.iter().enumerate() {
         switch_at[s.topo_idx] = Some(i);
     }
-    let mut probe_links = Vec::new();
+    let mut links = Vec::new();
     for l in &topo.links {
         for (me, peer) in [(l.a, l.b), (l.b, l.a)] {
             let Some(sw_idx) = switch_at[me.0] else {
                 continue;
             };
-            probe_links.push(ProbeLink {
+            links.push(ProbeLink {
                 switch: sw_idx,
                 port: me.1,
                 peer: topo.nodes[peer.0].name.clone(),
             });
         }
     }
-    (probe_switches, probe_links)
+    DeadlockProbe::new(
+        hub,
+        switches
+            .iter()
+            .map(|s| (s.name.clone(), s.shard, s.sim))
+            .collect(),
+        links,
+        vec![Priority::new(3), Priority::new(4)],
+        3,
+    )
 }
 
-/// What [`ClusterBuilder::build_parts`] hands back: every device
-/// instantiated into its shard's world and fully wired, plus the index
-/// structures both cluster flavours need.
-pub(crate) struct BuiltParts {
-    pub(crate) worlds: Vec<World>,
-    pub(crate) partition: Partition,
-    pub(crate) topo: Topology,
-    pub(crate) servers: Vec<ServerInfo>,
-    pub(crate) switches: Vec<SwitchInfo>,
-    pub(crate) hubs: Vec<MetricsHub>,
-    /// Per-shard trace banks (parallel to `hubs`; empty when no sink was
-    /// configured or one effective shard attached it directly).
-    pub(crate) banks: Vec<MemorySink>,
-    /// The caller's sink, deferred for the sharded merge (multi-shard
-    /// builds with a sink configured; `None` otherwise).
-    pub(crate) sink: Option<Box<dyn TraceSink>>,
+/// One shard's observation bank: the fleet-level gauges and trace scopes
+/// registered on that shard's hub (sentinels when telemetry is disabled),
+/// over the switches the shard owns.
+struct ShardObs {
+    engine_events: GaugeId,
+    engine_pending: GaugeId,
+    /// Per owned switch: its index into the cluster's switch list, its
+    /// lossless-backlog gauge, and its trace scope (`switch.{name}` — the
+    /// same name the switch's own telemetry registers, so streamed queue
+    /// samples land under the same scope as its hop records and events).
+    switches: Vec<(usize, GaugeId, ScopeId)>,
 }
 
-/// Cluster-level gauge ids (sentinels when telemetry is disabled).
-pub(crate) struct ClusterTele {
-    pub(crate) engine_events: GaugeId,
-    pub(crate) engine_pending: GaugeId,
-    pub(crate) switch_backlog: Vec<GaugeId>,
-    /// Each switch's trace scope (`switch.{name}` — the same name its
-    /// own `SwitchTele` registers, so streamed queue samples land under
-    /// the same scope as the switch's hop records and events).
-    pub(crate) switch_scopes: Vec<ScopeId>,
-}
-
-impl ClusterTele {
-    pub(crate) fn register(hub: &MetricsHub, switches: &[SwitchInfo]) -> ClusterTele {
-        ClusterTele {
+impl ShardObs {
+    fn register(hub: &MetricsHub, shard: u32, switches: &[SwitchInfo]) -> ShardObs {
+        ShardObs {
             engine_events: hub.gauge("engine.events_processed"),
             engine_pending: hub.gauge("engine.pending"),
-            switch_backlog: switches
+            switches: switches
                 .iter()
-                .map(|sw| hub.gauge(&format!("switch.{}.lossless_backlog_bytes", sw.name)))
-                .collect(),
-            switch_scopes: switches
-                .iter()
-                .map(|sw| hub.scope(&format!("switch.{}", sw.name)))
+                .enumerate()
+                .filter(|(_, sw)| sw.shard == shard)
+                .map(|(i, sw)| {
+                    (
+                        i,
+                        hub.gauge(&format!("switch.{}.lossless_backlog_bytes", sw.name)),
+                        hub.scope(&format!("switch.{}", sw.name)),
+                    )
+                })
                 .collect(),
         }
     }
 }
 
-#[derive(Debug, Clone)]
-pub(crate) struct ServerInfo {
-    #[allow(dead_code)]
-    pub(crate) topo_idx: usize,
-    /// Owning shard (always 0 in a single-world [`Cluster`]).
-    pub(crate) shard: u32,
+#[derive(Debug)]
+struct ServerInfo {
+    topo_idx: usize,
+    /// Owning shard (always 0 in a one-shard cluster).
+    shard: u32,
     /// Shard-local sim node id.
-    pub(crate) sim: NodeId,
-    pub(crate) kind: ServerKind,
-    pub(crate) ip: u32,
-    pub(crate) pod: u32,
-    pub(crate) tor_topo_idx: usize,
+    sim: NodeId,
+    kind: ServerKind,
+    ip: u32,
+    pod: u32,
+    tor_topo_idx: usize,
 }
 
-#[derive(Debug, Clone)]
-pub(crate) struct SwitchInfo {
-    #[allow(dead_code)]
-    pub(crate) topo_idx: usize,
-    /// Owning shard (always 0 in a single-world [`Cluster`]).
-    pub(crate) shard: u32,
+#[derive(Debug)]
+struct SwitchInfo {
+    topo_idx: usize,
+    /// Owning shard (always 0 in a one-shard cluster).
+    shard: u32,
     /// Shard-local sim node id.
-    pub(crate) sim: NodeId,
-    pub(crate) tier: Tier,
-    pub(crate) name: String,
+    sim: NodeId,
+    tier: Tier,
+    name: String,
 }
 
-/// A running cluster: the simulation world plus the index structures to
+/// A running cluster: the simulation worlds plus the index structures to
 /// reach every device.
-pub struct Cluster {
-    /// The simulation world (exposed for advanced scenarios: fault
-    /// injection timers, custom nodes).
-    pub world: World,
+///
+/// One implementation serves both execution modes. `W` is the
+/// [`WorldSet`] the cluster drives: [`World`] (the default — what
+/// [`ClusterBuilder::build`] returns; one shard, `cluster.world` is the
+/// world itself) or [`ShardedWorld`] ([`crate::ShardedCluster`], from
+/// [`ClusterBuilder::build_sharded`]). Every method below reads devices
+/// through `world.worlds()[shard]` and keeps observation state as
+/// per-shard banks, so the one-shard case is simply a slice of length 1:
+/// `telemetry()` is `hub(0)`, trace records stream straight into the
+/// caller's sink, and `run_until` is the world's own.
+pub struct Cluster<W = World> {
+    /// The simulation world set (exposed for advanced scenarios: fault
+    /// injection timers, custom nodes, engine stats).
+    pub world: W,
     topo: Topology,
     spec: ClosSpec,
+    partition: Partition,
     servers: Vec<ServerInfo>,
     switches: Vec<SwitchInfo>,
-    telemetry: MetricsHub,
-    tele: ClusterTele,
+    /// Per-shard telemetry banks; shard 0's is the builder's hub.
+    hubs: Vec<MetricsHub>,
+    obs: Vec<ShardObs>,
     deadlock: DeadlockProbe,
+    /// Per-shard trace banks (parallel to `hubs`) and the caller's sink
+    /// they merge into; both empty/none unless a sink was configured on
+    /// a multi-shard build.
+    banks: Vec<MemorySink>,
+    sink: Option<Box<dyn TraceSink>>,
 }
 
-impl Cluster {
+impl<W: WorldSet> Cluster<W> {
+    fn node<T: Node>(&self, shard: u32, sim: NodeId) -> &T {
+        self.world.worlds()[shard as usize].node::<T>(sim)
+    }
+
+    fn node_mut<T: Node>(&mut self, shard: u32, sim: NodeId) -> &mut T {
+        self.world.worlds_mut()[shard as usize].node_mut::<T>(sim)
+    }
+
+    // ---- shape ----
+
     /// The Clos spec this cluster was built from.
     pub fn spec(&self) -> &ClosSpec {
         &self.spec
@@ -886,6 +844,28 @@ impl Cluster {
     pub fn topology(&self) -> &Topology {
         &self.topo
     }
+
+    /// The pod-granular partition plan in force.
+    pub fn partition(&self) -> &Partition {
+        &self.partition
+    }
+
+    /// Number of worker shards (1 for `build()` or a single-pod topology).
+    pub fn shard_count(&self) -> usize {
+        self.world.worlds().len()
+    }
+
+    /// Borrow shard `s`'s world (for per-shard engine stats).
+    pub fn world(&self, s: usize) -> &World {
+        &self.world.worlds()[s]
+    }
+
+    /// Mutably borrow shard `s`'s world.
+    pub fn world_mut(&mut self, s: usize) -> &mut World {
+        &mut self.world.worlds_mut()[s]
+    }
+
+    // ---- servers ----
 
     /// Number of servers.
     pub fn server_count(&self) -> usize {
@@ -908,12 +888,23 @@ impl Cluster {
     }
 
     /// The servers under `tor` (pod-relative index), in port order.
+    /// Answered from the topology's cabling, not from addresses, so it
+    /// holds for racks of any size.
     pub fn servers_under(&self, pod: u32, tor: u32) -> Vec<ServerId> {
-        let subnet = rocescale_topology::tor_subnet(pod, tor);
+        let Some(t) = self
+            .switches
+            .iter()
+            .filter(|s| s.tier == Tier::Tor && self.topo.nodes[s.topo_idx].pod == pod)
+            .nth(tor as usize)
+        else {
+            return Vec::new();
+        };
+        // Servers are built in topology order, which within a rack is
+        // ToR port order.
         self.servers
             .iter()
             .enumerate()
-            .filter(|(_, s)| s.ip & 0xffff_ff00 == subnet)
+            .filter(|(_, s)| s.tor_topo_idx == t.topo_idx)
             .map(|(i, _)| ServerId(i))
             .collect()
     }
@@ -928,12 +919,18 @@ impl Cluster {
         self.servers[id.0].pod
     }
 
+    /// The shard that owns a server.
+    pub fn server_shard(&self, id: ServerId) -> u32 {
+        self.servers[id.0].shard
+    }
+
     /// A server's kind.
     pub fn server_kind_of(&self, id: ServerId) -> ServerKind {
         self.servers[id.0].kind
     }
 
-    /// The sim node id of a server (for fault-injection timers).
+    /// The sim node id of a server within its shard's world (for
+    /// fault-injection timers).
     pub fn server_node(&self, id: ServerId) -> NodeId {
         self.servers[id.0].sim
     }
@@ -945,27 +942,33 @@ impl Cluster {
 
     /// Borrow an RDMA server.
     pub fn rdma(&self, id: ServerId) -> &RdmaHost {
-        assert_eq!(self.servers[id.0].kind, ServerKind::Rdma);
-        self.world.node::<RdmaHost>(self.servers[id.0].sim)
+        let s = &self.servers[id.0];
+        assert_eq!(s.kind, ServerKind::Rdma);
+        self.node(s.shard, s.sim)
     }
 
     /// Mutably borrow an RDMA server.
     pub fn rdma_mut(&mut self, id: ServerId) -> &mut RdmaHost {
-        assert_eq!(self.servers[id.0].kind, ServerKind::Rdma);
-        self.world.node_mut::<RdmaHost>(self.servers[id.0].sim)
+        let s = &self.servers[id.0];
+        assert_eq!(s.kind, ServerKind::Rdma);
+        self.node_mut(s.shard, s.sim)
     }
 
     /// Borrow a TCP server.
     pub fn tcp(&self, id: ServerId) -> &TcpHost {
-        assert_eq!(self.servers[id.0].kind, ServerKind::Tcp);
-        self.world.node::<TcpHost>(self.servers[id.0].sim)
+        let s = &self.servers[id.0];
+        assert_eq!(s.kind, ServerKind::Tcp);
+        self.node(s.shard, s.sim)
     }
 
     /// Mutably borrow a TCP server.
     pub fn tcp_mut(&mut self, id: ServerId) -> &mut TcpHost {
-        assert_eq!(self.servers[id.0].kind, ServerKind::Tcp);
-        self.world.node_mut::<TcpHost>(self.servers[id.0].sim)
+        let s = &self.servers[id.0];
+        assert_eq!(s.kind, ServerKind::Tcp);
+        self.node_mut(s.shard, s.sim)
     }
+
+    // ---- switches ----
 
     /// Number of switches.
     pub fn switch_count(&self) -> usize {
@@ -975,12 +978,14 @@ impl Cluster {
     /// Borrow switch `i` (iteration order: ToRs and leaves pod-major,
     /// then spines — the topology's order).
     pub fn switch(&self, i: usize) -> &Switch {
-        self.world.node::<Switch>(self.switches[i].sim)
+        let s = &self.switches[i];
+        self.node(s.shard, s.sim)
     }
 
     /// Mutably borrow switch `i`.
     pub fn switch_mut(&mut self, i: usize) -> &mut Switch {
-        self.world.node_mut::<Switch>(self.switches[i].sim)
+        let s = &self.switches[i];
+        self.node_mut(s.shard, s.sim)
     }
 
     /// A switch's display name.
@@ -1010,7 +1015,9 @@ impl Cluster {
     // ---- workload wiring ----
 
     /// Create a QP pair between two RDMA servers. `udp_src` selects the
-    /// ECMP path; both directions share it.
+    /// ECMP path; both directions share it. Shard-oblivious: the
+    /// endpoints may live in different worlds, and their traffic rides
+    /// the exchange.
     pub fn connect_qp(
         &mut self,
         a: ServerId,
@@ -1028,7 +1035,8 @@ impl Cluster {
         (ha, hb)
     }
 
-    /// Create a TCP connection between two TCP servers.
+    /// Create a TCP connection between two TCP servers (shard-oblivious,
+    /// like [`connect_qp`](Self::connect_qp)).
     pub fn connect_tcp(
         &mut self,
         a: ServerId,
@@ -1050,52 +1058,115 @@ impl Cluster {
     /// Run the simulation until `t`.
     ///
     /// With telemetry enabled the run is chunked at sample boundaries so
-    /// time-series points land on the hub's cadence — and, with a trace
-    /// sink streaming queue samples, each epoch also emits one
-    /// [`QueueSample`] per switch. Chunked `run_until` dispatches the
+    /// every shard bank samples its time series on the hub's cadence,
+    /// fleet gauges refresh, each switch streams one [`QueueSample`]
+    /// into its owning shard's bank (with a queue-class trace sink), and
+    /// the deadlock probe reads the pause/occupancy view across all
+    /// shard worlds at the barrier. Chunked `run_until` dispatches the
     /// exact same event sequence as one big call, so the dispatch digest
-    /// is byte-identical with telemetry (and any sink) on or off.
+    /// is byte-identical with telemetry (and any sink) on or off,
+    /// threaded or serial.
     pub fn run_until(&mut self, t: SimTime) {
-        if self.telemetry.is_enabled() {
-            while let Some(ns) = self.telemetry.next_sample_ps() {
+        if self.hubs[0].is_enabled() {
+            while let Some(ns) = self.hubs[0].next_sample_ps() {
                 if ns >= t.as_ps() {
                     break;
                 }
                 self.world.run_until(SimTime(ns));
                 self.publish_gauges();
                 self.stream_queue_samples(ns);
-                self.deadlock.observe(&self.world, SimTime(ns));
-                self.telemetry.maybe_sample(ns);
+                self.deadlock.observe(self.world.worlds(), SimTime(ns));
+                for h in &self.hubs {
+                    h.maybe_sample(ns);
+                }
             }
         }
         self.world.run_until(t);
         // A run boundary is where readers expect the exported trace to
-        // be complete; no-op without a sink.
-        self.telemetry.flush_sink();
+        // be complete: move every bank's records into the caller's sink
+        // (multi-shard) and flush the directly attached sink (one
+        // shard); both are no-ops without a sink.
+        self.merge_trace_banks();
+        for h in &self.hubs {
+            h.flush_sink();
+        }
     }
 
-    /// Stream one queue-depth sample per switch at epoch boundary `ns`
-    /// (no-op unless a sink with the queue class is attached).
-    fn stream_queue_samples(&self, ns: u64) {
-        if !self.telemetry.streams_queues() {
-            return;
-        }
-        for i in 0..self.switches.len() {
-            let sw = self.switch(i);
-            self.telemetry.stream_queue(
-                ns,
-                self.tele.switch_scopes[i],
-                QueueSample {
-                    backlog_bytes: sw.lossless_backlog(),
-                    max_port_bytes: sw.max_egress_depth(),
-                    tx_pkts: sw.total_data_tx_pkts(),
-                },
+    /// Refresh each shard's fleet-level gauges (engine progress,
+    /// per-switch lossless backlog) from live state. Called
+    /// automatically at each sample boundary; call manually before
+    /// rendering JSON mid-run.
+    pub fn publish_gauges(&self) {
+        for ((obs, hub), w) in self.obs.iter().zip(&self.hubs).zip(self.world.worlds()) {
+            if !hub.is_enabled() {
+                continue;
+            }
+            hub.set_gauge(obs.engine_events, w.events_processed() as f64);
+            let st = w.sched_stats();
+            hub.set_gauge(
+                obs.engine_pending,
+                (st.pushed - st.dispatched - st.cancelled) as f64,
             );
+            for &(i, backlog, _) in &obs.switches {
+                hub.set_gauge(backlog, self.switch(i).lossless_backlog() as f64);
+            }
         }
     }
 
-    /// The live deadlock probe: cycle history, verdicts, last wait graph.
-    /// Epochs run automatically at each telemetry sample boundary.
+    /// Stream one queue-depth sample per switch into its owning shard's
+    /// bank at epoch boundary `ns` (no-op for shards without a
+    /// queue-class sink).
+    fn stream_queue_samples(&self, ns: u64) {
+        for (obs, hub) in self.obs.iter().zip(&self.hubs) {
+            if !hub.streams_queues() {
+                continue;
+            }
+            for &(i, _, scope) in &obs.switches {
+                let sw = self.switch(i);
+                hub.stream_queue(
+                    ns,
+                    scope,
+                    QueueSample {
+                        backlog_bytes: sw.lossless_backlog(),
+                        max_port_bytes: sw.max_egress_depth(),
+                        tx_pkts: sw.total_data_tx_pkts(),
+                    },
+                );
+            }
+        }
+    }
+
+    /// Drain every shard's trace bank into the caller's sink, merged in
+    /// `(time, shard, emission order)` — a pure function of the records,
+    /// so threaded and serial runs export byte-identical files. Each
+    /// line carries its owning shard in the `shard` field. Records never
+    /// interleave wrongly across successive calls: a chunk's records all
+    /// precede the next chunk's in simulated time.
+    fn merge_trace_banks(&mut self) {
+        let Some(sink) = self.sink.as_mut() else {
+            return;
+        };
+        let mut all: Vec<(u64, u32, usize, rocescale_monitor::OwnedRecord)> = Vec::new();
+        for (s, bank) in self.banks.iter().enumerate() {
+            for (i, rec) in bank.take_records().into_iter().enumerate() {
+                all.push((rec.t_ps, s as u32, i, rec));
+            }
+        }
+        all.sort_by_key(|&(t, s, i, _)| (t, s, i));
+        for (_, s, _, rec) in all {
+            sink.write(&StreamRecord {
+                t_ps: rec.t_ps,
+                scope: &rec.scope,
+                shard: Some(s),
+                body: rec.body,
+            });
+        }
+        sink.flush();
+    }
+
+    /// The live deadlock probe over the barrier-merged fleet view: cycle
+    /// history, verdicts, last wait graph. Epochs run automatically at
+    /// each telemetry sample boundary.
     pub fn deadlock_probe(&self) -> &DeadlockProbe {
         &self.deadlock
     }
@@ -1105,48 +1176,50 @@ impl Cluster {
     /// found this epoch, if any.
     pub fn deadlock_observe_now(&mut self) -> Option<Vec<String>> {
         let now = self.world.now();
-        self.deadlock.observe(&self.world, now)
+        self.deadlock.observe(self.world.worlds(), now)
     }
 
-    /// The cluster's telemetry hub (disabled unless one was attached via
-    /// [`ClusterBuilder::telemetry`]).
+    /// The cluster's telemetry hub — shard 0's bank, which is the hub the
+    /// builder was given (disabled unless one was attached via
+    /// [`InstrumentationProfile::telemetry`]). With several shards it
+    /// sees only shard 0's devices; use [`hub`](Self::hub) or the merged
+    /// snapshots for the rest.
     pub fn telemetry(&self) -> &MetricsHub {
-        &self.telemetry
+        &self.hubs[0]
     }
 
-    /// Refresh fleet-level gauges (engine progress, per-switch lossless
-    /// backlog) from live state. Called automatically at each sample
-    /// boundary; call manually before rendering JSON mid-run.
-    pub fn publish_gauges(&mut self) {
-        if !self.telemetry.is_enabled() {
-            return;
-        }
-        self.telemetry.set_gauge(
-            self.tele.engine_events,
-            self.world.events_processed() as f64,
-        );
-        self.telemetry.set_gauge(
-            self.tele.engine_pending,
-            (self.world.sched_stats().pushed
-                - self.world.sched_stats().dispatched
-                - self.world.sched_stats().cancelled) as f64,
-        );
-        for i in 0..self.switches.len() {
-            let backlog = self.switch(i).lossless_backlog() as f64;
-            self.telemetry
-                .set_gauge(self.tele.switch_backlog[i], backlog);
-        }
+    /// Shard `s`'s telemetry bank.
+    pub fn hub(&self, s: usize) -> &MetricsHub {
+        &self.hubs[s]
     }
 
     /// Run for `ms` more milliseconds of simulated time.
     pub fn run_for_millis(&mut self, ms: u64) {
-        let t = self.world.now() + SimTime::from_millis(ms);
+        let t = self.now() + SimTime::from_millis(ms);
         self.run_until(t);
     }
 
-    /// Current simulated time.
+    /// Current simulated time (every shard has advanced at least this
+    /// far).
     pub fn now(&self) -> SimTime {
         self.world.now()
+    }
+
+    // ---- determinism & progress ----
+
+    /// Global dispatch digest: per-shard digests folded in shard order
+    /// (one shard: exactly that world's digest).
+    pub fn dispatch_digest(&self) -> u64 {
+        merged_digest(self.world.worlds())
+    }
+
+    /// Total events dispatched across all shards.
+    pub fn events_processed(&self) -> u64 {
+        self.world
+            .worlds()
+            .iter()
+            .map(World::events_processed)
+            .sum()
     }
 
     // ---- fleet-wide monitoring (what §5's systems aggregate) ----
@@ -1162,10 +1235,8 @@ impl Cluster {
     pub fn total_server_pause_rx(&self) -> u64 {
         self.servers
             .iter()
-            .map(|s| match s.kind {
-                ServerKind::Rdma => self.world.node::<RdmaHost>(s.sim).stats.pause_rx,
-                ServerKind::Tcp => 0,
-            })
+            .filter(|s| s.kind == ServerKind::Rdma)
+            .map(|s| self.node::<RdmaHost>(s.shard, s.sim).stats.pause_rx)
             .sum()
     }
 
@@ -1186,33 +1257,71 @@ impl Cluster {
         self.servers
             .iter()
             .filter(|s| s.kind == ServerKind::Rdma)
-            .map(|s| self.world.node::<RdmaHost>(s.sim).total_goodput_bytes())
+            .map(|s| self.node::<RdmaHost>(s.shard, s.sim).total_goodput_bytes())
             .sum()
+    }
+
+    /// Aggregate flow-cache hits and misses across every switch.
+    pub fn flow_cache_totals(&self) -> (u64, u64) {
+        let mut hits = 0;
+        let mut misses = 0;
+        for i in 0..self.switches.len() {
+            let st = self.switch(i).flow_cache_stats();
+            hits += st.hits;
+            misses += st.misses;
+        }
+        (hits, misses)
+    }
+
+    /// Fleet counter snapshot: every shard bank's counters merged by
+    /// name, duplicates summed, name-sorted — deterministic regardless
+    /// of shard count or threading.
+    pub fn counters_snapshot(&self) -> Vec<(String, u64)> {
+        let mut merged: BTreeMap<String, u64> = BTreeMap::new();
+        for h in &self.hubs {
+            for (name, v) in h.counters_snapshot() {
+                *merged.entry(name).or_insert(0) += v;
+            }
+        }
+        merged.into_iter().collect()
+    }
+
+    /// Fleet gauge snapshot: every shard bank's gauges merged by name.
+    /// Additive fleet gauges (engine events/pending, per-switch backlog)
+    /// sum; names are unique per shard otherwise, so summing is exact.
+    pub fn gauges_snapshot(&self) -> Vec<(String, f64)> {
+        let mut merged: BTreeMap<String, f64> = BTreeMap::new();
+        for h in &self.hubs {
+            for (name, v) in h.gauges_snapshot() {
+                *merged.entry(name).or_insert(0.0) += v;
+            }
+        }
+        merged.into_iter().collect()
     }
 
     /// Drain all RDMA RTT samples collected so far (ps).
     pub fn take_rdma_rtts(&mut self) -> Vec<u64> {
+        let worlds = self.world.worlds_mut();
         let mut out = Vec::new();
-        for s in &self.servers {
-            if s.kind == ServerKind::Rdma {
-                let host = self.world.node_mut::<RdmaHost>(s.sim);
-                out.append(&mut host.stats.rtt_samples_ps);
-            }
+        for s in self.servers.iter().filter(|s| s.kind == ServerKind::Rdma) {
+            let host = worlds[s.shard as usize].node_mut::<RdmaHost>(s.sim);
+            out.append(&mut host.stats.rtt_samples_ps);
         }
         out
     }
 
     /// Drain all TCP RTT samples collected so far (ps).
     pub fn take_tcp_rtts(&mut self) -> Vec<u64> {
+        let worlds = self.world.worlds_mut();
         let mut out = Vec::new();
-        for s in &self.servers {
-            if s.kind == ServerKind::Tcp {
-                let host = self.world.node_mut::<TcpHost>(s.sim);
-                out.append(&mut host.stats.rtt_samples_ps);
-            }
+        for s in self.servers.iter().filter(|s| s.kind == ServerKind::Tcp) {
+            let host = worlds[s.shard as usize].node_mut::<TcpHost>(s.sim);
+            out.append(&mut host.stats.rtt_samples_ps);
         }
         out
     }
+
+    // ---- pingmesh ----
 
     /// Pingmesh scope of a server pair (§5.3's ToR / Podset / DC levels).
     pub fn scope_of(&self, a: ServerId, b: ServerId) -> rocescale_monitor::pingmesh::Scope {
@@ -1228,8 +1337,9 @@ impl Cluster {
 
     /// Install the RDMA Pingmesh service (§5.3): every RDMA server probes
     /// `fanout` others (512-byte payloads) every `interval`, chosen
-    /// round-robin so ToR-, podset- and DC-scope pairs all get coverage.
-    /// Returns the probed pairs; collect results with
+    /// round-robin so ToR-, podset- and DC-scope pairs all get coverage;
+    /// probes that cross shard boundaries ride the exchange like any
+    /// other flow. Returns the probed pairs; collect results with
     /// [`Cluster::pingmesh_report`].
     pub fn install_pingmesh(
         &mut self,
@@ -1263,35 +1373,42 @@ impl Cluster {
         pairs
     }
 
-    /// Aggregate all collected probe RTTs into a Pingmesh report. The
-    /// report is bound to the cluster's telemetry hub, so with telemetry
-    /// enabled the per-scope percentiles also land in hub snapshots and
-    /// exported traces (`pingmesh.{tor,podset,dc}.*`).
+    /// Aggregate all collected probe RTTs into a fleet Pingmesh report.
+    ///
+    /// Each RTT sample is mirrored into the *prober's owning shard's*
+    /// bank, so with telemetry enabled the per-scope counters and
+    /// percentiles also land in hub snapshots and exported traces
+    /// (`pingmesh.{tor,podset,dc}.*`) next to that shard's other metrics
+    /// and merge by name in [`counters_snapshot`](Self::counters_snapshot).
+    /// With one shard that bank *is* the fleet aggregate and is returned
+    /// as is (each sample recorded once); with several, the samples are
+    /// recorded once more into an unbound fleet aggregate — which is
+    /// what callers quote for percentiles, since per-shard gauge banks
+    /// only see their own shard's latencies.
     ///
     /// Because a host logs its RTT samples in completion order across all
     /// of its prober QPs, per-pair attribution uses each *prober host's*
     /// dominant scope: hosts whose probes span several scopes contribute
     /// to each (per-QP logs would be the production refinement).
-    pub fn pingmesh_report(
-        &mut self,
-        pairs: &[(ServerId, ServerId)],
-    ) -> rocescale_monitor::Pingmesh {
+    pub fn pingmesh_report(&mut self, pairs: &[(ServerId, ServerId)]) -> Pingmesh {
         use rocescale_monitor::pingmesh::ProbeResult;
-        let mut pm = rocescale_monitor::Pingmesh::with_hub(self.telemetry.clone());
+        let mut banks: Vec<Pingmesh> = self
+            .hubs
+            .iter()
+            .map(|h| Pingmesh::with_hub(h.clone()))
+            .collect();
+        let mut fleet = (banks.len() > 1).then(Pingmesh::new);
         for (a, b) in pairs {
             let scope = self.scope_of(*a, *b);
-            let samples = std::mem::take(
-                &mut self
-                    .world
-                    .node_mut::<RdmaHost>(self.servers[a.0].sim)
-                    .stats
-                    .rtt_samples_ps,
-            );
-            for s in samples {
-                pm.record(scope, ProbeResult::Rtt(s));
+            let shard = self.servers[a.0].shard as usize;
+            for s in std::mem::take(&mut self.rdma_mut(*a).stats.rtt_samples_ps) {
+                banks[shard].record(scope, ProbeResult::Rtt(s));
+                if let Some(fleet) = &mut fleet {
+                    fleet.record(scope, ProbeResult::Rtt(s));
+                }
             }
         }
-        pm
+        fleet.unwrap_or_else(|| banks.pop().expect("one shard, one bank"))
     }
 
     /// Per-switch (name, progress snapshot) for the deadlock detector.
@@ -1314,6 +1431,18 @@ impl Cluster {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rocescale_sim::DigestMode;
+
+    fn saturate() -> QpApp {
+        QpApp::Saturate {
+            msg_len: 128 * 1024,
+            inflight: 1,
+        }
+    }
+
+    fn observed() -> InstrumentationProfile {
+        InstrumentationProfile::paper_default().telemetry(MetricsHub::enabled())
+    }
 
     #[test]
     fn builder_is_send() {
@@ -1326,7 +1455,10 @@ mod tests {
     #[test]
     fn digest_off_cluster_matches_on_cluster() {
         let run = |mode| {
-            let mut c = ClusterBuilder::single_tor(3).seed(5).digest(mode).build();
+            let mut c = ClusterBuilder::single_tor(3)
+                .seed(5)
+                .instrumentation(InstrumentationProfile::paper_default().digest(mode))
+                .build();
             let ids = c.all_servers();
             c.connect_qp(
                 ids[1],
@@ -1352,61 +1484,191 @@ mod tests {
         assert_ne!(on.2, off.2, "off-mode digest stays at the basis");
     }
 
-    #[test]
-    fn builds_and_runs_a_small_cluster() {
-        let mut c = ClusterBuilder::two_tier(2, 3).seed(9).build();
-        assert_eq!(c.server_count(), 6);
-        assert_eq!(c.switch_count(), 2 + 2 + 2); // 2 ToR + 2 leaf + 2 spine
-        let (a, b) = (ServerId(0), ServerId(3)); // different racks
+    /// What one drive of the shared body yields: digest, events, merged
+    /// counters. Equal outcomes mean the same simulation was run.
+    type Outcome = (u64, u64, Vec<(String, u64)>);
+
+    /// The body every row of the table below runs, whichever world set
+    /// is underneath: one saturating flow from the first server to the
+    /// last (another rack, or another pod), which must complete
+    /// losslessly — over the spines when it leaves the pod.
+    fn drive<W: WorldSet>(c: &mut Cluster<W>) -> Outcome {
+        let (a, b) = (ServerId(0), ServerId(c.server_count() - 1));
         assert!(!c.same_tor(a, b));
-        c.connect_qp(
-            a,
-            b,
-            5000,
-            QpApp::Saturate {
-                msg_len: 256 * 1024,
-                inflight: 1,
-            },
-            QpApp::None,
-        );
+        c.connect_qp(a, b, 6000, saturate(), QpApp::None);
         c.run_for_millis(2);
-        assert!(c.total_rdma_goodput() >= 256 * 1024);
+        assert!(
+            c.total_rdma_goodput() >= 128 * 1024,
+            "the flow must complete: {}",
+            c.total_rdma_goodput()
+        );
         assert_eq!(c.lossless_drops(), 0);
+        if c.server_pod(a) != c.server_pod(b) {
+            let spine_tx: u64 = c
+                .switches_of_tier(Tier::Spine)
+                .into_iter()
+                .map(|i| c.switch(i).total_tx_pkts())
+                .sum();
+            assert!(spine_tx > 100, "spines must carry the flow: {spine_tx}");
+        }
+        (
+            c.dispatch_digest(),
+            c.events_processed(),
+            c.counters_snapshot(),
+        )
     }
 
     #[test]
-    fn cross_pod_traffic_traverses_spines() {
-        let mut c = ClusterBuilder::new(ClosSpec::uniform_40g(2, 1, 2, 2, 2))
-            .seed(3)
-            .build();
-        let pod0 = c
-            .all_servers()
+    fn one_body_runs_through_build_and_build_sharded() {
+        let one_pod = ClosSpec::uniform_40g(1, 2, 2, 2, 3);
+        let two_pods = ClosSpec::uniform_40g(2, 1, 2, 2, 2);
+        // (fabric, requested shards, effective shards): a single pod
+        // collapses any request to one shard.
+        for (spec, requested, effective) in [(one_pod, 4, 1), (two_pods, 1, 1), (two_pods, 2, 2)] {
+            let builder = || {
+                ClusterBuilder::new(spec)
+                    .seed(7)
+                    .instrumentation(observed())
+                    .execution(ExecutionProfile::Sharded { shards: requested })
+            };
+            let mut plain = builder().build();
+            assert_eq!(plain.shard_count(), 1);
+            assert_eq!(
+                plain.server_count() as u32,
+                spec.pods * spec.tors_per_pod * spec.servers_per_tor
+            );
+            let reference = drive(&mut plain);
+            assert_eq!(plain.world.dispatch_digest(), reference.0);
+
+            let [threaded, serial] = [true, false].map(|threaded| {
+                let mut c = builder().build_sharded();
+                c.set_threaded(threaded);
+                assert_eq!(c.shard_count(), effective);
+                let out = drive(&mut c);
+                assert_eq!(
+                    c.server_shard(ServerId(0)) != c.server_shard(ServerId(c.server_count() - 1)),
+                    effective > 1
+                );
+                assert_eq!(c.lookahead().is_some(), effective > 1);
+                (out, c.exchange_epochs(), c.boundary_messages())
+            });
+            assert_eq!(
+                threaded, serial,
+                "threaded ≡ serial at {effective} shard(s)"
+            );
+            if effective == 1 {
+                assert_eq!(
+                    serial,
+                    (reference, 0, 0),
+                    "one shard is build() byte for byte and never runs an exchange"
+                );
+            } else {
+                assert!(serial.1 > 0, "multi-shard runs advance in epochs");
+                assert!(serial.2 > 0, "the flow crosses the boundary");
+            }
+        }
+    }
+
+    #[test]
+    fn sharded_fabric_hosts_the_tcp_baseline() {
+        let run = |threaded: bool| {
+            let mut c = ClusterBuilder::new(ClosSpec::uniform_40g(2, 1, 2, 2, 4))
+                .seed(11)
+                .server_kind(|i| {
+                    if i % 2 == 0 {
+                        ServerKind::Rdma
+                    } else {
+                        ServerKind::Tcp
+                    }
+                })
+                .execution(ExecutionProfile::Sharded { shards: 2 })
+                .build_sharded();
+            c.set_threaded(threaded);
+            let (tcp, rdma) = (
+                c.servers_of_kind(ServerKind::Tcp),
+                c.servers_of_kind(ServerKind::Rdma),
+            );
+            let (a, b) = (tcp[0], tcp[3]);
+            assert_ne!(c.server_shard(a), c.server_shard(b));
+            let (ca, _) = c.connect_tcp(a, b, TcpApp::Saturate { msg_len: 100_000 }, TcpApp::None);
+            c.connect_tcp(
+                tcp[1],
+                tcp[2],
+                TcpApp::Pinger {
+                    payload: 512,
+                    interval: SimTime::from_micros(200),
+                    start_at: SimTime::from_micros(10),
+                },
+                TcpApp::Echo { reply_len: 512 },
+            );
+            c.connect_qp(rdma[0], rdma[3], 6000, saturate(), QpApp::None);
+            // Mutable switch access resolves (shard, node) like the
+            // shared borrow does, on the far shard too.
+            let far = c.tor_of(b);
+            let name = c.switch_name(far).to_string();
+            assert_eq!(c.switch_mut(far).config().name, name);
+            c.run_for_millis(5);
+            let acked = c.tcp(a).sender_stats(ca).bytes_acked;
+            assert!(
+                acked >= 100_000,
+                "TCP must flow across the boundary: {acked}"
+            );
+            assert!(!c.take_tcp_rtts().is_empty());
+            assert!(c.total_rdma_goodput() >= 128 * 1024);
+            (
+                c.dispatch_digest(),
+                c.events_processed(),
+                acked,
+                c.total_server_pause_rx(),
+            )
+        };
+        assert_eq!(run(true), run(false));
+    }
+
+    /// Pingmesh on any world set: every sample lands once in its
+    /// prober's shard bank, and the returned report counts each once.
+    fn pingmesh_probes_agree<W: WorldSet>(mut c: Cluster<W>) {
+        let pairs = c.install_pingmesh(2, SimTime::from_micros(100));
+        c.run_for_millis(1);
+        let report = c.pingmesh_report(&pairs);
+        assert!(report.total() > 0);
+        let in_banks: u64 = c
+            .counters_snapshot()
             .into_iter()
-            .find(|s| c.server_pod(*s) == 0)
-            .unwrap();
-        let pod1 = c
-            .all_servers()
-            .into_iter()
-            .find(|s| c.server_pod(*s) == 1)
-            .unwrap();
-        c.connect_qp(
-            pod0,
-            pod1,
-            6000,
-            QpApp::Saturate {
-                msg_len: 128 * 1024,
-                inflight: 1,
-            },
-            QpApp::None,
-        );
-        c.run_for_millis(2);
-        assert!(c.total_rdma_goodput() >= 128 * 1024);
-        let spine_tx: u64 = c
-            .switches_of_tier(Tier::Spine)
-            .into_iter()
-            .map(|i| c.switch(i).total_tx_pkts())
+            .filter(|(name, _)| name.starts_with("pingmesh.") && name.ends_with(".probes"))
+            .map(|(_, v)| v)
             .sum();
-        assert!(spine_tx > 100, "spines must carry the flow: {spine_tx}");
+        assert_eq!(in_banks, report.total());
+    }
+
+    #[test]
+    fn pingmesh_report_records_each_sample_once() {
+        let builder = |shards| {
+            ClusterBuilder::new(ClosSpec::uniform_40g(2, 2, 2, 2, 2))
+                .instrumentation(observed())
+                .execution(ExecutionProfile::Sharded { shards })
+        };
+        pingmesh_probes_agree(builder(1).build());
+        pingmesh_probes_agree(builder(1).build_sharded());
+        pingmesh_probes_agree(builder(2).build_sharded());
+    }
+
+    #[test]
+    fn servers_under_answers_from_cabling_past_254_servers_per_tor() {
+        // server_ip packs the slot into a /24, so at 320 servers per ToR
+        // slots 255.. alias into the next rack's subnet; rack membership
+        // must not be read off addresses.
+        let c = ClusterBuilder::new(ClosSpec::uniform_40g(1, 2, 1, 1, 320)).build();
+        for tor in 0..2 {
+            let rack = c.servers_under(0, tor);
+            let expect: Vec<ServerId> =
+                (0..320).map(|s| ServerId(tor as usize * 320 + s)).collect();
+            assert_eq!(rack, expect, "rack {tor}");
+            let tor_switch = c.tor_of(rack[0]);
+            assert_eq!(c.switch_name(tor_switch), format!("pod0-tor{tor}"));
+            assert!(rack.iter().all(|s| c.tor_of(*s) == tor_switch));
+        }
+        assert!(c.servers_under(0, 2).is_empty() && c.servers_under(1, 0).is_empty());
     }
 
     #[test]

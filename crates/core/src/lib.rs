@@ -8,7 +8,9 @@
 //!   [`rocescale_topology::Topology`] into simulated switches and hosts,
 //!   wires routes/ARP/MAC state, and exposes workload installation
 //!   (QP pairs, saturating senders, incast fan-outs, Pingmesh probers,
-//!   TCP connections) plus fleet-wide counter aggregation.
+//!   TCP connections) plus fleet-wide counter aggregation. One type
+//!   serves both execution modes: `build()` returns it over one
+//!   `World`, `build_sharded()` over per-pod shards ([`ShardedCluster`]).
 //! * [`deployment`] — the paper's staged onboarding (§6.1): lab → test
 //!   cluster → PFC at ToR only → Podset → up to Spine, expressed as which
 //!   tiers run lossless classes.

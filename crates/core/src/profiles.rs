@@ -413,7 +413,7 @@ mod tests {
         assert!((f.alpha.unwrap() - 1.0 / 64.0).abs() < 1e-12);
         let t = TransportProfile::paper_default()
             .recovery(LossRecovery::GoBack0)
-            .dcqcn(false)
+            .cc(CcKind::Off)
             .qp_rto(SimTime::from_micros(100));
         assert_eq!(t.recovery, LossRecovery::GoBack0);
         assert_eq!(t.cc, CcKind::Off);
@@ -437,27 +437,5 @@ mod tests {
         assert_eq!(ExecutionProfile::SingleThread.shard_count(), 1);
         assert_eq!(ExecutionProfile::Sharded { shards: 0 }.shard_count(), 1);
         assert_eq!(ExecutionProfile::Sharded { shards: 4 }.shard_count(), 4);
-    }
-
-    /// The deprecated `dcqcn(bool)` shim and the `cc()` setter must
-    /// agree, so pre-trait scenarios keep selecting the same controllers.
-    #[test]
-    fn dcqcn_shim_agrees_with_cc_setter() {
-        assert_eq!(
-            TransportProfile::paper_default().dcqcn(true),
-            TransportProfile::paper_default().cc(CcKind::Dcqcn)
-        );
-        assert_eq!(
-            TransportProfile::paper_default().dcqcn(false),
-            TransportProfile::paper_default().cc(CcKind::Off)
-        );
-        // The shim round-trips through an unrelated CC choice too.
-        assert_eq!(
-            TransportProfile::paper_default()
-                .cc(CcKind::Timely)
-                .dcqcn(true)
-                .cc,
-            CcKind::Dcqcn
-        );
     }
 }

@@ -399,7 +399,7 @@ pub fn run_scripted(fix_enabled: bool, dur: SimTime) -> ScriptedDeadlockResult {
 
     // Live detector over every switch egress (fabric links in both
     // directions; server ports appear as chain leaves, never cycles).
-    let switches = vec![
+    let switches = [
         ("T0".to_string(), f.t0),
         ("T1".to_string(), f.t1),
         ("La".to_string(), f.la),
@@ -428,7 +428,7 @@ pub fn run_scripted(fix_enabled: bool, dur: SimTime) -> ScriptedDeadlockResult {
     ];
     let mut probe = DeadlockProbe::new(
         &MetricsHub::disabled(),
-        switches.clone(),
+        switches.iter().map(|(n, id)| (n.clone(), 0, *id)).collect(),
         links,
         vec![Priority::new(3), Priority::new(4)],
         3,
@@ -440,7 +440,7 @@ pub fn run_scripted(fix_enabled: bool, dur: SimTime) -> ScriptedDeadlockResult {
     while t < dur {
         t += sample;
         f.world.run_until(t);
-        probe.observe(&f.world, t);
+        probe.observe(std::slice::from_ref(&f.world), t);
         if t.as_ps() * 4 <= dur.as_ps() * 3 {
             goodput_at_three_quarters = f.world.node::<RdmaHost>(f.s5).total_goodput_bytes();
         }

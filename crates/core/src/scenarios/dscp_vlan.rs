@@ -20,6 +20,7 @@ use rocescale_topology::Tier;
 use crate::cluster::{ClusterBuilder, PfcMode, ServerId};
 use crate::profiles::{FabricProfile, TransportProfile};
 use crate::scenarios::gbps;
+use crate::CcKind;
 
 /// Result of one PFC-mode arm.
 #[derive(Debug, Clone)]
@@ -116,7 +117,7 @@ pub fn run(mode: PfcMode, dur: SimTime) -> DscpVlanResult {
     // single ToR with two extra ports.
     let mut c = ClusterBuilder::single_tor(3)
         .fabric(FabricProfile::paper_default().pfc_mode(mode))
-        .transport(TransportProfile::paper_default().dcqcn(false))
+        .transport(TransportProfile::paper_default().cc(CcKind::Off))
         .build();
 
     // RDMA health check traffic: 2→1 incast to exercise PFC itself.

@@ -19,6 +19,7 @@ use rocescale_topology::{ClosSpec, Tier};
 
 use crate::cluster::{ClusterBuilder, ServerId};
 use crate::profiles::TransportProfile;
+use crate::CcKind;
 
 /// Result of one headroom arm.
 #[derive(Debug, Clone)]
@@ -45,7 +46,7 @@ pub fn run(fraction: f64, dur: SimTime) -> HeadroomResult {
     };
     let mut c = ClusterBuilder::new(spec)
         // Raw PFC: the headroom is doing all the work.
-        .transport(TransportProfile::paper_default().dcqcn(false))
+        .transport(TransportProfile::paper_default().cc(CcKind::Off))
         .switch_tweak(move |_, cfg| {
             cfg.buffer.headroom_per_port_pg = provisioned.max(1);
             // A small fixed XOFF threshold makes pauses fire early and

@@ -274,7 +274,10 @@ pub fn run_dead_remembered(dur: SimTime) -> DeadRememberedResult {
     let resurrect_at = SimTime::from_millis(6);
     let mut c = ClusterBuilder::single_tor(3)
         .seed(29)
-        .telemetry(rocescale_monitor::MetricsHub::enabled())
+        .instrumentation(
+            InstrumentationProfile::paper_default()
+                .telemetry(rocescale_monitor::MetricsHub::enabled()),
+        )
         .faults(
             FaultProfile::paper_default()
                 .at(die_at, ScriptAction::ServerDeath { server: 1 })

@@ -14,6 +14,7 @@ use rocescale_transport::{LossRecovery, Verb};
 use crate::cluster::{ClusterBuilder, ServerId};
 use crate::profiles::{FaultProfile, TransportProfile};
 use crate::scenarios::gbps;
+use crate::CcKind;
 
 /// Which verb drives the transfer (the paper runs all three).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -59,7 +60,7 @@ pub fn run(recovery: LossRecovery, workload: Workload, dur: SimTime) -> Livelock
             TransportProfile::paper_default()
                 .recovery(recovery)
                 // Isolate loss recovery from rate control.
-                .dcqcn(false)
+                .cc(CcKind::Off)
                 .qp_rto(SimTime::from_micros(100)),
         )
         .faults(FaultProfile::paper_default().drop_ip_id_low_byte(Some(0xff)))

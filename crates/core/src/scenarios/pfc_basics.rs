@@ -12,6 +12,7 @@ use crate::cluster::{ClusterBuilder, ServerId};
 use crate::instrument::InstrumentationProfile;
 use crate::profiles::{FabricProfile, TransportProfile};
 use crate::scenarios::gbps;
+use crate::CcKind;
 
 /// Result of one arm of the Figure 2 experiment.
 #[derive(Debug, Clone)]
@@ -46,7 +47,7 @@ pub fn run_traced(
     let mut c = ClusterBuilder::single_tor(fanin + 1)
         .fabric(FabricProfile::paper_default().pfc(pfc))
         // Raw PFC behaviour, no rate control assist.
-        .transport(TransportProfile::paper_default().dcqcn(false))
+        .transport(TransportProfile::paper_default().cc(CcKind::Off))
         .instrumentation(instr)
         .build();
     let dst = ServerId(0);

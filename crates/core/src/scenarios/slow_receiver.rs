@@ -15,6 +15,7 @@ use rocescale_sim::SimTime;
 use crate::cluster::{ClusterBuilder, ServerId};
 use crate::profiles::{FabricProfile, TransportProfile};
 use crate::scenarios::gbps;
+use crate::CcKind;
 
 /// Page-size arm of the experiment.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -61,7 +62,7 @@ pub fn run(pages: PageSize, dynamic_buffers: bool, dur: SimTime) -> SlowReceiver
     let receiver_order = 0usize;
     let mut c = ClusterBuilder::two_tier(2, 2)
         // Isolate the PFC path.
-        .transport(TransportProfile::paper_default().dcqcn(false))
+        .transport(TransportProfile::paper_default().cc(CcKind::Off))
         .fabric(FabricProfile::paper_default().alpha(if dynamic_buffers {
             Some(1.0 / 16.0)
         } else {

@@ -9,14 +9,15 @@
 //!
 //! ```
 //! use rocescale_core::sweep::{SweepAxis, SweepSpec};
+//! use rocescale_core::CcKind;
 //!
 //! let spec = SweepSpec::new()
 //!     .axis(SweepAxis::new("pfc")
 //!         .variant("on", |p| p.fabric = p.fabric.clone().pfc(true))
 //!         .variant("off", |p| p.fabric = p.fabric.clone().pfc(false)))
 //!     .axis(SweepAxis::new("dcqcn")
-//!         .variant("on", |p| p.transport = p.transport.dcqcn(true))
-//!         .variant("off", |p| p.transport = p.transport.dcqcn(false)))
+//!         .variant("on", |p| p.transport = p.transport.cc(CcKind::Dcqcn))
+//!         .variant("off", |p| p.transport = p.transport.cc(CcKind::Off)))
 //!     .replicates(3);
 //! let jobs = spec.jobs();
 //! assert_eq!(jobs.len(), 2 * 2 * 3);
@@ -359,15 +360,6 @@ mod tests {
         assert_eq!(jobs[0].point.transport.cc, CcKind::Dcqcn);
         assert_eq!(jobs[1].point.transport.cc, CcKind::Timely);
         assert_eq!(jobs[2].point.transport.cc, CcKind::Off);
-        // The deprecated shim composes with the axis without churn.
-        let spec = SweepSpec::new().axis(
-            SweepAxis::new("dcqcn")
-                .variant("on", |p| p.transport = p.transport.dcqcn(true))
-                .variant("off", |p| p.transport = p.transport.dcqcn(false)),
-        );
-        let shimmed = spec.jobs();
-        assert_eq!(shimmed[0].point.transport.cc, CcKind::Dcqcn);
-        assert_eq!(shimmed[1].point.transport.cc, CcKind::Off);
     }
 
     #[test]

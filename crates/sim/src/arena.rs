@@ -19,9 +19,9 @@
 //! [`PacketArena::compact`].
 //!
 //! A struct-of-arrays split was considered and rejected on measurement
-//! (reproduce with `cargo run --release -p rocescale-core --example
-//! soa_probe`): `Packet` is 88 bytes — at most two cache lines — and it
-//! crosses this API *by value, whole-struct* in both directions
+//! (EXPERIMENTS.md, INC-FLEET-SCALE, "Packet-slab layout"): `Packet` is
+//! 88 bytes — at most two cache lines — and it crosses this API *by
+//! value, whole-struct* in both directions
 //! ([`PacketArena::insert`] writes every field, [`PacketArena::remove`]
 //! reads every field into the handler's argument). An SoA layout would
 //! replace one contiguous 88-byte copy with five-plus scattered loads

@@ -36,7 +36,9 @@ mod world;
 
 pub use rng::SimRng;
 pub use sched::{EngineKind, SchedStats};
-pub use shard::{EpochPacing, ShardStats, ShardedWorld, PACKET_ID_SHARD_SHIFT};
+pub use shard::{
+    merged_digest, EpochPacing, ShardStats, ShardedWorld, WorldSet, PACKET_ID_SHARD_SHIFT,
+};
 pub use time::SimTime;
 pub use world::{
     digest_fold, BoundaryMsg, Ctx, DigestMode, DispatchMode, EventProfile, LinkSpec, Node, NodeId,

@@ -91,6 +91,63 @@ pub struct ShardStats {
     pub boundary_messages: u64,
 }
 
+/// What a cluster drives: one or more per-shard [`World`]s behind a
+/// single clock. A plain [`World`] is the one-shard set (its slice has
+/// length 1 and `run_until` is the world's own); [`ShardedWorld`] is the
+/// N-shard set advanced through the conservative exchange. Code written
+/// against this trait reads devices from `worlds()[shard]` and never
+/// needs to know which of the two it is driving.
+pub trait WorldSet {
+    /// The shard worlds, index = shard id.
+    fn worlds(&self) -> &[World];
+    /// The shard worlds, mutably (wiring, node inspection) — never for
+    /// advancing time, which must go through [`WorldSet::run_until`].
+    fn worlds_mut(&mut self) -> &mut [World];
+    /// Advance every shard to `deadline`.
+    fn run_until(&mut self, deadline: SimTime);
+    /// Simulated time every shard has reached.
+    fn now(&self) -> SimTime;
+}
+
+impl WorldSet for World {
+    fn worlds(&self) -> &[World] {
+        std::slice::from_ref(self)
+    }
+    fn worlds_mut(&mut self) -> &mut [World] {
+        std::slice::from_mut(self)
+    }
+    fn run_until(&mut self, deadline: SimTime) {
+        World::run_until(self, deadline);
+    }
+    fn now(&self) -> SimTime {
+        World::now(self)
+    }
+}
+
+impl WorldSet for ShardedWorld {
+    fn worlds(&self) -> &[World] {
+        &self.worlds
+    }
+    fn worlds_mut(&mut self) -> &mut [World] {
+        &mut self.worlds
+    }
+    fn run_until(&mut self, deadline: SimTime) {
+        ShardedWorld::run_until(self, deadline);
+    }
+    fn now(&self) -> SimTime {
+        self.horizon
+    }
+}
+
+/// Global dispatch digest of a world set: per-shard digests folded in
+/// shard order with the dispatch digest's own byte fold. With one shard
+/// this is *exactly* the plain world digest.
+pub fn merged_digest(worlds: &[World]) -> u64 {
+    let mut it = worlds.iter().map(World::dispatch_digest);
+    let first = it.next().expect("at least one shard world");
+    it.fold(first, digest_fold)
+}
+
 /// A set of per-shard [`World`]s advanced in conservative-lookahead
 /// epochs with deterministic boundary-message exchange. See the module
 /// docs for the safety and determinism arguments.
@@ -315,16 +372,9 @@ impl ShardedWorld {
         self.pending.sort_by_key(|&(at, seq, _)| (at, seq));
     }
 
-    /// Global dispatch digest: per-shard digests folded in shard order
-    /// with the dispatch digest's own byte fold. With one shard this is
-    /// *exactly* the plain world digest.
+    /// Global dispatch digest ([`merged_digest`] over the shards).
     pub fn dispatch_digest(&self) -> u64 {
-        let mut it = self.worlds.iter();
-        let mut h = it.next().expect("nonempty").dispatch_digest();
-        for w in it {
-            h = digest_fold(h, w.dispatch_digest());
-        }
-        h
+        merged_digest(&self.worlds)
     }
 
     /// Total events dispatched across all shards.
@@ -390,11 +440,6 @@ impl ShardedWorld {
     /// Mutably borrow shard `i`'s world (wiring, node inspection).
     pub fn world_mut(&mut self, i: usize) -> &mut World {
         &mut self.worlds[i]
-    }
-
-    /// All shard worlds, in shard order.
-    pub fn worlds(&self) -> &[World] {
-        &self.worlds
     }
 }
 

@@ -14,7 +14,7 @@
 //! cargo run --release --example staged_deployment
 //! ```
 
-use rocescale::core::{ClusterBuilder, DeploymentStage, FabricProfile, TransportProfile};
+use rocescale::core::{CcKind, ClusterBuilder, DeploymentStage, FabricProfile, TransportProfile};
 use rocescale::monitor::config::{diff, RdmaConfig};
 use rocescale::nic::QpApp;
 use rocescale::switch::DropReason;
@@ -31,7 +31,7 @@ fn main() {
     ] {
         let mut c = ClusterBuilder::two_tier(2, 4)
             .fabric(FabricProfile::paper_default().stage(stage))
-            .transport(TransportProfile::paper_default().dcqcn(false))
+            .transport(TransportProfile::paper_default().cc(CcKind::Off))
             .seed(13)
             .build();
         let rack0 = c.servers_under(0, 0);

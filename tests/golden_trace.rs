@@ -55,9 +55,12 @@ fn run_profiled(
     let mut cl = ClusterBuilder::two_tier(2, 4)
         .seed(7)
         .engine(engine)
-        .telemetry(hub)
-        .digest(digest)
-        .profile(profile)
+        .instrumentation(
+            InstrumentationProfile::paper_default()
+                .telemetry(hub)
+                .digest(digest)
+                .profiler(profile),
+        )
         .build();
     for i in 1..4usize {
         cl.connect_qp(
@@ -130,8 +133,6 @@ fn paper_default_cc_selection_preserves_the_golden_trace() {
     let t = TransportProfile::paper_default();
     assert_eq!(t.cc, CcKind::Dcqcn, "paper default must stay DCQCN");
     assert_eq!(t.recovery, LossRecovery::GoBackN);
-    // And the deprecated shim still lands on the same controller.
-    assert_eq!(TransportProfile::paper_default().dcqcn(true).cc, t.cc);
     assert_eq!(
         run(EngineKind::Wheel),
         (GOLDEN_DIGEST, GOLDEN_EVENTS),
@@ -168,7 +169,7 @@ fn unfired_fault_script_preserves_the_golden_trace() {
     use rocescale_core::{FaultProfile, ScriptAction};
     let mut cl = ClusterBuilder::two_tier(2, 4)
         .seed(7)
-        .telemetry(MetricsHub::enabled())
+        .instrumentation(InstrumentationProfile::paper_default().telemetry(MetricsHub::enabled()))
         .faults(FaultProfile::paper_default().at(
             SimTime::from_millis(1000), // run ends at 500 µs: never fires
             ScriptAction::SetLossless {
@@ -269,32 +270,6 @@ fn sink_implies_enabled_hub_and_preserves_the_golden_trace() {
     assert!(!mem.is_empty(), "implied hub must actually stream");
 }
 
-/// The deprecated loose builder setters (`telemetry`/`digest`/`profile`)
-/// are shims into [`InstrumentationProfile`]; both surfaces must
-/// configure identical observation and dispatch the identical golden
-/// trace — the PR 4 `dcqcn(bool)` shim-agreement pattern.
-#[test]
-fn builder_shims_agree_with_instrumentation_profile() {
-    let via_shims = run_full(
-        EngineKind::Wheel,
-        MetricsHub::enabled(),
-        DigestMode::On,
-        ProfileMode::Off,
-    )
-    .0;
-    let via_profile = run_instrumented(
-        InstrumentationProfile::paper_default()
-            .telemetry(MetricsHub::enabled())
-            .digest(DigestMode::On)
-            .profiler(ProfileMode::Off),
-    );
-    assert_eq!(
-        via_shims, via_profile,
-        "old setters and the profile must be the same configuration"
-    );
-    assert_eq!(via_profile, (GOLDEN_DIGEST, GOLDEN_EVENTS));
-}
-
 /// Batched dispatch (the default since the same-tick coalescing change)
 /// must be observationally identical to single-step dispatch on the full
 /// paper incast with telemetry and the profiler live: same golden
@@ -307,8 +282,11 @@ fn batched_and_single_step_dispatch_are_trace_identical() {
     let run_mode = |mode: DispatchMode| {
         let mut cl = ClusterBuilder::two_tier(2, 4)
             .seed(7)
-            .telemetry(MetricsHub::enabled())
-            .profile(ProfileMode::On)
+            .instrumentation(
+                InstrumentationProfile::paper_default()
+                    .telemetry(MetricsHub::enabled())
+                    .profiler(ProfileMode::On),
+            )
             .build();
         cl.world.set_dispatch_mode(mode);
         for i in 1..4usize {

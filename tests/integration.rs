@@ -3,7 +3,8 @@
 //! topologies, with the monitoring subsystem as the observer.
 
 use rocescale::core::{
-    ClusterBuilder, DeploymentStage, FabricProfile, PfcMode, ServerId, ServerKind, TransportProfile,
+    CcKind, ClusterBuilder, DeploymentStage, FabricProfile, PfcMode, ServerId, ServerKind,
+    TransportProfile,
 };
 use rocescale::monitor::pingmesh::{ProbeResult, Scope};
 use rocescale::monitor::{Percentiles, Pingmesh, ProgressTracker};
@@ -58,7 +59,7 @@ fn staged_deployment_controls_where_loss_can_happen() {
     let run_stage = |stage: DeploymentStage| {
         let mut c = ClusterBuilder::two_tier(2, 4)
             .fabric(FabricProfile::paper_default().stage(stage))
-            .transport(TransportProfile::paper_default().dcqcn(false))
+            .transport(TransportProfile::paper_default().cc(CcKind::Off))
             .seed(13)
             .build();
         let rack0 = c.servers_under(0, 0);
@@ -98,7 +99,7 @@ fn pfc_modes_equivalent_for_rdma() {
     let run_mode = |mode: PfcMode| {
         let mut c = ClusterBuilder::single_tor(3)
             .fabric(FabricProfile::paper_default().pfc_mode(mode))
-            .transport(TransportProfile::paper_default().dcqcn(false))
+            .transport(TransportProfile::paper_default().cc(CcKind::Off))
             .seed(3)
             .build();
         for i in 1..3usize {
@@ -349,7 +350,7 @@ fn pingmesh_service_end_to_end() {
 #[test]
 fn per_switch_type_misconfiguration() {
     let mut c = ClusterBuilder::two_tier(2, 4)
-        .transport(TransportProfile::paper_default().dcqcn(false))
+        .transport(TransportProfile::paper_default().cc(CcKind::Off))
         .switch_tweak(|name, cfg| {
             if name == "pod0-tor1" {
                 cfg.buffer.alpha = Some(1.0 / 256.0); // absurdly jumpy

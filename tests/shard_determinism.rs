@@ -62,7 +62,7 @@ fn run_sharded(
 ) -> Fingerprint {
     let mut c = ClusterBuilder::new(spec)
         .seed(seed)
-        .telemetry(MetricsHub::enabled())
+        .instrumentation(InstrumentationProfile::paper_default().telemetry(MetricsHub::enabled()))
         .execution(ExecutionProfile::Sharded { shards })
         .faults(faults)
         .build_sharded();
@@ -240,7 +240,7 @@ fn run_paced(
 ) -> (Fingerprint, u64, u64) {
     let mut c = ClusterBuilder::new(spec)
         .seed(seed)
-        .telemetry(MetricsHub::enabled())
+        .instrumentation(InstrumentationProfile::paper_default().telemetry(MetricsHub::enabled()))
         .execution(ExecutionProfile::Sharded { shards })
         .faults(faults)
         .build_sharded();
