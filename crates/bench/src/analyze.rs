@@ -1,7 +1,7 @@
 //! Trace analysis: fold an exported JSONL trace back into paper-figure
 //! tables through the standard [`Report`] renderer.
 //!
-//! The export path (`--trace-out` on a scenario binary) streams four
+//! The export path (`--trace-out` on a scenario) streams four
 //! record classes — flight events, per-packet hops, per-epoch queue
 //! samples, CC rate points (see `rocescale_monitor::sink`). This module
 //! is the read side: [`TraceDoc`] loads any such file and renders
@@ -13,9 +13,9 @@
 //!   `resume_tx` counts per window, the Figure 9(b) shape,
 //! * **CC rate trajectories** — the per-QP DCQCN/TIMELY rate curve.
 //!
-//! [`TraceDoc`] implements [`ScenarioReport`], so the `trace_analyze`
-//! binary gets `--json` output (and `json_check` validation) for free
-//! from the same machinery every experiment binary uses.
+//! [`TraceDoc`] implements [`ScenarioReport`], so `rocescale
+//! trace-analyze` gets `--json` output (and `json-check` validation) for
+//! free from the same machinery every scenario uses.
 
 use std::collections::{BTreeMap, BTreeSet};
 

@@ -15,8 +15,8 @@
 //! 3. consumers read the slots in index order.
 //!
 //! Hence `--jobs 1` and `--jobs 16` produce byte-identical reports; the
-//! thread count changes wall-clock time and nothing else. The fleet
-//! binary and the determinism tests pin exactly that.
+//! thread count changes wall-clock time and nothing else. CI and the
+//! determinism tests pin exactly that.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -84,7 +84,7 @@ pub struct FleetOutcome {
     /// Classic text rendering of the report.
     pub text: String,
     /// JSON rendering of the report (same schema as `--json` on the
-    /// standalone binary).
+    /// scenario run alone).
     pub json: Json,
 }
 
@@ -99,7 +99,7 @@ pub fn run_suite(args: &CliArgs, workers: usize) -> Vec<FleetOutcome> {
 }
 
 /// Indices into [`suite::all`] whose scenario id contains `needle`,
-/// case-insensitively — the `--only` selector of the fleet binary.
+/// case-insensitively — the `--only` selector of `rocescale fleet`.
 pub fn matching_indices(needle: &str) -> Vec<usize> {
     let needle = needle.to_lowercase();
     suite::all()

@@ -1,5 +1,6 @@
-//! The command line every experiment binary shares, and the registry of
-//! `--trace-out` exports that lets `main` fail on an incomplete file.
+//! The command line every `rocescale` subcommand shares, and the
+//! registry of `--trace-out` exports that lets `main` fail on an
+//! incomplete file.
 
 use std::sync::{Arc, Mutex};
 
@@ -7,18 +8,14 @@ use rocescale_monitor::{IoErrorLatch, JsonlSink};
 
 use crate::report::CliArgs;
 
-/// The one command line every experiment binary shares.
-///
-/// Twenty-one thin `src/bin/*` wrappers and the fleet runner all accept the
-/// same flags; before this parser each binary (and the fleet) re-parsed
-/// its own subset by hand, so a new flag (`--trace-out`) meant touching
-/// every copy. `ScenarioCli` is the single place flags are defined:
+/// The flags every scenario and the fleet runner accept, defined in one
+/// place:
 ///
 /// * `--json` — emit the JSON report instead of text tables.
 /// * `--json-out PATH` — additionally write the JSON report to a file.
 /// * `--trace-out PATH` — stream the scenario's structured trace
 ///   (JSONL; see `rocescale_monitor::sink`) to a file for
-///   `trace_analyze`.
+///   `rocescale trace-analyze`.
 /// * `--jobs N` — worker threads (fleet only; scenarios ignore it).
 /// * anything else lands in `flags` for scenario-specific switches
 ///   (`--full-scale`, `--no-pfc`, …).
@@ -37,12 +34,8 @@ pub struct ScenarioCli {
 }
 
 impl ScenarioCli {
-    /// Parse the process arguments; `Err` carries a usage message.
-    pub fn parse() -> Result<ScenarioCli, String> {
-        ScenarioCli::from_args(std::env::args().skip(1))
-    }
-
-    /// Parse from any argument source (tests, the fleet's forwarding).
+    /// Parse the arguments after the subcommand; `Err` carries a usage
+    /// message.
     pub fn from_args(args: impl IntoIterator<Item = String>) -> Result<ScenarioCli, String> {
         let mut cli = ScenarioCli::default();
         let mut args = args.into_iter();
@@ -113,7 +106,7 @@ impl TraceExports {
             .find_map(|(path, latch)| latch.get().map(|e| format!("{path}: {e}")))
     }
 
-    /// For a binary's `main`, after its runs: report an incomplete
+    /// For `main`, after its runs: report an incomplete
     /// export on stderr and exit non-zero.
     pub fn exit_on_failure(&self) {
         if let Some(msg) = self.failure() {

@@ -1,16 +1,17 @@
-//! Experiment harness shared by the `fig*`/`exp*` binaries.
+//! Experiment harness behind the `rocescale` command line.
 //!
-//! Every evaluation figure of the paper has a binary in `src/bin/` that
-//! regenerates it (see `DESIGN.md` §4 for the index). Each binary is a
-//! declarative [`ScenarioReport`] spec; [`main_for`] renders it either as
-//! aligned text tables (easy to diff against `EXPERIMENTS.md`) or, with
-//! `--json`, as machine-readable JSON. The scenario implementations live
-//! in [`suite`], and [`fleet`] runs the whole suite — or a declarative
-//! sweep — across worker threads with deterministic output.
+//! Every evaluation figure of the paper is a scenario that
+//! `rocescale <scenario>` regenerates (see `DESIGN.md` §4 for the index).
+//! Each scenario is a declarative [`ScenarioReport`] spec; [`main_for`]
+//! renders it either as aligned text tables (easy to diff against
+//! `EXPERIMENTS.md`) or, with `--json`, as machine-readable JSON. The
+//! scenario implementations live in [`suite`], and [`fleet`] runs the
+//! whole suite — or a declarative sweep — across worker threads with
+//! deterministic output.
 //!
 //! Flags are parsed once, by [`harness::ScenarioCli`]; scenarios that
-//! support `--trace-out` stream a structured JSONL trace which the
-//! `trace_analyze` binary ([`analyze`]) folds back into paper-figure
+//! support `--trace-out` stream a structured JSONL trace which
+//! `rocescale trace-analyze` ([`analyze`]) folds back into paper-figure
 //! tables.
 
 #![forbid(unsafe_code)]

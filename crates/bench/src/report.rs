@@ -1,9 +1,9 @@
-//! Declarative experiment reports: one [`ScenarioReport`] per binary,
+//! Declarative experiment reports: one [`ScenarioReport`] per scenario,
 //! rendered either as the classic aligned-column tables or — with
 //! `--json` — as machine-readable JSON built on `rocescale_monitor::Json`
 //! (no external serialization dependency).
 //!
-//! The JSON schema every binary emits:
+//! The JSON schema every scenario emits:
 //!
 //! ```json
 //! {
@@ -196,18 +196,6 @@ pub struct CliArgs {
 }
 
 impl CliArgs {
-    /// Parse from the process arguments; exits with a usage message on
-    /// a malformed shared flag.
-    pub fn parse() -> CliArgs {
-        match crate::harness::ScenarioCli::parse() {
-            Ok(cli) => cli.to_args(),
-            Err(msg) => {
-                eprintln!("usage: {msg}");
-                std::process::exit(2);
-            }
-        }
-    }
-
     /// Is a scenario-specific flag present?
     pub fn has(&self, flag: &str) -> bool {
         self.flags.iter().any(|f| f == flag)
@@ -305,12 +293,11 @@ pub fn to_text(s: &dyn ScenarioReport, r: &Report) -> String {
     out
 }
 
-/// The shared `main`: parse args, run, print text or JSON, and honor
-/// `--json-out` (the JSON document is written to the file regardless of
-/// which form stdout gets).
-pub fn main_for(s: &dyn ScenarioReport) {
-    let args = CliArgs::parse();
-    let report = s.run(&args);
+/// The shared `main`: run, print text or JSON, and honor `--json-out`
+/// (the JSON document is written to the file regardless of which form
+/// stdout gets).
+pub fn main_for(s: &dyn ScenarioReport, args: &CliArgs) {
+    let report = s.run(args);
     if let Some(path) = &args.json_out {
         let doc = to_json(s, &report).render() + "\n";
         std::fs::write(path, doc).unwrap_or_else(|e| {

@@ -2,9 +2,9 @@
 //! public [`ScenarioReport`], plus the [`all`] registry the fleet runner
 //! iterates.
 //!
-//! Each scenario also has a thin binary in `src/bin/` (the classic
-//! one-figure-at-a-time workflow); the implementations live here so the
-//! `fleet` binary — and tests — can run any subset in-process.
+//! `rocescale <scenario>` runs one of them (the classic
+//! one-figure-at-a-time workflow); `rocescale fleet` — and tests — run
+//! any subset in-process.
 
 use rocescale_core::scenarios::latency::LatencySummary;
 use rocescale_core::scenarios::{
@@ -20,7 +20,8 @@ use crate::report::{Cell, CliArgs, Report, ScenarioReport, Table};
 /// Observation profile for one scenario arm: a JSONL sink streaming to
 /// `--trace-out`'s path when given, the paper default otherwise. The
 /// scenarios that honor the flag attach it to their headline arm and
-/// note the export in the report; `trace_analyze` reads the file back.
+/// note the export in the report; `rocescale trace-analyze` reads the
+/// file back.
 fn trace_instr(args: &CliArgs) -> InstrumentationProfile {
     let profile = InstrumentationProfile::paper_default();
     match &args.trace_out {
@@ -1129,8 +1130,7 @@ impl ScenarioReport for IncDeadRemembered {
 /// execution. Scenario-specific flags: `--shards N` (worker shards,
 /// default 2), `--serial` (run exchange epochs on one thread — the
 /// differential mode; the digest scalar must not change, which is what
-/// the CI sharded-digest smoke asserts), `--dense` (dense grid pacing
-/// instead of adaptive epoch skipping — same digest again),
+/// the CI sharded-digest smoke asserts),
 /// `--tors-per-pod N` / `--servers-per-tor N` (fabric shape; `40`/`320`
 /// is the 102 400-host deployment class of §6), and `--dur-us N` (run
 /// horizon, default 600 µs — long enough for the burst workload to
@@ -1164,11 +1164,6 @@ impl ScenarioReport for IncFleetScale {
         let servers_per_tor = uint("--servers-per-tor", 64);
         let dur_us = uint("--dur-us", 600);
         let serial = args.has("--serial");
-        let pacing = if args.has("--dense") {
-            EpochPacing::Dense
-        } else {
-            EpochPacing::Adaptive
-        };
         // Wall-clock fields are real measurements, hence nondeterministic;
         // --deterministic drops them so two fleet runs can be compared
         // byte for byte (CI does, across worker counts).
@@ -1177,7 +1172,7 @@ impl ScenarioReport for IncFleetScale {
             fleet_scale::spec_with(tors_per_pod, servers_per_tor),
             shards,
             !serial,
-            pacing,
+            EpochPacing::Adaptive,
             SimTime::from_micros(dur_us as u64),
         );
         let mut t = Table::new(

@@ -1103,10 +1103,7 @@ impl<W: WorldSet> Cluster<W> {
             }
             hub.set_gauge(obs.engine_events, w.events_processed() as f64);
             let st = w.sched_stats();
-            hub.set_gauge(
-                obs.engine_pending,
-                (st.pushed - st.dispatched - st.cancelled) as f64,
-            );
+            hub.set_gauge(obs.engine_pending, (st.pushed - st.dispatched) as f64);
             for &(i, backlog, _) in &obs.switches {
                 hub.set_gauge(backlog, self.switch(i).lossless_backlog() as f64);
             }

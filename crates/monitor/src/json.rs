@@ -5,8 +5,7 @@
 //! its report through [`Json`], and CI validates the result by parsing it
 //! back with [`parse`]. The renderer emits canonical, deterministic text
 //! (object keys in insertion order, `u64` counters verbatim rather than
-//! through `f64`), so diffs of `BENCH_*.json` trajectory files stay
-//! meaningful.
+//! through `f64`), so two runs' reports can be compared with `cmp`.
 
 use std::io::Write as _;
 

@@ -17,11 +17,6 @@
 //!   PFC deadlock signature (lossless backlog with zero transmit progress
 //!   across consecutive samples, §4.2).
 //!
-//! Plus one simulator-side subsystem: [`engine`] snapshots the event
-//! engine's own counters (dispatch volume, wheel cascades, peak pending
-//! events) so scheduler health shows up in experiment output alongside
-//! the fleet's counters.
-//!
 //! Tying them together, [`telemetry`] is the unified bus: a
 //! [`MetricsHub`] of typed instruments (counters, gauges, exact
 //! histograms) registered under hierarchical dotted names by every layer
@@ -41,7 +36,6 @@
 pub mod aggregate;
 pub mod config;
 pub mod deadlock;
-pub mod engine;
 pub mod json;
 pub mod pingmesh;
 pub mod sink;
@@ -51,7 +45,6 @@ pub mod telemetry;
 pub use aggregate::merge_reports;
 pub use config::{ConfigDeviation, RdmaConfig};
 pub use deadlock::{ProgressTracker, WaitGraph};
-pub use engine::{profile_json, EngineReport};
 pub use json::Json;
 pub use pingmesh::Pingmesh;
 pub use sink::{

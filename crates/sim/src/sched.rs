@@ -31,7 +31,7 @@
 //! across both engines.
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashSet};
+use std::collections::BinaryHeap;
 
 use crate::time::SimTime;
 
@@ -46,11 +46,6 @@ const LEVELS: usize = 4;
 /// Bitmap words per level (256 slots / 64).
 const BM_WORDS: usize = SLOTS / 64;
 
-/// Handle returned by [`EventQueue::push`]; pass to
-/// [`EventQueue::cancel`] to revoke the event before it fires.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct EventHandle(u64);
-
 /// Which engine backs an [`EventQueue`] (and a [`crate::World`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum EngineKind {
@@ -62,16 +57,13 @@ pub enum EngineKind {
     BinaryHeap,
 }
 
-/// Engine-level counters, exposed through `World::sched_stats()` and the
-/// monitor crate's engine report.
+/// Engine-level counters, exposed through `World::sched_stats()`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SchedStats {
     /// Events pushed over the queue's lifetime.
     pub pushed: u64,
     /// Events dispatched (popped) over the queue's lifetime.
     pub dispatched: u64,
-    /// Events cancelled before firing.
-    pub cancelled: u64,
     /// Entries re-bucketed from a higher wheel level to a lower one.
     pub cascades: u64,
     /// Entries migrated from the sorted overflow level into the wheel.
@@ -112,13 +104,8 @@ pub struct EventQueue<T> {
     engine: Engine<T>,
     /// Monotone sequence counter; the FIFO tie-break for equal times.
     next_seq: u64,
-    /// Live (non-cancelled) pending events.
+    /// Pending events.
     len: usize,
-    /// Lazily-removed cancelled seqs still physically queued.
-    tombstones: HashSet<u64>,
-    /// Pending seqs — maintained only for queues built with
-    /// [`Self::with_cancellation`], so the plain hot path pays nothing.
-    live: Option<HashSet<u64>>,
     stats: SchedStats,
 }
 
@@ -140,19 +127,8 @@ impl<T> EventQueue<T> {
             engine,
             next_seq: 0,
             len: 0,
-            tombstones: HashSet::new(),
-            live: None,
             stats: SchedStats::default(),
         }
-    }
-
-    /// An empty queue that additionally tracks pending events so
-    /// [`Self::cancel`] can distinguish pending from already-fired
-    /// handles. Costs one hash-set insert/remove per event.
-    pub fn with_cancellation(kind: EngineKind) -> EventQueue<T> {
-        let mut q = EventQueue::new(kind);
-        q.live = Some(HashSet::new());
-        q
     }
 
     /// Which engine backs this queue.
@@ -163,12 +139,12 @@ impl<T> EventQueue<T> {
         }
     }
 
-    /// Number of live pending events.
+    /// Number of pending events.
     pub fn len(&self) -> usize {
         self.len
     }
 
-    /// True when no live events are pending.
+    /// True when no events are pending.
     pub fn is_empty(&self) -> bool {
         self.len == 0
     }
@@ -179,17 +155,14 @@ impl<T> EventQueue<T> {
     }
 
     /// Schedule `item` at `time`. Events at equal times dispatch in push
-    /// order. Returns a handle usable with [`Self::cancel`].
+    /// order.
     ///
     /// `time` must be ≥ the time of the last popped event (the simulator
     /// never schedules into the past); pushing earlier is remapped to the
     /// current dispatch front rather than corrupting the wheel.
-    pub fn push(&mut self, time: SimTime, item: T) -> EventHandle {
+    pub fn push(&mut self, time: SimTime, item: T) {
         let seq = self.next_seq;
         self.next_seq += 1;
-        if let Some(live) = &mut self.live {
-            live.insert(seq);
-        }
         let entry = Entry { time, seq, item };
         match &mut self.engine {
             Engine::Wheel(w) => w.push(entry, &mut self.stats),
@@ -198,186 +171,25 @@ impl<T> EventQueue<T> {
         self.len += 1;
         self.stats.pushed += 1;
         self.stats.max_occupancy = self.stats.max_occupancy.max(self.len as u64);
-        EventHandle(seq)
-    }
-
-    /// Bulk-schedule a sweep of events, draining `items`. Equivalent to
-    /// calling [`Self::push`] once per element in order — seqs are
-    /// assigned in `items` order, so the resulting pop stream is
-    /// byte-identical — but the wheel engine memoizes the last slot
-    /// placement, so runs of same-tick events (the common shape of a
-    /// dispatch batch's output: many transmissions scheduled from one
-    /// timestamp) skip the level/slot/bitmap work after the first.
-    pub fn push_bulk(&mut self, items: &mut Vec<(SimTime, T)>) {
-        let n = items.len();
-        match &mut self.engine {
-            Engine::Wheel(w) => {
-                let mut memo = None;
-                for (time, item) in items.drain(..) {
-                    let seq = self.next_seq;
-                    self.next_seq += 1;
-                    if let Some(live) = &mut self.live {
-                        live.insert(seq);
-                    }
-                    w.push_memo(Entry { time, seq, item }, &mut self.stats, &mut memo);
-                }
-            }
-            Engine::Heap(h) => {
-                for (time, item) in items.drain(..) {
-                    let seq = self.next_seq;
-                    self.next_seq += 1;
-                    if let Some(live) = &mut self.live {
-                        live.insert(seq);
-                    }
-                    h.push(Reverse(Entry { time, seq, item }));
-                }
-            }
-        }
-        self.len += n;
-        self.stats.pushed += n as u64;
-        self.stats.max_occupancy = self.stats.max_occupancy.max(self.len as u64);
-    }
-
-    /// Cancel a pending event. Returns true if it had not yet fired or
-    /// been cancelled; false for fired, cancelled, or unknown handles —
-    /// and always false on queues not built with
-    /// [`Self::with_cancellation`]. The entry is removed lazily at pop
-    /// time (tombstoning), so cancel itself is O(1).
-    pub fn cancel(&mut self, handle: EventHandle) -> bool {
-        let Some(live) = &mut self.live else {
-            return false;
-        };
-        if !live.remove(&handle.0) {
-            return false;
-        }
-        self.tombstones.insert(handle.0);
-        self.len -= 1;
-        self.stats.cancelled += 1;
-        true
     }
 
     /// Time of the next event to dispatch, if any.
     pub fn peek_time(&mut self) -> Option<SimTime> {
-        self.skip_tombstones();
         match &mut self.engine {
             Engine::Wheel(w) => w.peek(&mut self.stats).map(|e| e.time),
             Engine::Heap(h) => h.peek().map(|Reverse(e)| e.time),
         }
     }
 
-    /// Pop every event sharing the queue-front timestamp — a *batch* —
-    /// appending them to `out` in exact `(time, seq)` dispatch order.
-    /// Returns the number of events appended; 0 when the queue is empty,
-    /// the front event is past `deadline`, or `limit` is 0. At most
-    /// `limit` events are drained (a truncated batch resumes, in order,
-    /// on the next call).
-    ///
-    /// This is the engine half of the world's same-tick dispatch
-    /// batching: one front lookup amortizes over the whole run instead
-    /// of a peek + pop round trip per event.
-    ///
-    /// Completeness on the wheel engine: `peek` collects the front
-    /// level-0 slot into `ready`, after which every entry whose tick
-    /// precedes the cursor — in particular every entry sharing the front
-    /// *timestamp* — lives in `ready` (later same-time pushes land there
-    /// too, via the `t < cursor` path in `push`). So draining
-    /// `ready` while the tail's time matches cannot miss a same-time
-    /// entry parked elsewhere in the wheel.
-    pub fn pop_batch(
-        &mut self,
-        deadline: SimTime,
-        limit: usize,
-        out: &mut Vec<(SimTime, T)>,
-    ) -> usize {
-        if limit == 0 {
-            return 0;
-        }
-        let Some(front) = self.peek_time() else {
-            return 0;
-        };
-        if front > deadline {
-            return 0;
-        }
-        if self.live.is_none() {
-            // Fast path: no cancellation tracking (the simulator's own
-            // queue), so tombstones cannot exist and the front run can
-            // be drained without per-event set lookups.
-            let start = out.len();
-            match &mut self.engine {
-                Engine::Wheel(w) => {
-                    while out.len() - start < limit {
-                        match w.ready.last() {
-                            Some(e) if e.time == front => {
-                                let e = w.ready.pop().expect("checked non-empty");
-                                out.push((e.time, e.item));
-                            }
-                            _ => break,
-                        }
-                    }
-                }
-                Engine::Heap(h) => {
-                    while out.len() - start < limit {
-                        match h.peek() {
-                            Some(Reverse(e)) if e.time == front => {
-                                let Reverse(e) = h.pop().expect("checked non-empty");
-                                out.push((e.time, e.item));
-                            }
-                            _ => break,
-                        }
-                    }
-                }
-            }
-            let n = out.len() - start;
-            self.len -= n;
-            self.stats.dispatched += n as u64;
-            n
-        } else {
-            // Cancellation-tracked queues stay on the per-event pop path
-            // so tombstones are skipped exactly as single-step dispatch
-            // would skip them.
-            let mut n = 0;
-            while n < limit && self.peek_time() == Some(front) {
-                let (t, item) = self.pop().expect("peeked front must pop");
-                out.push((t, item));
-                n += 1;
-            }
-            n
-        }
-    }
-
     /// Pop the next event in `(time, seq)` order.
     pub fn pop(&mut self) -> Option<(SimTime, T)> {
-        self.skip_tombstones();
         let e = match &mut self.engine {
             Engine::Wheel(w) => w.pop(&mut self.stats)?,
             Engine::Heap(h) => h.pop()?.0,
         };
-        if let Some(live) = &mut self.live {
-            live.remove(&e.seq);
-        }
         self.len -= 1;
         self.stats.dispatched += 1;
         Some((e.time, e.item))
-    }
-
-    /// Physically drop cancelled entries sitting at the queue front so
-    /// `peek`/`pop` see a live event.
-    fn skip_tombstones(&mut self) {
-        while !self.tombstones.is_empty() {
-            let front_seq = match &mut self.engine {
-                Engine::Wheel(w) => w.peek(&mut self.stats).map(|e| e.seq),
-                Engine::Heap(h) => h.peek().map(|Reverse(e)| e.seq),
-            };
-            match front_seq {
-                Some(seq) if self.tombstones.remove(&seq) => {
-                    match &mut self.engine {
-                        Engine::Wheel(w) => w.pop(&mut self.stats),
-                        Engine::Heap(h) => h.pop().map(|Reverse(e)| e),
-                    };
-                }
-                _ => break,
-            }
-        }
     }
 }
 
@@ -492,51 +304,6 @@ impl<T> Wheel<T> {
                 self.set_bit(level, slot);
                 self.level_count[level] += 1;
                 self.in_wheel += 1;
-            }
-            None => {
-                stats.overflow_pushed += 1;
-                self.overflow.push(Reverse(entry));
-            }
-        }
-    }
-
-    // (push and push_in_wheel share the placement rule; push_in_wheel is
-    // the no-stats variant used during cascades.)
-
-    /// [`Self::push`] with a one-entry placement memo: when the incoming
-    /// entry's tick matches the memoized one, it lands in the same slot
-    /// whose occupancy bit is already set, so the level/slot computation
-    /// and the bitmap write are skipped. Valid only while the cursor is
-    /// stationary (no pops between calls) — which bulk insertion
-    /// guarantees.
-    fn push_memo(
-        &mut self,
-        entry: Entry<T>,
-        stats: &mut SchedStats,
-        memo: &mut Option<(u64, usize, usize)>,
-    ) {
-        let t = tick_of(entry.time);
-        if let Some((mt, level, slot)) = *memo {
-            if mt == t {
-                self.levels[level][slot].push(entry);
-                self.level_count[level] += 1;
-                self.in_wheel += 1;
-                return;
-            }
-        }
-        *memo = None;
-        if t < self.cursor {
-            self.insert_ready(entry);
-            return;
-        }
-        match Self::level_for(self.cursor, t) {
-            Some(level) => {
-                let slot = Self::slot_of(level, t);
-                self.levels[level][slot].push(entry);
-                self.set_bit(level, slot);
-                self.level_count[level] += 1;
-                self.in_wheel += 1;
-                *memo = Some((t, level, slot));
             }
             None => {
                 stats.overflow_pushed += 1;
@@ -667,7 +434,8 @@ impl<T> Wheel<T> {
         self.scratch = entries;
     }
 
-    /// Re-insert during cascade/migration (seq already assigned).
+    /// Re-insert during cascade/migration: [`Self::push`]'s placement rule
+    /// without the overflow counter (seq already assigned).
     fn push_in_wheel(&mut self, entry: Entry<T>) {
         let t = tick_of(entry.time);
         if t < self.cursor {
@@ -806,24 +574,6 @@ mod tests {
     }
 
     #[test]
-    fn cancel_prevents_dispatch() {
-        for kind in [EngineKind::Wheel, EngineKind::BinaryHeap] {
-            let mut q = EventQueue::with_cancellation(kind);
-            let _a = q.push(SimTime(100), 1);
-            let b = q.push(SimTime(200), 2);
-            let c = q.push(SimTime(300), 3);
-            assert!(q.cancel(b));
-            assert!(!q.cancel(b), "double cancel is a no-op");
-            assert_eq!(q.len(), 2);
-            assert_eq!(q.pop(), Some((SimTime(100), 1)));
-            assert_eq!(q.pop(), Some((SimTime(300), 3)));
-            assert_eq!(q.pop(), None);
-            assert!(!q.cancel(c), "cancel after fire fails, {kind:?}");
-            assert_eq!(q.stats().cancelled, 1);
-        }
-    }
-
-    #[test]
     fn counters_track_activity() {
         let mut q = EventQueue::new(EngineKind::Wheel);
         for v in 0..10u32 {
@@ -835,121 +585,6 @@ mod tests {
         assert_eq!(q.stats().dispatched, 10);
         // 50 µs spacing spans multiple L1 slots → cascades happened.
         assert!(q.stats().cascades > 0);
-    }
-
-    /// Differential: batch draining must produce the exact event stream
-    /// single pops do, on both engines, batch boundaries falling exactly
-    /// on timestamp changes.
-    #[test]
-    fn pop_batch_matches_pop_stream() {
-        for kind in [EngineKind::Wheel, EngineKind::BinaryHeap] {
-            let mut rng = SimRng::from_seed(0xBA7C);
-            let mut single = EventQueue::new(kind);
-            let mut batched = EventQueue::new(kind);
-            for v in 0..2_000u32 {
-                // Coarse time quantization so same-timestamp runs form.
-                let t = SimTime(rng.gen_below(64) * 10_000);
-                single.push(t, v);
-                batched.push(t, v);
-            }
-            let want = drain(&mut single);
-            let mut got = Vec::new();
-            let mut buf = Vec::new();
-            loop {
-                buf.clear();
-                let n = batched.pop_batch(SimTime::MAX, usize::MAX, &mut buf);
-                if n == 0 {
-                    break;
-                }
-                // Every event in a batch shares one timestamp.
-                assert!(buf.iter().all(|(t, _)| *t == buf[0].0));
-                got.extend(buf.iter().map(|(t, v)| (t.as_ps(), *v)));
-            }
-            assert_eq!(got, want, "{kind:?}");
-            assert_eq!(batched.stats().dispatched, 2_000);
-            assert!(batched.is_empty());
-        }
-    }
-
-    /// A `limit` cuts a batch mid-run; the remainder resumes in order on
-    /// the next call. A `deadline` before the front yields nothing.
-    #[test]
-    fn pop_batch_respects_limit_and_deadline() {
-        let mut q = EventQueue::new(EngineKind::Wheel);
-        for v in 0..10u32 {
-            q.push(SimTime(5_000), v);
-        }
-        let mut out = Vec::new();
-        assert_eq!(q.pop_batch(SimTime(4_999), usize::MAX, &mut out), 0);
-        assert_eq!(q.pop_batch(SimTime::MAX, 0, &mut out), 0);
-        assert_eq!(q.pop_batch(SimTime::MAX, 3, &mut out), 3);
-        assert_eq!(q.pop_batch(SimTime::MAX, usize::MAX, &mut out), 7);
-        let want: Vec<(SimTime, u32)> = (0..10).map(|v| (SimTime(5_000), v)).collect();
-        assert_eq!(out, want);
-        assert_eq!(q.pop_batch(SimTime::MAX, usize::MAX, &mut out), 0);
-    }
-
-    /// Cancelled events inside a same-time run must not surface through
-    /// the batch path (it defers to the tombstone-aware pop loop).
-    #[test]
-    fn pop_batch_skips_tombstones() {
-        for kind in [EngineKind::Wheel, EngineKind::BinaryHeap] {
-            let mut q = EventQueue::with_cancellation(kind);
-            let handles: Vec<_> = (0..8u32).map(|v| q.push(SimTime(7_000), v)).collect();
-            assert!(q.cancel(handles[0]));
-            assert!(q.cancel(handles[3]));
-            assert!(q.cancel(handles[7]));
-            let mut out = Vec::new();
-            assert_eq!(q.pop_batch(SimTime::MAX, usize::MAX, &mut out), 5);
-            let got: Vec<u32> = out.iter().map(|&(_, v)| v).collect();
-            assert_eq!(got, vec![1, 2, 4, 5, 6], "{kind:?}");
-            assert!(q.is_empty());
-        }
-    }
-
-    /// `push_bulk` must be indistinguishable from sequential `push` —
-    /// same seq assignment, same pop stream — on both engines, across
-    /// same-tick runs, scattered times, past-cursor times (after a pop
-    /// advanced the cursor), and overflow-bound deadlines.
-    #[test]
-    fn push_bulk_matches_sequential_push() {
-        for kind in [EngineKind::Wheel, EngineKind::BinaryHeap] {
-            let mut rng = SimRng::from_seed(0xB01C);
-            let mut seq_q = EventQueue::new(kind);
-            let mut bulk_q = EventQueue::new(kind);
-            let mut next_val = 0u32;
-            let mut now = 0u64;
-            for _ in 0..200 {
-                // A sweep: mostly same-tick, with scattered outliers.
-                let base = now + rng.gen_below(1 << 20);
-                let mut sweep = Vec::new();
-                for _ in 0..rng.gen_range(1..12) {
-                    let t = match rng.gen_below(8) {
-                        0..=4 => base,
-                        5 => now, // at (or before) the cursor tick
-                        6 => base + rng.gen_below(1 << 30),
-                        _ => base + rng.gen_below(1 << 48), // overflow-ish
-                    };
-                    sweep.push((SimTime(t), next_val));
-                    next_val += 1;
-                }
-                for &(t, v) in &sweep {
-                    seq_q.push(t, v);
-                }
-                let mut sweep_vec = sweep;
-                bulk_q.push_bulk(&mut sweep_vec);
-                assert!(sweep_vec.is_empty());
-                for _ in 0..rng.gen_below(3) {
-                    let a = seq_q.pop();
-                    let b = bulk_q.pop();
-                    assert_eq!(a, b, "{kind:?}");
-                    if let Some((t, _)) = a {
-                        now = t.as_ps();
-                    }
-                }
-            }
-            assert_eq!(drain(&mut seq_q), drain(&mut bulk_q), "{kind:?}");
-        }
     }
 
     #[test]

@@ -95,24 +95,6 @@ pub enum ProfileMode {
     Off,
 }
 
-/// How the world drives its event loop (see [`World::set_dispatch_mode`]).
-///
-/// Both modes invoke the exact same handlers in the exact same order and
-/// produce byte-identical dispatch digests; batched dispatch only
-/// amortizes per-event *overhead* (queue front lookups, node slab
-/// lookups, `Ctx` setup, virtual-call fan-out) across runs of
-/// same-timestamp events. Single-step is kept as the obviously-correct
-/// reference for differential tests.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum DispatchMode {
-    /// Drain and dispatch same-timestamp events as one batch (the
-    /// default).
-    #[default]
-    Batched,
-    /// Pop and dispatch one event at a time (the reference path).
-    SingleStep,
-}
-
 /// Per-event-kind dispatch counts and cumulative handler wall-time,
 /// collected by [`World::step`] under [`ProfileMode::On`].
 ///
@@ -124,23 +106,15 @@ pub struct EventProfile {
     pub counts: [u64; 4],
     /// Cumulative handler wall-time in nanoseconds, per kind.
     pub nanos: [u64; 4],
-    /// Events-per-batch histogram under [`DispatchMode::Batched`]:
-    /// bucket *i* counts dispatched batches of `2^i ..= 2^(i+1)-1`
-    /// events (the last bucket is open-ended; see
-    /// [`EventProfile::BATCH_BUCKETS`]). All zeros under single-step
-    /// dispatch or with profiling off — the profiler's direct view of
-    /// how much same-tick coalescing actually happens.
+    /// Always zero. Retained, with [`EventProfile::total_batches`],
+    /// only because the frozen `examples/benchmark/src/fabric.rs` reads
+    /// both; the next `benchmark` PR drops them.
     pub batches: [u64; 8],
 }
 
 impl EventProfile {
     /// Human-readable names for the four kind buckets, in index order.
     pub const KINDS: [&'static str; 4] = ["start", "arrival", "port_idle", "timer"];
-
-    /// Human-readable batch-size ranges for [`EventProfile::batches`].
-    pub const BATCH_BUCKETS: [&'static str; 8] = [
-        "1", "2-3", "4-7", "8-15", "16-31", "32-63", "64-127", "128+",
-    ];
 
     /// Total events across all kinds.
     pub fn total_events(&self) -> u64 {
@@ -162,16 +136,9 @@ impl EventProfile {
         }
     }
 
-    /// Total batches dispatched (0 under single-step dispatch).
+    /// Always zero (see [`EventProfile::batches`]).
     pub fn total_batches(&self) -> u64 {
         self.batches.iter().sum()
-    }
-
-    /// Record one dispatched batch of `n` events.
-    pub(crate) fn note_batch(&mut self, n: u64) {
-        debug_assert!(n > 0);
-        let bucket = (63 - n.leading_zeros()).min(7) as usize;
-        self.batches[bucket] += 1;
     }
 }
 
@@ -203,29 +170,6 @@ pub trait Node: Any + Send {
     /// The port finished serializing the previous transmission and can
     /// accept another [`Ctx::transmit`].
     fn on_port_idle(&mut self, _port: PortId, _ctx: &mut Ctx<'_>) {}
-
-    /// A run of same-timestamp [`Node::on_packet`] deliveries for this
-    /// node, in exact event order. The default forwards one by one;
-    /// implementations with per-packet-invariant prologue work (see the
-    /// switch's arrival sweep) may override, but must fully drain
-    /// `arrivals` and keep per-packet semantics and order identical to
-    /// repeated `on_packet` calls — batching amortizes overhead, never
-    /// changes behavior.
-    fn on_packet_batch(&mut self, arrivals: &mut Vec<(PortId, Packet)>, ctx: &mut Ctx<'_>) {
-        for (port, pkt) in arrivals.drain(..) {
-            self.on_packet(port, pkt, ctx);
-        }
-    }
-
-    /// A run of same-timestamp [`Node::on_port_idle`] deliveries for
-    /// this node, in exact event order. Same contract as
-    /// [`Node::on_packet_batch`]: overrides may hoist per-port-invariant
-    /// work but must preserve per-event order and semantics exactly.
-    fn on_port_idle_batch(&mut self, ports: &[PortId], ctx: &mut Ctx<'_>) {
-        for &port in ports {
-            self.on_port_idle(port, ctx);
-        }
-    }
 
     /// A timer set via [`Ctx::set_timer`] fired. `token` is the caller's
     /// value; stale timers must be filtered by the node itself.
@@ -368,15 +312,6 @@ struct WorldCore {
     digest: u64,
     /// Hot-path gate for digest folding (see [`DigestMode`]).
     digest_on: bool,
-    /// When set, [`WorldCore::push`] stages events here instead of
-    /// touching the queue; [`World::dispatch_batch`] flushes the whole
-    /// sweep with one [`EventQueue::push_bulk`] call at batch end.
-    /// Sequence numbers are assigned at flush in staging order and no
-    /// pops occur in between, so the `(time, seq)` stream — and hence
-    /// dispatch order and digest — is identical to per-push scheduling.
-    staging: bool,
-    /// Staged events awaiting the batch-end flush.
-    staged: Vec<(SimTime, EventKind)>,
     /// Boundary traffic for the shard exchange: packets that finished
     /// serializing onto cross-shard links, plus administrative
     /// link-state/wake messages addressed to remote ports. Drained by
@@ -406,11 +341,7 @@ pub fn digest_fold(h: u64, v: u64) -> u64 {
 
 impl WorldCore {
     fn push(&mut self, time: SimTime, kind: EventKind) {
-        if self.staging {
-            self.staged.push((time, kind));
-        } else {
-            self.queue.push(time, kind);
-        }
+        self.queue.push(time, kind);
     }
 
     fn store_packet(&mut self, pkt: Packet) -> u32 {
@@ -430,15 +361,6 @@ pub struct World {
     /// Hot-path gate for dispatch profiling (see [`ProfileMode`]).
     profile_on: bool,
     profile: EventProfile,
-    /// Hot-path gate for batched dispatch (see [`DispatchMode`]).
-    batched: bool,
-    /// Reusable drain buffer for [`World::step_batch`] — one batch of
-    /// same-timestamp events, in dispatch order.
-    batch_buf: Vec<(SimTime, EventKind)>,
-    /// Reusable argument buffer for [`Node::on_port_idle_batch`].
-    idle_buf: Vec<PortId>,
-    /// Reusable argument buffer for [`Node::on_packet_batch`].
-    arrival_buf: Vec<(PortId, Packet)>,
 }
 
 impl World {
@@ -463,18 +385,12 @@ impl World {
                 packets: PacketArena::new(),
                 digest: FNV_OFFSET,
                 digest_on: true,
-                staging: false,
-                staged: Vec::new(),
                 outbox: Vec::new(),
             },
             nodes: Vec::new(),
             started: false,
             profile_on: false,
             profile: EventProfile::default(),
-            batched: true,
-            batch_buf: Vec::new(),
-            idle_buf: Vec::new(),
-            arrival_buf: Vec::new(),
         }
     }
 
@@ -697,23 +613,6 @@ impl World {
         }
     }
 
-    /// Select batched (default) or single-step dispatch. Handler order,
-    /// simulated results, and the dispatch digest are identical in both
-    /// modes — batching amortizes per-event overhead, nothing else — so
-    /// this is a differential-testing knob, not a semantic one.
-    pub fn set_dispatch_mode(&mut self, mode: DispatchMode) {
-        self.batched = mode == DispatchMode::Batched;
-    }
-
-    /// The current dispatch mode.
-    pub fn dispatch_mode(&self) -> DispatchMode {
-        if self.batched {
-            DispatchMode::Batched
-        } else {
-            DispatchMode::SingleStep
-        }
-    }
-
     /// The accumulated dispatch profile (all zeros unless
     /// [`ProfileMode::On`] was set before running).
     pub fn event_profile(&self) -> EventProfile {
@@ -767,6 +666,10 @@ impl World {
     }
 
     /// Dispatch a single event. Returns `false` when the queue is empty.
+    ///
+    /// Events fire in `(time, seq)` order, so anything a handler
+    /// schedules *at the current timestamp* runs after every same-time
+    /// event already queued, in push order.
     pub fn step(&mut self) -> bool {
         self.ensure_started();
         let Some((time, kind)) = self.core.queue.pop() else {
@@ -775,14 +678,6 @@ impl World {
         debug_assert!(time >= self.core.now, "time went backwards");
         self.core.now = time;
         self.core.events_processed += 1;
-        self.dispatch_event(time, kind);
-        true
-    }
-
-    /// Dispatch one already-popped event: the shared tail of
-    /// [`World::step`] and [`World::dispatch_batch`]'s singleton fast
-    /// path (`now`/`events_processed` bookkeeping is the caller's).
-    fn dispatch_event(&mut self, time: SimTime, kind: EventKind) {
         let node_id = match kind {
             EventKind::Start { node }
             | EventKind::Arrival { node, .. }
@@ -837,178 +732,7 @@ impl World {
             self.profile.counts[kind_idx] += 1;
             self.profile.nanos[kind_idx] += t0.elapsed().as_nanos() as u64;
         }
-    }
-
-    /// Dispatch the next *batch* — every queued event sharing the front
-    /// timestamp — and return how many events fired (0 when the queue is
-    /// empty). The batch is processed in exact `(time, seq)` order, so
-    /// handler invocations are identical to repeated [`World::step`]
-    /// calls; what batching buys is amortization: one queue-front drain,
-    /// one `Ctx` and node-slab lookup per consecutive same-node run, and
-    /// one virtual call per same-(node, kind) run via the
-    /// [`Node::on_packet_batch`] / [`Node::on_port_idle_batch`] hooks.
-    ///
-    /// Events a handler schedules *at the current timestamp* get higher
-    /// sequence numbers than everything in the current batch, so they
-    /// form the next batch — exactly where single-step dispatch would
-    /// place them.
-    pub fn step_batch(&mut self) -> usize {
-        self.ensure_started();
-        self.dispatch_batch(SimTime::MAX, usize::MAX)
-    }
-
-    /// [`World::step_batch`] bounded by a deadline and an event budget:
-    /// nothing fires past `deadline`, and at most `limit` events fire (a
-    /// truncated batch resumes, in order, on the next call).
-    fn dispatch_batch(&mut self, deadline: SimTime, limit: usize) -> usize {
-        if limit == 0 {
-            return 0;
-        }
-        let Some(front) = self.core.queue.peek_time() else {
-            return 0;
-        };
-        if front > deadline {
-            return 0;
-        }
-        let (time, first) = self.core.queue.pop().expect("peeked front must pop");
-        debug_assert!(time >= self.core.now, "time went backwards");
-        self.core.now = time;
-        self.core.events_processed += 1;
-        // Singleton fast path: on sparse stretches most ticks carry one
-        // event (see the batch histogram), and the grouping scan plus
-        // the buffer round-trips would be pure overhead — dispatch it
-        // exactly as `step` would, never touching the batch buffer.
-        if limit == 1 || self.core.queue.peek_time() != Some(time) {
-            if self.profile_on {
-                self.profile.note_batch(1);
-            }
-            self.dispatch_event(time, first);
-            return 1;
-        }
-        // The buffers are owned fields swapped out for the duration of
-        // the dispatch so the node / core / buffer borrows stay disjoint.
-        let mut buf = std::mem::take(&mut self.batch_buf);
-        buf.clear();
-        buf.push((time, first));
-        let more = self.core.queue.pop_batch(time, limit - 1, &mut buf);
-        let n = more + 1;
-        self.core.events_processed += more as u64;
-        if self.profile_on {
-            self.profile.note_batch(n as u64);
-        }
-        let mut idles = std::mem::take(&mut self.idle_buf);
-        let mut arrivals = std::mem::take(&mut self.arrival_buf);
-        let node_of = |kind: &EventKind| match *kind {
-            EventKind::Start { node }
-            | EventKind::Arrival { node, .. }
-            | EventKind::PortIdle { node, .. }
-            | EventKind::Timer { node, .. } => node,
-        };
-        // Stage handler pushes for the duration of the batch: no pops
-        // happen until the batch completes, so assigning the seqs at
-        // flush time (in staging order, via one bulk insert) yields the
-        // exact `(time, seq)` stream the per-push path would — while the
-        // engine amortizes slot placement across the whole sweep.
-        self.core.staging = true;
-        let mut i = 0;
-        while i < buf.len() {
-            let node_id = node_of(&buf[i].1);
-            // Extent of this node's consecutive run within the batch.
-            let mut end = i + 1;
-            while end < buf.len() && node_of(&buf[end].1) == node_id {
-                end += 1;
-            }
-            let node: &mut dyn Node = &mut *self.nodes[node_id.0 as usize];
-            let mut ctx = Ctx {
-                core: &mut self.core,
-                node: node_id,
-            };
-            while i < end {
-                let started_at = if self.profile_on {
-                    Some(std::time::Instant::now())
-                } else {
-                    None
-                };
-                // Digest folds happen in dispatch order before each
-                // same-kind run's handlers. The fold is a pure
-                // accumulation over the popped event stream — handlers
-                // never read it — so fold/handler interleaving within a
-                // batch cannot change the final digest.
-                let (kind_idx, run) = match buf[i].1 {
-                    EventKind::Start { .. } => {
-                        ctx.fold_digest(time, 0, node_id, 0);
-                        node.on_start(&mut ctx);
-                        (0, 1)
-                    }
-                    EventKind::Arrival { port, slot, .. } => {
-                        let mut j = i + 1;
-                        while j < end && matches!(buf[j].1, EventKind::Arrival { .. }) {
-                            j += 1;
-                        }
-                        let run = j - i;
-                        if run == 1 {
-                            // Length-1 run: skip the buffer round-trip
-                            // (a `Packet` copy each way) and call the
-                            // plain handler, as single-step would.
-                            let pkt = ctx.core.take_packet(slot);
-                            ctx.fold_digest(time, 1, node_id, ((port.0 as u64) << 32) | pkt.id);
-                            node.on_packet(port, pkt, &mut ctx);
-                        } else {
-                            for e in &buf[i..j] {
-                                let EventKind::Arrival { port, slot, .. } = e.1 else {
-                                    unreachable!("scanned arrival run");
-                                };
-                                let pkt = ctx.core.take_packet(slot);
-                                ctx.fold_digest(time, 1, node_id, ((port.0 as u64) << 32) | pkt.id);
-                                arrivals.push((port, pkt));
-                            }
-                            node.on_packet_batch(&mut arrivals, &mut ctx);
-                            debug_assert!(arrivals.is_empty(), "batch hook must drain arrivals");
-                            arrivals.clear();
-                        }
-                        (1, run)
-                    }
-                    EventKind::PortIdle { port, .. } => {
-                        let mut j = i + 1;
-                        while j < end && matches!(buf[j].1, EventKind::PortIdle { .. }) {
-                            j += 1;
-                        }
-                        let run = j - i;
-                        if run == 1 {
-                            ctx.fold_digest(time, 2, node_id, port.0 as u64);
-                            node.on_port_idle(port, &mut ctx);
-                        } else {
-                            for e in &buf[i..j] {
-                                let EventKind::PortIdle { port, .. } = e.1 else {
-                                    unreachable!("scanned port-idle run");
-                                };
-                                ctx.fold_digest(time, 2, node_id, port.0 as u64);
-                                idles.push(port);
-                            }
-                            node.on_port_idle_batch(&idles, &mut ctx);
-                            idles.clear();
-                        }
-                        (2, run)
-                    }
-                    EventKind::Timer { token, .. } => {
-                        ctx.fold_digest(time, 3, node_id, token);
-                        node.on_timer(token, &mut ctx);
-                        (3, 1)
-                    }
-                };
-                if let Some(t0) = started_at {
-                    self.profile.counts[kind_idx] += run as u64;
-                    self.profile.nanos[kind_idx] += t0.elapsed().as_nanos() as u64;
-                }
-                i += run;
-            }
-        }
-        self.core.staging = false;
-        self.core.queue.push_bulk(&mut self.core.staged);
-        self.batch_buf = buf;
-        self.idle_buf = idles;
-        self.arrival_buf = arrivals;
-        n
+        true
     }
 
     /// Shed heap capacity retained from past bursts. The packet slab,
@@ -1023,9 +747,6 @@ impl World {
         // over the surviving prefix; in-flight packets (live slots) are
         // preserved wherever they sit.
         self.core.packets.compact();
-        self.batch_buf.shrink_to_fit();
-        self.idle_buf.shrink_to_fit();
-        self.arrival_buf.shrink_to_fit();
         for node in &mut self.nodes {
             node.compact();
         }
@@ -1050,15 +771,11 @@ impl World {
     /// `deadline` are processed) or the queue drains.
     pub fn run_until(&mut self, deadline: SimTime) {
         self.ensure_started();
-        if self.batched {
-            while self.dispatch_batch(deadline, usize::MAX) > 0 {}
-        } else {
-            while let Some(head) = self.core.queue.peek_time() {
-                if head > deadline {
-                    break;
-                }
-                self.step();
+        while let Some(head) = self.core.queue.peek_time() {
+            if head > deadline {
+                break;
             }
+            self.step();
         }
         if self.core.now < deadline {
             self.core.now = deadline;
@@ -1068,26 +785,12 @@ impl World {
     /// Run until no events remain, up to a safety cap of `max_events`.
     /// Returns true if the queue drained (i.e. the network quiesced).
     pub fn run_until_idle(&mut self, max_events: u64) -> bool {
-        self.ensure_started();
-        if self.batched {
-            let mut remaining = max_events;
-            while remaining > 0 {
-                let cap = remaining.min(usize::MAX as u64) as usize;
-                let n = self.dispatch_batch(SimTime::MAX, cap) as u64;
-                if n == 0 {
-                    return true;
-                }
-                remaining -= n;
+        for _ in 0..max_events {
+            if !self.step() {
+                return true;
             }
-            self.core.queue.is_empty()
-        } else {
-            for _ in 0..max_events {
-                if !self.step() {
-                    return true;
-                }
-            }
-            self.core.queue.is_empty()
         }
+        self.core.queue.is_empty()
     }
 }
 
@@ -1415,37 +1118,10 @@ mod tests {
         assert_eq!(w.packet_slab_free(), w.packet_slab_len());
     }
 
-    /// Batched and single-step dispatch must be indistinguishable: same
-    /// digest, same event count, same delivered packets — on both
-    /// engines. (The full-stack version of this differential runs the
-    /// paper incast in `tests/golden_trace.rs`.)
+    /// An event budget of N stops after exactly N events — even inside a
+    /// run of same-timestamp events — and the next call resumes in order.
     #[test]
-    fn dispatch_modes_are_trace_identical() {
-        let run = |engine, mode| {
-            let (mut w, a, b) = two_node_world_on(engine, 200);
-            w.set_dispatch_mode(mode);
-            assert_eq!(w.dispatch_mode(), mode);
-            w.run_until_idle(100_000);
-            (
-                w.dispatch_digest(),
-                w.events_processed(),
-                w.node::<Chatter>(b).received.clone(),
-                w.node::<Chatter>(a).sent,
-            )
-        };
-        for engine in [EngineKind::Wheel, EngineKind::BinaryHeap] {
-            assert_eq!(
-                run(engine, DispatchMode::Batched),
-                run(engine, DispatchMode::SingleStep),
-                "{engine:?}"
-            );
-        }
-    }
-
-    /// An event budget that truncates a same-timestamp batch must stop
-    /// exactly at the budget and resume in order.
-    #[test]
-    fn run_until_idle_budget_truncates_batches_exactly() {
+    fn run_until_idle_budget_stops_after_exactly_n_events_and_resumes_in_order() {
         let mut w = World::new(1);
         let a = w.add_node(Box::new(Chatter::new(0)));
         for token in 0..10u64 {
@@ -1453,16 +1129,61 @@ mod tests {
         }
         // Budget 4: the Start event plus three same-time timers.
         assert!(!w.run_until_idle(4));
+        assert_eq!(w.events_processed(), 4);
         assert_eq!(w.node::<Chatter>(a).timers, vec![0, 1, 2]);
         assert!(w.run_until_idle(100));
         assert_eq!(w.node::<Chatter>(a).timers, (0..10).collect::<Vec<_>>());
         assert_eq!(w.events_processed(), 11);
     }
 
-    /// With profiling on, the batched path fills the events-per-batch
-    /// histogram and per-kind counts stay exact.
+    /// Events a handler schedules *at the current timestamp* dispatch
+    /// after every same-time event that was already queued, in push
+    /// order — on both engines.
     #[test]
-    fn profile_batch_histogram_fills_under_batched_dispatch() {
+    fn same_time_events_scheduled_by_a_handler_run_after_those_already_queued() {
+        /// Records every token; tokens below 10 each schedule two
+        /// zero-delay follow-ups (one relative, one absolute).
+        struct Spawner {
+            fired: Vec<(SimTime, u64)>,
+        }
+        impl Node for Spawner {
+            fn on_packet(&mut self, _: PortId, _: Packet, _: &mut Ctx<'_>) {}
+            fn on_timer(&mut self, token: u64, ctx: &mut Ctx<'_>) {
+                self.fired.push((ctx.now(), token));
+                if token < 10 {
+                    ctx.set_timer(SimTime::ZERO, 100 + token);
+                    ctx.set_timer_at(ctx.now(), 200 + token);
+                }
+            }
+            fn as_any(&self) -> &dyn Any {
+                self
+            }
+            fn as_any_mut(&mut self) -> &mut dyn Any {
+                self
+            }
+        }
+        for engine in [EngineKind::Wheel, EngineKind::BinaryHeap] {
+            let mut w = World::new_with_engine(1, engine);
+            let a = w.add_node(Box::new(Spawner { fired: Vec::new() }));
+            let t = SimTime::from_nanos(50);
+            for token in 0..3u64 {
+                w.schedule_timer(t, a, token);
+            }
+            w.schedule_timer(SimTime::from_nanos(51), a, 50);
+            assert!(w.run_until_idle(100));
+            let want: Vec<(SimTime, u64)> = [0, 1, 2, 100, 200, 101, 201, 102, 202]
+                .into_iter()
+                .map(|token| (t, token))
+                .chain([(SimTime::from_nanos(51), 50)])
+                .collect();
+            assert_eq!(w.node::<Spawner>(a).fired, want, "{engine:?}");
+        }
+    }
+
+    /// With profiling on, per-kind counts are exact and the retired
+    /// batch histogram stays zero.
+    #[test]
+    fn profile_counts_events_per_kind() {
         let mut w = World::new(1);
         let a = w.add_node(Box::new(Chatter::new(0)));
         w.set_profile_mode(ProfileMode::On);
@@ -1472,9 +1193,8 @@ mod tests {
         assert!(w.run_until_idle(1000));
         let p = w.event_profile();
         assert_eq!(p.counts, [1, 0, 0, 20]);
-        assert_eq!(p.total_batches(), 2, "one Start batch, one timer batch");
-        assert_eq!(p.batches[0], 1, "the lone Start event");
-        assert_eq!(p.batches[4], 1, "20 timers land in the 16-31 bucket");
+        assert_eq!(p.total_events(), 21);
+        assert_eq!(p.total_batches(), 0);
         assert!(p.ns_per_event(3) > 0.0);
         assert_eq!(p.ns_per_event(1), 0.0, "no arrivals dispatched");
     }

@@ -430,16 +430,6 @@ pub struct Switch {
     tele: SwitchTele,
     /// Parked fault-script actions, addressed by admin timer tokens.
     admin: Vec<AdminAction>,
-    /// Egress-occupancy bitmap, one bit per port: set whenever anything
-    /// is enqueued (data or PFC control) on the port, cleared by the
-    /// port-idle sweep once the port is drained *and* its DWRR state is
-    /// reset — exactly the condition under which [`Switch::try_send_at`]
-    /// is a pure no-op. The sweep skips clear-bit ports without touching
-    /// their `EgressPort`, so a mostly-idle radix costs one bit test per
-    /// port instead of a ctrl-queue probe plus a full DWRR rotation.
-    /// Spurious set bits are harmless (the full scan runs); clear bits
-    /// are debug-asserted against the quiescence predicate.
-    egress_occ: Vec<u64>,
     /// Counters.
     pub stats: SwitchStats,
 }
@@ -476,7 +466,6 @@ impl Switch {
             flow_stats: FlowCacheStats::default(),
             tele,
             admin: Vec::new(),
-            egress_occ: vec![0; ports.div_ceil(64)],
             stats: SwitchStats::new(ports),
             buffer,
             router_mac,
@@ -752,7 +741,6 @@ impl Switch {
             frame,
             created_ps: ctx.now().as_ps(),
         });
-        self.mark_egress_occupied(port);
         self.try_send(port, ctx);
     }
 
@@ -988,7 +976,6 @@ impl Switch {
             flood_copy,
         });
         let total = e.total_bytes();
-        self.mark_egress_occupied(egress);
         if let Some((src_ip, dst_ip)) = hop_flow {
             self.tele.hub.stream_hop(
                 ctx.now().as_ps(),
@@ -1070,47 +1057,9 @@ impl Switch {
         None
     }
 
-    /// Flag `port` in the egress-occupancy bitmap (something was
-    /// enqueued; the idle sweep must service it).
-    #[inline]
-    fn mark_egress_occupied(&mut self, port: PortId) {
-        let p = port.index();
-        self.egress_occ[p / 64] |= 1u64 << (p % 64);
-    }
-
-    /// Bitmap probe: false means the port is provably quiescent and the
-    /// idle sweep may skip it outright.
-    #[inline]
-    fn egress_maybe_active(&self, p: usize) -> bool {
-        self.egress_occ[p / 64] & (1u64 << (p % 64)) != 0
-    }
-
-    /// True iff `port`'s egress is fully drained *and* its DWRR
-    /// scheduler state is reset — under which [`Switch::try_send_at`]
-    /// is a pure no-op (empty ctrl probe, a deficit rotation that
-    /// writes zeros over zeros and wraps `rr` back to itself). This —
-    /// not mere emptiness — is the occupancy bit's clear condition:
-    /// a just-drained port keeps its bit until one full `try_send_at`
-    /// has retired the residual `serving`/`deficit` state, so skipping
-    /// clear-bit ports is digest-neutral by construction.
-    fn egress_quiescent(&self, p: usize) -> bool {
-        let e = &self.egress[p];
-        e.ctrl.is_empty()
-            && e.total == 0
-            && e.serving.is_none()
-            && e.deficit.iter().all(|&d| d == 0)
-    }
-
     /// Try to start a transmission on `port`.
     fn try_send(&mut self, port: PortId, ctx: &mut Ctx<'_>) {
-        self.try_send_at(port, ctx.now(), ctx);
-    }
-
-    /// [`Switch::try_send`] with the clock already read — the sweep entry
-    /// points ([`Node::on_port_idle_batch`]) hoist `now` out of their
-    /// per-port loop; `now` must equal `ctx.now()`.
-    fn try_send_at(&mut self, port: PortId, now: SimTime, ctx: &mut Ctx<'_>) {
-        debug_assert_eq!(now, ctx.now());
+        let now = ctx.now();
         // `in_flight` still set means the previous packet's PortIdle event
         // has not fired yet (it may share this event's timestamp): the
         // port is logically busy, and starting another transmission here
@@ -1359,21 +1308,6 @@ impl Node for Switch {
         self.handle_data(port, pkt, ctx);
     }
 
-    fn on_packet_batch(&mut self, arrivals: &mut Vec<(PortId, Packet)>, ctx: &mut Ctx<'_>) {
-        // Same-tick arrival sweep: one virtual dispatch for the whole
-        // run, per-packet handler order preserved exactly (the rx
-        // counter, PFC/data split, admission, and ECN draws all happen
-        // in the same order the single-step path would produce).
-        for (port, pkt) in arrivals.drain(..) {
-            self.stats.rx_pkts[port.index()] += 1;
-            if let PacketKind::Pfc(frame) = pkt.kind {
-                self.on_pause_frame(port, &frame, ctx);
-            } else {
-                self.handle_data(port, pkt, ctx);
-            }
-        }
-    }
-
     fn on_port_idle(&mut self, port: PortId, ctx: &mut Ctx<'_>) {
         // The packet that was serializing has fully left: release its
         // buffer accounting, then start the next one.
@@ -1381,34 +1315,6 @@ impl Node for Switch {
             self.release(&qp, ctx);
         }
         self.try_send(port, ctx);
-    }
-
-    fn on_port_idle_batch(&mut self, ports: &[PortId], ctx: &mut Ctx<'_>) {
-        // Same-tick transmit sweep: all of this switch's ports that went
-        // idle on this tick are serviced in one pass, with the clock read
-        // once. Port order matches event order, so DWRR rotation, buffer
-        // releases, and XON generation are identical to single-step.
-        let now = ctx.now();
-        for &port in ports {
-            if let Some(qp) = self.egress[port.index()].in_flight.take() {
-                self.release(&qp, ctx);
-            }
-            let p = port.index();
-            if !self.egress_maybe_active(p) {
-                // Clear bit ⟹ drained and DWRR-reset: `try_send_at`
-                // would be a pure no-op, so the sweep skips the port
-                // without touching its `EgressPort` at all.
-                debug_assert!(
-                    self.egress_quiescent(p),
-                    "occupancy bit clear on an active egress port {p}"
-                );
-                continue;
-            }
-            self.try_send_at(port, now, ctx);
-            if self.egress_quiescent(p) {
-                self.egress_occ[p / 64] &= !(1u64 << (p % 64));
-            }
-        }
     }
 
     fn on_timer(&mut self, token: u64, ctx: &mut Ctx<'_>) {

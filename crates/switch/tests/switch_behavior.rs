@@ -548,3 +548,87 @@ fn flow_cache_invalidated_on_route_change() {
     let stats = world.node::<Switch>(sw_id).flow_cache_stats();
     assert!(stats.invalidations >= 1, "no flush recorded: {stats:?}");
 }
+
+/// Three egress ports of one switch go idle on the same tick, over and
+/// over: three senders start together on identical links, each feeding
+/// its own (slower, identical) egress port, so every egress queue is
+/// backlogged and the three port-idle events always share a timestamp.
+/// Each idle must start that port's next frame immediately — arrivals
+/// downstream are exactly one serialization apart — and the three are
+/// serviced in event order, lowest port first.
+#[test]
+fn same_tick_port_idles_each_start_their_next_frame_in_event_order() {
+    const PAIRS: usize = 3;
+    const FRAMES: u64 = 8;
+    let sw_mac = MacAddr::from_id(100);
+    let mut cfg = SwitchConfig::new("tor", 2 * PAIRS as u16);
+    cfg.port_roles = vec![PortRole::Server; 2 * PAIRS];
+    let mut sw = Switch::new(cfg, sw_mac, 7);
+    sw.routes_mut().add_connected(0x0a000000, 24);
+    let mac = |port: usize| MacAddr::from_id(1 + port as u32);
+    let ip = |port: usize| 0x0a000001 + port as u32;
+    for port in 0..2 * PAIRS {
+        sw.seed_arp(ip(port), mac(port), SimTime::ZERO);
+        sw.seed_mac(mac(port), PortId(port as u16), SimTime::ZERO);
+    }
+    let mut world = World::new(1);
+    let sw_id = world.add_node(Box::new(sw));
+    let egress = LinkSpec::with_length(10_000_000_000, 2);
+    let mut receivers = Vec::new();
+    for port in 0..2 * PAIRS {
+        let mut host = TestHost::new(mac(port));
+        let spec = if port < PAIRS {
+            for i in 0..FRAMES {
+                host.queue.push_back(roce_data(
+                    i,
+                    mac(port),
+                    sw_mac,
+                    ip(port),
+                    ip(port + PAIRS),
+                    3,
+                    i as u16,
+                    1024,
+                    5000,
+                ));
+            }
+            LinkSpec::server_40g()
+        } else {
+            egress
+        };
+        let id = world.add_node(Box::new(host));
+        world.connect(id, PortId(0), sw_id, PortId(port as u16), spec);
+        if port >= PAIRS {
+            receivers.push(id);
+        }
+    }
+    // Single-step the world, logging which receiver each delivery hit.
+    let mut seen = [0usize; PAIRS];
+    let mut deliveries = Vec::new();
+    while world.step() {
+        for (r, &id) in receivers.iter().enumerate() {
+            let n = world.node::<TestHost>(id).received.len();
+            if n > seen[r] {
+                seen[r] = n;
+                deliveries.push((world.now(), r));
+            }
+        }
+    }
+    assert_eq!(deliveries.len(), PAIRS * FRAMES as usize);
+    let wire = world.node::<TestHost>(receivers[0]).received[0].wire_size();
+    let ser = SimTime(rocescale_sim::serialization_ps(wire, egress.rate_bps));
+    for (k, round) in deliveries.chunks(PAIRS).enumerate() {
+        let t = deliveries[0].0 + SimTime(ser.as_ps() * k as u64);
+        let want: Vec<(SimTime, usize)> = (0..PAIRS).map(|r| (t, r)).collect();
+        assert_eq!(round, want, "round {k}");
+    }
+    for &id in &receivers {
+        let ids: Vec<u64> = world
+            .node::<TestHost>(id)
+            .received
+            .iter()
+            .map(|p| p.id)
+            .collect();
+        assert_eq!(ids, (0..FRAMES).collect::<Vec<_>>());
+    }
+    assert_eq!(world.node::<Switch>(sw_id).stats.total_drops(), 0);
+}

@@ -270,79 +270,6 @@ fn sink_implies_enabled_hub_and_preserves_the_golden_trace() {
     assert!(!mem.is_empty(), "implied hub must actually stream");
 }
 
-/// Batched dispatch (the default since the same-tick coalescing change)
-/// must be observationally identical to single-step dispatch on the full
-/// paper incast with telemetry and the profiler live: same golden
-/// digest, same event count, every telemetry counter byte-identical,
-/// and the same per-kind event breakdown. Only the batch histogram may
-/// differ — it is the one artifact of the batching itself.
-#[test]
-fn batched_and_single_step_dispatch_are_trace_identical() {
-    use rocescale_sim::DispatchMode;
-    let run_mode = |mode: DispatchMode| {
-        let mut cl = ClusterBuilder::two_tier(2, 4)
-            .seed(7)
-            .instrumentation(
-                InstrumentationProfile::paper_default()
-                    .telemetry(MetricsHub::enabled())
-                    .profiler(ProfileMode::On),
-            )
-            .build();
-        cl.world.set_dispatch_mode(mode);
-        for i in 1..4usize {
-            cl.connect_qp(
-                ServerId(i),
-                ServerId(0),
-                6000 + i as u16,
-                QpApp::Saturate {
-                    msg_len: 128 * 1024,
-                    inflight: 2,
-                },
-                QpApp::None,
-            );
-        }
-        cl.run_until(SimTime::from_micros(500));
-        (
-            cl.world.dispatch_digest(),
-            cl.world.events_processed(),
-            cl.telemetry().counters_snapshot(),
-            cl.world.event_profile(),
-        )
-    };
-    let (b_digest, b_events, b_counters, b_profile) = run_mode(DispatchMode::Batched);
-    let (s_digest, s_events, s_counters, s_profile) = run_mode(DispatchMode::SingleStep);
-    assert_eq!(
-        (b_digest, b_events),
-        (GOLDEN_DIGEST, GOLDEN_EVENTS),
-        "batched dispatch deviates from the committed golden digest"
-    );
-    assert_eq!(
-        (s_digest, s_events),
-        (GOLDEN_DIGEST, GOLDEN_EVENTS),
-        "single-step dispatch deviates from the committed golden digest"
-    );
-    assert_eq!(
-        b_counters, s_counters,
-        "telemetry counters must not depend on the dispatch mode"
-    );
-    assert_eq!(
-        b_profile.counts, s_profile.counts,
-        "per-kind event counts must not depend on the dispatch mode"
-    );
-    // The histogram is where the modes are allowed to differ: batching
-    // really coalesced (fewer batches than events), single-step did not.
-    assert!(
-        b_profile.total_batches() > 0 && b_profile.total_batches() < GOLDEN_EVENTS,
-        "batched run must record coalesced batches: {:?}",
-        b_profile.batches
-    );
-    assert_eq!(
-        s_profile.total_batches(),
-        0,
-        "single-step run must record no batches"
-    );
-}
-
 /// The dispatch profiler must also be a pure observer: with profiling
 /// *and* telemetry both live, the pinned scenario still dispatches the
 /// exact golden trace, and the profile's per-kind counts sum to the
