@@ -1,6 +1,6 @@
 //! Cluster construction and operation: topology → simulated fabric.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 use rocescale_cc::CcParams;
 use rocescale_dcqcn::CpParams;
@@ -694,6 +694,7 @@ impl ClusterBuilder {
             deadlock,
             banks,
             sink: deferred_sink.map(|(sink, _)| sink),
+            wakes: BTreeSet::new(),
         }
     }
 }
@@ -822,6 +823,10 @@ pub struct Cluster<W = World> {
     /// a multi-shard build.
     banks: Vec<MemorySink>,
     sink: Option<Box<dyn TraceSink>>,
+    /// Hosts handed work from outside the event loop since the last
+    /// run, as (shard, node, wake token), delivered by the next
+    /// [`Cluster::run_until`].
+    wakes: BTreeSet<(u32, NodeId, u64)>,
 }
 
 impl<W: WorldSet> Cluster<W> {
@@ -1014,10 +1019,38 @@ impl<W: WorldSet> Cluster<W> {
 
     // ---- workload wiring ----
 
+    /// Note that a server's host was handed work from outside the event
+    /// loop and needs waking: idle hosts keep no periodic timer that
+    /// would find it. A world that has dispatched nothing still has its
+    /// `Start` events to come, and those see the new work themselves.
+    fn wake(&mut self, id: ServerId, token: u64) {
+        let s = &self.servers[id.0];
+        if self.world.worlds()[s.shard as usize].events_processed() > 0 {
+            self.wakes.insert((s.shard, s.sim, token));
+        }
+    }
+
+    /// Deliver the pending wakes, in node order — the order the hosts'
+    /// always-armed timers used to fire in, and one that does not depend
+    /// on the order an experiment wired its connections in: hosts woken
+    /// together send their first packets at the same instant, and the
+    /// fabric breaks such ties by scheduling order.
+    fn deliver_wakes(&mut self) {
+        // The set's clock, not the world's own: a shard whose windows
+        // were all skipped lags the horizon.
+        let now = self.world.now();
+        for (shard, sim, token) in std::mem::take(&mut self.wakes) {
+            self.world.worlds_mut()[shard as usize].schedule_timer(now, sim, token);
+        }
+    }
+
     /// Create a QP pair between two RDMA servers. `udp_src` selects the
     /// ECMP path; both directions share it. Shard-oblivious: the
     /// endpoints may live in different worlds, and their traffic rides
-    /// the exchange.
+    /// the exchange. Works on a fabric that is already running: the next
+    /// [`run_until`](Self::run_until) wakes both hosts, and a `Saturate`
+    /// side starts sending on its host's next timer line (see
+    /// `rocescale_nic::host::TOK_WAKE`).
     pub fn connect_qp(
         &mut self,
         a: ServerId,
@@ -1032,11 +1065,13 @@ impl<W: WorldSet> Cluster<W> {
         let b_qpn = self.rdma(b).qp_count() as u32;
         let ha = self.rdma_mut(a).add_qp(b_ip, b_qpn, udp_src, app_a);
         let hb = self.rdma_mut(b).add_qp(a_ip, a_qpn, udp_src, app_b);
+        self.wake(a, rocescale_nic::host::TOK_WAKE);
+        self.wake(b, rocescale_nic::host::TOK_WAKE);
         (ha, hb)
     }
 
-    /// Create a TCP connection between two TCP servers (shard-oblivious,
-    /// like [`connect_qp`](Self::connect_qp)).
+    /// Create a TCP connection between two TCP servers (shard-oblivious
+    /// and usable mid-run, like [`connect_qp`](Self::connect_qp)).
     pub fn connect_tcp(
         &mut self,
         a: ServerId,
@@ -1050,6 +1085,8 @@ impl<W: WorldSet> Cluster<W> {
         let pb = self.tcp_mut(b).alloc_port();
         let ca = self.tcp_mut(a).add_conn(b_ip, pa, pb, app_a);
         let cb = self.tcp_mut(b).add_conn(a_ip, pb, pa, app_b);
+        self.wake(a, rocescale_tcp::host::TOK_WAKE);
+        self.wake(b, rocescale_tcp::host::TOK_WAKE);
         (ca, cb)
     }
 
@@ -1067,6 +1104,7 @@ impl<W: WorldSet> Cluster<W> {
     /// is byte-identical with telemetry (and any sink) on or off,
     /// threaded or serial.
     pub fn run_until(&mut self, t: SimTime) {
+        self.deliver_wakes();
         if self.hubs[0].is_enabled() {
             while let Some(ns) = self.hubs[0].next_sample_ps() {
                 if ns >= t.as_ps() {
@@ -1620,6 +1658,53 @@ mod tests {
             )
         };
         assert_eq!(run(true), run(false));
+    }
+
+    /// Connections made on a fabric that has already run start without
+    /// any always-armed periodic timer to find them: the cluster wakes
+    /// both hosts at the next run, across shards too. Congestion control
+    /// is off, so no DCQCN tick exists to do it by accident, and the
+    /// fabric is otherwise idle — nothing but the wake can start them.
+    #[test]
+    fn connections_made_mid_run_are_woken() {
+        let mut c = ClusterBuilder::new(ClosSpec::uniform_40g(2, 1, 2, 2, 4))
+            .seed(11)
+            .server_kind(|i| {
+                if i % 2 == 0 {
+                    ServerKind::Rdma
+                } else {
+                    ServerKind::Tcp
+                }
+            })
+            .fabric(FabricProfile::paper_default().switch_watchdog(false))
+            .transport(TransportProfile::paper_default().cc(rocescale_cc::CcKind::Off))
+            .execution(ExecutionProfile::Sharded { shards: 2 })
+            .build_sharded();
+        c.run_for_millis(1);
+        let starts = c.server_count() + c.switch_count();
+        assert_eq!(c.events_processed(), starts as u64, "an idle fabric");
+
+        let (tcp, rdma) = (
+            c.servers_of_kind(ServerKind::Tcp),
+            c.servers_of_kind(ServerKind::Rdma),
+        );
+        assert_ne!(c.server_shard(rdma[0]), c.server_shard(rdma[3]));
+        c.connect_qp(rdma[0], rdma[3], 6000, saturate(), QpApp::None);
+        let (ca, _) = c.connect_tcp(
+            tcp[0],
+            tcp[3],
+            TcpApp::Saturate { msg_len: 100_000 },
+            TcpApp::None,
+        );
+        // The RDMA sender starts on its host's next timer line — the
+        // 100 µs scan line, as it would have under the always-armed scan.
+        c.run_until(SimTime::from_micros(1099));
+        assert_eq!(c.rdma(rdma[0]).stats.data_pkts_tx, 0);
+        c.run_until(SimTime::from_micros(1100));
+        assert!(c.rdma(rdma[0]).stats.data_pkts_tx > 0);
+        c.run_for_millis(2);
+        assert!(c.total_rdma_goodput() >= 128 * 1024);
+        assert!(c.tcp(tcp[0]).sender_stats(ca).bytes_acked >= 100_000);
     }
 
     /// Pingmesh on any world set: every sample lands once in its

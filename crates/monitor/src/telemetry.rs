@@ -126,6 +126,30 @@ impl ScopeId {
     }
 }
 
+// `Default` is the sentinel, so an instrument struct can derive the
+// all-sentinel value a disabled hub would hand out without formatting a
+// single name.
+impl Default for CounterId {
+    fn default() -> CounterId {
+        CounterId::sentinel()
+    }
+}
+impl Default for GaugeId {
+    fn default() -> GaugeId {
+        GaugeId::sentinel()
+    }
+}
+impl Default for HistogramId {
+    fn default() -> HistogramId {
+        HistogramId::sentinel()
+    }
+}
+impl Default for ScopeId {
+    fn default() -> ScopeId {
+        ScopeId::sentinel()
+    }
+}
+
 /// A structured trace event for the flight recorder.
 ///
 /// Reasons and causes are `&'static str` so the recorder stays allocation-
@@ -347,13 +371,13 @@ impl FlightRecorder {
     }
 }
 
-/// Slots per lazily-allocated chunk. 256 × 8 bytes = one 2 KiB
-/// allocation per chunk; small hubs touch one chunk, a full podset's
-/// per-port/per-QP instrument population spreads over a handful.
+/// Slots in the first lazily-allocated chunk: 256 × 8 bytes = one 2 KiB
+/// allocation, all a small hub ever touches. Chunk `k` holds
+/// `CHUNK_SLOTS << k` slots, so capacity doubles with each chunk.
 const CHUNK_SLOTS: usize = 256;
-/// Chunk-table capacity: 256 × 256 = 65 536 instruments of each type,
-/// far beyond any topology the simulator builds.
-const MAX_CHUNKS: usize = 256;
+/// Chunk-table length: 256 × (2¹⁶ − 1) ≈ 16.7 M instruments of each
+/// type — a 51 200-host fleet registers ~0.4 M counters in 11 chunks.
+const MAX_CHUNKS: usize = 16;
 
 /// Lock-free value store: a fixed table of lazily-initialized chunks of
 /// atomic slots, indexed directly by instrument id. Chunks are allocated
@@ -363,6 +387,15 @@ const MAX_CHUNKS: usize = 256;
 /// lifetime.
 struct AtomicBank {
     chunks: [OnceLock<Box<[AtomicU64]>>; MAX_CHUNKS],
+}
+
+/// Where `id` lives: (chunk, slot within it). Chunk `k` starts at id
+/// `CHUNK_SLOTS × (2ᵏ − 1)`.
+#[inline]
+fn bank_index(id: u32) -> (usize, usize) {
+    let idx = id as usize;
+    let chunk = (idx / CHUNK_SLOTS + 1).ilog2() as usize;
+    (chunk, idx - CHUNK_SLOTS * ((1 << chunk) - 1))
 }
 
 impl AtomicBank {
@@ -375,22 +408,23 @@ impl AtomicBank {
     /// Allocate the chunk holding `id` if it does not exist yet. Called
     /// at registration time, under the registration mutex.
     fn ensure(&self, id: u32) {
-        let chunk = id as usize / CHUNK_SLOTS;
+        let (chunk, _) = bank_index(id);
         assert!(
             chunk < MAX_CHUNKS,
             "telemetry instrument id {id} exceeds bank capacity"
         );
-        self.chunks[chunk].get_or_init(|| (0..CHUNK_SLOTS).map(|_| AtomicU64::new(0)).collect());
+        self.chunks[chunk].get_or_init(|| {
+            (0..CHUNK_SLOTS << chunk)
+                .map(|_| AtomicU64::new(0))
+                .collect()
+        });
     }
 
     /// The slot for `id`, if its chunk has been allocated.
     #[inline]
     fn slot(&self, id: u32) -> Option<&AtomicU64> {
-        let idx = id as usize;
-        self.chunks
-            .get(idx / CHUNK_SLOTS)?
-            .get()
-            .map(|c| &c[idx % CHUNK_SLOTS])
+        let (chunk, slot) = bank_index(id);
+        self.chunks.get(chunk)?.get().map(|c| &c[slot])
     }
 
     /// Current raw value of `id` (0 if the chunk was never allocated).
@@ -404,8 +438,9 @@ struct HubInner {
     names: HashMap<String, u32>,
     counter_names: Vec<String>,
     counter_series: Vec<TimeSeries>,
-    /// Counter ids ordered by name — built incrementally at registration
-    /// so snapshot/export paths never sort.
+    /// Counter ids ordered by name, brought up to date by
+    /// [`HubInner::sync_orders`] on the first snapshot/export after a
+    /// registration (registration itself only appends the name).
     counters_by_name: Vec<u32>,
     /// Shadow values for the `locked_reference` mode only.
     locked_counters: Vec<u64>,
@@ -440,14 +475,38 @@ impl HubInner {
             samples_taken: 0,
         }
     }
+
+    /// Bring the three name orders up to date with the instruments
+    /// registered since the last snapshot or export.
+    fn sync_orders(&mut self) {
+        sync_order(&mut self.counters_by_name, &self.counter_names);
+        sync_order(&mut self.gauges_by_name, &self.gauge_names);
+        sync_order(&mut self.histograms_by_name, &self.histogram_names);
+    }
 }
 
-/// Insert `id` into `order` keeping it sorted by `names[id]`. Names are
-/// unique per instrument type, so position is unambiguous.
-fn insert_sorted(order: &mut Vec<u32>, names: &[String], id: u32) {
-    let name = names[id as usize].as_str();
-    let pos = order.partition_point(|&i| names[i as usize].as_str() < name);
-    order.insert(pos, id);
+#[cfg(test)]
+thread_local! {
+    /// Name comparisons [`sync_order`] has made on this thread.
+    static ORDER_COMPARISONS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
+/// Make `order` the ids of `names` (dense, `0..names.len()`) sorted by
+/// name. Ids registered since the last call are appended and merged by
+/// one stable sort, whose run detection passes over the already sorted
+/// prefix once — O(n log n) for a whole fleet's registrations, where an
+/// ordered insert per registration was O(n²). Names are unique per
+/// instrument type, so the order is unambiguous.
+fn sync_order(order: &mut Vec<u32>, names: &[String]) {
+    if order.len() == names.len() {
+        return;
+    }
+    order.extend(order.len() as u32..names.len() as u32);
+    order.sort_by(|&a, &b| {
+        #[cfg(test)]
+        ORDER_COMPARISONS.with(|c| c.set(c.get() + 1));
+        names[a as usize].cmp(&names[b as usize])
+    });
 }
 
 /// Everything a streamed record needs, under one mutex: the sink and the
@@ -601,12 +660,6 @@ impl MetricsHub {
         h.counter_names.push(name.to_string());
         h.counter_series.push(TimeSeries::new());
         h.locked_counters.push(0);
-        let HubInner {
-            counters_by_name,
-            counter_names,
-            ..
-        } = &mut *h;
-        insert_sorted(counters_by_name, counter_names, id);
         h.names.insert(key, id);
         CounterId(id)
     }
@@ -626,12 +679,6 @@ impl MetricsHub {
         h.gauge_names.push(name.to_string());
         h.gauge_series.push(TimeSeries::new());
         h.locked_gauges.push(0.0);
-        let HubInner {
-            gauges_by_name,
-            gauge_names,
-            ..
-        } = &mut *h;
-        insert_sorted(gauges_by_name, gauge_names, id);
         h.names.insert(key, id);
         GaugeId(id)
     }
@@ -649,12 +696,6 @@ impl MetricsHub {
         let id = h.histograms.len() as u32;
         h.histograms.push(Percentiles::new());
         h.histogram_names.push(name.to_string());
-        let HubInner {
-            histograms_by_name,
-            histogram_names,
-            ..
-        } = &mut *h;
-        insert_sorted(histograms_by_name, histogram_names, id);
         h.names.insert(key, id);
         HistogramId(id)
     }
@@ -947,12 +988,14 @@ impl MetricsHub {
     }
 
     /// All registered counter names (sorted) with current values. The
-    /// name order is maintained at registration time — no per-call sort.
+    /// name order is cached: only the first call after a registration
+    /// sorts.
     pub fn counters_snapshot(&self) -> Vec<(String, u64)> {
         let Some(s) = &self.inner else {
             return Vec::new();
         };
-        let h = s.inner.lock().unwrap();
+        let mut h = s.inner.lock().unwrap();
+        h.sync_orders();
         h.counters_by_name
             .iter()
             .map(|&id| {
@@ -965,12 +1008,13 @@ impl MetricsHub {
     }
 
     /// All registered gauge names (sorted) with current values. Like
-    /// [`Self::counters_snapshot`], order is maintained at registration.
+    /// [`Self::counters_snapshot`], the order is cached.
     pub fn gauges_snapshot(&self) -> Vec<(String, f64)> {
         let Some(s) = &self.inner else {
             return Vec::new();
         };
-        let h = s.inner.lock().unwrap();
+        let mut h = s.inner.lock().unwrap();
+        h.sync_orders();
         h.gauges_by_name
             .iter()
             .map(|&id| {
@@ -1023,13 +1067,14 @@ impl MetricsHub {
 
     /// Render the whole hub (instruments, series, flight recorder) as a
     /// JSON tree. Names come out sorted regardless of registration order;
-    /// the order is maintained incrementally at registration, so no
-    /// export-time sort or name re-formatting happens here.
+    /// the order is cached, so only the first export after a
+    /// registration sorts, and no name is re-formatted here.
     pub fn render_json(&self) -> Json {
         let Some(s) = &self.inner else {
             return Json::obj(vec![("enabled", Json::Bool(false))]);
         };
-        let h = s.inner.lock().unwrap();
+        let mut h = s.inner.lock().unwrap();
+        h.sync_orders();
 
         let counters: Vec<(String, Json)> = h
             .counters_by_name
@@ -1330,20 +1375,89 @@ mod tests {
         );
     }
 
-    /// Snapshot order is maintained at registration, including ids that
-    /// land in the middle of the existing name order.
+    /// Snapshots come out name-sorted whatever the registration order,
+    /// including names registered after a snapshot that land in the
+    /// middle of the order it cached.
     #[test]
-    fn snapshot_sorted_without_export_sort() {
+    fn snapshot_sorted_whatever_the_registration_order() {
         let hub = MetricsHub::enabled();
+        let names = |hub: &MetricsHub| -> Vec<String> {
+            hub.counters_snapshot()
+                .into_iter()
+                .map(|(n, _)| n)
+                .collect()
+        };
         for name in ["m.mid", "z.last", "a.first", "m.aaa"] {
             hub.incr(hub.counter(name));
         }
-        let names: Vec<String> = hub
-            .counters_snapshot()
-            .into_iter()
-            .map(|(n, _)| n)
-            .collect();
-        assert_eq!(names, vec!["a.first", "m.aaa", "m.mid", "z.last"]);
+        assert_eq!(names(&hub), vec!["a.first", "m.aaa", "m.mid", "z.last"]);
+        hub.incr(hub.counter("m.bbb"));
+        hub.gauge("g.late");
+        assert_eq!(
+            names(&hub),
+            vec!["a.first", "m.aaa", "m.bbb", "m.mid", "z.last"]
+        );
+        assert_eq!(hub.gauges_snapshot()[0].0, "g.late");
+    }
+
+    /// The value bank's chunks double in size and tile the id space
+    /// without gap or overlap.
+    #[test]
+    fn bank_chunks_tile_the_id_space() {
+        assert_eq!(bank_index(0), (0, 0));
+        assert_eq!(bank_index(255), (0, 255));
+        assert_eq!(bank_index(256), (1, 0));
+        assert_eq!(bank_index(767), (1, 511));
+        assert_eq!(bank_index(768), (2, 0));
+        let mut next = (0, 0);
+        for id in 0..100_000u32 {
+            assert_eq!(bank_index(id), next);
+            next = if next.1 + 1 == CHUNK_SLOTS << next.0 {
+                (next.0 + 1, 0)
+            } else {
+                (next.0, next.1 + 1)
+            };
+        }
+        assert!(bank_index(u32::MAX).0 >= MAX_CHUNKS, "ensure() rejects it");
+    }
+
+    /// Fleet-scale registration is O(n log n): 200 000 counters
+    /// registered in reverse name order (the worst case for the ordered
+    /// insert this replaced: every insert at the front, 2·10¹⁰ element
+    /// moves) cost no name comparison until the first snapshot, which
+    /// sorts once within n·log₂ n comparisons; the second snapshot
+    /// reuses the order, and one late registration costs one more pass,
+    /// not a re-sort.
+    #[test]
+    fn registering_200k_names_sorts_once_at_the_first_snapshot() {
+        const N: u64 = 200_000;
+        let comparisons = || ORDER_COMPARISONS.with(|c| c.get());
+        let hub = MetricsHub::enabled();
+        let c0 = comparisons();
+        for i in (0..N).rev() {
+            let id = hub.counter(&format!("nic.s{i:06}.pfc.xoff_rx"));
+            hub.add(id, i);
+        }
+        assert_eq!(comparisons(), c0, "registration compares nothing");
+        let snap = hub.counters_snapshot();
+        assert_eq!(snap.len() as u64, N);
+        assert!(snap.windows(2).all(|w| w[0].0 < w[1].0), "sorted by name");
+        // Ids far past the first chunk of the value bank keep their own
+        // slots.
+        assert!(snap.iter().zip(0..N).all(|((_, v), i)| *v == i));
+        let first = comparisons() - c0;
+        let n_log_n = N * (N as f64).log2().ceil() as u64;
+        assert!(
+            first <= n_log_n,
+            "{first} comparisons > n log n = {n_log_n}"
+        );
+        hub.counters_snapshot();
+        assert_eq!(comparisons() - c0, first, "cached order: no second sort");
+        hub.counter("nic.s100000.5.late");
+        let snap = hub.counters_snapshot();
+        assert!(snap.windows(2).all(|w| w[0].0 < w[1].0));
+        let late = comparisons() - c0 - first;
+        assert!(late <= 2 * N, "{late} comparisons to merge one late name");
     }
 
     /// A sink attached to the hub receives flight events (teed), hop

@@ -295,13 +295,32 @@ pub const TOK_INJECT_STORM: u64 = 100;
 /// fault-script "storm stop" action. The NIC resumes its peer (unless its
 /// own watchdog already cut pause generation) and restarts reception.
 pub const TOK_STOP_STORM: u64 = 101;
+/// Public token: wake the host after work was handed to it from outside
+/// the event loop on a world that has already run — [`RdmaHost::add_qp`]
+/// or [`RdmaHost::post`] through `World::node_mut`. Nothing periodic
+/// runs on an idle host, so without the wake the work waits for the
+/// host's next packet or timer. The wake queues one pass of each
+/// periodic timer, and the first of them to fire — the next 55 µs or
+/// 100 µs line — runs the transmit pump and finds the work. Schedule it
+/// at `world.now()` with [`rocescale_sim::World::schedule_timer`];
+/// `Cluster::connect_qp` does this for its callers.
+pub const TOK_WAKE: u64 = 102;
 
-// (Token 2 is the periodic congestion-control tick; its period comes from
-// `CcParams::tick_period_ps` — 55 µs for DCQCN's alpha/increase timers.)
+// The two periodic timers are demand-armed: each is queued only while it
+// has something to do, and while queued it fires on multiples of its
+// period from t = 0 (`Ctx::set_timer_on_grid`), the instants an
+// always-armed timer would fire on.
+//
+// Token 2 is the congestion-control tick; its period comes from
+// `CcParams::tick_period_ps` — 55 µs for DCQCN's alpha/increase timers,
+// which run per QP whatever its rate, so the tick is armed while the host
+// owns a QP. Token 4 is the retransmission-timeout scan, armed while some
+// QP has unacknowledged packets.
 const RTO_SCAN: SimTime = SimTime::from_micros(100);
 const STORM_REFRESH: SimTime = SimTime::from_micros(100);
 
 /// Pre-registered telemetry instrument ids (sentinels when disabled).
+#[derive(Default)]
 struct NicTele {
     hub: MetricsHub,
     scope: ScopeId,
@@ -325,6 +344,10 @@ struct NicTele {
 
 impl NicTele {
     fn register(hub: MetricsHub, name: &str) -> NicTele {
+        if !hub.is_enabled() {
+            // Every id would come back a sentinel: format no names.
+            return NicTele::default();
+        }
         NicTele {
             scope: hub.scope(&format!("nic.{name}")),
             pause_tx: hub.counter(&format!("nic.{name}.pfc.xoff_tx")),
@@ -370,6 +393,11 @@ pub struct RdmaHost {
     // --- storm state ---
     storm: bool,
     pause_gen_disabled: bool,
+    // --- demand-armed periodic timers ---
+    /// A `TOK_CC_TICK` is queued.
+    tick_armed: bool,
+    /// A `TOK_RTO` scan is queued.
+    rto_armed: bool,
     /// Telemetry instruments (sentinels when the hub is disabled).
     tele: NicTele,
     /// Counters.
@@ -397,6 +425,8 @@ impl RdmaHost {
             last_rx_progress: SimTime::ZERO,
             storm: false,
             pause_gen_disabled: false,
+            tick_armed: false,
+            rto_armed: false,
             stats: HostStats::default(),
         }
     }
@@ -436,7 +466,8 @@ impl RdmaHost {
 
     /// Create a QP to `peer_ip`/`peer_qp`. `udp_src` is the per-QP random
     /// UDP source port (the ECMP path selector); both ends must agree on
-    /// each other's QP numbers.
+    /// each other's QP numbers. On a world that has already run, follow
+    /// with a [`TOK_WAKE`].
     pub fn add_qp(&mut self, peer_ip: u32, peer_qp: u32, udp_src: u16, app: QpApp) -> QpHandle {
         let qpn = self.qps.len() as u32;
         let mut qp = Qp {
@@ -459,17 +490,21 @@ impl RdmaHost {
             wr_seq: 0,
         };
         // Prime saturating apps here so QPs created mid-run start sending
-        // at the next transmit opportunity (the periodic scans pump).
+        // once the host is woken ([`TOK_WAKE`]).
         qp.refill_app();
         self.qps.push(qp);
         let (hub, name) = (&self.tele.hub, &self.tele.name);
-        self.tele
-            .qp_retransmits
-            .push(hub.counter(&format!("nic.{name}.qp.{qpn}.retransmits")));
-        let cc_name = self.cfg.cc.kind().name();
-        self.tele
-            .qp_rate_changes
-            .push(hub.counter(&format!("nic.{name}.qp.{qpn}.{cc_name}.rate_changes")));
+        let (retransmits, rate_changes) = if hub.is_enabled() {
+            let cc_name = self.cfg.cc.kind().name();
+            (
+                hub.counter(&format!("nic.{name}.qp.{qpn}.retransmits")),
+                hub.counter(&format!("nic.{name}.qp.{qpn}.{cc_name}.rate_changes")),
+            )
+        } else {
+            Default::default()
+        };
+        self.tele.qp_retransmits.push(retransmits);
+        self.tele.qp_rate_changes.push(rate_changes);
         QpHandle(qpn)
     }
 
@@ -479,7 +514,9 @@ impl RdmaHost {
     }
 
     /// Post a work request on a QP (programmatic workloads; `tracked`
-    /// pushes an RTT measurement start for the message).
+    /// pushes an RTT measurement start for the message). Outside the
+    /// event loop on a world that has already run, follow with a
+    /// [`TOK_WAKE`].
     pub fn post(&mut self, qp: QpHandle, verb: Verb, now: SimTime, tracked: bool) {
         let q = &mut self.qps[qp.0 as usize];
         let wr = WrId(q.wr_seq);
@@ -658,6 +695,8 @@ impl RdmaHost {
                 .endpoint
                 .next_data_tx(now.as_ps())
                 .expect("has_data_tx checked");
+            // Something is unacknowledged from here on.
+            self.arm_rto_scan(ctx);
             let pkt = self.materialize(i as u32, &desc, ctx);
             let bytes = pkt.wire_size() as u64;
             let rate = self.qps[i].cc.rate_bps();
@@ -951,6 +990,26 @@ impl RdmaHost {
         }
     }
 
+    /// Queue the congestion-control tick if the host has come to own a
+    /// QP since it last looked (at start, or on a [`TOK_WAKE`]).
+    fn arm_cc_tick(&mut self, ctx: &mut Ctx<'_>) {
+        if self.tick_armed || self.qps.is_empty() {
+            return;
+        }
+        if let Some(period) = self.cfg.cc.tick_period_ps() {
+            self.tick_armed = true;
+            ctx.set_timer_on_grid(SimTime(period), TOK_CC_TICK);
+        }
+    }
+
+    /// Queue the retransmission-timeout scan unless one already is.
+    fn arm_rto_scan(&mut self, ctx: &mut Ctx<'_>) {
+        if !self.rto_armed {
+            self.rto_armed = true;
+            ctx.set_timer_on_grid(RTO_SCAN, TOK_RTO);
+        }
+    }
+
     fn storm_tick(&mut self, ctx: &mut Ctx<'_>) {
         if !self.storm {
             return;
@@ -980,11 +1039,7 @@ impl RdmaHost {
 
 impl Node for RdmaHost {
     fn on_start(&mut self, ctx: &mut Ctx<'_>) {
-        // Periodic machinery.
-        if let Some(period) = self.cfg.cc.tick_period_ps() {
-            ctx.set_timer(SimTime(period), TOK_CC_TICK);
-        }
-        ctx.set_timer(RTO_SCAN, TOK_RTO);
+        self.arm_cc_tick(ctx);
         // Prime per-QP apps.
         for i in 0..self.qps.len() {
             match self.qps[i].app {
@@ -1026,24 +1081,36 @@ impl Node for RdmaHost {
                         self.note_cc_action(i as u32, act, now_ps);
                     }
                 }
-                if let Some(period) = self.cfg.cc.tick_period_ps() {
-                    ctx.set_timer(SimTime(period), TOK_CC_TICK);
-                }
+                // Re-arm while the host still owns a QP (QPs are never
+                // removed, so in practice for good).
+                self.tick_armed = false;
+                self.arm_cc_tick(ctx);
                 self.pump(ctx);
             }
             TOK_RX_DONE => self.finish_rx_service(ctx),
             TOK_RTO => {
                 let now = ctx.now().as_ps();
-                let mut rewound = false;
+                let mut unacked = false;
                 for i in 0..self.qps.len() {
-                    rewound |= self.qps[i].endpoint.check_timeout(now);
+                    let ep = &mut self.qps[i].endpoint;
+                    ep.check_timeout(now);
+                    unacked |= ep.rto_deadline_ps().is_some();
                     self.drain_transport_events(i as u32, now);
                 }
-                ctx.set_timer(RTO_SCAN, TOK_RTO);
-                // Always pump: QPs may have been added mid-run by an
-                // experiment, and rewinds need restarting anyway.
-                let _ = rewound;
+                // Scan again only while something is still outstanding; a
+                // QP this scan rewound has nothing outstanding until the
+                // pump below resends, and that send re-arms.
+                self.rto_armed = unacked;
+                if unacked {
+                    ctx.set_timer_on_grid(RTO_SCAN, TOK_RTO);
+                }
                 self.pump(ctx);
+            }
+            // One pass of each periodic timer: whichever line comes first
+            // runs the pump and finds the new work.
+            TOK_WAKE => {
+                self.arm_cc_tick(ctx);
+                self.arm_rto_scan(ctx);
             }
             TOK_FANOUT => {
                 if let HostApp::Fanout {

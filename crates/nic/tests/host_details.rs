@@ -237,3 +237,218 @@ fn host_pfc_protects_its_rx_buffer() {
     assert!(h.stats.pause_tx > 0, "slow pipeline must XOFF the ToR");
     assert_eq!(h.stats.rx_overflow, 0, "PFC must protect the rx buffer");
 }
+
+// ---- demand-armed periodic timers ----
+//
+// A periodic host timer is queued only while it has something to do, and
+// while it is queued it fires on multiples of its period from t = 0 — the
+// instants the always-armed timer of earlier versions fired on.
+
+/// The congestion-control tick's timer token (`TOK_CC_TICK`, private to
+/// the host) and its DCQCN period.
+const TICK: (u64, SimTime) = (2, SimTime::from_micros(55));
+/// The retransmission-timeout scan's token (`TOK_RTO`) and period.
+const SCAN: (u64, SimTime) = (4, SimTime::from_micros(100));
+
+/// An `RdmaHost` that logs every timer it is handed, so a test can state
+/// which periodic timers the host kept queued, and when.
+struct Spy {
+    host: RdmaHost,
+    timers: Vec<(SimTime, u64)>,
+}
+
+impl Spy {
+    /// The instants timer `token` fired at.
+    fn fired(&self, token: u64) -> Vec<SimTime> {
+        let of_token = self.timers.iter().filter(|(_, tok)| *tok == token);
+        of_token.map(|(t, _)| *t).collect()
+    }
+}
+
+impl rocescale_sim::Node for Spy {
+    fn on_start(&mut self, ctx: &mut rocescale_sim::Ctx<'_>) {
+        self.host.on_start(ctx);
+    }
+    fn on_packet(
+        &mut self,
+        port: PortId,
+        pkt: rocescale_packet::Packet,
+        ctx: &mut rocescale_sim::Ctx<'_>,
+    ) {
+        self.host.on_packet(port, pkt, ctx);
+    }
+    fn on_port_idle(&mut self, port: PortId, ctx: &mut rocescale_sim::Ctx<'_>) {
+        self.host.on_port_idle(port, ctx);
+    }
+    fn on_timer(&mut self, token: u64, ctx: &mut rocescale_sim::Ctx<'_>) {
+        self.timers.push((ctx.now(), token));
+        self.host.on_timer(token, ctx);
+    }
+    fn as_any(&self) -> &dyn std::any::Any {
+        self
+    }
+    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
+        self
+    }
+}
+
+/// Two spied-on hosts cabled back to back (each one's gateway is simply
+/// the peer's MAC), with one QP between them.
+fn spied_pair(
+    app_a: QpApp,
+    app_b: QpApp,
+    mut tweak: impl FnMut(&mut NicConfig),
+) -> (World, [NodeId; 2]) {
+    let mut world = World::new(7);
+    let mut ids = [NodeId(0); 2];
+    for i in 0..2u32 {
+        let mut cfg = NicConfig::new(format!("h{i}"), i + 1, host_ip(i), MacAddr::from_id(2 - i));
+        tweak(&mut cfg);
+        let mut host = RdmaHost::new(cfg);
+        host.add_qp(host_ip(1 - i), 0, 5000, if i == 0 { app_a } else { app_b });
+        ids[i as usize] = world.add_node(Box::new(Spy {
+            host,
+            timers: Vec::new(),
+        }));
+    }
+    world.connect(ids[0], PortId(0), ids[1], PortId(0), LinkSpec::server_40g());
+    (world, ids)
+}
+
+/// Every multiple of `period` in `(0, until]`.
+fn grid(period: SimTime, until: SimTime) -> Vec<SimTime> {
+    (1..=until.as_ps() / period.as_ps())
+        .map(|k| SimTime(k * period.as_ps()))
+        .collect()
+}
+
+/// A started host that owns no QP queues nothing, ever: after the two
+/// `Start` events the world is empty, where each host used to re-arm a
+/// tick and a scan for as long as the simulation ran.
+#[test]
+fn a_host_without_qps_schedules_nothing() {
+    let mut world = World::new(7);
+    let a = NicConfig::new("a", 1, host_ip(0), MacAddr::from_id(2));
+    let b = NicConfig::new("b", 2, host_ip(1), MacAddr::from_id(1));
+    let a = world.add_node(Box::new(RdmaHost::new(a)));
+    let b = world.add_node(Box::new(RdmaHost::new(b)));
+    world.connect(a, PortId(0), b, PortId(0), LinkSpec::server_40g());
+    world.run_until(SimTime::from_millis(10));
+    assert_eq!(world.sched_stats().pushed, 2, "the two Start events only");
+    assert_eq!(world.events_processed(), 2);
+    assert_eq!(world.pending_events(), 0);
+}
+
+/// A host that only receives owns QPs, so DCQCN's per-QP timers tick on
+/// every 55 µs line — but nothing of its own is ever unacknowledged, so
+/// it never queues a retransmission scan. The sender, always with data
+/// in flight, scans on every 100 µs line.
+#[test]
+fn a_receiver_only_host_ticks_but_never_scans() {
+    let sat = QpApp::Saturate {
+        msg_len: 64 * 1024,
+        inflight: 2,
+    };
+    let (mut world, [tx, rx]) = spied_pair(sat, QpApp::None, |_| {});
+    let end = SimTime::from_millis(1);
+    world.run_until(end);
+    let (tx, rx) = (world.node::<Spy>(tx), world.node::<Spy>(rx));
+    assert!(rx.host.total_goodput_bytes() > 0);
+    assert_eq!(rx.fired(SCAN.0), vec![], "receiver never scans");
+    assert_eq!(rx.fired(TICK.0), grid(TICK.1, end), "receiver ticks");
+    assert_eq!(tx.fired(SCAN.0), grid(SCAN.1, end), "sender scans");
+    assert_eq!(tx.fired(TICK.0), grid(TICK.1, end));
+}
+
+/// The scan disarms once everything is acknowledged and re-arms on the
+/// next send, on the grid: a pinger that sends at 40 µs + k ms, each
+/// probe acknowledged within microseconds, gets exactly one scan per
+/// probe — on the first 100 µs line after it — and so does the echoing
+/// peer for its replies.
+#[test]
+fn the_scan_disarms_when_acked_and_rearms_on_the_next_send() {
+    let pinger = QpApp::Pinger {
+        payload: 512,
+        interval: SimTime::from_millis(1),
+        start_at: SimTime::from_micros(40),
+    };
+    let (mut world, [a, b]) = spied_pair(pinger, QpApp::Echo { reply_len: 512 }, |_| {});
+    world.run_until(SimTime::from_millis(5));
+    let one_per_probe: Vec<SimTime> = (0..5)
+        .map(|k| SimTime::from_micros(k * 1000 + 100))
+        .collect();
+    assert_eq!(world.node::<Spy>(a).fired(SCAN.0), one_per_probe);
+    assert_eq!(world.node::<Spy>(b).fired(SCAN.0), one_per_probe);
+    assert_eq!(world.node::<Spy>(a).host.stats.rtt_samples_ps.len(), 5);
+}
+
+/// Tail loss is still recovered at the instant it always was: the first
+/// 100 µs line at or after `last_progress + rto`. The §4.1 filter drops
+/// the packet with IP ID 0xff — the 256th and last of a 256-packet
+/// message, so no later packet can draw a NAK and only the timeout
+/// recovers it.
+#[test]
+fn tail_loss_rewinds_on_the_first_grid_line_past_the_deadline() {
+    let mut sw_cfg = SwitchConfig::new("tor", 2);
+    sw_cfg.drop_ip_id_low_byte = Some(0xff);
+    let (mut world, _sw, hosts) = star(2, sw_cfg, |_, _| {});
+    let (qa, qb) = connect_qp(
+        &mut world,
+        hosts[0],
+        hosts[1],
+        5000,
+        QpApp::None,
+        QpApp::None,
+    );
+    world.node_mut::<RdmaHost>(hosts[0]).post(
+        qa,
+        Verb::Send { len: 256 * 1024 },
+        SimTime::ZERO,
+        false,
+    );
+    // All 256 packets are on the wire within ~55 µs; the last ACK that
+    // will ever come (for packet 252) is back soon after.
+    world.run_until(SimTime::from_micros(200));
+    let tx = |w: &World| w.node::<RdmaHost>(hosts[0]).qp_endpoint(qa).clone();
+    assert_eq!(tx(&world).stats.data_pkts_tx, 256);
+    let deadline = tx(&world).rto_deadline_ps().expect("tail unacknowledged");
+    let line = SimTime(deadline.div_ceil(SCAN.1.as_ps()) * SCAN.1.as_ps());
+    // The instant measured on the always-armed host.
+    assert_eq!(line, SimTime::from_micros(600));
+    world.run_until(SimTime(line.as_ps() - 1));
+    assert_eq!(tx(&world).stats.rto_rewinds, 0, "not before the line");
+    world.run_until(line);
+    assert_eq!(tx(&world).stats.rto_rewinds, 1, "on the line");
+    world.run_until(SimTime::from_millis(1));
+    let rx = world.node::<RdmaHost>(hosts[1]).qp_endpoint(qb);
+    assert_eq!(rx.goodput_bytes(), 256 * 1024, "the message completes");
+}
+
+/// Work handed to a host from outside the event loop on a world that has
+/// already run needs a `TOK_WAKE`: an idle host keeps no periodic timer
+/// that would find it. The wake queues one pass of each periodic timer
+/// and the first to fire starts the pump — here the scan's next 100 µs
+/// line, congestion control being off and so tickless.
+#[test]
+fn a_wake_starts_work_injected_into_a_running_world() {
+    use rocescale_nic::host::TOK_WAKE;
+    let (mut world, _sw, hosts) = star(2, SwitchConfig::new("tor", 2), |_, cfg| {
+        cfg.cc = rocescale_cc::CcParams::Off;
+    });
+    world.run_until(SimTime::from_micros(1234));
+    let sat = QpApp::Saturate {
+        msg_len: 64 * 1024,
+        inflight: 2,
+    };
+    connect_qp(&mut world, hosts[0], hosts[1], 5000, sat, QpApp::None);
+    let sent = |w: &World| w.node::<RdmaHost>(hosts[0]).stats.data_pkts_tx;
+    world.run_until(SimTime::from_millis(2));
+    assert_eq!(sent(&world), 0, "nothing finds the QP unprompted");
+    world.schedule_timer(world.now(), hosts[0], TOK_WAKE);
+    world.run_until(SimTime(SimTime::from_micros(2100).as_ps() - 1));
+    assert_eq!(sent(&world), 0, "the wake itself does not pump");
+    world.run_until(SimTime::from_micros(2100));
+    assert!(sent(&world) > 0, "the next scan line does");
+    world.run_until(SimTime::from_millis(3));
+    assert!(world.node::<RdmaHost>(hosts[1]).total_goodput_bytes() > 0);
+}

@@ -985,6 +985,16 @@ impl Ctx<'_> {
         }
     }
 
+    /// Fire [`Node::on_timer`] at the first multiple of `period` (which
+    /// must be non-zero) strictly after now: the instant a timer re-armed
+    /// every `period` since t = 0 fires next. A periodic timer armed only
+    /// while it has work therefore fires on the instants an always-armed
+    /// one would, so arming on demand moves no other event.
+    pub fn set_timer_on_grid(&mut self, period: SimTime, token: u64) {
+        let lines_passed = self.core.now.as_ps() / period.as_ps();
+        self.set_timer_at(period.saturating_mul(lines_passed + 1), token);
+    }
+
     /// Fire [`Node::on_timer`] at absolute time `at` (clamped to now).
     pub fn set_timer_at(&mut self, at: SimTime, token: u64) {
         let at = at.max(self.core.now);
@@ -1197,6 +1207,42 @@ mod tests {
         assert_eq!(p.total_batches(), 0);
         assert!(p.ns_per_event(3) > 0.0);
         assert_eq!(p.ns_per_event(1), 0.0, "no arrivals dispatched");
+    }
+
+    /// A grid timer fires on the first multiple of its period strictly
+    /// after the arming instant (armed on a line: the next line) — where
+    /// a timer re-armed every period since t = 0 would fire next.
+    #[test]
+    fn grid_timers_fire_on_multiples_of_their_period() {
+        struct Gridder {
+            fired: Vec<SimTime>,
+        }
+        impl Node for Gridder {
+            fn on_packet(&mut self, _: PortId, _: Packet, _: &mut Ctx<'_>) {}
+            fn on_timer(&mut self, token: u64, ctx: &mut Ctx<'_>) {
+                match token {
+                    0 => ctx.set_timer_on_grid(SimTime::from_micros(55), 1),
+                    _ => self.fired.push(ctx.now()),
+                }
+            }
+            fn as_any(&self) -> &dyn Any {
+                self
+            }
+            fn as_any_mut(&mut self) -> &mut dyn Any {
+                self
+            }
+        }
+        let mut w = World::new(1);
+        let g = w.add_node(Box::new(Gridder { fired: Vec::new() }));
+        let us = SimTime::from_micros;
+        for arm_at in [SimTime::ZERO, SimTime(1), us(54), us(55), us(56), us(164)] {
+            w.schedule_timer(arm_at, g, 0);
+        }
+        assert!(w.run_until_idle(100));
+        assert_eq!(
+            w.node::<Gridder>(g).fired,
+            [us(55), us(55), us(55), us(110), us(110), us(165)]
+        );
     }
 
     #[test]

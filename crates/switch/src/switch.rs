@@ -318,6 +318,7 @@ fn tok_refresh(port: PortId, pg: Priority) -> u64 {
 
 /// Pre-registered telemetry instrument ids (all sentinels when the hub is
 /// disabled, so the hot path pays a null check per site).
+#[derive(Default)]
 struct SwitchTele {
     hub: MetricsHub,
     scope: ScopeId,
@@ -336,6 +337,17 @@ struct SwitchTele {
 
 impl SwitchTele {
     fn register(hub: MetricsHub, name: &str, ports: usize) -> SwitchTele {
+        if !hub.is_enabled() {
+            // Every id would come back a sentinel: format no names. The
+            // per-port tables stay indexable.
+            let per_port = vec![CounterId::sentinel(); ports];
+            return SwitchTele {
+                pause_tx: per_port.clone(),
+                resume_tx: per_port.clone(),
+                pause_rx: per_port,
+                ..SwitchTele::default()
+            };
+        }
         let scope = hub.scope(&format!("switch.{name}"));
         let per_port = |leaf: &str| -> Vec<CounterId> {
             (0..ports)

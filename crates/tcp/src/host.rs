@@ -221,10 +221,23 @@ const TOK_PUMP: u64 = 1;
 const TOK_RTO: u64 = 2;
 const TOK_KERNEL: u64 = 3;
 const TOK_APP_BASE: u64 = 1 << 32;
+/// Public token: wake the host after [`TcpHost::add_conn`] on a world
+/// that has already run. The host starts the applications of the
+/// connections added since it last looked and runs its transmit pump.
+/// Schedule it at `world.now()` with
+/// [`rocescale_sim::World::schedule_timer`]; nothing periodic runs on an
+/// idle host, so without the wake a late connection never starts.
+/// `Cluster::connect_tcp` does this for its callers.
+pub const TOK_WAKE: u64 = 102;
 
+// The retransmission-timeout scan is demand-armed: queued only while
+// some connection has unacknowledged data, and while queued it fires on
+// multiples of its period from t = 0 (`Ctx::set_timer_on_grid`), the
+// instants an always-armed scan would fire on.
 const RTO_SCAN: SimTime = SimTime::from_micros(250);
 
 /// Pre-registered telemetry instrument ids (sentinels when disabled).
+#[derive(Default)]
 struct TcpTele {
     hub: MetricsHub,
     scope: ScopeId,
@@ -237,6 +250,10 @@ struct TcpTele {
 
 impl TcpTele {
     fn register(hub: MetricsHub, name: &str) -> TcpTele {
+        if !hub.is_enabled() {
+            // Every id would come back a sentinel: format no names.
+            return TcpTele::default();
+        }
         TcpTele {
             scope: hub.scope(&format!("tcp.{name}")),
             segments_tx: hub.counter(&format!("tcp.{name}.segments_tx")),
@@ -263,6 +280,10 @@ pub struct TcpHost {
     kernel_q: Vec<(u64, KernelOp)>,
     rr: usize,
     ip_id: u16,
+    /// Connections `..apps_started` have had their application started.
+    apps_started: usize,
+    /// A `TOK_RTO` scan is queued.
+    rto_armed: bool,
     /// Telemetry instruments (sentinels when the hub is disabled).
     tele: TcpTele,
     /// Counters.
@@ -283,6 +304,8 @@ impl TcpHost {
             kernel_q: Vec::new(),
             rr: 0,
             ip_id: 0,
+            apps_started: 0,
+            rto_armed: false,
             stats: TcpHostStats::default(),
         }
     }
@@ -294,7 +317,8 @@ impl TcpHost {
 
     /// Create a (pre-established) connection. Both ends must be created
     /// with matching ports: this end sends from `local_port` to
-    /// `peer_port`.
+    /// `peer_port`. On a world that has already run, follow with a
+    /// [`TOK_WAKE`].
     pub fn add_conn(
         &mut self,
         peer_ip: u32,
@@ -404,6 +428,11 @@ impl TcpHost {
                 let i = (self.rr + step) % n;
                 if let Some(seg) = self.conns[i].tx.next_segment(now_ps) {
                     self.rr = (i + 1) % n;
+                    // Something is unacknowledged from here on.
+                    if !self.rto_armed {
+                        self.rto_armed = true;
+                        ctx.set_timer_on_grid(RTO_SCAN, TOK_RTO);
+                    }
                     self.stats.segments_tx += 1;
                     self.tele.hub.incr(self.tele.segments_tx);
                     self.stats.cpu_ps += self.cfg.cpu.tx_ps_per_segment;
@@ -536,12 +565,11 @@ impl TcpHost {
         }
         self.pump(ctx);
     }
-}
 
-impl Node for TcpHost {
-    fn on_start(&mut self, ctx: &mut Ctx<'_>) {
-        ctx.set_timer(RTO_SCAN, TOK_RTO);
-        for i in 0..self.conns.len() {
+    /// Start the applications of connections added since the last call
+    /// (all of them at start; the late ones on a [`TOK_WAKE`]).
+    fn start_apps(&mut self, ctx: &mut Ctx<'_>) {
+        for i in self.apps_started..self.conns.len() {
             match self.conns[i].app {
                 TcpApp::Saturate { msg_len } => {
                     self.post_message(ConnHandle(i as u32), msg_len, false, ctx);
@@ -553,7 +581,14 @@ impl Node for TcpHost {
                 TcpApp::Echo { .. } | TcpApp::None => {}
             }
         }
+        self.apps_started = self.conns.len();
         self.pump(ctx);
+    }
+}
+
+impl Node for TcpHost {
+    fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+        self.start_apps(ctx);
     }
 
     fn on_packet(&mut self, _port: PortId, pkt: Packet, ctx: &mut Ctx<'_>) {
@@ -570,9 +605,12 @@ impl Node for TcpHost {
     fn on_timer(&mut self, token: u64, ctx: &mut Ctx<'_>) {
         match token {
             TOK_PUMP => self.pump(ctx),
+            TOK_WAKE => self.start_apps(ctx),
             TOK_RTO => {
                 let now = ctx.now().as_ps();
+                let mut unacked = false;
                 for i in 0..self.conns.len() {
+                    unacked |= self.conns[i].tx.flight() > 0;
                     if self.conns[i].tx.check_rto(now) {
                         self.stats.timeouts += 1;
                         self.tele.hub.incr(self.tele.timeouts);
@@ -589,7 +627,12 @@ impl Node for TcpHost {
                         self.rtx.push_back((i as u32, seg));
                     }
                 }
-                ctx.set_timer(RTO_SCAN, TOK_RTO);
+                // Scan again only while something is still in flight; the
+                // pump re-arms when it next sends into an empty pipe.
+                self.rto_armed = unacked;
+                if unacked {
+                    ctx.set_timer_on_grid(RTO_SCAN, TOK_RTO);
+                }
                 self.pump(ctx);
             }
             TOK_KERNEL => self.run_kernel(ctx),

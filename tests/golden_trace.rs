@@ -16,11 +16,19 @@ use rocescale_monitor::{MemorySink, MetricsHub};
 use rocescale_nic::QpApp;
 use rocescale_sim::{DigestMode, EngineKind, EventProfile, ProfileMode, SimTime};
 
-/// Digest pinned at the timer-wheel engine's introduction (identical to
-/// the binary heap's on the same scenario).
-const GOLDEN_DIGEST: u64 = 5655298337002817904;
+/// Digest of the pinned scenario (identical on the timer wheel and the
+/// binary heap). Re-pinned when host timers became demand-armed; the
+/// previous pin was 5655298337002817904 over 13800 events, and
+/// [`trace_differs_from_the_always_armed_one_only_in_idle_timers`]
+/// accounts for every event of the difference.
+const GOLDEN_DIGEST: u64 = 11228656443465567668;
 /// Event count of the pinned trace.
-const GOLDEN_EVENTS: u64 = 13800;
+const GOLDEN_EVENTS: u64 = 13739;
+/// Per-kind event counts `[start, arrival, port idle, timer]` of the same
+/// scenario while every host re-armed its 55 µs congestion-control tick
+/// and 100 µs retransmission scan unconditionally (recorded from
+/// `event_profile()` at the commit before demand arming; sum 13800).
+const ALWAYS_ARMED_COUNTS: [u64; 4] = [14, 4827, 4827, 4132];
 
 fn run(engine: EngineKind) -> (u64, u64) {
     run_full(
@@ -297,4 +305,37 @@ fn profiler_does_not_perturb_the_dispatch_trace() {
         profile.counts[1] > 0 && profile.counts[3] > 0,
         "expected arrival and timer events in the breakdown: {profile:?}"
     );
+}
+
+/// Demand-armed host timers removed idle timer events and nothing else.
+/// The scenario runs `two_tier(2, 4)` — eight servers — for 500 µs with
+/// servers 1–3 saturating towards server 0. Against the always-armed
+/// trace, arrivals and port idles are equal (no packet moved), and the
+/// timer count falls by exactly:
+///
+/// * four servers (4–7) own no QP: each loses its ⌊500/55⌋ = 9 ticks and
+///   its ⌊500/100⌋ = 5 scans;
+/// * server 0 only receives, so nothing of its own is ever unacknowledged:
+///   it keeps ticking (it owns QPs) but loses its 5 scans;
+/// * servers 1–3 always have data in flight and keep both timers.
+#[test]
+fn trace_differs_from_the_always_armed_one_only_in_idle_timers() {
+    let (_, _, profile) = run_profiled(
+        EngineKind::Wheel,
+        MetricsHub::disabled(),
+        DigestMode::On,
+        ProfileMode::On,
+    );
+    let [start, arrival, port_idle, timer] = profile.counts;
+    assert_eq!(
+        [start, arrival, port_idle],
+        ALWAYS_ARMED_COUNTS[..3],
+        "no start, arrival or port-idle event may move"
+    );
+    let (ticks, scans) = (500 / 55, 500 / 100);
+    let (idle_hosts, receiver_only_hosts) = (4, 1);
+    let removed = idle_hosts * (ticks + scans) + receiver_only_hosts * scans;
+    assert_eq!(removed, 61);
+    assert_eq!(timer, ALWAYS_ARMED_COUNTS[3] - removed);
+    assert_eq!(profile.total_events(), GOLDEN_EVENTS);
 }

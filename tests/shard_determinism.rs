@@ -34,9 +34,10 @@ use rocescale_nic::QpApp;
 use rocescale_sim::{EpochPacing, SimTime};
 use rocescale_topology::ClosSpec;
 
-/// Must match `tests/golden_trace.rs` — the committed golden pin.
-const GOLDEN_DIGEST: u64 = 5655298337002817904;
-const GOLDEN_EVENTS: u64 = 13800;
+/// Must match `tests/golden_trace.rs` — the committed golden pin, whose
+/// delta from the previous pin is accounted for event by event there.
+const GOLDEN_DIGEST: u64 = 11228656443465567668;
+const GOLDEN_EVENTS: u64 = 13739;
 
 fn saturate() -> QpApp {
     QpApp::Saturate {
@@ -425,4 +426,59 @@ fn sharded_trace_export_is_byte_identical_threaded_vs_serial() {
         threaded.windows(2).all(|w| w[0].t_ps <= w[1].t_ps),
         "merged records must be time-sorted"
     );
+}
+
+/// Once every burst has drained, the only events left in a fabric are
+/// the periodic timers something still has a use for, and only those
+/// force an exchange window to execute. With congestion control and the
+/// switch watchdog off nothing keeps a timer: the quiet tail executes
+/// **zero** epochs — every window is skipped — where each 100 µs
+/// retransmission-scan line of every idle host used to force one. The
+/// switch watchdog's 1 ms poll is a switch timer and still forces its
+/// window. With DCQCN the hosts that own a QP keep its 55 µs
+/// alpha/increase timers, so exactly the windows holding a tick line
+/// execute, and no scan line does.
+#[test]
+fn a_drained_fabric_executes_no_further_epochs() {
+    use rocescale_core::{CcKind, FabricProfile, TransportProfile};
+    // Both instants sit on the 1.5 µs exchange grid.
+    let (drained, end) = (SimTime::from_micros(450), SimTime::from_micros(2400));
+    let tail_windows = (end - drained).as_ps() / SimTime::from_nanos(1500).as_ps();
+    let lines = |period_us| end.as_micros() / period_us - drained.as_micros() / period_us;
+    for (cc, watchdog, executed_in_tail) in [
+        (CcKind::Off, false, 0),
+        (CcKind::Off, true, lines(1000)),
+        (CcKind::Dcqcn, false, lines(55)),
+    ] {
+        let arm = format!("{cc:?}, watchdog {watchdog}");
+        let spec = ClosSpec::uniform_40g(2, 1, 2, 2, 2);
+        let mut c = ClusterBuilder::new(spec)
+            .seed(7)
+            .fabric(FabricProfile::paper_default().switch_watchdog(watchdog))
+            .transport(TransportProfile::paper_default().cc(cc))
+            .execution(ExecutionProfile::Sharded { shards: 2 })
+            .build_sharded();
+        for p in 0..2 {
+            let src = c.servers_under(p, 0)[0];
+            let dst = c.servers_under((p + 1) % 2, 0)[1];
+            c.connect_qp(src, dst, 6000 + p as u16, burst(), QpApp::None);
+        }
+        c.run_until(drained);
+        let goodput: u64 = (0..c.server_count())
+            .map(|i| c.rdma(ServerId(i)).total_goodput_bytes())
+            .sum();
+        assert_eq!(goodput, 2 * 4 * 64 * 1024, "{arm}: bursts delivered");
+        let (executed, skipped) = (c.exchange_epochs(), c.epochs_skipped());
+        c.run_until(end);
+        assert_eq!(
+            c.exchange_epochs() - executed,
+            executed_in_tail,
+            "{arm}: epochs executed after the bursts drained"
+        );
+        assert_eq!(
+            c.epochs_skipped() - skipped,
+            tail_windows - executed_in_tail,
+            "{arm}: the rest of the tail is skipped"
+        );
+    }
 }
