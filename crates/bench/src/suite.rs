@@ -1204,12 +1204,23 @@ impl ScenarioReport for IncFleetScale {
         rep.scalar("slab_mb", Cell::f2(r.slab_bytes as f64 / 1e6));
         rep.table(t);
         if walls {
+            let ms = |nanos: u64| Cell::f2(nanos as f64 / 1e6);
+            rep.scalar("workers", Cell::U64(r.workers as u64));
             rep.scalar("wall_imbalance", Cell::f2(r.wall_imbalance()));
-            let mut w = Table::new("per-shard wall-clock (measured)", &["shard", "wall ms"]);
+            rep.scalar(
+                "exchange_ms",
+                ms(r.per_shard.iter().map(|l| l.exchange_nanos).sum()),
+            );
+            let mut w = Table::new(
+                "per-shard wall-clock (measured)",
+                &["shard", "wall ms", "wait ms", "exchange ms"],
+            );
             for (s, l) in r.per_shard.iter().enumerate() {
                 w.row(vec![
                     Cell::U64(s as u64),
-                    Cell::f2(l.wall_nanos as f64 / 1e6),
+                    ms(l.wall_nanos),
+                    ms(l.wait_nanos),
+                    ms(l.exchange_nanos),
                 ]);
             }
             rep.table(w);

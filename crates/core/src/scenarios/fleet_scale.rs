@@ -8,7 +8,8 @@
 //! fabric. The build answers every per-node question (ports, ToR,
 //! attached servers) from the topology's adjacency index, so with
 //! telemetry off its cost is linear in nodes + links; an enabled hub
-//! adds a sorted insert per registered instrument, which is not.
+//! appends each registered instrument and sorts the names once, at its
+//! first snapshot.
 //!
 //! The workload is deliberately light — one cross-pod bursting flow per
 //! pod (a ring, so every flow crosses a shard boundary when
@@ -41,6 +42,12 @@ use crate::sharded::ShardedCluster;
 pub struct ShardLoad {
     /// Wall-clock nanoseconds this shard spent inside `run_until`.
     pub wall_nanos: u64,
+    /// Wall-clock nanoseconds between this shard finishing a window and
+    /// the next window being released — waiting for slower shards.
+    pub wait_nanos: u64,
+    /// Wall-clock nanoseconds this shard spent moving boundary messages
+    /// (absorbing mail, injecting what is due, routing its outbox).
+    pub exchange_nanos: u64,
     /// Events the shard dispatched.
     pub events: u64,
     /// Peak timer-wheel occupancy (live entries) the shard reached.
@@ -60,6 +67,9 @@ pub struct FleetScaleResult {
     pub switches: usize,
     /// Effective worker shards (the partition may collapse a request).
     pub shards: usize,
+    /// Worker threads the shards ran on (the caller's included):
+    /// `min(shards, available_parallelism)`, 1 when serial.
+    pub workers: usize,
     /// Global dispatch digest (determinism pin).
     pub digest: u64,
     /// Total events dispatched across all shards.
@@ -184,11 +194,14 @@ pub fn run_spec(
     c.run_until(dur);
 
     let pkt_size = std::mem::size_of::<rocescale_packet::Packet>() as u64;
+    let timing = c.shard_timing();
     let per_shard: Vec<ShardLoad> = (0..c.shard_count())
         .map(|s| {
             let w = c.world(s);
             ShardLoad {
-                wall_nanos: c.shard_wall_nanos()[s],
+                wall_nanos: timing.busy_nanos[s],
+                wait_nanos: timing.barrier_wait_nanos[s],
+                exchange_nanos: timing.exchange_nanos[s],
                 events: w.events_processed(),
                 wheel_max_occupancy: w.sched_stats().max_occupancy,
                 slab_capacity: w.packet_slab_capacity(),
@@ -201,6 +214,7 @@ pub fn run_spec(
         hosts: c.server_count(),
         switches: c.switch_count(),
         shards: c.shard_count(),
+        workers: timing.workers,
         digest: c.dispatch_digest(),
         events: c.events_processed(),
         epochs: c.exchange_epochs(),
@@ -236,6 +250,7 @@ mod tests {
         let r = run(2, true, DUR);
         assert!(r.hosts >= 4096, "paper-scale floor: {}", r.hosts);
         assert_eq!(r.shards, 2);
+        assert!((1..=2).contains(&r.workers), "{r:?}");
         assert!(r.epochs > 0, "multi-shard runs advance in epochs: {r:?}");
         assert!(r.boundary_messages > 0, "the ring crosses shards: {r:?}");
         assert!(r.goodput_bytes > 0, "{r:?}");

@@ -28,7 +28,7 @@
 //! epoch each world writes only to its own bank, and the merge order is
 //! a pure function of the records.
 
-use rocescale_sim::{EpochPacing, ShardStats, ShardedWorld, SimTime};
+use rocescale_sim::{EpochPacing, ShardStats, ShardTiming, ShardedWorld, SimTime};
 
 use crate::cluster::Cluster;
 
@@ -40,7 +40,8 @@ pub type ShardedCluster = Cluster<ShardedWorld>;
 /// The exchange-specific surface: everything else is shared with the
 /// one-world [`Cluster`].
 impl Cluster<ShardedWorld> {
-    /// Run epochs serially even with multiple shards (differential
+    /// Run every shard on the caller's thread — the same epoch loop
+    /// with one worker — even with multiple shards (differential
     /// testing: results are byte-identical either way).
     pub fn set_threaded(&mut self, threaded: bool) {
         self.world.set_threaded(threaded);
@@ -83,6 +84,12 @@ impl Cluster<ShardedWorld> {
     /// nanoseconds (index = shard).
     pub fn shard_wall_nanos(&self) -> &[u64] {
         self.world.shard_wall_nanos()
+    }
+
+    /// Where the exchange's wall-clock went: the worker count and, per
+    /// shard, nanoseconds busy, waiting at the barrier and exchanging.
+    pub fn shard_timing(&self) -> ShardTiming {
+        self.world.timing()
     }
 
     /// The conservative lookahead (min cross-shard propagation delay);

@@ -16,17 +16,56 @@
 //! past. That is the whole safety argument; no rollback, no
 //! anti-messages.
 //!
+//! # The runtime
+//!
+//! One [`ShardedWorld::run_until`] call starts its workers **once**:
+//! `min(shards, available_parallelism)` of them, each owning a
+//! contiguous range of shards for the whole call, the calling thread
+//! being worker 0 and the *coordinator*. The coordinator alone runs the
+//! epoch loop (window end, adaptive skip, horizon, epoch count) and
+//! hands the workers one window after another:
+//!
+//! 1. it *releases* a window — publishes it and bumps a generation
+//!    counter;
+//! 2. every worker, for each of its shards in order, moves the mail
+//!    earlier windows addressed to the shard into the shard's **inbox**,
+//!    injects what is due, advances the world to the window's end, and
+//!    routes the world's outbox into the per-destination mail slots;
+//! 3. every helper *arrives* (an atomic count) with the earliest time
+//!    any of its shards has work; the coordinator takes the minimum and
+//!    decides the next window.
+//!
+//! A waiter spins briefly, then yields, then sleeps on a condvar, so a
+//! balanced epoch costs a cache-line round trip and an oversubscribed
+//! or unbalanced one gives its core away. A worker that unwinds poisons
+//! the hand-off: everybody leaves the loop and `run_until` re-raises
+//! the panic instead of waiting for an arrival that will never come.
+//! [`ShardedWorld::set_threaded`]`(false)` is the same loop with one
+//! worker.
+//!
+//! Mail is double-buffered by window parity: during a window sources
+//! fill one half while destinations drain the other, and a release
+//! separates the two uses of a half, so no slot is ever touched from
+//! two sides at once. All buffers (outboxes, mail slots, inboxes) are
+//! swapped or drained in place and keep their capacity — a steady
+//! exchange allocates nothing per epoch.
+//!
 //! # Determinism
 //!
 //! Three properties make sharded runs digest-pinnable:
 //!
-//! 1. **Barrier totality.** Every shard reaches the barrier before any
-//!    boundary message is routed, so the inter-shard schedule is a pure
-//!    function of the partition, never of thread timing.
-//! 2. **Fixed merge order.** Outboxes are drained in shard order and
-//!    messages stamped with a monotone exchange sequence; delivery
-//!    sorts by `(time, seq)` — the same tie-break discipline the event
-//!    queue itself uses.
+//! 1. **Barrier totality.** Every shard finishes a window before any
+//!    message sent in it is absorbed, so the inter-shard schedule is a
+//!    pure function of the partition, never of thread timing or of the
+//!    worker count.
+//! 2. **Fixed merge order.** A destination absorbs its mail in source
+//!    shard order, each source's in outbox order, stamping a monotone
+//!    inbox sequence; the inbox pops by `(time, seq)` — that is
+//!    `(time, collection window, source shard, outbox index)`, the same
+//!    tie-break discipline the event queue itself uses. Each world
+//!    therefore receives its injected arrivals in one fixed order and
+//!    gives them the same queue sequence numbers, however many workers
+//!    ran the window.
 //! 3. **Fixed digest fold.** [`ShardedWorld::dispatch_digest`] folds
 //!    per-shard digests in shard order with the dispatch digest's own
 //!    FNV-1a fold ([`digest_fold`]); a single-shard run degenerates to
@@ -34,11 +73,17 @@
 //!    under `ExecutionProfile::Sharded { shards: 1 }`.
 //!
 //! Worker threads therefore produce *byte-identical* results to
-//! advancing the shards serially ([`ShardedWorld::set_threaded`] is a
-//! differential-testing knob, not a semantic one): within an epoch the
+//! advancing the shards on one thread ([`ShardedWorld::set_threaded`] is
+//! a differential-testing knob, not a semantic one): within a window the
 //! shards share no state, and everything that crosses the boundary is
 //! ordered at the barrier.
 
+use std::cmp::Ordering;
+use std::collections::BinaryHeap;
+use std::panic::resume_unwind;
+use std::sync::atomic::Ordering::SeqCst;
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize};
+use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
 use crate::time::SimTime;
@@ -59,7 +104,7 @@ pub enum EpochPacing {
     /// landed; it survives as the differential-testing reference the
     /// skipping property tests compare against.
     Dense,
-    /// At each barrier, peek every shard's next event time and the
+    /// At each barrier, take every shard's next event time and the
     /// earliest undelivered boundary message. When neither falls inside
     /// the next window, jump the horizon straight to the start of the
     /// grid window containing the earliest work (or to the deadline if
@@ -80,7 +125,9 @@ pub enum EpochPacing {
 /// Exchange bookkeeping snapshot: windows actually executed, windows
 /// the adaptive pacer stepped over, and boundary messages carried. For
 /// any fixed drive pattern, `epochs_executed + epochs_skipped` equals
-/// the epoch count a [`EpochPacing::Dense`] run performs.
+/// the epoch count a [`EpochPacing::Dense`] run performs. Every field
+/// is exact and independent of threading and of the worker count; the
+/// wall-clock side of the exchange is [`ShardTiming`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ShardStats {
     /// Grid windows delivered/advanced/collected.
@@ -89,6 +136,27 @@ pub struct ShardStats {
     pub epochs_skipped: u64,
     /// Boundary messages carried across shards.
     pub boundary_messages: u64,
+}
+
+/// Where the exchange's wall-clock went, per shard (index = shard):
+/// measurements, so unlike [`ShardStats`] they differ run to run. For
+/// one shard the three spans and the time its worker spent on its other
+/// shards add up to the time spent inside `run_until`; the shard with
+/// the least wait is the straggler the others waited for.
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
+pub struct ShardTiming {
+    /// Worker threads `run_until` uses (the caller's included):
+    /// `min(shards, available_parallelism)`, or 1 when not threaded.
+    pub workers: usize,
+    /// Nanoseconds inside `World::run_until` — event dispatch.
+    pub busy_nanos: Vec<u64>,
+    /// Nanoseconds from the shard finishing a window to the next window
+    /// being released: waiting for slower shards (its worker's other
+    /// shards included) and for the coordinator's pacing step.
+    pub barrier_wait_nanos: Vec<u64>,
+    /// Nanoseconds moving boundary messages: absorbing mail into the
+    /// inbox, injecting what is due, routing the outbox.
+    pub exchange_nanos: Vec<u64>,
 }
 
 /// What a cluster drives: one or more per-shard [`World`]s behind a
@@ -135,7 +203,7 @@ impl WorldSet for ShardedWorld {
         ShardedWorld::run_until(self, deadline);
     }
     fn now(&self) -> SimTime {
-        self.horizon
+        self.pacer.horizon
     }
 }
 
@@ -148,30 +216,482 @@ pub fn merged_digest(worlds: &[World]) -> u64 {
     it.fold(first, digest_fold)
 }
 
-/// A set of per-shard [`World`]s advanced in conservative-lookahead
-/// epochs with deterministic boundary-message exchange. See the module
-/// docs for the safety and determinism arguments.
-pub struct ShardedWorld {
-    worlds: Vec<World>,
+/// One window of the exchange, as the coordinator hands it to the
+/// workers.
+#[derive(Debug, Clone, Copy)]
+struct Window {
+    /// Inject every inbox message timestamped at or before this.
+    due: SimTime,
+    /// Advance every shard to this time.
+    end: SimTime,
+    /// The mail half this window's outboxes are routed into; the other
+    /// half holds what earlier windows sent and is absorbed first.
+    parity: usize,
+}
+
+/// The epoch cursor: where the common horizon is and which window comes
+/// next. The only place the grid, the adaptive skip and the epoch count
+/// are written down.
+struct Pacer {
     /// Min propagation over all cross-shard links — the epoch window
     /// grid. `None` when no world has a remote port (independent
-    /// shards, or a single shard): epochs then span the whole
-    /// `run_until` deadline.
+    /// shards): one window then spans the whole `run_until` call.
     lookahead: Option<SimTime>,
     /// Common simulated time every shard has reached.
     horizon: SimTime,
-    /// Collected boundary messages not yet delivered, sorted by
-    /// `(time, exchange seq)`.
-    pending: Vec<(SimTime, u64, BoundaryMsg)>,
-    /// Monotone stamp assigned at collection (shard order, outbox
-    /// order) — the deterministic tie-break for equal-time messages.
-    next_seq: u64,
+    pacing: EpochPacing,
     epochs: u64,
     skipped: u64,
-    exchanged: u64,
-    wall_nanos: Vec<u64>,
+}
+
+impl Pacer {
+    /// The next window to execute on the way to `deadline`, or `None`
+    /// once the horizon is there. `next_work` is the earliest thing any
+    /// shard has to do (queued event or undelivered boundary message);
+    /// adaptive pacing jumps the horizon over windows it falls beyond.
+    fn next_window(&mut self, deadline: SimTime, next_work: Option<SimTime>) -> Option<Window> {
+        while self.horizon < deadline {
+            let end = self.window_end(deadline);
+            if let (EpochPacing::Adaptive, Some(l)) = (self.pacing, self.lookahead) {
+                if next_work.is_none_or(|t| t > end) {
+                    // Nothing lands in (horizon, end]: jump to the start
+                    // of the grid window holding the earliest work, or
+                    // drain straight to the deadline.
+                    let l = l.as_ps();
+                    let target = match next_work {
+                        Some(t) if t <= deadline => SimTime(((t.as_ps() - 1) / l) * l),
+                        _ => deadline,
+                    };
+                    self.skipped += dense_steps(self.horizon, target, l);
+                    self.horizon = target;
+                    continue;
+                }
+            }
+            return Some(Window {
+                due: end,
+                end,
+                parity: (self.epochs & 1) as usize,
+            });
+        }
+        None
+    }
+
+    /// Every shard has executed `window`.
+    fn complete(&mut self, window: Window) {
+        self.horizon = window.end;
+        self.epochs += 1;
+    }
+
+    /// End of the epoch window starting at the current horizon: the
+    /// next `lookahead`-grid line, clamped to the caller's deadline.
+    /// Grid alignment (rather than `horizon + L`) makes epoch
+    /// boundaries independent of the `run_until` call pattern, so
+    /// chunked and one-shot drives produce identical exchanges.
+    fn window_end(&self, deadline: SimTime) -> SimTime {
+        match self.lookahead {
+            None => deadline,
+            Some(l) => {
+                let l = l.as_ps();
+                SimTime((self.horizon.as_ps() / l + 1) * l).min(deadline)
+            }
+        }
+    }
+}
+
+/// A boundary message waiting in its destination's inbox. Ordered so
+/// that a max-heap pops the smallest `(at, seq)` first.
+struct Due {
+    at: SimTime,
+    seq: u64,
+    msg: BoundaryMsg,
+}
+
+impl Ord for Due {
+    fn cmp(&self, other: &Due) -> Ordering {
+        (other.at, other.seq).cmp(&(self.at, self.seq))
+    }
+}
+impl PartialOrd for Due {
+    fn partial_cmp(&self, other: &Due) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+impl PartialEq for Due {
+    fn eq(&self, other: &Due) -> bool {
+        self.cmp(other).is_eq()
+    }
+}
+impl Eq for Due {}
+
+/// Everything one source shard sent during the windows of one parity,
+/// by destination shard. Only the source's worker touches it while such
+/// a window runs and only destinations' workers during the next, so the
+/// lock is never waited on for longer than a buffer swap.
+type MailRow = Mutex<Vec<Vec<BoundaryMsg>>>;
+
+fn mail_row(row: &MailRow) -> MutexGuard<'_, Vec<Vec<BoundaryMsg>>> {
+    row.lock()
+        .expect("no worker panics while it holds a mail row")
+}
+
+/// The exchange side of one shard, owned by the shard's worker for the
+/// length of a `run_until` call.
+#[derive(Default)]
+struct Lane {
+    /// Messages addressed to this shard and not yet due.
+    inbox: BinaryHeap<Due>,
+    /// Stamp for the next absorbed message: absorption order is
+    /// (window, source shard, outbox index), the tie-break among
+    /// messages due at the same instant.
+    next_seq: u64,
+    /// Empty buffer swapped against a mail slot to drain it.
+    scratch: Vec<BoundaryMsg>,
+    /// Messages this shard has routed to others.
+    sent: u64,
+    exchange_nanos: u64,
+    wait_nanos: u64,
+    /// When the shard finished its latest window of this call.
+    finished: Option<Instant>,
+}
+
+impl Lane {
+    /// Move what every source sent to shard `dst` from the mail `rows`
+    /// into the inbox, in source order.
+    fn absorb(&mut self, dst: usize, rows: &[MailRow]) {
+        for row in rows {
+            {
+                let mut row = mail_row(row);
+                if row[dst].is_empty() {
+                    continue;
+                }
+                std::mem::swap(&mut row[dst], &mut self.scratch);
+            }
+            for msg in self.scratch.drain(..) {
+                self.inbox.push(Due {
+                    at: msg.at(),
+                    seq: self.next_seq,
+                    msg,
+                });
+                self.next_seq += 1;
+            }
+        }
+    }
+
+    /// Inject every inbox message timestamped at or before `due` into
+    /// `world`. Packets become ordinary arrival events at their
+    /// precomputed time (always in the world's future — the lookahead
+    /// guarantee). Administrative messages apply at the barrier: link
+    /// flips mutate port state directly, wakes are clamped to the
+    /// world's clock.
+    fn deliver(&mut self, world: &mut World, due: SimTime) {
+        while self.inbox.peek().is_some_and(|d| d.at <= due) {
+            let Due { at, msg, .. } = self.inbox.pop().expect("peeked");
+            match msg {
+                BoundaryMsg::Packet { at, to, pkt } => {
+                    world.inject_arrival(at, to.node, to.port, pkt);
+                }
+                BoundaryMsg::LinkSet { to, up, .. } => {
+                    world.apply_remote_link(to.node, to.port, up);
+                }
+                BoundaryMsg::Wake { to, .. } => {
+                    world.inject_port_idle(at.max(world.now()), to.node, to.port);
+                }
+            }
+        }
+    }
+
+    /// Drain `world`'s outbox into this shard's mail `row`, by
+    /// destination and in issue order. Returns the earliest timestamp
+    /// routed.
+    fn route(&mut self, world: &mut World, row: &MailRow) -> Option<SimTime> {
+        let outbox = world.drain_outbox();
+        if outbox.len() == 0 {
+            return None;
+        }
+        self.sent += outbox.len() as u64;
+        let mut row = mail_row(row);
+        let mut earliest = SimTime(u64::MAX);
+        for msg in outbox {
+            earliest = earliest.min(msg.at());
+            row[msg.to().shard as usize].push(msg);
+        }
+        Some(earliest)
+    }
+}
+
+/// Spins on the hand-off before a waiter starts yielding its core, and
+/// yields before it goes to sleep on the condvar. The spin covers the
+/// release → first-arrival latency of a balanced epoch (well under a
+/// microsecond); the yields cover ordinary imbalance between shards
+/// without a futex round trip; sleeping is for a straggler, an
+/// oversubscribed machine, or a wedged peer.
+const SPINS: u32 = 128;
+const YIELDS: u32 = 1024;
+
+/// No work: the `next_work` slot value for a drained worker.
+const IDLE: u64 = u64::MAX;
+
+/// The epoch hand-off between the coordinator (worker 0, the calling
+/// thread) and its helpers, alive for one `run_until` call.
+struct Handoff {
+    /// The window being executed; `None` tells the helpers to leave.
+    /// Written only between an arrival of every helper and the next
+    /// release. Its mutex is also what sleepers wait under.
+    window: Mutex<Option<Window>>,
+    /// Windows released so far — the generation helpers wait on.
+    released: AtomicU64,
+    /// Helpers that finished the released window.
+    arrived: AtomicUsize,
+    /// Per worker: earliest time any of its shards has work, in ps.
+    next_work: Vec<AtomicU64>,
+    /// A worker unwound; nobody waits any longer.
+    poisoned: AtomicBool,
+    /// Waiters asleep (or about to be) on `wakeup`.
+    sleepers: AtomicUsize,
+    wakeup: Condvar,
+}
+
+impl Handoff {
+    fn new(workers: usize) -> Handoff {
+        Handoff {
+            window: Mutex::new(None),
+            released: AtomicU64::new(0),
+            arrived: AtomicUsize::new(0),
+            next_work: (0..workers).map(|_| AtomicU64::new(IDLE)).collect(),
+            poisoned: AtomicBool::new(false),
+            sleepers: AtomicUsize::new(0),
+            wakeup: Condvar::new(),
+        }
+    }
+
+    /// The window mutex never guards a half-made update (one `Copy`
+    /// store), so a poisoned lock is still good — and `wake` runs from
+    /// a drop guard, where it must not panic.
+    fn window(&self) -> MutexGuard<'_, Option<Window>> {
+        self.window.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Coordinator: hand `window` to the helpers (`None`: stop).
+    fn release(&self, window: Option<Window>) {
+        *self.window() = window;
+        self.arrived.store(0, SeqCst);
+        self.released.fetch_add(1, SeqCst);
+        self.wake();
+    }
+
+    /// Helper: wait for release number `seen + 1`. `None` means leave —
+    /// the run is over or a worker panicked.
+    fn await_release(&self, seen: u64) -> Option<Window> {
+        if !self.wait_until(|| self.released.load(SeqCst) > seen) {
+            return None;
+        }
+        *self.window()
+    }
+
+    /// Worker `id` finished the released window and next has work at
+    /// `next_work`.
+    fn arrive(&self, id: usize, next_work: u64) {
+        self.next_work[id].store(next_work, SeqCst);
+        if id != 0 {
+            self.arrived.fetch_add(1, SeqCst);
+            self.wake();
+        }
+    }
+
+    /// Coordinator: wait for every helper's arrival, then return the
+    /// earliest work over all workers. `Err` if a worker panicked.
+    fn await_arrivals(&self) -> Result<Option<SimTime>, ()> {
+        let helpers = self.next_work.len() - 1;
+        if !self.wait_until(|| self.arrived.load(SeqCst) == helpers) {
+            return Err(());
+        }
+        let next = self.next_work.iter().map(|t| t.load(SeqCst)).min();
+        Ok(next.filter(|&t| t != IDLE).map(SimTime))
+    }
+
+    /// Wait until `ready()`: spin, then yield, then sleep. Returns
+    /// `false` if the hand-off was poisoned instead.
+    fn wait_until(&self, ready: impl Fn() -> bool) -> bool {
+        for tries in 0..SPINS + YIELDS {
+            if self.poisoned.load(SeqCst) {
+                return false;
+            }
+            if ready() {
+                return true;
+            }
+            if tries < SPINS {
+                std::hint::spin_loop();
+            } else {
+                std::thread::yield_now();
+            }
+        }
+        // Announce the sleeper *before* the last check under the lock:
+        // a waker changes state, then reads `sleepers`, so either it
+        // sees us (and notifies after we wait, for it takes the lock
+        // first) or we see its change (all SeqCst).
+        self.sleepers.fetch_add(1, SeqCst);
+        let mut guard = self.window();
+        while !ready() && !self.poisoned.load(SeqCst) {
+            guard = self
+                .wakeup
+                .wait(guard)
+                .unwrap_or_else(PoisonError::into_inner);
+        }
+        drop(guard);
+        self.sleepers.fetch_sub(1, SeqCst);
+        !self.poisoned.load(SeqCst)
+    }
+
+    /// Wake sleepers after a state change (see `wait_until`).
+    fn wake(&self) {
+        if self.sleepers.load(SeqCst) > 0 {
+            drop(self.window());
+            self.wakeup.notify_all();
+        }
+    }
+}
+
+/// Held by every worker while it runs windows: if the worker unwinds (a
+/// node handler panicked), the others must stop waiting for it.
+struct PoisonOnUnwind<'a>(&'a Handoff);
+
+impl Drop for PoisonOnUnwind<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.0.poisoned.store(true, SeqCst);
+            self.0.wake();
+        }
+    }
+}
+
+/// One worker's share of the set for one `run_until` call: a contiguous
+/// range of shards, each with its world, exchange lane and busy clock.
+struct Worker<'a> {
+    id: usize,
+    /// Shard index of `worlds[0]`.
+    first: usize,
+    worlds: &'a mut [World],
+    lanes: &'a mut [Lane],
+    busy_nanos: &'a mut [u64],
+}
+
+impl Worker<'_> {
+    /// Execute `window` on every owned shard in shard order: absorb and
+    /// inject the shard's mail, advance its world, route its outbox.
+    /// `released_at` is when this worker saw the window released.
+    /// Returns the earliest time any owned shard next has work, in ps.
+    fn run_window(
+        &mut self,
+        window: Window,
+        mail: &[Vec<MailRow>; 2],
+        released_at: Instant,
+    ) -> u64 {
+        let mut next_work = IDLE;
+        let mut t0 = released_at;
+        for (i, (world, lane)) in self
+            .worlds
+            .iter_mut()
+            .zip(self.lanes.iter_mut())
+            .enumerate()
+        {
+            let shard = self.first + i;
+            if let Some(finished) = lane.finished.take() {
+                lane.wait_nanos += nanos(finished, released_at);
+            }
+            lane.absorb(shard, &mail[window.parity ^ 1]);
+            lane.deliver(world, window.due);
+            let t1 = Instant::now();
+            world.run_until(window.end);
+            let t2 = Instant::now();
+            let routed = lane.route(world, &mail[window.parity][shard]);
+            let queued = world.next_event_time();
+            let inboxed = lane.inbox.peek().map(|d| d.at);
+            for t in [routed, queued, inboxed].into_iter().flatten() {
+                next_work = next_work.min(t.as_ps());
+            }
+            let t3 = Instant::now();
+            self.busy_nanos[i] += nanos(t1, t2);
+            lane.exchange_nanos += nanos(t0, t1) + nanos(t2, t3);
+            lane.finished = Some(t3);
+            t0 = t3;
+        }
+        next_work
+    }
+
+    /// A helper's whole life: run windows as they are released.
+    fn help(mut self, hand: &Handoff, mail: &[Vec<MailRow>; 2]) {
+        let _poison = PoisonOnUnwind(hand);
+        let mut seen = 0;
+        while let Some(window) = hand.await_release(seen) {
+            seen += 1;
+            let next_work = self.run_window(window, mail, Instant::now());
+            hand.arrive(self.id, next_work);
+        }
+        self.leave();
+    }
+
+    /// The call is over: the wait for a window that never came is not a
+    /// barrier wait.
+    fn leave(self) {
+        for lane in self.lanes {
+            lane.finished = None;
+        }
+    }
+}
+
+fn nanos(from: Instant, to: Instant) -> u64 {
+    to.duration_since(from).as_nanos() as u64
+}
+
+/// Cut the shards into `workers` contiguous ranges whose sizes differ
+/// by at most one.
+fn crew<'a>(
+    mut worlds: &'a mut [World],
+    mut lanes: &'a mut [Lane],
+    mut busy_nanos: &'a mut [u64],
+    workers: usize,
+) -> Vec<Worker<'a>> {
+    let shards = worlds.len();
+    let mut first = 0;
+    (0..workers)
+        .map(|id| {
+            let len = (id + 1) * shards / workers - first;
+            let (w, rest) = std::mem::take(&mut worlds).split_at_mut(len);
+            worlds = rest;
+            let (l, rest) = std::mem::take(&mut lanes).split_at_mut(len);
+            lanes = rest;
+            let (b, rest) = std::mem::take(&mut busy_nanos).split_at_mut(len);
+            busy_nanos = rest;
+            let worker = Worker {
+                id,
+                first,
+                worlds: w,
+                lanes: l,
+                busy_nanos: b,
+            };
+            first += len;
+            worker
+        })
+        .collect()
+}
+
+/// A set of per-shard [`World`]s advanced in conservative-lookahead
+/// epochs with deterministic boundary-message exchange. See the module
+/// docs for the runtime and the safety and determinism arguments.
+pub struct ShardedWorld {
+    worlds: Vec<World>,
+    /// Per-shard exchange state (index = shard).
+    lanes: Vec<Lane>,
+    /// Boundary messages in flight between a source's outbox and its
+    /// destination's inbox: `mail[parity][source]`, see [`MailRow`].
+    mail: [Vec<MailRow>; 2],
+    pacer: Pacer,
+    /// Per-shard nanoseconds inside `World::run_until`.
+    busy_nanos: Vec<u64>,
+    /// Workers a threaded run uses — a property of the machine:
+    /// `min(shards, available_parallelism)`, read once at construction.
+    workers: usize,
     threaded: bool,
-    pacing: EpochPacing,
 }
 
 impl ShardedWorld {
@@ -200,25 +720,34 @@ impl ShardedWorld {
             );
         }
         let n = worlds.len();
+        let rows = || {
+            (0..n)
+                .map(|_| Mutex::new((0..n).map(|_| Vec::new()).collect()))
+                .collect()
+        };
+        let cores = std::thread::available_parallelism().map_or(1, |c| c.get());
         ShardedWorld {
             worlds,
-            lookahead,
-            horizon: SimTime::ZERO,
-            pending: Vec::new(),
-            next_seq: 0,
-            epochs: 0,
-            skipped: 0,
-            exchanged: 0,
-            wall_nanos: vec![0; n],
+            lanes: (0..n).map(|_| Lane::default()).collect(),
+            mail: [rows(), rows()],
+            pacer: Pacer {
+                lookahead,
+                horizon: SimTime::ZERO,
+                pacing: EpochPacing::default(),
+                epochs: 0,
+                skipped: 0,
+            },
+            busy_nanos: vec![0; n],
+            workers: n.min(cores),
             threaded: n > 1,
-            pacing: EpochPacing::default(),
         }
     }
 
-    /// Drive every shard's worker on its own OS thread (the default for
-    /// multi-shard sets) or advance them serially on the caller's
-    /// thread. Results are byte-identical either way — this is the
-    /// differential-testing knob the determinism tests sweep.
+    /// Spread the shards over worker threads (the default for
+    /// multi-shard sets) or run them all on the caller's thread — the
+    /// same epoch loop with one worker. Results are byte-identical
+    /// either way — this is the differential-testing knob the
+    /// determinism tests sweep.
     pub fn set_threaded(&mut self, threaded: bool) {
         self.threaded = threaded;
     }
@@ -228,148 +757,103 @@ impl ShardedWorld {
     /// the two modes dispatch byte-identical event streams — only the
     /// barrier count differs.
     pub fn set_pacing(&mut self, pacing: EpochPacing) {
-        self.pacing = pacing;
+        self.pacer.pacing = pacing;
     }
 
     /// The active pacing mode.
     pub fn pacing(&self) -> EpochPacing {
-        self.pacing
+        self.pacer.pacing
+    }
+
+    /// Worker threads `run_until` uses, the caller's included.
+    fn worker_count(&self) -> usize {
+        if self.threaded {
+            self.workers
+        } else {
+            1
+        }
     }
 
     /// Advance all shards to `deadline`, running exchange epochs as
     /// needed. Boundary messages timestamped beyond `deadline` stay
     /// pending for the next call — exactly as an in-queue event beyond
     /// the deadline would stay pending in a single world.
+    ///
+    /// Panics if a node handler panics, whichever worker ran it.
     pub fn run_until(&mut self, deadline: SimTime) {
-        if self.worlds.len() == 1 {
-            // Degenerate exchange: one shard, no boundary, one "epoch"
-            // spanning the whole call. The world sees the exact same
-            // `run_until` it would outside the wrapper.
-            debug_assert!(self.pending.is_empty(), "boundary messages with one shard");
-            self.advance(deadline);
-            self.collect();
-            self.horizon = deadline;
+        self.run_with_workers(deadline, self.worker_count());
+    }
+
+    /// [`ShardedWorld::run_until`] on exactly `workers` threads
+    /// (clamped to `1..=shards`), whatever the machine has. The worker
+    /// count never changes a result; this entry point exists so tests
+    /// can prove that, oversubscribed counts included.
+    #[doc(hidden)]
+    pub fn run_with_workers(&mut self, deadline: SimTime, workers: usize) {
+        if let [world] = &mut self.worlds[..] {
+            // Degenerate exchange: one shard, no boundary, no epochs.
+            // The world sees the exact same `run_until` it would
+            // outside the wrapper.
+            let t0 = Instant::now();
+            world.run_until(deadline);
+            self.busy_nanos[0] += nanos(t0, Instant::now());
+            debug_assert_eq!(
+                world.drain_outbox().len(),
+                0,
+                "boundary messages with one shard"
+            );
+            self.pacer.horizon = deadline;
             return;
         }
-        while self.horizon < deadline {
-            let we = self.window_end(deadline);
-            if self.pacing == EpochPacing::Adaptive {
-                if let Some(l) = self.lookahead.map(SimTime::as_ps) {
-                    let next = self.next_work_time();
-                    if next.is_none_or(|t| t > we) {
-                        // Nothing lands in (horizon, we]: jump to the
-                        // start of the grid window holding the earliest
-                        // work, or drain straight to the deadline.
-                        let target = match next {
-                            Some(t) if t <= deadline => SimTime(((t.as_ps() - 1) / l) * l),
-                            _ => deadline,
-                        };
-                        self.skipped += dense_steps(self.horizon, target, l);
-                        self.horizon = target;
-                        continue;
-                    }
+        let ShardedWorld {
+            worlds,
+            lanes,
+            mail,
+            pacer,
+            busy_nanos,
+            ..
+        } = self;
+        let mail = &*mail;
+        // Work the caller queued between calls counts; after that the
+        // workers report it window by window.
+        let queued = worlds.iter_mut().filter_map(World::next_event_time);
+        let inboxed = lanes.iter().filter_map(|l| l.inbox.peek().map(|d| d.at));
+        let in_flight = mail
+            .iter()
+            .flatten()
+            .filter_map(|row| mail_row(row).iter().flatten().map(BoundaryMsg::at).min());
+        let next_work = queued.chain(inboxed).chain(in_flight).min();
+        // A call that only skips (or is already there) starts nobody.
+        let Some(first) = pacer.next_window(deadline, next_work) else {
+            return;
+        };
+        let hand = &Handoff::new(workers.clamp(1, worlds.len()));
+        let mut crew = crew(worlds, lanes, busy_nanos, hand.next_work.len()).into_iter();
+        let mut me = crew.next().expect("at least one worker");
+        std::thread::scope(|scope| {
+            let helpers: Vec<_> = crew
+                .map(|worker| scope.spawn(move || worker.help(hand, mail)))
+                .collect();
+            let _poison = PoisonOnUnwind(hand);
+            let mut window = Some(first);
+            while let Some(w) = window {
+                hand.release(Some(w));
+                let mine = me.run_window(w, mail, Instant::now());
+                hand.arrive(me.id, mine);
+                let Ok(next_work) = hand.await_arrivals() else {
+                    break;
+                };
+                pacer.complete(w);
+                window = pacer.next_window(deadline, next_work);
+            }
+            hand.release(None);
+            me.leave();
+            for helper in helpers {
+                if let Err(panic) = helper.join() {
+                    resume_unwind(panic);
                 }
             }
-            self.deliver(we);
-            self.advance(we);
-            self.collect();
-            self.horizon = we;
-            self.epochs += 1;
-        }
-    }
-
-    /// Earliest thing any shard has to do: the minimum over every
-    /// shard's next queued event and the earliest undelivered boundary
-    /// message. `None` means the whole set is drained.
-    fn next_work_time(&mut self) -> Option<SimTime> {
-        let queued = self
-            .worlds
-            .iter_mut()
-            .filter_map(World::next_event_time)
-            .min();
-        let pending = self.pending.first().map(|&(at, _, _)| at);
-        match (queued, pending) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        }
-    }
-
-    /// End of the epoch window starting at the current horizon: the
-    /// next `lookahead`-grid line, clamped to the caller's deadline.
-    /// Grid alignment (rather than `horizon + L`) makes epoch
-    /// boundaries independent of the `run_until` call pattern, so
-    /// chunked and one-shot drives produce identical exchanges.
-    fn window_end(&self, deadline: SimTime) -> SimTime {
-        match self.lookahead {
-            None => deadline,
-            Some(l) => {
-                let l = l.as_ps();
-                SimTime((self.horizon.as_ps() / l + 1) * l).min(deadline)
-            }
-        }
-    }
-
-    /// Route every pending message timestamped at or before `upto` into
-    /// its destination shard. Packets become ordinary arrival events at
-    /// their precomputed time (always in the destination's future — the
-    /// lookahead guarantee). Administrative messages apply at the
-    /// barrier: link flips mutate port state directly, wakes are
-    /// clamped to the destination clock.
-    fn deliver(&mut self, upto: SimTime) {
-        let n = self.pending.partition_point(|&(at, _, _)| at <= upto);
-        for (at, _, msg) in self.pending.drain(..n) {
-            match msg {
-                BoundaryMsg::Packet { at, to, pkt } => {
-                    self.worlds[to.shard as usize].inject_arrival(at, to.node, to.port, pkt);
-                }
-                BoundaryMsg::LinkSet { to, up, .. } => {
-                    self.worlds[to.shard as usize].apply_remote_link(to.node, to.port, up);
-                }
-                BoundaryMsg::Wake { to, .. } => {
-                    let w = &mut self.worlds[to.shard as usize];
-                    let t = at.max(w.now());
-                    w.inject_port_idle(t, to.node, to.port);
-                }
-            }
-        }
-    }
-
-    /// Advance every shard to `deadline` — in parallel on scoped worker
-    /// threads, or serially. Shards share no state within a window, so
-    /// the two modes are observationally identical; per-shard handler
-    /// wall-clock is accumulated either way.
-    fn advance(&mut self, deadline: SimTime) {
-        if self.threaded && self.worlds.len() > 1 {
-            std::thread::scope(|scope| {
-                for (world, wall) in self.worlds.iter_mut().zip(self.wall_nanos.iter_mut()) {
-                    scope.spawn(move || {
-                        let t0 = Instant::now();
-                        world.run_until(deadline);
-                        *wall += t0.elapsed().as_nanos() as u64;
-                    });
-                }
-            });
-        } else {
-            for (world, wall) in self.worlds.iter_mut().zip(self.wall_nanos.iter_mut()) {
-                let t0 = Instant::now();
-                world.run_until(deadline);
-                *wall += t0.elapsed().as_nanos() as u64;
-            }
-        }
-    }
-
-    /// Drain every shard's outbox — in shard order, preserving each
-    /// outbox's issue order — stamping messages with the exchange
-    /// sequence, then restore the pending queue's `(time, seq)` sort.
-    fn collect(&mut self) {
-        for world in &mut self.worlds {
-            for msg in world.take_outbox() {
-                self.pending.push((msg.at(), self.next_seq, msg));
-                self.next_seq += 1;
-                self.exchanged += 1;
-            }
-        }
-        self.pending.sort_by_key(|&(at, seq, _)| (at, seq));
+        });
     }
 
     /// Global dispatch digest ([`merged_digest`] over the shards).
@@ -386,28 +870,28 @@ impl ShardedWorld {
     /// there is no exchange to run). Windows the adaptive pacer jumped
     /// over are counted separately in [`ShardedWorld::epochs_skipped`].
     pub fn epochs(&self) -> u64 {
-        self.epochs
+        self.pacer.epochs
     }
 
     /// Grid windows the adaptive pacer stepped over without running a
     /// barrier. `epochs() + epochs_skipped()` equals the dense-grid
     /// epoch count for the same drive pattern.
     pub fn epochs_skipped(&self) -> u64 {
-        self.skipped
+        self.pacer.skipped
     }
 
     /// Snapshot of the exchange bookkeeping.
     pub fn stats(&self) -> ShardStats {
         ShardStats {
-            epochs_executed: self.epochs,
-            epochs_skipped: self.skipped,
-            boundary_messages: self.exchanged,
+            epochs_executed: self.pacer.epochs,
+            epochs_skipped: self.pacer.skipped,
+            boundary_messages: self.boundary_messages(),
         }
     }
 
     /// Boundary messages carried across shards so far.
     pub fn boundary_messages(&self) -> u64 {
-        self.exchanged
+        self.lanes.iter().map(|l| l.sent).sum()
     }
 
     /// Number of shards.
@@ -418,18 +902,29 @@ impl ShardedWorld {
     /// Per-shard wall-clock spent inside `run_until`, nanoseconds —
     /// the load-balance signal the scale bench reports.
     pub fn shard_wall_nanos(&self) -> &[u64] {
-        &self.wall_nanos
+        &self.busy_nanos
+    }
+
+    /// Where the wall-clock of the runs so far went, per shard: busy,
+    /// waiting at the barrier, exchanging.
+    pub fn timing(&self) -> ShardTiming {
+        ShardTiming {
+            workers: self.worker_count(),
+            busy_nanos: self.busy_nanos.clone(),
+            barrier_wait_nanos: self.lanes.iter().map(|l| l.wait_nanos).collect(),
+            exchange_nanos: self.lanes.iter().map(|l| l.exchange_nanos).collect(),
+        }
     }
 
     /// The exchange lookahead (min cross-shard propagation), if any
     /// boundary links exist.
     pub fn lookahead(&self) -> Option<SimTime> {
-        self.lookahead
+        self.pacer.lookahead
     }
 
     /// Common simulated time all shards have reached.
     pub fn now(&self) -> SimTime {
-        self.horizon
+        self.pacer.horizon
     }
 
     /// Borrow shard `i`'s world.
@@ -784,5 +1279,140 @@ mod tests {
         sw.run_until(SimTime::from_micros(15));
         let p: &Pinger = sw.world(0).node(NodeId(0));
         assert!(p.sent > sent_at_cut);
+    }
+
+    /// `n` shards in a ring: shard `i`'s pinger feeds shard `i+1`'s
+    /// echoing counter, so every shard both sends to and hears from two
+    /// different neighbours (for `n ≥ 3`) — same-instant arrivals from
+    /// two sources are what the inbox order has to get right.
+    fn ring(n: u32, to_send: u32) -> ShardedWorld {
+        let worlds = (0..n)
+            .map(|i| {
+                let mut w = World::new(100 + i as u64);
+                let pinger = w.add_node(Box::new(Pinger {
+                    to_send,
+                    sent: 0,
+                    interval: SimTime::from_nanos(700),
+                    max_seen_id: 0,
+                }));
+                let counter = w.add_node(Box::new(Counter {
+                    received: 0,
+                    echo: true,
+                    last_at: SimTime::ZERO,
+                }));
+                let remote = |shard: u32, node: NodeId| RemotePort {
+                    shard,
+                    node,
+                    port: PortId(0),
+                };
+                w.connect_remote(pinger, PortId(0), spec(), remote((i + 1) % n, counter));
+                w.connect_remote(counter, PortId(0), spec(), remote((i + n - 1) % n, pinger));
+                w
+            })
+            .collect();
+        ShardedWorld::new(worlds)
+    }
+
+    #[test]
+    fn the_worker_count_never_changes_a_result() {
+        // Five shards over 1..=5 workers (ranges of uneven size), and 9,
+        // which clamps to one worker per shard: same digest, events and
+        // exchange bookkeeping as the single-worker run, under both
+        // pacings and a chunked drive.
+        let run = |workers: usize, pacing: EpochPacing| {
+            let mut sw = ring(5, 30);
+            sw.set_pacing(pacing);
+            for us in [13u64, 57, 100] {
+                sw.run_with_workers(SimTime::from_micros(us), workers);
+            }
+            let received: Vec<u64> = (0..5)
+                .map(|s| sw.world(s).node::<Counter>(NodeId(1)).received)
+                .collect();
+            (
+                sw.dispatch_digest(),
+                sw.events_processed(),
+                sw.stats(),
+                received,
+            )
+        };
+        for pacing in [EpochPacing::Adaptive, EpochPacing::Dense] {
+            let one = run(1, pacing);
+            assert_eq!(one.3, vec![30; 5], "every ping crossed");
+            for workers in [2, 3, 4, 5, 9] {
+                assert_eq!(run(workers, pacing), one, "{workers} workers, {pacing:?}");
+            }
+        }
+        let (adaptive, dense) = (run(2, EpochPacing::Adaptive), run(2, EpochPacing::Dense));
+        assert_eq!((adaptive.0, adaptive.1), (dense.0, dense.1));
+    }
+
+    #[test]
+    fn timing_covers_every_shard_and_reports_the_worker_count() {
+        let mut sw = ring(3, 30);
+        let cores = std::thread::available_parallelism().map_or(1, |c| c.get());
+        assert_eq!(sw.timing().workers, cores.min(3));
+        sw.run_until(SimTime::from_micros(50));
+        let t = sw.timing();
+        assert_eq!(t.busy_nanos, sw.shard_wall_nanos());
+        for per_shard in [&t.busy_nanos, &t.barrier_wait_nanos, &t.exchange_nanos] {
+            assert_eq!(per_shard.len(), 3);
+            assert!(per_shard.iter().all(|&ns| ns > 0), "{t:?}");
+        }
+        sw.set_threaded(false);
+        assert_eq!(sw.timing().workers, 1);
+    }
+
+    /// Panics in its timer handler at `at`.
+    struct Bomb {
+        at: SimTime,
+    }
+
+    impl Node for Bomb {
+        fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+            ctx.set_timer(self.at, 0);
+        }
+        fn on_packet(&mut self, _port: PortId, _pkt: Packet, _ctx: &mut Ctx<'_>) {}
+        fn on_timer(&mut self, _token: u64, _ctx: &mut Ctx<'_>) {
+            panic!("the bomb went off");
+        }
+        fn as_any(&self) -> &dyn Any {
+            self
+        }
+        fn as_any_mut(&mut self) -> &mut dyn Any {
+            self
+        }
+    }
+
+    /// Run the two-shard pair on two workers with a [`Bomb`] set for
+    /// t = 3 µs in `shard`, under a watchdog that aborts the test
+    /// process if `run_until` is still going after 10 s — a hang must
+    /// fail the suite, not stall it.
+    fn run_with_a_bomb_in(shard: usize) {
+        let (done, watchdog) = std::sync::mpsc::channel::<()>();
+        std::thread::spawn(move || {
+            use std::sync::mpsc::RecvTimeoutError::Timeout;
+            if watchdog.recv_timeout(std::time::Duration::from_secs(10)) == Err(Timeout) {
+                eprintln!("run_until hung on a panicked shard");
+                std::process::abort();
+            }
+        });
+        let mut sw = two_shard_pair(1000);
+        sw.world_mut(shard).add_node(Box::new(Bomb {
+            at: SimTime::from_micros(3),
+        }));
+        sw.run_with_workers(SimTime::from_micros(100), 2);
+        drop(done);
+    }
+
+    #[test]
+    #[should_panic(expected = "the bomb went off")]
+    fn a_panicking_helper_shard_fails_the_run_instead_of_hanging_it() {
+        run_with_a_bomb_in(1);
+    }
+
+    #[test]
+    #[should_panic(expected = "the bomb went off")]
+    fn a_panicking_coordinator_shard_releases_its_helpers() {
+        run_with_a_bomb_in(0);
     }
 }

@@ -188,7 +188,7 @@ pub trait Node: Any + Send {
 
 /// The far end of a cross-shard link: a port on a node living in
 /// another shard's [`World`]. Boundary traffic addressed to it is
-/// collected in the sending world's outbox ([`World::take_outbox`]) and
+/// collected in the sending world's outbox ([`World::drain_outbox`]) and
 /// routed by the shard exchange at conservative-lookahead epoch
 /// boundaries.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -257,6 +257,16 @@ impl BoundaryMsg {
             | BoundaryMsg::Wake { at, .. } => *at,
         }
     }
+
+    /// The far endpoint the message is addressed to — its `shard` is
+    /// the inbox the exchange routes it into.
+    pub fn to(&self) -> RemotePort {
+        match self {
+            BoundaryMsg::Packet { to, .. }
+            | BoundaryMsg::LinkSet { to, .. }
+            | BoundaryMsg::Wake { to, .. } => *to,
+        }
+    }
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -315,7 +325,7 @@ struct WorldCore {
     /// Boundary traffic for the shard exchange: packets that finished
     /// serializing onto cross-shard links, plus administrative
     /// link-state/wake messages addressed to remote ports. Drained by
-    /// [`World::take_outbox`] at epoch barriers; always empty in a
+    /// [`World::drain_outbox`] at epoch barriers; always empty in a
     /// single-world (non-sharded) run.
     outbox: Vec<BoundaryMsg>,
 }
@@ -463,8 +473,10 @@ impl World {
     /// Drain the boundary outbox: every cross-shard message issued
     /// since the last drain, in issue order. Called by the shard
     /// exchange at epoch barriers; always empty without remote ports.
-    pub fn take_outbox(&mut self) -> Vec<BoundaryMsg> {
-        std::mem::take(&mut self.core.outbox)
+    /// The buffer keeps its capacity, so a steady exchange allocates
+    /// nothing per epoch.
+    pub fn drain_outbox(&mut self) -> std::vec::Drain<'_, BoundaryMsg> {
+        self.core.outbox.drain(..)
     }
 
     /// Smallest propagation delay over this world's cross-shard links —
