@@ -5,7 +5,7 @@
 //! [`ShardedWorld`]: the same devices, the same constructor, the same
 //! methods — distributed across per-pod [`rocescale_sim::World`]s that
 //! the exchange advances in lookahead epochs. Only the knobs and
-//! counters of the exchange itself live here. Three determinism
+//! counters of the exchange itself live here. Four determinism
 //! guarantees anchor it (pinned by `tests/shard_determinism.rs`):
 //!
 //! 1. One effective shard (a `SingleThread` profile, `shards: 1`, or a
@@ -17,6 +17,9 @@
 //!    counter snapshot.
 //! 3. The digest folds per-shard digests in fixed shard order, so a
 //!    sharded run is replayable and pinnable like any other.
+//! 4. Where `run_until` deadlines fall does not matter: one call,
+//!    chunks on the exchange grid, chunks off it and the telemetry
+//!    hub's own sampling chunks dispatch the same event stream.
 //!
 //! Every observation feature runs *bank-per-shard*: each shard's
 //! devices register counters, gauges, time series and trace streams on

@@ -28,9 +28,10 @@
 //! 1. it *releases* a window — publishes it and bumps a generation
 //!    counter;
 //! 2. every worker, for each of its shards in order, moves the mail
-//!    earlier windows addressed to the shard into the shard's **inbox**,
-//!    injects what is due, advances the world to the window's end, and
-//!    routes the world's outbox into the per-destination mail slots;
+//!    earlier grid windows addressed to the shard into the shard's
+//!    **inbox**, injects what is due by the grid line, advances the
+//!    world to the window's end, and routes the world's outbox into the
+//!    per-destination mail slots;
 //! 3. every helper *arrives* (an atomic count) with the earliest time
 //!    any of its shards has work; the coordinator takes the minimum and
 //!    decides the next window.
@@ -43,16 +44,19 @@
 //! [`ShardedWorld::set_threaded`]`(false)` is the same loop with one
 //! worker.
 //!
-//! Mail is double-buffered by window parity: during a window sources
-//! fill one half while destinations drain the other, and a release
-//! separates the two uses of a half, so no slot is ever touched from
-//! two sides at once. All buffers (outboxes, mail slots, inboxes) are
+//! Mail is double-buffered by grid-window parity: during a window
+//! sources fill one half while destinations drain the other, and a
+//! release separates the two uses of a half, so no slot is ever touched
+//! from two sides at once. A `run_until` deadline inside a grid window
+//! cuts it into several epochs; only the first of them exchanges (see
+//! `Pacer::next_window`), the others keep filling the same half. All
+//! buffers (outboxes, mail slots, inboxes) are
 //! swapped or drained in place and keep their capacity — a steady
 //! exchange allocates nothing per epoch.
 //!
 //! # Determinism
 //!
-//! Three properties make sharded runs digest-pinnable:
+//! Four properties make sharded runs digest-pinnable:
 //!
 //! 1. **Barrier totality.** Every shard finishes a window before any
 //!    message sent in it is absorbed, so the inter-shard schedule is a
@@ -71,6 +75,12 @@
 //!    FNV-1a fold ([`digest_fold`]); a single-shard run degenerates to
 //!    the plain world digest, which is how the golden trace re-pins
 //!    under `ExecutionProfile::Sharded { shards: 1 }`.
+//! 4. **Chunking invariance.** What is exchanged, and when, depends on
+//!    the grid alone: a grid window's arrivals are injected before its
+//!    first local event and its mail is numbered source-major over the
+//!    whole window, whether one `run_until` call crosses it or several
+//!    deadlines cut it. One call, many calls on the grid and many calls
+//!    off it dispatch the same event stream.
 //!
 //! Worker threads therefore produce *byte-identical* results to
 //! advancing the shards on one thread ([`ShardedWorld::set_threaded`] is
@@ -220,12 +230,17 @@ pub fn merged_digest(worlds: &[World]) -> u64 {
 /// workers.
 #[derive(Debug, Clone, Copy)]
 struct Window {
-    /// Inject every inbox message timestamped at or before this.
+    /// Whether this is the first epoch in its grid window — the only
+    /// one that exchanges, see [`Pacer::next_window`]. (A deadline
+    /// inside a grid window cuts it into several epochs.)
+    opens: bool,
+    /// Inject every inbox message timestamped at or before this: the
+    /// grid window's end, wherever the deadline cuts the epoch.
     due: SimTime,
     /// Advance every shard to this time.
     end: SimTime,
     /// The mail half this window's outboxes are routed into; the other
-    /// half holds what earlier windows sent and is absorbed first.
+    /// half holds what earlier grid windows sent.
     parity: usize,
 }
 
@@ -242,6 +257,10 @@ struct Pacer {
     pacing: EpochPacing,
     epochs: u64,
     skipped: u64,
+    /// Grid window of the latest executed epoch, and the mail half it
+    /// routed into.
+    open: Option<u64>,
+    parity: usize,
 }
 
 impl Pacer {
@@ -249,6 +268,18 @@ impl Pacer {
     /// once the horizon is there. `next_work` is the earliest thing any
     /// shard has to do (queued event or undelivered boundary message);
     /// adaptive pacing jumps the horizon over windows it falls beyond.
+    ///
+    /// The exchange happens once per *grid* window, at its first epoch,
+    /// however the caller's deadlines cut it: that epoch absorbs the
+    /// mail of all earlier grid windows and injects everything due by
+    /// the grid line — every such message was sent before the grid
+    /// window began (lookahead), so nothing is missing. A later epoch
+    /// of the same grid window absorbs nothing and appends its outboxes
+    /// to the same mail half, so the next grid window finds per source
+    /// exactly the sequence an uncut window would have left, and
+    /// administrative messages wait for the grid line as they would
+    /// have. This is what makes a run independent of where `run_until`
+    /// deadlines fall.
     fn next_window(&mut self, deadline: SimTime, next_work: Option<SimTime>) -> Option<Window> {
         while self.horizon < deadline {
             let end = self.window_end(deadline);
@@ -267,34 +298,43 @@ impl Pacer {
                     continue;
                 }
             }
+            let grid = self.grid_index();
+            let opens = grid.is_none() || grid != self.open;
             return Some(Window {
-                due: end,
+                opens,
+                due: self.grid_line().unwrap_or(end),
                 end,
-                parity: (self.epochs & 1) as usize,
+                parity: self.parity ^ opens as usize,
             });
         }
         None
     }
 
-    /// Every shard has executed `window`.
+    /// Every shard has executed `window`, which started at the horizon.
     fn complete(&mut self, window: Window) {
+        self.open = self.grid_index();
+        self.parity = window.parity;
         self.horizon = window.end;
         self.epochs += 1;
     }
 
-    /// End of the epoch window starting at the current horizon: the
-    /// next `lookahead`-grid line, clamped to the caller's deadline.
-    /// Grid alignment (rather than `horizon + L`) makes epoch
-    /// boundaries independent of the `run_until` call pattern, so
-    /// chunked and one-shot drives produce identical exchanges.
+    /// Index of the grid window an epoch starting at the horizon runs
+    /// in; `None` without a grid.
+    fn grid_index(&self) -> Option<u64> {
+        Some(self.horizon.as_ps() / self.lookahead?.as_ps())
+    }
+
+    /// The next `lookahead`-grid line after the horizon. Grid alignment
+    /// (rather than `horizon + L`) makes the windows independent of the
+    /// `run_until` call pattern.
+    fn grid_line(&self) -> Option<SimTime> {
+        Some(SimTime((self.grid_index()? + 1) * self.lookahead?.as_ps()))
+    }
+
+    /// End of the epoch starting at the current horizon: the next grid
+    /// line, clamped to the caller's deadline.
     fn window_end(&self, deadline: SimTime) -> SimTime {
-        match self.lookahead {
-            None => deadline,
-            Some(l) => {
-                let l = l.as_ps();
-                SimTime((self.horizon.as_ps() / l + 1) * l).min(deadline)
-            }
-        }
+        self.grid_line().map_or(deadline, |g| g.min(deadline))
     }
 }
 
@@ -598,8 +638,10 @@ impl Worker<'_> {
             if let Some(finished) = lane.finished.take() {
                 lane.wait_nanos += nanos(finished, released_at);
             }
-            lane.absorb(shard, &mail[window.parity ^ 1]);
-            lane.deliver(world, window.due);
+            if window.opens {
+                lane.absorb(shard, &mail[window.parity ^ 1]);
+                lane.deliver(world, window.due);
+            }
             let t1 = Instant::now();
             world.run_until(window.end);
             let t2 = Instant::now();
@@ -736,6 +778,8 @@ impl ShardedWorld {
                 pacing: EpochPacing::default(),
                 epochs: 0,
                 skipped: 0,
+                open: None,
+                parity: 0,
             },
             busy_nanos: vec![0; n],
             workers: n.min(cores),
@@ -1107,8 +1151,8 @@ mod tests {
         serial.set_threaded(false);
         let mut threaded = two_shard_pair(40);
         threaded.set_threaded(true);
-        // Chunked vs one-shot drive must not matter either (grid-aligned
-        // windows): drive the serial run in uneven chunks.
+        // Chunked vs one-shot drive must not matter either: drive the
+        // serial run in uneven chunks.
         for us in [13u64, 57, 100, 250] {
             serial.run_until(SimTime::from_micros(us));
         }
@@ -1284,8 +1328,22 @@ mod tests {
     /// `n` shards in a ring: shard `i`'s pinger feeds shard `i+1`'s
     /// echoing counter, so every shard both sends to and hears from two
     /// different neighbours (for `n ≥ 3`) — same-instant arrivals from
-    /// two sources are what the inbox order has to get right.
+    /// two sources are what the inbox order has to get right. The cable
+    /// into shard 0 is 700 ns long and the one out of it 600 ns (the
+    /// rest 500 ns, the lookahead), which makes shard n-1's ping k+1 and
+    /// shard 1's echo of ping k land on shard 0 at the same picosecond
+    /// although the ping left 100 ns earlier: the later message comes
+    /// from the lower shard.
     fn ring(n: u32, to_send: u32) -> ShardedWorld {
+        // The link from shard `from` to shard `from + 1`.
+        let link = |from: u32| LinkSpec {
+            propagation: SimTime::from_nanos(match from {
+                0 => 600,
+                f if f == n - 1 => 700,
+                _ => 500,
+            }),
+            ..spec()
+        };
         let worlds = (0..n)
             .map(|i| {
                 let mut w = World::new(100 + i as u64);
@@ -1305,8 +1363,9 @@ mod tests {
                     node,
                     port: PortId(0),
                 };
-                w.connect_remote(pinger, PortId(0), spec(), remote((i + 1) % n, counter));
-                w.connect_remote(counter, PortId(0), spec(), remote((i + n - 1) % n, pinger));
+                w.connect_remote(pinger, PortId(0), link(i), remote((i + 1) % n, counter));
+                let back = (i + n - 1) % n;
+                w.connect_remote(counter, PortId(0), link(back), remote(back, pinger));
                 w
             })
             .collect();
@@ -1344,6 +1403,45 @@ mod tests {
         }
         let (adaptive, dense) = (run(2, EpochPacing::Adaptive), run(2, EpochPacing::Dense));
         assert_eq!((adaptive.0, adaptive.1), (dense.0, dense.1));
+    }
+
+    #[test]
+    fn deadlines_off_the_grid_never_change_a_result() {
+        // In the ring a shard hears from both neighbours at the same
+        // picosecond all the time (an echo lands when the next ping
+        // does), so a cut window has to keep the whole window's
+        // source-major numbering, not number its halves one after the
+        // other. Steps of 333 ns and 1.000 007 µs against the 500 ns
+        // grid, under both pacings and on one and three workers.
+        let end = SimTime::from_micros(60);
+        let run = |step_ps: Option<u64>, pacing: EpochPacing, workers: usize| {
+            let mut sw = ring(5, 40);
+            sw.set_pacing(pacing);
+            let mut t = step_ps.unwrap_or(end.as_ps());
+            while t < end.as_ps() {
+                sw.run_with_workers(SimTime(t), workers);
+                t += step_ps.expect("stepping");
+            }
+            sw.run_with_workers(end, workers);
+            (
+                sw.dispatch_digest(),
+                sw.events_processed(),
+                sw.boundary_messages(),
+            )
+        };
+        let one_shot = run(None, EpochPacing::Adaptive, 1);
+        assert_eq!(one_shot.2, 5 * (40 + 20), "pings and echoes crossed");
+        for pacing in [EpochPacing::Adaptive, EpochPacing::Dense] {
+            for workers in [1, 3] {
+                for step_ps in [333_000, 1_000_007] {
+                    assert_eq!(
+                        run(Some(step_ps), pacing, workers),
+                        one_shot,
+                        "{step_ps} ps steps, {pacing:?}, {workers} workers"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -23,6 +23,10 @@
 //! 6. The worker count is a property of the machine, never of the
 //!    result: a sharded run on 1, 2, 3, … workers — more workers than
 //!    cores included — is byte-identical to the one-worker run.
+//! 7. Where the `run_until` deadlines fall never changes a result
+//!    either: one call, chunks on the 1.5 µs exchange grid, chunks off
+//!    it and the telemetry hub's own 100 µs chunking dispatch the same
+//!    event stream.
 //!
 //! The sweep below runs every (topology, seed, shard-count) cell twice,
 //! threaded and serial, and demands byte-equality; a scheduling race,
@@ -31,6 +35,7 @@
 
 use rocescale_core::{
     ClusterBuilder, ExecutionProfile, FaultProfile, InstrumentationProfile, ScriptAction, ServerId,
+    ShardedCluster,
 };
 use rocescale_monitor::{MemorySink, MetricsHub};
 use rocescale_nic::QpApp;
@@ -53,6 +58,47 @@ fn saturate() -> QpApp {
 /// threading modes (and, for one effective shard, across builders).
 type Fingerprint = (u64, u64, u64, u64, Vec<(String, u64)>);
 
+/// `spec` at `shards` with one cross-pod `app` flow per pod — a ring,
+/// so every flow crosses a shard boundary when sharded — and the hub on
+/// or off.
+fn ring_cluster(
+    spec: ClosSpec,
+    seed: u64,
+    shards: u32,
+    hub_on: bool,
+    faults: FaultProfile,
+    app: fn() -> QpApp,
+) -> ShardedCluster {
+    let mut instr = InstrumentationProfile::paper_default();
+    if hub_on {
+        instr = instr.telemetry(MetricsHub::enabled());
+    }
+    let mut c = ClusterBuilder::new(spec)
+        .seed(seed)
+        .instrumentation(instr)
+        .execution(ExecutionProfile::Sharded { shards })
+        .faults(faults)
+        .build_sharded();
+    let pods = spec.pods;
+    for p in 0..pods {
+        let src = c.servers_under(p, 0)[0];
+        let dst = c.servers_under((p + 1) % pods, 0)[1];
+        c.connect_qp(src, dst, 6000 + p as u16, app(), QpApp::None);
+    }
+    c
+}
+
+/// What [`Fingerprint`] holds, read off a finished run.
+fn fingerprint(c: &ShardedCluster) -> Fingerprint {
+    (
+        c.dispatch_digest(),
+        c.events_processed(),
+        c.exchange_epochs(),
+        c.boundary_messages(),
+        c.counters_snapshot(),
+    )
+}
+
 /// Build `spec` at `shards`, install one cross-pod saturating flow per
 /// pod (a ring — every flow crosses a shard boundary when sharded),
 /// run to `dur`, and fingerprint the result.
@@ -64,27 +110,10 @@ fn run_sharded(
     faults: FaultProfile,
     dur: SimTime,
 ) -> Fingerprint {
-    let mut c = ClusterBuilder::new(spec)
-        .seed(seed)
-        .instrumentation(InstrumentationProfile::paper_default().telemetry(MetricsHub::enabled()))
-        .execution(ExecutionProfile::Sharded { shards })
-        .faults(faults)
-        .build_sharded();
+    let mut c = ring_cluster(spec, seed, shards, true, faults, saturate);
     c.set_threaded(threaded);
-    let pods = spec.pods;
-    for p in 0..pods {
-        let src = c.servers_under(p, 0)[0];
-        let dst = c.servers_under((p + 1) % pods, 0)[1];
-        c.connect_qp(src, dst, 6000 + p as u16, saturate(), QpApp::None);
-    }
     c.run_until(dur);
-    (
-        c.dispatch_digest(),
-        c.events_processed(),
-        c.exchange_epochs(),
-        c.boundary_messages(),
-        c.counters_snapshot(),
-    )
+    fingerprint(&c)
 }
 
 #[test]
@@ -242,28 +271,10 @@ fn run_paced(
     faults: FaultProfile,
     dur: SimTime,
 ) -> (Fingerprint, u64, u64) {
-    let mut c = ClusterBuilder::new(spec)
-        .seed(seed)
-        .instrumentation(InstrumentationProfile::paper_default().telemetry(MetricsHub::enabled()))
-        .execution(ExecutionProfile::Sharded { shards })
-        .faults(faults)
-        .build_sharded();
+    let mut c = ring_cluster(spec, seed, shards, true, faults, burst);
     c.set_pacing(pacing);
-    let pods = spec.pods;
-    for p in 0..pods {
-        let src = c.servers_under(p, 0)[0];
-        let dst = c.servers_under((p + 1) % pods, 0)[1];
-        c.connect_qp(src, dst, 6000 + p as u16, burst(), QpApp::None);
-    }
     c.run_until(dur);
-    let fp = (
-        c.dispatch_digest(),
-        c.events_processed(),
-        c.exchange_epochs(),
-        c.boundary_messages(),
-        c.counters_snapshot(),
-    );
-    (fp, c.exchange_epochs(), c.epochs_skipped())
+    (fingerprint(&c), c.exchange_epochs(), c.epochs_skipped())
 }
 
 #[test]
@@ -497,32 +508,16 @@ fn run_on_workers(
     pacing: EpochPacing,
     dur: SimTime,
 ) -> (Fingerprint, ShardStats, std::time::Duration) {
-    let mut c = ClusterBuilder::new(spec)
-        .seed(21)
-        .instrumentation(InstrumentationProfile::paper_default().telemetry(MetricsHub::enabled()))
-        .execution(ExecutionProfile::Sharded { shards })
-        .build_sharded();
+    let mut c = ring_cluster(spec, 21, shards, true, FaultProfile::paper_default(), burst);
     assert_eq!(c.shard_count(), shards as usize);
     c.set_pacing(pacing);
-    for p in 0..spec.pods {
-        let src = c.servers_under(p, 0)[0];
-        let dst = c.servers_under((p + 1) % spec.pods, 0)[1];
-        c.connect_qp(src, dst, 6000 + p as u16, burst(), QpApp::None);
-    }
     // A zero-length cluster run hands the freshly connected QPs their
     // wake-ups; the world is then driven directly.
     c.run_until(SimTime::ZERO);
     let t0 = std::time::Instant::now();
     c.world.run_with_workers(dur, workers);
     let wall = t0.elapsed();
-    let fp = (
-        c.dispatch_digest(),
-        c.events_processed(),
-        c.exchange_epochs(),
-        c.boundary_messages(),
-        c.counters_snapshot(),
-    );
-    (fp, c.shard_stats(), wall)
+    (fingerprint(&c), c.shard_stats(), wall)
 }
 
 #[test]
@@ -581,4 +576,80 @@ fn more_workers_than_cores_stay_within_a_factor_of_a_fitting_crew() {
         oversubscribed <= fitting * 25,
         "8 workers took {oversubscribed:?}, 2 workers {fitting:?}"
     );
+}
+
+/// The saturating ring on the 4-pod fabric driven to 400 µs in steps
+/// of `step_ps` (`None`: one call), with or without the hub — whose
+/// 100 µs sampling cadence chunks the run by itself, off the 1.5 µs
+/// exchange grid. Returns (digest, events).
+fn run_in_steps(
+    shards: u32,
+    threaded: bool,
+    hub_on: bool,
+    faults: FaultProfile,
+    step_ps: Option<u64>,
+) -> (u64, u64) {
+    let spec = ClosSpec::uniform_40g(4, 2, 2, 4, 3);
+    let dur = SimTime::from_micros(400);
+    let mut c = ring_cluster(spec, 21, shards, hub_on, faults, saturate);
+    c.set_threaded(threaded);
+    if let Some(step) = step_ps {
+        let mut t = step;
+        while t < dur.as_ps() {
+            c.run_until(SimTime(t));
+            t += step;
+        }
+    }
+    c.run_until(dur);
+    (c.dispatch_digest(), c.events_processed())
+}
+
+#[test]
+fn chunked_drives_dispatch_the_one_shot_event_stream() {
+    // Guarantee 7, as a table per (shard count, threading, script): the
+    // one-shot digest against 15 µs chunks (on the grid), two step sizes
+    // that are not multiples of 1.5 µs, and the hub-on run. A deadline
+    // inside a window splits it in two epochs; both halves must still
+    // inject the window's arrivals before its first local event, number
+    // same-instant messages from different shards as the whole window
+    // would, and hold administrative messages — the flap's LinkSet
+    // crosses a shard boundary — for the grid line.
+    let flap = || {
+        let link = |up| ScriptAction::FabricLink {
+            a: "pod1-leaf0".to_string(),
+            b: "spine0".to_string(),
+            up,
+        };
+        FaultProfile::paper_default()
+            .at(SimTime::from_nanos(100_700), link(false))
+            .at(SimTime::from_nanos(250_300), link(true))
+    };
+    for shards in [2u32, 4] {
+        for threaded in [true, false] {
+            for flapped in [false, true] {
+                let faults = || {
+                    if flapped {
+                        flap()
+                    } else {
+                        FaultProfile::paper_default()
+                    }
+                };
+                let cell = format!("shards={shards} threaded={threaded} flapped={flapped}");
+                let one_shot = run_in_steps(shards, threaded, false, faults(), None);
+                assert!(one_shot.1 > 50_000, "{cell}: {one_shot:?}");
+                for step_ps in [15_000_000u64, 1_000_007, 33_333_344] {
+                    assert_eq!(
+                        run_in_steps(shards, threaded, false, faults(), Some(step_ps)),
+                        one_shot,
+                        "{cell}: steps of {step_ps} ps"
+                    );
+                }
+                assert_eq!(
+                    run_in_steps(shards, threaded, true, faults(), None),
+                    one_shot,
+                    "{cell}: hub on"
+                );
+            }
+        }
+    }
 }
