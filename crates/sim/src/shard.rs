@@ -36,7 +36,7 @@
 //!    any of its shards has work; the coordinator takes the minimum and
 //!    decides the next window.
 //!
-//! A waiter spins briefly, then yields, then sleeps on a condvar, so a
+//! A waiter spins briefly and then yields until it is served, so a
 //! balanced epoch costs a cache-line round trip and an oversubscribed
 //! or unbalanced one gives its core away. A worker that unwinds poisons
 //! the hand-off: everybody leaves the loop and `run_until` re-raises
@@ -93,7 +93,7 @@ use std::collections::BinaryHeap;
 use std::panic::resume_unwind;
 use std::sync::atomic::Ordering::SeqCst;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize};
-use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::{Mutex, MutexGuard};
 use std::time::Instant;
 
 use crate::time::SimTime;
@@ -388,6 +388,10 @@ struct Lane {
     scratch: Vec<BoundaryMsg>,
     /// Messages this shard has routed to others.
     sent: u64,
+    /// Earliest timestamp this shard has routed in the latest grid
+    /// window: mail its destinations absorb when the next one opens,
+    /// and until then work only the sender knows of.
+    in_flight: Option<SimTime>,
     exchange_nanos: u64,
     wait_nanos: u64,
     /// When the shard finished its latest window of this call.
@@ -441,32 +445,30 @@ impl Lane {
     }
 
     /// Drain `world`'s outbox into this shard's mail `row`, by
-    /// destination and in issue order. Returns the earliest timestamp
-    /// routed.
-    fn route(&mut self, world: &mut World, row: &MailRow) -> Option<SimTime> {
+    /// destination and in issue order.
+    fn route(&mut self, world: &mut World, row: &MailRow) {
         let outbox = world.drain_outbox();
         if outbox.len() == 0 {
-            return None;
+            return;
         }
         self.sent += outbox.len() as u64;
         let mut row = mail_row(row);
-        let mut earliest = SimTime(u64::MAX);
         for msg in outbox {
-            earliest = earliest.min(msg.at());
+            self.in_flight = Some(self.in_flight.map_or(msg.at(), |t| t.min(msg.at())));
             row[msg.to().shard as usize].push(msg);
         }
-        Some(earliest)
     }
 }
 
-/// Spins on the hand-off before a waiter starts yielding its core, and
-/// yields before it goes to sleep on the condvar. The spin covers the
-/// release → first-arrival latency of a balanced epoch (well under a
-/// microsecond); the yields cover ordinary imbalance between shards
-/// without a futex round trip; sleeping is for a straggler, an
-/// oversubscribed machine, or a wedged peer.
+/// Spins on the hand-off before a waiter starts yielding its core. The
+/// spin covers the release → first-arrival latency of a balanced epoch
+/// (well under a microsecond); after it the waiter `yield_now`s until
+/// it is served, which keeps it on its core through ordinary imbalance
+/// without a futex round trip and gives the core away whenever anybody
+/// else — a peer on an oversubscribed machine, another process — wants
+/// it. There is no sleep stage: measured, it bought nothing on free
+/// cores or with more workers than cores (EXPERIMENTS.md PERF-24).
 const SPINS: u32 = 128;
-const YIELDS: u32 = 1024;
 
 /// No work: the `next_work` slot value for a drained worker.
 const IDLE: u64 = u64::MAX;
@@ -476,7 +478,7 @@ const IDLE: u64 = u64::MAX;
 struct Handoff {
     /// The window being executed; `None` tells the helpers to leave.
     /// Written only between an arrival of every helper and the next
-    /// release. Its mutex is also what sleepers wait under.
+    /// release.
     window: Mutex<Option<Window>>,
     /// Windows released so far — the generation helpers wait on.
     released: AtomicU64,
@@ -486,9 +488,6 @@ struct Handoff {
     next_work: Vec<AtomicU64>,
     /// A worker unwound; nobody waits any longer.
     poisoned: AtomicBool,
-    /// Waiters asleep (or about to be) on `wakeup`.
-    sleepers: AtomicUsize,
-    wakeup: Condvar,
 }
 
 impl Handoff {
@@ -499,16 +498,13 @@ impl Handoff {
             arrived: AtomicUsize::new(0),
             next_work: (0..workers).map(|_| AtomicU64::new(IDLE)).collect(),
             poisoned: AtomicBool::new(false),
-            sleepers: AtomicUsize::new(0),
-            wakeup: Condvar::new(),
         }
     }
 
-    /// The window mutex never guards a half-made update (one `Copy`
-    /// store), so a poisoned lock is still good — and `wake` runs from
-    /// a drop guard, where it must not panic.
     fn window(&self) -> MutexGuard<'_, Option<Window>> {
-        self.window.lock().unwrap_or_else(PoisonError::into_inner)
+        self.window
+            .lock()
+            .expect("no worker panics while it holds the window")
     }
 
     /// Coordinator: hand `window` to the helpers (`None`: stop).
@@ -516,7 +512,6 @@ impl Handoff {
         *self.window() = window;
         self.arrived.store(0, SeqCst);
         self.released.fetch_add(1, SeqCst);
-        self.wake();
     }
 
     /// Helper: wait for release number `seen + 1`. `None` means leave —
@@ -534,7 +529,6 @@ impl Handoff {
         self.next_work[id].store(next_work, SeqCst);
         if id != 0 {
             self.arrived.fetch_add(1, SeqCst);
-            self.wake();
         }
     }
 
@@ -549,44 +543,23 @@ impl Handoff {
         Ok(next.filter(|&t| t != IDLE).map(SimTime))
     }
 
-    /// Wait until `ready()`: spin, then yield, then sleep. Returns
-    /// `false` if the hand-off was poisoned instead.
+    /// Wait until `ready()`: spin, then yield. Returns `false` if the
+    /// hand-off was poisoned instead.
     fn wait_until(&self, ready: impl Fn() -> bool) -> bool {
-        for tries in 0..SPINS + YIELDS {
+        let mut spins = 0;
+        loop {
             if self.poisoned.load(SeqCst) {
                 return false;
             }
             if ready() {
                 return true;
             }
-            if tries < SPINS {
+            if spins < SPINS {
+                spins += 1;
                 std::hint::spin_loop();
             } else {
                 std::thread::yield_now();
             }
-        }
-        // Announce the sleeper *before* the last check under the lock:
-        // a waker changes state, then reads `sleepers`, so either it
-        // sees us (and notifies after we wait, for it takes the lock
-        // first) or we see its change (all SeqCst).
-        self.sleepers.fetch_add(1, SeqCst);
-        let mut guard = self.window();
-        while !ready() && !self.poisoned.load(SeqCst) {
-            guard = self
-                .wakeup
-                .wait(guard)
-                .unwrap_or_else(PoisonError::into_inner);
-        }
-        drop(guard);
-        self.sleepers.fetch_sub(1, SeqCst);
-        !self.poisoned.load(SeqCst)
-    }
-
-    /// Wake sleepers after a state change (see `wait_until`).
-    fn wake(&self) {
-        if self.sleepers.load(SeqCst) > 0 {
-            drop(self.window());
-            self.wakeup.notify_all();
         }
     }
 }
@@ -599,7 +572,6 @@ impl Drop for PoisonOnUnwind<'_> {
     fn drop(&mut self) {
         if std::thread::panicking() {
             self.0.poisoned.store(true, SeqCst);
-            self.0.wake();
         }
     }
 }
@@ -639,16 +611,20 @@ impl Worker<'_> {
                 lane.wait_nanos += nanos(finished, released_at);
             }
             if window.opens {
+                // What this shard sent in the previous grid window is
+                // being absorbed right now, into inboxes that report it
+                // from here on.
+                lane.in_flight = None;
                 lane.absorb(shard, &mail[window.parity ^ 1]);
                 lane.deliver(world, window.due);
             }
             let t1 = Instant::now();
             world.run_until(window.end);
             let t2 = Instant::now();
-            let routed = lane.route(world, &mail[window.parity][shard]);
+            lane.route(world, &mail[window.parity][shard]);
             let queued = world.next_event_time();
             let inboxed = lane.inbox.peek().map(|d| d.at);
-            for t in [routed, queued, inboxed].into_iter().flatten() {
+            for t in [lane.in_flight, queued, inboxed].into_iter().flatten() {
                 next_work = next_work.min(t.as_ps());
             }
             let t3 = Instant::now();
@@ -830,10 +806,9 @@ impl ShardedWorld {
 
     /// [`ShardedWorld::run_until`] on exactly `workers` threads
     /// (clamped to `1..=shards`), whatever the machine has. The worker
-    /// count never changes a result; this entry point exists so tests
-    /// can prove that, oversubscribed counts included.
-    #[doc(hidden)]
-    pub fn run_with_workers(&mut self, deadline: SimTime, workers: usize) {
+    /// count never changes a result; the unit tests call this to prove
+    /// that, oversubscribed counts included.
+    fn run_with_workers(&mut self, deadline: SimTime, workers: usize) {
         if let [world] = &mut self.worlds[..] {
             // Degenerate exchange: one shard, no boundary, no epochs.
             // The world sees the exact same `run_until` it would
@@ -862,10 +837,7 @@ impl ShardedWorld {
         // workers report it window by window.
         let queued = worlds.iter_mut().filter_map(World::next_event_time);
         let inboxed = lanes.iter().filter_map(|l| l.inbox.peek().map(|d| d.at));
-        let in_flight = mail
-            .iter()
-            .flatten()
-            .filter_map(|row| mail_row(row).iter().flatten().map(BoundaryMsg::at).min());
+        let in_flight = lanes.iter().filter_map(|l| l.in_flight);
         let next_work = queued.chain(inboxed).chain(in_flight).min();
         // A call that only skips (or is already there) starts nobody.
         let Some(first) = pacer.next_window(deadline, next_work) else {
@@ -875,10 +847,12 @@ impl ShardedWorld {
         let mut crew = crew(worlds, lanes, busy_nanos, hand.next_work.len()).into_iter();
         let mut me = crew.next().expect("at least one worker");
         std::thread::scope(|scope| {
+            // Before the first spawn: a failed spawn panics, and the
+            // helpers already started must not wait for a release.
+            let _poison = PoisonOnUnwind(hand);
             let helpers: Vec<_> = crew
                 .map(|worker| scope.spawn(move || worker.help(hand, mail)))
                 .collect();
-            let _poison = PoisonOnUnwind(hand);
             let mut window = Some(first);
             while let Some(w) = window {
                 hand.release(Some(w));
@@ -1374,17 +1348,18 @@ mod tests {
 
     #[test]
     fn the_worker_count_never_changes_a_result() {
-        // Five shards over 1..=5 workers (ranges of uneven size), and 9,
-        // which clamps to one worker per shard: same digest, events and
-        // exchange bookkeeping as the single-worker run, under both
-        // pacings and a chunked drive.
-        let run = |workers: usize, pacing: EpochPacing| {
-            let mut sw = ring(5, 30);
+        // 4 shards over 1..=4 workers, 5 over 1..=5 (ranges of uneven
+        // size) and 9, which clamps to one worker per shard, 8 over 1,
+        // 2 and 8 — more threads than most test machines have cores:
+        // same digest, events and exchange bookkeeping as the
+        // single-worker run, under both pacings and a chunked drive.
+        let run = |shards: u32, workers: usize, pacing: EpochPacing| {
+            let mut sw = ring(shards, 30);
             sw.set_pacing(pacing);
             for us in [13u64, 57, 100] {
                 sw.run_with_workers(SimTime::from_micros(us), workers);
             }
-            let received: Vec<u64> = (0..5)
+            let received: Vec<u64> = (0..shards as usize)
                 .map(|s| sw.world(s).node::<Counter>(NodeId(1)).received)
                 .collect();
             (
@@ -1394,15 +1369,56 @@ mod tests {
                 received,
             )
         };
-        for pacing in [EpochPacing::Adaptive, EpochPacing::Dense] {
-            let one = run(1, pacing);
-            assert_eq!(one.3, vec![30; 5], "every ping crossed");
-            for workers in [2, 3, 4, 5, 9] {
-                assert_eq!(run(workers, pacing), one, "{workers} workers, {pacing:?}");
+        for (shards, counts) in [(4, &[2, 3, 4][..]), (5, &[2, 3, 4, 5, 9]), (8, &[2, 8])] {
+            for pacing in [EpochPacing::Adaptive, EpochPacing::Dense] {
+                let one = run(shards, 1, pacing);
+                assert_eq!(one.3, vec![30; shards as usize], "every ping crossed");
+                for &workers in counts {
+                    assert_eq!(
+                        run(shards, workers, pacing),
+                        one,
+                        "{shards} shards, {workers} workers, {pacing:?}"
+                    );
+                }
             }
+            let adaptive = run(shards, 2, EpochPacing::Adaptive);
+            let dense = run(shards, 2, EpochPacing::Dense);
+            assert_eq!((adaptive.0, adaptive.1), (dense.0, dense.1));
+            assert_eq!(
+                adaptive.2.epochs_executed + adaptive.2.epochs_skipped,
+                dense.2.epochs_executed
+            );
         }
-        let (adaptive, dense) = (run(2, EpochPacing::Adaptive), run(2, EpochPacing::Dense));
-        assert_eq!((adaptive.0, adaptive.1), (dense.0, dense.1));
+    }
+
+    #[test]
+    fn more_workers_than_cores_stay_within_a_factor_of_a_fitting_crew() {
+        // 8 workers are four times what a 2-core machine runs at once.
+        // A waiter that only spun would hold its core for a scheduler
+        // slice per barrier while the workers with events to run queue
+        // behind it; one that yields costs a few context switches. The
+        // stated factor: over 3 000 dense epochs the oversubscribed run
+        // takes at most 25× the 2-worker one (best of three each, runs
+        // of ~60 ms against which a lost slice is small). Measured on
+        // the 2-core container this was written on: 2.1× (120 ms
+        // against 56 ms); with the yield taken out of the wait the
+        // 8-worker run was stopped after two minutes.
+        let best = |workers: usize| {
+            let run = || {
+                let mut sw = ring(8, 2000);
+                sw.set_pacing(EpochPacing::Dense);
+                let t0 = Instant::now();
+                sw.run_with_workers(SimTime::from_micros(1500), workers);
+                assert_eq!(sw.epochs(), 3000);
+                t0.elapsed()
+            };
+            (0..3).map(|_| run()).min().expect("three runs")
+        };
+        let (fitting, oversubscribed) = (best(2), best(8));
+        assert!(
+            oversubscribed <= fitting * 25,
+            "8 workers took {oversubscribed:?}, 2 workers {fitting:?}"
+        );
     }
 
     #[test]
@@ -1441,6 +1457,77 @@ mod tests {
                     );
                 }
             }
+        }
+    }
+
+    /// Sends one packet on port 0 at 700 ns and sets a bare timer for
+    /// 900 ns; nothing afterwards.
+    struct OneShot;
+
+    impl Node for OneShot {
+        fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+            ctx.set_timer(SimTime::from_nanos(700), 0);
+            ctx.set_timer(SimTime::from_nanos(900), 1);
+        }
+        fn on_packet(&mut self, _port: PortId, _pkt: Packet, _ctx: &mut Ctx<'_>) {}
+        fn on_timer(&mut self, token: u64, ctx: &mut Ctx<'_>) {
+            if token == 0 {
+                let id = ctx.next_packet_id();
+                ctx.transmit(PortId(0), pkt(id)).expect("idle port");
+            }
+        }
+        fn as_any(&self) -> &dyn Any {
+            self
+        }
+        fn as_any_mut(&mut self) -> &mut dyn Any {
+            self
+        }
+    }
+
+    #[test]
+    fn mail_left_by_a_cut_window_is_not_skipped_over() {
+        // The only boundary message of the run is sent at 700 ns, in
+        // grid window (500, 1000]; a deadline at 800 ns cuts the window
+        // and the call ends with the message in the mail. The next call
+        // finishes the window — a local timer at 900 ns, nothing routed
+        // — and then every queue is empty: the message (due at 1.4 µs)
+        // is all the work there is, and the pacer has to know about it.
+        let run = |deadlines: &[u64], pacing: EpochPacing| {
+            let mut a = World::new(11);
+            let sender = a.add_node(Box::new(OneShot));
+            let far = |shard: u32| RemotePort {
+                shard,
+                node: NodeId(0),
+                port: PortId(0),
+            };
+            a.connect_remote(sender, PortId(0), spec(), far(1));
+            let mut b = World::new(12);
+            let counter = b.add_node(Box::new(Counter {
+                received: 0,
+                echo: false,
+                last_at: SimTime::ZERO,
+            }));
+            b.connect_remote(counter, PortId(0), spec(), far(0));
+            let mut sw = ShardedWorld::new(vec![a, b]);
+            sw.set_pacing(pacing);
+            for &ns in deadlines {
+                sw.run_until(SimTime::from_nanos(ns));
+            }
+            let counter: &Counter = sw.world(1).node(NodeId(0));
+            (
+                (counter.received, counter.last_at),
+                sw.dispatch_digest(),
+                sw.events_processed(),
+                sw.epochs() + sw.epochs_skipped(),
+            )
+        };
+        let one_shot = run(&[20_000], EpochPacing::Adaptive);
+        assert_eq!(one_shot.0, (1, SimTime::from_nanos(1400)));
+        for pacing in [EpochPacing::Adaptive, EpochPacing::Dense] {
+            let cut = run(&[800, 20_000], pacing);
+            assert_eq!((cut.0, cut.1, cut.2), (one_shot.0, one_shot.1, one_shot.2));
+            // 800 ns ends a second window; the rest is the dense count.
+            assert_eq!(cut.3, run(&[800, 20_000], EpochPacing::Dense).3);
         }
     }
 
