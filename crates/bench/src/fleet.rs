@@ -2,11 +2,11 @@
 //! worker threads with output identical to a serial run.
 //!
 //! Every experiment in this repo is a deterministic single-threaded
-//! simulation, so a suite of N scenarios — or a [`SweepSpec`] grid of
-//! configuration cells — is embarrassingly parallel. [`run_indexed`] is
-//! the one primitive: a work queue of `count` jobs drained by `workers`
-//! scoped threads ([`std::thread::scope`], no extra dependencies), with
-//! results slotted back by job index. Determinism argument:
+//! simulation, so a suite of N scenarios is embarrassingly parallel.
+//! [`run_indexed`] is the one primitive: a work queue of `count` jobs
+//! drained by `workers` scoped threads ([`std::thread::scope`], no extra
+//! dependencies), with results slotted back by job index. Determinism
+//! argument:
 //!
 //! 1. each job is a pure function of its index (every simulation builds
 //!    its own `World`, RNG seeded from the job spec — nothing shared);
@@ -21,9 +21,7 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-use rocescale_core::{SweepJob, SweepSpec};
-
-use crate::report::{to_json, to_text, CliArgs, ScenarioReport};
+use crate::report::{to_json, to_text, CliArgs};
 use crate::suite;
 use rocescale_monitor::Json;
 
@@ -63,18 +61,6 @@ where
         .collect()
 }
 
-/// Enumerate a sweep and run every job across `workers` threads,
-/// returning `(job, f(&job))` pairs in the sweep's canonical order.
-pub fn run_sweep<T, F>(spec: &SweepSpec, workers: usize, f: F) -> Vec<(SweepJob, T)>
-where
-    T: Send,
-    F: Fn(&SweepJob) -> T + Sync,
-{
-    let jobs = spec.jobs();
-    let results = run_indexed(jobs.len(), workers, |i| f(&jobs[i]));
-    jobs.into_iter().zip(results).collect()
-}
-
 /// One scenario's rendered output from a fleet run.
 pub struct FleetOutcome {
     /// Position in [`suite::all`] order.
@@ -88,16 +74,6 @@ pub struct FleetOutcome {
     pub json: Json,
 }
 
-/// Run the full scenario suite (every entry of [`suite::all`]) on
-/// `workers` threads.
-///
-/// `args` is forwarded to every scenario (so e.g. `--full-scale` reaches
-/// FIG-7). Outcomes come back in [`suite::all`] order.
-pub fn run_suite(args: &CliArgs, workers: usize) -> Vec<FleetOutcome> {
-    let all: Vec<usize> = (0..suite::all().len()).collect();
-    run_selected(args, workers, &all)
-}
-
 /// Indices into [`suite::all`] whose scenario id contains `needle`,
 /// case-insensitively — the `--only` selector of `rocescale fleet`.
 pub fn matching_indices(needle: &str) -> Vec<usize> {
@@ -105,7 +81,7 @@ pub fn matching_indices(needle: &str) -> Vec<usize> {
     suite::all()
         .iter()
         .enumerate()
-        .filter(|(_, s)| s.id().to_lowercase().contains(&needle))
+        .filter(|(_, (_, s))| s.id().to_lowercase().contains(&needle))
         .map(|(i, _)| i)
         .collect()
 }
@@ -116,7 +92,7 @@ pub fn run_selected(args: &CliArgs, workers: usize, indices: &[usize]) -> Vec<Fl
     let scenarios = suite::all();
     run_indexed(indices.len(), workers, |k| {
         let i = indices[k];
-        let s: &dyn ScenarioReport = scenarios[i];
+        let (_, s) = scenarios[i];
         let report = s.run(args);
         FleetOutcome {
             index: i,
@@ -164,23 +140,5 @@ mod tests {
         });
         assert_eq!(calls.load(Ordering::Relaxed), 100);
         assert_eq!(out.len(), 100);
-    }
-
-    #[test]
-    fn sweep_jobs_pair_with_results() {
-        use rocescale_core::{SweepAxis, SweepSpec};
-        let spec = SweepSpec::new()
-            .axis(
-                SweepAxis::new("pfc")
-                    .variant("on", |p| p.fabric = p.fabric.clone().pfc(true))
-                    .variant("off", |p| p.fabric = p.fabric.clone().pfc(false)),
-            )
-            .replicates(2);
-        let out = run_sweep(&spec, 3, |job| job.labels.join(","));
-        assert_eq!(out.len(), 4);
-        for (i, (job, rendered)) in out.iter().enumerate() {
-            assert_eq!(job.index, i);
-            assert_eq!(*rendered, job.labels.join(","));
-        }
     }
 }

@@ -42,33 +42,8 @@ use std::io::Read;
 use std::time::Instant;
 
 use rocescale_bench::fleet::{matching_indices, run_selected, suite_json};
-use rocescale_bench::{main_for, suite, CliArgs, ScenarioCli, ScenarioReport, TraceDoc};
+use rocescale_bench::{main_for, suite, CliArgs, ScenarioCli, TraceDoc};
 use rocescale_monitor::{json, Json};
-
-/// Command-line name of every scenario, in [`suite::all`] order.
-const SCENARIOS: &[(&str, &(dyn ScenarioReport + Sync))] = &[
-    ("fig2_pfc_basics", &suite::Fig2PfcBasics),
-    ("fig3_dscp_vs_vlan", &suite::Fig3DscpVsVlan),
-    ("fig4_deadlock", &suite::Fig4Deadlock),
-    ("fig5_pfc_storm", &suite::Fig5PfcStorm),
-    ("fig6_latency_cdf", &suite::Fig6LatencyCdf),
-    ("fig7_clos_throughput", &suite::Fig7ClosThroughput),
-    ("fig8_latency_vs_load", &suite::Fig8LatencyVsLoad),
-    ("fig9_storm_incident", &suite::Fig9StormIncident),
-    ("fig10_buffer_misconfig", &suite::Fig10BufferMisconfig),
-    ("exp_livelock", &suite::ExpLivelock),
-    ("exp_slow_receiver", &suite::ExpSlowReceiver),
-    ("exp_cpu_overhead", &suite::ExpCpuOverhead),
-    ("exp_dcqcn_ablation", &suite::ExpDcqcnAblation),
-    ("exp_headroom", &suite::ExpHeadroom),
-    ("exp_per_packet_routing", &suite::ExpPerPacketRouting),
-    ("exp_cc_ablation", &suite::ExpCcAblation),
-    ("inc_scripted_deadlock", &suite::IncScriptedDeadlock),
-    ("inc_reroute", &suite::IncReroute),
-    ("inc_cascade_storm", &suite::IncCascadeStorm),
-    ("inc_dead_remembered", &suite::IncDeadRemembered),
-    ("inc_fleet_scale", &suite::IncFleetScale),
-];
 
 fn usage(msg: &str) -> ! {
     if !msg.is_empty() {
@@ -82,7 +57,7 @@ fn usage(msg: &str) -> ! {
          \x20      rocescale trace-analyze TRACE.jsonl [--json] [--json-out PATH]\n\
          scenarios:"
     );
-    for (name, s) in SCENARIOS {
+    for (name, s) in suite::all() {
         eprintln!("  {name:<24}{}", s.id());
     }
     std::process::exit(2);
@@ -105,7 +80,7 @@ fn main() {
             let doc = TraceDoc::load(path).unwrap_or_else(|e| usage(&e));
             main_for(&doc, &cli.to_args());
         }
-        name => match SCENARIOS.iter().find(|(n, _)| *n == name) {
+        name => match suite::all().iter().find(|(n, _)| *n == name) {
             Some((_, s)) => main_for(*s, &cli.to_args()),
             None => usage(&format!("unknown scenario or subcommand {name:?}")),
         },
@@ -283,18 +258,5 @@ fn json_check() {
     } else {
         let (id, tables, rows) = check_report(&doc, "");
         println!("json-check: ok — {id}: {tables} table(s), {rows} row(s)");
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    /// Every suite scenario is reachable by name, in suite order.
-    #[test]
-    fn scenario_names_cover_the_suite_in_order() {
-        let named: Vec<&str> = SCENARIOS.iter().map(|(_, s)| s.id()).collect();
-        let suite: Vec<&str> = suite::all().iter().map(|s| s.id()).collect();
-        assert_eq!(named, suite);
     }
 }

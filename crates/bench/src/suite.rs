@@ -45,33 +45,37 @@ fn trace_note(rep: &mut Report, args: &CliArgs, arm: &str) {
     }
 }
 
+/// One suite entry: the scenario's command-line name (`rocescale <name>`)
+/// and the scenario itself.
+pub type Entry = (&'static str, &'static (dyn ScenarioReport + Sync));
+
 /// Every scenario in suite order: figures 2–10, the section
 /// experiments, then the scripted incident replays. This is the fleet's
 /// canonical enumeration; job indices — and therefore output order —
 /// follow it.
-pub fn all() -> &'static [&'static (dyn ScenarioReport + Sync)] {
+pub fn all() -> &'static [Entry] {
     &[
-        &Fig2PfcBasics,
-        &Fig3DscpVsVlan,
-        &Fig4Deadlock,
-        &Fig5PfcStorm,
-        &Fig6LatencyCdf,
-        &Fig7ClosThroughput,
-        &Fig8LatencyVsLoad,
-        &Fig9StormIncident,
-        &Fig10BufferMisconfig,
-        &ExpLivelock,
-        &ExpSlowReceiver,
-        &ExpCpuOverhead,
-        &ExpDcqcnAblation,
-        &ExpHeadroom,
-        &ExpPerPacketRouting,
-        &ExpCcAblation,
-        &IncScriptedDeadlock,
-        &IncReroute,
-        &IncCascadeStorm,
-        &IncDeadRemembered,
-        &IncFleetScale,
+        ("fig2_pfc_basics", &Fig2PfcBasics),
+        ("fig3_dscp_vs_vlan", &Fig3DscpVsVlan),
+        ("fig4_deadlock", &Fig4Deadlock),
+        ("fig5_pfc_storm", &Fig5PfcStorm),
+        ("fig6_latency_cdf", &Fig6LatencyCdf),
+        ("fig7_clos_throughput", &Fig7ClosThroughput),
+        ("fig8_latency_vs_load", &Fig8LatencyVsLoad),
+        ("fig9_storm_incident", &Fig9StormIncident),
+        ("fig10_buffer_misconfig", &Fig10BufferMisconfig),
+        ("exp_livelock", &ExpLivelock),
+        ("exp_slow_receiver", &ExpSlowReceiver),
+        ("exp_cpu_overhead", &ExpCpuOverhead),
+        ("exp_dcqcn_ablation", &ExpDcqcnAblation),
+        ("exp_headroom", &ExpHeadroom),
+        ("exp_per_packet_routing", &ExpPerPacketRouting),
+        ("exp_cc_ablation", &ExpCcAblation),
+        ("inc_scripted_deadlock", &IncScriptedDeadlock),
+        ("inc_reroute", &IncReroute),
+        ("inc_cascade_storm", &IncCascadeStorm),
+        ("inc_dead_remembered", &IncDeadRemembered),
+        ("inc_fleet_scale", &IncFleetScale),
     ]
 }
 
@@ -1249,11 +1253,14 @@ mod tests {
     fn registry_lists_all_twenty_one_scenarios() {
         let suite = all();
         assert_eq!(suite.len(), 21);
-        let ids: Vec<&str> = suite.iter().map(|s| s.id()).collect();
-        let mut dedup = ids.clone();
-        dedup.sort();
-        dedup.dedup();
-        assert_eq!(dedup.len(), ids.len(), "scenario ids must be unique");
+        let ids: Vec<&str> = suite.iter().map(|(_, s)| s.id()).collect();
+        let names: Vec<&str> = suite.iter().map(|(name, _)| *name).collect();
+        for list in [&ids, &names] {
+            let mut dedup = list.clone();
+            dedup.sort();
+            dedup.dedup();
+            assert_eq!(dedup.len(), list.len(), "ids and names must be unique");
+        }
         assert_eq!(ids[0], "FIG-2 (§2)");
         assert_eq!(ids[14], "EXP-PER-PACKET-ROUTING (§8.1)");
         assert_eq!(ids[15], "EXP-CC (§7)");

@@ -1,46 +1,61 @@
-//! Fleet determinism: a sweep run on 1 worker and on 4 workers must
-//! produce byte-identical per-run dispatch digests and byte-identical
-//! aggregated JSON. This is the property the whole fleet design rests
-//! on — worker count changes wall-clock time and nothing else.
+//! Fleet determinism: a list of jobs run on 1 worker and on 4 workers
+//! must produce byte-identical per-job dispatch digests and report JSON.
+//! This is the property the whole fleet design rests on — worker count
+//! changes wall-clock time and nothing else.
 
-use rocescale_bench::fleet::run_sweep;
+use rocescale_bench::fleet::run_indexed;
 use rocescale_bench::report::{to_json, Report, ScenarioReport};
 use rocescale_bench::{Cell, CliArgs, Table};
-use rocescale_core::{CcKind, ClusterBuilder, SweepAxis, SweepJob, SweepSpec};
-use rocescale_monitor::{merge_reports, Json};
+use rocescale_core::{CcKind, ClusterBuilder, FabricProfile, TransportProfile};
 use rocescale_nic::QpApp;
 
-/// The small sweep: PFC on/off × DCQCN on/off × 2 seed replicates = 8
-/// independent jobs, each a short single-ToR 5-to-1 incast (heavy
-/// enough that the receiver port crosses XOFF, so the PFC axis really
-/// changes the event stream).
-fn spec() -> SweepSpec {
-    SweepSpec::new()
-        .axis(
-            SweepAxis::new("pfc")
-                .variant("on", |p| p.fabric = p.fabric.clone().pfc(true))
-                .variant("off", |p| p.fabric = p.fabric.clone().pfc(false)),
-        )
-        .axis(
-            SweepAxis::new("dcqcn")
-                .variant("on", |p| p.transport = p.transport.cc(CcKind::Dcqcn))
-                .variant("off", |p| p.transport = p.transport.cc(CcKind::Off)),
-        )
-        .replicates(2)
+/// One independent job: the PFC switch, the congestion controller and
+/// the RNG seed.
+#[derive(Debug, Clone, Copy)]
+struct Job {
+    pfc: bool,
+    cc: CcKind,
+    seed: u64,
 }
 
-/// Identity for a sweep cell's merged report: the axis labels minus the
-/// seed (replicates share everything else).
-struct CellReport {
+const fn job(pfc: bool, cc: CcKind, seed: u64) -> Job {
+    Job { pfc, cc, seed }
+}
+
+/// PFC on/off × DCQCN on/off × 2 seed replicates = 8 jobs, seeds
+/// innermost. Each is a short single-ToR 5-to-1 incast, heavy enough
+/// that the receiver port crosses XOFF, so the PFC axis really changes
+/// the event stream.
+const GRID: [Job; 8] = [
+    job(true, CcKind::Dcqcn, 1),
+    job(true, CcKind::Dcqcn, 2),
+    job(true, CcKind::Off, 1),
+    job(true, CcKind::Off, 2),
+    job(false, CcKind::Dcqcn, 1),
+    job(false, CcKind::Dcqcn, 2),
+    job(false, CcKind::Off, 1),
+    job(false, CcKind::Off, 2),
+];
+
+/// One job per congestion controller, everything else at the paper
+/// default.
+const CC: [Job; 3] = [
+    job(true, CcKind::Dcqcn, 1),
+    job(true, CcKind::Timely, 1),
+    job(true, CcKind::Off, 1),
+];
+
+/// Identity for a job's report.
+struct JobReport {
     id: String,
 }
 
-impl ScenarioReport for CellReport {
+impl ScenarioReport for JobReport {
     fn id(&self) -> &str {
         &self.id
     }
     fn title(&self) -> &str {
-        "sweep cell"
+        "fleet job"
     }
     fn claim(&self) -> &str {
         "fleet determinism fixture"
@@ -50,14 +65,13 @@ impl ScenarioReport for CellReport {
     }
 }
 
-/// Run one sweep job: build the cluster from the job's point, drive a
-/// 3-to-1 incast for 1 ms, return (dispatch digest, report JSON).
-fn run_job(job: &SweepJob) -> (u64, Json) {
+/// Run one job: drive a 5-to-1 incast for 1 ms, return (dispatch
+/// digest, rendered report JSON).
+fn run_job(job: &Job) -> (u64, String) {
     let mut c = ClusterBuilder::single_tor(6)
-        .fabric(job.point.fabric.clone())
-        .transport(job.point.transport)
-        .faults(job.point.faults.clone())
-        .seed(job.point.seed)
+        .fabric(FabricProfile::paper_default().pfc(job.pfc))
+        .transport(TransportProfile::paper_default().cc(job.cc))
+        .seed(job.seed)
         .build();
     let ids = c.all_servers();
     for &src in &ids[1..] {
@@ -83,42 +97,33 @@ fn run_job(job: &SweepJob) -> (u64, Json) {
     let mut rep = Report::new();
     rep.table(t);
     rep.scalar("events", Cell::U64(c.world.events_processed()));
-    let cell = CellReport {
-        id: job.labels[..job.labels.len() - 1].join(","),
+    let id = JobReport {
+        id: format!("pfc={},cc={},seed={}", job.pfc, job.cc.name(), job.seed),
     };
-    (c.world.dispatch_digest(), to_json(&cell, &rep))
+    (c.world.dispatch_digest(), to_json(&id, &rep).render())
 }
 
-/// Render the full fleet output for a given worker count: per-job
-/// digests plus the per-cell aggregate (replicates merged min/mean/max).
-fn fleet_output(workers: usize) -> (Vec<u64>, String) {
-    let results = run_sweep(&spec(), workers, run_job);
-    let digests: Vec<u64> = results.iter().map(|(_, (d, _))| *d).collect();
-    // Replicates are innermost: chunks of 2 share a grid cell.
-    let mut merged = Vec::new();
-    for cell in results.chunks(2) {
-        let reports: Vec<Json> = cell.iter().map(|(_, (_, j))| j.clone()).collect();
-        merged.push(merge_reports(&reports).expect("replicates merge"));
-    }
-    let doc = Json::obj(vec![("scenarios", Json::Arr(merged))]);
-    (digests, doc.render())
+/// Per-job digests and JSON for `jobs` run on `workers` threads.
+fn fleet_output(jobs: &[Job], workers: usize) -> (Vec<u64>, Vec<String>) {
+    run_indexed(jobs.len(), workers, |i| run_job(&jobs[i]))
+        .into_iter()
+        .unzip()
 }
 
 #[test]
 fn jobs_1_and_jobs_4_are_byte_identical() {
-    let (d1, json1) = fleet_output(1);
-    let (d4, json4) = fleet_output(4);
+    let (d1, json1) = fleet_output(&GRID, 1);
+    let (d4, json4) = fleet_output(&GRID, 4);
     assert_eq!(d1, d4, "per-run dispatch digests must not depend on --jobs");
-    assert_eq!(json1, json4, "aggregated JSON must be byte-identical");
-    assert_eq!(d1.len(), 8);
+    assert_eq!(json1, json4, "per-run JSON must be byte-identical");
 
     // Replicates genuinely differ (different seeds ⇒ different digests),
     // so the equality above is not vacuous.
     assert_ne!(d1[0], d1[1], "seed replicates must differ");
-    // Axis variants change the simulation. With DCQCN on, queues stay
-    // below XOFF and PFC never fires (the paper's point), so compare the
-    // pfc axis in the dcqcn=off cells: index 2 = (on, off, seed 1) vs
-    // index 6 = (off, off, seed 1).
+    // Each axis changes the simulation. With DCQCN on, queues stay below
+    // XOFF and PFC never fires (the paper's point), so compare the PFC
+    // axis in the DCQCN-off jobs: index 2 = (on, off, seed 1) vs index
+    // 6 = (off, off, seed 1).
     assert_ne!(d1[0], d1[2], "dcqcn on vs off must differ");
     assert_ne!(d1[2], d1[6], "pfc on vs off must differ when PFC fires");
 }
@@ -132,23 +137,15 @@ fn suite_registry_is_fleet_ready() {
     assert_eq!(rocescale_bench::suite::all().len(), 21);
 }
 
-/// The congestion-control axis (dcqcn / timely / off) must be exactly as
-/// worker-count invariant as the hand-built axes above: same digests,
-/// same JSON, on 1 worker and on 2.
+/// The congestion-control jobs (dcqcn / timely / off) must be exactly as
+/// worker-count invariant as the grid above: same digests, same JSON, on
+/// 1 worker and on 2.
 #[test]
-fn cc_ablation_sweep_is_jobs_invariant() {
-    let spec = SweepSpec::new().axis(SweepAxis::cc());
-    let outputs = |workers: usize| {
-        let results = run_sweep(&spec, workers, run_job);
-        let digests: Vec<u64> = results.iter().map(|(_, (d, _))| *d).collect();
-        let jsons: Vec<String> = results.iter().map(|(_, (_, j))| j.render()).collect();
-        (digests, jsons)
-    };
-    let (d1, j1) = outputs(1);
-    let (d2, j2) = outputs(2);
+fn cc_ablation_is_worker_count_invariant() {
+    let (d1, j1) = fleet_output(&CC, 1);
+    let (d2, j2) = fleet_output(&CC, 2);
     assert_eq!(d1, d2, "per-run digests must not depend on --jobs");
     assert_eq!(j1, j2, "per-run JSON must be byte-identical");
-    assert_eq!(d1.len(), 3, "one job per controller");
     // Each controller really steers the simulation differently.
     assert_ne!(d1[0], d1[2], "dcqcn vs off must differ");
     assert_ne!(d1[1], d1[2], "timely vs off must differ");

@@ -302,7 +302,6 @@ impl ClusterBuilder {
                     self.seed.wrapping_add(s.wrapping_mul(SHARD_SEED_STRIDE)),
                     self.engine,
                 );
-                w.set_digest_mode(self.instr.digest);
                 w.set_profile_mode(self.instr.profile);
                 w
             })
@@ -339,16 +338,6 @@ impl ClusterBuilder {
         let mut sim_ids: Vec<Option<(u32, NodeId)>> = vec![None; n];
         let mut servers: Vec<ServerInfo> = Vec::new();
         let mut switches: Vec<SwitchInfo> = Vec::new();
-
-        // Server build order (the index space FaultProfile uses).
-        let mut order_of: Vec<Option<usize>> = vec![None; n];
-        let mut next_order = 0usize;
-        for (idx, node) in topo.nodes.iter().enumerate() {
-            if node.tier == Tier::Server {
-                order_of[idx] = Some(next_order);
-                next_order += 1;
-            }
-        }
 
         // Build switches first (they need routes + table seeds).
         for (idx, node) in topo.nodes.iter().enumerate() {
@@ -414,15 +403,7 @@ impl ClusterBuilder {
                     Tier::Server => {
                         let ip = topo.nodes[n.peer].ip.expect("servers have IPs");
                         sw.seed_arp(ip, server_mac(n.peer), SimTime::ZERO);
-                        // Dead-but-remembered servers (§4.2): the ARP
-                        // entry survives but the MAC→port binding is
-                        // gone, so lossless traffic to them hits the
-                        // incomplete-ARP path.
-                        let dead =
-                            order_of[n.peer].is_some_and(|o| self.faults.dead_servers.contains(&o));
-                        if !dead {
-                            sw.seed_mac(server_mac(n.peer), n.port, SimTime::ZERO);
-                        }
+                        sw.seed_mac(server_mac(n.peer), n.port, SimTime::ZERO);
                     }
                     _ => sw.set_peer_mac(n.port, switch_mac(n.peer)),
                 }
@@ -524,14 +505,6 @@ impl ClusterBuilder {
                     },
                 );
             }
-        }
-
-        // Injected NIC pause storms (FaultProfile).
-        for (idx, at) in &self.faults.storms {
-            let s = servers
-                .get(*idx)
-                .unwrap_or_else(|| panic!("storm target {idx} out of range"));
-            worlds[s.shard as usize].schedule_timer(*at, s.sim, TOK_INJECT_STORM);
         }
 
         // Incident-replay script (FaultProfile::at): every action becomes
@@ -927,11 +900,6 @@ impl<W: WorldSet> Cluster<W> {
     /// The shard that owns a server.
     pub fn server_shard(&self, id: ServerId) -> u32 {
         self.servers[id.0].shard
-    }
-
-    /// A server's kind.
-    pub fn server_kind_of(&self, id: ServerId) -> ServerKind {
-        self.servers[id.0].kind
     }
 
     /// The sim node id of a server within its shard's world (for
@@ -1466,7 +1434,6 @@ impl<W: WorldSet> Cluster<W> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rocescale_sim::DigestMode;
 
     fn saturate() -> QpApp {
         QpApp::Saturate {
@@ -1485,38 +1452,6 @@ mod tests {
         // them) into worker threads; compile-time proof it stays legal.
         fn assert_send<T: Send>() {}
         assert_send::<ClusterBuilder>();
-    }
-
-    #[test]
-    fn digest_off_cluster_matches_on_cluster() {
-        let run = |mode| {
-            let mut c = ClusterBuilder::single_tor(3)
-                .seed(5)
-                .instrumentation(InstrumentationProfile::paper_default().digest(mode))
-                .build();
-            let ids = c.all_servers();
-            c.connect_qp(
-                ids[1],
-                ids[0],
-                5000,
-                QpApp::Saturate {
-                    msg_len: 64 * 1024,
-                    inflight: 2,
-                },
-                QpApp::None,
-            );
-            c.run_for_millis(1);
-            (
-                c.total_rdma_goodput(),
-                c.world.events_processed(),
-                c.world.dispatch_digest(),
-            )
-        };
-        let on = run(DigestMode::On);
-        let off = run(DigestMode::Off);
-        assert_eq!(on.0, off.0, "goodput must not depend on digest mode");
-        assert_eq!(on.1, off.1, "event count must not depend on digest mode");
-        assert_ne!(on.2, off.2, "off-mode digest stays at the basis");
     }
 
     /// What one drive of the shared body yields: digest, events, merged
@@ -1781,7 +1716,10 @@ mod tests {
     #[test]
     fn fault_profile_injects_storm() {
         let mut c = ClusterBuilder::two_tier(2, 2)
-            .faults(FaultProfile::paper_default().storm_at(0, SimTime::from_millis(1)))
+            .faults(FaultProfile::paper_default().at(
+                SimTime::from_millis(1),
+                ScriptAction::StormStart { server: 0 },
+            ))
             .build();
         let ids = c.all_servers();
         // Traffic toward the stormer piles up behind its paused port.
@@ -1819,32 +1757,6 @@ mod tests {
     }
 
     #[test]
-    fn dead_server_fault_leaves_incomplete_arp() {
-        let mut c = ClusterBuilder::single_tor(2)
-            .faults(FaultProfile::paper_default().dead_server(1))
-            .build();
-        let ids = c.all_servers();
-        c.connect_qp(
-            ids[0],
-            ids[1],
-            5000,
-            QpApp::Saturate {
-                msg_len: 64 * 1024,
-                inflight: 1,
-            },
-            QpApp::None,
-        );
-        c.run_for_millis(1);
-        // paper_default keeps the §4.2 fix on: lossless packets to the
-        // half-resolved server are dropped, not flooded.
-        assert!(
-            c.total_drops_of(DropReason::IncompleteArpLossless) > 0,
-            "traffic to the dead server must hit the incomplete-ARP path"
-        );
-        assert_eq!(c.total_rdma_goodput(), 0);
-    }
-
-    #[test]
     fn scripted_lossless_off_flushes_queued_packets_exactly_once() {
         // A storming NIC pauses its ToR port so lossless packets queue
         // behind it; the scripted SetLossless(off) must flush that queue
@@ -1852,7 +1764,10 @@ mod tests {
         let mut c = ClusterBuilder::two_tier(2, 2)
             .faults(
                 FaultProfile::paper_default()
-                    .storm_at(0, SimTime::from_millis(1))
+                    .at(
+                        SimTime::from_millis(1),
+                        ScriptAction::StormStart { server: 0 },
+                    )
                     .at(
                         SimTime::from_millis(3),
                         ScriptAction::SetLossless {

@@ -2,10 +2,9 @@
 //!
 //! [`FabricProfile`], [`TransportProfile`] and [`FaultProfile`] cover
 //! what the fabric *does*; [`InstrumentationProfile`] covers how a run
-//! is *observed* — the telemetry hub, the dispatch-digest mode, the
-//! dispatch profiler, and the streaming trace sink — one coherent group
-//! with the same shape as the other profiles: `paper_default()` plus
-//! chainable setters.
+//! is *observed* — the telemetry hub, the dispatch profiler, and the
+//! streaming trace sink — one coherent group with the same shape as the
+//! other profiles: `paper_default()` plus chainable setters.
 //!
 //! Everything in this profile is observation-only: any combination of
 //! settings dispatches the exact golden event trace (tier-1 tests pin
@@ -16,10 +15,10 @@
 //! [`FaultProfile`]: crate::FaultProfile
 
 use rocescale_monitor::{MetricsHub, TraceFilter, TraceSink};
-use rocescale_sim::{DigestMode, ProfileMode};
+use rocescale_sim::ProfileMode;
 
-/// How a cluster run is observed: telemetry hub, dispatch digest,
-/// dispatch profiler, streaming trace sink.
+/// How a cluster run is observed: telemetry hub, dispatch profiler,
+/// streaming trace sink.
 ///
 /// Not `Clone`: an attached sink is an exclusive resource (a file
 /// handle, a test buffer); build one profile per cluster.
@@ -27,8 +26,6 @@ pub struct InstrumentationProfile {
     /// The telemetry hub every device registers its instruments on.
     /// Disabled by default — a disabled hub costs nothing.
     pub telemetry: MetricsHub,
-    /// Dispatch-digest mode (default: on, so golden-trace checks work).
-    pub digest: DigestMode,
     /// Dispatch-profiler mode (default: off).
     pub profile: ProfileMode,
     /// Streaming trace sink and its record filter, if attached.
@@ -40,12 +37,11 @@ pub struct InstrumentationProfile {
 
 impl InstrumentationProfile {
     /// The default observation setup (what every scenario before this
-    /// profile existed got implicitly): no telemetry hub, digest on,
-    /// profiler off, no trace sink.
+    /// profile existed got implicitly): no telemetry hub, profiler off,
+    /// no trace sink.
     pub fn paper_default() -> InstrumentationProfile {
         InstrumentationProfile {
             telemetry: MetricsHub::disabled(),
-            digest: DigestMode::default(),
             profile: ProfileMode::default(),
             sink: None,
         }
@@ -54,12 +50,6 @@ impl InstrumentationProfile {
     /// Attach a telemetry hub.
     pub fn telemetry(mut self, hub: MetricsHub) -> Self {
         self.telemetry = hub;
-        self
-    }
-
-    /// Set the dispatch-digest mode.
-    pub fn digest(mut self, d: DigestMode) -> Self {
-        self.digest = d;
         self
     }
 
@@ -92,7 +82,6 @@ impl std::fmt::Debug for InstrumentationProfile {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("InstrumentationProfile")
             .field("telemetry", &self.telemetry)
-            .field("digest", &self.digest)
             .field("profile", &self.profile)
             .field("sink", &self.sink.as_ref().map(|(_, filter)| filter))
             .finish()
@@ -108,7 +97,6 @@ mod tests {
     fn paper_default_observes_nothing_but_digests() {
         let i = InstrumentationProfile::paper_default();
         assert!(!i.telemetry.is_enabled());
-        assert_eq!(i.digest, DigestMode::On);
         assert_eq!(i.profile, ProfileMode::Off);
         assert!(i.sink.is_none());
     }
@@ -117,11 +105,9 @@ mod tests {
     fn setters_chain() {
         let i = InstrumentationProfile::paper_default()
             .telemetry(MetricsHub::enabled())
-            .digest(DigestMode::Off)
             .profiler(ProfileMode::On)
             .trace_sink_filtered(MemorySink::new(), TraceFilter::no_hops());
         assert!(i.telemetry.is_enabled());
-        assert_eq!(i.digest, DigestMode::Off);
         assert_eq!(i.profile, ProfileMode::On);
         let (_, filter) = i.sink.as_ref().unwrap();
         assert!(!filter.hops && filter.events);

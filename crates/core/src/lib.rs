@@ -30,7 +30,6 @@ pub mod instrument;
 pub mod profiles;
 pub mod scenarios;
 pub mod sharded;
-pub mod sweep;
 
 pub use cluster::{Cluster, ClusterBuilder, PfcMode, ServerId, ServerKind};
 pub use deployment::DeploymentStage;
@@ -39,4 +38,3 @@ pub use instrument::InstrumentationProfile;
 pub use profiles::{ExecutionProfile, FabricProfile, FaultProfile, ScriptAction, TransportProfile};
 pub use rocescale_cc::CcKind;
 pub use sharded::ShardedCluster;
-pub use sweep::{SweepAxis, SweepJob, SweepPoint, SweepSpec, SweepVariant};

@@ -11,8 +11,8 @@
 //! * [`TransportProfile`] — what the *NICs* do: loss recovery, DCQCN,
 //!   retransmission timeouts, the NIC-side storm watchdog.
 //! * [`FaultProfile`] — what goes *wrong*: the §4.1 deterministic drop
-//!   filter, injected NIC pause storms, and dead servers whose ARP
-//!   entries linger half-resolved (§4.2's deadlock trigger).
+//!   filter and a timed incident script (NIC pause storms, link flaps,
+//!   dead-but-remembered servers, misconfigurations).
 //!
 //! Each profile's `paper_default()` is the configuration the paper
 //! deployed; chainable setters express ablations as small diffs against
@@ -162,16 +162,6 @@ impl TransportProfile {
     pub fn cc(mut self, cc: CcKind) -> Self {
         self.cc = cc;
         self
-    }
-
-    /// Enable/disable DCQCN rate control.
-    ///
-    /// Deprecated shim, kept so pre-CC-trait scenarios and sweeps keep
-    /// compiling: `dcqcn(true)` is [`CcKind::Dcqcn`], `dcqcn(false)` is
-    /// [`CcKind::Off`]. New code should call [`TransportProfile::cc`],
-    /// which also reaches [`CcKind::Timely`].
-    pub fn dcqcn(self, on: bool) -> Self {
-        self.cc(if on { CcKind::Dcqcn } else { CcKind::Off })
     }
 
     /// RDMA transport retransmission timeout.
@@ -338,14 +328,6 @@ pub struct FaultProfile {
     /// §4.1 fault injection on every switch: drop any data packet whose
     /// IP ID has this low byte.
     pub drop_ip_id_low_byte: Option<u8>,
-    /// NIC pause storms to inject: `(server index, start time)`. The
-    /// server's NIC enters the §4.3 malfunction mode at that instant.
-    pub storms: Vec<(usize, SimTime)>,
-    /// Servers (by build order) that are *dead but remembered*: their
-    /// ToR keeps the IP→MAC ARP entry but loses the MAC→port binding,
-    /// reproducing the half-resolved state that triggers the §4.2
-    /// flooding deadlock.
-    pub dead_servers: Vec<usize>,
     /// The incident-replay script: time-ordered [`ScriptAction`]s the
     /// cluster schedules as ordinary sim events at build time.
     pub script: Vec<(SimTime, ScriptAction)>,
@@ -360,18 +342,6 @@ impl FaultProfile {
     /// §4.1 drop filter on every switch.
     pub fn drop_ip_id_low_byte(mut self, b: Option<u8>) -> Self {
         self.drop_ip_id_low_byte = b;
-        self
-    }
-
-    /// Schedule a NIC pause storm on server `idx` at `at`.
-    pub fn storm_at(mut self, idx: usize, at: SimTime) -> Self {
-        self.storms.push((idx, at));
-        self
-    }
-
-    /// Mark server `idx` dead-but-remembered (incomplete ARP at its ToR).
-    pub fn dead_server(mut self, idx: usize) -> Self {
-        self.dead_servers.push(idx);
         self
     }
 
@@ -400,7 +370,7 @@ mod tests {
         assert_eq!(t.nic_watchdog, Some(SimTime::from_millis(100)));
         let fault = FaultProfile::paper_default();
         assert_eq!(fault, FaultProfile::default());
-        assert!(fault.storms.is_empty() && fault.dead_servers.is_empty());
+        assert!(fault.drop_ip_id_low_byte.is_none() && fault.script.is_empty());
     }
 
     #[test]
@@ -421,11 +391,18 @@ mod tests {
         assert_eq!(t.cc, CcKind::Timely);
         let fault = FaultProfile::paper_default()
             .drop_ip_id_low_byte(Some(0xff))
-            .storm_at(3, SimTime::from_millis(1))
-            .dead_server(2);
+            .at(
+                SimTime::from_millis(1),
+                ScriptAction::StormStart { server: 3 },
+            );
         assert_eq!(fault.drop_ip_id_low_byte, Some(0xff));
-        assert_eq!(fault.storms, vec![(3, SimTime::from_millis(1))]);
-        assert_eq!(fault.dead_servers, vec![2]);
+        assert_eq!(
+            fault.script,
+            vec![(
+                SimTime::from_millis(1),
+                ScriptAction::StormStart { server: 3 }
+            )]
+        );
     }
 
     #[test]

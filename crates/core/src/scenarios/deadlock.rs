@@ -228,15 +228,6 @@ fn saturate_toward(
 
 /// Run the Figure 4 scenario for `dur`, sampling progress every 2 ms.
 pub fn run(fix_enabled: bool, dur: SimTime) -> DeadlockResult {
-    run_impl(fix_enabled, dur, false)
-}
-
-/// [`run`] with per-sample diagnostics printed (debugging aid).
-pub fn run_debug(fix_enabled: bool, dur: SimTime) -> DeadlockResult {
-    run_impl(fix_enabled, dur, true)
-}
-
-fn run_impl(fix_enabled: bool, dur: SimTime, verbose: bool) -> DeadlockResult {
     let mut f = build(fix_enabled);
     // S1 → S3 (dead; the purple packets) and S1 → S5 (the black packets).
     saturate_toward(&mut f.world, f.s1, IP_S3, None, 7001);
@@ -271,24 +262,6 @@ fn run_impl(fix_enabled: bool, dur: SimTime, verbose: bool) -> DeadlockResult {
                 )
             })
             .collect();
-        if verbose {
-            let line: Vec<String> = round
-                .iter()
-                .map(|(n, s)| format!("{n}: tx={} bl={}", s.tx_pkts, s.backlog_bytes))
-                .collect();
-            let pauses: Vec<String> = switches
-                .iter()
-                .map(|(id, n)| {
-                    let sw = f.world.node::<Switch>(*id);
-                    format!(
-                        "{n}:ptx={} prx={}",
-                        sw.stats.total_pause_tx(),
-                        sw.stats.total_pause_rx()
-                    )
-                })
-                .collect();
-            println!("t={t} {line:?} {pauses:?}");
-        }
         tracker.observe(&round);
         if t.as_ps() * 4 <= dur.as_ps() * 3 {
             goodput_at_three_quarters = f.world.node::<RdmaHost>(f.s5).total_goodput_bytes();

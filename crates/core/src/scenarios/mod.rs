@@ -41,11 +41,6 @@ pub mod spray;
 pub mod storm;
 pub mod throughput;
 
-/// Pretty-print helper: picoseconds → microseconds.
-pub fn ps_to_us(ps: u64) -> f64 {
-    ps as f64 / 1e6
-}
-
 /// Pretty-print helper: bytes over a duration → Gb/s.
 pub fn gbps(bytes: u64, dur: rocescale_sim::SimTime) -> f64 {
     if dur == rocescale_sim::SimTime::ZERO {

@@ -83,9 +83,9 @@ pub fn run(watchdogs: bool, dur: SimTime) -> StormResult {
         },
         QpApp::None,
     );
-    let storm_at = SimTime(dur.as_ps() / 5);
+    let storm_start = SimTime(dur.as_ps() / 5);
     let node = c.server_node(stormer);
-    c.world.schedule_timer(storm_at, node, TOK_INJECT_STORM);
+    c.world.schedule_timer(storm_start, node, TOK_INJECT_STORM);
 
     // Run to the 3/4 mark, snapshot victim progress, then finish.
     let three_q = SimTime(dur.as_ps() * 3 / 4);

@@ -22,18 +22,15 @@
 //! histograms) registered under hierarchical dotted names by every layer
 //! of the stack, plus a bounded flight recorder of structured trace
 //! events. [`json`] provides the serde-free JSON tree every experiment
-//! renders its machine-readable report through, and [`aggregate`] folds
-//! replicate reports from the fleet runner into one min/mean/max summary
-//! of the same schema. [`sink`] is the unbounded export path: a
-//! [`TraceSink`] attached to the hub streams every structured record —
-//! flight-recorder events plus per-packet hops, queue-depth samples and
-//! CC rate trajectories — out of the run as line-delimited JSON for
-//! offline analysis (`trace_analyze`).
+//! renders its machine-readable report through. [`sink`] is the
+//! unbounded export path: a [`TraceSink`] attached to the hub streams
+//! every structured record — flight-recorder events plus per-packet
+//! hops, queue-depth samples and CC rate trajectories — out of the run
+//! as line-delimited JSON for offline analysis (`trace_analyze`).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod aggregate;
 pub mod config;
 pub mod deadlock;
 pub mod json;
@@ -42,7 +39,6 @@ pub mod sink;
 pub mod stats;
 pub mod telemetry;
 
-pub use aggregate::merge_reports;
 pub use config::{ConfigDeviation, RdmaConfig};
 pub use deadlock::{ProgressTracker, WaitGraph};
 pub use json::Json;

@@ -569,7 +569,7 @@ impl HubShared {
 /// Cloneable handle to the telemetry bus. `MetricsHub::disabled()` (the
 /// `Default`) is a free-to-clone null hub; [`MetricsHub::enabled`] backs
 /// the handle with shared state. Counter/gauge updates go straight to
-/// atomic slots (see [`AtomicBank`]); the mutexes guard only
+/// atomic slots (see `AtomicBank`); the mutexes guard only
 /// registration, sampling, snapshots, and the flight recorder. The
 /// handle stays `Send + Sync` for the fleet runner, which constructs
 /// whole clusters inside worker threads; a poisoned lock (a panic

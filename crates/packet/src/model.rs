@@ -147,11 +147,6 @@ impl RoceOpcode {
             RoceOpcode::Send | RoceOpcode::Write | RoceOpcode::ReadResponse
         )
     }
-
-    /// Is this a control/acknowledgement packet?
-    pub fn is_control(self) -> bool {
-        !self.carries_data() && self != RoceOpcode::ReadRequest
-    }
 }
 
 /// A RoCEv2 packet in the simulator.
@@ -448,12 +443,6 @@ impl Packet {
     /// tagged.
     pub fn pcp_priority(&self) -> Option<Priority> {
         self.eth.vlan.map(|(pcp, _)| Priority::new(pcp))
-    }
-
-    /// The packet priority under DSCP-based classification via the given
-    /// DSCP→priority map, if the packet has an IP header.
-    pub fn dscp_priority(&self, map: &dyn Fn(u8) -> Priority) -> Option<Priority> {
-        self.ip.map(|ip| map(ip.dscp))
     }
 }
 

@@ -218,14 +218,6 @@ impl Aeth {
     /// Encoded length in bytes.
     pub const WIRE_LEN: usize = 4;
 
-    /// AETH for a PSN-sequence-error NAK.
-    pub fn nak_sequence_error(msn: u32) -> Aeth {
-        Aeth {
-            code: AethCode::Nak(0),
-            msn,
-        }
-    }
-
     /// Append the header to `buf`.
     pub fn encode<B: BufMut>(&self, buf: &mut B) {
         let syndrome: u8 = match self.code {

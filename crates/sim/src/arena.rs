@@ -15,8 +15,8 @@
 //! trace, handler logic) may depend on them — packets are identified by
 //! `Packet::id`. The property tests below pin the two guarantees the
 //! world relies on: slots are recycled (bounded memory under steady
-//! churn) and a live packet's identity is never disturbed by
-//! [`PacketArena::compact`].
+//! churn) and a live packet's identity is never disturbed by other
+//! slots' churn.
 //!
 //! A struct-of-arrays split was considered and rejected on measurement
 //! (EXPERIMENTS.md, INC-FLEET-SCALE, "Packet-slab layout"): `Packet` is
@@ -117,43 +117,6 @@ impl PacketArena {
     pub(crate) fn free_len(&self) -> usize {
         self.free_len
     }
-
-    /// Shed capacity retained from past bursts: drop every vacant slot
-    /// at the tail of the slab, rebuild the free chain over the
-    /// survivors (preserving LIFO order, so replay stays deterministic),
-    /// and shrink the backing storage. Live packets keep their slots —
-    /// pending `Arrival` events hold indices into this slab.
-    pub(crate) fn compact(&mut self) {
-        // The chain orders vacant slots most-recently-freed first.
-        let mut free = Vec::with_capacity(self.free_len);
-        let mut cur = self.free_head;
-        while cur != NIL {
-            free.push(cur);
-            cur = self.slots[cur as usize].id as u32;
-        }
-        debug_assert_eq!(free.len(), self.free_len);
-        let mut is_vacant = vec![false; self.slots.len()];
-        for &s in &free {
-            is_vacant[s as usize] = true;
-        }
-        while self.slots.last().is_some() && is_vacant[self.slots.len() - 1] {
-            self.slots.pop();
-        }
-        let live = self.slots.len() as u32;
-        free.retain(|&s| s < live);
-        self.free_len = free.len();
-        self.free_head = NIL;
-        for &s in free.iter().rev() {
-            self.slots[s as usize].id = self.free_head as u64;
-            self.free_head = s;
-        }
-        self.slots.shrink_to_fit();
-        #[cfg(debug_assertions)]
-        {
-            self.vacant.truncate(self.slots.len());
-            self.vacant.shrink_to_fit();
-        }
-    }
 }
 
 #[cfg(test)]
@@ -205,30 +168,9 @@ mod tests {
         a.remove(s);
     }
 
-    #[test]
-    fn compact_drops_vacant_tail_and_keeps_live_packets() {
-        let mut a = PacketArena::new();
-        let slots: Vec<u32> = (0..8).map(|i| a.insert(pkt(100 + i))).collect();
-        // Free the tail half plus one interior slot.
-        for &s in &slots[4..] {
-            a.remove(s);
-        }
-        a.remove(slots[1]);
-        a.compact();
-        // Tail slots gone; the interior hole survives (slot 1 < live
-        // prefix) and stays reusable.
-        assert_eq!(a.len(), 4);
-        assert_eq!(a.free_len(), 1);
-        assert_eq!(a.insert(pkt(9)), slots[1], "interior hole reused");
-        for &s in &[slots[0], slots[2], slots[3]] {
-            assert_eq!(a.remove(s).id, 100 + s as u64);
-        }
-    }
-
-    /// Property: under seeded random insert/remove/compact churn the
-    /// arena (a) recycles slots — memory stays bounded by peak
-    /// in-flight, not total traffic — and (b) never changes a live
-    /// packet's id, across any number of compacts.
+    /// Property: under seeded random insert/remove churn the arena (a)
+    /// recycles slots — memory stays bounded by peak in-flight, not
+    /// total traffic — and (b) never changes a live packet's id.
     #[test]
     fn churn_recycles_slots_and_preserves_live_ids() {
         let mut rng = SimRng::from_seed(0xA5EA);
@@ -244,16 +186,12 @@ mod tests {
                     next_id += 1;
                     live.push((a.insert(pkt(id)), id));
                 }
-                55..=97 => {
+                _ => {
                     if !live.is_empty() {
                         let i = rng.gen_below(live.len() as u64) as usize;
                         let (slot, id) = live.swap_remove(i);
                         assert_eq!(a.remove(slot).id, id, "step {step}");
                     }
-                }
-                _ => {
-                    a.compact();
-                    assert!(a.len() >= live.len());
                 }
             }
             peak_live = peak_live.max(live.len());
@@ -268,12 +206,10 @@ mod tests {
             "slab {} > peak live {peak_live}",
             a.len()
         );
-        // (b) Every live id still reads back intact after a final compact.
-        a.compact();
+        // (b) Every live id still reads back intact.
         for (slot, id) in live {
             assert_eq!(a.remove(slot).id, id);
         }
-        a.compact();
-        assert_eq!((a.len(), a.free_len(), a.capacity()), (0, 0, 0));
+        assert_eq!(a.free_len(), a.len());
     }
 }

@@ -42,8 +42,8 @@ pub use shard::{
 };
 pub use time::SimTime;
 pub use world::{
-    digest_fold, BoundaryMsg, Ctx, DigestMode, EventProfile, LinkSpec, Node, NodeId, PortId,
-    ProfileMode, RemotePort, TxError, World,
+    digest_fold, BoundaryMsg, Ctx, EventProfile, LinkSpec, Node, NodeId, PortId, ProfileMode,
+    RemotePort, TxError, World,
 };
 
 /// Speed of signal propagation in copper/fiber used for cable-length →

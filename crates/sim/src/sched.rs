@@ -131,14 +131,6 @@ impl<T> EventQueue<T> {
         }
     }
 
-    /// Which engine backs this queue.
-    pub fn kind(&self) -> EngineKind {
-        match self.engine {
-            Engine::Wheel(_) => EngineKind::Wheel,
-            Engine::Heap(_) => EngineKind::BinaryHeap,
-        }
-    }
-
     /// Number of pending events.
     pub fn len(&self) -> usize {
         self.len

@@ -821,7 +821,9 @@ impl ShardedWorld {
                 0,
                 "boundary messages with one shard"
             );
-            self.pacer.horizon = deadline;
+            // Like `World::run_until`, an earlier deadline is a no-op:
+            // the clock never moves back.
+            self.pacer.horizon = self.pacer.horizon.max(deadline);
             return;
         }
         let ShardedWorld {
@@ -1250,6 +1252,20 @@ mod tests {
         assert_eq!(sharded.events_processed(), plain.events_processed());
         assert_eq!(sharded.epochs(), 0, "no exchange with one shard");
         assert_eq!(sharded.boundary_messages(), 0);
+    }
+
+    #[test]
+    fn an_earlier_deadline_never_moves_the_clock_back() {
+        let (late, early) = (SimTime::from_micros(10), SimTime::from_micros(5));
+        let mut plain = World::new(11);
+        plain.run_until(late);
+        plain.run_until(early);
+        assert_eq!(plain.now(), late);
+        for mut sw in [ShardedWorld::new(vec![World::new(11)]), two_shard_pair(20)] {
+            sw.run_until(late);
+            sw.run_until(early);
+            assert_eq!(sw.now(), plain.now(), "{} shard(s)", sw.shard_count());
+        }
     }
 
     #[test]

@@ -52,39 +52,16 @@ impl LinkSpec {
     pub fn tor_leaf_40g() -> LinkSpec {
         LinkSpec::with_length(40_000_000_000, 15)
     }
-
-    /// The paper's Leaf↔Spine link: 40 GbE, 200–300 m — the distance that
-    /// drives PFC headroom sizing (§2).
-    pub fn leaf_spine_40g() -> LinkSpec {
-        LinkSpec::with_length(40_000_000_000, 300)
-    }
-}
-
-/// Whether the world folds its FNV-1a dispatch digest on the hot path.
-///
-/// The digest is the golden-trace hook: with it on, two runs dispatched
-/// the same events iff their digests match. Folding costs a few
-/// multiplies per event, so throughput-oriented runs (the fleet runner,
-/// benches) can opt out — dispatch *order and content* are identical
-/// either way; only the fingerprint bookkeeping is skipped.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum DigestMode {
-    /// Fold every dispatched event into the digest (the default).
-    #[default]
-    On,
-    /// Skip digest folding; [`World::dispatch_digest`] stays at the FNV
-    /// offset basis.
-    Off,
 }
 
 /// Whether the world records per-event-kind dispatch profiles.
 ///
 /// With profiling on, [`World::step`] wall-clocks every handler
 /// dispatch and accumulates counts and nanoseconds per event kind
-/// (start / arrival / port-idle / timer). Like [`DigestMode`], the
-/// profile is pure bookkeeping: dispatch order, simulated results, and
-/// the dispatch digest are identical either way. The `Instant` pair per
-/// event costs more than digest folding, so it defaults to off.
+/// (start / arrival / port-idle / timer). The profile is pure
+/// bookkeeping: dispatch order, simulated results, and the dispatch
+/// digest are identical either way. The `Instant` pair per event costs
+/// more than digest folding, so it defaults to off.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ProfileMode {
     /// Wall-clock every dispatch, bucketed by event kind.
@@ -119,11 +96,6 @@ impl EventProfile {
     /// Total events across all kinds.
     pub fn total_events(&self) -> u64 {
         self.counts.iter().sum()
-    }
-
-    /// Total handler wall-time across all kinds, in nanoseconds.
-    pub fn total_nanos(&self) -> u64 {
-        self.nanos.iter().sum()
     }
 
     /// Mean handler nanoseconds per event for kind index `k` (0 when no
@@ -174,11 +146,6 @@ pub trait Node: Any + Send {
     /// A timer set via [`Ctx::set_timer`] fired. `token` is the caller's
     /// value; stale timers must be filtered by the node itself.
     fn on_timer(&mut self, _token: u64, _ctx: &mut Ctx<'_>) {}
-
-    /// The world is compacting at quiescence ([`World::compact`]): shed
-    /// queue capacity retained from past bursts. Purely a memory
-    /// operation — implementations must not change any observable state.
-    fn compact(&mut self) {}
 
     /// Downcast support so experiments can read node-specific state.
     fn as_any(&self) -> &dyn Any;
@@ -320,8 +287,6 @@ struct WorldCore {
     /// node, detail per event) — the golden-trace hook: two runs are
     /// event-for-event identical iff their digests match.
     digest: u64,
-    /// Hot-path gate for digest folding (see [`DigestMode`]).
-    digest_on: bool,
     /// Boundary traffic for the shard exchange: packets that finished
     /// serializing onto cross-shard links, plus administrative
     /// link-state/wake messages addressed to remote ports. Drained by
@@ -394,7 +359,6 @@ impl World {
                 events_processed: 0,
                 packets: PacketArena::new(),
                 digest: FNV_OFFSET,
-                digest_on: true,
                 outbox: Vec::new(),
             },
             nodes: Vec::new(),
@@ -493,17 +457,6 @@ impl World {
             .min()
     }
 
-    /// Number of cross-shard (boundary) ports in this world.
-    pub fn remote_port_count(&self) -> usize {
-        self.core
-            .ports
-            .iter()
-            .flatten()
-            .flatten()
-            .filter(|s| matches!(s.peer, Peer::Remote(_)))
-            .count()
-    }
-
     /// Deliver a cross-shard packet: schedule its arrival on `port` of
     /// `node` at `at` (which must not precede this world's clock — the
     /// conservative lookahead guarantees that for exchange traffic).
@@ -578,34 +531,12 @@ impl World {
         self.core.queue.stats()
     }
 
-    /// Which engine this world runs on.
-    pub fn engine_kind(&self) -> EngineKind {
-        self.core.queue.kind()
-    }
-
     /// FNV-1a fingerprint of every event dispatched so far: `(time,
     /// kind, node, detail)` per event. Two runs dispatched the same
     /// events in the same order iff their digests match — the basis of
-    /// the golden-trace and engine-equivalence tests. Stays at the FNV
-    /// offset basis under [`DigestMode::Off`].
+    /// the golden-trace and engine-equivalence tests.
     pub fn dispatch_digest(&self) -> u64 {
         self.core.digest
-    }
-
-    /// Switch digest folding on or off. Dispatch order and all simulated
-    /// results are unaffected; only the fingerprint bookkeeping changes.
-    /// Flip it before running — a mid-run switch leaves a partial digest.
-    pub fn set_digest_mode(&mut self, mode: DigestMode) {
-        self.core.digest_on = mode == DigestMode::On;
-    }
-
-    /// The current digest mode.
-    pub fn digest_mode(&self) -> DigestMode {
-        if self.core.digest_on {
-            DigestMode::On
-        } else {
-            DigestMode::Off
-        }
     }
 
     /// Switch dispatch profiling on or off. Dispatch order, simulated
@@ -614,15 +545,6 @@ impl World {
     /// switch; use [`Self::reset_event_profile`] for a clean window.
     pub fn set_profile_mode(&mut self, mode: ProfileMode) {
         self.profile_on = mode == ProfileMode::On;
-    }
-
-    /// The current profile mode.
-    pub fn profile_mode(&self) -> ProfileMode {
-        if self.profile_on {
-            ProfileMode::On
-        } else {
-            ProfileMode::Off
-        }
     }
 
     /// The accumulated dispatch profile (all zeros unless
@@ -650,11 +572,6 @@ impl World {
             .as_any_mut()
             .downcast_mut::<T>()
             .expect("node type mismatch")
-    }
-
-    /// Number of nodes.
-    pub fn node_count(&self) -> usize {
-        self.nodes.len()
     }
 
     /// Schedule an extra timer for a node from outside the event loop
@@ -747,23 +664,6 @@ impl World {
         true
     }
 
-    /// Shed heap capacity retained from past bursts. The packet slab,
-    /// its free list, and every node's internal queues keep their peak
-    /// capacity forever otherwise — after an incast burst that is
-    /// megabytes of idle `Vec`/`VecDeque` backing storage per world.
-    /// Call at quiescence (between experiment phases or after
-    /// [`Self::run_until_idle`]); purely a memory operation, observable
-    /// state and the dispatch digest are untouched.
-    pub fn compact(&mut self) {
-        // The arena drops vacant tail slots and rebuilds its free chain
-        // over the surviving prefix; in-flight packets (live slots) are
-        // preserved wherever they sit.
-        self.core.packets.compact();
-        for node in &mut self.nodes {
-            node.compact();
-        }
-    }
-
     /// Capacity of the in-flight packet slab (memory-bound tests).
     pub fn packet_slab_capacity(&self) -> usize {
         self.core.packets.capacity()
@@ -829,9 +729,6 @@ impl Ctx<'_> {
     }
 
     fn fold_digest(&mut self, time: SimTime, tag: u64, node: NodeId, detail: u64) {
-        if !self.core.digest_on {
-            return;
-        }
         let mut h = self.core.digest;
         h = fnv1a(h, time.as_ps());
         h = fnv1a(h, tag);
@@ -1255,57 +1152,6 @@ mod tests {
             w.node::<Gridder>(g).fired,
             [us(55), us(55), us(55), us(110), us(110), us(165)]
         );
-    }
-
-    #[test]
-    fn digest_off_dispatches_identically() {
-        let run = |mode| {
-            let (mut w, a, b) = two_node_world(200);
-            w.set_digest_mode(mode);
-            assert_eq!(w.digest_mode(), mode);
-            w.run_until_idle(100_000);
-            (
-                w.events_processed(),
-                w.node::<Chatter>(b).received.clone(),
-                w.node::<Chatter>(a).sent,
-                w.dispatch_digest(),
-            )
-        };
-        let on = run(DigestMode::On);
-        let off = run(DigestMode::Off);
-        // Same events, same arrivals, same results — only the
-        // fingerprint differs (off stays at the FNV offset basis).
-        assert_eq!(on.0, off.0);
-        assert_eq!(on.1, off.1);
-        assert_eq!(on.2, off.2);
-        assert_ne!(on.3, FNV_OFFSET, "on-mode must fold events");
-        assert_eq!(off.3, FNV_OFFSET, "off-mode must not fold events");
-    }
-
-    #[test]
-    fn compact_bounds_slab_memory() {
-        let (mut w, _a, _b) = two_node_world(500);
-        assert!(w.run_until_idle(100_000));
-        let peak = w.packet_slab_capacity();
-        assert!(peak > 0);
-        w.compact();
-        // At quiescence every packet has been consumed, so compaction
-        // empties the slab entirely.
-        assert_eq!(w.packet_slab_len(), 0);
-        assert!(w.packet_slab_capacity() <= peak);
-        assert_eq!(w.packet_slab_free(), 0);
-        // Compacting must not perturb replay: a compacted world resumed
-        // mid-run produces the same trace as an untouched one.
-        let traced = |compact_at: Option<SimTime>| {
-            let (mut w, _a, b) = two_node_world(300);
-            if let Some(t) = compact_at {
-                w.run_until(t);
-                w.compact();
-            }
-            w.run_until_idle(100_000);
-            (w.dispatch_digest(), w.node::<Chatter>(b).received.clone())
-        };
-        assert_eq!(traced(None), traced(Some(SimTime::from_micros(50))));
     }
 
     #[test]

@@ -572,11 +572,6 @@ impl Switch {
         &self.buffer
     }
 
-    /// Total bytes queued at an egress port right now.
-    pub fn egress_depth(&self, port: PortId) -> u64 {
-        self.egress[port.index()].total_bytes()
-    }
-
     /// Bytes queued at an egress port for one priority.
     pub fn egress_depth_prio(&self, port: PortId, prio: Priority) -> u64 {
         self.egress[port.index()].queue_bytes[prio.index()]
@@ -620,15 +615,6 @@ impl Switch {
         self.total_tx_pkts()
             - self.stats.pause_tx.iter().sum::<u64>()
             - self.stats.resume_tx.iter().sum::<u64>()
-    }
-
-    /// Total retained capacity (entries) across all egress data queues
-    /// and control queues — the memory-bound hook for compaction tests.
-    pub fn egress_queue_capacity(&self) -> usize {
-        self.egress
-            .iter()
-            .map(|e| e.queues.iter().map(|q| q.capacity()).sum::<usize>() + e.ctrl.capacity())
-            .sum()
     }
 
     /// Is `port`'s egress currently paused for `prio`?
@@ -1359,15 +1345,6 @@ impl Node for Switch {
             TOK_WATCHDOG => self.watchdog_scan(ctx),
             TOK_ADMIN => self.apply_admin((token & ((1 << TOK_KIND_SHIFT) - 1)) as usize, ctx),
             _ => {}
-        }
-    }
-
-    fn compact(&mut self) {
-        for e in &mut self.egress {
-            for q in &mut e.queues {
-                q.shrink_to_fit();
-            }
-            e.ctrl.shrink_to_fit();
         }
     }
 

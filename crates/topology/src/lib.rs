@@ -168,15 +168,6 @@ impl ClosSpec {
         }
     }
 
-    /// The Figure 7 podset shape scaled by `scale` (scale = 1 gives
-    /// 2 pods × (4 leaves, 24 ToRs, 24 servers/ToR) and 64 spines — the
-    /// paper's exact experiment; smaller scales preserve the 6:1 ToR and
-    /// 3:2 Leaf oversubscription ratios).
-    pub fn fig7_podsets(scale: u32) -> ClosSpec {
-        let s = scale.max(1);
-        ClosSpec::uniform_40g(2, 24 / s, 4u32.div_ceil(s).max(2), 64 / s, 24 / s)
-    }
-
     /// ToR oversubscription: server bandwidth in vs uplink bandwidth out.
     pub fn tor_oversubscription(&self) -> f64 {
         (self.servers_per_tor as u64 * self.server_bps) as f64

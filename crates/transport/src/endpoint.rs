@@ -440,11 +440,6 @@ impl QpEndpoint {
         self.ctrl_out.pop_front()
     }
 
-    /// True if control packets are pending.
-    pub fn has_ctrl_tx(&self) -> bool {
-        !self.ctrl_out.is_empty()
-    }
-
     /// Drain completions accumulated since the last call.
     pub fn take_completions(&mut self) -> Vec<Completion> {
         std::mem::take(&mut self.completions)
@@ -812,11 +807,6 @@ impl QpEndpoint {
     /// Goodput numerator: payload bytes of fully received messages.
     pub fn goodput_bytes(&self) -> u64 {
         self.stats.goodput_bytes
-    }
-
-    /// Sender-side: messages still queued or in flight.
-    pub fn pending_msgs(&self) -> usize {
-        self.msgs.len()
     }
 }
 

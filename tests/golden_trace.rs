@@ -14,7 +14,7 @@
 use rocescale_core::{ClusterBuilder, InstrumentationProfile, ServerId};
 use rocescale_monitor::{MemorySink, MetricsHub};
 use rocescale_nic::QpApp;
-use rocescale_sim::{DigestMode, EngineKind, EventProfile, ProfileMode, SimTime};
+use rocescale_sim::{EngineKind, EventProfile, ProfileMode, SimTime};
 
 /// Digest of the pinned scenario (identical on the timer wheel and the
 /// binary heap). Re-pinned when host timers became demand-armed; the
@@ -31,33 +31,17 @@ const GOLDEN_EVENTS: u64 = 13739;
 const ALWAYS_ARMED_COUNTS: [u64; 4] = [14, 4827, 4827, 4132];
 
 fn run(engine: EngineKind) -> (u64, u64) {
-    run_full(
-        engine,
-        MetricsHub::disabled(),
-        DigestMode::On,
-        ProfileMode::Off,
-    )
-    .0
+    run_profiled(engine, MetricsHub::disabled(), ProfileMode::Off).0
 }
 
 fn run_with_hub(engine: EngineKind, hub: MetricsHub) -> ((u64, u64), MetricsHub) {
-    run_full(engine, hub, DigestMode::On, ProfileMode::Off)
-}
-
-fn run_full(
-    engine: EngineKind,
-    hub: MetricsHub,
-    digest: DigestMode,
-    profile: ProfileMode,
-) -> ((u64, u64), MetricsHub) {
-    let (out, hub, _) = run_profiled(engine, hub, digest, profile);
+    let (out, hub, _) = run_profiled(engine, hub, ProfileMode::Off);
     (out, hub)
 }
 
 fn run_profiled(
     engine: EngineKind,
     hub: MetricsHub,
-    digest: DigestMode,
     profile: ProfileMode,
 ) -> ((u64, u64), MetricsHub, EventProfile) {
     let mut cl = ClusterBuilder::two_tier(2, 4)
@@ -66,7 +50,6 @@ fn run_profiled(
         .instrumentation(
             InstrumentationProfile::paper_default()
                 .telemetry(hub)
-                .digest(digest)
                 .profiler(profile),
         )
         .build();
@@ -103,27 +86,6 @@ fn both_engines_dispatch_byte_identical_traces() {
         run(EngineKind::BinaryHeap),
         (GOLDEN_DIGEST, GOLDEN_EVENTS),
         "binary-heap trace deviates from the wheel's"
-    );
-}
-
-/// `DigestMode::Off` (the fleet/bench fast path) must skip only the
-/// fold, not change the simulation: the pinned scenario dispatches the
-/// exact golden event count while the digest stays at the FNV basis.
-#[test]
-fn digest_off_dispatches_the_same_event_stream() {
-    let ((digest, events), _) = run_full(
-        EngineKind::Wheel,
-        MetricsHub::disabled(),
-        DigestMode::Off,
-        ProfileMode::Off,
-    );
-    assert_eq!(
-        events, GOLDEN_EVENTS,
-        "digest mode must not change the event stream"
-    );
-    assert_ne!(
-        digest, GOLDEN_DIGEST,
-        "off mode must not accidentally keep folding"
     );
 }
 
@@ -284,12 +246,7 @@ fn sink_implies_enabled_hub_and_preserves_the_golden_trace() {
 /// golden event count (wall-clock timing is bookkeeping, not events).
 #[test]
 fn profiler_does_not_perturb_the_dispatch_trace() {
-    let (out, _, profile) = run_profiled(
-        EngineKind::Wheel,
-        MetricsHub::enabled(),
-        DigestMode::On,
-        ProfileMode::On,
-    );
+    let (out, _, profile) = run_profiled(EngineKind::Wheel, MetricsHub::enabled(), ProfileMode::On);
     assert_eq!(
         out,
         (GOLDEN_DIGEST, GOLDEN_EVENTS),
@@ -320,12 +277,7 @@ fn profiler_does_not_perturb_the_dispatch_trace() {
 /// * servers 1–3 always have data in flight and keep both timers.
 #[test]
 fn trace_differs_from_the_always_armed_one_only_in_idle_timers() {
-    let (_, _, profile) = run_profiled(
-        EngineKind::Wheel,
-        MetricsHub::disabled(),
-        DigestMode::On,
-        ProfileMode::On,
-    );
+    let (_, _, profile) = run_profiled(EngineKind::Wheel, MetricsHub::disabled(), ProfileMode::On);
     let [start, arrival, port_idle, timer] = profile.counts;
     assert_eq!(
         [start, arrival, port_idle],
