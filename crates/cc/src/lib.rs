@@ -20,7 +20,7 @@
 //!   sender's controller (non-DCQCN senders simply ignore CNPs), which
 //!   keeps the receive-side event stream identical across ablations.
 //! * **Marking role**: the switch-side congestion point — re-exported
-//!   [`CpParams`]/[`CpState`] ECN marking, unchanged.
+//!   [`CpParams`] ECN marking, unchanged.
 //!
 //! Everything is time-as-argument pure logic in the style of the dcqcn
 //! state machines: the NIC adapter owns the clocks, feeds signals, and
@@ -35,7 +35,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub use rocescale_dcqcn::{CpParams, CpState};
+pub use rocescale_dcqcn::CpParams;
 use rocescale_dcqcn::{NpParams, NpState, RpParams, RpState};
 
 /// Which congestion-control algorithm a sender runs.

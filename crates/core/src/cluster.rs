@@ -348,11 +348,13 @@ impl ClusterBuilder {
             let mut cfg = SwitchConfig::new(node.name.clone(), ports);
             cfg.classify = classify;
             cfg.lossless = lossless_for(node.tier);
-            // Port roles from the topology.
+            // Port roles from the topology; headroom for the worst link
+            // the switch terminates — the fastest and the longest.
             let mut roles = vec![PortRole::Fabric; ports as usize];
-            let mut max_meters = 2u32;
+            let (mut max_meters, mut max_bps) = (2u32, 0u64);
             for n in topo.neighbors(idx) {
                 max_meters = max_meters.max(topo.links[n.link].meters);
+                max_bps = max_bps.max(topo.links[n.link].rate_bps);
                 if topo.nodes[n.peer].tier == Tier::Server {
                     roles[n.port.index()] = PortRole::Server;
                 }
@@ -360,7 +362,7 @@ impl ClusterBuilder {
             cfg.port_roles = roles;
             cfg.buffer = BufferConfig {
                 total_bytes: 12 << 20,
-                headroom_per_port_pg: BufferConfig::headroom_for(40_000_000_000, max_meters, 1120),
+                headroom_per_port_pg: BufferConfig::headroom_for(max_bps, max_meters, 1120),
                 alpha: self.fabric.alpha,
                 xoff_static: 256 * 1024,
                 xon_delta: 2 * 1120,
@@ -427,12 +429,18 @@ impl ClusterBuilder {
             let tor_idx = topo.tor_of_server(idx);
             let gateway = switch_mac(tor_idx);
             let ip = node.ip.expect("servers have IPs");
+            let link_bps = topo
+                .neighbors(idx)
+                .first()
+                .map(|n| topo.links[n.link].rate_bps)
+                .expect("servers have a ToR link");
             let order = servers.len();
             let kind = (self.server_kind)(order);
             let shard = partition.shard_of(idx);
             let sim = match kind {
                 ServerKind::Rdma => {
                     let mut cfg = NicConfig::new(node.name.clone(), idx as u32 + 1, ip, gateway);
+                    cfg.link_bps = link_bps;
                     cfg.pfc_mode = match self.fabric.pfc_mode {
                         PfcMode::Dscp => HostPfcMode::Dscp,
                         PfcMode::Vlan => HostPfcMode::Vlan { vid: 100 },
@@ -454,6 +462,7 @@ impl ClusterBuilder {
                 ServerKind::Tcp => {
                     let mut cfg =
                         TcpHostConfig::new(node.name.clone(), idx as u32 + 1, ip, gateway);
+                    cfg.link_bps = link_bps;
                     cfg.conn.min_rto_ps = self.transport.tcp_min_rto.as_ps();
                     cfg.telemetry = hubs[shard as usize].clone();
                     (self.tcp_tweak)(order, &mut cfg);
@@ -1444,6 +1453,39 @@ mod tests {
 
     fn observed() -> InstrumentationProfile {
         InstrumentationProfile::paper_default().telemetry(MetricsHub::enabled())
+    }
+
+    /// Line rates come from the spec's links, not a 40 G default: on a
+    /// 100 G fabric every switch's headroom is sized for the fastest link
+    /// it terminates over its longest cable, and the NICs run at the
+    /// server link's rate, so a DCQCN sender starts at 100 G.
+    #[test]
+    fn a_100g_spec_builds_100g_headroom_and_nics() {
+        const G100: u64 = 100_000_000_000;
+        let spec = ClosSpec {
+            server_bps: G100,
+            tor_leaf_bps: G100,
+            leaf_spine_bps: G100,
+            ..ClosSpec::uniform_40g(1, 2, 1, 1, 2)
+        };
+        let mut c = ClusterBuilder::new(spec).build();
+        for (tier, cable_m) in [
+            (Tier::Tor, spec.tor_leaf_m),
+            (Tier::Leaf, spec.leaf_spine_m),
+            (Tier::Spine, spec.leaf_spine_m),
+        ] {
+            for i in c.switches_of_tier(tier) {
+                assert_eq!(
+                    c.switch(i).config().buffer.headroom_per_port_pg,
+                    BufferConfig::headroom_for(G100, cable_m, 1120),
+                    "{tier:?} headroom"
+                );
+            }
+        }
+        let (a, b) = (ServerId(0), ServerId(3));
+        let (qa, _) = c.connect_qp(a, b, 6000, saturate(), QpApp::None);
+        assert_eq!(c.rdma(a).config().link_bps, G100);
+        assert_eq!(c.rdma(a).qp_rate_bps(qa), G100 as f64);
     }
 
     #[test]

@@ -536,27 +536,32 @@ mod tests {
     /// constant on purpose is the reviewable act of accepting a new
     /// trace (same convention as `tests/golden_trace.rs`).
     ///
-    /// Re-pinned when host timers became demand-armed (from
-    /// 8737866210602114976 / 1535575 and 14903120807112586635 / 2762529).
-    /// Per-kind `event_profile()` counts on both sides of that change:
-    /// arrivals 656727 and port idles 656727 (fix off), 1083413 and
-    /// 1083415 (fix on) are equal; only timers fell — by 1200 with the
-    /// fix on (three hosts with nothing ever unacknowledged × 400 scan
-    /// lines in 40 ms) and by 8600 with it off, where the senders also
-    /// stop scanning once a timeout has rewound a QP that the wedged,
-    /// paused port cannot resend.
+    /// Re-pinned twice, with per-kind `event_profile()` counts on both
+    /// sides of each change. Arrivals 656727 and port idles 656727 (fix
+    /// off), 1083413 and 1083415 (fix on) never moved; only timers fell.
+    ///
+    /// * Host timers became demand-armed (from 8737866210602114976 /
+    ///   1535575 and 14903120807112586635 / 2762529): −1200 timers with
+    ///   the fix on (three hosts with nothing ever unacknowledged × 400
+    ///   scan lines in 40 ms) and −8600 with it off, where the senders
+    ///   also stop scanning once a timeout has rewound a QP that the
+    ///   wedged, paused port cannot resend.
+    /// * One pacing timer per instant (from 5898150378513020985 / 1526975
+    ///   and 18289429584575194156 / 2761329): timers 213511 → 168902 with
+    ///   the fix off and 594491 → 246923 with it on; the rule removes
+    ///   only second `TOK_PUMP`s for an instant already queued.
     #[test]
     fn scripted_replay_digests_are_pinned() {
         let off = run_scripted(false, SimTime::from_millis(40));
         assert_eq!(
             (off.digest, off.events),
-            (5898150378513020985, 1526975),
+            (10008809752035063281, 1482366),
             "fix-off replay deviates from its committed trace"
         );
         let on = run_scripted(true, SimTime::from_millis(40));
         assert_eq!(
             (on.digest, on.events),
-            (18289429584575194156, 2761329),
+            (12484319062180651156, 2413761),
             "fix-on replay deviates from its committed trace"
         );
     }

@@ -7,7 +7,7 @@
 //! propagation probability" (§2). DCQCN has three roles:
 //!
 //! * **CP** (congestion point, the switch): RED-style probabilistic ECN
-//!   marking on egress queue length — [`CpParams`]/[`CpState`].
+//!   marking on egress queue length — [`CpParams`].
 //! * **NP** (notification point, the receiving NIC): on a CE-marked
 //!   packet, send a CNP back to the sender, at most one per
 //!   [`NpParams::min_cnp_interval_ps`] per flow — [`NpState`].
@@ -47,47 +47,21 @@ impl Default for CpParams {
     }
 }
 
-/// Congestion-point marking state (none beyond the params — marking is
-/// memoryless on instantaneous queue length).
-#[derive(Debug, Clone, Default)]
-pub struct CpState {
-    params: CpParams,
-    marked: u64,
-    seen: u64,
-}
-
-impl CpState {
-    /// Create with the given parameters.
-    pub fn new(params: CpParams) -> CpState {
-        CpState {
-            params,
-            marked: 0,
-            seen: 0,
-        }
-    }
-
+impl CpParams {
     /// Decide whether to CE-mark a packet arriving to an egress queue of
-    /// `queue_bytes`, given a uniform random draw in `[0,1)`.
-    pub fn should_mark(&mut self, queue_bytes: u64, uniform_draw: f64) -> bool {
-        self.seen += 1;
-        let p = &self.params;
-        let mark = if queue_bytes <= p.kmin_bytes {
+    /// `queue_bytes`, given a uniform random draw in `[0,1)`. Marking is
+    /// memoryless on instantaneous queue length, so the parameters are
+    /// the whole congestion point.
+    pub fn should_mark(&self, queue_bytes: u64, uniform_draw: f64) -> bool {
+        if queue_bytes <= self.kmin_bytes {
             false
-        } else if queue_bytes >= p.kmax_bytes {
+        } else if queue_bytes >= self.kmax_bytes {
             true
         } else {
-            let frac = (queue_bytes - p.kmin_bytes) as f64 / (p.kmax_bytes - p.kmin_bytes) as f64;
-            uniform_draw < frac * p.pmax
-        };
-        if mark {
-            self.marked += 1;
+            let frac =
+                (queue_bytes - self.kmin_bytes) as f64 / (self.kmax_bytes - self.kmin_bytes) as f64;
+            uniform_draw < frac * self.pmax
         }
-        mark
-    }
-
-    /// (packets seen, packets marked) — for monitoring.
-    pub fn counters(&self) -> (u64, u64) {
-        (self.seen, self.marked)
     }
 }
 
@@ -485,7 +459,7 @@ mod tests {
 
     #[test]
     fn cp_marking_ramp() {
-        let mut cp = CpState::new(CpParams::default());
+        let cp = CpParams::default();
         // Below Kmin: never.
         assert!(!cp.should_mark(10 * 1024, 0.0));
         // Above Kmax: always.
@@ -494,7 +468,6 @@ mod tests {
         let mid = (40 + (200 - 40) / 2) * 1024;
         assert!(cp.should_mark(mid, 0.004));
         assert!(!cp.should_mark(mid, 0.006));
-        assert_eq!(cp.counters().0, 4);
     }
 
     /// Closed-loop stability: if the congestion point marks only while the

@@ -319,8 +319,8 @@ pub const TOK_WAKE: u64 = 102;
 const RTO_SCAN: SimTime = SimTime::from_micros(100);
 const STORM_REFRESH: SimTime = SimTime::from_micros(100);
 
-/// Pre-registered telemetry instrument ids (sentinels when disabled).
-#[derive(Default)]
+/// Pre-registered telemetry instrument ids. Only a host on an enabled
+/// hub has them; see [`RdmaHost::tele`].
 struct NicTele {
     hub: MetricsHub,
     scope: ScopeId,
@@ -343,12 +343,14 @@ struct NicTele {
 }
 
 impl NicTele {
-    fn register(hub: MetricsHub, name: &str) -> NicTele {
+    /// The host's instruments, or `None` on a disabled hub, where every id
+    /// would come back a sentinel: no names are formatted and nothing is
+    /// stored.
+    fn register(hub: MetricsHub, name: &str) -> Option<Box<NicTele>> {
         if !hub.is_enabled() {
-            // Every id would come back a sentinel: format no names.
-            return NicTele::default();
+            return None;
         }
-        NicTele {
+        Some(Box::new(NicTele {
             scope: hub.scope(&format!("nic.{name}")),
             pause_tx: hub.counter(&format!("nic.{name}.pfc.xoff_tx")),
             pause_rx: hub.counter(&format!("nic.{name}.pfc.xoff_rx")),
@@ -362,7 +364,7 @@ impl NicTele {
             qp_rate_changes: Vec::new(),
             name: name.to_string(),
             hub,
-        }
+        }))
     }
 }
 
@@ -387,7 +389,8 @@ pub struct RdmaHost {
     rx_busy: bool,
     /// Host is in XOFF state toward the switch.
     host_xoff: bool,
-    mtt: Option<MttCache>,
+    /// Boxed: most hosts configure no MTT model.
+    mtt: Option<Box<MttCache>>,
     /// Time the pipeline last completed a packet (watchdog input).
     last_rx_progress: SimTime,
     // --- storm state ---
@@ -398,8 +401,13 @@ pub struct RdmaHost {
     tick_armed: bool,
     /// A `TOK_RTO` scan is queued.
     rto_armed: bool,
-    /// Telemetry instruments (sentinels when the hub is disabled).
-    tele: NicTele,
+    /// The instant of the last `TOK_PUMP` queued (see
+    /// [`RdmaHost::pump_at`]). Pumps are only ever queued strictly in the
+    /// future, so the initial zero matches none.
+    pump_queued: SimTime,
+    /// Telemetry instruments; `None` while the hub is disabled, so an
+    /// unobserved host carries one null pointer.
+    tele: Option<Box<NicTele>>,
     /// Counters.
     pub stats: HostStats,
 }
@@ -408,7 +416,7 @@ impl RdmaHost {
     /// Build a host from its configuration.
     pub fn new(cfg: NicConfig) -> RdmaHost {
         RdmaHost {
-            mtt: cfg.rx.mtt.map(MttCache::new),
+            mtt: cfg.rx.mtt.map(|m| Box::new(MttCache::new(m))),
             tele: NicTele::register(cfg.telemetry.clone(), &cfg.name),
             cfg,
             qps: Vec::new(),
@@ -427,6 +435,7 @@ impl RdmaHost {
             pause_gen_disabled: false,
             tick_armed: false,
             rto_armed: false,
+            pump_queued: SimTime::ZERO,
             stats: HostStats::default(),
         }
     }
@@ -436,18 +445,19 @@ impl RdmaHost {
     /// telemetry disabled.
     fn drain_transport_events(&mut self, qpn: u32, now_ps: u64) {
         while let Some(ev) = self.qps[qpn as usize].endpoint.pop_event() {
+            let Some(t) = &self.tele else {
+                continue;
+            };
             match ev {
                 TransportEvent::Rollback {
                     cause,
                     to_psn,
                     pkts,
                 } => {
-                    self.tele
-                        .hub
-                        .add(self.tele.qp_retransmits[qpn as usize], pkts as u64);
-                    self.tele.hub.trace(
+                    t.hub.add(t.qp_retransmits[qpn as usize], pkts as u64);
+                    t.hub.trace(
                         now_ps,
-                        self.tele.scope,
+                        t.scope,
                         TraceEvent::Rollback {
                             cause,
                             to_psn,
@@ -456,6 +466,20 @@ impl RdmaHost {
                     );
                 }
             }
+        }
+    }
+
+    /// Count one event on the counter `id` names, if telemetry is on.
+    fn incr(&self, id: impl Fn(&NicTele) -> CounterId) {
+        if let Some(t) = &self.tele {
+            t.hub.incr(id(t));
+        }
+    }
+
+    /// Record a flight-recorder event, if telemetry is on.
+    fn trace(&self, now_ps: u64, ev: TraceEvent) {
+        if let Some(t) = &self.tele {
+            t.hub.trace(now_ps, t.scope, ev);
         }
     }
 
@@ -493,18 +517,14 @@ impl RdmaHost {
         // once the host is woken ([`TOK_WAKE`]).
         qp.refill_app();
         self.qps.push(qp);
-        let (hub, name) = (&self.tele.hub, &self.tele.name);
-        let (retransmits, rate_changes) = if hub.is_enabled() {
+        if let Some(t) = self.tele.as_deref_mut() {
+            let (hub, name) = (&t.hub, &t.name);
             let cc_name = self.cfg.cc.kind().name();
-            (
-                hub.counter(&format!("nic.{name}.qp.{qpn}.retransmits")),
-                hub.counter(&format!("nic.{name}.qp.{qpn}.{cc_name}.rate_changes")),
-            )
-        } else {
-            Default::default()
-        };
-        self.tele.qp_retransmits.push(retransmits);
-        self.tele.qp_rate_changes.push(rate_changes);
+            let retransmits = hub.counter(&format!("nic.{name}.qp.{qpn}.retransmits"));
+            let rate_changes = hub.counter(&format!("nic.{name}.qp.{qpn}.{cc_name}.rate_changes"));
+            t.qp_retransmits.push(retransmits);
+            t.qp_rate_changes.push(rate_changes);
+        }
         QpHandle(qpn)
     }
 
@@ -660,7 +680,7 @@ impl RdmaHost {
             let prio = self.cfg.rdma_priority;
             if self.paused_until[prio.index()] > now {
                 // Our lossless class is paused; wake when it expires.
-                ctx.set_timer_at(self.paused_until[prio.index()], TOK_PUMP);
+                self.pump_at(self.paused_until[prio.index()], ctx);
                 return;
             }
             if let Some(p) = self.ctrl.pop_front() {
@@ -687,7 +707,7 @@ impl RdmaHost {
             }
             let Some(i) = picked else {
                 if let Some(t) = earliest {
-                    ctx.set_timer_at(SimTime(t), TOK_PUMP);
+                    self.pump_at(SimTime(t), ctx);
                 }
                 return;
             };
@@ -713,6 +733,18 @@ impl RdmaHost {
         }
     }
 
+    /// Queue a `TOK_PUMP` at `at` (strictly in the future) unless the last
+    /// one queued is for that same instant. That earlier timer fires
+    /// first, and a second pump at the same instant would find nothing
+    /// new: every state change that could enable a send runs the pump
+    /// itself.
+    fn pump_at(&mut self, at: SimTime, ctx: &mut Ctx<'_>) {
+        if self.pump_queued != at {
+            self.pump_queued = at;
+            ctx.set_timer_at(at, TOK_PUMP);
+        }
+    }
+
     /// Move a QP endpoint's pending control packets into the host queue.
     fn drain_ctrl(&mut self, qpn: u32, ctx: &mut Ctx<'_>) {
         while let Some(desc) = self.qps[qpn as usize].endpoint.pop_ctrl_tx() {
@@ -733,7 +765,7 @@ impl RdmaHost {
         let pkt = self.materialize(qpn, &desc, ctx);
         self.ctrl.push_back(pkt);
         self.stats.cnp_tx += 1;
-        self.tele.hub.incr(self.tele.cnp_tx);
+        self.incr(|t| t.cnp_tx);
     }
 
     // ---- receive pipeline ----
@@ -747,14 +779,14 @@ impl RdmaHost {
         }
         if self.storm {
             self.stats.rx_storm_dropped += 1;
-            self.tele.hub.incr(self.tele.rx_storm_dropped);
+            self.incr(|t| t.rx_storm_dropped);
             self.note_rx_pressure(ctx);
             return;
         }
         let bytes = pkt.wire_size() as u64;
         if self.rx_occupancy + bytes > self.cfg.rx.buffer_bytes {
             self.stats.rx_overflow += 1;
-            self.tele.hub.incr(self.tele.rx_overflow);
+            self.incr(|t| t.rx_overflow);
             return;
         }
         self.rx_occupancy += bytes;
@@ -782,10 +814,9 @@ impl RdmaHost {
         self.pause_out.push_back(pkt);
         if quanta > 0 {
             self.stats.pause_tx += 1;
-            self.tele.hub.incr(self.tele.pause_tx);
-            self.tele.hub.trace(
+            self.incr(|t| t.pause_tx);
+            self.trace(
                 ctx.now().as_ps(),
-                self.tele.scope,
                 TraceEvent::PauseTx {
                     port: 0,
                     prio: prio.index() as u8,
@@ -848,7 +879,7 @@ impl RdmaHost {
         }
         if r.opcode == RoceOpcode::Cnp {
             self.stats.cnp_rx += 1;
-            self.tele.hub.incr(self.tele.cnp_rx);
+            self.incr(|t| t.cnp_rx);
             let now_ps = ctx.now().as_ps();
             let act = self.qps[qpn as usize].cc.on_signal(CcSignal::Cnp, now_ps);
             if let Some(act) = act {
@@ -894,23 +925,26 @@ impl RdmaHost {
     /// streaming rate points — one trajectory point carrying the QP
     /// identity the flight event elides.
     fn note_cc_action(&mut self, qpn: u32, act: CcAction, now_ps: u64) {
+        let Some(t) = &self.tele else {
+            return;
+        };
         match act {
             CcAction::RateChange { rate_bps, cause } => {
-                self.tele.hub.incr(self.tele.qp_rate_changes[qpn as usize]);
+                t.hub.incr(t.qp_rate_changes[qpn as usize]);
                 let cc = self.qps[qpn as usize].cc.kind().name();
                 let rate_mbps = (rate_bps / 1e6) as u32;
-                self.tele.hub.trace(
+                t.hub.trace(
                     now_ps,
-                    self.tele.scope,
+                    t.scope,
                     TraceEvent::RateChange {
                         cc,
                         rate_mbps,
                         cause,
                     },
                 );
-                self.tele.hub.stream_rate(
+                t.hub.stream_rate(
                     now_ps,
-                    self.tele.scope,
+                    t.scope,
                     RatePoint {
                         qp: qpn,
                         rate_mbps,
@@ -942,7 +976,9 @@ impl RdmaHost {
                     let q = &mut self.qps[qpn as usize];
                     if let Some(sent) = q.pending_rtt.pop_front() {
                         self.stats.rtt_samples_ps.push(now - sent);
-                        self.tele.hub.observe(self.tele.rtt_ps, now - sent);
+                        if let Some(t) = &self.tele {
+                            t.hub.observe(t.rtt_ps, now - sent);
+                        }
                     }
                     if let QpApp::Echo { reply_len } = q.app {
                         let wr = WrId(q.wr_seq);
@@ -958,19 +994,16 @@ impl RdmaHost {
 
     fn on_pause(&mut self, frame: &PauseFrame, ctx: &mut Ctx<'_>) {
         self.stats.pause_rx += 1;
-        self.tele.hub.incr(self.tele.pause_rx);
-        if self.tele.hub.is_enabled() {
-            if let Some((prio, quanta)) = frame.entries().next() {
-                if quanta > 0 {
-                    self.tele.hub.trace(
-                        ctx.now().as_ps(),
-                        self.tele.scope,
-                        TraceEvent::PauseRx {
-                            port: 0,
-                            prio: prio.index() as u8,
-                        },
-                    );
-                }
+        self.incr(|t| t.pause_rx);
+        if let Some((prio, quanta)) = frame.entries().next() {
+            if quanta > 0 {
+                self.trace(
+                    ctx.now().as_ps(),
+                    TraceEvent::PauseRx {
+                        port: 0,
+                        prio: prio.index() as u8,
+                    },
+                );
             }
         }
         let rate = ctx.port_rate(PortId(0)).unwrap_or(self.cfg.link_bps);
@@ -982,7 +1015,7 @@ impl RdmaHost {
             } else {
                 let until = ctx.now() + SimTime(PfcPauseFrame::quanta_to_ps(quanta, rate));
                 self.paused_until[prio.index()] = until;
-                ctx.set_timer_at(until, TOK_PUMP);
+                self.pump_at(until, ctx);
             }
         }
         if resumed {
@@ -1022,12 +1055,8 @@ impl RdmaHost {
             {
                 self.pause_gen_disabled = true;
                 self.stats.nic_watchdog_fired += 1;
-                self.tele.hub.incr(self.tele.nic_watchdog_fired);
-                self.tele.hub.trace(
-                    ctx.now().as_ps(),
-                    self.tele.scope,
-                    TraceEvent::NicWatchdogFired,
-                );
+                self.incr(|t| t.nic_watchdog_fired);
+                self.trace(ctx.now().as_ps(), TraceEvent::NicWatchdogFired);
             }
         }
         if !self.pause_gen_disabled {
@@ -1136,16 +1165,12 @@ impl Node for RdmaHost {
             TOK_STORM_TICK => self.storm_tick(ctx),
             TOK_INJECT_STORM => {
                 self.storm = true;
-                self.tele
-                    .hub
-                    .trace(ctx.now().as_ps(), self.tele.scope, TraceEvent::StormStart);
+                self.trace(ctx.now().as_ps(), TraceEvent::StormStart);
                 self.storm_tick(ctx);
             }
             TOK_STOP_STORM if self.storm => {
                 self.storm = false;
-                self.tele
-                    .hub
-                    .trace(ctx.now().as_ps(), self.tele.scope, TraceEvent::StormStop);
+                self.trace(ctx.now().as_ps(), TraceEvent::StormStop);
                 // Resume the peer if we were the ones holding it down
                 // (the watchdog-disabled case already stopped pausing).
                 if self.host_xoff

@@ -1,6 +1,7 @@
 //! Focused host/NIC behaviour tests beyond the end-to-end suite: VLAN
-//! tagging, MAC filtering, receive-buffer pressure, DCQCN pacing, and
-//! storm-mode receive behaviour.
+//! tagging, MAC filtering, receive-buffer pressure, DCQCN pacing,
+//! storm-mode receive behaviour, demand-armed timers and one pacing timer
+//! per instant.
 
 use rocescale_nic::host::TOK_INJECT_STORM;
 use rocescale_nic::{HostPfcMode, NicConfig, QpApp, RdmaHost};
@@ -451,4 +452,103 @@ fn a_wake_starts_work_injected_into_a_running_world() {
     assert!(sent(&world) > 0, "the next scan line does");
     world.run_until(SimTime::from_millis(3));
     assert!(world.node::<RdmaHost>(hosts[1]).total_goodput_bytes() > 0);
+}
+
+// ---- one pacing timer per instant ----
+
+/// The transmit pump's timer token (`TOK_PUMP`, private to the host).
+const PUMP: u64 = 1;
+
+/// A peer that sends a PFC resume frame at each of `at`: the frame
+/// changes nothing (nothing is paused) but runs the receiving host's
+/// transmit pump, as every received packet does.
+struct Resumer {
+    at: Vec<SimTime>,
+}
+
+impl rocescale_sim::Node for Resumer {
+    fn on_start(&mut self, ctx: &mut rocescale_sim::Ctx<'_>) {
+        for &t in &self.at {
+            ctx.set_timer_at(t, 0);
+        }
+    }
+    fn on_packet(
+        &mut self,
+        _: PortId,
+        _: rocescale_packet::Packet,
+        _: &mut rocescale_sim::Ctx<'_>,
+    ) {
+    }
+    fn on_timer(&mut self, _: u64, ctx: &mut rocescale_sim::Ctx<'_>) {
+        let resume = rocescale_packet::Packet::new(
+            ctx.next_packet_id(),
+            rocescale_packet::EthMeta {
+                src: MacAddr::from_id(9),
+                dst: MacAddr::PAUSE_MULTICAST,
+                vlan: None,
+            },
+            None,
+            rocescale_packet::PacketKind::Pfc(rocescale_packet::PauseFrame::resume(
+                rocescale_packet::Priority::new(3),
+            )),
+            ctx.now().as_ps(),
+        );
+        ctx.transmit(PortId(0), resume)
+            .expect("frames are µs apart");
+    }
+    fn as_any(&self) -> &dyn std::any::Any {
+        self
+    }
+    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
+        self
+    }
+}
+
+/// A spied-on host whose only QP is paced at 1 Gb/s on a 40 G port, so
+/// after its first packet it waits ~8.7 µs for the next one, and a
+/// [`Resumer`] that sends it five frames inside that gap.
+fn paced_host_hearing_frames() -> (World, NodeId) {
+    let mut cfg = NicConfig::new("h0", 1, host_ip(0), MacAddr::from_id(9));
+    cfg.cc = rocescale_cc::CcParams::Off;
+    cfg.link_bps = 1_000_000_000;
+    let mut host = RdmaHost::new(cfg);
+    let sat = QpApp::Saturate {
+        msg_len: 64 * 1024,
+        inflight: 1,
+    };
+    host.add_qp(host_ip(1), 0, 5000, sat);
+    let mut world = World::new(7);
+    let h = world.add_node(Box::new(Spy {
+        host,
+        timers: Vec::new(),
+    }));
+    let at = (1..=5).map(SimTime::from_micros).collect();
+    let peer = world.add_node(Box::new(Resumer { at }));
+    world.connect(h, PortId(0), peer, PortId(0), LinkSpec::server_40g());
+    (world, h)
+}
+
+/// Every call of the pump that finds its QP paced wants a `TOK_PUMP` at
+/// the paced instant: one when the first packet leaves the port and one
+/// per frame heard in the gap. The host queues only the first; the
+/// others would fire after it at the same instant and find nothing to
+/// send. The pump still sends at the paced instant, not a moment later.
+#[test]
+fn a_paced_host_queues_one_pump_per_instant() {
+    let (mut world, h) = paced_host_hearing_frames();
+    // Past the paced instant, short of the one after it.
+    world.run_until(SimTime::from_micros(12));
+    let spy = world.node::<Spy>(h);
+    let pumps = spy.fired(PUMP);
+    assert_eq!(pumps.len(), 1, "one pump for the paced instant: {pumps:?}");
+    let paced = pumps[0];
+    assert!(paced > SimTime::from_micros(5), "after the last frame");
+    assert_eq!(spy.host.stats.data_pkts_tx, 2);
+
+    let (mut world, h) = paced_host_hearing_frames();
+    let sent = |w: &World| w.node::<Spy>(h).host.stats.data_pkts_tx;
+    world.run_until(SimTime(paced.as_ps() - 1));
+    assert_eq!(sent(&world), 1, "nothing before the paced instant");
+    world.run_until(paced);
+    assert_eq!(sent(&world), 2, "the pump sends at it");
 }

@@ -25,10 +25,12 @@ pub enum AdmitOutcome {
     Drop,
 }
 
+/// One (port, PG) ingress counter. `u32` bytes: no counter exceeds the
+/// buffer, which [`SharedBuffer::new`] bounds below 4 GiB.
 #[derive(Debug, Clone, Copy, Default)]
 struct PgCounter {
-    shared: u64,
-    headroom: u64,
+    shared: u32,
+    headroom: u32,
     /// Currently in XOFF state (pause sent, XON pending).
     xoff: bool,
 }
@@ -57,6 +59,11 @@ impl SharedBuffer {
     /// (port, lossless PG) pair up front, exactly like static headroom
     /// carving on real ASICs.
     pub fn new(cfg: BufferConfig, ports: u16, lossless: &[bool; Priority::COUNT]) -> SharedBuffer {
+        assert!(
+            cfg.total_bytes <= u32::MAX as u64,
+            "buffer of {} B: per-queue byte counters are 32-bit",
+            cfg.total_bytes
+        );
         let lossless_pgs = lossless.iter().filter(|l| **l).count() as u64;
         let reserved = cfg.headroom_per_port_pg * lossless_pgs * ports as u64;
         assert!(
@@ -111,18 +118,18 @@ impl SharedBuffer {
     pub fn admit(&mut self, port: u16, pg: Priority, bytes: u64, lossless: bool) -> AdmitOutcome {
         let threshold = self.xoff_threshold();
         let c = &mut self.counters[port as usize][pg.index()];
-        let room_in_shared =
-            self.shared_used + bytes <= self.shared_capacity && c.shared + bytes <= threshold;
+        let room_in_shared = self.shared_used + bytes <= self.shared_capacity
+            && c.shared as u64 + bytes <= threshold;
         if room_in_shared {
-            c.shared += bytes;
+            c.shared += bytes as u32;
             self.shared_used += bytes;
             self.peak_shared = self.peak_shared.max(self.shared_used);
             self.recompute_threshold();
             return AdmitOutcome::Shared;
         }
         if lossless {
-            if c.headroom + bytes <= self.cfg.headroom_per_port_pg {
-                c.headroom += bytes;
+            if c.headroom as u64 + bytes <= self.cfg.headroom_per_port_pg {
+                c.headroom += bytes as u32;
                 return AdmitOutcome::Headroom;
             }
             // Headroom overrun: a configuration error (undersized
@@ -138,14 +145,14 @@ impl SharedBuffer {
         let c = &mut self.counters[port as usize][pg.index()];
         match outcome {
             AdmitOutcome::Shared => {
-                debug_assert!(c.shared >= bytes && self.shared_used >= bytes);
-                c.shared -= bytes;
+                debug_assert!(c.shared as u64 >= bytes && self.shared_used >= bytes);
+                c.shared -= bytes as u32;
                 self.shared_used -= bytes;
                 self.recompute_threshold();
             }
             AdmitOutcome::Headroom => {
-                debug_assert!(c.headroom >= bytes);
-                c.headroom -= bytes;
+                debug_assert!(c.headroom as u64 >= bytes);
+                c.headroom -= bytes as u32;
             }
             AdmitOutcome::Drop => {}
         }
@@ -154,21 +161,22 @@ impl SharedBuffer {
     /// Total (shared + headroom) bytes held for (`port`, `pg`).
     pub fn occupancy(&self, port: u16, pg: Priority) -> u64 {
         let c = &self.counters[port as usize][pg.index()];
-        c.shared + c.headroom
+        c.shared as u64 + c.headroom as u64
     }
 
     /// Should this counter be in XOFF? True once occupancy crosses the
     /// threshold (headroom use always implies XOFF).
     pub fn over_xoff(&self, port: u16, pg: Priority) -> bool {
         let c = &self.counters[port as usize][pg.index()];
-        c.headroom > 0 || c.shared >= self.xoff_threshold()
+        c.headroom > 0 || c.shared as u64 >= self.xoff_threshold()
     }
 
     /// Should this counter be resumed? True once occupancy falls below
     /// threshold − hysteresis and headroom has drained.
     pub fn below_xon(&self, port: u16, pg: Priority) -> bool {
         let c = &self.counters[port as usize][pg.index()];
-        c.headroom == 0 && c.shared <= self.xoff_threshold().saturating_sub(self.cfg.xon_delta)
+        c.headroom == 0
+            && c.shared as u64 <= self.xoff_threshold().saturating_sub(self.cfg.xon_delta)
     }
 
     /// Read/modify the latched XOFF state (set when a pause is sent,

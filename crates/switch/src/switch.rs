@@ -4,7 +4,6 @@
 use std::any::Any;
 use std::collections::VecDeque;
 
-use rocescale_dcqcn::CpState;
 use rocescale_monitor::{CounterId, HopRecord, MetricsHub, ScopeId, TraceEvent};
 use rocescale_packet::{
     EcnCodepoint, FiveTuple, MacAddr, Packet, PacketKind, PauseFrame, PfcPauseFrame, Priority,
@@ -164,19 +163,27 @@ impl SwitchStats {
     }
 }
 
+/// Where a queued packet's bytes were admitted: the (ingress port, PG)
+/// counter and whether into the shared pool or headroom. Released when
+/// the packet leaves, or is dropped at the head of, its egress queue.
+#[derive(Debug, Clone, Copy)]
+struct Acct {
+    ingress: PortId,
+    pg: Priority,
+    outcome: AdmitOutcome,
+}
+
 /// A packet queued at an egress port, remembering its ingress accounting.
 #[derive(Debug, Clone)]
 struct QueuedPkt {
     pkt: Packet,
-    /// (ingress port, PG, where the bytes were counted) — `None` for
-    /// self-originated frames.
-    acct: Option<(PortId, Priority, AdmitOutcome)>,
+    acct: Acct,
     /// This is a flood copy (dropped at the head of fabric-port queues).
     flood_copy: bool,
 }
 
 /// DWRR quantum per weight unit, bytes.
-const DWRR_QUANTUM: u64 = 1600;
+const DWRR_QUANTUM: u32 = 1600;
 
 /// A queued PFC control frame, stored as a compact descriptor rather
 /// than a full [`Packet`]. The packet id is allocated when the frame is
@@ -191,47 +198,108 @@ struct CtrlFrame {
     created_ps: u64,
 }
 
-#[derive(Debug, Clone)]
+/// The egress side of one port: per-priority queues, PFC pause state and
+/// the DWRR scheduler. Byte counts are `u32`: a port never holds more
+/// than the switch buffer, which [`SharedBuffer::new`] bounds below
+/// 4 GiB.
+#[derive(Debug, Default)]
 struct EgressPort {
     queues: [VecDeque<QueuedPkt>; Priority::COUNT],
-    queue_bytes: [u64; Priority::COUNT],
+    queue_bytes: [u32; Priority::COUNT],
     /// Cached sum of `queue_bytes` — read on every enqueue (hop records,
     /// peak tracking) and by the heatmap sampler, so it is maintained at
     /// the four mutation sites instead of re-summed eight lanes at a time.
-    total: u64,
+    total: u32,
     /// Control frames (PFC) bypass the data queues entirely.
     ctrl: VecDeque<CtrlFrame>,
     paused_until: [SimTime; Priority::COUNT],
-    deficit: [u64; Priority::COUNT],
+    deficit: [u32; Priority::COUNT],
     rr: usize,
     /// Queue currently in its DWRR service burst.
     serving: Option<usize>,
-    /// The packet currently being serialized (buffer released when done).
-    in_flight: Option<QueuedPkt>,
+    /// Accounting and wire size of the packet being serialized, released
+    /// when the port goes idle.
+    in_flight: Option<(Acct, u32)>,
 }
 
 impl EgressPort {
-    fn new() -> EgressPort {
-        EgressPort {
-            queues: Default::default(),
-            queue_bytes: [0; Priority::COUNT],
-            total: 0,
-            ctrl: VecDeque::new(),
-            paused_until: [SimTime::ZERO; Priority::COUNT],
-            deficit: [0; Priority::COUNT],
-            rr: 0,
-            serving: None,
-            in_flight: None,
-        }
-    }
-
     fn total_bytes(&self) -> u64 {
-        debug_assert_eq!(self.total, self.queue_bytes.iter().sum::<u64>());
-        self.total
+        debug_assert_eq!(self.total, self.queue_bytes.iter().sum::<u32>());
+        self.total as u64
     }
 
     fn has_lossless_backlog(&self, lossless: &[bool; Priority::COUNT]) -> bool {
         (0..Priority::COUNT).any(|i| lossless[i] && !self.queues[i].is_empty())
+    }
+
+    fn push(&mut self, prio: usize, qp: QueuedPkt, bytes: u32) {
+        self.queue_bytes[prio] += bytes;
+        self.total += bytes;
+        self.queues[prio].push_back(qp);
+    }
+
+    fn pop(&mut self, prio: usize) -> Option<(QueuedPkt, u32)> {
+        let qp = self.queues[prio].pop_front()?;
+        let bytes = qp.pkt.wire_size();
+        self.queue_bytes[prio] -= bytes;
+        self.total -= bytes;
+        Some((qp, bytes))
+    }
+
+    /// DWRR pick: returns the priority whose head packet should transmit.
+    ///
+    /// Classic deficit round robin: a queue's deficit is replenished once
+    /// per rotation *arrival*, it is served while the deficit covers the
+    /// head packet, and then the pointer moves on — so a saturated
+    /// lossless queue cannot starve the TCP class (the §2 bandwidth
+    /// isolation Figure 8 depends on).
+    fn pick_queue(&mut self, weights: &[u32; Priority::COUNT], now: SimTime) -> Option<usize> {
+        let available = |e: &EgressPort, i: usize| -> Option<u32> {
+            if e.queues[i].is_empty() || e.paused_until[i] > now {
+                None
+            } else {
+                Some(e.queues[i][0].pkt.wire_size())
+            }
+        };
+        // Continue the burst on the queue being served, if its deficit
+        // still covers the head.
+        if let Some(i) = self.serving {
+            match available(self, i) {
+                Some(head) if self.deficit[i] >= head => {
+                    self.deficit[i] -= head;
+                    return Some(i);
+                }
+                _ => {
+                    if self.queues[i].is_empty() {
+                        self.deficit[i] = 0;
+                    }
+                    self.serving = None;
+                    self.rr = (i + 1) % Priority::COUNT;
+                }
+            }
+        }
+        // One full rotation: replenish on arrival, serve if covered.
+        for _ in 0..Priority::COUNT {
+            let i = self.rr;
+            match available(self, i) {
+                Some(head) => {
+                    self.deficit[i] += DWRR_QUANTUM * weights[i].max(1);
+                    if self.deficit[i] >= head {
+                        self.deficit[i] -= head;
+                        self.serving = Some(i);
+                        return Some(i);
+                    }
+                    // Deficit carries to the next rotation.
+                }
+                None => {
+                    if self.queues[i].is_empty() {
+                        self.deficit[i] = 0;
+                    }
+                }
+            }
+            self.rr = (self.rr + 1) % Priority::COUNT;
+        }
+        None
     }
 }
 
@@ -422,9 +490,10 @@ pub struct Switch {
     routes: RouteTable,
     /// MAC of the L3 peer behind each fabric port (next-hop rewrite).
     peer_macs: Vec<Option<MacAddr>>,
-    egress: Vec<EgressPort>,
-    /// DCQCN congestion-point state per (port, priority).
-    cp: Vec<[Option<CpState>; Priority::COUNT]>,
+    /// Egress state per port, materialised by the first data packet
+    /// queued on the port or PFC frame sent or received on it: a port
+    /// that never carried traffic costs one null pointer.
+    egress: Vec<Option<Box<EgressPort>>>,
     wd: Vec<WatchdogPort>,
     /// Round-robin counter for per-packet spraying (§8.1 ablation).
     spray_counter: u64,
@@ -452,15 +521,15 @@ impl Switch {
     pub fn new(cfg: SwitchConfig, router_mac: MacAddr, salt: u64) -> Switch {
         let ports = cfg.ports as usize;
         let buffer = SharedBuffer::new(cfg.buffer, cfg.ports, &cfg.lossless);
-        let cp = (0..ports)
-            .map(|_| {
-                let mut row: [Option<CpState>; Priority::COUNT] = Default::default();
-                for (i, slot) in row.iter_mut().enumerate() {
-                    *slot = cfg.ecn[i].map(CpState::new);
-                }
-                row
-            })
-            .collect();
+        // A deficit holds at most one replenishment plus less than one
+        // frame, so half the counter's range per replenishment is enough.
+        assert!(
+            cfg.weights
+                .iter()
+                .all(|w| (*w as u64) * DWRR_QUANTUM as u64 <= u32::MAX as u64 / 2),
+            "DWRR weights {:?} overflow the 32-bit deficit counters",
+            cfg.weights
+        );
         let tele = SwitchTele::register(cfg.telemetry.clone(), &cfg.name, ports);
         // DSCP is a 6-bit field; enumerate the map once.
         let dscp_lut = std::array::from_fn(|d| (cfg.dscp_to_priority)(d as u8));
@@ -469,8 +538,7 @@ impl Switch {
             arp_table: ArpTable::new(cfg.arp_timeout),
             routes: RouteTable::new(),
             peer_macs: vec![None; ports],
-            egress: (0..ports).map(|_| EgressPort::new()).collect(),
-            cp,
+            egress: (0..ports).map(|_| None).collect(),
             wd: vec![WatchdogPort::default(); ports],
             spray_counter: 0,
             dscp_lut,
@@ -574,7 +642,9 @@ impl Switch {
 
     /// Bytes queued at an egress port for one priority.
     pub fn egress_depth_prio(&self, port: PortId, prio: Priority) -> u64 {
-        self.egress[port.index()].queue_bytes[prio.index()]
+        self.egress[port.index()]
+            .as_ref()
+            .map_or(0, |e| e.queue_bytes[prio.index()] as u64)
     }
 
     /// Deepest single egress port right now, total bytes across all
@@ -583,6 +653,7 @@ impl Switch {
     pub fn max_egress_depth(&self) -> u64 {
         self.egress
             .iter()
+            .flatten()
             .map(|e| e.total_bytes())
             .max()
             .unwrap_or(0)
@@ -593,10 +664,11 @@ impl Switch {
     pub fn lossless_backlog(&self) -> u64 {
         self.egress
             .iter()
+            .flatten()
             .map(|e| {
                 (0..Priority::COUNT)
                     .filter(|i| self.cfg.lossless[*i])
-                    .map(|i| e.queue_bytes[i])
+                    .map(|i| e.queue_bytes[i] as u64)
                     .sum::<u64>()
             })
             .sum()
@@ -619,7 +691,9 @@ impl Switch {
 
     /// Is `port`'s egress currently paused for `prio`?
     pub fn is_paused(&self, port: PortId, prio: Priority, now: SimTime) -> bool {
-        self.egress[port.index()].paused_until[prio.index()] > now
+        self.egress[port.index()]
+            .as_ref()
+            .is_some_and(|e| e.paused_until[prio.index()] > now)
     }
 
     /// Has the watchdog disabled lossless mode on `port`?
@@ -650,7 +724,7 @@ impl Switch {
         let mut any_pause = false;
         let mut resumed = false;
         for (prio, quanta) in frame.entries() {
-            let e = &mut self.egress[port.index()];
+            let e = self.egress[port.index()].get_or_insert_with(Box::default);
             if quanta == 0 {
                 e.paused_until[prio.index()] = now;
                 resumed = true;
@@ -734,7 +808,8 @@ impl Switch {
         } else {
             PauseFrame::pause(pg, quanta)
         };
-        self.egress[port.index()].ctrl.push_back(CtrlFrame {
+        let e = self.egress[port.index()].get_or_insert_with(Box::default);
+        e.ctrl.push_back(CtrlFrame {
             id: ctx.next_packet_id(),
             frame,
             created_ps: ctx.now().as_ps(),
@@ -932,8 +1007,8 @@ impl Switch {
             self.note_drop(DropReason::WatchdogLosslessOff, ctx.now());
             return;
         }
-        let bytes = pkt.wire_size() as u64;
-        let outcome = self.buffer.admit(ingress.0, prio, bytes, lossless);
+        let bytes = pkt.wire_size();
+        let outcome = self.buffer.admit(ingress.0, prio, bytes as u64, lossless);
         if outcome == AdmitOutcome::Drop {
             let reason = if lossless {
                 DropReason::LosslessOverflow
@@ -944,9 +1019,11 @@ impl Switch {
             return;
         }
         // DCQCN congestion point: mark on egress queue depth at enqueue.
+        // Marking is memoryless, so `cfg.ecn` is its whole state.
+        let e = self.egress[egress.index()].get_or_insert_with(Box::default);
         if pkt.ip.map(|ip| ip.ecn) == Some(EcnCodepoint::Ect) {
-            let depth = self.egress[egress.index()].queue_bytes[prio.index()];
-            if let Some(cp) = &mut self.cp[egress.index()][prio.index()] {
+            let depth = e.queue_bytes[prio.index()] as u64;
+            if let Some(cp) = self.cfg.ecn[prio.index()] {
                 let draw: f64 = ctx.rng().gen_f64();
                 if cp.should_mark(depth, draw) {
                     if let Some(ip) = pkt.ip.as_mut() {
@@ -965,14 +1042,20 @@ impl Switch {
         } else {
             None
         };
-        let e = &mut self.egress[egress.index()];
-        e.queue_bytes[prio.index()] += bytes;
-        e.total += bytes;
-        e.queues[prio.index()].push_back(QueuedPkt {
-            pkt,
-            acct: Some((ingress, prio, outcome)),
-            flood_copy,
-        });
+        let acct = Acct {
+            ingress,
+            pg: prio,
+            outcome,
+        };
+        e.push(
+            prio.index(),
+            QueuedPkt {
+                pkt,
+                acct,
+                flood_copy,
+            },
+            bytes,
+        );
         let total = e.total_bytes();
         if let Some((src_ip, dst_ip)) = hop_flow {
             self.tele.hub.stream_hop(
@@ -981,7 +1064,7 @@ impl Switch {
                 HopRecord {
                     port: egress.0,
                     prio: prio.index() as u8,
-                    bytes: bytes as u32,
+                    bytes,
                     src_ip,
                     dst_ip,
                     queue_bytes: total,
@@ -997,64 +1080,6 @@ impl Switch {
 
     // ---- egress scheduling ----
 
-    /// DWRR pick: returns the priority whose head packet should transmit.
-    ///
-    /// Classic deficit round robin: a queue's deficit is replenished once
-    /// per rotation *arrival*, it is served while the deficit covers the
-    /// head packet, and then the pointer moves on — so a saturated
-    /// lossless queue cannot starve the TCP class (the §2 bandwidth
-    /// isolation Figure 8 depends on).
-    fn pick_queue(&mut self, port: PortId, now: SimTime) -> Option<usize> {
-        let weights = self.cfg.weights;
-        let e = &mut self.egress[port.index()];
-        let available = |e: &EgressPort, i: usize| -> Option<u64> {
-            if e.queues[i].is_empty() || e.paused_until[i] > now {
-                None
-            } else {
-                Some(e.queues[i][0].pkt.wire_size() as u64)
-            }
-        };
-        // Continue the burst on the queue being served, if its deficit
-        // still covers the head.
-        if let Some(i) = e.serving {
-            match available(e, i) {
-                Some(head) if e.deficit[i] >= head => {
-                    e.deficit[i] -= head;
-                    return Some(i);
-                }
-                _ => {
-                    if e.queues[i].is_empty() {
-                        e.deficit[i] = 0;
-                    }
-                    e.serving = None;
-                    e.rr = (i + 1) % Priority::COUNT;
-                }
-            }
-        }
-        // One full rotation: replenish on arrival, serve if covered.
-        for _ in 0..Priority::COUNT {
-            let i = e.rr;
-            match available(e, i) {
-                Some(head) => {
-                    e.deficit[i] += DWRR_QUANTUM * weights[i].max(1) as u64;
-                    if e.deficit[i] >= head {
-                        e.deficit[i] -= head;
-                        e.serving = Some(i);
-                        return Some(i);
-                    }
-                    // Deficit carries to the next rotation.
-                }
-                None => {
-                    if e.queues[i].is_empty() {
-                        e.deficit[i] = 0;
-                    }
-                }
-            }
-            e.rr = (e.rr + 1) % Priority::COUNT;
-        }
-        None
-    }
-
     /// Try to start a transmission on `port`.
     fn try_send(&mut self, port: PortId, ctx: &mut Ctx<'_>) {
         let now = ctx.now();
@@ -1062,14 +1087,15 @@ impl Switch {
         // has not fired yet (it may share this event's timestamp): the
         // port is logically busy, and starting another transmission here
         // would overwrite `in_flight` and leak its buffer accounting.
-        if ctx.port_busy(port)
-            || !ctx.port_connected(port)
-            || self.egress[port.index()].in_flight.is_some()
-        {
+        // A port never materialised has nothing to send.
+        let Some(e) = self.egress[port.index()].as_deref_mut() else {
+            return;
+        };
+        if ctx.port_busy(port) || !ctx.port_connected(port) || e.in_flight.is_some() {
             return;
         }
         // Control frames (PFC) first; they are never paused.
-        if let Some(cf) = self.egress[port.index()].ctrl.pop_front() {
+        if let Some(cf) = e.ctrl.pop_front() {
             let pkt = Packet::new(
                 cf.id,
                 rocescale_packet::EthMeta {
@@ -1087,27 +1113,25 @@ impl Switch {
             return;
         }
         loop {
-            let Some(prio) = self.pick_queue(port, now) else {
+            let e = self.egress[port.index()]
+                .as_deref_mut()
+                .expect("materialised above");
+            let Some(prio) = e.pick_queue(&self.cfg.weights, now) else {
                 return;
             };
-            let e = &mut self.egress[port.index()];
-            let qp = e.queues[prio].pop_front().expect("picked nonempty queue");
-            let bytes = qp.pkt.wire_size() as u64;
-            e.queue_bytes[prio] -= bytes;
-            e.total -= bytes;
+            let (qp, bytes) = e.pop(prio).expect("picked nonempty queue");
             // Flood copies die at the head of fabric-port queues: the
             // destination MAC matches no next hop (Figure 4).
             if qp.flood_copy && self.cfg.role(port.0) == PortRole::Fabric {
-                self.release(&qp, ctx);
+                self.release(qp.acct, bytes, ctx);
                 self.note_drop(DropReason::FloodCopyAtFabricHead, now);
                 continue; // same transmission opportunity: try the next packet
             }
+            e.in_flight = Some((qp.acct, bytes));
             self.stats.tx_pkts[port.index()] += 1;
-            self.stats.tx_bytes[port.index()] += bytes;
-            self.stats.tx_bytes_per_prio[prio] += bytes;
-            let pkt = qp.pkt;
-            self.egress[port.index()].in_flight = Some(qp);
-            match ctx.transmit(port, pkt) {
+            self.stats.tx_bytes[port.index()] += bytes as u64;
+            self.stats.tx_bytes_per_prio[prio] += bytes as u64;
+            match ctx.transmit(port, qp.pkt) {
                 Ok(()) => {}
                 Err(TxError::Busy | TxError::Unconnected) => {
                     unreachable!("checked idle and connected")
@@ -1119,12 +1143,10 @@ impl Switch {
 
     /// Release buffer accounting for a packet that left (or was dropped at
     /// the head of) an egress queue, and maybe XON its ingress.
-    fn release(&mut self, qp: &QueuedPkt, ctx: &mut Ctx<'_>) {
-        if let Some((ingress, pg, outcome)) = qp.acct {
-            self.buffer
-                .release(ingress.0, pg, qp.pkt.wire_size() as u64, outcome);
-            self.maybe_xon(ingress, pg, ctx);
-        }
+    fn release(&mut self, acct: Acct, bytes: u32, ctx: &mut Ctx<'_>) {
+        self.buffer
+            .release(acct.ingress.0, acct.pg, bytes as u64, acct.outcome);
+        self.maybe_xon(acct.ingress, acct.pg, ctx);
     }
 
     // ---- watchdog ----
@@ -1153,7 +1175,9 @@ impl Switch {
                 }
                 continue;
             }
-            let backlog = self.egress[p].has_lossless_backlog(&self.cfg.lossless);
+            let backlog = self.egress[p]
+                .as_ref()
+                .is_some_and(|e| e.has_lossless_backlog(&self.cfg.lossless));
             if backlog && receiving_pauses {
                 let since = *self.wd[p].undrainable_since.get_or_insert(now);
                 if now.saturating_sub(since) >= wd_cfg.disable_after {
@@ -1178,25 +1202,20 @@ impl Switch {
             self.tele.scope,
             TraceEvent::WatchdogDisabled { port: port.0 },
         );
-        let lossless = self.cfg.lossless;
-        let mut flushed: Vec<QueuedPkt> = Vec::new();
-        {
-            let e = &mut self.egress[port.index()];
-            for (i, is_ll) in lossless.iter().enumerate() {
+        let mut flushed = Vec::new();
+        if let Some(e) = self.egress[port.index()].as_deref_mut() {
+            for (i, is_ll) in self.cfg.lossless.iter().enumerate() {
                 if !is_ll {
                     continue;
                 }
                 e.paused_until[i] = SimTime::ZERO;
-                while let Some(qp) = e.queues[i].pop_front() {
-                    let bytes = qp.pkt.wire_size() as u64;
-                    e.queue_bytes[i] -= bytes;
-                    e.total -= bytes;
-                    flushed.push(qp);
+                while let Some((qp, bytes)) = e.pop(i) {
+                    flushed.push((qp.acct, bytes));
                 }
             }
         }
-        for qp in &flushed {
-            self.release(qp, ctx);
+        for (acct, bytes) in flushed {
+            self.release(acct, bytes, ctx);
             self.note_drop(DropReason::WatchdogLosslessOff, ctx.now());
         }
         self.try_send(port, ctx);
@@ -1231,19 +1250,15 @@ impl Switch {
         if on {
             return;
         }
-        let mut flushed: Vec<QueuedPkt> = Vec::new();
-        for p in 0..self.cfg.ports as usize {
-            let e = &mut self.egress[p];
+        let mut flushed = Vec::new();
+        for e in self.egress.iter_mut().flatten() {
             e.paused_until[prio.index()] = SimTime::ZERO;
-            while let Some(qp) = e.queues[prio.index()].pop_front() {
-                let bytes = qp.pkt.wire_size() as u64;
-                e.queue_bytes[prio.index()] -= bytes;
-                e.total -= bytes;
-                flushed.push(qp);
+            while let Some((qp, bytes)) = e.pop(prio.index()) {
+                flushed.push((qp.acct, bytes));
             }
         }
-        for qp in &flushed {
-            self.release(qp, ctx);
+        for (acct, bytes) in flushed {
+            self.release(acct, bytes, ctx);
             self.note_drop(DropReason::AdminLosslessOff, ctx.now());
         }
         for p in 0..self.cfg.ports {
@@ -1309,8 +1324,11 @@ impl Node for Switch {
     fn on_port_idle(&mut self, port: PortId, ctx: &mut Ctx<'_>) {
         // The packet that was serializing has fully left: release its
         // buffer accounting, then start the next one.
-        if let Some(qp) = self.egress[port.index()].in_flight.take() {
-            self.release(&qp, ctx);
+        if let Some((acct, bytes)) = self.egress[port.index()]
+            .as_deref_mut()
+            .and_then(|e| e.in_flight.take())
+        {
+            self.release(acct, bytes, ctx);
         }
         self.try_send(port, ctx);
     }

@@ -17,18 +17,31 @@ use rocescale_nic::QpApp;
 use rocescale_sim::{EngineKind, EventProfile, ProfileMode, SimTime};
 
 /// Digest of the pinned scenario (identical on the timer wheel and the
-/// binary heap). Re-pinned when host timers became demand-armed; the
-/// previous pin was 5655298337002817904 over 13800 events, and
-/// [`trace_differs_from_the_always_armed_one_only_in_idle_timers`]
-/// accounts for every event of the difference.
-const GOLDEN_DIGEST: u64 = 11228656443465567668;
+/// binary heap). Re-pinned twice, each time accounting for every event
+/// of the difference: when host timers became demand-armed (from
+/// 5655298337002817904 over 13800 events, see
+/// [`trace_differs_from_the_always_armed_one_only_in_idle_timers`]), and
+/// when a host stopped queuing a second pacing timer for an instant it
+/// already had one for (from 11228656443465567668 over 13739, see
+/// [`trace_differs_from_the_demand_armed_one_only_in_duplicate_pumps`]).
+const GOLDEN_DIGEST: u64 = 9215484005407342413;
 /// Event count of the pinned trace.
-const GOLDEN_EVENTS: u64 = 13739;
+const GOLDEN_EVENTS: u64 = 13397;
 /// Per-kind event counts `[start, arrival, port idle, timer]` of the same
 /// scenario while every host re-armed its 55 µs congestion-control tick
 /// and 100 µs retransmission scan unconditionally (recorded from
 /// `event_profile()` at the commit before demand arming; sum 13800).
 const ALWAYS_ARMED_COUNTS: [u64; 4] = [14, 4827, 4827, 4132];
+/// The same with demand-armed timers, while the transmit pump still
+/// queued a `TOK_PUMP` on every call that found its QPs paced (recorded
+/// at the commit before the one-timer-per-instant rule; sum 13739).
+const DEMAND_ARMED_COUNTS: [u64; 4] = [14, 4827, 4827, 4071];
+/// Idle timers demand arming removed (derived below).
+const IDLE_TIMERS: u64 = 61;
+/// Second `TOK_PUMP`s for an instant their host already had one queued
+/// for, which the one-timer-per-instant rule no longer queues (measured:
+/// `DEMAND_ARMED_COUNTS` minus this trace's timers).
+const DUPLICATE_PUMPS: u64 = 342;
 
 fn run(engine: EngineKind) -> (u64, u64) {
     run_profiled(engine, MetricsHub::disabled(), ProfileMode::Off).0
@@ -275,6 +288,8 @@ fn profiler_does_not_perturb_the_dispatch_trace() {
 /// * server 0 only receives, so nothing of its own is ever unacknowledged:
 ///   it keeps ticking (it owns QPs) but loses its 5 scans;
 /// * servers 1–3 always have data in flight and keep both timers.
+///
+/// The duplicate pumps the next test accounts for have gone since.
 #[test]
 fn trace_differs_from_the_always_armed_one_only_in_idle_timers() {
     let (_, _, profile) = run_profiled(EngineKind::Wheel, MetricsHub::disabled(), ProfileMode::On);
@@ -287,7 +302,33 @@ fn trace_differs_from_the_always_armed_one_only_in_idle_timers() {
     let (ticks, scans) = (500 / 55, 500 / 100);
     let (idle_hosts, receiver_only_hosts) = (4, 1);
     let removed = idle_hosts * (ticks + scans) + receiver_only_hosts * scans;
-    assert_eq!(removed, 61);
-    assert_eq!(timer, ALWAYS_ARMED_COUNTS[3] - removed);
+    assert_eq!(removed, IDLE_TIMERS);
+    assert_eq!(
+        timer,
+        ALWAYS_ARMED_COUNTS[3] - IDLE_TIMERS - DUPLICATE_PUMPS
+    );
     assert_eq!(profile.total_events(), GOLDEN_EVENTS);
+}
+
+/// One pacing timer per instant removed timers and nothing else: no
+/// packet moved, so arrivals and port idles equal the demand-armed
+/// trace's, and only `TOK_PUMP` timers that duplicated one already
+/// queued for the same instant are gone. A duplicate fires after the
+/// original at the same instant and finds nothing to send, because every
+/// state change that could enable a send runs the pump itself; the
+/// host-level pin is `nic`'s `a_paced_host_queues_one_pump_per_instant`.
+#[test]
+fn trace_differs_from_the_demand_armed_one_only_in_duplicate_pumps() {
+    let (_, _, profile) = run_profiled(EngineKind::Wheel, MetricsHub::disabled(), ProfileMode::On);
+    let [start, arrival, port_idle, timer] = profile.counts;
+    assert_eq!(
+        [start, arrival, port_idle],
+        DEMAND_ARMED_COUNTS[..3],
+        "no start, arrival or port-idle event may move"
+    );
+    assert_eq!(timer, DEMAND_ARMED_COUNTS[3] - DUPLICATE_PUMPS);
+    assert_eq!(
+        DEMAND_ARMED_COUNTS.iter().sum::<u64>() - DUPLICATE_PUMPS,
+        GOLDEN_EVENTS
+    );
 }

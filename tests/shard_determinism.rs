@@ -45,8 +45,8 @@ use rocescale_topology::ClosSpec;
 
 /// Must match `tests/golden_trace.rs` — the committed golden pin, whose
 /// delta from the previous pin is accounted for event by event there.
-const GOLDEN_DIGEST: u64 = 11228656443465567668;
-const GOLDEN_EVENTS: u64 = 13739;
+const GOLDEN_DIGEST: u64 = 9215484005407342413;
+const GOLDEN_EVENTS: u64 = 13397;
 
 fn saturate() -> QpApp {
     QpApp::Saturate {
