@@ -13,7 +13,7 @@ use rocescale_core::scenarios::{
 };
 use rocescale_core::{CcKind, InstrumentationProfile, PfcMode};
 use rocescale_monitor::Percentiles;
-use rocescale_sim::{EpochPacing, SimTime};
+use rocescale_sim::SimTime;
 
 use crate::report::{Cell, CliArgs, Report, ScenarioReport, Table};
 
@@ -1176,7 +1176,6 @@ impl ScenarioReport for IncFleetScale {
             fleet_scale::spec_with(tors_per_pod, servers_per_tor),
             shards,
             !serial,
-            EpochPacing::Adaptive,
             SimTime::from_micros(dur_us as u64),
         );
         let mut t = Table::new(
@@ -1238,7 +1237,7 @@ impl ScenarioReport for IncFleetScale {
             if serial { "serial" } else { "threaded" },
             r.epochs,
             r.epochs_skipped,
-            r.dense_epochs(),
+            r.grid_windows(),
             "raise --tors-per-pod/--servers-per-tor for the 100k-host deployment class"
         ));
         rep

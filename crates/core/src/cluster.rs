@@ -15,8 +15,8 @@ use rocescale_nic::{
 };
 use rocescale_packet::{MacAddr, Priority};
 use rocescale_sim::{
-    merged_digest, EngineKind, LinkSpec, Node, NodeId, PortId, RemotePort, ShardedWorld, SimTime,
-    World, WorldSet,
+    merged_digest, LinkSpec, Node, NodeId, PortId, RemotePort, ShardedWorld, SimTime, World,
+    WorldSet,
 };
 use rocescale_switch::{
     AdminAction, BufferConfig, ClassifyMode, DropReason, EcmpGroup, PortRole, Switch, SwitchConfig,
@@ -76,8 +76,8 @@ pub struct ServerId(pub usize);
 /// failures), [`InstrumentationProfile`] (observation: telemetry hub,
 /// digest, profiler, trace sink), [`ExecutionProfile`] (single-threaded
 /// or pod-sharded dispatch) — each defaulting to the paper's deployed
-/// settings. The builder itself keeps only run mechanics (seed, engine
-/// backend) and per-node escape hatches.
+/// settings. The builder itself keeps only the seed and per-node escape
+/// hatches.
 pub struct ClusterBuilder {
     spec: ClosSpec,
     fabric: FabricProfile,
@@ -86,7 +86,6 @@ pub struct ClusterBuilder {
     instr: InstrumentationProfile,
     execution: ExecutionProfile,
     seed: u64,
-    engine: EngineKind,
     server_kind: Box<dyn FnMut(usize) -> ServerKind + Send>,
     host_tweak: HostTweak,
     tcp_tweak: TcpTweak,
@@ -116,7 +115,6 @@ impl ClusterBuilder {
             instr: InstrumentationProfile::paper_default(),
             execution: ExecutionProfile::paper_default(),
             seed: 1,
-            engine: EngineKind::default(),
             server_kind: Box::new(|_| ServerKind::Rdma),
             host_tweak: Box::new(|_, _| {}),
             tcp_tweak: Box::new(|_, _| {}),
@@ -172,14 +170,6 @@ impl ClusterBuilder {
     /// RNG seed (every run with the same seed is identical).
     pub fn seed(mut self, s: u64) -> Self {
         self.seed = s;
-        self
-    }
-
-    /// Event-engine backend. Dispatch order — and thus every result — is
-    /// identical across engines; this knob exists for differential tests
-    /// and wheel-vs-heap benchmarks.
-    pub fn engine(mut self, e: EngineKind) -> Self {
-        self.engine = e;
         self
     }
 
@@ -298,10 +288,7 @@ impl ClusterBuilder {
         };
         let mut worlds: Vec<World> = (0..nshards as u64)
             .map(|s| {
-                let mut w = World::new_with_engine(
-                    self.seed.wrapping_add(s.wrapping_mul(SHARD_SEED_STRIDE)),
-                    self.engine,
-                );
+                let mut w = World::new(self.seed.wrapping_add(s.wrapping_mul(SHARD_SEED_STRIDE)));
                 w.set_profile_mode(self.instr.profile);
                 w
             })
@@ -379,9 +366,10 @@ impl ClusterBuilder {
                 enabled: self.fabric.switch_watchdog,
                 ..WatchdogConfig::default()
             };
-            cfg.drop_lossless_on_incomplete_arp = self.fabric.drop_lossless_on_incomplete_arp;
+            // The §4.2 deadlock fix, always on: the scenarios that model
+            // a fabric without it build their switches by hand.
+            cfg.drop_lossless_on_incomplete_arp = true;
             cfg.drop_ip_id_low_byte = self.faults.drop_ip_id_low_byte;
-            cfg.per_packet_spraying = self.fabric.per_packet_spraying;
             let shard = partition.shard_of(idx);
             cfg.telemetry = hubs[shard as usize].clone();
             (self.switch_tweak)(&node.name.clone(), &mut cfg);
@@ -463,7 +451,6 @@ impl ClusterBuilder {
                     let mut cfg =
                         TcpHostConfig::new(node.name.clone(), idx as u32 + 1, ip, gateway);
                     cfg.link_bps = link_bps;
-                    cfg.conn.min_rto_ps = self.transport.tcp_min_rto.as_ps();
                     cfg.telemetry = hubs[shard as usize].clone();
                     (self.tcp_tweak)(order, &mut cfg);
                     worlds[shard as usize].add_node(Box::new(TcpHost::new(cfg)))
@@ -554,15 +541,22 @@ impl ClusterBuilder {
                     }
                     ScriptAction::FabricLink { a, b, up } => {
                         let (sa, sb) = (find_switch(a), find_switch(b));
-                        let port = topo
-                            .port_toward(sa.topo_idx, sb.topo_idx)
-                            .unwrap_or_else(|| panic!("no fabric link {a:?} <-> {b:?}"));
-                        sched_admin(
-                            &mut worlds[sa.shard as usize],
-                            *at,
-                            sa.sim,
-                            AdminAction::LinkSet { port, up: *up },
-                        );
+                        // Link state is per shard: a switch flips its own
+                        // half of the link, and the half in another shard
+                        // is flipped by its own switch at the same instant.
+                        // Within one world the first flip sets both.
+                        let far = (sb.shard != sa.shard).then_some((sb, sa));
+                        for (sw, peer) in std::iter::once((sa, sb)).chain(far) {
+                            let port = topo
+                                .port_toward(sw.topo_idx, peer.topo_idx)
+                                .unwrap_or_else(|| panic!("no fabric link {a:?} <-> {b:?}"));
+                            sched_admin(
+                                &mut worlds[sw.shard as usize],
+                                *at,
+                                sw.sim,
+                                AdminAction::LinkSet { port, up: *up },
+                            );
+                        }
                     }
                     ScriptAction::StormStart { server } => {
                         let s = servers

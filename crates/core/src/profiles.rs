@@ -6,8 +6,9 @@
 //! together (the paper's §3–§7 narrative):
 //!
 //! * [`FabricProfile`] — what the *switches* do: PFC flavour and reach,
-//!   buffer sharing, ECN marking, the storm watchdog, the §4.2 deadlock
-//!   fix, and the §8.1 spraying ablation.
+//!   buffer sharing, ECN marking and the storm watchdog. (The §4.2
+//!   deadlock fix is always on; the §4.2 and §8.1 scenarios that turn
+//!   it off or spray packets build their switches by hand.)
 //! * [`TransportProfile`] — what the *NICs* do: loss recovery, DCQCN,
 //!   retransmission timeouts, the NIC-side storm watchdog.
 //! * [`FaultProfile`] — what goes *wrong*: the §4.1 deterministic drop
@@ -25,8 +26,7 @@ use rocescale_transport::LossRecovery;
 use crate::cluster::PfcMode;
 use crate::deployment::DeploymentStage;
 
-/// Switch-side configuration: PFC, buffers, ECN, watchdog, routing
-/// ablations.
+/// Switch-side configuration: PFC, buffers, ECN, watchdog.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FabricProfile {
     /// PFC flavour (§3): DSCP-based (the paper's design) or VLAN-based.
@@ -43,16 +43,11 @@ pub struct FabricProfile {
     pub ecn: bool,
     /// Switch-side PFC-storm watchdog (§4.3).
     pub switch_watchdog: bool,
-    /// The §4.2 deadlock fix: drop lossless packets on incomplete ARP
-    /// entries instead of flooding them.
-    pub drop_lossless_on_incomplete_arp: bool,
-    /// §8.1 ablation: per-packet spraying over ECMP groups.
-    pub per_packet_spraying: bool,
 }
 
 impl FabricProfile {
     /// The paper's deployed fabric: DSCP PFC to the spine, α = 1/16,
-    /// ECN on, watchdog armed, deadlock fix on.
+    /// ECN on, watchdog armed.
     pub fn paper_default() -> FabricProfile {
         FabricProfile {
             pfc_mode: PfcMode::Dscp,
@@ -61,8 +56,6 @@ impl FabricProfile {
             alpha: Some(1.0 / 16.0),
             ecn: true,
             switch_watchdog: true,
-            drop_lossless_on_incomplete_arp: true,
-            per_packet_spraying: false,
         }
     }
 
@@ -101,18 +94,6 @@ impl FabricProfile {
         self.switch_watchdog = on;
         self
     }
-
-    /// Enable/disable the §4.2 deadlock fix.
-    pub fn drop_lossless_on_incomplete_arp(mut self, on: bool) -> Self {
-        self.drop_lossless_on_incomplete_arp = on;
-        self
-    }
-
-    /// §8.1 ablation: per-packet spraying over ECMP groups.
-    pub fn per_packet_spraying(mut self, on: bool) -> Self {
-        self.per_packet_spraying = on;
-        self
-    }
 }
 
 impl Default for FabricProfile {
@@ -132,8 +113,6 @@ pub struct TransportProfile {
     pub cc: CcKind,
     /// RDMA transport retransmission timeout.
     pub qp_rto: SimTime,
-    /// Minimum TCP RTO on kernel-TCP hosts.
-    pub tcp_min_rto: SimTime,
     /// NIC-side storm watchdog stall threshold (`None` disarms; the
     /// paper's default is 100 ms).
     pub nic_watchdog: Option<SimTime>,
@@ -141,13 +120,13 @@ pub struct TransportProfile {
 
 impl TransportProfile {
     /// The paper's deployed transport: go-back-N, DCQCN on, 4 ms QP RTO,
-    /// 5 ms TCP min-RTO, NIC watchdog at 100 ms.
+    /// NIC watchdog at 100 ms. (Kernel-TCP hosts keep their own 5 ms
+    /// minimum RTO; `ClusterBuilder::tcp_tweak` changes it.)
     pub fn paper_default() -> TransportProfile {
         TransportProfile {
             recovery: LossRecovery::GoBackN,
             cc: CcKind::Dcqcn,
             qp_rto: SimTime::from_millis(4),
-            tcp_min_rto: SimTime::from_millis(5),
             nic_watchdog: Some(SimTime::from_millis(100)),
         }
     }
@@ -170,12 +149,6 @@ impl TransportProfile {
         self
     }
 
-    /// Minimum TCP RTO.
-    pub fn tcp_min_rto(mut self, rto: SimTime) -> Self {
-        self.tcp_min_rto = rto;
-        self
-    }
-
     /// Arm the NIC-side storm watchdog with this stall threshold
     /// (`None` disarms).
     pub fn nic_watchdog(mut self, after: Option<SimTime>) -> Self {
@@ -194,15 +167,17 @@ impl Default for TransportProfile {
 /// shards advanced in conservative-lookahead epochs (the fifth profile,
 /// alongside fabric/transport/fault/instrumentation).
 ///
-/// Execution is a *mechanical* knob like the engine backend: it decides
-/// how events are dispatched, never which events exist. `Sharded` with
-/// one effective shard (either `shards: 1` or a single-pod topology,
-/// which [`rocescale_topology::Partition::pods`] collapses) dispatches
-/// the byte-identical event stream — and digest — of `SingleThread`.
-/// With two or more effective shards the *partitioned* run is its own
-/// deterministic reference: serial and threaded epoch execution agree
-/// byte-for-byte, but packet-id namespacing means the digest differs
-/// from the unpartitioned world's.
+/// Execution is a *mechanical* knob: it decides how events are
+/// dispatched, not what the network does. `Sharded` with one effective
+/// shard (either `shards: 1` or a single-pod topology, which
+/// [`rocescale_topology::Partition::pods`] collapses) dispatches the
+/// byte-identical event stream — and digest — of `SingleThread`. With
+/// two or more effective shards serial and threaded epoch execution
+/// agree byte-for-byte, but the digest differs from the one-shard run's
+/// (packet ids are per-shard namespaces, and a scripted flip of a
+/// cross-shard link is one admin timer per end). As long as nothing
+/// draws from the per-shard RNGs (ECN off, RDMA hosts only), goodput and
+/// merged counters equal the one-shard run's.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ExecutionProfile {
     /// One world, one thread — the default, and the golden-trace path.
@@ -361,7 +336,6 @@ mod tests {
         let f = FabricProfile::paper_default();
         assert_eq!(f.pfc_mode, PfcMode::Dscp);
         assert!(f.pfc_enabled && f.ecn && f.switch_watchdog);
-        assert!(f.drop_lossless_on_incomplete_arp);
         assert!((f.alpha.unwrap() - 1.0 / 16.0).abs() < 1e-12);
         let t = TransportProfile::paper_default();
         assert_eq!(t.recovery, LossRecovery::GoBackN);

@@ -21,16 +21,17 @@
 //! at fleet scale. The flows are [`QpApp::Burst`]s (bounded transfers),
 //! so the run has the bulk-transfer shape of real fleets: a busy ramp,
 //! then a quiet tail where only periodic host timers fire — which is
-//! exactly what adaptive epoch pacing skips over.
+//! exactly what the exchange skips over.
 //!
 //! Determinism: the run is digest-pinnable like every other scenario —
 //! for a fixed shard count, serial and threaded epoch execution produce
-//! byte-identical digests (guarantee 2 of [`crate::sharded`]), and
-//! dense vs adaptive pacing dispatches the byte-identical event stream,
-//! which is what the CI smoke asserts via `--shards N` / `--serial`.
+//! byte-identical digests (guarantee 2 of [`crate::sharded`]), which is
+//! what the CI smoke asserts via `--shards N` / `--serial`; with no
+//! random draw in the run, every shard count also delivers the same
+//! goodput over the same events.
 
 use rocescale_nic::QpApp;
-use rocescale_sim::{EpochPacing, SimTime};
+use rocescale_sim::SimTime;
 use rocescale_topology::ClosSpec;
 
 use crate::cluster::ClusterBuilder;
@@ -76,9 +77,9 @@ pub struct FleetScaleResult {
     pub events: u64,
     /// Exchange epochs executed (0 with one shard).
     pub epochs: u64,
-    /// Grid windows adaptive pacing proved idle and jumped over (0 with
-    /// one shard or dense pacing). `epochs + epochs_skipped` is the
-    /// dense grid count for the same run.
+    /// Grid windows the exchange proved idle and jumped over (0 with one
+    /// shard). `epochs + epochs_skipped` is the run's lookahead-grid
+    /// window count.
     pub epochs_skipped: u64,
     /// Boundary messages carried across shards.
     pub boundary_messages: u64,
@@ -108,9 +109,8 @@ impl FleetScaleResult {
         self.flow_cache_hits as f64 / total as f64
     }
 
-    /// The dense grid-epoch count this run would have executed without
-    /// skipping (executed + skipped).
-    pub fn dense_epochs(&self) -> u64 {
+    /// The lookahead-grid windows of the run, executed or skipped.
+    pub fn grid_windows(&self) -> u64 {
         self.epochs + self.epochs_skipped
     }
 
@@ -152,22 +152,14 @@ const BURST_MSGS: u32 = 10;
 
 /// Build the fleet at `shards` worker shards, drive the ring workload
 /// for `dur`, and collect the engine figures. `threaded = false` runs
-/// the exchange epochs serially on the caller's thread; `pacing`
-/// chooses dense grid epochs or adaptive skipping — both knobs are
-/// differential: results are byte-identical either way.
-pub fn run_spec(
-    spec: ClosSpec,
-    shards: u32,
-    threaded: bool,
-    pacing: EpochPacing,
-    dur: SimTime,
-) -> FleetScaleResult {
+/// the exchange epochs serially on the caller's thread — a differential
+/// knob: results are byte-identical either way.
+pub fn run_spec(spec: ClosSpec, shards: u32, threaded: bool, dur: SimTime) -> FleetScaleResult {
     let mut c: ShardedCluster = ClusterBuilder::new(spec)
         .seed(41)
         .execution(ExecutionProfile::Sharded { shards })
         .build_sharded();
     c.set_threaded(threaded);
-    c.set_pacing(pacing);
 
     let burst = || QpApp::Burst {
         msg_len: 64 * 1024,
@@ -234,9 +226,9 @@ pub fn run_spec(
     }
 }
 
-/// [`run_spec`] on the default 4096-host fabric with adaptive pacing.
+/// [`run_spec`] on the default 4096-host fabric.
 pub fn run(shards: u32, threaded: bool, dur: SimTime) -> FleetScaleResult {
-    run_spec(spec(), shards, threaded, EpochPacing::Adaptive, dur)
+    run_spec(spec(), shards, threaded, dur)
 }
 
 #[cfg(test)]
@@ -286,32 +278,17 @@ mod tests {
     }
 
     #[test]
-    fn adaptive_pacing_skips_the_quiet_tail_without_changing_physics() {
-        // A small fleet (8 pods × 2 ToRs × 2 servers) so the dense
-        // differential run stays cheap: the bursts drain by ~450 µs
-        // (DCQCN ramp included) and the tail is periodic host timers
-        // only — adaptive pacing must jump the idle windows between
-        // them and still dispatch the byte-identical event stream.
-        let small = spec_with(2, 2);
+    fn the_quiet_tail_is_skipped_and_every_window_accounted_for() {
+        // A small fleet (8 pods × 2 ToRs × 2 servers): the bursts drain
+        // by ~450 µs (DCQCN ramp included) and the tail is periodic host
+        // timers only, so the exchange jumps the idle windows between
+        // them. Executed plus skipped is every 1.5 µs lookahead window
+        // in (0, 600 µs].
         let dur = SimTime::from_micros(600);
-        let adaptive = run_spec(small, 4, false, EpochPacing::Adaptive, dur);
-        let dense = run_spec(small, 4, false, EpochPacing::Dense, dur);
-        assert_eq!(
-            (adaptive.digest, adaptive.events, adaptive.goodput_bytes),
-            (dense.digest, dense.events, dense.goodput_bytes),
-            "pacing is an engine knob, not a physics knob"
-        );
-        assert_eq!(dense.epochs_skipped, 0);
-        assert!(
-            adaptive.epochs_skipped > 0,
-            "the quiet tail must skip: {adaptive:?}"
-        );
-        assert!(adaptive.epochs < dense.epochs);
-        assert_eq!(adaptive.dense_epochs(), dense.epochs);
+        let r = run_spec(spec_with(2, 2), 4, false, dur);
+        assert!(r.epochs_skipped > 0, "the quiet tail must skip: {r:?}");
+        assert_eq!(r.grid_windows(), dur.as_ps() / r.lookahead_ps);
         // Budget spent: every ring flow completed its full burst.
-        assert_eq!(
-            adaptive.goodput_bytes,
-            u64::from(16 * BURST_MSGS) * 64 * 1024
-        );
+        assert_eq!(r.goodput_bytes, u64::from(16 * BURST_MSGS) * 64 * 1024);
     }
 }

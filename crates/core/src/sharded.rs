@@ -31,7 +31,7 @@
 //! epoch each world writes only to its own bank, and the merge order is
 //! a pure function of the records.
 
-use rocescale_sim::{EpochPacing, ShardStats, ShardTiming, ShardedWorld, SimTime};
+use rocescale_sim::{ShardStats, ShardTiming, ShardedWorld, SimTime};
 
 use crate::cluster::Cluster;
 
@@ -50,25 +50,13 @@ impl Cluster<ShardedWorld> {
         self.world.set_threaded(threaded);
     }
 
-    /// Choose dense grid pacing or adaptive epoch skipping (the
-    /// default). A differential knob like `set_threaded`: both modes
-    /// dispatch byte-identical event streams.
-    pub fn set_pacing(&mut self, pacing: EpochPacing) {
-        self.world.set_pacing(pacing);
-    }
-
-    /// The active pacing mode.
-    pub fn pacing(&self) -> EpochPacing {
-        self.world.pacing()
-    }
-
     /// Exchange epochs executed (0 until the first multi-shard run).
     pub fn exchange_epochs(&self) -> u64 {
         self.world.epochs()
     }
 
-    /// Grid windows adaptive pacing proved idle and jumped over (0 under
-    /// dense pacing or one shard).
+    /// Grid windows the exchange proved idle and jumped over (0 with one
+    /// shard).
     pub fn epochs_skipped(&self) -> u64 {
         self.world.epochs_skipped()
     }

@@ -55,13 +55,6 @@ pub struct TelemetryConfig {
     /// Flight-recorder capacity in records; the oldest record is evicted
     /// (and counted) once full.
     pub flight_capacity: usize,
-    /// Route counter/gauge updates through the registration mutex into a
-    /// shadow value table instead of the lock-free atomic bank. This is
-    /// the pre-optimization reference path, kept selectable so a
-    /// lockstep test can prove the atomic fast path observes the exact
-    /// same values on the exact same event stream. Never enable it for
-    /// performance work.
-    pub locked_reference: bool,
 }
 
 impl Default for TelemetryConfig {
@@ -69,7 +62,6 @@ impl Default for TelemetryConfig {
         TelemetryConfig {
             sample_every_ps: 100_000_000, // 100 µs
             flight_capacity: 4096,
-            locked_reference: false,
         }
     }
 }
@@ -442,12 +434,9 @@ struct HubInner {
     /// [`HubInner::sync_orders`] on the first snapshot/export after a
     /// registration (registration itself only appends the name).
     counters_by_name: Vec<u32>,
-    /// Shadow values for the `locked_reference` mode only.
-    locked_counters: Vec<u64>,
     gauge_names: Vec<String>,
     gauge_series: Vec<TimeSeries>,
     gauges_by_name: Vec<u32>,
-    locked_gauges: Vec<f64>,
     histogram_names: Vec<String>,
     histograms: Vec<Percentiles>,
     histograms_by_name: Vec<u32>,
@@ -463,11 +452,9 @@ impl HubInner {
             counter_names: Vec::new(),
             counter_series: Vec::new(),
             counters_by_name: Vec::new(),
-            locked_counters: Vec::new(),
             gauge_names: Vec::new(),
             gauge_series: Vec::new(),
             gauges_by_name: Vec::new(),
-            locked_gauges: Vec::new(),
             histogram_names: Vec::new(),
             histograms: Vec::new(),
             histograms_by_name: Vec::new(),
@@ -536,9 +523,6 @@ struct HubShared {
     gauges: AtomicBank,
     flight: Mutex<FlightRecorder>,
     inner: Mutex<HubInner>,
-    /// Copied out of `TelemetryConfig` so the hot path reads it without
-    /// locking.
-    locked_reference: bool,
     stream: Mutex<StreamState>,
     /// [`TraceFilter::bits`] of the attached sink, 0 when detached. The
     /// per-packet emission guard is one relaxed load of this word — with
@@ -547,22 +531,14 @@ struct HubShared {
 }
 
 impl HubShared {
-    /// Current value of counter `id`, honoring the reference mode.
-    fn counter_val(&self, h: &HubInner, id: usize) -> u64 {
-        if self.locked_reference {
-            h.locked_counters[id]
-        } else {
-            self.counters.load(id as u32)
-        }
+    /// Current value of counter `id`.
+    fn counter_val(&self, id: usize) -> u64 {
+        self.counters.load(id as u32)
     }
 
-    /// Current value of gauge `id`, honoring the reference mode.
-    fn gauge_val(&self, h: &HubInner, id: usize) -> f64 {
-        if self.locked_reference {
-            h.locked_gauges[id]
-        } else {
-            f64::from_bits(self.gauges.load(id as u32))
-        }
+    /// Current value of gauge `id`.
+    fn gauge_val(&self, id: usize) -> f64 {
+        f64::from_bits(self.gauges.load(id as u32))
     }
 }
 
@@ -610,17 +586,6 @@ impl MetricsHub {
         MetricsHub::with_config(TelemetryConfig::default())
     }
 
-    /// An active hub on the pre-optimization mutex reference path — every
-    /// update takes the registration lock. Exists so the lockstep test
-    /// can pin the atomic fast path against it; see
-    /// [`TelemetryConfig::locked_reference`].
-    pub fn enabled_locked_reference() -> MetricsHub {
-        MetricsHub::with_config(TelemetryConfig {
-            locked_reference: true,
-            ..TelemetryConfig::default()
-        })
-    }
-
     /// An active hub with explicit configuration.
     pub fn with_config(cfg: TelemetryConfig) -> MetricsHub {
         MetricsHub {
@@ -629,7 +594,6 @@ impl MetricsHub {
                 gauges: AtomicBank::new(),
                 flight: Mutex::new(FlightRecorder::new(cfg.flight_capacity)),
                 inner: Mutex::new(HubInner::new(cfg)),
-                locked_reference: cfg.locked_reference,
                 stream: Mutex::new(StreamState::default()),
                 sink_flags: AtomicU32::new(0),
             })),
@@ -659,7 +623,6 @@ impl MetricsHub {
         s.counters.ensure(id);
         h.counter_names.push(name.to_string());
         h.counter_series.push(TimeSeries::new());
-        h.locked_counters.push(0);
         h.names.insert(key, id);
         CounterId(id)
     }
@@ -678,7 +641,6 @@ impl MetricsHub {
         s.gauges.ensure(id);
         h.gauge_names.push(name.to_string());
         h.gauge_series.push(TimeSeries::new());
-        h.locked_gauges.push(0.0);
         h.names.insert(key, id);
         GaugeId(id)
     }
@@ -727,9 +689,7 @@ impl MetricsHub {
             return;
         }
         let Some(s) = &self.inner else { return };
-        if s.locked_reference {
-            s.inner.lock().unwrap().locked_counters[id.0 as usize] += n;
-        } else if let Some(slot) = s.counters.slot(id.0) {
+        if let Some(slot) = s.counters.slot(id.0) {
             slot.fetch_add(n, Ordering::Relaxed);
         }
     }
@@ -748,9 +708,7 @@ impl MetricsHub {
             return;
         }
         let Some(s) = &self.inner else { return };
-        if s.locked_reference {
-            s.inner.lock().unwrap().locked_gauges[id.0 as usize] = v;
-        } else if let Some(slot) = s.gauges.slot(id.0) {
+        if let Some(slot) = s.gauges.slot(id.0) {
             slot.store(v.to_bits(), Ordering::Relaxed);
         }
     }
@@ -933,11 +891,11 @@ impl MetricsHub {
             return;
         }
         for id in 0..h.counter_series.len() {
-            let v = s.counter_val(&h, id) as f64;
+            let v = s.counter_val(id) as f64;
             h.counter_series[id].push(now_ps, v);
         }
         for id in 0..h.gauge_series.len() {
-            let v = s.gauge_val(&h, id);
+            let v = s.gauge_val(id);
             h.gauge_series[id].push(now_ps, v);
         }
         h.samples_taken += 1;
@@ -960,7 +918,7 @@ impl MetricsHub {
         let s = self.inner.as_ref()?;
         let h = s.inner.lock().unwrap();
         let id = *h.names.get(&format!("c:{name}"))?;
-        Some(s.counter_val(&h, id as usize))
+        Some(s.counter_val(id as usize))
     }
 
     /// Current value of a gauge by name, if registered.
@@ -968,7 +926,7 @@ impl MetricsHub {
         let s = self.inner.as_ref()?;
         let h = s.inner.lock().unwrap();
         let id = *h.names.get(&format!("g:{name}"))?;
-        Some(s.gauge_val(&h, id as usize))
+        Some(s.gauge_val(id as usize))
     }
 
     /// Clone of a counter's sampled time series by name.
@@ -1001,7 +959,7 @@ impl MetricsHub {
             .map(|&id| {
                 (
                     h.counter_names[id as usize].clone(),
-                    s.counter_val(&h, id as usize),
+                    s.counter_val(id as usize),
                 )
             })
             .collect()
@@ -1017,12 +975,7 @@ impl MetricsHub {
         h.sync_orders();
         h.gauges_by_name
             .iter()
-            .map(|&id| {
-                (
-                    h.gauge_names[id as usize].clone(),
-                    s.gauge_val(&h, id as usize),
-                )
-            })
+            .map(|&id| (h.gauge_names[id as usize].clone(), s.gauge_val(id as usize)))
             .collect()
     }
 
@@ -1082,7 +1035,7 @@ impl MetricsHub {
             .map(|&id| {
                 (
                     h.counter_names[id as usize].clone(),
-                    Json::U64(s.counter_val(&h, id as usize)),
+                    Json::U64(s.counter_val(id as usize)),
                 )
             })
             .collect();
@@ -1093,7 +1046,7 @@ impl MetricsHub {
             .map(|&id| {
                 (
                     h.gauge_names[id as usize].clone(),
-                    Json::F64(s.gauge_val(&h, id as usize)),
+                    Json::F64(s.gauge_val(id as usize)),
                 )
             })
             .collect();
@@ -1241,7 +1194,6 @@ mod tests {
         let hub = MetricsHub::with_config(TelemetryConfig {
             sample_every_ps: 100,
             flight_capacity: 8,
-            ..TelemetryConfig::default()
         });
         let c = hub.counter("x");
         hub.maybe_sample(0); // boundary 0: sample
@@ -1296,7 +1248,6 @@ mod tests {
         let hub = MetricsHub::with_config(TelemetryConfig {
             sample_every_ps: 10,
             flight_capacity: 4,
-            ..TelemetryConfig::default()
         });
         let z = hub.counter("z.last");
         let a = hub.counter("a.first");
@@ -1348,31 +1299,6 @@ mod tests {
         let clone = hub.clone();
         clone.add(c, 4);
         assert_eq!(hub.counter_value("shared"), Some(4));
-    }
-
-    /// The atomic fast path and the mutex reference path must be
-    /// observationally identical for the same operation stream.
-    #[test]
-    fn locked_reference_matches_atomic_path() {
-        let fast = MetricsHub::enabled();
-        let slow = MetricsHub::enabled_locked_reference();
-        for hub in [&fast, &slow] {
-            let c1 = hub.counter("b.bytes");
-            let c2 = hub.counter("a.pkts");
-            let g = hub.gauge("q.depth");
-            for i in 0..100u64 {
-                hub.add(c1, i);
-                hub.incr(c2);
-                hub.set_gauge(g, i as f64 * 0.5);
-            }
-            hub.maybe_sample(100);
-        }
-        assert_eq!(fast.counters_snapshot(), slow.counters_snapshot());
-        assert_eq!(fast.gauge_value("q.depth"), slow.gauge_value("q.depth"));
-        assert_eq!(
-            fast.counter_series("a.pkts").unwrap().points(),
-            slow.counter_series("a.pkts").unwrap().points()
-        );
     }
 
     /// Snapshots come out name-sorted whatever the registration order,

@@ -37,8 +37,7 @@ mod world;
 pub use rng::SimRng;
 pub use sched::{EngineKind, SchedStats};
 pub use shard::{
-    merged_digest, EpochPacing, ShardStats, ShardTiming, ShardedWorld, WorldSet,
-    PACKET_ID_SHARD_SHIFT,
+    merged_digest, ShardStats, ShardTiming, ShardedWorld, WorldSet, PACKET_ID_SHARD_SHIFT,
 };
 pub use time::SimTime;
 pub use world::{

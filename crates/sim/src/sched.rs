@@ -1,5 +1,5 @@
 //! The event engine: a hierarchical timer wheel with a sorted overflow
-//! level, plus a reference binary-heap engine for differential testing.
+//! level.
 //!
 //! # Why a wheel
 //!
@@ -23,12 +23,12 @@
 //!
 //! # Determinism
 //!
-//! Dispatch order is *identical* to the binary heap's: globally sorted by
-//! `(time, seq)` where `seq` is a monotone counter assigned at push. A
+//! Dispatch order is globally sorted by `(time, seq)` where `seq` is a
+//! monotone counter assigned at push — the order of a binary heap over
+//! the same key, which the tests below keep as the reference. A
 //! collected slot is sorted once into a ready list (bounded by slot
 //! occupancy, not queue depth), so same-timestamp events still fire in
-//! strict FIFO schedule order and every scenario trace is bit-identical
-//! across both engines.
+//! strict FIFO schedule order.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -62,15 +62,16 @@ fn shed<T>(buf: &mut Vec<T>) {
     }
 }
 
-/// Which engine backs an [`EventQueue`] (and a [`crate::World`]).
+/// The engine behind an [`EventQueue`]: there is one. The enum and
+/// [`EventQueue::new`]'s argument remain only because the frozen
+/// `examples/benchmark/src/kernels.rs` calls
+/// `EventQueue::new(EngineKind::default())`; the next `benchmark` PR
+/// deletes both.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum EngineKind {
-    /// Hierarchical timer wheel — the default.
+    /// Hierarchical timer wheel.
     #[default]
     Wheel,
-    /// Global binary heap — the original engine, kept as the reference
-    /// implementation for differential tests and benchmarks.
-    BinaryHeap,
 }
 
 /// Engine-level counters, exposed through `World::sched_stats()`.
@@ -115,9 +116,12 @@ impl<T> Ord for Entry<T> {
 }
 
 /// A priority queue of `(SimTime, T)` dispatching in `(time, insertion
-/// order)` — the simulator's event queue. Backed by either engine.
+/// order)` — the simulator's event queue.
 pub struct EventQueue<T> {
-    engine: Engine<T>,
+    // Boxed: held inline in `World`, the wheel made `fleet_sharded` —
+    // two shard worlds side by side in one vector, run by two threads —
+    // 10 % slower.
+    wheel: Box<Wheel<T>>,
     /// Monotone sequence counter; the FIFO tie-break for equal times.
     next_seq: u64,
     /// Pending events.
@@ -125,22 +129,11 @@ pub struct EventQueue<T> {
     stats: SchedStats,
 }
 
-enum Engine<T> {
-    // Boxed: the wheel's inline arrays dwarf the heap variant, and there
-    // is exactly one `Engine` per world, so the indirection is free.
-    Wheel(Box<Wheel<T>>),
-    Heap(BinaryHeap<Reverse<Entry<T>>>),
-}
-
 impl<T> EventQueue<T> {
-    /// An empty queue on the given engine.
-    pub fn new(kind: EngineKind) -> EventQueue<T> {
-        let engine = match kind {
-            EngineKind::Wheel => Engine::Wheel(Box::new(Wheel::new())),
-            EngineKind::BinaryHeap => Engine::Heap(BinaryHeap::new()),
-        };
+    /// An empty queue.
+    pub fn new(_: EngineKind) -> EventQueue<T> {
         EventQueue {
-            engine,
+            wheel: Box::new(Wheel::new()),
             next_seq: 0,
             len: 0,
             stats: SchedStats::default(),
@@ -171,11 +164,7 @@ impl<T> EventQueue<T> {
     pub fn push(&mut self, time: SimTime, item: T) {
         let seq = self.next_seq;
         self.next_seq += 1;
-        let entry = Entry { time, seq, item };
-        match &mut self.engine {
-            Engine::Wheel(w) => w.push(entry, &mut self.stats),
-            Engine::Heap(h) => h.push(Reverse(entry)),
-        }
+        self.wheel.push(Entry { time, seq, item }, &mut self.stats);
         self.len += 1;
         self.stats.pushed += 1;
         self.stats.max_occupancy = self.stats.max_occupancy.max(self.len as u64);
@@ -183,18 +172,12 @@ impl<T> EventQueue<T> {
 
     /// Time of the next event to dispatch, if any.
     pub fn peek_time(&mut self) -> Option<SimTime> {
-        match &mut self.engine {
-            Engine::Wheel(w) => w.peek(&mut self.stats).map(|e| e.time),
-            Engine::Heap(h) => h.peek().map(|Reverse(e)| e.time),
-        }
+        self.wheel.peek(&mut self.stats).map(|e| e.time)
     }
 
     /// Pop the next event in `(time, seq)` order.
     pub fn pop(&mut self) -> Option<(SimTime, T)> {
-        let e = match &mut self.engine {
-            Engine::Wheel(w) => w.pop(&mut self.stats)?,
-            Engine::Heap(h) => h.pop()?.0,
-        };
+        let e = self.wheel.pop(&mut self.stats)?;
         self.len -= 1;
         self.stats.dispatched += 1;
         Some((e.time, e.item))
@@ -478,17 +461,42 @@ mod tests {
         out
     }
 
+    /// The reference engine: one global binary heap keyed by
+    /// `(time, seq)`, the queue the wheel replaced.
+    #[derive(Default)]
+    struct HeapQueue {
+        heap: BinaryHeap<Reverse<(SimTime, u64, u32)>>,
+        next_seq: u64,
+    }
+
+    impl HeapQueue {
+        fn push(&mut self, time: SimTime, v: u32) {
+            self.heap.push(Reverse((time, self.next_seq, v)));
+            self.next_seq += 1;
+        }
+
+        fn pop(&mut self) -> Option<(SimTime, u32)> {
+            self.heap.pop().map(|Reverse((t, _, v))| (t, v))
+        }
+
+        fn drain(&mut self) -> Vec<(u64, u32)> {
+            std::iter::from_fn(|| self.pop())
+                .map(|(t, v)| (t.as_ps(), v))
+                .collect()
+        }
+    }
+
     #[test]
     fn fifo_for_equal_times_both_engines() {
-        for kind in [EngineKind::Wheel, EngineKind::BinaryHeap] {
-            let mut q = EventQueue::new(kind);
-            for v in 0..100u32 {
-                q.push(SimTime(5_000), v);
-            }
-            let got = drain(&mut q);
-            let want: Vec<(u64, u32)> = (0..100).map(|v| (5_000, v)).collect();
-            assert_eq!(got, want, "{kind:?}");
+        let mut wheel = EventQueue::new(EngineKind::Wheel);
+        let mut heap = HeapQueue::default();
+        for v in 0..100u32 {
+            wheel.push(SimTime(5_000), v);
+            heap.push(SimTime(5_000), v);
         }
+        let want: Vec<(u64, u32)> = (0..100).map(|v| (5_000, v)).collect();
+        assert_eq!(drain(&mut wheel), want);
+        assert_eq!(heap.drain(), want);
     }
 
     #[test]
@@ -496,7 +504,7 @@ mod tests {
         let mut rng = SimRng::from_seed(0xC0FFEE);
         for case in 0..50 {
             let mut wheel = EventQueue::new(EngineKind::Wheel);
-            let mut heap = EventQueue::new(EngineKind::BinaryHeap);
+            let mut heap = HeapQueue::default();
             let mut now = 0u64;
             let mut next_val = 0u32;
             for _ in 0..400 {
@@ -525,7 +533,7 @@ mod tests {
                     }
                 }
             }
-            assert_eq!(drain(&mut wheel), drain(&mut heap), "case {case} drain");
+            assert_eq!(drain(&mut wheel), heap.drain(), "case {case} drain");
         }
     }
 
@@ -600,9 +608,7 @@ mod tests {
     impl<T> EventQueue<T> {
         /// Entries of buffer capacity the wheel holds, in use or not.
         fn retained(&self) -> usize {
-            let Engine::Wheel(w) = &self.engine else {
-                unreachable!("wheel engine only");
-            };
+            let w = &self.wheel;
             let slots: usize = w.levels.iter().flatten().map(Vec::capacity).sum();
             slots + w.ready.capacity() + w.scratch.capacity()
         }

@@ -22,7 +22,7 @@
 //! `min(shards, available_parallelism)` of them, each owning a
 //! contiguous range of shards for the whole call, the calling thread
 //! being worker 0 and the *coordinator*. The coordinator alone runs the
-//! epoch loop (window end, adaptive skip, horizon, epoch count) and
+//! epoch loop (window end, idle-window skip, horizon, epoch count) and
 //! hands the workers one window after another:
 //!
 //! 1. it *releases* a window — publishes it and bumps a generation
@@ -106,43 +106,18 @@ use crate::world::{digest_fold, BoundaryMsg, World};
 /// unreachable in any feasible run.
 pub const PACKET_ID_SHARD_SHIFT: u32 = 48;
 
-/// How the exchange paces its epoch cursor across the lookahead grid.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum EpochPacing {
-    /// Execute every grid window between the horizon and the deadline,
-    /// busy or not. This was the only mode before adaptive skipping
-    /// landed; it survives as the differential-testing reference the
-    /// skipping property tests compare against.
-    Dense,
-    /// At each barrier, take every shard's next event time and the
-    /// earliest undelivered boundary message. When neither falls inside
-    /// the next window, jump the horizon straight to the start of the
-    /// grid window containing the earliest work (or to the deadline if
-    /// there is none), counting the windows stepped over in
-    /// [`ShardStats::epochs_skipped`].
-    ///
-    /// Skipping is physics-free by construction: an empty window's
-    /// execution only advances per-shard clocks (no events dispatch, no
-    /// RNG draws, no digest folds), delivery inside it is vacuous (the
-    /// earliest pending message lies beyond the window), and collection
-    /// finds empty outboxes. The conservative-lookahead safety argument
-    /// is untouched — a boundary message *produced* in a window can only
-    /// *land* beyond it, and no window with work is ever skipped.
-    #[default]
-    Adaptive,
-}
-
 /// Exchange bookkeeping snapshot: windows actually executed, windows
-/// the adaptive pacer stepped over, and boundary messages carried. For
-/// any fixed drive pattern, `epochs_executed + epochs_skipped` equals
-/// the epoch count a [`EpochPacing::Dense`] run performs. Every field
-/// is exact and independent of threading and of the worker count; the
-/// wall-clock side of the exchange is [`ShardTiming`].
+/// the pacer stepped over, and boundary messages carried. For any drive
+/// pattern, `epochs_executed + epochs_skipped` is the number of grid
+/// windows the deadlines cut the run into: one per lookahead-grid window
+/// in (0, now], plus one for each deadline that falls inside a window.
+/// Every field is exact and independent of threading and of the worker
+/// count; the wall-clock side of the exchange is [`ShardTiming`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ShardStats {
     /// Grid windows delivered/advanced/collected.
     pub epochs_executed: u64,
-    /// Grid windows the adaptive pacer jumped over without a barrier.
+    /// Grid windows the pacer jumped over without a barrier.
     pub epochs_skipped: u64,
     /// Boundary messages carried across shards.
     pub boundary_messages: u64,
@@ -245,8 +220,8 @@ struct Window {
 }
 
 /// The epoch cursor: where the common horizon is and which window comes
-/// next. The only place the grid, the adaptive skip and the epoch count
-/// are written down.
+/// next. The only place the grid, the skip and the epoch count are
+/// written down.
 struct Pacer {
     /// Min propagation over all cross-shard links — the epoch window
     /// grid. `None` when no world has a remote port (independent
@@ -254,7 +229,6 @@ struct Pacer {
     lookahead: Option<SimTime>,
     /// Common simulated time every shard has reached.
     horizon: SimTime,
-    pacing: EpochPacing,
     epochs: u64,
     skipped: u64,
     /// Grid window of the latest executed epoch, and the mail half it
@@ -265,9 +239,20 @@ struct Pacer {
 
 impl Pacer {
     /// The next window to execute on the way to `deadline`, or `None`
-    /// once the horizon is there. `next_work` is the earliest thing any
-    /// shard has to do (queued event or undelivered boundary message);
-    /// adaptive pacing jumps the horizon over windows it falls beyond.
+    /// once the horizon is there.
+    ///
+    /// `next_work` is the earliest thing any shard has to do: a queued
+    /// event, an undelivered boundary message, or mail a cut window
+    /// left. When it does not fall inside the next window, the horizon
+    /// jumps straight to the start of the grid window containing it (or
+    /// to the deadline if there is none), and the windows stepped over
+    /// count in [`ShardStats::epochs_skipped`]. Skipping is physics-free
+    /// by construction: an empty window's execution would only advance
+    /// per-shard clocks (no events dispatch, no RNG draws, no digest
+    /// folds), delivery inside it would be vacuous, and collection would
+    /// find empty outboxes. The lookahead safety argument is untouched —
+    /// a boundary message *produced* in a window can only *land* beyond
+    /// it, and no window with work is ever skipped.
     ///
     /// The exchange happens once per *grid* window, at its first epoch,
     /// however the caller's deadlines cut it: that epoch absorbs the
@@ -276,14 +261,12 @@ impl Pacer {
     /// window began (lookahead), so nothing is missing. A later epoch
     /// of the same grid window absorbs nothing and appends its outboxes
     /// to the same mail half, so the next grid window finds per source
-    /// exactly the sequence an uncut window would have left, and
-    /// administrative messages wait for the grid line as they would
-    /// have. This is what makes a run independent of where `run_until`
-    /// deadlines fall.
+    /// exactly the sequence an uncut window would have left. This is
+    /// what makes a run independent of where `run_until` deadlines fall.
     fn next_window(&mut self, deadline: SimTime, next_work: Option<SimTime>) -> Option<Window> {
         while self.horizon < deadline {
             let end = self.window_end(deadline);
-            if let (EpochPacing::Adaptive, Some(l)) = (self.pacing, self.lookahead) {
+            if let Some(l) = self.lookahead {
                 if next_work.is_none_or(|t| t > end) {
                     // Nothing lands in (horizon, end]: jump to the start
                     // of the grid window holding the earliest work, or
@@ -293,7 +276,7 @@ impl Pacer {
                         Some(t) if t <= deadline => SimTime(((t.as_ps() - 1) / l) * l),
                         _ => deadline,
                     };
-                    self.skipped += dense_steps(self.horizon, target, l);
+                    self.skipped += windows_between(self.horizon, target, l);
                     self.horizon = target;
                     continue;
                 }
@@ -341,14 +324,19 @@ impl Pacer {
 /// A boundary message waiting in its destination's inbox. Ordered so
 /// that a max-heap pops the smallest `(at, seq)` first.
 struct Due {
-    at: SimTime,
     seq: u64,
     msg: BoundaryMsg,
 }
 
+impl Due {
+    fn at(&self) -> SimTime {
+        self.msg.at
+    }
+}
+
 impl Ord for Due {
     fn cmp(&self, other: &Due) -> Ordering {
-        (other.at, other.seq).cmp(&(self.at, self.seq))
+        (other.at(), other.seq).cmp(&(self.at(), self.seq))
     }
 }
 impl PartialOrd for Due {
@@ -412,7 +400,6 @@ impl Lane {
             }
             for msg in self.scratch.drain(..) {
                 self.inbox.push(Due {
-                    at: msg.at(),
                     seq: self.next_seq,
                     msg,
                 });
@@ -421,26 +408,13 @@ impl Lane {
         }
     }
 
-    /// Inject every inbox message timestamped at or before `due` into
-    /// `world`. Packets become ordinary arrival events at their
-    /// precomputed time (always in the world's future — the lookahead
-    /// guarantee). Administrative messages apply at the barrier: link
-    /// flips mutate port state directly, wakes are clamped to the
-    /// world's clock.
+    /// Inject every inbox packet timestamped at or before `due` into
+    /// `world`, as an ordinary arrival event at its precomputed time
+    /// (always in the world's future — the lookahead guarantee).
     fn deliver(&mut self, world: &mut World, due: SimTime) {
-        while self.inbox.peek().is_some_and(|d| d.at <= due) {
-            let Due { at, msg, .. } = self.inbox.pop().expect("peeked");
-            match msg {
-                BoundaryMsg::Packet { at, to, pkt } => {
-                    world.inject_arrival(at, to.node, to.port, pkt);
-                }
-                BoundaryMsg::LinkSet { to, up, .. } => {
-                    world.apply_remote_link(to.node, to.port, up);
-                }
-                BoundaryMsg::Wake { to, .. } => {
-                    world.inject_port_idle(at.max(world.now()), to.node, to.port);
-                }
-            }
+        while self.inbox.peek().is_some_and(|d| d.at() <= due) {
+            let BoundaryMsg { at, to, pkt } = self.inbox.pop().expect("peeked").msg;
+            world.inject_arrival(at, to.node, to.port, pkt);
         }
     }
 
@@ -454,8 +428,8 @@ impl Lane {
         self.sent += outbox.len() as u64;
         let mut row = mail_row(row);
         for msg in outbox {
-            self.in_flight = Some(self.in_flight.map_or(msg.at(), |t| t.min(msg.at())));
-            row[msg.to().shard as usize].push(msg);
+            self.in_flight = Some(self.in_flight.map_or(msg.at, |t| t.min(msg.at)));
+            row[msg.to.shard as usize].push(msg);
         }
     }
 }
@@ -623,7 +597,7 @@ impl Worker<'_> {
             let t2 = Instant::now();
             lane.route(world, &mail[window.parity][shard]);
             let queued = world.next_event_time();
-            let inboxed = lane.inbox.peek().map(|d| d.at);
+            let inboxed = lane.inbox.peek().map(Due::at);
             for t in [lane.in_flight, queued, inboxed].into_iter().flatten() {
                 next_work = next_work.min(t.as_ps());
             }
@@ -751,7 +725,6 @@ impl ShardedWorld {
             pacer: Pacer {
                 lookahead,
                 horizon: SimTime::ZERO,
-                pacing: EpochPacing::default(),
                 epochs: 0,
                 skipped: 0,
                 open: None,
@@ -770,19 +743,6 @@ impl ShardedWorld {
     /// determinism tests sweep.
     pub fn set_threaded(&mut self, threaded: bool) {
         self.threaded = threaded;
-    }
-
-    /// Choose between dense grid pacing and adaptive epoch skipping
-    /// (the default). Like `set_threaded`, this is a differential knob:
-    /// the two modes dispatch byte-identical event streams — only the
-    /// barrier count differs.
-    pub fn set_pacing(&mut self, pacing: EpochPacing) {
-        self.pacer.pacing = pacing;
-    }
-
-    /// The active pacing mode.
-    pub fn pacing(&self) -> EpochPacing {
-        self.pacer.pacing
     }
 
     /// Worker threads `run_until` uses, the caller's included.
@@ -838,7 +798,7 @@ impl ShardedWorld {
         // Work the caller queued between calls counts; after that the
         // workers report it window by window.
         let queued = worlds.iter_mut().filter_map(World::next_event_time);
-        let inboxed = lanes.iter().filter_map(|l| l.inbox.peek().map(|d| d.at));
+        let inboxed = lanes.iter().filter_map(|l| l.inbox.peek().map(Due::at));
         let in_flight = lanes.iter().filter_map(|l| l.in_flight);
         let next_work = queued.chain(inboxed).chain(in_flight).min();
         // A call that only skips (or is already there) starts nobody.
@@ -887,15 +847,14 @@ impl ShardedWorld {
     }
 
     /// Exchange epochs actually executed (0 for single-shard runs —
-    /// there is no exchange to run). Windows the adaptive pacer jumped
-    /// over are counted separately in [`ShardedWorld::epochs_skipped`].
+    /// there is no exchange to run). Windows the pacer jumped over are
+    /// counted separately in [`ShardedWorld::epochs_skipped`].
     pub fn epochs(&self) -> u64 {
         self.pacer.epochs
     }
 
-    /// Grid windows the adaptive pacer stepped over without running a
-    /// barrier. `epochs() + epochs_skipped()` equals the dense-grid
-    /// epoch count for the same drive pattern.
+    /// Grid windows the pacer stepped over without running a barrier;
+    /// see [`ShardStats`] for what `epochs() + epochs_skipped()` counts.
     pub fn epochs_skipped(&self) -> u64 {
         self.pacer.skipped
     }
@@ -958,12 +917,12 @@ impl ShardedWorld {
     }
 }
 
-/// Number of dense grid windows a [`EpochPacing::Dense`] drive would
-/// execute to move the horizon from `from` to `to`: one per grid line
-/// crossed, plus the (possibly partial) window reaching `to`. `from` is
-/// either grid-aligned or a previous deadline; either way the dense
-/// loop's first window ends at the next grid line after `⌊from/l⌋·l`.
-fn dense_steps(from: SimTime, to: SimTime, l: u64) -> u64 {
+/// Number of windows an epoch per window would execute to move the
+/// horizon from `from` to `to`: one per grid line crossed, plus the
+/// (possibly partial) window reaching `to`. `from` is either
+/// grid-aligned or a previous deadline; either way the first window
+/// ends at the next grid line after `⌊from/l⌋·l`.
+fn windows_between(from: SimTime, to: SimTime, l: u64) -> u64 {
     let base = (from.as_ps() / l) * l;
     (to.as_ps() - base).div_ceil(l)
 }
@@ -1059,16 +1018,39 @@ mod tests {
         }
     }
 
-    /// Two shards wired by one boundary link: shard 0 holds the pinger,
-    /// shard 1 the (echoing) counter.
-    fn two_shard_pair(to_send: u32) -> ShardedWorld {
-        let mut a = World::new(11);
-        let pinger = a.add_node(Box::new(Pinger {
+    /// A pinger sending `to_send` packets every 700 ns.
+    fn pinger(to_send: u32) -> Box<Pinger> {
+        Box::new(Pinger {
             to_send,
             sent: 0,
             interval: SimTime::from_nanos(700),
             max_seen_id: 0,
-        }));
+        })
+    }
+
+    fn counter(echo: bool) -> Box<Counter> {
+        Box::new(Counter {
+            received: 0,
+            echo,
+            last_at: SimTime::ZERO,
+        })
+    }
+
+    /// The pair below in one world — pinger `NodeId(0)`, counter
+    /// `NodeId(1)` — the reference the exchange has to reproduce.
+    fn one_world_pair(to_send: u32) -> World {
+        let mut w = World::new(11);
+        let pinger = w.add_node(pinger(to_send));
+        let counter = w.add_node(counter(true));
+        w.connect(pinger, PortId(0), counter, PortId(0), spec());
+        w
+    }
+
+    /// Two shards wired by one boundary link: shard 0 holds the pinger,
+    /// shard 1 the (echoing) counter.
+    fn two_shard_pair(to_send: u32) -> ShardedWorld {
+        let mut a = World::new(11);
+        let pinger = a.add_node(pinger(to_send));
         a.connect_remote(
             pinger,
             PortId(0),
@@ -1080,11 +1062,7 @@ mod tests {
             },
         );
         let mut b = World::new(12);
-        let counter = b.add_node(Box::new(Counter {
-            received: 0,
-            echo: true,
-            last_at: SimTime::ZERO,
-        }));
+        let counter = b.add_node(counter(true));
         b.connect_remote(
             counter,
             PortId(0),
@@ -1143,44 +1121,32 @@ mod tests {
     }
 
     #[test]
-    fn adaptive_skipping_matches_dense_byte_for_byte() {
+    fn skipping_matches_the_pair_in_one_world() {
         // The pinger goes quiet after 20 sends (~15 µs of traffic); the
-        // remaining ~85 µs of grid windows have no work and must be
-        // skipped without touching physics.
+        // remaining ~85 µs of grid windows have no work and are skipped.
+        // One world holding both nodes is the reference: the exchange
+        // dispatches the same events and delivers every packet at the
+        // same instant, and its executed and skipped windows add up to
+        // the 200 windows of 500 ns in (0, 100 µs].
         let dur = SimTime::from_micros(100);
-        let mut dense = two_shard_pair(20);
-        dense.set_pacing(EpochPacing::Dense);
-        dense.run_until(dur);
-        let mut adaptive = two_shard_pair(20);
-        assert_eq!(adaptive.pacing(), EpochPacing::Adaptive);
-        adaptive.run_until(dur);
+        let mut one = one_world_pair(20);
+        one.run_until(dur);
+        let mut sw = two_shard_pair(20);
+        sw.run_until(dur);
 
-        assert_eq!(adaptive.dispatch_digest(), dense.dispatch_digest());
-        assert_eq!(adaptive.events_processed(), dense.events_processed());
-        assert_eq!(adaptive.boundary_messages(), dense.boundary_messages());
-        let a: &Counter = dense.world(1).node(NodeId(0));
-        let b: &Counter = adaptive.world(1).node(NodeId(0));
+        assert_eq!(sw.events_processed(), one.events_processed());
+        let a: &Counter = one.node(NodeId(1));
+        let b: &Counter = sw.world(1).node(NodeId(0));
         assert_eq!((a.received, a.last_at), (b.received, b.last_at));
-
-        assert_eq!(dense.epochs_skipped(), 0, "dense pacing never skips");
-        assert!(
-            adaptive.epochs() < dense.epochs(),
-            "quiet tail must cut executed epochs ({} vs {})",
-            adaptive.epochs(),
-            dense.epochs()
-        );
-        assert!(adaptive.epochs_skipped() > 0);
+        assert_eq!(sw.boundary_messages(), 30, "20 pings and 10 echoes");
+        assert!(sw.epochs_skipped() > 0, "the quiet tail is skipped");
+        assert_eq!(sw.epochs() + sw.epochs_skipped(), 200);
         assert_eq!(
-            adaptive.epochs() + adaptive.epochs_skipped(),
-            dense.epochs(),
-            "executed + skipped must account for every dense window"
-        );
-        assert_eq!(
-            adaptive.stats(),
+            sw.stats(),
             ShardStats {
-                epochs_executed: adaptive.epochs(),
-                epochs_skipped: adaptive.epochs_skipped(),
-                boundary_messages: adaptive.boundary_messages(),
+                epochs_executed: sw.epochs(),
+                epochs_skipped: sw.epochs_skipped(),
+                boundary_messages: sw.boundary_messages(),
             }
         );
     }
@@ -1203,50 +1169,34 @@ mod tests {
     #[test]
     fn a_timer_inside_a_quiet_span_forces_its_window_to_execute() {
         // Drain the traffic, then drop a bare timer into shard 1 deep
-        // inside what would otherwise be one long skipped span: the
-        // window holding it must execute (events advance), and dense
-        // pacing must agree byte-for-byte.
-        let run = |pacing: EpochPacing| {
-            let mut sw = two_shard_pair(5);
-            sw.set_pacing(pacing);
+        // inside what would otherwise be one long skipped span: exactly
+        // the window holding it executes — one more than without it —
+        // and the run dispatches what one world holding both nodes does.
+        let run = |timer: bool| {
+            let (mut sw, mut one) = (two_shard_pair(5), one_world_pair(5));
             sw.run_until(SimTime::from_micros(50));
-            sw.world_mut(1)
-                .schedule_timer(SimTime::from_micros(77), NodeId(0), 9);
+            one.run_until(SimTime::from_micros(50));
+            if timer {
+                let at = SimTime::from_micros(77);
+                sw.world_mut(1).schedule_timer(at, NodeId(0), 9);
+                one.schedule_timer(at, NodeId(1), 9);
+            }
             sw.run_until(SimTime::from_micros(100));
-            (sw.dispatch_digest(), sw.events_processed(), sw.stats())
+            one.run_until(SimTime::from_micros(100));
+            assert_eq!(sw.events_processed(), one.events_processed());
+            assert_eq!(sw.epochs() + sw.epochs_skipped(), 200);
+            sw.stats()
         };
-        let dense = run(EpochPacing::Dense);
-        let adaptive = run(EpochPacing::Adaptive);
-        assert_eq!(adaptive.0, dense.0);
-        assert_eq!(adaptive.1, dense.1);
-        assert_eq!(
-            adaptive.2.epochs_executed + adaptive.2.epochs_skipped,
-            dense.2.epochs_executed
-        );
-        assert!(adaptive.2.epochs_skipped > 0);
+        let (quiet, timed) = (run(false), run(true));
+        assert_eq!(timed.epochs_executed, quiet.epochs_executed + 1);
+        assert!(timed.epochs_skipped > 0);
     }
 
     #[test]
     fn single_shard_is_the_plain_world() {
-        let build = || {
-            let mut w = World::new(11);
-            let pinger = w.add_node(Box::new(Pinger {
-                to_send: 15,
-                sent: 0,
-                interval: SimTime::from_nanos(700),
-                max_seen_id: 0,
-            }));
-            let counter = w.add_node(Box::new(Counter {
-                received: 0,
-                echo: true,
-                last_at: SimTime::ZERO,
-            }));
-            w.connect(pinger, PortId(0), counter, PortId(0), spec());
-            w
-        };
-        let mut plain = build();
+        let mut plain = one_world_pair(15);
         plain.run_until(SimTime::from_micros(80));
-        let mut sharded = ShardedWorld::new(vec![build()]);
+        let mut sharded = ShardedWorld::new(vec![one_world_pair(15)]);
         sharded.run_until(SimTime::from_micros(80));
         assert_eq!(sharded.dispatch_digest(), plain.dispatch_digest());
         assert_eq!(sharded.events_processed(), plain.events_processed());
@@ -1286,35 +1236,6 @@ mod tests {
         );
     }
 
-    #[test]
-    fn link_set_crosses_the_barrier() {
-        let mut sw = two_shard_pair(1000);
-        sw.run_until(SimTime::from_micros(5));
-        let before: u64 = {
-            let c: &Counter = sw.world(1).node(NodeId(0));
-            c.received
-        };
-        assert!(before > 0);
-        // Down shard 0's half of the boundary link (the exchange does
-        // exactly this when the far side issues a `set_link_up(false)`):
-        // the pinger keeps its cadence but `sent` stops advancing.
-        sw.world_mut(0)
-            .apply_remote_link(NodeId(0), PortId(0), false);
-        let sent_at_cut: u32 = {
-            let p: &Pinger = sw.world(0).node(NodeId(0));
-            p.sent
-        };
-        sw.run_until(SimTime::from_micros(10));
-        let p: &Pinger = sw.world(0).node(NodeId(0));
-        assert_eq!(p.sent, sent_at_cut, "downed boundary link blocks transmit");
-        // Bring it back; traffic resumes.
-        sw.world_mut(0)
-            .apply_remote_link(NodeId(0), PortId(0), true);
-        sw.run_until(SimTime::from_micros(15));
-        let p: &Pinger = sw.world(0).node(NodeId(0));
-        assert!(p.sent > sent_at_cut);
-    }
-
     /// `n` shards in a ring: shard `i`'s pinger feeds shard `i+1`'s
     /// echoing counter, so every shard both sends to and hears from two
     /// different neighbours (for `n ≥ 3`) — same-instant arrivals from
@@ -1337,17 +1258,8 @@ mod tests {
         let worlds = (0..n)
             .map(|i| {
                 let mut w = World::new(100 + i as u64);
-                let pinger = w.add_node(Box::new(Pinger {
-                    to_send,
-                    sent: 0,
-                    interval: SimTime::from_nanos(700),
-                    max_seen_id: 0,
-                }));
-                let counter = w.add_node(Box::new(Counter {
-                    received: 0,
-                    echo: true,
-                    last_at: SimTime::ZERO,
-                }));
+                let pinger = w.add_node(pinger(to_send));
+                let counter = w.add_node(counter(true));
                 let remote = |shard: u32, node: NodeId| RemotePort {
                     shard,
                     node,
@@ -1368,10 +1280,9 @@ mod tests {
         // size) and 9, which clamps to one worker per shard, 8 over 1,
         // 2 and 8 — more threads than most test machines have cores:
         // same digest, events and exchange bookkeeping as the
-        // single-worker run, under both pacings and a chunked drive.
-        let run = |shards: u32, workers: usize, pacing: EpochPacing| {
+        // single-worker run, under a chunked drive.
+        let run = |shards: u32, workers: usize| {
             let mut sw = ring(shards, 30);
-            sw.set_pacing(pacing);
             for us in [13u64, 57, 100] {
                 sw.run_with_workers(SimTime::from_micros(us), workers);
             }
@@ -1386,24 +1297,16 @@ mod tests {
             )
         };
         for (shards, counts) in [(4, &[2, 3, 4][..]), (5, &[2, 3, 4, 5, 9]), (8, &[2, 8])] {
-            for pacing in [EpochPacing::Adaptive, EpochPacing::Dense] {
-                let one = run(shards, 1, pacing);
-                assert_eq!(one.3, vec![30; shards as usize], "every ping crossed");
-                for &workers in counts {
-                    assert_eq!(
-                        run(shards, workers, pacing),
-                        one,
-                        "{shards} shards, {workers} workers, {pacing:?}"
-                    );
-                }
+            let one = run(shards, 1);
+            assert_eq!(one.3, vec![30; shards as usize], "every ping crossed");
+            assert_eq!(one.2.epochs_executed + one.2.epochs_skipped, 200);
+            for &workers in counts {
+                assert_eq!(
+                    run(shards, workers),
+                    one,
+                    "{shards} shards, {workers} workers"
+                );
             }
-            let adaptive = run(shards, 2, EpochPacing::Adaptive);
-            let dense = run(shards, 2, EpochPacing::Dense);
-            assert_eq!((adaptive.0, adaptive.1), (dense.0, dense.1));
-            assert_eq!(
-                adaptive.2.epochs_executed + adaptive.2.epochs_skipped,
-                dense.2.epochs_executed
-            );
         }
     }
 
@@ -1413,7 +1316,7 @@ mod tests {
         // A waiter that only spun would hold its core for a scheduler
         // slice per barrier while the workers with events to run queue
         // behind it; one that yields costs a few context switches. The
-        // stated factor: over 3 000 dense epochs the oversubscribed run
+        // stated factor: over 2 804 epochs the oversubscribed run
         // takes at most 25× the 2-worker one (best of three each, runs
         // of ~60 ms against which a lost slice is small). Measured on
         // the 2-core container this was written on: 2.1× (120 ms
@@ -1422,10 +1325,9 @@ mod tests {
         let best = |workers: usize| {
             let run = || {
                 let mut sw = ring(8, 2000);
-                sw.set_pacing(EpochPacing::Dense);
                 let t0 = Instant::now();
                 sw.run_with_workers(SimTime::from_micros(1500), workers);
-                assert_eq!(sw.epochs(), 3000);
+                assert_eq!((sw.epochs(), sw.epochs_skipped()), (2804, 196));
                 t0.elapsed()
             };
             (0..3).map(|_| run()).min().expect("three runs")
@@ -1444,11 +1346,10 @@ mod tests {
         // does), so a cut window has to keep the whole window's
         // source-major numbering, not number its halves one after the
         // other. Steps of 333 ns and 1.000 007 µs against the 500 ns
-        // grid, under both pacings and on one and three workers.
+        // grid, on one and three workers.
         let end = SimTime::from_micros(60);
-        let run = |step_ps: Option<u64>, pacing: EpochPacing, workers: usize| {
+        let run = |step_ps: Option<u64>, workers: usize| {
             let mut sw = ring(5, 40);
-            sw.set_pacing(pacing);
             let mut t = step_ps.unwrap_or(end.as_ps());
             while t < end.as_ps() {
                 sw.run_with_workers(SimTime(t), workers);
@@ -1461,17 +1362,15 @@ mod tests {
                 sw.boundary_messages(),
             )
         };
-        let one_shot = run(None, EpochPacing::Adaptive, 1);
+        let one_shot = run(None, 1);
         assert_eq!(one_shot.2, 5 * (40 + 20), "pings and echoes crossed");
-        for pacing in [EpochPacing::Adaptive, EpochPacing::Dense] {
-            for workers in [1, 3] {
-                for step_ps in [333_000, 1_000_007] {
-                    assert_eq!(
-                        run(Some(step_ps), pacing, workers),
-                        one_shot,
-                        "{step_ps} ps steps, {pacing:?}, {workers} workers"
-                    );
-                }
+        for workers in [1, 3] {
+            for step_ps in [333_000, 1_000_007] {
+                assert_eq!(
+                    run(Some(step_ps), workers),
+                    one_shot,
+                    "{step_ps} ps steps, {workers} workers"
+                );
             }
         }
     }
@@ -1508,7 +1407,7 @@ mod tests {
         // finishes the window — a local timer at 900 ns, nothing routed
         // — and then every queue is empty: the message (due at 1.4 µs)
         // is all the work there is, and the pacer has to know about it.
-        let run = |deadlines: &[u64], pacing: EpochPacing| {
+        let run = |deadlines: &[u64]| {
             let mut a = World::new(11);
             let sender = a.add_node(Box::new(OneShot));
             let far = |shard: u32| RemotePort {
@@ -1518,14 +1417,9 @@ mod tests {
             };
             a.connect_remote(sender, PortId(0), spec(), far(1));
             let mut b = World::new(12);
-            let counter = b.add_node(Box::new(Counter {
-                received: 0,
-                echo: false,
-                last_at: SimTime::ZERO,
-            }));
+            let counter = b.add_node(counter(false));
             b.connect_remote(counter, PortId(0), spec(), far(0));
             let mut sw = ShardedWorld::new(vec![a, b]);
-            sw.set_pacing(pacing);
             for &ns in deadlines {
                 sw.run_until(SimTime::from_nanos(ns));
             }
@@ -1537,14 +1431,13 @@ mod tests {
                 sw.epochs() + sw.epochs_skipped(),
             )
         };
-        let one_shot = run(&[20_000], EpochPacing::Adaptive);
+        let one_shot = run(&[20_000]);
         assert_eq!(one_shot.0, (1, SimTime::from_nanos(1400)));
-        for pacing in [EpochPacing::Adaptive, EpochPacing::Dense] {
-            let cut = run(&[800, 20_000], pacing);
-            assert_eq!((cut.0, cut.1, cut.2), (one_shot.0, one_shot.1, one_shot.2));
-            // 800 ns ends a second window; the rest is the dense count.
-            assert_eq!(cut.3, run(&[800, 20_000], EpochPacing::Dense).3);
-        }
+        assert_eq!(one_shot.3, 40, "the 500 ns windows in (0, 20 µs]");
+        let cut = run(&[800, 20_000]);
+        assert_eq!((cut.0, cut.1, cut.2), (one_shot.0, one_shot.1, one_shot.2));
+        // 800 ns cuts the window (500, 1000] into two epochs.
+        assert_eq!(cut.3, one_shot.3 + 1);
     }
 
     #[test]

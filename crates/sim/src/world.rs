@@ -176,64 +176,23 @@ enum Peer {
     Remote(RemotePort),
 }
 
-/// A boundary crossing collected from a shard's world during an
-/// exchange epoch, delivered into the destination shard at the next
-/// epoch barrier. Packets carry their computed arrival time (always at
-/// least one cross-shard propagation delay in the future — the
-/// conservative-lookahead safety condition); administrative messages
-/// carry the time they were issued and apply at the barrier.
+/// A packet that finished serializing onto a cross-shard link,
+/// collected from the sending shard's world and delivered into the
+/// destination shard at the next epoch barrier. Packets are all that
+/// crosses: link state is per shard (each end of a scripted cross-shard
+/// flip is its own switch's admin action), so nothing else needs to.
 #[derive(Debug)]
-pub enum BoundaryMsg {
-    /// A packet that finished serializing onto a cross-shard link.
-    Packet {
-        /// Arrival time at the far end (send + serialization +
-        /// propagation).
-        at: SimTime,
-        /// Destination shard/node/port.
-        to: RemotePort,
-        /// The packet itself.
-        pkt: Packet,
-    },
-    /// Mirror of a local [`Ctx::set_link_up`] on a boundary port: the
-    /// far endpoint's administrative state must flip too.
-    LinkSet {
-        /// Time the flip was issued on the near side.
-        at: SimTime,
-        /// Far endpoint.
-        to: RemotePort,
-        /// New administrative state.
-        up: bool,
-    },
-    /// A [`Ctx::wake_peer`] kick crossing the boundary, delivered as an
-    /// ordinary port-idle event at the barrier.
-    Wake {
-        /// Time the kick was issued on the near side.
-        at: SimTime,
-        /// Far endpoint.
-        to: RemotePort,
-    },
-}
-
-impl BoundaryMsg {
-    /// The message's timestamp (arrival time for packets, issue time
-    /// for administrative messages) — the exchange's sort key.
-    pub fn at(&self) -> SimTime {
-        match self {
-            BoundaryMsg::Packet { at, .. }
-            | BoundaryMsg::LinkSet { at, .. }
-            | BoundaryMsg::Wake { at, .. } => *at,
-        }
-    }
-
-    /// The far endpoint the message is addressed to — its `shard` is
-    /// the inbox the exchange routes it into.
-    pub fn to(&self) -> RemotePort {
-        match self {
-            BoundaryMsg::Packet { to, .. }
-            | BoundaryMsg::LinkSet { to, .. }
-            | BoundaryMsg::Wake { to, .. } => *to,
-        }
-    }
+pub struct BoundaryMsg {
+    /// Arrival time at the far end (send + serialization + propagation):
+    /// always at least one cross-shard propagation delay in the future —
+    /// the conservative-lookahead safety condition — and the exchange's
+    /// sort key.
+    pub at: SimTime,
+    /// Destination shard/node/port; its `shard` is the inbox the
+    /// exchange routes the packet into.
+    pub to: RemotePort,
+    /// The packet itself.
+    pub pkt: Packet,
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -242,9 +201,9 @@ struct PortState {
     spec: LinkSpec,
     busy_until: SimTime,
     /// Administrative link state. A downed link rejects new transmissions
-    /// (and reports as unconnected) on *both* endpoints; packets already
-    /// serialized onto the wire still arrive. Flipped by
-    /// [`Ctx::set_link_up`] — the fault-script "link flap" primitive.
+    /// (and reports as unconnected); packets already serialized onto the
+    /// wire still arrive. Flipped by [`Ctx::set_link_up`] — the
+    /// fault-script "link flap" primitive.
     up: bool,
 }
 
@@ -288,8 +247,7 @@ struct WorldCore {
     /// event-for-event identical iff their digests match.
     digest: u64,
     /// Boundary traffic for the shard exchange: packets that finished
-    /// serializing onto cross-shard links, plus administrative
-    /// link-state/wake messages addressed to remote ports. Drained by
+    /// serializing onto cross-shard links. Drained by
     /// [`World::drain_outbox`] at epoch barriers; always empty in a
     /// single-world (non-sharded) run.
     outbox: Vec<BoundaryMsg>,
@@ -339,20 +297,12 @@ pub struct World {
 }
 
 impl World {
-    /// Create an empty world with a deterministic RNG seed, on the
-    /// default timer-wheel engine.
+    /// Create an empty world with a deterministic RNG seed.
     pub fn new(seed: u64) -> World {
-        World::new_with_engine(seed, EngineKind::default())
-    }
-
-    /// Create an empty world on an explicit event-engine implementation.
-    /// Scenario traces are bit-identical across engines; the binary-heap
-    /// engine exists for differential tests and benchmarks.
-    pub fn new_with_engine(seed: u64, engine: EngineKind) -> World {
         World {
             core: WorldCore {
                 now: SimTime::ZERO,
-                queue: EventQueue::new(engine),
+                queue: EventQueue::new(EngineKind::Wheel),
                 ports: Vec::new(),
                 rng: SimRng::from_seed(seed),
                 next_packet_id: 1,
@@ -434,8 +384,8 @@ impl World {
         });
     }
 
-    /// Drain the boundary outbox: every cross-shard message issued
-    /// since the last drain, in issue order. Called by the shard
+    /// Drain the boundary outbox: every cross-shard packet sent since
+    /// the last drain, in issue order. Called by the shard
     /// exchange at epoch barriers; always empty without remote ports.
     /// The buffer keeps its capacity, so a steady exchange allocates
     /// nothing per epoch.
@@ -466,24 +416,6 @@ impl World {
         self.core.push(at, EventKind::Arrival { node, port, slot });
     }
 
-    /// Deliver a cross-shard wake: schedule a port-idle event — the
-    /// "carrier returned" kick — on `port` of `node` at `at`.
-    pub fn inject_port_idle(&mut self, at: SimTime, node: NodeId, port: PortId) {
-        debug_assert!(at >= self.core.now, "cross-shard wake in the past");
-        self.core.push(at, EventKind::PortIdle { node, port });
-    }
-
-    /// Apply the far side of a cross-shard [`Ctx::set_link_up`]: flip
-    /// the administrative state of the local half of the boundary link.
-    pub fn apply_remote_link(&mut self, node: NodeId, port: PortId, up: bool) {
-        if let Some(state) = self.core.ports[node.0 as usize]
-            .get_mut(port.index())
-            .and_then(|s| s.as_mut())
-        {
-            state.up = up;
-        }
-    }
-
     /// Number of events pending in the queue (idle detection for the
     /// shard exchange).
     pub fn pending_events(&self) -> usize {
@@ -492,9 +424,9 @@ impl World {
 
     /// Earliest pending event time, or `None` when the queue is empty.
     /// Starts the world's nodes first if they haven't run yet, so the
-    /// `Start` events at t = 0 count as work. The adaptive shard
-    /// exchange polls this at each barrier to find the next window that
-    /// has anything to do.
+    /// `Start` events at t = 0 count as work. The shard exchange polls
+    /// this at each barrier to find the next window that has anything
+    /// to do.
     pub fn next_event_time(&mut self) -> Option<SimTime> {
         self.ensure_started();
         self.core.queue.peek_time()
@@ -814,7 +746,7 @@ impl Ctx<'_> {
             // (arrive_at ≥ now + min cross-shard propagation ≥ the
             // barrier — the conservative-lookahead safety condition).
             Peer::Remote(to) => {
-                self.core.outbox.push(BoundaryMsg::Packet {
+                self.core.outbox.push(BoundaryMsg {
                     at: arrive_at,
                     to,
                     pkt,
@@ -837,10 +769,13 @@ impl Ctx<'_> {
     }
 
     /// Flip the administrative link state of `port` — and of the peer's
-    /// mirrored port, so both endpoints agree, as a physical link flap
-    /// would make them. Returns `false` (no-op) if the port was never
-    /// wired. In-flight packets are unaffected; new transmissions on a
-    /// downed link fail with [`TxError::Unconnected`] from either side.
+    /// mirrored port when the peer is in this world, so both endpoints
+    /// agree, as a physical link flap would make them. A peer in another
+    /// shard is left alone: its own node flips its half (the cluster
+    /// builder schedules both ends of a scripted cross-shard flip).
+    /// Returns `false` (no-op) if the port was never wired. In-flight
+    /// packets are unaffected; new transmissions on a downed half fail
+    /// with [`TxError::Unconnected`].
     pub fn set_link_up(&mut self, port: PortId, up: bool) -> bool {
         let Some(state) = self.core.ports[self.node.0 as usize]
             .get_mut(port.index())
@@ -849,21 +784,12 @@ impl Ctx<'_> {
             return false;
         };
         state.up = up;
-        let peer = state.peer;
-        match peer {
-            Peer::Local(peer_node, peer_port) => {
-                if let Some(peer) = self.core.ports[peer_node.0 as usize]
-                    .get_mut(peer_port.index())
-                    .and_then(|s| s.as_mut())
-                {
-                    peer.up = up;
-                }
-            }
-            // The mirrored flip lives in another shard: issue it as an
-            // exchange control message, applied at the next barrier.
-            Peer::Remote(to) => {
-                let at = self.core.now;
-                self.core.outbox.push(BoundaryMsg::LinkSet { at, to, up });
+        if let Peer::Local(peer_node, peer_port) = state.peer {
+            if let Some(peer) = self.core.ports[peer_node.0 as usize]
+                .get_mut(peer_port.index())
+                .and_then(|s| s.as_mut())
+            {
+                peer.up = up;
             }
         }
         true
@@ -872,25 +798,20 @@ impl Ctx<'_> {
     /// Schedule a [`Node::on_port_idle`] for the peer of `port` at the
     /// current time — the "carrier returned" kick after a link comes back
     /// up, letting the far end restart its transmit pump. No-op on an
-    /// unwired or downed port.
+    /// unwired or downed port, and on a peer in another shard, whose own
+    /// node restarts its pump when it brings its half up.
     pub fn wake_peer(&mut self, port: PortId) {
         let Some(state) = self.port(port).filter(|s| s.up) else {
             return;
         };
-        match state.peer {
-            Peer::Local(peer_node, peer_port) => {
-                self.core.push(
-                    self.core.now,
-                    EventKind::PortIdle {
-                        node: peer_node,
-                        port: peer_port,
-                    },
-                );
-            }
-            Peer::Remote(to) => {
-                let at = self.core.now;
-                self.core.outbox.push(BoundaryMsg::Wake { at, to });
-            }
+        if let Peer::Local(peer_node, peer_port) = state.peer {
+            self.core.push(
+                self.core.now,
+                EventKind::PortIdle {
+                    node: peer_node,
+                    port: peer_port,
+                },
+            );
         }
     }
 
@@ -988,8 +909,8 @@ mod tests {
         }
     }
 
-    fn two_node_world_on(engine: EngineKind, count: u32) -> (World, NodeId, NodeId) {
-        let mut w = World::new_with_engine(7, engine);
+    fn two_node_world(count: u32) -> (World, NodeId, NodeId) {
+        let mut w = World::new(7);
         let a = w.add_node(Box::new(Chatter::new(count)));
         let b = w.add_node(Box::new(Chatter::new(0)));
         w.connect(
@@ -1000,27 +921,6 @@ mod tests {
             LinkSpec::with_length(10_000_000_000, 100),
         );
         (w, a, b)
-    }
-
-    fn two_node_world(count: u32) -> (World, NodeId, NodeId) {
-        two_node_world_on(EngineKind::Wheel, count)
-    }
-
-    #[test]
-    fn engines_dispatch_identically() {
-        let run = |engine| {
-            let (mut w, a, b) = two_node_world_on(engine, 200);
-            w.run_until_idle(100_000);
-            (
-                w.dispatch_digest(),
-                w.events_processed(),
-                w.node::<Chatter>(b).received.clone(),
-                w.node::<Chatter>(a).sent,
-            )
-        };
-        let wheel = run(EngineKind::Wheel);
-        let heap = run(EngineKind::BinaryHeap);
-        assert_eq!(wheel, heap, "wheel and heap must be trace-identical");
     }
 
     #[test]
@@ -1057,7 +957,7 @@ mod tests {
 
     /// Events a handler schedules *at the current timestamp* dispatch
     /// after every same-time event that was already queued, in push
-    /// order — on both engines.
+    /// order.
     #[test]
     fn same_time_events_scheduled_by_a_handler_run_after_those_already_queued() {
         /// Records every token; tokens below 10 each schedule two
@@ -1081,22 +981,20 @@ mod tests {
                 self
             }
         }
-        for engine in [EngineKind::Wheel, EngineKind::BinaryHeap] {
-            let mut w = World::new_with_engine(1, engine);
-            let a = w.add_node(Box::new(Spawner { fired: Vec::new() }));
-            let t = SimTime::from_nanos(50);
-            for token in 0..3u64 {
-                w.schedule_timer(t, a, token);
-            }
-            w.schedule_timer(SimTime::from_nanos(51), a, 50);
-            assert!(w.run_until_idle(100));
-            let want: Vec<(SimTime, u64)> = [0, 1, 2, 100, 200, 101, 201, 102, 202]
-                .into_iter()
-                .map(|token| (t, token))
-                .chain([(SimTime::from_nanos(51), 50)])
-                .collect();
-            assert_eq!(w.node::<Spawner>(a).fired, want, "{engine:?}");
+        let mut w = World::new(1);
+        let a = w.add_node(Box::new(Spawner { fired: Vec::new() }));
+        let t = SimTime::from_nanos(50);
+        for token in 0..3u64 {
+            w.schedule_timer(t, a, token);
         }
+        w.schedule_timer(SimTime::from_nanos(51), a, 50);
+        assert!(w.run_until_idle(100));
+        let want: Vec<(SimTime, u64)> = [0, 1, 2, 100, 200, 101, 201, 102, 202]
+            .into_iter()
+            .map(|token| (t, token))
+            .chain([(SimTime::from_nanos(51), 50)])
+            .collect();
+        assert_eq!(w.node::<Spawner>(a).fired, want);
     }
 
     /// With profiling on, per-kind counts are exact and the retired

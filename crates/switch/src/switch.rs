@@ -720,7 +720,9 @@ impl Switch {
             // Watchdog tripped: ignore pauses from this port entirely.
             return;
         }
-        let rate = ctx.port_rate(port).unwrap_or(40_000_000_000);
+        let rate = ctx
+            .port_rate(port)
+            .expect("a pause frame just arrived on this port, so it is wired");
         let mut any_pause = false;
         let mut resumed = false;
         for (prio, quanta) in frame.entries() {
@@ -774,8 +776,12 @@ impl Switch {
                 prio: pg.index() as u8,
             },
         );
-        // Refresh before the pause expires if we are still over XOFF.
-        let rate = ctx.port_rate(ingress).unwrap_or(40_000_000_000);
+        // Refresh before the pause expires if we are still over XOFF. The
+        // port is wired: a frame just arrived on it, or a threshold change
+        // checked it, and that checks wired ports only.
+        let rate = ctx
+            .port_rate(ingress)
+            .expect("XOFF goes out of wired ports only");
         let refresh = SimTime(PfcPauseFrame::quanta_to_ps(u16::MAX, rate) / 2);
         ctx.set_timer(refresh, tok_refresh(ingress, pg));
     }
@@ -1286,8 +1292,12 @@ impl Switch {
                 self.buffer.set_thresholds(alpha, xoff_static);
                 // A tighter threshold can put counters over XOFF right
                 // now — surface the pauses immediately, as the ASIC's
-                // comparator would.
+                // comparator would. Only a wired port has an upstream to
+                // pause.
                 for p in 0..self.cfg.ports {
+                    if ctx.port_rate(PortId(p)).is_none() {
+                        continue;
+                    }
                     for i in 0..Priority::COUNT {
                         if self.cfg.lossless[i] {
                             self.maybe_xoff(PortId(p), Priority::new(i as u8), ctx);
@@ -1355,7 +1365,9 @@ impl Node for Switch {
                             prio: pg.index() as u8,
                         },
                     );
-                    let rate = ctx.port_rate(port).unwrap_or(40_000_000_000);
+                    let rate = ctx
+                        .port_rate(port)
+                        .expect("a refresh follows an XOFF sent from this port, so it is wired");
                     let refresh = SimTime(PfcPauseFrame::quanta_to_ps(u16::MAX, rate) / 2);
                     ctx.set_timer(refresh, tok_refresh(port, pg));
                 }

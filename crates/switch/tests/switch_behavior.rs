@@ -5,8 +5,8 @@ use std::any::Any;
 use std::collections::VecDeque;
 
 use rocescale_packet::{
-    EcnCodepoint, EthMeta, Ipv4Meta, MacAddr, Packet, PacketKind, PauseFrame, Priority, RoceOpcode,
-    RocePacket,
+    EcnCodepoint, EthMeta, Ipv4Meta, MacAddr, Packet, PacketKind, PauseFrame, PfcPauseFrame,
+    Priority, RoceOpcode, RocePacket,
 };
 use rocescale_sim::{Ctx, LinkSpec, Node, NodeId, PortId, SimTime, World};
 use rocescale_switch::{ClassifyMode, DropReason, EcmpGroup, PortRole, Switch, SwitchConfig};
@@ -178,7 +178,17 @@ struct TorPair {
     b_mac: MacAddr,
 }
 
-fn tor_pair(mut cfg: SwitchConfig, slow_receiver: bool) -> TorPair {
+fn tor_pair(cfg: SwitchConfig, slow_receiver: bool) -> TorPair {
+    let b_rate = if slow_receiver {
+        4_000_000_000
+    } else {
+        40_000_000_000
+    };
+    tor_pair_at(cfg, 40_000_000_000, b_rate)
+}
+
+/// The same pair with A's link at `a_bps` and B's at `b_bps`.
+fn tor_pair_at(mut cfg: SwitchConfig, a_bps: u64, b_bps: u64) -> TorPair {
     let sw_mac = MacAddr::from_id(100);
     let a_mac = MacAddr::from_id(1);
     let b_mac = MacAddr::from_id(2);
@@ -193,18 +203,19 @@ fn tor_pair(mut cfg: SwitchConfig, slow_receiver: bool) -> TorPair {
     let sw_id = world.add_node(Box::new(sw));
     let a = world.add_node(Box::new(TestHost::new(a_mac)));
     let b = world.add_node(Box::new(TestHost::new(b_mac)));
-    world.connect(a, PortId(0), sw_id, PortId(0), LinkSpec::server_40g());
-    let b_rate = if slow_receiver {
-        4_000_000_000
-    } else {
-        40_000_000_000
-    };
+    world.connect(
+        a,
+        PortId(0),
+        sw_id,
+        PortId(0),
+        LinkSpec::with_length(a_bps, 2),
+    );
     world.connect(
         b,
         PortId(0),
         sw_id,
         PortId(1),
-        LinkSpec::with_length(b_rate, 2),
+        LinkSpec::with_length(b_bps, 2),
     );
     TorPair {
         world,
@@ -261,6 +272,66 @@ fn pfc_prevents_loss_on_lossless_class() {
         sw.stats.resume_tx.iter().sum::<u64>() > 0,
         "XON resumes sent"
     );
+}
+
+/// PFC timing follows the link's own rate. On 100 G links B sends one
+/// XOFF of 0xffff quanta: the switch's egress toward B stays paused for
+/// exactly `quanta_to_ps(0xffff, 100 G)` — 335.5 µs, where 40 G would be
+/// 838.8 µs — and nothing reaches B before it lapses. Meanwhile A's
+/// lossless burst fills its ingress counter, the switch pauses A, and
+/// while the counter stays over XOFF the pause is refreshed half a pause
+/// later, to the picosecond.
+#[test]
+fn pfc_timing_follows_a_100g_link() {
+    const G100: u64 = 100_000_000_000;
+    let full = SimTime(PfcPauseFrame::quanta_to_ps(u16::MAX, G100));
+    assert_eq!(full.as_ps(), 335_539_200);
+    let mut t = tor_pair_at(SwitchConfig::new("tor", 2), G100, G100);
+    let xoff = Packet::new(
+        u64::MAX,
+        EthMeta {
+            src: t.b_mac,
+            dst: MacAddr::PAUSE_MULTICAST,
+            vlan: None,
+        },
+        None,
+        PacketKind::Pfc(PauseFrame::pause(Priority::new(3), u16::MAX)),
+        0,
+    );
+    t.world.node_mut::<TestHost>(t.b).queue.push_back(xoff);
+    queue_burst(&mut t, 1000, 3);
+    // (XOFFs received from B, XOFFs sent to A) so far.
+    let pauses = |t: &TorPair| {
+        let st = &t.world.node::<Switch>(t.sw).stats;
+        (st.pause_rx[1], st.pause_tx[0])
+    };
+    while pauses(&t).0 == 0 {
+        assert!(t.world.step());
+    }
+    let paused_at = t.world.now();
+    let sw = t.world.node::<Switch>(t.sw);
+    let p3 = Priority::new(3);
+    assert!(sw.is_paused(PortId(1), p3, paused_at + full - SimTime(1)));
+    assert!(!sw.is_paused(PortId(1), p3, paused_at + full));
+
+    while pauses(&t).1 == 0 {
+        assert!(t.world.step());
+    }
+    let refresh = t.world.now() + SimTime(full.as_ps() / 2);
+    assert!(
+        refresh < paused_at + full,
+        "B's pause still holds A's bytes"
+    );
+    t.world.run_until(refresh - SimTime(1));
+    assert_eq!(pauses(&t).1, 1);
+    t.world.run_until(refresh);
+    assert_eq!(pauses(&t).1, 2, "refreshed half a pause later");
+
+    t.world.run_until(paused_at + full - SimTime(1));
+    assert!(t.world.node::<TestHost>(t.b).received.is_empty());
+    assert!(t.world.run_until_idle(10_000_000));
+    assert_eq!(t.world.node::<TestHost>(t.b).received.len(), 1000);
+    assert_eq!(t.world.node::<Switch>(t.sw).stats.total_drops(), 0);
 }
 
 /// The same burst in a lossy class drops instead of pausing.

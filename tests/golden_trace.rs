@@ -4,9 +4,9 @@
 //! into an FNV-1a digest, a compact fingerprint of the full event trace.
 //! This test pins that digest for a fixed full-stack scenario so any
 //! change to dispatch *order or content* (a scheduler bug, an accidental
-//! semantic change riding along a refactor) fails loudly, and proves the
-//! timer wheel and the reference binary heap dispatch byte-identical
-//! streams.
+//! semantic change riding along a refactor) fails loudly. The wheel's
+//! order against a reference binary heap is `rocescale_sim::sched`'s own
+//! differential test.
 //!
 //! If a PR changes simulation semantics on purpose, re-deriving the
 //! constant is the explicit, reviewable act of accepting the new trace.
@@ -14,11 +14,11 @@
 use rocescale_core::{ClusterBuilder, InstrumentationProfile, ServerId};
 use rocescale_monitor::{MemorySink, MetricsHub};
 use rocescale_nic::QpApp;
-use rocescale_sim::{EngineKind, EventProfile, ProfileMode, SimTime};
+use rocescale_sim::{EventProfile, ProfileMode, SimTime};
 
-/// Digest of the pinned scenario (identical on the timer wheel and the
-/// binary heap). Re-pinned twice, each time accounting for every event
-/// of the difference: when host timers became demand-armed (from
+/// Digest of the pinned scenario. Re-pinned twice, each time accounting
+/// for every event of the difference: when host timers became
+/// demand-armed (from
 /// 5655298337002817904 over 13800 events, see
 /// [`trace_differs_from_the_always_armed_one_only_in_idle_timers`]), and
 /// when a host stopped queuing a second pacing timer for an instant it
@@ -43,23 +43,18 @@ const IDLE_TIMERS: u64 = 61;
 /// `DEMAND_ARMED_COUNTS` minus this trace's timers).
 const DUPLICATE_PUMPS: u64 = 342;
 
-fn run(engine: EngineKind) -> (u64, u64) {
-    run_profiled(engine, MetricsHub::disabled(), ProfileMode::Off).0
+fn run() -> (u64, u64) {
+    run_profiled(MetricsHub::disabled(), ProfileMode::Off).0
 }
 
-fn run_with_hub(engine: EngineKind, hub: MetricsHub) -> ((u64, u64), MetricsHub) {
-    let (out, hub, _) = run_profiled(engine, hub, ProfileMode::Off);
+fn run_with_hub(hub: MetricsHub) -> ((u64, u64), MetricsHub) {
+    let (out, hub, _) = run_profiled(hub, ProfileMode::Off);
     (out, hub)
 }
 
-fn run_profiled(
-    engine: EngineKind,
-    hub: MetricsHub,
-    profile: ProfileMode,
-) -> ((u64, u64), MetricsHub, EventProfile) {
+fn run_profiled(hub: MetricsHub, profile: ProfileMode) -> ((u64, u64), MetricsHub, EventProfile) {
     let mut cl = ClusterBuilder::two_tier(2, 4)
         .seed(7)
-        .engine(engine)
         .instrumentation(
             InstrumentationProfile::paper_default()
                 .telemetry(hub)
@@ -87,18 +82,9 @@ fn run_profiled(
 #[test]
 fn dispatch_trace_matches_committed_golden() {
     assert_eq!(
-        run(EngineKind::Wheel),
+        run(),
         (GOLDEN_DIGEST, GOLDEN_EVENTS),
-        "wheel trace deviates from the committed golden digest"
-    );
-}
-
-#[test]
-fn both_engines_dispatch_byte_identical_traces() {
-    assert_eq!(
-        run(EngineKind::BinaryHeap),
-        (GOLDEN_DIGEST, GOLDEN_EVENTS),
-        "binary-heap trace deviates from the wheel's"
+        "trace deviates from the committed golden digest"
     );
 }
 
@@ -117,7 +103,7 @@ fn paper_default_cc_selection_preserves_the_golden_trace() {
     assert_eq!(t.cc, CcKind::Dcqcn, "paper default must stay DCQCN");
     assert_eq!(t.recovery, LossRecovery::GoBackN);
     assert_eq!(
-        run(EngineKind::Wheel),
+        run(),
         (GOLDEN_DIGEST, GOLDEN_EVENTS),
         "the CC layer must be digest-neutral on the paper-default path"
     );
@@ -129,7 +115,7 @@ fn paper_default_cc_selection_preserves_the_golden_trace() {
 /// digest, byte for byte, while actually collecting data.
 #[test]
 fn telemetry_does_not_perturb_the_dispatch_trace() {
-    let (out, hub) = run_with_hub(EngineKind::Wheel, MetricsHub::enabled());
+    let (out, hub) = run_with_hub(MetricsHub::enabled());
     assert_eq!(
         out,
         (GOLDEN_DIGEST, GOLDEN_EVENTS),
@@ -259,7 +245,7 @@ fn sink_implies_enabled_hub_and_preserves_the_golden_trace() {
 /// golden event count (wall-clock timing is bookkeeping, not events).
 #[test]
 fn profiler_does_not_perturb_the_dispatch_trace() {
-    let (out, _, profile) = run_profiled(EngineKind::Wheel, MetricsHub::enabled(), ProfileMode::On);
+    let (out, _, profile) = run_profiled(MetricsHub::enabled(), ProfileMode::On);
     assert_eq!(
         out,
         (GOLDEN_DIGEST, GOLDEN_EVENTS),
@@ -292,7 +278,7 @@ fn profiler_does_not_perturb_the_dispatch_trace() {
 /// The duplicate pumps the next test accounts for have gone since.
 #[test]
 fn trace_differs_from_the_always_armed_one_only_in_idle_timers() {
-    let (_, _, profile) = run_profiled(EngineKind::Wheel, MetricsHub::disabled(), ProfileMode::On);
+    let (_, _, profile) = run_profiled(MetricsHub::disabled(), ProfileMode::On);
     let [start, arrival, port_idle, timer] = profile.counts;
     assert_eq!(
         [start, arrival, port_idle],
@@ -319,7 +305,7 @@ fn trace_differs_from_the_always_armed_one_only_in_idle_timers() {
 /// host-level pin is `nic`'s `a_paced_host_queues_one_pump_per_instant`.
 #[test]
 fn trace_differs_from_the_demand_armed_one_only_in_duplicate_pumps() {
-    let (_, _, profile) = run_profiled(EngineKind::Wheel, MetricsHub::disabled(), ProfileMode::On);
+    let (_, _, profile) = run_profiled(MetricsHub::disabled(), ProfileMode::On);
     let [start, arrival, port_idle, timer] = profile.counts;
     assert_eq!(
         [start, arrival, port_idle],

@@ -1,72 +1,106 @@
-//! Lockstep check for the lock-free telemetry fast path.
+//! Model check for the lock-free telemetry hub.
 //!
-//! The hub keeps a `locked_reference` mode that routes every counter and
-//! gauge update through the registration mutex into plain shadow values —
-//! the semantics the atomic fast path must reproduce. This test runs the
-//! paper-default incast twice, once per path, and demands bit-identical
-//! results on both sides of the membrane: the same dispatch digest (the
-//! hub observed, never steered) and the same `counters_snapshot()` (the
-//! relaxed atomic adds lost nothing the mutex path counted).
+//! Four threads share one hub and run seeded streams of registrations,
+//! `add`/`incr` and `set_gauge` calls over more than 768 counters and
+//! gauges each — so instrument ids cross from the value bank's first
+//! chunk (ids 0–255) through the second (256–767) into the third, with
+//! chunks allocated while other threads update. A `BTreeMap` per
+//! instrument type is the model: counters sum every add (commutative, so
+//! thread interleaving cannot matter), and each gauge is set by one
+//! thread only, so its last write is well defined. The hub's snapshots
+//! must equal the model, entry for entry, in the model's iteration
+//! order — which is the name order the snapshots promise.
+//!
+//! That the hub never steers the simulation is pinned separately, by
+//! `golden_trace::telemetry_does_not_perturb_the_dispatch_trace`.
 
-use rocescale_core::{ClusterBuilder, InstrumentationProfile, ServerId};
+use std::collections::BTreeMap;
+use std::sync::Barrier;
+
 use rocescale_monitor::MetricsHub;
-use rocescale_nic::QpApp;
-use rocescale_sim::SimTime;
+use rocescale_sim::SimRng;
 
-/// Everything one path observes: `(digest, events, counters, gauges)`.
-type Observation = (u64, u64, Vec<(String, u64)>, Vec<(String, f64)>);
+const THREADS: u64 = 4;
+const COUNTERS: u64 = 1000;
+const GAUGES: u64 = 900;
+const OPS_PER_THREAD: usize = 6000;
 
-fn run_incast(hub: MetricsHub) -> Observation {
-    let mut cl = ClusterBuilder::two_tier(2, 4)
-        .seed(7)
-        .instrumentation(InstrumentationProfile::paper_default().telemetry(hub))
-        .build();
-    for i in 1..4usize {
-        cl.connect_qp(
-            ServerId(i),
-            ServerId(0),
-            6000 + i as u16,
-            QpApp::Saturate {
-                msg_len: 128 * 1024,
-                inflight: 2,
-            },
-            QpApp::None,
-        );
+/// Instrument names in an order unrelated to their index, so neither
+/// registration order nor id order is name order.
+fn name(kind: &str, i: u64) -> String {
+    format!("{kind}.{:04}", (i * 7919) % 10_000)
+}
+
+/// What one thread did: counter adds and gauge sets by name, in the
+/// order it made them.
+#[derive(Default)]
+struct Model {
+    counters: BTreeMap<String, u64>,
+    gauges: BTreeMap<String, f64>,
+}
+
+/// Thread `t`'s seeded stream against `hub`, recorded into its model.
+/// Gauges are partitioned by thread (index ≡ `t` mod [`THREADS`]).
+fn drive(hub: &MetricsHub, t: u64) -> Model {
+    let mut rng = SimRng::from_seed(0x7E1E_0000 + t);
+    let mut model = Model::default();
+    for _ in 0..OPS_PER_THREAD {
+        match rng.gen_below(10) {
+            0..=6 => {
+                let n = name("c", rng.gen_below(COUNTERS));
+                let id = hub.counter(&n);
+                let by = if rng.gen_bool(0.5) {
+                    hub.incr(id);
+                    1
+                } else {
+                    let by = rng.gen_below(1 << 20);
+                    hub.add(id, by);
+                    by
+                };
+                *model.counters.entry(n).or_insert(0) += by;
+            }
+            _ => {
+                let i = rng.gen_below(GAUGES / THREADS) * THREADS + t;
+                let n = name("g", i);
+                let v = rng.gen_below(1 << 30) as f64 * 0.25;
+                hub.set_gauge(hub.gauge(&n), v);
+                model.gauges.insert(n, v);
+            }
+        }
     }
-    cl.run_until(SimTime::from_micros(500));
-    let digest = cl.world.dispatch_digest();
-    let events = cl.world.events_processed();
-    let hub = cl.telemetry().clone();
-    (
-        digest,
-        events,
-        hub.counters_snapshot(),
-        hub.gauges_snapshot(),
-    )
+    model
 }
 
 #[test]
-fn atomic_fast_path_matches_mutex_reference_in_lockstep() {
-    let (digest_fast, events_fast, counters_fast, gauges_fast) = run_incast(MetricsHub::enabled());
-    let (digest_ref, events_ref, counters_ref, gauges_ref) =
-        run_incast(MetricsHub::enabled_locked_reference());
+fn concurrent_updates_match_a_btreemap_model_across_bank_chunks() {
+    let hub = MetricsHub::enabled();
+    // Released together, so the streams overlap from their first op.
+    let start = Barrier::new(THREADS as usize);
+    let models: Vec<Model> = std::thread::scope(|scope| {
+        let threads: Vec<_> = (0..THREADS)
+            .map(|t| {
+                let (hub, start) = (hub.clone(), &start);
+                scope.spawn(move || {
+                    start.wait();
+                    drive(&hub, t)
+                })
+            })
+            .collect();
+        threads.into_iter().map(|h| h.join().unwrap()).collect()
+    });
+    let mut model = Model::default();
+    for m in models {
+        for (n, by) in m.counters {
+            *model.counters.entry(n).or_insert(0) += by;
+        }
+        // Gauge names are disjoint across threads.
+        model.gauges.extend(m.gauges);
+    }
 
-    assert_eq!(
-        (digest_fast, events_fast),
-        (digest_ref, events_ref),
-        "the update path must never steer the simulation"
-    );
-    assert_eq!(
-        counters_fast, counters_ref,
-        "atomic counter path diverges from the mutex reference"
-    );
-    assert_eq!(
-        gauges_fast, gauges_ref,
-        "atomic gauge path diverges from the mutex reference"
-    );
-    // Sanity: this compared real data, not two empty hubs.
-    assert!(
-        counters_fast.iter().any(|(_, v)| *v > 0),
-        "no counter ever incremented: {counters_fast:?}"
-    );
+    assert!(model.counters.len() > 768, "{}", model.counters.len());
+    assert!(model.gauges.len() > 768, "{}", model.gauges.len());
+    let counters: Vec<(String, u64)> = model.counters.into_iter().collect();
+    let gauges: Vec<(String, f64)> = model.gauges.into_iter().collect();
+    assert_eq!(hub.counters_snapshot(), counters);
+    assert_eq!(hub.gauges_snapshot(), gauges);
 }
