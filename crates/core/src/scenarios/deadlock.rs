@@ -550,18 +550,24 @@ mod tests {
     ///   and 18289429584575194156 / 2761329): timers 213511 → 168902 with
     ///   the fix off and 594491 → 246923 with it on; the rule removes
     ///   only second `TOK_PUMP`s for an instant already queued.
+    ///
+    /// Re-pinned a third time with the event streams unchanged — same
+    /// counts of every kind — when the per-event digest fold went from
+    /// byte-wise FNV-1a to one multiply per event (from
+    /// 10008809752035063281 / 1482366 and 12484319062180651156 /
+    /// 2413761).
     #[test]
     fn scripted_replay_digests_are_pinned() {
         let off = run_scripted(false, SimTime::from_millis(40));
         assert_eq!(
             (off.digest, off.events),
-            (10008809752035063281, 1482366),
+            (1769131210903183254, 1482366),
             "fix-off replay deviates from its committed trace"
         );
         let on = run_scripted(true, SimTime::from_millis(40));
         assert_eq!(
             (on.digest, on.events),
-            (12484319062180651156, 2413761),
+            (2822457155538983313, 2413761),
             "fix-on replay deviates from its committed trace"
         );
     }

@@ -71,8 +71,8 @@
 //!    gives them the same queue sequence numbers, however many workers
 //!    ran the window.
 //! 3. **Fixed digest fold.** [`ShardedWorld::dispatch_digest`] folds
-//!    per-shard digests in shard order with the dispatch digest's own
-//!    FNV-1a fold ([`digest_fold`]); a single-shard run degenerates to
+//!    per-shard digests in shard order with a byte-wise FNV-1a fold
+//!    ([`digest_fold`]); a single-shard run degenerates to
 //!    the plain world digest, which is how the golden trace re-pins
 //!    under `ExecutionProfile::Sharded { shards: 1 }`.
 //! 4. **Chunking invariance.** What is exchanged, and when, depends on
@@ -193,7 +193,7 @@ impl WorldSet for ShardedWorld {
 }
 
 /// Global dispatch digest of a world set: per-shard digests folded in
-/// shard order with the dispatch digest's own byte fold. With one shard
+/// shard order with [`digest_fold`]. With one shard
 /// this is *exactly* the plain world digest.
 pub fn merged_digest(worlds: &[World]) -> u64 {
     let mut it = worlds.iter().map(World::dispatch_digest);

@@ -1,7 +1,7 @@
 //! Golden dispatch-trace pin for the event engine.
 //!
 //! `World` folds every dispatched event — `(time, kind, node, detail)` —
-//! into an FNV-1a digest, a compact fingerprint of the full event trace.
+//! into a 64-bit digest, a compact fingerprint of the full event trace.
 //! This test pins that digest for a fixed full-stack scenario so any
 //! change to dispatch *order or content* (a scheduler bug, an accidental
 //! semantic change riding along a refactor) fails loudly. The wheel's
@@ -24,7 +24,11 @@ use rocescale_sim::{EventProfile, ProfileMode, SimTime};
 /// when a host stopped queuing a second pacing timer for an instant it
 /// already had one for (from 11228656443465567668 over 13739, see
 /// [`trace_differs_from_the_demand_armed_one_only_in_duplicate_pumps`]).
-const GOLDEN_DIGEST: u64 = 9215484005407342413;
+/// Re-pinned once more, with the event stream unchanged, when the
+/// per-event fold went from byte-wise FNV-1a to one multiply per event
+/// (from 9215484005407342413 over the same 13397 events; the per-kind
+/// tests below still hold).
+const GOLDEN_DIGEST: u64 = 15309240181080181627;
 /// Event count of the pinned trace.
 const GOLDEN_EVENTS: u64 = 13397;
 /// Per-kind event counts `[start, arrival, port idle, timer]` of the same
