@@ -32,9 +32,13 @@ impl std::hash::Hasher for IntHasher {
         x ^= x >> 33;
         x
     }
+    /// Up to eight bytes at a time, each chunk as one little-endian
+    /// word: a MAC's six bytes cost one multiply, not six.
     fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 = (self.0 ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.write_u64(u64::from_le_bytes(word));
         }
     }
     fn write_u32(&mut self, v: u32) {
@@ -42,6 +46,11 @@ impl std::hash::Hasher for IntHasher {
     }
     fn write_u64(&mut self, v: u64) {
         self.0 ^= v.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
+    /// The length prefix a slice or array key (`MacAddr`'s `[u8; 6]`)
+    /// writes first; the default would take the byte path.
+    fn write_usize(&mut self, v: usize) {
+        self.write_u64(v as u64);
     }
 }
 
