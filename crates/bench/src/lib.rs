@@ -9,7 +9,7 @@
 //! whole suite — or a declarative sweep — across worker threads with
 //! deterministic output.
 //!
-//! Flags are parsed once, by [`harness::ScenarioCli`]; scenarios that
+//! Flags are parsed once, by [`CliArgs::from_args`]; scenarios that
 //! support `--trace-out` stream a structured JSONL trace which
 //! `rocescale trace-analyze` ([`analyze`]) folds back into paper-figure
 //! tables.
@@ -25,5 +25,4 @@ pub mod suite;
 
 pub use analyze::TraceDoc;
 pub use fleet::{run_indexed, FleetOutcome};
-pub use harness::ScenarioCli;
 pub use report::{main_for, Cell, CliArgs, Report, ScenarioReport, Table};

@@ -42,7 +42,7 @@ use std::io::Read;
 use std::time::Instant;
 
 use rocescale_bench::fleet::{matching_indices, run_selected, suite_json};
-use rocescale_bench::{main_for, suite, CliArgs, ScenarioCli, TraceDoc};
+use rocescale_bench::{main_for, suite, CliArgs, TraceDoc};
 use rocescale_monitor::{json, Json};
 
 fn usage(msg: &str) -> ! {
@@ -68,7 +68,7 @@ fn main() {
     let Some(cmd) = argv.next() else {
         usage("");
     };
-    let cli = ScenarioCli::from_args(argv).unwrap_or_else(|msg| usage(&msg));
+    let cli = CliArgs::from_args(argv).unwrap_or_else(|msg| usage(&msg));
     match cmd.as_str() {
         "-h" | "--help" => usage(""),
         "fleet" => fleet(&cli),
@@ -78,10 +78,10 @@ fn main() {
                 usage("trace-analyze expects exactly one trace file argument");
             };
             let doc = TraceDoc::load(path).unwrap_or_else(|e| usage(&e));
-            main_for(&doc, &cli.to_args());
+            main_for(&doc, &cli);
         }
         name => match suite::all().iter().find(|(n, _)| *n == name) {
-            Some((_, s)) => main_for(*s, &cli.to_args()),
+            Some((_, s)) => main_for(*s, &cli),
             None => usage(&format!("unknown scenario or subcommand {name:?}")),
         },
     }
@@ -99,7 +99,7 @@ fn take_only(flags: &mut Vec<String>) -> Option<String> {
     Some(v)
 }
 
-fn fleet(cli: &ScenarioCli) {
+fn fleet(cli: &CliArgs) {
     if cli.has("--help") || cli.has("-h") {
         usage("");
     }
@@ -138,6 +138,7 @@ fn fleet(cli: &ScenarioCli) {
         json_out: None,
         trace_out,
         trace_exports: Default::default(),
+        jobs: None,
         flags,
     };
 

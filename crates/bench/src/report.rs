@@ -176,9 +176,17 @@ impl Report {
     }
 }
 
-/// The argument view a scenario receives: the shared flags that affect
-/// a single run, parsed by [`crate::harness::ScenarioCli`] (the one
-/// place flag syntax lives).
+/// The command line every `rocescale` subcommand shares, parsed in one
+/// place ([`CliArgs::from_args`]) and handed to each scenario:
+///
+/// * `--json` — emit the JSON report instead of text tables.
+/// * `--json-out PATH` — additionally write the JSON report to a file.
+/// * `--trace-out PATH` — stream the scenario's structured trace (JSONL;
+///   see `rocescale_monitor::sink`, `DESIGN.md` §Trace) to a file for
+///   `rocescale trace-analyze`.
+/// * `--jobs N` — worker threads (fleet only; scenarios ignore it).
+/// * anything else lands in `flags` for scenario-specific switches
+///   (`--full-scale`, `--no-pfc`, …).
 #[derive(Debug, Clone, Default)]
 pub struct CliArgs {
     /// `--json`: emit the JSON form instead of tables.
@@ -186,16 +194,44 @@ pub struct CliArgs {
     /// `--json-out PATH`: also write the JSON form to this file.
     pub json_out: Option<String>,
     /// `--trace-out PATH`: scenarios that support trace export stream
-    /// their structured JSONL trace here (see `DESIGN.md` §Trace).
+    /// their structured JSONL trace here.
     pub trace_out: Option<String>,
     /// The exports actually opened for `trace_out`, so `main` can fail
     /// the run if one was cut short by an I/O error.
     pub trace_exports: crate::harness::TraceExports,
+    /// `--jobs N`: worker threads (consumed by the fleet runner).
+    pub jobs: Option<usize>,
     /// All other arguments, for scenario-specific flags.
     pub flags: Vec<String>,
 }
 
 impl CliArgs {
+    /// Parse the arguments after the subcommand; `Err` carries a usage
+    /// message.
+    pub fn from_args(args: impl IntoIterator<Item = String>) -> Result<CliArgs, String> {
+        let mut cli = CliArgs::default();
+        let mut args = args.into_iter();
+        let value = |flag: &str, args: &mut dyn Iterator<Item = String>| {
+            args.next().ok_or_else(|| format!("{flag} needs a value"))
+        };
+        while let Some(a) = args.next() {
+            match a.as_str() {
+                "--json" => cli.json = true,
+                "--json-out" => cli.json_out = Some(value("--json-out", &mut args)?),
+                "--trace-out" => cli.trace_out = Some(value("--trace-out", &mut args)?),
+                "--jobs" => {
+                    let v = value("--jobs", &mut args)?;
+                    match v.parse::<usize>() {
+                        Ok(n) if n >= 1 => cli.jobs = Some(n),
+                        _ => return Err(format!("--jobs needs a positive integer, got {v:?}")),
+                    }
+                }
+                _ => cli.flags.push(a),
+            }
+        }
+        Ok(cli)
+    }
+
     /// Is a scenario-specific flag present?
     pub fn has(&self, flag: &str) -> bool {
         self.flags.iter().any(|f| f == flag)
@@ -365,6 +401,37 @@ mod tests {
         assert!(text.contains("1.50"));
         assert!(text.contains("ratio: 2.0"));
         assert!(text.contains("hello"));
+    }
+
+    #[test]
+    fn cli_parses_every_shared_flag() {
+        let argv = [
+            "--json",
+            "--json-out",
+            "out.json",
+            "--trace-out",
+            "trace.jsonl",
+            "--jobs",
+            "4",
+            "--full-scale",
+        ];
+        let cli = CliArgs::from_args(argv.iter().map(|s| s.to_string())).unwrap();
+        assert!(cli.json);
+        assert_eq!(cli.json_out.as_deref(), Some("out.json"));
+        assert_eq!(cli.trace_out.as_deref(), Some("trace.jsonl"));
+        assert_eq!(cli.jobs, Some(4));
+        assert!(cli.has("--full-scale"));
+        assert!(!cli.has("--no-pfc"));
+    }
+
+    #[test]
+    fn cli_rejects_missing_or_bad_values() {
+        let err =
+            |argv: &[&str]| CliArgs::from_args(argv.iter().map(|s| s.to_string())).unwrap_err();
+        assert!(err(&["--trace-out"]).contains("--trace-out"));
+        assert!(err(&["--json-out"]).contains("--json-out"));
+        assert!(err(&["--jobs", "zero"]).contains("--jobs"));
+        assert!(err(&["--jobs", "0"]).contains("--jobs"));
     }
 
     #[test]

@@ -1,26 +1,17 @@
-//! Pluggable congestion control: the sender/receiver/marking roles behind
-//! the paper's DCQCN deployment, abstracted into a sans-IO trait layer.
+//! Pluggable congestion control: the sender role behind the paper's
+//! DCQCN deployment, abstracted into a sans-IO layer.
 //!
 //! §7 of the paper frames DCQCN as one point in a design space — it is
 //! explicitly contrasted with delay-based TIMELY — and the companion
 //! choice of go-back-N loss recovery is challenged by IRN ("Revisiting
 //! Network Support for RDMA", Mittal et al.). This crate makes the
-//! congestion-control half of that space pluggable:
-//!
-//! * **Sender role** ([`CongestionControl`] / [`SenderCc`]): consumes
-//!   typed [`CcSignal`]s (CNP arrival, an RTT sample, bytes sent, the
-//!   periodic tick) and exposes the pacing rate. Three implementations:
-//!   DCQCN's reaction point ([`DcqcnSender`], wrapping
-//!   [`rocescale_dcqcn::RpState`]), a TIMELY-style delay-gradient
-//!   controller ([`TimelyState`]), and a fixed-rate/off controller
-//!   ([`FixedRate`]).
-//! * **Receiver role** ([`ReceiverCc`]): decides when a congestion
-//!   notification packet must be sent back. DCQCN's notification point is
-//!   the only non-trivial implementation; it runs regardless of the
-//!   sender's controller (non-DCQCN senders simply ignore CNPs), which
-//!   keeps the receive-side event stream identical across ablations.
-//! * **Marking role**: the switch-side congestion point — re-exported
-//!   [`CpParams`] ECN marking, unchanged.
+//! congestion-control half of that space pluggable: [`SenderCc`] consumes
+//! typed [`CcSignal`]s (CNP arrival, an RTT sample, bytes sent, the
+//! periodic tick) and exposes the pacing rate, running DCQCN's reaction
+//! point ([`rocescale_dcqcn::RpState`]), a TIMELY-style delay-gradient
+//! controller ([`TimelyState`]), or fixed pacing at line rate (off). The
+//! notification point and the switch-side marking are DCQCN's alone and
+//! live in `rocescale_dcqcn`.
 //!
 //! Everything is time-as-argument pure logic in the style of the dcqcn
 //! state machines: the NIC adapter owns the clocks, feeds signals, and
@@ -28,15 +19,14 @@
 //! never read wall clocks or draw randomness; a signal sequence maps to
 //! exactly one action sequence, so enum dispatch through [`SenderCc`]
 //! adds no nondeterminism — and with [`CcKind::Dcqcn`] selected, the
-//! signal plumbing reduces to the exact pre-refactor RP/NP call sequence,
+//! signal plumbing reduces to the exact pre-refactor RP call sequence,
 //! which is what keeps the paper-default golden dispatch digest
 //! unchanged.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub use rocescale_dcqcn::CpParams;
-use rocescale_dcqcn::{NpParams, NpState, RpParams, RpState};
+use rocescale_dcqcn::RpState;
 
 /// Which congestion-control algorithm a sender runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -49,6 +39,12 @@ pub enum CcKind {
     Off,
 }
 
+/// The sender role's configuration is its algorithm alone: every DCQCN
+/// and TIMELY constant is a `const` of the module that reads it, and the
+/// one value that varies, the line rate, is the link's and goes to
+/// [`SenderCc::new`].
+pub type CcParams = CcKind;
+
 impl CcKind {
     /// Short lowercase name, used in telemetry instrument names and trace
     /// events.
@@ -57,6 +53,23 @@ impl CcKind {
             CcKind::Dcqcn => "dcqcn",
             CcKind::Timely => "timely",
             CcKind::Off => "off",
+        }
+    }
+
+    /// The parameters of `kind` for a given line rate: `kind` itself,
+    /// since no constant depends on the rate. Kept for callers that
+    /// derive parameters per link, such as the benchmark's CC kernel.
+    pub fn for_line_rate(kind: CcKind, _line_rate_bps: u64) -> CcParams {
+        kind
+    }
+
+    /// Period of the controller's periodic [`CcSignal::Tick`], if it
+    /// needs one (DCQCN's alpha/increase timers; TIMELY and fixed-rate
+    /// are purely event-driven).
+    pub fn tick_period_ps(self) -> Option<u64> {
+        match self {
+            CcKind::Dcqcn => Some(rocescale_dcqcn::TIMER_PS),
+            CcKind::Timely | CcKind::Off => None,
         }
     }
 }
@@ -77,7 +90,7 @@ pub enum CcSignal {
         /// Wire bytes sent.
         bytes: u64,
     },
-    /// The periodic controller tick fired (see [`CcParams::tick_period_ps`]).
+    /// The periodic controller tick fired (see [`CcKind::tick_period_ps`]).
     Tick,
 }
 
@@ -96,7 +109,8 @@ pub enum CcAction {
 
 /// The sans-IO sender-side congestion-control role: the NIC feeds
 /// [`CcSignal`]s with the current time and paces each QP at
-/// [`rate_bps`](CongestionControl::rate_bps).
+/// [`rate_bps`](CongestionControl::rate_bps). [`SenderCc`] is its one
+/// implementation.
 pub trait CongestionControl {
     /// Which algorithm this is.
     fn kind(&self) -> CcKind;
@@ -109,161 +123,38 @@ pub trait CongestionControl {
     fn rate_changes(&self) -> u64;
 }
 
-/// Sender-role configuration: which controller to run, with its knobs.
-#[derive(Debug, Clone, PartialEq)]
-pub enum CcParams {
-    /// DCQCN reaction point.
-    Dcqcn(RpParams),
-    /// TIMELY-style delay-gradient controller.
-    Timely(TimelyParams),
-    /// Fixed pacing at line rate (congestion control off).
-    Off,
-}
+// TIMELY constants (Mittal et al., SIGCOMM 2015), tuned for this
+// simulator's 40 GbE fabrics rather than copied from the paper's 10 GbE
+// testbed.
 
-impl CcParams {
-    /// Default parameters of `kind` for a given line rate.
-    pub fn for_line_rate(kind: CcKind, line_rate_bps: u64) -> CcParams {
-        match kind {
-            CcKind::Dcqcn => CcParams::Dcqcn(RpParams::for_line_rate(line_rate_bps)),
-            CcKind::Timely => CcParams::Timely(TimelyParams::for_line_rate(line_rate_bps)),
-            CcKind::Off => CcParams::Off,
-        }
-    }
-
-    /// Which algorithm these parameters select.
-    pub fn kind(&self) -> CcKind {
-        match self {
-            CcParams::Dcqcn(_) => CcKind::Dcqcn,
-            CcParams::Timely(_) => CcKind::Timely,
-            CcParams::Off => CcKind::Off,
-        }
-    }
-
-    /// Period of the controller's periodic [`CcSignal::Tick`], if it
-    /// needs one (DCQCN's alpha/increase timers; TIMELY and fixed-rate
-    /// are purely event-driven).
-    pub fn tick_period_ps(&self) -> Option<u64> {
-        match self {
-            CcParams::Dcqcn(p) => Some(p.alpha_timer_ps),
-            CcParams::Timely(_) | CcParams::Off => None,
-        }
-    }
-}
-
-/// DCQCN's reaction point as a [`CongestionControl`] implementation: a
-/// thin adapter over [`RpState`] that maps [`CcSignal`]s onto the exact
-/// `on_cnp` / `on_bytes_sent` / `on_alpha_timer` + `on_increase_timer`
-/// call sequence the NIC used before the trait layer existed.
-#[derive(Debug, Clone)]
-pub struct DcqcnSender {
-    rp: RpState,
-}
-
-impl DcqcnSender {
-    /// A fresh reaction point at line rate.
-    pub fn new(params: RpParams) -> DcqcnSender {
-        DcqcnSender {
-            rp: RpState::new(params),
-        }
-    }
-
-    /// The wrapped RP state (alpha, counters).
-    pub fn rp(&self) -> &RpState {
-        &self.rp
-    }
-}
-
-impl CongestionControl for DcqcnSender {
-    fn kind(&self) -> CcKind {
-        CcKind::Dcqcn
-    }
-
-    fn rate_bps(&self) -> f64 {
-        self.rp.rate_bps()
-    }
-
-    fn on_signal(&mut self, sig: CcSignal, _now_ps: u64) -> Option<CcAction> {
-        match sig {
-            CcSignal::Cnp => {
-                let before = self.rp.rate_bps();
-                self.rp.on_cnp();
-                let after = self.rp.rate_bps();
-                (after != before).then_some(CcAction::RateChange {
-                    rate_bps: after,
-                    cause: "cnp",
-                })
-            }
-            CcSignal::BytesSent { bytes } => {
-                self.rp.on_bytes_sent(bytes);
-                None
-            }
-            CcSignal::Tick => {
-                self.rp.on_alpha_timer();
-                self.rp.on_increase_timer();
-                None
-            }
-            // DCQCN is ECN-driven; delay samples carry no information.
-            CcSignal::AckRtt { .. } => None,
-        }
-    }
-
-    fn rate_changes(&self) -> u64 {
-        self.rp.rate_changes()
-    }
-}
-
-/// TIMELY-style controller parameters (Mittal et al., SIGCOMM 2015).
-/// Values are tuned for this simulator's 40 GbE fabrics, not copied from
-/// the paper's 10 GbE testbed.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct TimelyParams {
-    /// Line rate and rate cap, b/s.
-    pub line_rate_bps: f64,
-    /// Rate floor, b/s.
-    pub min_rate_bps: f64,
-    /// EWMA weight on the newest RTT difference (TIMELY's α).
-    pub ewma_alpha: f64,
-    /// Multiplicative decrease factor (TIMELY's β).
-    pub beta: f64,
-    /// Additive increase step δ, b/s.
-    pub add_bps: f64,
-    /// RTT below which the controller always additively increases.
-    pub t_low_ps: u64,
-    /// RTT above which the controller always multiplicatively decreases.
-    pub t_high_ps: u64,
-    /// Gradient normalization: the fabric's propagation-only RTT.
-    pub min_rtt_ps: u64,
-    /// Consecutive negative-gradient updates before hyper increase (N).
-    pub hai_after: u32,
-    /// Minimum interval between rate updates (≈ one RTT; samples between
-    /// updates still refresh the gradient EWMA).
-    pub update_every_ps: u64,
-}
-
-impl TimelyParams {
-    /// Defaults for a given line rate.
-    pub fn for_line_rate(line_rate_bps: u64) -> TimelyParams {
-        TimelyParams {
-            line_rate_bps: line_rate_bps as f64,
-            min_rate_bps: 10e6,
-            ewma_alpha: 0.46,
-            beta: 0.8,
-            add_bps: 40e6,
-            t_low_ps: 12_000_000,  // 12 µs
-            t_high_ps: 48_000_000, // 48 µs
-            min_rtt_ps: 4_000_000, // 4 µs
-            hai_after: 5,
-            update_every_ps: 20_000_000, // 20 µs ≈ a congested RTT
-        }
-    }
-}
+/// Rate floor, b/s.
+const TIMELY_MIN_RATE_BPS: f64 = 10e6;
+/// EWMA weight on the newest RTT difference (TIMELY's α).
+const EWMA_ALPHA: f64 = 0.46;
+/// Multiplicative decrease factor (TIMELY's β).
+const BETA: f64 = 0.8;
+/// Additive increase step δ, b/s.
+const ADD_BPS: f64 = 40e6;
+/// RTT below which the controller always additively increases (12 µs).
+const T_LOW_PS: u64 = 12_000_000;
+/// RTT above which the controller always multiplicatively decreases
+/// (48 µs).
+const T_HIGH_PS: u64 = 48_000_000;
+/// Gradient normalization: the fabric's propagation-only RTT (4 µs).
+const MIN_RTT_PS: u64 = 4_000_000;
+/// Consecutive negative-gradient updates before hyper increase (N).
+const HAI_AFTER: u32 = 5;
+/// Minimum interval between rate updates (20 µs ≈ one congested RTT;
+/// samples between updates still refresh the gradient EWMA).
+const UPDATE_EVERY_PS: u64 = 20_000_000;
 
 /// TIMELY-style delay-gradient sender state: rate cuts on rising RTT,
 /// additive (then hyper) increase on falling RTT, with hard `t_low` /
 /// `t_high` guard bands.
 #[derive(Debug, Clone)]
 pub struct TimelyState {
-    params: TimelyParams,
+    /// Line rate and rate cap, b/s.
+    line_rate_bps: f64,
     rate_bps: f64,
     prev_rtt_ps: Option<u64>,
     /// EWMA of consecutive RTT differences, picoseconds.
@@ -275,11 +166,12 @@ pub struct TimelyState {
 }
 
 impl TimelyState {
-    /// A fresh controller at line rate.
-    pub fn new(params: TimelyParams) -> TimelyState {
+    /// A fresh controller at `line_rate_bps`.
+    pub fn new(line_rate_bps: u64) -> TimelyState {
+        let line_rate_bps = line_rate_bps as f64;
         TimelyState {
-            rate_bps: params.line_rate_bps,
-            params,
+            line_rate_bps,
+            rate_bps: line_rate_bps,
             prev_rtt_ps: None,
             rtt_diff_ps: 0.0,
             neg_gradient_streak: 0,
@@ -289,54 +181,65 @@ impl TimelyState {
         }
     }
 
+    /// The current pacing rate, b/s.
+    pub fn rate_bps(&self) -> f64 {
+        self.rate_bps
+    }
+
+    /// Times the pacing rate actually moved.
+    pub fn rate_changes(&self) -> u64 {
+        self.rate_changes
+    }
+
     /// RTT samples consumed so far.
     pub fn samples(&self) -> u64 {
         self.samples
     }
 
-    /// The smoothed RTT gradient, normalized by `min_rtt` (positive =
-    /// queues building).
+    /// The smoothed RTT gradient, normalized by the propagation-only RTT
+    /// (positive = queues building).
     pub fn normalized_gradient(&self) -> f64 {
-        self.rtt_diff_ps / self.params.min_rtt_ps as f64
+        self.rtt_diff_ps / MIN_RTT_PS as f64
     }
 
-    fn on_rtt(&mut self, rtt_ps: u64, now_ps: u64) -> Option<CcAction> {
+    /// Consume one RTT sample taken at `now_ps`; returns the rate move it
+    /// caused, if any.
+    pub fn on_rtt(&mut self, rtt_ps: u64, now_ps: u64) -> Option<CcAction> {
         self.samples += 1;
         // The first sample only seeds the gradient.
         let prev = self.prev_rtt_ps.replace(rtt_ps)?;
-        let a = self.params.ewma_alpha;
-        self.rtt_diff_ps = (1.0 - a) * self.rtt_diff_ps + a * (rtt_ps as f64 - prev as f64);
-        if now_ps.saturating_sub(self.last_update_ps) < self.params.update_every_ps {
+        self.rtt_diff_ps =
+            (1.0 - EWMA_ALPHA) * self.rtt_diff_ps + EWMA_ALPHA * (rtt_ps as f64 - prev as f64);
+        if now_ps.saturating_sub(self.last_update_ps) < UPDATE_EVERY_PS {
             return None; // at most one rate move per (congested) RTT
         }
         self.last_update_ps = now_ps;
-        let p = self.params;
         let old = self.rate_bps;
-        let cause = if rtt_ps < p.t_low_ps {
+        let cause = if rtt_ps < T_LOW_PS {
             // Far below target delay: increase regardless of gradient.
-            self.rate_bps = (self.rate_bps + p.add_bps).min(p.line_rate_bps);
+            self.rate_bps = (self.rate_bps + ADD_BPS).min(self.line_rate_bps);
             "rtt-low"
-        } else if rtt_ps > p.t_high_ps {
+        } else if rtt_ps > T_HIGH_PS {
             // Far above: multiplicative decrease proportional to overshoot.
-            let f = 1.0 - p.beta * (1.0 - p.t_high_ps as f64 / rtt_ps as f64);
-            self.rate_bps = (self.rate_bps * f).max(p.min_rate_bps);
+            let f = 1.0 - BETA * (1.0 - T_HIGH_PS as f64 / rtt_ps as f64);
+            self.rate_bps = (self.rate_bps * f).max(TIMELY_MIN_RATE_BPS);
             self.neg_gradient_streak = 0;
             "rtt-high"
         } else {
             let grad = self.normalized_gradient();
             if grad <= 0.0 {
                 self.neg_gradient_streak += 1;
-                let n = if self.neg_gradient_streak >= p.hai_after {
+                let n = if self.neg_gradient_streak >= HAI_AFTER {
                     5.0 // hyper increase
                 } else {
                     1.0
                 };
-                self.rate_bps = (self.rate_bps + n * p.add_bps).min(p.line_rate_bps);
+                self.rate_bps = (self.rate_bps + n * ADD_BPS).min(self.line_rate_bps);
                 "gradient-fall"
             } else {
                 self.neg_gradient_streak = 0;
-                let f = 1.0 - p.beta * grad.min(1.0);
-                self.rate_bps = (self.rate_bps * f).max(p.min_rate_bps);
+                let f = 1.0 - BETA * grad.min(1.0);
+                self.rate_bps = (self.rate_bps * f).max(TIMELY_MIN_RATE_BPS);
                 "gradient-rise"
             }
         };
@@ -352,83 +255,33 @@ impl TimelyState {
     }
 }
 
-impl CongestionControl for TimelyState {
-    fn kind(&self) -> CcKind {
-        CcKind::Timely
-    }
-
-    fn rate_bps(&self) -> f64 {
-        self.rate_bps
-    }
-
-    fn on_signal(&mut self, sig: CcSignal, now_ps: u64) -> Option<CcAction> {
-        match sig {
-            CcSignal::AckRtt { rtt_ps } => self.on_rtt(rtt_ps, now_ps),
-            // TIMELY is delay-driven; CNPs, byte counts and ticks carry no
-            // information it uses.
-            CcSignal::Cnp | CcSignal::BytesSent { .. } | CcSignal::Tick => None,
-        }
-    }
-
-    fn rate_changes(&self) -> u64 {
-        self.rate_changes
-    }
-}
-
-/// The null controller: a constant pacing rate (line rate = congestion
-/// control off). Ignores every signal.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct FixedRate {
-    rate_bps: f64,
-}
-
-impl FixedRate {
-    /// Pace at `rate_bps` forever.
-    pub fn new(rate_bps: f64) -> FixedRate {
-        FixedRate { rate_bps }
-    }
-}
-
-impl CongestionControl for FixedRate {
-    fn kind(&self) -> CcKind {
-        CcKind::Off
-    }
-
-    fn rate_bps(&self) -> f64 {
-        self.rate_bps
-    }
-
-    fn on_signal(&mut self, _sig: CcSignal, _now_ps: u64) -> Option<CcAction> {
-        None
-    }
-
-    fn rate_changes(&self) -> u64 {
-        0
-    }
-}
-
-/// Enum dispatch over the sender-role implementations. The NIC stores one
-/// of these per QP — static dispatch keeps determinism auditable and the
-/// per-packet cost of the paper-default path identical to the concrete
-/// `RpState` it replaced.
+/// Enum dispatch over the sender-role controllers. The NIC stores one of
+/// these per QP — static dispatch keeps determinism auditable and the
+/// per-packet cost of the paper-default path identical to a concrete
+/// `RpState`. Each variant holds the line rate once.
 #[derive(Debug, Clone)]
 pub enum SenderCc {
     /// DCQCN reaction point.
-    Dcqcn(DcqcnSender),
+    Dcqcn(RpState),
     /// TIMELY-style delay-gradient controller.
     Timely(TimelyState),
-    /// Fixed-rate/off controller.
-    Off(FixedRate),
+    /// Congestion control off: a constant pacing rate (the line rate)
+    /// whatever the signals say.
+    Off {
+        /// The pacing rate, b/s.
+        rate_bps: f64,
+    },
 }
 
 impl SenderCc {
-    /// Build the sender role from its parameters; `line_rate_bps` backs
-    /// the fixed-rate/off controller.
+    /// The sender role running `params` at `line_rate_bps`.
     pub fn new(params: &CcParams, line_rate_bps: u64) -> SenderCc {
         match params {
-            CcParams::Dcqcn(p) => SenderCc::Dcqcn(DcqcnSender::new(*p)),
-            CcParams::Timely(p) => SenderCc::Timely(TimelyState::new(*p)),
-            CcParams::Off => SenderCc::Off(FixedRate::new(line_rate_bps as f64)),
+            CcKind::Dcqcn => SenderCc::Dcqcn(RpState::new(line_rate_bps)),
+            CcKind::Timely => SenderCc::Timely(TimelyState::new(line_rate_bps)),
+            CcKind::Off => SenderCc::Off {
+                rate_bps: line_rate_bps as f64,
+            },
         }
     }
 }
@@ -436,59 +289,62 @@ impl SenderCc {
 impl CongestionControl for SenderCc {
     fn kind(&self) -> CcKind {
         match self {
-            SenderCc::Dcqcn(c) => c.kind(),
-            SenderCc::Timely(c) => c.kind(),
-            SenderCc::Off(c) => c.kind(),
+            SenderCc::Dcqcn(_) => CcKind::Dcqcn,
+            SenderCc::Timely(_) => CcKind::Timely,
+            SenderCc::Off { .. } => CcKind::Off,
         }
     }
 
     fn rate_bps(&self) -> f64 {
         match self {
-            SenderCc::Dcqcn(c) => c.rate_bps(),
-            SenderCc::Timely(c) => c.rate_bps(),
-            SenderCc::Off(c) => c.rate_bps(),
+            SenderCc::Dcqcn(rp) => rp.rate_bps(),
+            SenderCc::Timely(t) => t.rate_bps(),
+            SenderCc::Off { rate_bps } => *rate_bps,
         }
     }
 
+    /// DCQCN maps the signals onto the `on_cnp` / `on_bytes_sent` /
+    /// `on_alpha_timer` + `on_increase_timer` call sequence of its
+    /// reaction point and ignores RTT samples; TIMELY uses RTT samples
+    /// only; the off arm ignores everything. Inlined: the NIC calls it
+    /// for every packet it sends, and most calls do nothing.
+    #[inline]
     fn on_signal(&mut self, sig: CcSignal, now_ps: u64) -> Option<CcAction> {
         match self {
-            SenderCc::Dcqcn(c) => c.on_signal(sig, now_ps),
-            SenderCc::Timely(c) => c.on_signal(sig, now_ps),
-            SenderCc::Off(c) => c.on_signal(sig, now_ps),
+            SenderCc::Dcqcn(rp) => match sig {
+                CcSignal::Cnp => {
+                    let before = rp.rate_bps();
+                    rp.on_cnp();
+                    let after = rp.rate_bps();
+                    (after != before).then_some(CcAction::RateChange {
+                        rate_bps: after,
+                        cause: "cnp",
+                    })
+                }
+                CcSignal::BytesSent { bytes } => {
+                    rp.on_bytes_sent(bytes);
+                    None
+                }
+                CcSignal::Tick => {
+                    rp.on_alpha_timer();
+                    rp.on_increase_timer();
+                    None
+                }
+                CcSignal::AckRtt { .. } => None,
+            },
+            SenderCc::Timely(t) => match sig {
+                CcSignal::AckRtt { rtt_ps } => t.on_rtt(rtt_ps, now_ps),
+                CcSignal::Cnp | CcSignal::BytesSent { .. } | CcSignal::Tick => None,
+            },
+            SenderCc::Off { .. } => None,
         }
     }
 
     fn rate_changes(&self) -> u64 {
         match self {
-            SenderCc::Dcqcn(c) => c.rate_changes(),
-            SenderCc::Timely(c) => c.rate_changes(),
-            SenderCc::Off(c) => c.rate_changes(),
-        }
-    }
-}
-
-/// The receiver (notification) role: decides when a congestion
-/// notification packet must travel back to the sender.
-#[derive(Debug, Clone)]
-pub enum ReceiverCc {
-    /// DCQCN's notification point: one CNP per flow per
-    /// [`NpParams::min_cnp_interval_ps`] on CE-marked arrivals.
-    DcqcnNp(NpState),
-    /// Never notifies (delay-based and off senders need no CNPs).
-    Null,
-}
-
-impl ReceiverCc {
-    /// A DCQCN notification point.
-    pub fn dcqcn(params: NpParams) -> ReceiverCc {
-        ReceiverCc::DcqcnNp(NpState::new(params))
-    }
-
-    /// A CE-marked packet arrived at `now_ps`; should a CNP be sent?
-    pub fn on_ce_packet(&mut self, now_ps: u64) -> bool {
-        match self {
-            ReceiverCc::DcqcnNp(np) => np.on_ce_packet(now_ps),
-            ReceiverCc::Null => false,
+            SenderCc::Dcqcn(rp) => rp.rate_changes(),
+            SenderCc::Timely(t) => t.rate_changes(),
+            SenderCc::Off { .. } => 0,
         }
     }
 }
@@ -500,21 +356,15 @@ mod tests {
     const LINE: u64 = 40_000_000_000;
 
     fn timely() -> TimelyState {
-        TimelyState::new(TimelyParams::for_line_rate(LINE))
+        TimelyState::new(LINE)
     }
 
     /// Feed a sample every update interval (advancing the shared clock so
     /// consecutive batches stay ordered) so each one may move the rate.
     fn feed_at(s: &mut TimelyState, now: &mut u64, rtts_us: &[u64]) {
-        let step = s.params.update_every_ps;
         for &us in rtts_us {
-            *now += step;
-            s.on_signal(
-                CcSignal::AckRtt {
-                    rtt_ps: us * 1_000_000,
-                },
-                *now,
-            );
+            *now += UPDATE_EVERY_PS;
+            s.on_rtt(us * 1_000_000, *now);
         }
     }
 
@@ -553,7 +403,7 @@ mod tests {
             cut
         );
         // Each negative-gradient step adds at least δ.
-        assert!(s.rate_bps() >= cut + TimelyParams::for_line_rate(LINE).add_bps);
+        assert!(s.rate_bps() >= cut + ADD_BPS);
     }
 
     #[test]
@@ -586,45 +436,33 @@ mod tests {
         let mut s = timely();
         // Two samples inside one update interval: only the first may move
         // the rate (and the very first sample only seeds the gradient).
-        s.on_signal(CcSignal::AckRtt { rtt_ps: 30_000_000 }, 1);
-        s.on_signal(CcSignal::AckRtt { rtt_ps: 45_000_000 }, 2);
+        s.on_rtt(30_000_000, 1);
+        s.on_rtt(45_000_000, 2);
         assert_eq!(s.rate_bps(), 40e9, "no update before the interval");
         assert_eq!(s.samples(), 2, "samples still refresh the gradient");
     }
 
+    /// Through the enum, DCQCN is its reaction point: CNPs cut the rate
+    /// (surfacing as actions), RTT samples do nothing, and a tick runs
+    /// both RP timers.
     #[test]
-    fn dcqcn_sender_matches_raw_rp_state() {
-        // The trait adapter must reproduce the concrete RP call sequence
-        // bit-for-bit — this is the digest-neutrality argument in unit
-        // test form.
-        let params = RpParams::for_line_rate(LINE);
-        let mut raw = RpState::new(params);
-        let mut cc = SenderCc::new(&CcParams::Dcqcn(params), LINE);
-        let mut acted = 0;
-        for step in 0..2000u64 {
-            if step % 97 == 0 {
-                raw.on_cnp();
-                if cc.on_signal(CcSignal::Cnp, step).is_some() {
-                    acted += 1;
-                }
-            }
-            raw.on_bytes_sent(64 * 1024);
-            cc.on_signal(CcSignal::BytesSent { bytes: 64 * 1024 }, step);
-            if step % 5 == 0 {
-                raw.on_alpha_timer();
-                raw.on_increase_timer();
-                cc.on_signal(CcSignal::Tick, step);
-            }
-            assert_eq!(cc.rate_bps(), raw.rate_bps(), "diverged at step {step}");
-        }
-        assert_eq!(cc.rate_changes(), raw.rate_changes());
-        assert!(acted > 0, "CNP cuts must surface as actions");
+    fn dcqcn_sender_runs_its_reaction_point() {
+        let mut cc = SenderCc::new(&CcKind::Dcqcn, LINE);
+        assert_eq!(cc.rate_bps(), 40e9);
+        assert_eq!(cc.on_signal(CcSignal::AckRtt { rtt_ps: 1 << 40 }, 0), None);
+        let Some(CcAction::RateChange { rate_bps, cause }) = cc.on_signal(CcSignal::Cnp, 0) else {
+            panic!("a CNP must cut the rate");
+        };
+        assert_eq!((rate_bps, cause), (20e9, "cnp"));
+        assert_eq!(cc.on_signal(CcSignal::Tick, 1), None);
+        assert!(cc.rate_bps() > 20e9, "a tick starts fast recovery");
+        assert_eq!(cc.rate_changes(), 2);
         assert_eq!(cc.kind(), CcKind::Dcqcn);
     }
 
     #[test]
     fn fixed_rate_ignores_everything() {
-        let mut cc = SenderCc::new(&CcParams::Off, LINE);
+        let mut cc = SenderCc::new(&CcKind::Off, LINE);
         assert_eq!(cc.rate_bps(), 40e9);
         for sig in [
             CcSignal::Cnp,
@@ -649,21 +487,11 @@ mod tests {
             CcParams::for_line_rate(CcKind::Timely, LINE).tick_period_ps(),
             None
         );
-        assert_eq!(CcParams::Off.tick_period_ps(), None);
+        assert_eq!(CcKind::Off.tick_period_ps(), None);
         for k in [CcKind::Dcqcn, CcKind::Timely, CcKind::Off] {
-            assert_eq!(CcParams::for_line_rate(k, LINE).kind(), k);
+            assert_eq!(CcParams::for_line_rate(k, LINE), k);
+            assert_eq!(SenderCc::new(&k, LINE).kind(), k);
         }
-    }
-
-    #[test]
-    fn receiver_role_rate_limits_or_stays_silent() {
-        let mut np = ReceiverCc::dcqcn(NpParams::default());
-        assert!(np.on_ce_packet(0));
-        assert!(!np.on_ce_packet(10_000_000));
-        assert!(np.on_ce_packet(50_000_000));
-        let mut null = ReceiverCc::Null;
-        assert!(!null.on_ce_packet(0));
-        assert!(!null.on_ce_packet(50_000_000));
     }
 
     #[test]

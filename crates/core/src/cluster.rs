@@ -2,12 +2,8 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use rocescale_cc::CcParams;
-use rocescale_dcqcn::CpParams;
-use rocescale_monitor::deadlock::Snapshot;
 use rocescale_monitor::{
-    GaugeId, MemorySink, MetricsHub, Pingmesh, QueueSample, ScopeId, StreamRecord, TelemetryConfig,
-    TraceSink,
+    GaugeId, MemorySink, MetricsHub, Pingmesh, QueueSample, ScopeId, StreamRecord, TraceSink,
 };
 use rocescale_nic::{
     host::{TOK_INJECT_STORM, TOK_STOP_STORM},
@@ -256,23 +252,12 @@ impl ClusterBuilder {
         // Shard-local telemetry banks: shard 0 keeps the builder's hub
         // (so the single-shard path is unchanged and callers hold a live
         // handle), every other shard gets its own bank with the same
-        // enablement and sampling cadence. Snapshots merge them by name.
+        // enablement and configuration. Snapshots merge them by name.
         let hubs: Vec<MetricsHub> = (0..nshards)
-            .map(|s| {
-                if s == 0 {
-                    self.instr.telemetry.clone()
-                } else if self.instr.telemetry.is_enabled() {
-                    MetricsHub::with_config(TelemetryConfig {
-                        sample_every_ps: self
-                            .instr
-                            .telemetry
-                            .sample_every_ps()
-                            .unwrap_or_else(|| TelemetryConfig::default().sample_every_ps),
-                        ..TelemetryConfig::default()
-                    })
-                } else {
-                    MetricsHub::disabled()
-                }
+            .map(|s| match (s, self.instr.telemetry.config()) {
+                (0, _) => self.instr.telemetry.clone(),
+                (_, Some(cfg)) => MetricsHub::with_config(cfg),
+                (_, None) => MetricsHub::disabled(),
             })
             .collect();
         let banks: Vec<MemorySink> = if let Some((_, filter)) = &deferred_sink {
@@ -306,6 +291,9 @@ impl ClusterBuilder {
         };
         let pfc_enabled = self.fabric.pfc_enabled;
         let stage = self.fabric.stage;
+        // The paper's two lossless classes, which are also the two that
+        // ECN marks.
+        const RDMA_CLASSES: [bool; 8] = [false, false, false, true, true, false, false, false];
         let lossless_for = |tier: Tier| -> [bool; 8] {
             let on = pfc_enabled
                 && match tier {
@@ -315,7 +303,7 @@ impl ClusterBuilder {
                     Tier::Server => true,
                 };
             if on {
-                [false, false, false, true, true, false, false, false]
+                RDMA_CLASSES
             } else {
                 [false; 8]
             }
@@ -355,12 +343,9 @@ impl ClusterBuilder {
                 xon_delta: 2 * 1120,
             };
             cfg.ecn = if self.fabric.ecn {
-                let mut e: [Option<CpParams>; 8] = Default::default();
-                e[3] = Some(CpParams::default());
-                e[4] = Some(CpParams::default());
-                e
+                RDMA_CLASSES
             } else {
-                Default::default()
+                [false; 8]
             };
             cfg.watchdog = WatchdogConfig {
                 enabled: self.fabric.switch_watchdog,
@@ -438,10 +423,9 @@ impl ClusterBuilder {
                         rto_ps: self.transport.qp_rto.as_ps(),
                         ..QpConfig::default()
                     };
-                    // Sender-role congestion control, with parameters
-                    // derived from the host's line rate (for DCQCN this
-                    // reproduces the NicConfig default exactly).
-                    cfg.cc = CcParams::for_line_rate(self.transport.cc, cfg.link_bps);
+                    // Sender-role congestion control, run at the host's
+                    // line rate.
+                    cfg.cc = self.transport.cc;
                     cfg.nic_watchdog_after = self.transport.nic_watchdog;
                     cfg.telemetry = hubs[shard as usize].clone();
                     (self.host_tweak)(order, &mut cfg);
@@ -1416,22 +1400,6 @@ impl<W: WorldSet> Cluster<W> {
         }
         fleet.unwrap_or_else(|| banks.pop().expect("one shard, one bank"))
     }
-
-    /// Per-switch (name, progress snapshot) for the deadlock detector.
-    pub fn switch_snapshots(&self) -> Vec<(String, Snapshot)> {
-        (0..self.switches.len())
-            .map(|i| {
-                let sw = self.switch(i);
-                (
-                    self.switches[i].name.clone(),
-                    Snapshot {
-                        tx_pkts: sw.total_data_tx_pkts(),
-                        backlog_bytes: sw.lossless_backlog(),
-                    },
-                )
-            })
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -1889,25 +1857,80 @@ mod tests {
         );
     }
 
+    /// The probe reads every switch: traffic that flows never looks
+    /// stuck, while a storm victim's switches do — stuck, but on a pause
+    /// chain rather than a cycle, so the verdict stays empty.
     #[test]
-    fn snapshots_expose_progress() {
-        let mut c = ClusterBuilder::single_tor(2).build();
-        let s = c.switch_snapshots();
-        assert_eq!(s.len(), 3); // tor + leaf + spine
-        assert!(s.iter().all(|(_, snap)| snap.tx_pkts == 0));
+    fn the_deadlock_probe_tells_progress_from_a_stall() {
+        let mut c = ClusterBuilder::two_tier(2, 2)
+            .fabric(FabricProfile::paper_default().switch_watchdog(false))
+            .faults(FaultProfile::paper_default().at(
+                SimTime::from_millis(1),
+                ScriptAction::StormStart { server: 0 },
+            ))
+            .build();
         let ids = c.all_servers();
         c.connect_qp(
+            ids[2],
             ids[0],
-            ids[1],
             5000,
             QpApp::Saturate {
-                msg_len: 65536,
-                inflight: 1,
+                msg_len: 128 * 1024,
+                inflight: 2,
             },
             QpApp::None,
         );
+        for us in [250, 500, 750, 1000] {
+            c.run_until(SimTime::from_micros(us));
+            assert_eq!(c.deadlock_observe_now(), None);
+        }
+        assert!(c.deadlock_probe().stuck().is_empty(), "traffic flows");
+        for ms in 2..=6 {
+            c.run_until(SimTime::from_millis(ms));
+            assert_eq!(c.deadlock_observe_now(), None, "a storm is no cycle");
+        }
+        assert_eq!(c.deadlock_probe().epochs(), 9);
+        assert!(
+            c.deadlock_probe()
+                .stuck()
+                .contains(&"pod0-tor0".to_string()),
+            "the stormer's ToR stalls: {:?}",
+            c.deadlock_probe().stuck()
+        );
+        assert!(c.deadlock_probe().verdict().is_empty());
+    }
+
+    /// Every shard's hub is built from the caller's whole telemetry
+    /// configuration, not just its sampling cadence: an eight-record
+    /// flight ring stays eight records on shard 1 too.
+    #[test]
+    fn every_shard_hub_keeps_the_callers_telemetry_config() {
+        let cfg = rocescale_monitor::TelemetryConfig {
+            flight_capacity: 8,
+            ..Default::default()
+        };
+        let mut c = ClusterBuilder::new(ClosSpec::uniform_40g(2, 1, 2, 2, 4))
+            .instrumentation(
+                InstrumentationProfile::paper_default().telemetry(MetricsHub::with_config(cfg)),
+            )
+            .execution(ExecutionProfile::Sharded { shards: 2 })
+            .build_sharded();
+        // Incast into the last server, in pod 1: its ToR pauses and
+        // records it on shard 1.
+        let dst = ServerId(c.server_count() - 1);
+        for s in 0..c.server_count() - 1 {
+            c.connect_qp(ServerId(s), dst, 6000 + s as u16, saturate(), QpApp::None);
+        }
         c.run_for_millis(1);
-        let s = c.switch_snapshots();
-        assert!(s.iter().any(|(_, snap)| snap.tx_pkts > 0));
+        assert_eq!(c.shard_count(), 2);
+        for s in 0..2 {
+            assert_eq!(c.hub(s).config(), Some(cfg), "shard {s}");
+        }
+        let (records, dropped) = c.hub(1).flight_snapshot();
+        assert!(
+            records.len() <= 8 && dropped > 0,
+            "{} records kept, {dropped} evicted",
+            records.len()
+        );
     }
 }

@@ -24,7 +24,8 @@
 //! With the paper's fix (drop lossless packets on incomplete ARP), the
 //! flood never happens and traffic to live servers keeps flowing.
 
-use rocescale_monitor::{MetricsHub, ProgressTracker, WaitGraph};
+use rocescale_cc::CcKind;
+use rocescale_monitor::MetricsHub;
 use rocescale_nic::{NicConfig, QpApp, RdmaHost};
 use rocescale_packet::MacAddr;
 use rocescale_packet::Priority;
@@ -147,7 +148,7 @@ fn build_with_macs(fix_enabled: bool, dead_macs_seeded: bool) -> Fabric {
 
     let host = |name: &str, id: u32, ip: u32, gw: MacAddr| {
         let mut cfg = NicConfig::new(name, id, ip, gw);
-        cfg.cc = rocescale_cc::CcParams::Off; // raw PFC dynamics, as in the paper's stress test
+        cfg.cc = CcKind::Off; // raw PFC dynamics, as in the paper's stress test
         cfg.qp_defaults = QpConfig {
             rto_ps: 200_000_000, // 200 µs: senders to dead peers keep the wire busy
             ..QpConfig::default()
@@ -226,91 +227,112 @@ fn saturate_toward(
     }
 }
 
-/// Run the Figure 4 scenario for `dur`, sampling progress every 2 ms.
-pub fn run(fix_enabled: bool, dur: SimTime) -> DeadlockResult {
-    let mut f = build(fix_enabled);
-    // S1 → S3 (dead; the purple packets) and S1 → S5 (the black packets).
+/// The §4.2 traffic matrix. S1 → S3 (dead; the purple packets) and
+/// S1 → S5 (the black packets); S4 → S2 (dead; the blue packets) and
+/// S4 → S5, the incast co-source congesting T1's port to S5; and S6 → S5:
+/// "T1.p2 is congested due to incast traffic from S1 and other sources"
+/// — the demand on S5's port must exceed its rate for the black packets
+/// to queue.
+fn start_traffic(f: &mut Fabric) {
     saturate_toward(&mut f.world, f.s1, IP_S3, None, 7001);
     saturate_toward(&mut f.world, f.s1, IP_S5, Some(f.s5), 7002);
-    // S4 → S2 (dead; the blue packets) and S4 → S5 (the incast co-source
-    // congesting T1's port to S5).
     saturate_toward(&mut f.world, f.s4, IP_S2, None, 7003);
     saturate_toward(&mut f.world, f.s4, IP_S5, Some(f.s5), 7004);
-    // S6 → S5: "T1.p2 is congested due to incast traffic from S1 and
-    // other sources" — the demand on S5's port must exceed its rate for
-    // the black packets to queue.
     saturate_toward(&mut f.world, f.s6, IP_S5, Some(f.s5), 7005);
+}
 
-    let mut tracker = ProgressTracker::new();
-    let switches = [(f.t0, "T0"), (f.t1, "T1"), (f.la, "La"), (f.lb, "Lb")];
+/// What a [`DeadlockProbe`] watching every 2 ms saw over a run of `dur`,
+/// with the fabric's end-of-run counters.
+struct Watched {
+    probe: DeadlockProbe,
+    /// S5's goodput over the last quarter of the run, bytes.
+    tail_goodput_bytes: u64,
+    /// Lossless packets dropped by the fix, all four switches.
+    fix_drops: u64,
+    /// Pause frames sent by all four switches.
+    pauses: u64,
+}
+
+/// Run `f` for `dur` under a live detector over every switch egress
+/// (fabric links in both directions; server ports appear as chain leaves,
+/// never cycles), sampling every 2 ms. Each switch's links are listed by
+/// port, so its wait edges keep the order in which FIG-4 has always
+/// searched them: its reported cycle does not depend on the probe.
+fn watch(f: &mut Fabric, dur: SimTime) -> Watched {
+    let switches = [("T0", f.t0), ("T1", f.t1), ("La", f.la), ("Lb", f.lb)];
+    let link = |switch: usize, port: u16, peer: &str| ProbeLink {
+        switch,
+        port: PortId(port),
+        peer: peer.to_string(),
+    };
+    let links = vec![
+        link(0, 0, "S1"),
+        link(0, 1, "S2"),
+        link(0, 2, "La"),
+        link(0, 3, "Lb"),
+        link(0, 4, "S6"),
+        link(1, 0, "S3"),
+        link(1, 1, "S4"),
+        link(1, 2, "S5"),
+        link(1, 3, "La"),
+        link(1, 4, "Lb"),
+        link(2, 0, "T0"),
+        link(2, 1, "T1"),
+        link(3, 0, "T0"),
+        link(3, 1, "T1"),
+    ];
+    let mut probe = DeadlockProbe::new(
+        &MetricsHub::disabled(),
+        switches
+            .iter()
+            .map(|(n, id)| (n.to_string(), 0, *id))
+            .collect(),
+        links,
+        vec![Priority::new(3), Priority::new(4)],
+        3,
+    );
+
     let sample = SimTime::from_millis(2);
     let mut t = SimTime::ZERO;
     let mut goodput_at_three_quarters = 0u64;
     while t < dur {
         t += sample;
         f.world.run_until(t);
-        let round: Vec<_> = switches
-            .iter()
-            .map(|(id, name)| {
-                let sw = f.world.node::<Switch>(*id);
-                (
-                    name.to_string(),
-                    rocescale_monitor::deadlock::Snapshot {
-                        tx_pkts: sw.total_data_tx_pkts(),
-                        backlog_bytes: sw.lossless_backlog(),
-                    },
-                )
-            })
-            .collect();
-        tracker.observe(&round);
+        probe.observe(std::slice::from_ref(&f.world), t);
         if t.as_ps() * 4 <= dur.as_ps() * 3 {
             goodput_at_three_quarters = f.world.node::<RdmaHost>(f.s5).total_goodput_bytes();
         }
     }
-    // Pause-wait graph at the end of the run: edge A→B when A's egress
-    // port toward B is paused for a lossless class with backlog behind it.
-    let fabric_links: [(NodeId, &str, PortId, NodeId, &str, PortId); 4] = [
-        (f.t0, "T0", PortId(2), f.la, "La", PortId(0)),
-        (f.t1, "T1", PortId(3), f.la, "La", PortId(1)),
-        (f.t0, "T0", PortId(3), f.lb, "Lb", PortId(0)),
-        (f.t1, "T1", PortId(4), f.lb, "Lb", PortId(1)),
-    ];
-    let mut graph = WaitGraph::new();
-    let now = f.world.now();
-    for (a_id, a_name, a_port, b_id, b_name, b_port) in fabric_links {
-        for prio in [Priority::new(3), Priority::new(4)] {
-            let a_sw = f.world.node::<Switch>(a_id);
-            if a_sw.is_paused(a_port, prio, now) && a_sw.egress_depth_prio(a_port, prio) > 0 {
-                graph.add_edge(a_name, b_name);
-            }
-            let b_sw = f.world.node::<Switch>(b_id);
-            if b_sw.is_paused(b_port, prio, now) && b_sw.egress_depth_prio(b_port, prio) > 0 {
-                graph.add_edge(b_name, a_name);
-            }
-        }
-    }
-    let wait_cycle = graph.find_cycle();
     let final_goodput = f.world.node::<RdmaHost>(f.s5).total_goodput_bytes();
-    let fix_drops: u64 = switches
-        .iter()
-        .map(|(id, _)| {
-            f.world
-                .node::<Switch>(*id)
-                .stats
-                .drops_of(DropReason::IncompleteArpLossless)
-        })
-        .sum();
-    let pauses: u64 = switches
-        .iter()
-        .map(|(id, _)| f.world.node::<Switch>(*id).stats.total_pause_tx())
-        .sum();
+    let sum = |stat: fn(&Switch) -> u64| -> u64 {
+        switches
+            .iter()
+            .map(|(_, id)| stat(f.world.node::<Switch>(*id)))
+            .sum()
+    };
+    Watched {
+        probe,
+        tail_goodput_bytes: final_goodput.saturating_sub(goodput_at_three_quarters),
+        fix_drops: sum(|sw| sw.stats.drops_of(DropReason::IncompleteArpLossless)),
+        pauses: sum(|sw| sw.stats.total_pause_tx()),
+    }
+}
+
+/// Run the Figure 4 scenario for `dur`, sampling progress every 2 ms.
+pub fn run(fix_enabled: bool, dur: SimTime) -> DeadlockResult {
+    let mut f = build(fix_enabled);
+    start_traffic(&mut f);
+    let w = watch(&mut f, dur);
     DeadlockResult {
         fix_enabled,
-        deadlocked_switches: tracker.deadlocked(3, &graph),
-        tail_goodput_bytes: final_goodput.saturating_sub(goodput_at_three_quarters),
-        fix_drops,
-        pauses,
-        wait_cycle,
+        deadlocked_switches: w.probe.verdict(),
+        tail_goodput_bytes: w.tail_goodput_bytes,
+        fix_drops: w.fix_drops,
+        pauses: w.pauses,
+        // The pause-wait graph of the last epoch, at the end of the run:
+        // edge A→B when A's egress port toward B is paused for a lossless
+        // class with backlog behind it.
+        wait_cycle: w.probe.last_graph().find_cycle(),
     }
 }
 
@@ -352,11 +374,7 @@ pub struct ScriptedDeadlockResult {
 pub fn run_scripted(fix_enabled: bool, dur: SimTime) -> ScriptedDeadlockResult {
     let mut f = build_with_macs(fix_enabled, true);
     // Same traffic matrix as [`run`] — but S2/S3 are reachable at first.
-    saturate_toward(&mut f.world, f.s1, IP_S3, None, 7001);
-    saturate_toward(&mut f.world, f.s1, IP_S5, Some(f.s5), 7002);
-    saturate_toward(&mut f.world, f.s4, IP_S2, None, 7003);
-    saturate_toward(&mut f.world, f.s4, IP_S5, Some(f.s5), 7004);
-    saturate_toward(&mut f.world, f.s6, IP_S5, Some(f.s5), 7005);
+    start_traffic(&mut f);
 
     // The incident: both ToRs lose the dead servers' MAC entries at the
     // same maintenance tick (the paper's 5-minute MAC timeout, compressed).
@@ -370,74 +388,16 @@ pub fn run_scripted(fix_enabled: bool, dur: SimTime) -> ScriptedDeadlockResult {
         f.world.schedule_timer(evict_at, tor, token);
     }
 
-    // Live detector over every switch egress (fabric links in both
-    // directions; server ports appear as chain leaves, never cycles).
-    let switches = [
-        ("T0".to_string(), f.t0),
-        ("T1".to_string(), f.t1),
-        ("La".to_string(), f.la),
-        ("Lb".to_string(), f.lb),
-    ];
-    let link = |switch: usize, port: u16, peer: &str| ProbeLink {
-        switch,
-        port: PortId(port),
-        peer: peer.to_string(),
-    };
-    let links = vec![
-        link(0, 0, "S1"),
-        link(0, 1, "S2"),
-        link(0, 2, "La"),
-        link(0, 3, "Lb"),
-        link(0, 4, "S6"),
-        link(1, 0, "S3"),
-        link(1, 1, "S4"),
-        link(1, 2, "S5"),
-        link(1, 3, "La"),
-        link(1, 4, "Lb"),
-        link(2, 0, "T0"),
-        link(2, 1, "T1"),
-        link(3, 0, "T0"),
-        link(3, 1, "T1"),
-    ];
-    let mut probe = DeadlockProbe::new(
-        &MetricsHub::disabled(),
-        switches.iter().map(|(n, id)| (n.clone(), 0, *id)).collect(),
-        links,
-        vec![Priority::new(3), Priority::new(4)],
-        3,
-    );
-
-    let sample = SimTime::from_millis(2);
-    let mut t = SimTime::ZERO;
-    let mut goodput_at_three_quarters = 0u64;
-    while t < dur {
-        t += sample;
-        f.world.run_until(t);
-        probe.observe(std::slice::from_ref(&f.world), t);
-        if t.as_ps() * 4 <= dur.as_ps() * 3 {
-            goodput_at_three_quarters = f.world.node::<RdmaHost>(f.s5).total_goodput_bytes();
-        }
-    }
-
-    let fix_drops: u64 = switches
-        .iter()
-        .map(|(_, id)| {
-            f.world
-                .node::<Switch>(*id)
-                .stats
-                .drops_of(DropReason::IncompleteArpLossless)
-        })
-        .sum();
-    let final_goodput = f.world.node::<RdmaHost>(f.s5).total_goodput_bytes();
+    let w = watch(&mut f, dur);
     ScriptedDeadlockResult {
         fix_enabled,
         evict_at,
-        first_cycle_at: probe.first_cycle_at(),
-        cycle_epochs: probe.cycle_epochs(),
-        epochs: probe.epochs(),
-        deadlocked_switches: probe.verdict(),
-        fix_drops,
-        tail_goodput_bytes: final_goodput.saturating_sub(goodput_at_three_quarters),
+        first_cycle_at: w.probe.first_cycle_at(),
+        cycle_epochs: w.probe.cycle_epochs(),
+        epochs: w.probe.epochs(),
+        deadlocked_switches: w.probe.verdict(),
+        fix_drops: w.fix_drops,
+        tail_goodput_bytes: w.tail_goodput_bytes,
         digest: f.world.dispatch_digest(),
         events: f.world.events_processed(),
     }

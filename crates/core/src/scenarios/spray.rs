@@ -87,7 +87,7 @@ pub fn run(spraying: bool, dur: SimTime) -> SprayResult {
 
     let host = |name: &str, id: u32, ip: u32, gw: MacAddr| {
         let mut cfg = NicConfig::new(name, id, ip, gw);
-        cfg.cc = rocescale_cc::CcParams::Off;
+        cfg.cc = rocescale_cc::CcKind::Off;
         RdmaHost::new(cfg)
     };
     let mut world = World::new(61);

@@ -7,10 +7,10 @@
 //! propagation probability" (§2). DCQCN has three roles:
 //!
 //! * **CP** (congestion point, the switch): RED-style probabilistic ECN
-//!   marking on egress queue length — [`CpParams`].
+//!   marking on egress queue length — [`should_mark`].
 //! * **NP** (notification point, the receiving NIC): on a CE-marked
 //!   packet, send a CNP back to the sender, at most one per
-//!   [`NpParams::min_cnp_interval_ps`] per flow — [`NpState`].
+//!   50 µs per flow — [`NpState`].
 //! * **RP** (reaction point, the sending NIC): on CNP, multiplicatively
 //!   cut the per-QP rate and remember the pre-cut rate as a target; then
 //!   recover in three phases (fast recovery → additive increase → hyper
@@ -23,151 +23,82 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-/// Congestion-point (switch) marking parameters: RED/WRED on instantaneous
-/// egress queue length, as recommended by the DCQCN paper.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CpParams {
-    /// Queue length (bytes) below which nothing is marked.
-    pub kmin_bytes: u64,
-    /// Queue length (bytes) above which everything is marked.
-    pub kmax_bytes: u64,
-    /// Marking probability at `kmax` (ramps linearly from 0 at `kmin`).
-    pub pmax: f64,
-}
+/// Queue length (bytes) at or below which the congestion point marks
+/// nothing: the DCQCN paper's Kmin for 40 GbE, 40 KB.
+const KMIN_BYTES: u64 = 40 * 1024;
+/// Queue length (bytes) at or above which it marks everything: Kmax,
+/// 200 KB.
+const KMAX_BYTES: u64 = 200 * 1024;
+/// Marking probability just below Kmax; it ramps linearly from 0 at
+/// Kmin (Pmax, 1%).
+const PMAX: f64 = 0.01;
 
-impl Default for CpParams {
-    /// DCQCN-paper style defaults for 40 GbE (Kmin 40 KB, Kmax 200 KB,
-    /// Pmax 1%).
-    fn default() -> CpParams {
-        CpParams {
-            kmin_bytes: 40 * 1024,
-            kmax_bytes: 200 * 1024,
-            pmax: 0.01,
-        }
+/// The congestion point (switch): RED/WRED marking on instantaneous egress
+/// queue length, as the DCQCN paper recommends. Decide whether to CE-mark
+/// a packet arriving to an egress queue of `queue_bytes`, given a uniform
+/// random draw in `[0,1)`. Marking is memoryless, so this function is the
+/// whole congestion point.
+pub fn should_mark(queue_bytes: u64, uniform_draw: f64) -> bool {
+    if queue_bytes <= KMIN_BYTES {
+        false
+    } else if queue_bytes >= KMAX_BYTES {
+        true
+    } else {
+        let frac = (queue_bytes - KMIN_BYTES) as f64 / (KMAX_BYTES - KMIN_BYTES) as f64;
+        uniform_draw < frac * PMAX
     }
 }
 
-impl CpParams {
-    /// Decide whether to CE-mark a packet arriving to an egress queue of
-    /// `queue_bytes`, given a uniform random draw in `[0,1)`. Marking is
-    /// memoryless on instantaneous queue length, so the parameters are
-    /// the whole congestion point.
-    pub fn should_mark(&self, queue_bytes: u64, uniform_draw: f64) -> bool {
-        if queue_bytes <= self.kmin_bytes {
-            false
-        } else if queue_bytes >= self.kmax_bytes {
-            true
-        } else {
-            let frac =
-                (queue_bytes - self.kmin_bytes) as f64 / (self.kmax_bytes - self.kmin_bytes) as f64;
-            uniform_draw < frac * self.pmax
-        }
-    }
-}
+/// Minimum interval between CNPs for one flow; the DCQCN paper uses
+/// 50 µs.
+const MIN_CNP_INTERVAL_PS: u64 = 50_000_000;
 
-/// Notification-point (receiver NIC) parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct NpParams {
-    /// Minimum interval between CNPs for one flow; the DCQCN paper uses
-    /// 50 µs.
-    pub min_cnp_interval_ps: u64,
-}
-
-impl Default for NpParams {
-    fn default() -> NpParams {
-        NpParams {
-            min_cnp_interval_ps: 50_000_000, // 50 µs
-        }
-    }
-}
-
-/// Per-flow notification-point state.
-#[derive(Debug, Clone)]
+/// Per-flow notification-point state; the default has sent no CNP yet.
+#[derive(Debug, Clone, Default)]
 pub struct NpState {
-    params: NpParams,
     last_cnp_ps: Option<u64>,
-    cnps_sent: u64,
-    ce_seen: u64,
 }
 
 impl NpState {
-    /// Create with the given parameters.
-    pub fn new(params: NpParams) -> NpState {
-        NpState {
-            params,
-            last_cnp_ps: None,
-            cnps_sent: 0,
-            ce_seen: 0,
-        }
-    }
-
     /// A CE-marked packet arrived for this flow at time `now_ps`.
     /// Returns true if a CNP should be sent now.
     pub fn on_ce_packet(&mut self, now_ps: u64) -> bool {
-        self.ce_seen += 1;
         let fire = match self.last_cnp_ps {
             None => true,
-            Some(t) => now_ps.saturating_sub(t) >= self.params.min_cnp_interval_ps,
+            Some(t) => now_ps.saturating_sub(t) >= MIN_CNP_INTERVAL_PS,
         };
         if fire {
             self.last_cnp_ps = Some(now_ps);
-            self.cnps_sent += 1;
         }
         fire
     }
-
-    /// (CE packets seen, CNPs actually sent).
-    pub fn counters(&self) -> (u64, u64) {
-        (self.ce_seen, self.cnps_sent)
-    }
 }
 
-/// Reaction-point (sender NIC) parameters. Defaults follow the DCQCN
-/// paper / common NIC firmware values.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RpParams {
-    /// Line rate and the cap for the current rate, bits/second.
-    pub line_rate_bps: f64,
-    /// Minimum sending rate floor, bits/second.
-    pub min_rate_bps: f64,
-    /// EWMA gain `g` for the alpha update (1/256).
-    pub g: f64,
-    /// Alpha-update timer period (55 µs).
-    pub alpha_timer_ps: u64,
-    /// Rate-increase timer period (55 µs).
-    pub increase_timer_ps: u64,
-    /// Byte counter threshold that also drives rate increase (10 MB).
-    pub byte_counter: u64,
-    /// Stage threshold F: expiries of either counter before leaving fast
-    /// recovery (5).
-    pub f_stages: u32,
-    /// Additive increase step, bits/second (40 Mb/s).
-    pub rai_bps: f64,
-    /// Hyper increase step, bits/second (400 Mb/s).
-    pub rhai_bps: f64,
-}
+// The reaction-point constants below follow the DCQCN paper and common
+// NIC firmware; only the line rate varies, per QP.
 
-impl RpParams {
-    /// Defaults for a given line rate.
-    pub fn for_line_rate(line_rate_bps: u64) -> RpParams {
-        RpParams {
-            line_rate_bps: line_rate_bps as f64,
-            min_rate_bps: 10e6,
-            g: 1.0 / 256.0,
-            alpha_timer_ps: 55_000_000,
-            increase_timer_ps: 55_000_000,
-            byte_counter: 10 * 1024 * 1024,
-            f_stages: 5,
-            rai_bps: 40e6,
-            rhai_bps: 400e6,
-        }
-    }
-}
+/// Rate floor, bits/second (10 Mb/s).
+const MIN_RATE_BPS: f64 = 10e6;
+/// EWMA gain `g` of the alpha update (1/256).
+const G: f64 = 1.0 / 256.0;
+/// Period of both the alpha-update timer and the rate-increase timer
+/// (55 µs each). The NIC drives the two from one tick of this period.
+pub const TIMER_PS: u64 = 55_000_000;
+/// Byte-counter threshold that also drives rate increase (10 MB).
+const BYTE_COUNTER: u64 = 10 * 1024 * 1024;
+/// Stage threshold F: expiries of either counter before leaving fast
+/// recovery (5).
+const F_STAGES: u32 = 5;
+/// Additive increase step, bits/second (40 Mb/s).
+const RAI_BPS: f64 = 40e6;
+/// Hyper increase step, bits/second (400 Mb/s).
+const RHAI_BPS: f64 = 400e6;
 
 /// Per-QP reaction-point state: the DCQCN sender algorithm.
 #[derive(Debug, Clone)]
 pub struct RpState {
-    params: RpParams,
+    /// Line rate and the cap for the current rate, b/s.
+    line_rate_bps: f64,
     /// Current (enforced) rate, b/s.
     rc: f64,
     /// Target rate, b/s.
@@ -185,26 +116,23 @@ pub struct RpState {
     cut_ever: bool,
     /// True if a CNP arrived during the current alpha-timer period.
     cnp_this_period: bool,
-    cnps: u64,
-    decreases: u64,
     rate_changes: u64,
 }
 
 impl RpState {
-    /// A fresh RP at line rate.
-    pub fn new(params: RpParams) -> RpState {
+    /// A fresh RP at `line_rate_bps`.
+    pub fn new(line_rate_bps: u64) -> RpState {
+        let line_rate_bps = line_rate_bps as f64;
         RpState {
-            rc: params.line_rate_bps,
-            rt: params.line_rate_bps,
+            line_rate_bps,
+            rc: line_rate_bps,
+            rt: line_rate_bps,
             alpha: 1.0,
-            params,
             bytes_since: 0,
             bc_stage: 0,
             t_stage: 0,
             cut_ever: false,
             cnp_this_period: false,
-            cnps: 0,
-            decreases: 0,
             rate_changes: 0,
         }
     }
@@ -219,11 +147,6 @@ impl RpState {
         self.alpha
     }
 
-    /// (CNPs received, multiplicative decreases applied).
-    pub fn counters(&self) -> (u64, u64) {
-        (self.cnps, self.decreases)
-    }
-
     /// Times the enforced rate `Rc` actually moved (decreases and
     /// recovery steps that changed the pacing rate) — the telemetry
     /// bus's `rate_change` event count.
@@ -234,27 +157,25 @@ impl RpState {
     /// A CNP arrived: multiplicative decrease and reset the recovery
     /// machinery. `Rt ← Rc; Rc ← Rc·(1 − α/2)`.
     pub fn on_cnp(&mut self) {
-        self.cnps += 1;
         self.cnp_this_period = true;
         self.cut_ever = true;
         self.rt = self.rc;
         let old_rc = self.rc;
-        self.rc = (self.rc * (1.0 - self.alpha / 2.0)).max(self.params.min_rate_bps);
+        self.rc = (self.rc * (1.0 - self.alpha / 2.0)).max(MIN_RATE_BPS);
         if self.rc != old_rc {
             self.rate_changes += 1;
         }
-        self.alpha = (1.0 - self.params.g) * self.alpha + self.params.g;
+        self.alpha = (1.0 - G) * self.alpha + G;
         self.bytes_since = 0;
         self.bc_stage = 0;
         self.t_stage = 0;
-        self.decreases += 1;
     }
 
-    /// Alpha-update timer expired (call every `alpha_timer_ps`): if no CNP
+    /// Alpha-update timer expired (call every [`TIMER_PS`]): if no CNP
     /// arrived this period, α decays toward zero.
     pub fn on_alpha_timer(&mut self) {
         if !self.cnp_this_period {
-            self.alpha *= 1.0 - self.params.g;
+            self.alpha *= 1.0 - G;
         }
         self.cnp_this_period = false;
     }
@@ -265,14 +186,14 @@ impl RpState {
             return; // still at line rate, nothing to recover
         }
         self.bytes_since += bytes;
-        while self.bytes_since >= self.params.byte_counter {
-            self.bytes_since -= self.params.byte_counter;
+        while self.bytes_since >= BYTE_COUNTER {
+            self.bytes_since -= BYTE_COUNTER;
             self.bc_stage = self.bc_stage.saturating_add(1);
             self.increase();
         }
     }
 
-    /// Rate-increase timer expired (call every `increase_timer_ps`).
+    /// Rate-increase timer expired (call every [`TIMER_PS`]).
     pub fn on_increase_timer(&mut self) {
         if !self.cut_ever {
             return;
@@ -284,17 +205,16 @@ impl RpState {
     /// One recovery step; phase depends on how many stages each counter
     /// has accumulated since the last decrease.
     fn increase(&mut self) {
-        let f = self.params.f_stages;
-        if self.bc_stage > f && self.t_stage > f {
+        if self.bc_stage > F_STAGES && self.t_stage > F_STAGES {
             // Hyper increase: both counters deep into recovery.
-            self.rt = (self.rt + self.params.rhai_bps).min(self.params.line_rate_bps);
-        } else if self.bc_stage > f || self.t_stage > f {
+            self.rt = (self.rt + RHAI_BPS).min(self.line_rate_bps);
+        } else if self.bc_stage > F_STAGES || self.t_stage > F_STAGES {
             // Additive increase.
-            self.rt = (self.rt + self.params.rai_bps).min(self.params.line_rate_bps);
+            self.rt = (self.rt + RAI_BPS).min(self.line_rate_bps);
         }
         // Fast recovery (and every phase): close half the gap to target.
         let old_rc = self.rc;
-        self.rc = ((self.rt + self.rc) / 2.0).min(self.params.line_rate_bps);
+        self.rc = ((self.rt + self.rc) / 2.0).min(self.line_rate_bps);
         if self.rc != old_rc {
             self.rate_changes += 1;
         }
@@ -306,7 +226,7 @@ mod tests {
     use super::*;
 
     fn rp() -> RpState {
-        RpState::new(RpParams::for_line_rate(40_000_000_000))
+        RpState::new(40_000_000_000)
     }
 
     #[test]
@@ -449,25 +369,24 @@ mod tests {
 
     #[test]
     fn np_rate_limits_cnps() {
-        let mut np = NpState::new(NpParams::default());
+        let mut np = NpState::default();
         assert!(np.on_ce_packet(0));
         assert!(!np.on_ce_packet(10_000_000)); // 10 µs later: suppressed
         assert!(!np.on_ce_packet(49_000_000));
         assert!(np.on_ce_packet(50_000_000)); // 50 µs: allowed
-        assert_eq!(np.counters(), (4, 2));
+        assert!(!np.on_ce_packet(60_000_000)); // the interval restarts
     }
 
     #[test]
     fn cp_marking_ramp() {
-        let cp = CpParams::default();
         // Below Kmin: never.
-        assert!(!cp.should_mark(10 * 1024, 0.0));
+        assert!(!should_mark(10 * 1024, 0.0));
         // Above Kmax: always.
-        assert!(cp.should_mark(300 * 1024, 0.999));
+        assert!(should_mark(300 * 1024, 0.999));
         // Midpoint: probability pmax/2.
         let mid = (40 + (200 - 40) / 2) * 1024;
-        assert!(cp.should_mark(mid, 0.004));
-        assert!(!cp.should_mark(mid, 0.006));
+        assert!(should_mark(mid, 0.004));
+        assert!(!should_mark(mid, 0.006));
     }
 
     /// Closed-loop stability: if the congestion point marks only while the

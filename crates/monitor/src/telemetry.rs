@@ -864,11 +864,9 @@ impl MetricsHub {
 
     // ---- sampling -----------------------------------------------------
 
-    /// The sampling cadence, if enabled.
-    pub fn sample_every_ps(&self) -> Option<u64> {
-        self.inner
-            .as_ref()
-            .map(|s| s.inner.lock().unwrap().cfg.sample_every_ps)
+    /// The configuration this hub was built with, if enabled.
+    pub fn config(&self) -> Option<TelemetryConfig> {
+        self.inner.as_ref().map(|s| s.inner.lock().unwrap().cfg)
     }
 
     /// The next simulated time at which [`MetricsHub::maybe_sample`]

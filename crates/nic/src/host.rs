@@ -2,16 +2,19 @@
 //! the receive pipeline, and built-in workload applications.
 //!
 //! Congestion control is pluggable: the host drives the sans-IO
-//! [`rocescale_cc::SenderCc`] / [`rocescale_cc::ReceiverCc`] roles via
-//! typed signals instead of a concrete DCQCN implementation, so DCQCN,
-//! TIMELY-style delay-gradient control, and fixed-rate pacing all thread
-//! through the same pump/receive paths.
+//! [`rocescale_cc::SenderCc`] role via typed signals instead of a
+//! concrete DCQCN implementation, so DCQCN, TIMELY-style delay-gradient
+//! control, and fixed-rate pacing all thread through the same
+//! pump/receive paths. DCQCN's notification point
+//! ([`rocescale_dcqcn::NpState`]) runs per QP whatever the sender's
+//! controller — non-DCQCN senders simply ignore CNPs — which keeps
+//! receive-side behaviour identical across congestion-control ablations.
 
 use std::any::Any;
 use std::collections::VecDeque;
 
-use rocescale_cc::{CcAction, CcParams, CcSignal, CongestionControl, ReceiverCc, SenderCc};
-use rocescale_dcqcn::{NpParams, RpParams};
+use rocescale_cc::{CcAction, CcKind, CcSignal, CongestionControl, SenderCc};
+use rocescale_dcqcn::NpState;
 use rocescale_monitor::{CounterId, HistogramId, MetricsHub, RatePoint, ScopeId, TraceEvent};
 use rocescale_packet::{
     EcnCodepoint, EthMeta, Ipv4Meta, MacAddr, Packet, PacketKind, PauseFrame, PfcPauseFrame,
@@ -37,15 +40,19 @@ pub enum HostPfcMode {
     },
 }
 
+/// Priority class for RDMA traffic: the paper's bulk lossless class.
+const RDMA_PRIORITY: Priority = Priority::new(3);
+
+/// Receive buffer size in bytes.
+const RX_BUFFER_BYTES: u64 = 512 * 1024;
+/// The receive pipeline emits a PFC pause when occupancy crosses this…
+const RX_XOFF_BYTES: u64 = 256 * 1024;
+/// …and a resume when occupancy falls to this.
+const RX_XON_BYTES: u64 = 128 * 1024;
+
 /// Receive-pipeline configuration.
 #[derive(Debug, Clone, Copy)]
 pub struct RxConfig {
-    /// Receive buffer size in bytes.
-    pub buffer_bytes: u64,
-    /// Emit a PFC pause when occupancy crosses this.
-    pub xoff_bytes: u64,
-    /// Emit a resume when occupancy falls to this.
-    pub xon_bytes: u64,
     /// Fixed per-packet processing time of the pipeline.
     pub per_packet_ps: u64,
     /// MTT cache model; `None` disables translation stalls.
@@ -55,9 +62,6 @@ pub struct RxConfig {
 impl Default for RxConfig {
     fn default() -> RxConfig {
         RxConfig {
-            buffer_bytes: 512 * 1024,
-            xoff_bytes: 256 * 1024,
-            xon_bytes: 128 * 1024,
             per_packet_ps: 100_000, // 100 ns — keeps up with 40G line rate
             mtt: None,
         }
@@ -82,17 +86,10 @@ pub struct NicConfig {
     pub pfc_mode: HostPfcMode,
     /// Default transport configuration for new QPs.
     pub qp_defaults: QpConfig,
-    /// Priority class for RDMA traffic (the paper's bulk lossless class).
-    pub rdma_priority: Priority,
-    /// Sender-side congestion control: DCQCN reaction point, TIMELY-style
-    /// delay gradient, or fixed-rate pacing ([`CcParams::Off`] disables
-    /// rate control).
-    pub cc: CcParams,
-    /// DCQCN receiver (NP) parameters. The notification point runs
-    /// regardless of the sender's controller — non-DCQCN senders simply
-    /// ignore CNPs — which keeps receive-side behaviour identical across
-    /// congestion-control ablations.
-    pub dcqcn_np: NpParams,
+    /// Sender-side congestion control, run at `link_bps`: DCQCN reaction
+    /// point, TIMELY-style delay gradient, or fixed-rate pacing
+    /// ([`CcKind::Off`] disables rate control).
+    pub cc: CcKind,
     /// Receive pipeline.
     pub rx: RxConfig,
     /// NIC-side storm watchdog: disable pause generation once the receive
@@ -118,9 +115,7 @@ impl NicConfig {
             link_bps: 40_000_000_000,
             pfc_mode: HostPfcMode::Dscp,
             qp_defaults: QpConfig::default(),
-            rdma_priority: Priority::new(3),
-            cc: CcParams::Dcqcn(RpParams::for_line_rate(40_000_000_000)),
-            dcqcn_np: NpParams::default(),
+            cc: CcKind::Dcqcn,
             rx: RxConfig::default(),
             nic_watchdog_after: None,
             telemetry: MetricsHub::disabled(),
@@ -231,11 +226,10 @@ struct Qp {
     peer_ip: u32,
     peer_qp: u32,
     udp_src: u16,
-    prio: Priority,
     /// Sender-role congestion control (enum dispatch: determinism-cheap).
     cc: SenderCc,
-    /// Receiver-role congestion notification.
-    np: ReceiverCc,
+    /// DCQCN notification point: when CE-marked arrivals earn a CNP.
+    np: NpState,
     /// Next time pacing allows a data packet, ps.
     next_tx_ps: u64,
     app: QpApp,
@@ -312,7 +306,7 @@ pub const TOK_WAKE: u64 = 102;
 // always-armed timer would fire on.
 //
 // Token 2 is the congestion-control tick; its period comes from
-// `CcParams::tick_period_ps` — 55 µs for DCQCN's alpha/increase timers,
+// `CcKind::tick_period_ps` — 55 µs for DCQCN's alpha/increase timers,
 // which run per QP whatever its rate, so the tick is armed while the host
 // owns a QP. Token 4 is the retransmission-timeout scan, armed while some
 // QP has unacknowledged packets.
@@ -499,9 +493,8 @@ impl RdmaHost {
             peer_ip,
             peer_qp,
             udp_src,
-            prio: self.cfg.rdma_priority,
             cc: SenderCc::new(&self.cfg.cc, self.cfg.link_bps),
-            np: ReceiverCc::dcqcn(self.cfg.dcqcn_np),
+            np: NpState::default(),
             next_tx_ps: 0,
             app,
             pending_rtt: VecDeque::new(),
@@ -519,7 +512,7 @@ impl RdmaHost {
         self.qps.push(qp);
         if let Some(t) = self.tele.as_deref_mut() {
             let (hub, name) = (&t.hub, &t.name);
-            let cc_name = self.cfg.cc.kind().name();
+            let cc_name = self.cfg.cc.name();
             let retransmits = hub.counter(&format!("nic.{name}.qp.{qpn}.retransmits"));
             let rate_changes = hub.counter(&format!("nic.{name}.qp.{qpn}.{cc_name}.rate_changes"));
             t.qp_retransmits.push(retransmits);
@@ -607,7 +600,7 @@ impl RdmaHost {
 
     fn materialize(&mut self, qpn: u32, desc: &PacketDesc, ctx: &mut Ctx<'_>) -> Packet {
         let q = &self.qps[qpn as usize];
-        let prio = q.prio;
+        let prio = RDMA_PRIORITY;
         let (peer_ip, peer_qp, udp_src) = (q.peer_ip, q.peer_qp, q.udp_src);
         let ecn = if desc.opcode.carries_data() {
             EcnCodepoint::Ect
@@ -677,10 +670,10 @@ impl RdmaHost {
                 return; // storm mode: no data, no control
             }
             let now = ctx.now();
-            let prio = self.cfg.rdma_priority;
-            if self.paused_until[prio.index()] > now {
+            let paused_until = self.paused_until[RDMA_PRIORITY.index()];
+            if paused_until > now {
                 // Our lossless class is paused; wake when it expires.
-                self.pump_at(self.paused_until[prio.index()], ctx);
+                self.pump_at(paused_until, ctx);
                 return;
             }
             if let Some(p) = self.ctrl.pop_front() {
@@ -784,7 +777,7 @@ impl RdmaHost {
             return;
         }
         let bytes = pkt.wire_size() as u64;
-        if self.rx_occupancy + bytes > self.cfg.rx.buffer_bytes {
+        if self.rx_occupancy + bytes > RX_BUFFER_BYTES {
             self.stats.rx_overflow += 1;
             self.incr(|t| t.rx_overflow);
             return;
@@ -800,7 +793,7 @@ impl RdmaHost {
     /// Emit XOFF when the receive buffer crosses its threshold (the
     /// slow-receiver symptom's visible signature).
     fn note_rx_pressure(&mut self, ctx: &mut Ctx<'_>) {
-        let over = self.storm || self.rx_occupancy >= self.cfg.rx.xoff_bytes;
+        let over = self.storm || self.rx_occupancy >= RX_XOFF_BYTES;
         if over && !self.host_xoff && !self.pause_gen_disabled {
             self.host_xoff = true;
             self.emit_pause(u16::MAX, ctx);
@@ -809,7 +802,7 @@ impl RdmaHost {
     }
 
     fn emit_pause(&mut self, quanta: u16, ctx: &mut Ctx<'_>) {
-        let prio = self.cfg.rdma_priority;
+        let prio = RDMA_PRIORITY;
         let pkt = self.pause_packet(prio, quanta, ctx);
         self.pause_out.push_back(pkt);
         if quanta > 0 {
@@ -854,7 +847,7 @@ impl RdmaHost {
         self.last_rx_progress = ctx.now();
         self.process_rx(pkt, ctx);
         // XON when the buffer has drained enough.
-        if self.host_xoff && !self.storm && self.rx_occupancy <= self.cfg.rx.xon_bytes {
+        if self.host_xoff && !self.storm && self.rx_occupancy <= RX_XON_BYTES {
             self.host_xoff = false;
             self.emit_pause(0, ctx);
         }
@@ -1006,7 +999,9 @@ impl RdmaHost {
                 );
             }
         }
-        let rate = ctx.port_rate(PortId(0)).unwrap_or(self.cfg.link_bps);
+        let rate = ctx
+            .port_rate(PortId(0))
+            .expect("a pause frame just arrived on this port, so it is wired");
         let mut resumed = false;
         for (prio, quanta) in frame.entries() {
             if quanta == 0 {
@@ -1173,10 +1168,7 @@ impl Node for RdmaHost {
                 self.trace(ctx.now().as_ps(), TraceEvent::StormStop);
                 // Resume the peer if we were the ones holding it down
                 // (the watchdog-disabled case already stopped pausing).
-                if self.host_xoff
-                    && !self.pause_gen_disabled
-                    && self.rx_occupancy <= self.cfg.rx.xon_bytes
-                {
+                if self.host_xoff && !self.pause_gen_disabled && self.rx_occupancy <= RX_XON_BYTES {
                     self.host_xoff = false;
                     self.emit_pause(0, ctx);
                 }

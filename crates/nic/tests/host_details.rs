@@ -218,7 +218,7 @@ fn host_pfc_protects_its_rx_buffer() {
             // A receiver with a deliberately slow pipeline.
             cfg.rx.per_packet_ps = 400_000; // 2.5 M pps < line rate
         }
-        cfg.cc = rocescale_cc::CcParams::Off;
+        cfg.cc = rocescale_cc::CcKind::Off;
     });
     for i in 1..3 {
         connect_qp(
@@ -434,7 +434,7 @@ fn tail_loss_rewinds_on_the_first_grid_line_past_the_deadline() {
 fn a_wake_starts_work_injected_into_a_running_world() {
     use rocescale_nic::host::TOK_WAKE;
     let (mut world, _sw, hosts) = star(2, SwitchConfig::new("tor", 2), |_, cfg| {
-        cfg.cc = rocescale_cc::CcParams::Off;
+        cfg.cc = rocescale_cc::CcKind::Off;
     });
     world.run_until(SimTime::from_micros(1234));
     let sat = QpApp::Saturate {
@@ -509,7 +509,7 @@ impl rocescale_sim::Node for Resumer {
 /// [`Resumer`] that sends it five frames inside that gap.
 fn paced_host_hearing_frames() -> (World, NodeId) {
     let mut cfg = NicConfig::new("h0", 1, host_ip(0), MacAddr::from_id(9));
-    cfg.cc = rocescale_cc::CcParams::Off;
+    cfg.cc = rocescale_cc::CcKind::Off;
     cfg.link_bps = 1_000_000_000;
     let mut host = RdmaHost::new(cfg);
     let sat = QpApp::Saturate {

@@ -175,7 +175,7 @@ fn livelock_through_real_switch() {
                 rto_ps: 100_000_000, // 100 µs: tight for a 1-hop testbed
                 ..QpConfig::default()
             };
-            cfg.cc = rocescale_cc::CcParams::Off; // isolate loss recovery from rate control
+            cfg.cc = rocescale_cc::CcKind::Off; // isolate loss recovery from rate control
         });
         let (qa, qb) = connect_qp(
             &mut world,
@@ -227,7 +227,7 @@ fn slow_receiver_symptom_and_large_page_fix() {
             if i == 1 {
                 cfg.rx.mtt = Some(mtt);
             }
-            cfg.cc = rocescale_cc::CcParams::Off;
+            cfg.cc = rocescale_cc::CcKind::Off;
         });
         let (_qa, _qb) = connect_qp(
             &mut world,
@@ -318,7 +318,7 @@ fn dcqcn_reduces_pfc_under_incast() {
     let run = |dcqcn: bool| {
         let (mut world, sw, hosts) = star(5, SwitchConfig::new("tor", 5), |_, cfg| {
             if !dcqcn {
-                cfg.cc = rocescale_cc::CcParams::Off;
+                cfg.cc = rocescale_cc::CcKind::Off;
             }
         });
         // Hosts 1..5 all blast host 0.

@@ -1,6 +1,5 @@
 //! Switch configuration: classification, buffers, PFC, watchdog.
 
-use rocescale_dcqcn::CpParams;
 use rocescale_monitor::MetricsHub;
 use rocescale_packet::Priority;
 use rocescale_sim::SimTime;
@@ -9,13 +8,14 @@ use rocescale_sim::SimTime;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ClassifyMode {
     /// VLAN-based PFC (Figure 3(a)): priority from the 802.1Q PCP bits.
-    /// Untagged packets land in `untagged_priority` — and server-facing
-    /// ports must be in trunk mode for tagged traffic to work at all,
-    /// which is what breaks PXE boot (§3).
+    /// Untagged packets land in priority 0 — and server-facing ports must
+    /// be in trunk mode for tagged traffic to work at all, which is what
+    /// breaks PXE boot (§3).
     Vlan,
-    /// DSCP-based PFC (Figure 3(b)): priority from the IP DSCP field via
-    /// [`SwitchConfig::dscp_to_priority`]. No VLAN tag needed; packets
-    /// survive L3 routing across subnets.
+    /// DSCP-based PFC (Figure 3(b)): priority from the IP DSCP field, the
+    /// paper's identity map ("we simply map DSCP value i to PFC priority
+    /// i") on its low three bits; non-IP packets land in priority 0. No
+    /// VLAN tag needed; packets survive L3 routing across subnets.
     Dscp,
 }
 
@@ -118,28 +118,18 @@ pub struct SwitchConfig {
     pub port_roles: Vec<PortRole>,
     /// Classification mode.
     pub classify: ClassifyMode,
-    /// DSCP value → priority map (identity on the low 3 bits by default,
-    /// mirroring the paper's "we simply map DSCP value i to PFC priority
-    /// i").
-    pub dscp_to_priority: fn(u8) -> Priority,
-    /// Priority for untagged packets under VLAN mode / non-IP packets
-    /// under DSCP mode.
-    pub untagged_priority: Priority,
     /// Which priorities are lossless (PFC-protected). The paper can
     /// afford exactly two on shallow-buffer switches (§2).
     pub lossless: [bool; Priority::COUNT],
     /// Buffer and threshold configuration.
     pub buffer: BufferConfig,
-    /// ECN marking (DCQCN CP) per priority: `Some` enables marking with
-    /// those RED parameters on the egress queue of that priority.
-    pub ecn: [Option<CpParams>; Priority::COUNT],
+    /// ECN marking (DCQCN CP, [`rocescale_dcqcn::should_mark`]) per
+    /// priority: `true` enables marking on the egress queue of that
+    /// priority.
+    pub ecn: [bool; Priority::COUNT],
     /// DWRR scheduling weight per priority (0 = only served when all
     /// positive-weight queues are empty).
     pub weights: [u32; Priority::COUNT],
-    /// MAC address table entry timeout (paper: ~5 minutes).
-    pub mac_timeout: SimTime,
-    /// ARP table entry timeout (paper: ~4 hours).
-    pub arp_timeout: SimTime,
     /// The §4.2 deadlock fix: drop lossless packets whose ARP entry is
     /// incomplete (IP→MAC known, MAC→port unknown) instead of flooding.
     pub drop_lossless_on_incomplete_arp: bool,
@@ -162,10 +152,6 @@ pub struct SwitchConfig {
     pub telemetry: MetricsHub,
 }
 
-fn identity_dscp(d: u8) -> Priority {
-    Priority::new(d & 0x7)
-}
-
 impl SwitchConfig {
     /// A DSCP-mode switch with the paper's recommended settings.
     pub fn new(name: impl Into<String>, ports: u16) -> SwitchConfig {
@@ -174,23 +160,10 @@ impl SwitchConfig {
             ports,
             port_roles: Vec::new(),
             classify: ClassifyMode::Dscp,
-            dscp_to_priority: identity_dscp,
-            untagged_priority: Priority::new(0),
             lossless: [false, false, false, true, true, false, false, false],
             buffer: BufferConfig::tor_defaults(),
-            ecn: [
-                None,
-                None,
-                None,
-                Some(CpParams::default()),
-                Some(CpParams::default()),
-                None,
-                None,
-                None,
-            ],
+            ecn: [false, false, false, true, true, false, false, false],
             weights: [1; 8],
-            mac_timeout: SimTime::from_secs(300),
-            arp_timeout: SimTime::from_secs(4 * 3600),
             drop_lossless_on_incomplete_arp: false,
             watchdog: WatchdogConfig::default(),
             drop_ip_id_low_byte: None,
@@ -233,15 +206,7 @@ mod tests {
         let c = SwitchConfig::new("tor0", 32);
         assert_eq!(c.classify, ClassifyMode::Dscp);
         assert_eq!(c.lossless.iter().filter(|l| **l).count(), 2);
-        assert_eq!(c.mac_timeout, SimTime::from_secs(300));
-        assert_eq!(c.arp_timeout, SimTime::from_secs(14_400));
+        assert_eq!(c.ecn, c.lossless, "ECN marks exactly the lossless classes");
         assert!((c.buffer.alpha.unwrap() - 1.0 / 16.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn identity_dscp_map() {
-        let c = SwitchConfig::new("s", 4);
-        assert_eq!((c.dscp_to_priority)(3), Priority::new(3));
-        assert_eq!((c.dscp_to_priority)(11), Priority::new(3));
     }
 }

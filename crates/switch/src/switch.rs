@@ -478,6 +478,12 @@ fn flow_slot(t: &FiveTuple) -> usize {
 }
 
 /// The switch node.
+///
+/// Cache-line aligned, so that no two switches share a line: the pod
+/// partition deals spines to shards round-robin, so switches built one
+/// after another often run on different threads, and a line shared by
+/// their counters would bounce between cores on every packet.
+#[repr(align(64))]
 pub struct Switch {
     cfg: SwitchConfig,
     /// This switch's router MAC (L3 interfaces).
@@ -497,10 +503,6 @@ pub struct Switch {
     wd: Vec<WatchdogPort>,
     /// Round-robin counter for per-packet spraying (§8.1 ablation).
     spray_counter: u64,
-    /// DSCP→priority classification, precomputed from
-    /// `cfg.dscp_to_priority` over the full 6-bit DSCP space so the
-    /// per-packet path is one table index instead of an indirect call.
-    dscp_lut: [Priority; 64],
     /// Direct-mapped five-tuple → egress-port cache for ECMP `Via`
     /// decisions; flushed whenever the route table is opened for
     /// mutation ([`Switch::routes_mut`]).
@@ -531,17 +533,14 @@ impl Switch {
             cfg.weights
         );
         let tele = SwitchTele::register(cfg.telemetry.clone(), &cfg.name, ports);
-        // DSCP is a 6-bit field; enumerate the map once.
-        let dscp_lut = std::array::from_fn(|d| (cfg.dscp_to_priority)(d as u8));
         Switch {
-            mac_table: MacTable::new(cfg.mac_timeout),
-            arp_table: ArpTable::new(cfg.arp_timeout),
+            mac_table: MacTable::default(),
+            arp_table: ArpTable::default(),
             routes: RouteTable::new(),
             peer_macs: vec![None; ports],
             egress: (0..ports).map(|_| None).collect(),
             wd: vec![WatchdogPort::default(); ports],
             spray_counter: 0,
-            dscp_lut,
             flow_cache: vec![None; FLOW_CACHE_SLOTS],
             flow_stats: FlowCacheStats::default(),
             tele,
@@ -701,13 +700,14 @@ impl Switch {
         self.wd[port.index()].lossless_disabled
     }
 
+    /// The packet's priority group: the PCP bits or the DSCP value's low
+    /// three bits (the paper's identity map), and priority 0 for untagged
+    /// or non-IP packets.
     fn classify(&self, pkt: &Packet) -> Priority {
+        const UNTAGGED: Priority = Priority::new(0);
         match self.cfg.classify {
-            ClassifyMode::Vlan => pkt.pcp_priority().unwrap_or(self.cfg.untagged_priority),
-            ClassifyMode::Dscp => pkt
-                .ip
-                .map(|ip| self.dscp_lut[(ip.dscp & 0x3f) as usize])
-                .unwrap_or(self.cfg.untagged_priority),
+            ClassifyMode::Vlan => pkt.pcp_priority().unwrap_or(UNTAGGED),
+            ClassifyMode::Dscp => pkt.ip.map_or(UNTAGGED, |ip| Priority::new(ip.dscp & 0x7)),
         }
     }
 
@@ -765,25 +765,31 @@ impl Switch {
             return;
         }
         *self.buffer.xoff_state(ingress.0, pg) = true;
-        self.send_pause(ingress, pg, u16::MAX, ctx);
-        self.stats.pause_tx[ingress.index()] += 1;
-        self.tele.hub.incr(self.tele.pause_tx[ingress.index()]);
+        self.send_xoff(ingress, pg, ctx);
+    }
+
+    /// Send (or refresh) an XOFF for `pg` out of `port`, count and trace
+    /// it, and arm the refresh that repeats it before the pause expires
+    /// while the PG stays over XOFF. The port is wired: a frame just
+    /// arrived on it, a threshold change checked it (and that checks wired
+    /// ports only), or an XOFF went out of it before this refresh.
+    fn send_xoff(&mut self, port: PortId, pg: Priority, ctx: &mut Ctx<'_>) {
+        self.send_pause(port, pg, u16::MAX, ctx);
+        self.stats.pause_tx[port.index()] += 1;
+        self.tele.hub.incr(self.tele.pause_tx[port.index()]);
         self.tele.hub.trace(
             ctx.now().as_ps(),
             self.tele.scope,
             TraceEvent::PauseTx {
-                port: ingress.0,
+                port: port.0,
                 prio: pg.index() as u8,
             },
         );
-        // Refresh before the pause expires if we are still over XOFF. The
-        // port is wired: a frame just arrived on it, or a threshold change
-        // checked it, and that checks wired ports only.
         let rate = ctx
-            .port_rate(ingress)
+            .port_rate(port)
             .expect("XOFF goes out of wired ports only");
         let refresh = SimTime(PfcPauseFrame::quanta_to_ps(u16::MAX, rate) / 2);
-        ctx.set_timer(refresh, tok_refresh(ingress, pg));
+        ctx.set_timer(refresh, tok_refresh(port, pg));
     }
 
     /// After ingress-counter drain, send XON upstream if we fell below the
@@ -1029,9 +1035,9 @@ impl Switch {
         let e = self.egress[egress.index()].get_or_insert_with(Box::default);
         if pkt.ip.map(|ip| ip.ecn) == Some(EcnCodepoint::Ect) {
             let depth = e.queue_bytes[prio.index()] as u64;
-            if let Some(cp) = self.cfg.ecn[prio.index()] {
+            if self.cfg.ecn[prio.index()] {
                 let draw: f64 = ctx.rng().gen_f64();
-                if cp.should_mark(depth, draw) {
+                if rocescale_dcqcn::should_mark(depth, draw) {
                     if let Some(ip) = pkt.ip.as_mut() {
                         ip.ecn = EcnCodepoint::Ce;
                     }
@@ -1354,22 +1360,7 @@ impl Node for Switch {
                 let pg = Priority::new(((token >> 16) & 0x7) as u8);
                 if *self.buffer.xoff_state(port.0, pg) {
                     // Still over XOFF: refresh the pause.
-                    self.send_pause(port, pg, u16::MAX, ctx);
-                    self.stats.pause_tx[port.index()] += 1;
-                    self.tele.hub.incr(self.tele.pause_tx[port.index()]);
-                    self.tele.hub.trace(
-                        ctx.now().as_ps(),
-                        self.tele.scope,
-                        TraceEvent::PauseTx {
-                            port: port.0,
-                            prio: pg.index() as u8,
-                        },
-                    );
-                    let rate = ctx
-                        .port_rate(port)
-                        .expect("a refresh follows an XOFF sent from this port, so it is wired");
-                    let refresh = SimTime(PfcPauseFrame::quanta_to_ps(u16::MAX, rate) / 2);
-                    ctx.set_timer(refresh, tok_refresh(port, pg));
+                    self.send_xoff(port, pg, ctx);
                 }
             }
             TOK_WATCHDOG => self.watchdog_scan(ctx),

@@ -56,6 +56,11 @@ impl std::hash::Hasher for IntHasher {
 
 type FastMap<K, V> = HashMap<K, V, BuildHasherDefault<IntHasher>>;
 
+/// MAC table entry timeout: the paper's typical 5 minutes.
+const MAC_TIMEOUT: SimTime = SimTime::from_secs(300);
+/// ARP table entry timeout: the paper's typical 4 hours.
+const ARP_TIMEOUT: SimTime = SimTime::from_secs(4 * 3600);
+
 #[derive(Debug, Clone, Copy)]
 struct Timestamped<T> {
     value: T,
@@ -64,21 +69,12 @@ struct Timestamped<T> {
 
 /// The L2 MAC-address table: MAC → physical port, hardware-learned from
 /// source addresses, short timeout (~5 min).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct MacTable {
     entries: FastMap<MacAddr, Timestamped<PortId>>,
-    timeout: SimTime,
 }
 
 impl MacTable {
-    /// Create with the given entry timeout.
-    pub fn new(timeout: SimTime) -> MacTable {
-        MacTable {
-            entries: FastMap::default(),
-            timeout,
-        }
-    }
-
     /// Hardware learning: note that a frame from `mac` arrived on `port`.
     pub fn learn(&mut self, mac: MacAddr, port: PortId, now: SimTime) {
         self.entries.insert(
@@ -95,7 +91,7 @@ impl MacTable {
     pub fn lookup(&self, mac: MacAddr, now: SimTime) -> Option<PortId> {
         self.entries
             .get(&mac)
-            .filter(|e| now.saturating_sub(e.refreshed) < self.timeout)
+            .filter(|e| now.saturating_sub(e.refreshed) < MAC_TIMEOUT)
             .map(|e| e.value)
     }
 
@@ -109,7 +105,7 @@ impl MacTable {
     pub fn len(&self, now: SimTime) -> usize {
         self.entries
             .values()
-            .filter(|e| now.saturating_sub(e.refreshed) < self.timeout)
+            .filter(|e| now.saturating_sub(e.refreshed) < MAC_TIMEOUT)
             .count()
     }
 
@@ -121,21 +117,12 @@ impl MacTable {
 
 /// The L3 ARP table: IP → MAC, maintained by the (CPU-driven) ARP
 /// protocol, long timeout (~4 h).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct ArpTable {
     entries: FastMap<u32, Timestamped<MacAddr>>,
-    timeout: SimTime,
 }
 
 impl ArpTable {
-    /// Create with the given entry timeout.
-    pub fn new(timeout: SimTime) -> ArpTable {
-        ArpTable {
-            entries: FastMap::default(),
-            timeout,
-        }
-    }
-
     /// Insert/refresh a mapping (from an ARP reply, or scenario setup).
     pub fn insert(&mut self, ip: u32, mac: MacAddr, now: SimTime) {
         self.entries.insert(
@@ -151,7 +138,7 @@ impl ArpTable {
     pub fn lookup(&self, ip: u32, now: SimTime) -> Option<MacAddr> {
         self.entries
             .get(&ip)
-            .filter(|e| now.saturating_sub(e.refreshed) < self.timeout)
+            .filter(|e| now.saturating_sub(e.refreshed) < ARP_TIMEOUT)
             .map(|e| e.value)
     }
 
@@ -167,7 +154,7 @@ mod tests {
 
     #[test]
     fn mac_entries_expire() {
-        let mut t = MacTable::new(SimTime::from_secs(300));
+        let mut t = MacTable::default();
         let mac = MacAddr::from_id(1);
         t.learn(mac, PortId(3), SimTime::ZERO);
         assert_eq!(t.lookup(mac, SimTime::from_secs(299)), Some(PortId(3)));
@@ -176,7 +163,7 @@ mod tests {
 
     #[test]
     fn mac_learning_refreshes() {
-        let mut t = MacTable::new(SimTime::from_secs(300));
+        let mut t = MacTable::default();
         let mac = MacAddr::from_id(1);
         t.learn(mac, PortId(3), SimTime::ZERO);
         t.learn(mac, PortId(5), SimTime::from_secs(200)); // moved + refreshed
@@ -187,9 +174,8 @@ mod tests {
     /// entry — IP resolves to a MAC no port claims.
     #[test]
     fn incomplete_arp_window() {
-        let mac_t = MacTable::new(SimTime::from_secs(300));
-        let mut arp_t = ArpTable::new(SimTime::from_secs(4 * 3600));
-        let mut mac_table = mac_t;
+        let mut mac_table = MacTable::default();
+        let mut arp_t = ArpTable::default();
         let (ip, mac) = (0x0a000003, MacAddr::from_id(3));
         mac_table.learn(mac, PortId(7), SimTime::ZERO);
         arp_t.insert(ip, mac, SimTime::ZERO);
@@ -197,17 +183,19 @@ mod tests {
         let now = SimTime::from_secs(600);
         assert_eq!(arp_t.lookup(ip, now), Some(mac));
         assert_eq!(mac_table.lookup(mac, now), None);
+        // And ARP entries do age out, after four hours.
+        assert_eq!(arp_t.lookup(ip, SimTime::from_secs(14_400)), None);
     }
 
     #[test]
     fn evict_helpers() {
         let now = SimTime::ZERO;
-        let mut m = MacTable::new(SimTime::from_secs(300));
+        let mut m = MacTable::default();
         m.learn(MacAddr::from_id(9), PortId(1), now);
         assert!(!m.is_empty(now));
         m.evict(MacAddr::from_id(9));
         assert!(m.is_empty(now));
-        let mut a = ArpTable::new(SimTime::from_secs(100));
+        let mut a = ArpTable::default();
         a.insert(5, MacAddr::from_id(9), now);
         a.evict(5);
         assert_eq!(a.lookup(5, now), None);

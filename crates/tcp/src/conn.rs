@@ -9,33 +9,17 @@ use std::collections::VecDeque;
 
 use rocescale_packet::{TcpFlags, TcpSegment};
 
-/// Connection configuration.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ConnConfig {
-    /// Maximum segment payload (1460 for standard Ethernet).
-    pub mss: u32,
-    /// Initial congestion window, bytes.
-    pub init_cwnd: u32,
-    /// Minimum retransmission timeout (datacenter-tuned; the incast
-    /// literature the paper cites \[35\] tunes exactly this).
-    pub min_rto_ps: u64,
-    /// Maximum retransmission timeout.
-    pub max_rto_ps: u64,
-    /// Duplicate-ACK threshold for fast retransmit.
-    pub dupack_threshold: u32,
-}
-
-impl Default for ConnConfig {
-    fn default() -> ConnConfig {
-        ConnConfig {
-            mss: 1460,
-            init_cwnd: 10 * 1460,
-            min_rto_ps: 5_000_000_000, // 5 ms
-            max_rto_ps: 200_000_000_000,
-            dupack_threshold: 3,
-        }
-    }
-}
+/// Maximum segment payload (1460 for standard Ethernet).
+const MSS: u32 = 1460;
+/// Initial congestion window, bytes (ten segments).
+const INIT_CWND: u32 = 10 * MSS;
+/// Minimum retransmission timeout, 5 ms (datacenter-tuned; the incast
+/// literature the paper cites \[35\] tunes exactly this).
+const MIN_RTO_PS: u64 = 5_000_000_000;
+/// Maximum retransmission timeout, 200 ms.
+const MAX_RTO_PS: u64 = 200_000_000_000;
+/// Duplicate-ACK threshold for fast retransmit.
+const DUPACK_THRESHOLD: u32 = 3;
 
 /// Sender-side statistics.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -53,7 +37,6 @@ pub struct SenderStats {
 /// The sending half of a connection.
 #[derive(Debug, Clone)]
 pub struct TcpSender {
-    cfg: ConnConfig,
     /// Bytes the application has written (stream length).
     app_limit: u64,
     /// Message-end offsets not yet acknowledged, ascending.
@@ -77,28 +60,29 @@ pub struct TcpSender {
     pub stats: SenderStats,
 }
 
-impl TcpSender {
+impl Default for TcpSender {
     /// New idle sender.
-    pub fn new(cfg: ConnConfig) -> TcpSender {
+    fn default() -> TcpSender {
         TcpSender {
             app_limit: 0,
             boundaries: VecDeque::new(),
             snd_una: 0,
             snd_nxt: 0,
-            cwnd: cfg.init_cwnd as f64,
+            cwnd: INIT_CWND as f64,
             ssthresh: f64::MAX,
             dupacks: 0,
             recover: None,
             srtt_ps: None,
             rttvar_ps: 0.0,
-            rto_ps: cfg.min_rto_ps.max(10_000_000_000),
+            rto_ps: MIN_RTO_PS.max(10_000_000_000),
             timing: None,
             rto_deadline: None,
             stats: SenderStats::default(),
-            cfg,
         }
     }
+}
 
+impl TcpSender {
     /// Queue `len` application bytes ending a message (PSH at its end).
     pub fn write_message(&mut self, len: u32) {
         self.app_limit += len as u64;
@@ -147,7 +131,7 @@ impl TcpSender {
     /// MSS, the next message boundary, or the stream end — so a PSH flag
     /// always sits exactly on a boundary.
     fn make_segment(&self, start: u64) -> TcpSegment {
-        let mut end = (start + self.cfg.mss as u64).min(self.app_limit);
+        let mut end = (start + MSS as u64).min(self.app_limit);
         let mut psh = false;
         if let Some(b) = self.boundaries.iter().find(|b| **b > start) {
             if *b <= end {
@@ -205,8 +189,7 @@ impl TcpSender {
                 Some(r) if ack < r => {
                     // Partial ACK in NewReno: retransmit the next hole,
                     // deflate.
-                    self.cwnd =
-                        (self.cwnd - acked as f64 + self.cfg.mss as f64).max(self.cfg.mss as f64);
+                    self.cwnd = (self.cwnd - acked as f64 + MSS as f64).max(MSS as f64);
                     self.rto_deadline = Some(now_ps + self.rto_ps);
                     return true;
                 }
@@ -217,9 +200,9 @@ impl TcpSender {
                 }
                 None => {
                     if self.cwnd < self.ssthresh {
-                        self.cwnd += acked.min(self.cfg.mss as u64) as f64; // slow start
+                        self.cwnd += acked.min(MSS as u64) as f64; // slow start
                     } else {
-                        self.cwnd += (self.cfg.mss as f64 * self.cfg.mss as f64) / self.cwnd;
+                        self.cwnd += (MSS as f64 * MSS as f64) / self.cwnd;
                     }
                 }
             }
@@ -231,17 +214,17 @@ impl TcpSender {
             false
         } else if ack == self.snd_una && self.flight() > 0 {
             self.dupacks += 1;
-            if self.dupacks == self.cfg.dupack_threshold && self.recover.is_none() {
+            if self.dupacks == DUPACK_THRESHOLD && self.recover.is_none() {
                 // Fast retransmit + enter recovery.
                 self.stats.fast_retransmits += 1;
-                self.ssthresh = (self.flight() as f64 / 2.0).max(2.0 * self.cfg.mss as f64);
-                self.cwnd = self.ssthresh + 3.0 * self.cfg.mss as f64;
+                self.ssthresh = (self.flight() as f64 / 2.0).max(2.0 * MSS as f64);
+                self.cwnd = self.ssthresh + 3.0 * MSS as f64;
                 self.recover = Some(self.snd_nxt);
                 self.timing = None;
                 return true;
             }
             if self.recover.is_some() {
-                self.cwnd += self.cfg.mss as f64; // inflate per dup
+                self.cwnd += MSS as f64; // inflate per dup
             }
             false
         } else {
@@ -262,13 +245,13 @@ impl TcpSender {
         match self.rto_deadline {
             Some(d) if now_ps >= d && self.flight() > 0 => {
                 self.stats.timeouts += 1;
-                self.ssthresh = (self.flight() as f64 / 2.0).max(2.0 * self.cfg.mss as f64);
-                self.cwnd = self.cfg.mss as f64;
+                self.ssthresh = (self.flight() as f64 / 2.0).max(2.0 * MSS as f64);
+                self.cwnd = MSS as f64;
                 self.recover = None;
                 self.dupacks = 0;
                 self.timing = None;
                 // Exponential backoff.
-                self.rto_ps = (self.rto_ps * 2).min(self.cfg.max_rto_ps);
+                self.rto_ps = (self.rto_ps * 2).min(MAX_RTO_PS);
                 self.rto_deadline = Some(now_ps + self.rto_ps);
                 true
             }
@@ -293,7 +276,7 @@ impl TcpSender {
             }
         }
         let rto = self.srtt_ps.unwrap() + 4.0 * self.rttvar_ps;
-        self.rto_ps = (rto as u64).clamp(self.cfg.min_rto_ps, self.cfg.max_rto_ps);
+        self.rto_ps = (rto as u64).clamp(MIN_RTO_PS, MAX_RTO_PS);
     }
 }
 
@@ -387,13 +370,9 @@ impl TcpReceiver {
 mod tests {
     use super::*;
 
-    fn cfg() -> ConnConfig {
-        ConnConfig::default()
-    }
-
     #[test]
     fn in_order_stream_delivers_messages() {
-        let mut tx = TcpSender::new(cfg());
+        let mut tx = TcpSender::default();
         let mut rx = TcpReceiver::new();
         tx.write_message(3000); // 1460+1460+80, PSH on the 80
         tx.write_message(100);
@@ -411,7 +390,7 @@ mod tests {
 
     #[test]
     fn segments_never_cross_message_boundaries() {
-        let mut tx = TcpSender::new(cfg());
+        let mut tx = TcpSender::default();
         tx.write_message(2000);
         tx.write_message(2000);
         let s1 = tx.next_segment(0).unwrap();
@@ -425,7 +404,7 @@ mod tests {
 
     #[test]
     fn cwnd_limits_flight() {
-        let mut tx = TcpSender::new(cfg());
+        let mut tx = TcpSender::default();
         tx.write_message(1 << 20);
         let mut count = 0;
         while tx.next_segment(0).is_some() {
@@ -437,7 +416,7 @@ mod tests {
 
     #[test]
     fn slow_start_doubles_per_rtt() {
-        let mut tx = TcpSender::new(cfg());
+        let mut tx = TcpSender::default();
         tx.write_message(10 << 20);
         let c0 = tx.cwnd();
         // Drain one full window; the receiver acks every segment (as our
@@ -454,7 +433,7 @@ mod tests {
 
     #[test]
     fn triple_dupack_fast_retransmit() {
-        let mut tx = TcpSender::new(cfg());
+        let mut tx = TcpSender::default();
         let mut rx = TcpReceiver::new();
         tx.write_message(20_000);
         let mut segs = Vec::new();
@@ -479,7 +458,7 @@ mod tests {
 
     #[test]
     fn rto_fires_and_backs_off() {
-        let mut tx = TcpSender::new(cfg());
+        let mut tx = TcpSender::default();
         tx.write_message(1000);
         let _s = tx.next_segment(0).unwrap();
         assert!(!tx.check_rto(1_000_000)); // 1 µs: too early
@@ -493,7 +472,7 @@ mod tests {
 
     #[test]
     fn rtt_estimation_tightens_rto() {
-        let mut tx = TcpSender::new(cfg());
+        let mut tx = TcpSender::default();
         tx.write_message(1 << 20);
         let mut now = 0u64;
         let mut rx = TcpReceiver::new();
@@ -506,7 +485,7 @@ mod tests {
             tx.on_ack(rx.ack_value(), now);
         }
         // RTO converges to the floor for a steady 100 µs RTT.
-        assert_eq!(tx.rto_ps, cfg().min_rto_ps);
+        assert_eq!(tx.rto_ps, MIN_RTO_PS);
     }
 
     #[test]
@@ -523,7 +502,7 @@ mod tests {
     #[test]
     fn lossy_stream_eventually_completes() {
         // Deterministic loss of every 7th transmission.
-        let mut tx = TcpSender::new(cfg());
+        let mut tx = TcpSender::default();
         let mut rx = TcpReceiver::new();
         tx.write_message(200_000);
         let mut now = 0u64;

@@ -11,7 +11,7 @@ use rocescale_packet::{
 };
 use rocescale_sim::{Ctx, Node, PortId, SimRng, SimTime};
 
-use crate::conn::{ConnConfig, TcpReceiver, TcpSender};
+use crate::conn::{TcpReceiver, TcpSender};
 
 /// Kernel-stack processing delay applied to every message on its way into
 /// and out of the socket layer. Sampled per crossing; the tail is what
@@ -64,31 +64,22 @@ impl KernelModel {
     }
 }
 
-/// CPU cost accounting for the kernel stack (§1: sending at 40 Gb/s over
-/// 8 connections costs 6% of a 32-core server; receiving costs 12%).
-/// Defaults are calibrated to those figures at 1460-byte segments.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CpuModel {
-    /// CPU time billed per transmitted segment.
-    pub tx_ps_per_segment: u64,
-    /// CPU time billed per received segment.
-    pub rx_ps_per_segment: u64,
-    /// CPU time billed per message crossing the socket layer.
-    pub ps_per_message: u64,
-}
+// CPU cost accounting for the kernel stack (§1: sending at 40 Gb/s over
+// 8 connections costs 6% of a 32-core server; receiving costs 12%),
+// calibrated to those figures at 1460-byte segments. 40 Gb/s at 1460 B
+// payload ≈ 3.37 M segments/s.
 
-impl Default for CpuModel {
-    fn default() -> CpuModel {
-        // 40 Gb/s at 1460 B payload ≈ 3.37 M segments/s.
-        // tx: 6% × 32 cores = 1.92 core-seconds/s ÷ 3.37 M ≈ 570 ns/seg.
-        // rx: 12% × 32 cores ≈ 1140 ns/seg.
-        CpuModel {
-            tx_ps_per_segment: 570_000,
-            rx_ps_per_segment: 1_140_000,
-            ps_per_message: 2_000_000,
-        }
-    }
-}
+/// CPU time billed per transmitted segment: 6% × 32 cores = 1.92
+/// core-seconds/s ÷ 3.37 M ≈ 570 ns.
+const TX_PS_PER_SEGMENT: u64 = 570_000;
+/// CPU time billed per received segment: 12% × 32 cores ≈ 1140 ns.
+const RX_PS_PER_SEGMENT: u64 = 1_140_000;
+/// CPU time billed per message crossing the socket layer.
+const PS_PER_MESSAGE: u64 = 2_000_000;
+
+/// Traffic class for TCP — a *lossy* class with reserved bandwidth,
+/// isolated from RDMA (§2).
+const TCP_PRIORITY: Priority = Priority::new(1);
 
 /// Per-connection application behaviour (mirrors the RDMA host's apps).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -134,15 +125,8 @@ pub struct TcpHostConfig {
     pub gateway_mac: MacAddr,
     /// Link rate, b/s.
     pub link_bps: u64,
-    /// Traffic class for TCP — a *lossy* class with reserved bandwidth,
-    /// isolated from RDMA (§2).
-    pub priority: Priority,
-    /// Transport parameters.
-    pub conn: ConnConfig,
     /// Kernel latency model.
     pub kernel: KernelModel,
-    /// CPU cost model.
-    pub cpu: CpuModel,
     /// Telemetry bus handle. Disabled by default; when enabled the host
     /// registers its counters under `tcp.{name}.…` and records
     /// retransmission events in the flight recorder.
@@ -158,10 +142,7 @@ impl TcpHostConfig {
             ip,
             gateway_mac,
             link_bps: 40_000_000_000,
-            priority: Priority::new(1),
-            conn: ConnConfig::default(),
             kernel: KernelModel::default(),
-            cpu: CpuModel::default(),
             telemetry: MetricsHub::disabled(),
         }
     }
@@ -328,7 +309,7 @@ impl TcpHost {
     ) -> ConnHandle {
         let idx = self.conns.len() as u32;
         self.conns.push(Conn {
-            tx: TcpSender::new(self.cfg.conn),
+            tx: TcpSender::default(),
             rx: TcpReceiver::new(),
             peer_ip,
             local_port,
@@ -350,7 +331,7 @@ impl TcpHost {
     /// Post a message send through the kernel path.
     pub fn post_message(&mut self, conn: ConnHandle, len: u32, tracked: bool, ctx: &mut Ctx<'_>) {
         let delay = self.cfg.kernel.sample(ctx.rng());
-        self.stats.cpu_ps += self.cfg.cpu.ps_per_message;
+        self.stats.cpu_ps += PS_PER_MESSAGE;
         let fire = ctx.now().as_ps() + delay;
         self.kernel_q.push((
             fire,
@@ -389,7 +370,7 @@ impl TcpHost {
             Some(Ipv4Meta {
                 src: self.cfg.ip,
                 dst: c.peer_ip,
-                dscp: self.cfg.priority.value(),
+                dscp: TCP_PRIORITY.value(),
                 ecn: EcnCodepoint::NotEct,
                 id,
                 ttl: 64,
@@ -411,7 +392,7 @@ impl TcpHost {
             if let Some((ci, seg)) = self.rtx.pop_front() {
                 self.stats.segments_tx += 1;
                 self.tele.hub.incr(self.tele.segments_tx);
-                self.stats.cpu_ps += self.cfg.cpu.tx_ps_per_segment;
+                self.stats.cpu_ps += TX_PS_PER_SEGMENT;
                 let p = self.segment_packet(ci, seg, ctx);
                 self.stats.tx_bytes += p.wire_size() as u64;
                 ctx.transmit(port, p).expect("port idle");
@@ -435,7 +416,7 @@ impl TcpHost {
                     }
                     self.stats.segments_tx += 1;
                     self.tele.hub.incr(self.tele.segments_tx);
-                    self.stats.cpu_ps += self.cfg.cpu.tx_ps_per_segment;
+                    self.stats.cpu_ps += TX_PS_PER_SEGMENT;
                     let p = self.segment_packet(i as u32, seg, ctx);
                     self.stats.tx_bytes += p.wire_size() as u64;
                     ctx.transmit(port, p).expect("port idle");
@@ -457,7 +438,7 @@ impl TcpHost {
         if seg.payload > 0 {
             self.stats.segments_rx += 1;
             self.tele.hub.incr(self.tele.segments_rx);
-            self.stats.cpu_ps += self.cfg.cpu.rx_ps_per_segment;
+            self.stats.cpu_ps += RX_PS_PER_SEGMENT;
             let delivered = {
                 let c = &mut self.conns[ci as usize];
                 c.rx.on_segment(seg.seq, seg.payload, seg.flags.psh)
@@ -483,7 +464,7 @@ impl TcpHost {
             for _ in 0..delivered {
                 // Each message climbs the kernel receive path.
                 let delay = self.cfg.kernel.sample(ctx.rng());
-                self.stats.cpu_ps += self.cfg.cpu.ps_per_message;
+                self.stats.cpu_ps += PS_PER_MESSAGE;
                 let fire = now_ps + delay;
                 self.kernel_q.push((fire, KernelOp::RxDeliver { conn: ci }));
                 ctx.set_timer_at(SimTime(fire), TOK_KERNEL);
@@ -668,14 +649,13 @@ mod tests {
     fn cpu_model_matches_paper_calibration() {
         // At 40 Gb/s with 1460 B segments for one second:
         let segs_per_sec = 40e9 / (1460.0 * 8.0);
-        let cpu = CpuModel::default();
         let mut stats = TcpHostStats {
-            cpu_ps: (segs_per_sec * cpu.tx_ps_per_segment as f64) as u64,
+            cpu_ps: (segs_per_sec * TX_PS_PER_SEGMENT as f64) as u64,
             ..Default::default()
         };
         let pct = stats.cpu_percent(SimTime::from_secs(1), 32);
         assert!((5.0..7.5).contains(&pct), "tx cpu {pct}% (paper: 6%)");
-        stats.cpu_ps = (segs_per_sec * cpu.rx_ps_per_segment as f64) as u64;
+        stats.cpu_ps = (segs_per_sec * RX_PS_PER_SEGMENT as f64) as u64;
         let pct = stats.cpu_percent(SimTime::from_secs(1), 32);
         assert!((10.0..14.0).contains(&pct), "rx cpu {pct}% (paper: 12%)");
     }

@@ -10,8 +10,8 @@
 //!    crosses the socket/kernel boundary twice, paying a sampled
 //!    processing delay with a heavy-ish tail ("the kernel software
 //!    introduces latency that can be as high as tens of milliseconds").
-//!    The same path bills CPU time ([`host::CpuModel`]) so the §1
-//!    utilization numbers can be regenerated.
+//!    The same path bills CPU time per segment and per message, so the
+//!    §1 utilization numbers can be regenerated.
 //! 2. **Loss recovery by retransmission**: NewReno-style congestion
 //!    control ([`conn`]) with fast retransmit and a minimum-RTO floor, so
 //!    that rare incast drops turn into multi-millisecond completions —
@@ -36,5 +36,5 @@
 pub mod conn;
 pub mod host;
 
-pub use conn::{ConnConfig, TcpReceiver, TcpSender};
-pub use host::{ConnHandle, CpuModel, KernelModel, TcpApp, TcpHost, TcpHostConfig};
+pub use conn::{TcpReceiver, TcpSender};
+pub use host::{ConnHandle, KernelModel, TcpApp, TcpHost, TcpHostConfig};

@@ -2,7 +2,7 @@
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
-use rocescale_packet::RoceOpcode;
+use rocescale_packet::{RoceOpcode, ROCE_PAYLOAD_MTU};
 
 /// Loss recovery scheme (§4.1 of the paper).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -105,16 +105,16 @@ pub struct PacketDesc {
     pub ack_req: bool,
 }
 
-/// Queue pair configuration, shared by both endpoints.
+/// The responder coalesces ACKs: one per this many in-order data packets
+/// (an ACK is always sent for a message's last packet).
+const ACK_INTERVAL: u32 = 4;
+
+/// Queue pair configuration, shared by both endpoints. Every data packet
+/// carries up to [`ROCE_PAYLOAD_MTU`] payload bytes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct QpConfig {
-    /// Payload bytes per data packet (the paper uses 1024).
-    pub mtu_payload: u32,
     /// Loss recovery scheme.
     pub recovery: LossRecovery,
-    /// The responder coalesces ACKs: one per this many in-order data
-    /// packets (an ACK is always sent for a message's last packet).
-    pub ack_interval: u32,
     /// Retransmission timeout: if packets are outstanding and no
     /// cumulative-ACK progress happens for this long, rewind and resend.
     /// Covers tail loss the NAK mechanism cannot see.
@@ -128,9 +128,7 @@ pub struct QpConfig {
 impl Default for QpConfig {
     fn default() -> QpConfig {
         QpConfig {
-            mtu_payload: 1024,
             recovery: LossRecovery::GoBackN,
-            ack_interval: 4,
             rto_ps: 500_000_000, // 500 µs ≈ a few fabric RTTs
             max_outstanding: u32::MAX,
         }
@@ -309,7 +307,7 @@ impl QpEndpoint {
     }
 
     fn pkts_for(&self, len: u32) -> u32 {
-        len.div_ceil(self.cfg.mtu_payload).max(1)
+        len.div_ceil(ROCE_PAYLOAD_MTU).max(1)
     }
 
     /// Post a work request to the send queue.
@@ -358,8 +356,8 @@ impl QpEndpoint {
         let payload = match msg.kind {
             TxKind::ReadRequest => msg.len,
             _ => {
-                let sent = off * self.cfg.mtu_payload;
-                (msg.len - sent).min(self.cfg.mtu_payload)
+                let sent = off * ROCE_PAYLOAD_MTU;
+                (msg.len - sent).min(ROCE_PAYLOAD_MTU)
             }
         };
         let opcode = match msg.kind {
@@ -783,10 +781,10 @@ impl QpEndpoint {
         if desc.is_last {
             self.cur_msg_base = self.rcv_nxt;
         }
-        // ACK policy: every `ack_interval` packets, on explicit request,
+        // ACK policy: every `ACK_INTERVAL` packets, on explicit request,
         // and always at message end.
         self.pkts_since_ack += 1;
-        if desc.ack_req || desc.is_last || self.pkts_since_ack >= self.cfg.ack_interval {
+        if desc.ack_req || desc.is_last || self.pkts_since_ack >= ACK_INTERVAL {
             self.emit_ack();
         }
     }
@@ -975,7 +973,7 @@ mod tests {
         assert!(a.check_timeout(now));
         assert_eq!(a.stats.rto_rewinds, 1);
         // No ACK ever advanced snd_una (coalescing: fewer than
-        // `ack_interval` packets arrived), so the rewind goes back to 0;
+        // `ACK_INTERVAL` packets arrived), so the rewind goes back to 0;
         // the receiver discards the three duplicates and accepts PSN 3.
         for expect_psn in 0..4 {
             let d = a.next_data_tx(now).unwrap();

@@ -7,7 +7,7 @@ use rocescale::core::{
     TransportProfile,
 };
 use rocescale::monitor::pingmesh::{ProbeResult, Scope};
-use rocescale::monitor::{Percentiles, Pingmesh, ProgressTracker};
+use rocescale::monitor::{Percentiles, Pingmesh};
 use rocescale::nic::QpApp;
 use rocescale::sim::SimTime;
 use rocescale::switch::DropReason;
@@ -253,12 +253,12 @@ fn progress_tracker_no_false_positives() {
             QpApp::None,
         );
     }
-    let mut tracker = ProgressTracker::new();
     for ms in 1..=10u64 {
         c.run_until(SimTime::from_millis(ms));
-        tracker.observe(&c.switch_snapshots());
+        assert_eq!(c.deadlock_observe_now(), None);
     }
-    assert!(tracker.stuck(3).is_empty());
+    assert_eq!(c.deadlock_probe().epochs(), 10);
+    assert!(c.deadlock_probe().stuck().is_empty());
 }
 
 /// Latency percentiles through the whole stack are physically sensible:
