@@ -1076,13 +1076,14 @@ impl<W: WorldSet> Cluster<W> {
         }
         self.world.run_until(t);
         // A run boundary is where readers expect the exported trace to
-        // be complete: move every bank's records into the caller's sink
-        // (multi-shard) and flush the directly attached sink (one
-        // shard); both are no-ops without a sink.
-        self.merge_trace_banks();
+        // be complete: drain every hub's writer thread into its sink (the
+        // caller's with one shard, a bank with several), then move every
+        // bank's records into the caller's sink; both are no-ops without
+        // a sink.
         for h in &self.hubs {
             h.flush_sink();
         }
+        self.merge_trace_banks();
     }
 
     /// Refresh each shard's fleet-level gauges (engine progress,

@@ -26,7 +26,8 @@
 //! unbounded export path: a [`TraceSink`] attached to the hub streams
 //! every structured record — flight-recorder events plus per-packet
 //! hops, queue-depth samples and CC rate trajectories — out of the run
-//! as line-delimited JSON for offline analysis (`trace_analyze`).
+//! as line-delimited JSON for offline analysis (`trace_analyze`), encoded
+//! on a writer thread of the sink's own rather than the emitting thread.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -38,6 +39,7 @@ pub mod pingmesh;
 pub mod sink;
 pub mod stats;
 pub mod telemetry;
+mod writer;
 
 pub use config::{ConfigDeviation, RdmaConfig};
 pub use deadlock::{ProgressTracker, WaitGraph};
@@ -53,3 +55,4 @@ pub use telemetry::{
     CounterId, FlightRecorder, GaugeId, HistogramId, MetricsHub, ScopeId, TelemetryConfig,
     TraceEvent, TraceRecord,
 };
+pub use writer::{SINK_BATCH_RECORDS, SINK_POOL_BATCHES};

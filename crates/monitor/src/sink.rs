@@ -286,8 +286,9 @@ impl Default for TraceFilter {
 /// `Send`: the fleet runner builds clusters (sink included) inside worker
 /// threads.
 pub trait TraceSink: Send {
-    /// Receive one record. Called inline from simulation dispatch; the
-    /// record borrows the hub's scope table, so copy out what you keep.
+    /// Receive one record. An attached sink is called on the writer
+    /// thread the hub spawned for it, in emission order; the record
+    /// borrows the hub's scope table, so copy out what you keep.
     fn write(&mut self, rec: &StreamRecord<'_>);
 
     /// Flush buffered output (end of run, or before a reader opens the
@@ -407,7 +408,11 @@ impl OwnedRecord {
 }
 
 /// In-memory sink for tests: clone the handle before attaching, read
-/// the records after the run. Clones share one record list.
+/// the records after the run (or another point where the hub drains its
+/// sink, such as [`MetricsHub::flush_sink`]). Clones share one record
+/// list.
+///
+/// [`MetricsHub::flush_sink`]: crate::MetricsHub::flush_sink
 #[derive(Debug, Clone, Default)]
 pub struct MemorySink {
     records: Arc<Mutex<Vec<OwnedRecord>>>,

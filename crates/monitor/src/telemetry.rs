@@ -26,7 +26,9 @@
 //!   sampling, and snapshot/export — the rare paths — take the `Mutex`.
 //!   The flight recorder keeps its own small mutex, separate from the
 //!   registration lock: trace events (drops, pauses, watchdog fires) are
-//!   orders of magnitude rarer than counter bumps.
+//!   orders of magnitude rarer than counter bumps. A record streamed to
+//!   an attached sink is copied, raw, into a batch under a mutex of its
+//!   own and encoded on the sink's writer thread (`crate::writer`).
 //! * **Digest neutrality.** The hub never schedules simulator events,
 //!   never draws randomness, and never touches packet contents — it only
 //!   observes. Sampling is driven by the caller (the cluster chunks its
@@ -36,13 +38,14 @@
 use std::collections::HashMap;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
 use crate::json::Json;
 use crate::sink::{
-    FieldSink, HopRecord, QueueSample, RatePoint, RecordBody, StreamRecord, TraceFilter, TraceSink,
+    FieldSink, HopRecord, QueueSample, RatePoint, RecordBody, TraceFilter, TraceSink,
 };
 use crate::stats::{Percentiles, TimeSeries};
+use crate::writer::SinkWriter;
 
 /// Hub tuning knobs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -496,38 +499,54 @@ fn sync_order(order: &mut Vec<u32>, names: &[String]) {
     });
 }
 
-/// Everything a streamed record needs, under one mutex: the sink and the
-/// scope-name table its records borrow from. Emission takes this lock
-/// and no other.
-#[derive(Default)]
-struct StreamState {
-    /// Attached streaming trace sink, if any.
-    sink: Option<Box<dyn TraceSink>>,
-    /// Scope names by [`ScopeId`], appended at registration.
-    scope_names: Vec<String>,
-}
-
 /// The name `id` was registered under (`"?"` for a foreign or sentinel
 /// id).
-fn scope_name(names: &[String], id: ScopeId) -> &str {
+pub(crate) fn scope_name(names: &[String], id: ScopeId) -> &str {
     names.get(id.0 as usize).map_or("?", |n| n)
 }
 
 /// Shared state behind an enabled hub: the lock-free value banks, the
-/// flight recorder under its own small mutex, the streaming state under
-/// another, and everything rare (registration, series, histograms,
-/// sampling) under the inner mutex. Where locks nest, the order is
-/// `inner` → `stream` → `flight`.
+/// flight recorder under its own small mutex, the scope names and the
+/// attached sink's writer under one each, and everything rare
+/// (registration, series, histograms, sampling) under the inner mutex.
+/// Where locks nest, the order is `inner` → `scopes` → `flight`;
+/// `stream` nests with none of them. The sink's writer thread takes
+/// none of `inner`, `stream` and `flight` — only its own lane and, once
+/// per batch, `scopes`.
 struct HubShared {
     counters: AtomicBank,
     gauges: AtomicBank,
     flight: Mutex<FlightRecorder>,
     inner: Mutex<HubInner>,
-    stream: Mutex<StreamState>,
+    /// Scope names by [`ScopeId`], appended at registration. Shared with
+    /// the writer thread, which resolves records' scopes through it.
+    scopes: Arc<Mutex<Vec<String>>>,
+    /// The attached sink's writer: the batch being filled and the thread
+    /// that owns the sink (see `crate::writer`). Emission takes this
+    /// lock and, once per batch, the writer's lane.
+    stream: Mutex<Option<SinkWriter>>,
     /// [`TraceFilter::bits`] of the attached sink, 0 when detached. The
     /// per-packet emission guard is one relaxed load of this word — with
     /// no sink the hop path costs a single compare, like a disabled hub.
     sink_flags: AtomicU32,
+}
+
+impl Drop for HubShared {
+    /// The last handle drains the attached sink, so a file sink is
+    /// complete once the hub is gone. A panic the sink raised is not
+    /// raised again here: a drop must not panic (least of all while the
+    /// thread unwinds from that very panic), and the panic hook printed
+    /// the sink's message when it happened.
+    fn drop(&mut self) {
+        let writer = self
+            .stream
+            .get_mut()
+            .unwrap_or_else(PoisonError::into_inner)
+            .take();
+        if let Some(w) = writer {
+            let _ = w.close();
+        }
+    }
 }
 
 impl HubShared {
@@ -594,7 +613,8 @@ impl MetricsHub {
                 gauges: AtomicBank::new(),
                 flight: Mutex::new(FlightRecorder::new(cfg.flight_capacity)),
                 inner: Mutex::new(HubInner::new(cfg)),
-                stream: Mutex::new(StreamState::default()),
+                scopes: Arc::default(),
+                stream: Mutex::new(None),
                 sink_flags: AtomicU32::new(0),
             })),
         }
@@ -672,9 +692,9 @@ impl MetricsHub {
         if let Some(&id) = h.names.get(&key) {
             return ScopeId(id);
         }
-        let mut st = s.stream.lock().unwrap();
-        let id = st.scope_names.len() as u32;
-        st.scope_names.push(name.to_string());
+        let mut names = s.scopes.lock().unwrap();
+        let id = names.len() as u32;
+        names.push(name.to_string());
         h.names.insert(key, id);
         ScopeId(id)
     }
@@ -742,10 +762,12 @@ impl MetricsHub {
     // ---- trace streaming ----------------------------------------------
 
     /// Attach a streaming trace sink. Records matching `filter` flow to
-    /// it from now on; any previously attached sink is flushed and
-    /// returned. The sink only observes — attaching one never perturbs
-    /// the dispatch trace (a tier-1 test pins this against the golden
-    /// digest). No-op returning the sink on a disabled hub.
+    /// it from now on, through a writer thread spawned for it (see
+    /// [`Self::flush_sink`] for when they arrive); any previously
+    /// attached sink is drained and returned. The sink only observes —
+    /// attaching one never perturbs the dispatch trace (a tier-1 test
+    /// pins this against the golden digest). No-op returning the sink on
+    /// a disabled hub.
     pub fn attach_sink(
         &self,
         sink: Box<dyn TraceSink>,
@@ -754,33 +776,31 @@ impl MetricsHub {
         let Some(s) = &self.inner else {
             return Some(sink);
         };
-        let mut st = s.stream.lock().unwrap();
-        let mut old = st.sink.replace(sink);
-        if let Some(prev) = old.as_mut() {
-            prev.flush();
-        }
+        let writer = SinkWriter::spawn(sink, s.scopes.clone());
+        let old = s.stream.lock().unwrap().replace(writer);
         s.sink_flags.store(filter.bits(), Ordering::Relaxed);
-        old
+        old.map(drain)
     }
 
-    /// Detach the current sink (flushed), stopping all streaming.
+    /// Detach the current sink, stopping all streaming, and return it
+    /// drained: it has received every record emitted and been flushed.
     pub fn detach_sink(&self) -> Option<Box<dyn TraceSink>> {
         let s = self.inner.as_ref()?;
         s.sink_flags.store(0, Ordering::Relaxed);
-        let mut old = s.stream.lock().unwrap().sink.take();
-        if let Some(prev) = old.as_mut() {
-            prev.flush();
-        }
-        old
+        let old = s.stream.lock().unwrap().take();
+        old.map(drain)
     }
 
-    /// Flush the attached sink's buffered output, if any.
+    /// Drain the attached sink, if any: return once its writer thread has
+    /// written every record emitted so far and flushed the sink.
+    ///
+    /// Records reach a sink in emission order, but only this call,
+    /// `Cluster::run_until`, detaching, re-attaching or dropping the
+    /// last hub handle guarantees they have arrived. If the sink
+    /// panicked, this call (like the next emission that hands a batch
+    /// over) panics with the sink's message.
     pub fn flush_sink(&self) {
-        if let Some(s) = &self.inner {
-            if let Some(sink) = s.stream.lock().unwrap().sink.as_mut() {
-                sink.flush();
-            }
-        }
+        self.with_writer(SinkWriter::flush);
     }
 
     /// Whether a sink is attached with at least one record class live.
@@ -842,23 +862,24 @@ impl MetricsHub {
         }
     }
 
-    /// Resolve the scope name and hand one record to the sink: one lock,
-    /// no allocation (the record borrows the name from the table the
-    /// lock guards).
+    /// Hand one record to the sink's writer thread: under one lock, a
+    /// copy into the batch being filled — no encoding, no allocation, no
+    /// call into the sink — and once per batch a hand-off. Kept out of
+    /// line: the emission sites inline their guard, and with no sink
+    /// attached that guard is the per-packet hot path.
+    #[inline(never)]
     fn stream(&self, t_ps: u64, scope: ScopeId, body: RecordBody) {
+        self.with_writer(|w| w.push(t_ps, scope, body));
+    }
+
+    /// Run `f` on the attached sink's writer, if any, and raise the
+    /// sink's panic it reports on this thread — after the `stream` lock
+    /// is released, so the panic poisons nothing.
+    fn with_writer(&self, f: impl FnOnce(&mut SinkWriter) -> Result<(), String>) {
         let Some(s) = &self.inner else { return };
-        let mut st = s.stream.lock().unwrap();
-        let StreamState { sink, scope_names } = &mut *st;
-        if let Some(sink) = sink {
-            sink.write(&StreamRecord {
-                t_ps,
-                scope: scope_name(scope_names, scope),
-                // Direct emission never knows its shard; the sharded
-                // merge stamps the tag when moving bank records into the
-                // final sink.
-                shard: None,
-                body,
-            });
+        let outcome = s.stream.lock().unwrap().as_mut().map_or(Ok(()), f);
+        if let Err(msg) = outcome {
+            sink_panicked(&msg);
         }
     }
 
@@ -983,7 +1004,7 @@ impl MetricsHub {
         let Some(s) = &self.inner else {
             return (Vec::new(), 0);
         };
-        let st = s.stream.lock().unwrap();
+        let names = s.scopes.lock().unwrap();
         let flight = s.flight.lock().unwrap();
         let rows = flight
             .records()
@@ -991,7 +1012,7 @@ impl MetricsHub {
                 (
                     r.seq,
                     r.t_ps,
-                    scope_name(&st.scope_names, r.scope).to_string(),
+                    scope_name(&names, r.scope).to_string(),
                     r.event,
                 )
             })
@@ -1098,7 +1119,7 @@ impl MetricsHub {
             }
         }
 
-        let st = s.stream.lock().unwrap();
+        let names = s.scopes.lock().unwrap();
         let flight_lock = s.flight.lock().unwrap();
         let flight: Vec<Json> = flight_lock
             .records()
@@ -1106,7 +1127,7 @@ impl MetricsHub {
                 let mut pairs: Vec<(String, Json)> = Vec::new();
                 pairs.u64("seq", r.seq);
                 pairs.u64("t_ps", r.t_ps);
-                pairs.str("scope", scope_name(&st.scope_names, r.scope));
+                pairs.str("scope", scope_name(&names, r.scope));
                 pairs.str("kind", r.event.kind());
                 r.event.visit(&mut pairs);
                 Json::Obj(pairs)
@@ -1131,6 +1152,16 @@ impl MetricsHub {
             ),
         ])
     }
+}
+
+/// Close `writer` and take its sink back, raising the sink's panic.
+fn drain(writer: SinkWriter) -> Box<dyn TraceSink> {
+    writer.close().unwrap_or_else(|msg| sink_panicked(&msg))
+}
+
+/// Raise the attached sink's panic on the emitting thread.
+fn sink_panicked(msg: &str) -> ! {
+    panic!("trace sink panicked: {msg}")
 }
 
 fn opt_u64(v: Option<u64>) -> Json {
@@ -1445,6 +1476,7 @@ mod tests {
             },
         );
 
+        hub.flush_sink();
         let recs = mem.records();
         assert_eq!(recs.len(), 3, "hop must be filtered: {recs:?}");
         assert_eq!(recs[0].body.kind(), "pause_tx");

@@ -1,48 +1,45 @@
 //! The per-record allocation budget of the streaming trace path is
-//! **zero**: once the hub, the sink's line buffer and the flight ring
-//! have reached their steady state, emitting a hop, queue, rate or event
-//! record through `MetricsHub` into a `JsonlSink` touches the heap not
-//! once. This test owns the process's allocator to prove it, so it lives
-//! alone in its own test binary.
+//! **zero** on every thread: once the hub, the sink's writer thread and
+//! batch pool, the sink's line buffer and the flight ring have reached
+//! their steady state, emitting a hop, queue, rate or event record
+//! through `MetricsHub` into a `JsonlSink` touches the heap not once —
+//! neither on the emitting thread nor on the writer thread that encodes
+//! it. This test owns the process's allocator to prove it, counting
+//! process-wide, so it lives alone in its own test binary.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
 use std::io::Write;
+use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 
 use rocescale_monitor::{
     HopRecord, JsonlSink, MetricsHub, QueueSample, RatePoint, TraceEvent, TraceFilter,
 };
 
-thread_local! {
-    /// Allocation events (alloc, alloc_zeroed, realloc) on this thread.
-    /// Per-thread so the test harness's own threads cannot disturb the
-    /// count; const-initialised and drop-free, so reading it inside the
-    /// allocator never allocates.
-    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+/// Allocation events (alloc, alloc_zeroed, realloc) on every thread.
+/// Relaxed: the count publishes nothing, and the writer thread's events
+/// are ordered before a reading by the drain (`flush_sink`) between them.
+static ALLOCS: AtomicU64 = AtomicU64::new(0);
+
+fn allocs() -> u64 {
+    ALLOCS.load(Relaxed)
 }
 
 struct Counting;
 
-fn count() {
-    // `try_with`: a thread being torn down may allocate after its TLS
-    // is gone; those events are not ours.
-    let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
-}
-
 // SAFETY: every method forwards its arguments unchanged to `System`,
-// which upholds the `GlobalAlloc` contract; the counter is a
-// thread-local `Cell` and does not allocate.
+// which upholds the `GlobalAlloc` contract; the counter is an atomic and
+// does not allocate.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, l: Layout) -> *mut u8 {
-        count();
+        ALLOCS.fetch_add(1, Relaxed);
         System.alloc(l)
     }
     unsafe fn alloc_zeroed(&self, l: Layout) -> *mut u8 {
-        count();
+        ALLOCS.fetch_add(1, Relaxed);
         System.alloc_zeroed(l)
     }
     unsafe fn realloc(&self, p: *mut u8, l: Layout, new: usize) -> *mut u8 {
-        count();
+        ALLOCS.fetch_add(1, Relaxed);
         System.realloc(p, l, new)
     }
     unsafe fn dealloc(&self, p: *mut u8, l: Layout) {
@@ -118,21 +115,26 @@ fn steady_state_records_do_not_allocate() {
     let sw = hub.scope("switch.pod0-tor0 \"quoted\\\" scope\n");
     let nic = hub.scope("nic.pod0-tor0-srv7");
     hub.attach_sink(Box::new(JsonlSink::to_writer(Discard)), TraceFilter::all());
-    // Warm-up: the line buffer grows to the longest line, the flight
-    // ring (4096 records) fills and starts evicting.
+    // Warm-up: the writer thread starts, the line buffer grows to the
+    // longest line, the flight ring (4096 records) fills and starts
+    // evicting. The drain makes sure the writer has written it all.
     for n in 0..5_000 {
         emit(&hub, sw, nic, n);
     }
-    let before = ALLOCS.with(Cell::get);
+    hub.flush_sink();
+    let before = allocs();
     for n in 5_000..15_000 {
         emit(&hub, sw, nic, n);
     }
-    let allocs = ALLOCS.with(Cell::get) - before;
+    // Drain again, so the writer's share of the steady state is counted.
+    hub.flush_sink();
+    let steady = allocs() - before;
     assert_eq!(
-        allocs, 0,
-        "40 000 steady-state records (10 000 of each class) allocated {allocs} times"
+        steady, 0,
+        "40 000 steady-state records (10 000 of each class), emitted and written, \
+         allocated {steady} times"
     );
     // The counter does count: the guard above is not vacuous.
     let v = std::hint::black_box(vec![0u8; 64]);
-    assert!(ALLOCS.with(Cell::get) > before, "{}", v.len());
+    assert!(allocs() > before, "{}", v.len());
 }

@@ -85,6 +85,27 @@ fn exported_file_round_trips_to_the_memory_sinks_records() {
     }
 }
 
+/// The exported bytes themselves are pinned — line count, byte length
+/// and a 64-bit FNV-1a digest of the whole file — so where and when the
+/// records are encoded (which thread, which batch, which drain point)
+/// can never change a byte of the export.
+#[test]
+fn exported_bytes_are_pinned() {
+    let path = temp_path("pinned");
+    let sink = JsonlSink::create(path.to_str().unwrap()).unwrap();
+    run_incast(InstrumentationProfile::paper_default().trace_sink(sink));
+    let bytes = std::fs::read(&path).unwrap();
+    let _ = std::fs::remove_file(&path);
+    let lines = bytes.iter().filter(|&&b| b == b'\n').count();
+    let fnv1a = bytes.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
+        (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+    });
+    assert_eq!(
+        (lines, bytes.len(), fnv1a),
+        (5_005, 732_613, 553_354_989_771_014_543)
+    );
+}
+
 /// The export filter drops classes at the source: a no-hops sink sees
 /// trajectories but not a single per-packet record.
 #[test]
