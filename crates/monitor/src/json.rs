@@ -70,7 +70,8 @@ impl Json {
         String::from_utf8(out).expect("the writers emit whole strs and ASCII")
     }
 
-    fn write(&self, out: &mut Vec<u8>) {
+    /// Append the compact rendering to `out`.
+    pub(crate) fn write(&self, out: &mut Vec<u8>) {
         match self {
             Json::Null => out.extend_from_slice(b"null"),
             Json::Bool(b) => out.extend_from_slice(if *b { b"true" } else { b"false" }),
@@ -78,50 +79,66 @@ impl Json {
             Json::I64(v) => {
                 let _ = write!(out, "{v}");
             }
-            Json::F64(v) => {
-                if v.is_finite() {
-                    // `{v}` alone prints integral floats without a point;
-                    // keep them distinguishable from integers.
-                    if v.fract() == 0.0 && v.abs() < 1e15 {
-                        let _ = write!(out, "{v:.1}");
-                    } else {
-                        let _ = write!(out, "{v}");
-                    }
-                } else {
-                    out.extend_from_slice(b"null");
-                }
-            }
+            Json::F64(v) => write_f64(*v, out),
             Json::Str(s) => write_str(s, out),
-            Json::Arr(items) => {
-                out.push(b'[');
-                for (i, item) in items.iter().enumerate() {
-                    if i > 0 {
-                        out.push(b',');
-                    }
-                    item.write(out);
-                }
-                out.push(b']');
-            }
-            Json::Obj(pairs) => {
-                out.push(b'{');
-                for (i, (k, v)) in pairs.iter().enumerate() {
-                    if i > 0 {
-                        out.push(b',');
-                    }
-                    write_str(k, out);
-                    out.push(b':');
-                    v.write(out);
-                }
-                out.push(b'}');
-            }
+            Json::Arr(items) => write_list(out, *b"[]", items, |out, item| item.write(out)),
+            Json::Obj(pairs) => write_obj(out, pairs.iter().map(|(k, v)| (k, v)), |out, v| {
+                v.write(out)
+            }),
         }
     }
 }
 
-// The two writers below are shared by `Json::render` and the per-record
-// trace encoder (`sink`). They append UTF-8 text to a byte buffer — bytes
-// rather than a `String` so digits and escapes, built in place, need no
-// validation pass — and allocate only when the buffer has to grow.
+// The writers below are shared by `Json::render`, the per-record trace
+// encoder (`sink`) and the hub's export (`telemetry`). They append UTF-8
+// text to a byte buffer — bytes rather than a `String` so digits and
+// escapes, built in place, need no validation pass — and allocate only
+// when the buffer has to grow.
+
+/// Append `v` as [`Json::F64`] renders it: integral values keep a `.0`
+/// so they stay distinguishable from integers, and non-finite values
+/// (JSON has no NaN/Inf) become `null`.
+pub(crate) fn write_f64(v: f64, out: &mut Vec<u8>) {
+    if !v.is_finite() {
+        out.extend_from_slice(b"null");
+    } else if v.fract() == 0.0 && v.abs() < 1e15 {
+        let _ = write!(out, "{v:.1}");
+    } else {
+        let _ = write!(out, "{v}");
+    }
+}
+
+/// Append `items` comma-separated between the two `brackets`, each item
+/// appended by `write_item`.
+pub(crate) fn write_list<T>(
+    out: &mut Vec<u8>,
+    [open, close]: [u8; 2],
+    items: impl IntoIterator<Item = T>,
+    mut write_item: impl FnMut(&mut Vec<u8>, T),
+) {
+    out.push(open);
+    for (i, item) in items.into_iter().enumerate() {
+        if i > 0 {
+            out.push(b',');
+        }
+        write_item(out, item);
+    }
+    out.push(close);
+}
+
+/// Append a JSON object with one member per `(key, value)` of `members`,
+/// each value appended by `write_value`.
+pub(crate) fn write_obj<K: AsRef<str>, V>(
+    out: &mut Vec<u8>,
+    members: impl IntoIterator<Item = (K, V)>,
+    mut write_value: impl FnMut(&mut Vec<u8>, V),
+) {
+    write_list(out, *b"{}", members, |out, (key, v)| {
+        write_str(key.as_ref(), out);
+        out.push(b':');
+        write_value(out, v);
+    });
+}
 
 /// `00`..`99`, so the integer writer emits two digits per division.
 const DIGIT_PAIRS: &[u8; 200] = b"0001020304050607080910111213141516171819\

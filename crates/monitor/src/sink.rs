@@ -60,13 +60,23 @@ impl FieldSink for Vec<(String, Json)> {
 
 /// The text encoding: fields are appended to `out` as the members of one
 /// JSON object, byte-identical to rendering the tree encoding.
-struct ObjectText<'a> {
+pub(crate) struct ObjectText<'a> {
     out: &'a mut Vec<u8>,
     /// What opens the next member: `{"` for the first, `,"` after.
     open: &'static [u8; 2],
 }
 
-impl ObjectText<'_> {
+impl<'a> ObjectText<'a> {
+    /// An object appended to `out`, to be given at least one field and
+    /// then closed with [`Self::close`].
+    pub(crate) fn new(out: &'a mut Vec<u8>) -> ObjectText<'a> {
+        ObjectText { out, open: b"{\"" }
+    }
+
+    pub(crate) fn close(self) {
+        self.out.push(b'}');
+    }
+
     fn key(&mut self, name: &'static str) {
         debug_assert!(
             !name.bytes().any(json::needs_escape),
@@ -219,8 +229,9 @@ impl StreamRecord<'_> {
     /// and [`parse_line`] reads back: UTF-8 text, as bytes because that
     /// is what a writer takes. Allocates only if `out` must grow.
     pub fn write_json(&self, out: &mut Vec<u8>) {
-        self.visit(&mut ObjectText { out, open: b"{\"" });
-        out.push(b'}');
+        let mut text = ObjectText::new(out);
+        self.visit(&mut text);
+        text.close();
     }
 
     /// The same object as a [`Json`] tree;

@@ -34,15 +34,20 @@
 //!   observes. Sampling is driven by the caller (the cluster chunks its
 //!   `run_until` at sampling boundaries), so the golden dispatch digest
 //!   is byte-identical with telemetry on or off; a tier-1 test pins this.
+//!
+//! What the hub keeps grows with what changes, not with what exists: a
+//! sampled series stores a value only when it differs from the one
+//! before (`Steps`), and the JSON export ([`HubJson`]) is written
+//! straight from that state, with no [`Json`] tree in between.
 
 use std::collections::HashMap;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
-use crate::json::Json;
+use crate::json::{self, Json};
 use crate::sink::{
-    FieldSink, HopRecord, QueueSample, RatePoint, RecordBody, TraceFilter, TraceSink,
+    FieldSink, HopRecord, ObjectText, QueueSample, RatePoint, RecordBody, TraceFilter, TraceSink,
 };
 use crate::stats::{Percentiles, TimeSeries};
 use crate::writer::SinkWriter;
@@ -428,23 +433,55 @@ impl AtomicBank {
     }
 }
 
+/// One instrument's sampled series, stored as its changes: a step
+/// `(sample, raw)` at the first sampling pass the instrument took part
+/// in and at every later pass whose raw bank value (a counter's count, a
+/// gauge's `f64` bits) differs from the one before. Its value at any
+/// pass is that of the last step at or before it, so an instrument that
+/// never moves costs one step however long the run.
+#[derive(Default)]
+struct Steps(Vec<(u32, u64)>);
+
+impl Steps {
+    /// Take part in sampling pass `at` with raw value `raw`.
+    fn sample(&mut self, at: u32, raw: u64) {
+        if self.0.last().is_none_or(|&(_, last)| last != raw) {
+            self.0.push((at, raw));
+        }
+    }
+
+    /// `(t_ps, raw)` at every pass from the first one this series took
+    /// part in, the passes' times being `times`.
+    fn points<'a>(&'a self, times: &'a [u64]) -> impl Iterator<Item = (u64, u64)> + 'a {
+        self.0.iter().enumerate().flat_map(move |(k, &(at, raw))| {
+            let until = self
+                .0
+                .get(k + 1)
+                .map_or(times.len(), |&(next, _)| next as usize);
+            times[at as usize..until].iter().map(move |&t| (t, raw))
+        })
+    }
+}
+
 struct HubInner {
     cfg: TelemetryConfig,
     names: HashMap<String, u32>,
     counter_names: Vec<String>,
-    counter_series: Vec<TimeSeries>,
+    counter_series: Vec<Steps>,
     /// Counter ids ordered by name, brought up to date by
     /// [`HubInner::sync_orders`] on the first snapshot/export after a
     /// registration (registration itself only appends the name).
     counters_by_name: Vec<u32>,
     gauge_names: Vec<String>,
-    gauge_series: Vec<TimeSeries>,
+    gauge_series: Vec<Steps>,
     gauges_by_name: Vec<u32>,
     histogram_names: Vec<String>,
     histograms: Vec<Percentiles>,
     histograms_by_name: Vec<u32>,
     next_sample_ps: u64,
-    samples_taken: u64,
+    /// The time of every sampling pass, in order; a [`Steps`] names a
+    /// pass by its index here.
+    sample_times: Vec<u64>,
 }
 
 impl HubInner {
@@ -462,7 +499,7 @@ impl HubInner {
             histograms: Vec::new(),
             histograms_by_name: Vec::new(),
             next_sample_ps: 0,
-            samples_taken: 0,
+            sample_times: Vec::new(),
         }
     }
 
@@ -642,7 +679,7 @@ impl MetricsHub {
         let id = h.counter_names.len() as u32;
         s.counters.ensure(id);
         h.counter_names.push(name.to_string());
-        h.counter_series.push(TimeSeries::new());
+        h.counter_series.push(Steps::default());
         h.names.insert(key, id);
         CounterId(id)
     }
@@ -660,7 +697,7 @@ impl MetricsHub {
         let id = h.gauge_names.len() as u32;
         s.gauges.ensure(id);
         h.gauge_names.push(name.to_string());
-        h.gauge_series.push(TimeSeries::new());
+        h.gauge_series.push(Steps::default());
         h.names.insert(key, id);
         GaugeId(id)
     }
@@ -902,22 +939,24 @@ impl MetricsHub {
     /// Sample every counter and gauge into its time series if `now_ps`
     /// has reached the next sampling boundary. Multiple boundaries
     /// crossed in one call collapse into a single sample at `now_ps`
-    /// (series stay monotone; no catch-up fabrication).
+    /// (series stay monotone; no catch-up fabrication). A series stores
+    /// the sample only if its value changed, so sampling instruments
+    /// that did not move allocates nothing.
     pub fn maybe_sample(&self, now_ps: u64) {
         let Some(s) = &self.inner else { return };
         let mut h = s.inner.lock().unwrap();
         if now_ps < h.next_sample_ps {
             return;
         }
-        for id in 0..h.counter_series.len() {
-            let v = s.counter_val(id) as f64;
-            h.counter_series[id].push(now_ps, v);
+        let h = &mut *h;
+        let at = u32::try_from(h.sample_times.len()).expect("fewer than 2³² sampling passes");
+        h.sample_times.push(now_ps);
+        for (id, steps) in h.counter_series.iter_mut().enumerate() {
+            steps.sample(at, s.counters.load(id as u32));
         }
-        for id in 0..h.gauge_series.len() {
-            let v = s.gauge_val(id);
-            h.gauge_series[id].push(now_ps, v);
+        for (id, steps) in h.gauge_series.iter_mut().enumerate() {
+            steps.sample(at, s.gauges.load(id as u32));
         }
-        h.samples_taken += 1;
         let every = h.cfg.sample_every_ps.max(1);
         // Next boundary strictly after now.
         h.next_sample_ps = (now_ps / every + 1) * every;
@@ -927,7 +966,7 @@ impl MetricsHub {
     pub fn samples_taken(&self) -> u64 {
         self.inner
             .as_ref()
-            .map_or(0, |s| s.inner.lock().unwrap().samples_taken)
+            .map_or(0, |s| s.inner.lock().unwrap().sample_times.len() as u64)
     }
 
     // ---- inspection ---------------------------------------------------
@@ -948,12 +987,17 @@ impl MetricsHub {
         Some(s.gauge_val(id as usize))
     }
 
-    /// Clone of a counter's sampled time series by name.
+    /// A counter's sampled time series by name: one point per sampling
+    /// pass since its registration.
     pub fn counter_series(&self, name: &str) -> Option<TimeSeries> {
         let s = self.inner.as_ref()?;
         let h = s.inner.lock().unwrap();
         let id = *h.names.get(&format!("c:{name}"))?;
-        Some(h.counter_series[id as usize].clone())
+        let mut series = TimeSeries::new();
+        for (t, raw) in h.counter_series[id as usize].points(&h.sample_times) {
+            series.push(t, raw as f64);
+        }
+        Some(series)
     }
 
     /// Clone of a histogram's samples by name.
@@ -1037,120 +1081,141 @@ impl MetricsHub {
 
     // ---- export -------------------------------------------------------
 
-    /// Render the whole hub (instruments, series, flight recorder) as a
-    /// JSON tree. Names come out sorted regardless of registration order;
-    /// the order is cached, so only the first export after a
-    /// registration sorts, and no name is re-formatted here.
-    pub fn render_json(&self) -> Json {
+    /// The whole hub (instruments, series, flight recorder) as a JSON
+    /// document, written when [`HubJson::render`] is called. Names come
+    /// out sorted regardless of registration order; the order is cached,
+    /// so only the first export after a registration sorts.
+    pub fn render_json(&self) -> HubJson<'_> {
+        HubJson { hub: self }
+    }
+
+    /// Append the export to `out`, straight from the hub's state.
+    fn write_json(&self, out: &mut Vec<u8>) {
         let Some(s) = &self.inner else {
-            return Json::obj(vec![("enabled", Json::Bool(false))]);
+            out.extend_from_slice(br#"{"enabled":false}"#);
+            return;
         };
         let mut h = s.inner.lock().unwrap();
         h.sync_orders();
+        let h = &mut *h;
 
-        let counters: Vec<(String, Json)> = h
-            .counters_by_name
-            .iter()
-            .map(|&id| {
-                (
-                    h.counter_names[id as usize].clone(),
-                    Json::U64(s.counter_val(id as usize)),
-                )
-            })
-            .collect();
+        out.extend_from_slice(br#"{"enabled":true,"sample_every_ps":"#);
+        json::write_u64(h.cfg.sample_every_ps, out);
+        out.extend_from_slice(br#","samples_taken":"#);
+        json::write_u64(h.sample_times.len() as u64, out);
 
-        let gauges: Vec<(String, Json)> = h
-            .gauges_by_name
-            .iter()
-            .map(|&id| {
-                (
-                    h.gauge_names[id as usize].clone(),
-                    Json::F64(s.gauge_val(id as usize)),
-                )
-            })
-            .collect();
+        out.extend_from_slice(br#","counters":"#);
+        let counters = h.counters_by_name.iter().map(|&id| id as usize);
+        json::write_obj(
+            out,
+            counters.map(|id| (&h.counter_names[id], id)),
+            |out, id| json::write_u64(s.counter_val(id), out),
+        );
 
-        let histograms: Vec<(String, Json)> = h
-            .histograms_by_name
-            .iter()
-            .map(|&id| {
-                let n = &h.histogram_names[id as usize];
-                let mut p = h.histograms[id as usize].clone();
-                (
-                    n.clone(),
-                    Json::obj(vec![
-                        ("count", Json::U64(p.count() as u64)),
-                        ("p50", opt_u64(p.p50())),
-                        ("p99", opt_u64(p.p99())),
-                        ("p999", opt_u64(p.p999())),
-                        ("max", opt_u64(p.max())),
-                        ("mean", p.mean().map(Json::F64).unwrap_or(Json::Null)),
-                    ]),
-                )
-            })
-            .collect();
+        out.extend_from_slice(br#","gauges":"#);
+        let gauges = h.gauges_by_name.iter().map(|&id| id as usize);
+        json::write_obj(out, gauges.map(|id| (&h.gauge_names[id], id)), |out, id| {
+            json::write_f64(s.gauge_val(id), out)
+        });
+
+        // Summarised in place (the quantiles sort the samples once), so
+        // the export holds no second copy of them.
+        out.extend_from_slice(br#","histograms":"#);
+        let histograms = h.histograms_by_name.iter().map(|&id| id as usize);
+        json::write_obj(
+            out,
+            histograms.map(|id| (&h.histogram_names[id], id)),
+            |out, id| {
+                let p = &mut h.histograms[id];
+                let opt = |v: Option<u64>| v.map_or(Json::Null, Json::U64);
+                let summary = [
+                    ("count", Json::U64(p.count() as u64)),
+                    ("p50", opt(p.p50())),
+                    ("p99", opt(p.p99())),
+                    ("p999", opt(p.p999())),
+                    ("max", opt(p.max())),
+                    ("mean", p.mean().map_or(Json::Null, Json::F64)),
+                ];
+                json::write_obj(out, summary, |out, v| v.write(out));
+            },
+        );
 
         // Counter and gauge series merge into one name-sorted map. Both
-        // sides are already sorted, so a linear merge suffices.
-        let mut series: Vec<(String, Json)> = Vec::new();
-        {
-            let mut ci = 0;
-            let mut gi = 0;
-            while ci < h.counters_by_name.len() || gi < h.gauges_by_name.len() {
-                let take_counter = match (h.counters_by_name.get(ci), h.gauges_by_name.get(gi)) {
-                    (Some(&c), Some(&g)) => {
-                        h.counter_names[c as usize] <= h.gauge_names[g as usize]
-                    }
-                    (Some(_), None) => true,
-                    (None, _) => false,
-                };
-                let (name, ts) = if take_counter {
-                    let id = h.counters_by_name[ci] as usize;
-                    ci += 1;
-                    (&h.counter_names[id], &h.counter_series[id])
-                } else {
-                    let id = h.gauges_by_name[gi] as usize;
-                    gi += 1;
-                    (&h.gauge_names[id], &h.gauge_series[id])
-                };
-                if !ts.points().is_empty() {
-                    series.push((name.clone(), series_json(ts)));
-                }
-            }
-        }
+        // sides are already sorted, so a linear merge suffices. A raw
+        // value reads back as a count or as a gauge's bits.
+        out.extend_from_slice(br#","series":"#);
+        let as_count: fn(u64) -> f64 = |raw| raw as f64;
+        let as_gauge: fn(u64) -> f64 = f64::from_bits;
+        let mut counters = h.counters_by_name.iter().map(|&id| id as usize).peekable();
+        let mut gauges = h.gauges_by_name.iter().map(|&id| id as usize).peekable();
+        let merged = std::iter::from_fn(|| {
+            let take_counter = match (counters.peek(), gauges.peek()) {
+                (Some(&c), Some(&g)) => h.counter_names[c] <= h.gauge_names[g],
+                (c, _) => c.is_some(),
+            };
+            Some(if take_counter {
+                let id = counters.next()?;
+                (&h.counter_names[id], (&h.counter_series[id], as_count))
+            } else {
+                let id = gauges.next()?;
+                (&h.gauge_names[id], (&h.gauge_series[id], as_gauge))
+            })
+        });
+        json::write_obj(
+            out,
+            merged.filter(|(_, (steps, _))| !steps.0.is_empty()),
+            |out, (steps, value)| {
+                json::write_list(
+                    out,
+                    *b"[]",
+                    steps.points(&h.sample_times),
+                    |out, (t, raw)| {
+                        out.push(b'[');
+                        json::write_u64(t, out);
+                        out.push(b',');
+                        json::write_f64(value(raw), out);
+                        out.push(b']');
+                    },
+                );
+            },
+        );
 
         let names = s.scopes.lock().unwrap();
-        let flight_lock = s.flight.lock().unwrap();
-        let flight: Vec<Json> = flight_lock
-            .records()
-            .map(|r| {
-                let mut pairs: Vec<(String, Json)> = Vec::new();
-                pairs.u64("seq", r.seq);
-                pairs.u64("t_ps", r.t_ps);
-                pairs.str("scope", scope_name(&names, r.scope));
-                pairs.str("kind", r.event.kind());
-                r.event.visit(&mut pairs);
-                Json::Obj(pairs)
-            })
-            .collect();
+        let flight = s.flight.lock().unwrap();
+        out.extend_from_slice(br#","flight_recorder":{"dropped":"#);
+        json::write_u64(flight.dropped(), out);
+        out.extend_from_slice(br#","total_recorded":"#);
+        json::write_u64(flight.total_recorded(), out);
+        out.extend_from_slice(br#","records":"#);
+        json::write_list(out, *b"[]", flight.records(), |out, r| {
+            let mut text = ObjectText::new(out);
+            text.u64("seq", r.seq);
+            text.u64("t_ps", r.t_ps);
+            text.str("scope", scope_name(&names, r.scope));
+            text.str("kind", r.event.kind());
+            r.event.visit(&mut text);
+            text.close();
+        });
+        out.extend_from_slice(b"}}");
+    }
+}
 
-        Json::obj(vec![
-            ("enabled", Json::Bool(true)),
-            ("sample_every_ps", Json::U64(h.cfg.sample_every_ps)),
-            ("samples_taken", Json::U64(h.samples_taken)),
-            ("counters", Json::Obj(counters)),
-            ("gauges", Json::Obj(gauges)),
-            ("histograms", Json::Obj(histograms)),
-            ("series", Json::Obj(series)),
-            (
-                "flight_recorder",
-                Json::obj(vec![
-                    ("dropped", Json::U64(flight_lock.dropped())),
-                    ("total_recorded", Json::U64(flight_lock.total_recorded())),
-                    ("records", Json::Arr(flight)),
-                ]),
-            ),
-        ])
+/// The hub's JSON export, as returned by [`MetricsHub::render_json`]. It
+/// holds only the hub: [`Self::render`] writes the document straight
+/// from the hub's instruments, series and flight recorder — the bytes
+/// rendering the equivalent [`Json`] tree gives, without building a tree
+/// that would hold a heap node for every sampled point of every series.
+#[derive(Debug, Clone, Copy)]
+pub struct HubJson<'a> {
+    hub: &'a MetricsHub,
+}
+
+impl HubJson<'_> {
+    /// Render to a compact JSON string.
+    pub fn render(&self) -> String {
+        let mut out = Vec::new();
+        self.hub.write_json(&mut out);
+        String::from_utf8(out).expect("the writers emit whole strs and ASCII")
     }
 }
 
@@ -1162,19 +1227,6 @@ fn drain(writer: SinkWriter) -> Box<dyn TraceSink> {
 /// Raise the attached sink's panic on the emitting thread.
 fn sink_panicked(msg: &str) -> ! {
     panic!("trace sink panicked: {msg}")
-}
-
-fn opt_u64(v: Option<u64>) -> Json {
-    v.map(Json::U64).unwrap_or(Json::Null)
-}
-
-fn series_json(s: &TimeSeries) -> Json {
-    Json::Arr(
-        s.points()
-            .iter()
-            .map(|(t, v)| Json::Arr(vec![Json::U64(*t), Json::F64(*v)]))
-            .collect(),
-    )
 }
 
 #[cfg(test)]
@@ -1235,6 +1287,201 @@ mod tests {
         let series = hub.counter_series("x").unwrap();
         assert_eq!(series.points(), &[(0, 0.0), (100, 1.0), (350, 2.0)]);
         assert_eq!(hub.next_sample_ps(), Some(400));
+    }
+
+    /// A series keeps a step only where its value moved — one for a
+    /// counter that stands still over 1 000 passes, one per move for a
+    /// counter that moves every third pass — and still reads back as a
+    /// point per pass since registration, a late registration included.
+    #[test]
+    fn series_store_only_changes() {
+        let hub = MetricsHub::with_config(TelemetryConfig {
+            sample_every_ps: 10,
+            flight_capacity: 8,
+        });
+        let still = hub.counter("still");
+        let moving = hub.counter("moving");
+        for pass in 0..1000u64 {
+            if pass % 3 == 0 {
+                hub.incr(moving);
+            }
+            if pass == 500 {
+                hub.counter("late");
+            }
+            hub.maybe_sample(pass * 10);
+        }
+        let steps = |id: CounterId| {
+            let h = hub.inner.as_ref().unwrap().inner.lock().unwrap();
+            h.counter_series[id.0 as usize].0.len()
+        };
+        assert_eq!((steps(still), steps(moving)), (1, 334));
+
+        let points = hub.counter_series("moving").unwrap().points().to_vec();
+        assert_eq!(points.len(), 1000);
+        for (k, &(t, v)) in points.iter().enumerate() {
+            assert_eq!((t, v), (k as u64 * 10, (k / 3 + 1) as f64));
+        }
+        let still = hub.counter_series("still").unwrap();
+        assert!(still.points().len() == 1000 && still.max() == Some(0.0));
+        let late = hub.counter_series("late").unwrap();
+        assert_eq!((late.points().len(), late.points()[0]), (500, (5000, 0.0)));
+    }
+
+    /// The export, written without a tree, is byte for byte the `Json`
+    /// tree of the hub's state, built here the way the hub once built it
+    /// from a model that keeps a point per pass for every instrument. The
+    /// hub gets a seeded mix of counters and gauges (non-finite and
+    /// negative-zero gauge values, names that need escaping, one name
+    /// that is both a counter and a gauge, registrations between passes),
+    /// a histogram with samples and one without, and a wrapped flight
+    /// ring.
+    #[test]
+    fn export_is_the_tree_of_a_point_per_pass_model() {
+        use std::collections::BTreeMap;
+        let hub = MetricsHub::with_config(TelemetryConfig {
+            sample_every_ps: 10,
+            flight_capacity: 4,
+        });
+        let mut seed = 0x5EED_u64;
+        let mut rand = move |n: u64| {
+            seed ^= seed << 13;
+            seed ^= seed >> 7;
+            seed ^= seed << 17;
+            seed % n
+        };
+        let gauge_values = [f64::NAN, -0.0, f64::INFINITY, 1.5, 1e20, 3.0, 0.1];
+        // name -> (is_gauge, id, current value, points since registration)
+        type Model = BTreeMap<(String, bool), (u32, f64, Vec<(u64, f64)>)>;
+        let mut model = Model::new();
+        for pass in 0..60u64 {
+            if pass % 7 == 0 {
+                let k = pass / 7;
+                for (name, gauge) in [
+                    (format!("c.{}", (k * 37) % 10), false),
+                    (format!("g.\"{k}\"\n"), true),
+                    ("dup".to_string(), k % 2 == 1),
+                ] {
+                    let id = if gauge {
+                        hub.gauge(&name).0
+                    } else {
+                        hub.counter(&name).0
+                    };
+                    model.entry((name, gauge)).or_insert((id, 0.0, Vec::new()));
+                }
+            }
+            for ((_, gauge), (id, value, _)) in model.iter_mut() {
+                match (*gauge, rand(3)) {
+                    (_, 0) => {}
+                    (false, _) => {
+                        let by = rand(1 << 40);
+                        hub.add(CounterId(*id), by);
+                        *value += by as f64;
+                    }
+                    (true, _) => {
+                        let v = gauge_values[rand(gauge_values.len() as u64) as usize];
+                        hub.set_gauge(GaugeId(*id), v);
+                        *value = v;
+                    }
+                }
+            }
+            let t = pass * 10 + rand(5);
+            hub.maybe_sample(t);
+            for (_, value, points) in model.values_mut() {
+                points.push((t, *value));
+            }
+        }
+        let rtt = hub.histogram("nic.rtt_ps");
+        hub.histogram("nic.empty");
+        let mut rtts = Percentiles::new();
+        for _ in 0..101 {
+            let v = rand(1_000_000);
+            hub.observe(rtt, v);
+            rtts.add(v);
+        }
+        let scope = hub.scope("switch.\"t0\"");
+        let events = [
+            TraceEvent::Drop { reason: "Corrupt" },
+            TraceEvent::PauseTx { port: 2, prio: 3 },
+            TraceEvent::StormStart,
+        ];
+        for (t, e) in events.iter().cycle().take(7).enumerate() {
+            hub.trace(t as u64, scope, *e);
+        }
+
+        let values = |gauge: bool| {
+            let members = model.iter().filter(|((_, g), _)| *g == gauge);
+            Json::Obj(
+                members
+                    .map(|((name, _), (_, v, _))| {
+                        let v = if gauge {
+                            Json::F64(*v)
+                        } else {
+                            Json::U64(*v as u64)
+                        };
+                        (name.clone(), v)
+                    })
+                    .collect(),
+            )
+        };
+        let opt = |v: Option<u64>| v.map_or(Json::Null, Json::U64);
+        let empty = Json::obj(vec![
+            ("count", Json::U64(0)),
+            ("p50", Json::Null),
+            ("p99", Json::Null),
+            ("p999", Json::Null),
+            ("max", Json::Null),
+            ("mean", Json::Null),
+        ]);
+        let full = Json::obj(vec![
+            ("count", Json::U64(101)),
+            ("p50", opt(rtts.p50())),
+            ("p99", opt(rtts.p99())),
+            ("p999", opt(rtts.p999())),
+            ("max", opt(rtts.max())),
+            ("mean", rtts.mean().map_or(Json::Null, Json::F64)),
+        ]);
+        let series = model
+            .iter()
+            .map(|((name, _), (_, _, points))| {
+                let points = points
+                    .iter()
+                    .map(|&(t, v)| Json::Arr(vec![Json::U64(t), Json::F64(v)]));
+                (name.clone(), Json::Arr(points.collect()))
+            })
+            .collect();
+        let records = (3..7u64)
+            .map(|seq| {
+                let mut pairs: Vec<(String, Json)> = Vec::new();
+                let event = events[seq as usize % 3];
+                pairs.u64("seq", seq);
+                pairs.u64("t_ps", seq);
+                pairs.str("scope", "switch.\"t0\"");
+                pairs.str("kind", event.kind());
+                event.visit(&mut pairs);
+                Json::Obj(pairs)
+            })
+            .collect();
+        let tree = Json::obj(vec![
+            ("enabled", Json::Bool(true)),
+            ("sample_every_ps", Json::U64(10)),
+            ("samples_taken", Json::U64(60)),
+            ("counters", values(false)),
+            ("gauges", values(true)),
+            (
+                "histograms",
+                Json::obj(vec![("nic.empty", empty), ("nic.rtt_ps", full)]),
+            ),
+            ("series", Json::Obj(series)),
+            (
+                "flight_recorder",
+                Json::obj(vec![
+                    ("dropped", Json::U64(3)),
+                    ("total_recorded", Json::U64(7)),
+                    ("records", Json::Arr(records)),
+                ]),
+            ),
+        ]);
+        assert_eq!(hub.render_json().render(), tree.render());
     }
 
     #[test]

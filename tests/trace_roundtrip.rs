@@ -3,14 +3,21 @@
 //! the identical run, and every line survives render → parse → render
 //! byte-identically — the property `trace_analyze` relies on.
 
-use rocescale_core::{ClusterBuilder, InstrumentationProfile, ServerId};
-use rocescale_monitor::{parse_jsonl, JsonlSink, MemorySink, TraceFilter};
+use rocescale_core::{Cluster, ClusterBuilder, InstrumentationProfile, ServerId};
+use rocescale_monitor::{parse_jsonl, JsonlSink, MemorySink, MetricsHub, TraceFilter};
 use rocescale_nic::QpApp;
 use rocescale_sim::SimTime;
 
+/// 64-bit FNV-1a over `bytes`.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
+        (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
 /// A short single-ToR incast with DCQCN on: produces every record class
 /// (hops, queue samples, pause/resume events, cc_rate points).
-fn run_incast(instr: InstrumentationProfile) {
+fn run_incast(instr: InstrumentationProfile) -> Cluster {
     let mut cl = ClusterBuilder::single_tor(5)
         .seed(11)
         .instrumentation(instr)
@@ -28,6 +35,7 @@ fn run_incast(instr: InstrumentationProfile) {
         );
     }
     cl.run_until(SimTime::from_millis(2));
+    cl
 }
 
 fn temp_path(tag: &str) -> std::path::PathBuf {
@@ -97,13 +105,35 @@ fn exported_bytes_are_pinned() {
     let bytes = std::fs::read(&path).unwrap();
     let _ = std::fs::remove_file(&path);
     let lines = bytes.iter().filter(|&&b| b == b'\n').count();
-    let fnv1a = bytes.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
-        (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
-    });
     assert_eq!(
-        (lines, bytes.len(), fnv1a),
+        (lines, bytes.len(), fnv1a(&bytes)),
         (5_005, 732_613, 553_354_989_771_014_543)
     );
+}
+
+/// The hub's JSON export of the same incast — every counter, gauge,
+/// histogram, sampled series and flight record — is pinned the same
+/// way, so how the hub stores its series and how it writes the export
+/// can never change a byte of it.
+#[test]
+fn hub_export_bytes_are_pinned() {
+    let cl = run_incast(InstrumentationProfile::paper_default().telemetry(MetricsHub::enabled()));
+    let text = cl.telemetry().render_json().render();
+    assert_eq!(
+        (text.len(), fnv1a(text.as_bytes())),
+        (58_425, 13_918_432_773_278_566_827)
+    );
+    // The pin covers every section with content in it.
+    let doc = rocescale_monitor::json::parse(&text).unwrap();
+    let nonempty = |key: &str| match doc.get(key) {
+        Some(rocescale_monitor::Json::Obj(pairs)) => !pairs.is_empty(),
+        _ => false,
+    };
+    for key in ["counters", "gauges", "histograms", "series"] {
+        assert!(nonempty(key), "{key} is empty");
+    }
+    let flight = doc.get("flight_recorder").unwrap().get("records").unwrap();
+    assert!(!flight.as_arr().unwrap().is_empty(), "no flight record");
 }
 
 /// The export filter drops classes at the source: a no-hops sink sees
