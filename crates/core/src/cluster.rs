@@ -1,6 +1,7 @@
 //! Cluster construction and operation: topology → simulated fabric.
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 
 use rocescale_monitor::{
     GaugeId, MemorySink, MetricsHub, Pingmesh, QueueSample, ScopeId, StreamRecord, TraceSink,
@@ -320,7 +321,7 @@ impl ClusterBuilder {
                 continue;
             }
             let ports = topo.port_count(idx);
-            let mut cfg = SwitchConfig::new(node.name.clone(), ports);
+            let mut cfg = SwitchConfig::new(&*node.name, ports);
             cfg.classify = classify;
             cfg.lossless = lossless_for(node.tier);
             // Port roles from the topology; headroom for the worst link
@@ -328,9 +329,10 @@ impl ClusterBuilder {
             let mut roles = vec![PortRole::Fabric; ports as usize];
             let (mut max_meters, mut max_bps) = (2u32, 0u64);
             for n in topo.neighbors(idx) {
-                max_meters = max_meters.max(topo.links[n.link].meters);
-                max_bps = max_bps.max(topo.links[n.link].rate_bps);
-                if topo.nodes[n.peer].tier == Tier::Server {
+                let link = &topo.links[n.link as usize];
+                max_meters = max_meters.max(link.meters);
+                max_bps = max_bps.max(link.rate_bps);
+                if topo.nodes[n.peer as usize].tier == Tier::Server {
                     roles[n.port.index()] = PortRole::Server;
                 }
             }
@@ -357,10 +359,10 @@ impl ClusterBuilder {
             cfg.drop_ip_id_low_byte = self.faults.drop_ip_id_low_byte;
             let shard = partition.shard_of(idx);
             cfg.telemetry = hubs[shard as usize].clone();
-            (self.switch_tweak)(&node.name.clone(), &mut cfg);
+            (self.switch_tweak)(&node.name, &mut cfg);
 
             let mut sw = Switch::new(cfg, switch_mac(idx), idx as u64 * 0x9e37 + 7);
-            for r in &topo.routes[idx] {
+            for r in topo.routes(idx) {
                 match r {
                     RouteSpec::Connected { prefix, len } => {
                         sw.routes_mut().add_connected(*prefix, *len);
@@ -374,19 +376,20 @@ impl ClusterBuilder {
             // Seed ARP + MAC for directly attached servers; peer MACs for
             // fabric links.
             for n in topo.neighbors(idx) {
-                match topo.nodes[n.peer].tier {
+                let peer = n.peer as usize;
+                match topo.nodes[peer].tier {
                     Tier::Server => {
-                        let ip = topo.nodes[n.peer].ip.expect("servers have IPs");
-                        sw.seed_arp(ip, server_mac(n.peer), SimTime::ZERO);
-                        sw.seed_mac(server_mac(n.peer), n.port, SimTime::ZERO);
+                        let ip = topo.nodes[peer].ip.expect("servers have IPs");
+                        sw.seed_arp(ip, server_mac(peer), SimTime::ZERO);
+                        sw.seed_mac(server_mac(peer), n.port, SimTime::ZERO);
                     }
-                    _ => sw.set_peer_mac(n.port, switch_mac(n.peer)),
+                    _ => sw.set_peer_mac(n.port, switch_mac(peer)),
                 }
             }
             let sim = worlds[shard as usize].add_node(Box::new(sw));
             sim_ids[idx] = Some((shard, sim));
             switches.push(SwitchInfo {
-                topo_idx: idx,
+                topo_idx: idx as u32,
                 shard,
                 sim,
                 tier: node.tier,
@@ -405,7 +408,7 @@ impl ClusterBuilder {
             let link_bps = topo
                 .neighbors(idx)
                 .first()
-                .map(|n| topo.links[n.link].rate_bps)
+                .map(|n| topo.links[n.link as usize].rate_bps)
                 .expect("servers have a ToR link");
             let order = servers.len();
             let kind = (self.server_kind)(order);
@@ -442,13 +445,13 @@ impl ClusterBuilder {
             };
             sim_ids[idx] = Some((shard, sim));
             servers.push(ServerInfo {
-                topo_idx: idx,
+                topo_idx: idx as u32,
                 shard,
                 sim,
                 kind,
                 ip,
                 pod: node.pod,
-                tor_topo_idx: tor_idx,
+                tor_topo_idx: tor_idx as u32,
             });
         }
 
@@ -458,8 +461,8 @@ impl ClusterBuilder {
         // links ever cross, so the exchange lookahead is the spine-cable
         // propagation delay).
         for l in &topo.links {
-            let (sa, a) = sim_ids[l.a.0].expect("all nodes instantiated");
-            let (sb, b) = sim_ids[l.b.0].expect("all nodes instantiated");
+            let (sa, a) = sim_ids[l.a.0 as usize].expect("all nodes instantiated");
+            let (sb, b) = sim_ids[l.b.0 as usize].expect("all nodes instantiated");
             let spec = LinkSpec::with_length(l.rate_bps, l.meters);
             if sa == sb {
                 worlds[sa as usize].connect(a, l.a.1, b, l.b.1, spec);
@@ -495,7 +498,7 @@ impl ClusterBuilder {
             let find_switch = |name: &str| -> &SwitchInfo {
                 switches
                     .iter()
-                    .find(|s| s.name == name)
+                    .find(|s| &*s.name == name)
                     .unwrap_or_else(|| panic!("script names unknown switch {name:?}"))
             };
             // A server's ToR-side attachment: (ToR shard, ToR sim node,
@@ -504,7 +507,7 @@ impl ClusterBuilder {
                 let info = servers
                     .get(server)
                     .unwrap_or_else(|| panic!("script server {server} out of range"));
-                let (tor_t, srv_t) = (info.tor_topo_idx, info.topo_idx);
+                let (tor_t, srv_t) = (info.tor_topo_idx as usize, info.topo_idx as usize);
                 let port = topo
                     .port_toward(tor_t, srv_t)
                     .expect("server has a ToR link");
@@ -532,7 +535,7 @@ impl ClusterBuilder {
                         let far = (sb.shard != sa.shard).then_some((sb, sa));
                         for (sw, peer) in std::iter::once((sa, sb)).chain(far) {
                             let port = topo
-                                .port_toward(sw.topo_idx, peer.topo_idx)
+                                .port_toward(sw.topo_idx as usize, peer.topo_idx as usize)
                                 .unwrap_or_else(|| panic!("no fabric link {a:?} <-> {b:?}"));
                             sched_admin(
                                 &mut worlds[sw.shard as usize],
@@ -666,20 +669,20 @@ impl ClusterBuilder {
 /// lossless priorities.
 fn probe(hub: &MetricsHub, topo: &Topology, switches: &[SwitchInfo]) -> DeadlockProbe {
     // Topology node id → position in `switches`.
-    let mut switch_at: Vec<Option<usize>> = vec![None; topo.nodes.len()];
+    let mut switch_at: Vec<Option<u32>> = vec![None; topo.nodes.len()];
     for (i, s) in switches.iter().enumerate() {
-        switch_at[s.topo_idx] = Some(i);
+        switch_at[s.topo_idx as usize] = Some(i as u32);
     }
     let mut links = Vec::new();
     for l in &topo.links {
         for (me, peer) in [(l.a, l.b), (l.b, l.a)] {
-            let Some(sw_idx) = switch_at[me.0] else {
+            let Some(sw_idx) = switch_at[me.0 as usize] else {
                 continue;
             };
             links.push(ProbeLink {
                 switch: sw_idx,
                 port: me.1,
-                peer: topo.nodes[peer.0].name.clone(),
+                peer: topo.nodes[peer.0 as usize].name.clone(),
             });
         }
     }
@@ -687,7 +690,7 @@ fn probe(hub: &MetricsHub, topo: &Topology, switches: &[SwitchInfo]) -> Deadlock
         hub,
         switches
             .iter()
-            .map(|s| (s.name.clone(), s.shard, s.sim))
+            .map(|s| (s.name.to_string(), s.shard, s.sim))
             .collect(),
         links,
         vec![Priority::new(3), Priority::new(4)],
@@ -729,9 +732,10 @@ impl ShardObs {
     }
 }
 
+/// One server's row. Indices are `u32`: a fleet is mostly these rows.
 #[derive(Debug)]
 struct ServerInfo {
-    topo_idx: usize,
+    topo_idx: u32,
     /// Owning shard (always 0 in a one-shard cluster).
     shard: u32,
     /// Shard-local sim node id.
@@ -739,18 +743,18 @@ struct ServerInfo {
     kind: ServerKind,
     ip: u32,
     pod: u32,
-    tor_topo_idx: usize,
+    tor_topo_idx: u32,
 }
 
 #[derive(Debug)]
 struct SwitchInfo {
-    topo_idx: usize,
+    topo_idx: u32,
     /// Owning shard (always 0 in a one-shard cluster).
     shard: u32,
     /// Shard-local sim node id.
     sim: NodeId,
     tier: Tier,
-    name: String,
+    name: Arc<str>,
 }
 
 /// A running cluster: the simulation worlds plus the index structures to
@@ -859,7 +863,7 @@ impl<W: WorldSet> Cluster<W> {
         let Some(t) = self
             .switches
             .iter()
-            .filter(|s| s.tier == Tier::Tor && self.topo.nodes[s.topo_idx].pod == pod)
+            .filter(|s| s.tier == Tier::Tor && self.topo.nodes[s.topo_idx as usize].pod == pod)
             .nth(tor as usize)
         else {
             return Vec::new();

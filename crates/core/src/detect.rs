@@ -15,6 +15,8 @@
 //! the telemetry hub, so it cannot perturb the dispatch digest — the
 //! golden-trace pin holds with the detector live.
 
+use std::sync::Arc;
+
 use rocescale_monitor::deadlock::Snapshot;
 use rocescale_monitor::{
     CounterId, GaugeId, MetricsHub, ProgressTracker, ScopeId, TraceEvent, WaitGraph,
@@ -28,11 +30,12 @@ use rocescale_switch::Switch;
 #[derive(Debug, Clone)]
 pub struct ProbeLink {
     /// Index into the probe's switch list.
-    pub switch: usize,
+    pub switch: u32,
     /// Egress port on that switch.
     pub port: PortId,
-    /// Display name of the device behind the port (switch or server).
-    pub peer: String,
+    /// Display name of the device behind the port (switch or server),
+    /// shared with its topology node.
+    pub peer: Arc<str>,
 }
 
 /// Live deadlock detector: rebuilt wait graph + progress tracking per
@@ -106,11 +109,11 @@ impl DeadlockProbe {
         // Topological half: rebuild the wait graph from pause state.
         let mut graph = WaitGraph::new();
         for l in &self.links {
-            let (ref name, shard, sim) = self.switches[l.switch];
+            let (ref name, shard, sim) = self.switches[l.switch as usize];
             let sw = worlds[shard as usize].node::<Switch>(sim);
             for prio in &self.lossless {
                 if sw.is_paused(l.port, *prio, now) && sw.egress_depth_prio(l.port, *prio) > 0 {
-                    graph.add_edge(name.clone(), l.peer.clone());
+                    graph.add_edge(name.clone(), &*l.peer);
                     break;
                 }
             }

@@ -260,10 +260,10 @@ struct Watched {
 /// searched them: its reported cycle does not depend on the probe.
 fn watch(f: &mut Fabric, dur: SimTime) -> Watched {
     let switches = [("T0", f.t0), ("T1", f.t1), ("La", f.la), ("Lb", f.lb)];
-    let link = |switch: usize, port: u16, peer: &str| ProbeLink {
+    let link = |switch: u32, port: u16, peer: &str| ProbeLink {
         switch,
         port: PortId(port),
-        peer: peer.to_string(),
+        peer: peer.into(),
     };
     let links = vec![
         link(0, 0, "S1"),

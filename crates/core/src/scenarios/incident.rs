@@ -76,9 +76,10 @@ pub fn run_reroute(dur: SimTime) -> RerouteResult {
     let tor_idx = topo
         .nodes
         .iter()
-        .position(|n| n.name == tor)
+        .position(|n| &*n.name == tor)
         .expect("topology names its ToRs");
-    let (prefix, len, ports) = topo.routes[tor_idx]
+    let (prefix, len, ports) = topo
+        .routes(tor_idx)
         .iter()
         .find_map(|r| match r {
             RouteSpec::Via { prefix, len, ports } if ports.len() > 1 => {

@@ -9,7 +9,7 @@
 use std::collections::HashMap;
 
 use crate::stats::Percentiles;
-use crate::telemetry::MetricsHub;
+use crate::telemetry::{CounterId, HistogramId, MetricsHub};
 
 /// The standard Pingmesh probe payload.
 pub const PROBE_BYTES: u32 = 512;
@@ -56,6 +56,18 @@ pub struct Pingmesh {
     /// and exported traces, not just this struct's render. A disabled
     /// (or unbound) hub makes the mirroring a no-op.
     hub: MetricsHub,
+    /// Each scope's hub instruments, indexed by [`Scope`], each looked up
+    /// by name the first time it is needed — so the hub registers them
+    /// in the order it always did — and reused after that.
+    ids: [ScopeIds; 3],
+}
+
+/// The hub instruments of one scope, `None` until first needed.
+#[derive(Debug, Clone, Copy, Default)]
+struct ScopeIds {
+    probes: Option<CounterId>,
+    rtt: Option<HistogramId>,
+    failures: Option<CounterId>,
 }
 
 impl Pingmesh {
@@ -76,18 +88,25 @@ impl Pingmesh {
     /// Record a probe outcome.
     pub fn record(&mut self, scope: Scope, result: ProbeResult) {
         self.total += 1;
-        self.hub
-            .incr(self.hub.counter(&format!("pingmesh.{scope}.probes")));
+        let (hub, ids) = (&self.hub, &mut self.ids[scope as usize]);
+        let probes = *ids
+            .probes
+            .get_or_insert_with(|| hub.counter(&format!("pingmesh.{scope}.probes")));
+        hub.incr(probes);
         match result {
             ProbeResult::Rtt(ps) => {
                 self.per_scope.entry(scope).or_default().add(ps);
-                self.hub
-                    .observe(self.hub.histogram(&format!("pingmesh.{scope}.rtt_ps")), ps);
+                let rtt = *ids
+                    .rtt
+                    .get_or_insert_with(|| hub.histogram(&format!("pingmesh.{scope}.rtt_ps")));
+                hub.observe(rtt, ps);
             }
             ProbeResult::Failed => {
                 *self.failures.entry(scope).or_default() += 1;
-                self.hub
-                    .incr(self.hub.counter(&format!("pingmesh.{scope}.failures")));
+                let failures = *ids
+                    .failures
+                    .get_or_insert_with(|| hub.counter(&format!("pingmesh.{scope}.failures")));
+                hub.incr(failures);
             }
         }
     }

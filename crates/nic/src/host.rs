@@ -12,6 +12,7 @@
 
 use std::any::Any;
 use std::collections::VecDeque;
+use std::sync::Arc;
 
 use rocescale_cc::{CcAction, CcKind, CcSignal, CongestionControl, SenderCc};
 use rocescale_dcqcn::NpState;
@@ -71,8 +72,8 @@ impl Default for RxConfig {
 /// Host/NIC configuration.
 #[derive(Debug, Clone)]
 pub struct NicConfig {
-    /// Name for traces.
-    pub name: String,
+    /// Name for traces; shared with the topology node it was built from.
+    pub name: Arc<str>,
     /// NIC MAC address.
     pub mac: MacAddr,
     /// Host IP.
@@ -106,7 +107,7 @@ pub struct NicConfig {
 impl NicConfig {
     /// A 40 GbE host with the paper's recommended settings (DSCP-based
     /// PFC, go-back-N, DCQCN on).
-    pub fn new(name: impl Into<String>, id: u32, ip: u32, gateway_mac: MacAddr) -> NicConfig {
+    pub fn new(name: impl Into<Arc<str>>, id: u32, ip: u32, gateway_mac: MacAddr) -> NicConfig {
         NicConfig {
             name: name.into(),
             mac: MacAddr::from_id(id),
@@ -245,6 +246,16 @@ struct Qp {
 }
 
 impl Qp {
+    /// Post a work request (`tracked` starts an RTT measurement).
+    fn post(&mut self, verb: Verb, now: SimTime, tracked: bool) {
+        let wr = WrId(self.wr_seq);
+        self.wr_seq += 1;
+        self.endpoint.post(verb, wr);
+        if tracked {
+            self.pending_rtt.push_back(now.as_ps());
+        }
+    }
+
     /// Top up a Saturate/Burst generator to its inflight target,
     /// spending Burst budget as it goes. No-op for other apps.
     fn refill_app(&mut self) {
@@ -318,8 +329,6 @@ const STORM_REFRESH: SimTime = SimTime::from_micros(100);
 struct NicTele {
     hub: MetricsHub,
     scope: ScopeId,
-    /// Host name, kept for late per-QP registration in `add_qp`.
-    name: String,
     pause_tx: CounterId,
     pause_rx: CounterId,
     cnp_tx: CounterId,
@@ -356,15 +365,34 @@ impl NicTele {
             rtt_ps: hub.histogram(&format!("nic.{name}.rtt_ps")),
             qp_retransmits: Vec::new(),
             qp_rate_changes: Vec::new(),
-            name: name.to_string(),
             hub,
         }))
     }
 }
 
 /// The RDMA host node.
+///
+/// Most servers of a fleet never own a QP, so a host keeps its working
+/// state — queues, pause deadlines, pacing, round-robin and timer state,
+/// QPs and host app — in a `NicWork` box materialised on first use: a
+/// QP or host app installed, a storm injected, a timer, a pause frame,
+/// or a packet that passes the MAC filter. Until then the host is its
+/// configuration, its counters and two null pointers, and every event
+/// it could see without materialising (start, port idle, a flooded
+/// frame for another MAC) is one that would find nothing to do.
 pub struct RdmaHost {
     cfg: NicConfig,
+    /// Telemetry instruments; `None` while the hub is disabled, so an
+    /// unobserved host carries one null pointer.
+    tele: Option<Box<NicTele>>,
+    /// Working state; `None` until first use.
+    work: Option<Box<NicWork>>,
+    /// Counters.
+    pub stats: HostStats,
+}
+
+/// An [`RdmaHost`]'s working state.
+struct NicWork {
     qps: Vec<Qp>,
     host_app: HostApp,
     /// Control packets (ACK/NAK/CNP) awaiting transmission.
@@ -396,23 +424,14 @@ pub struct RdmaHost {
     /// A `TOK_RTO` scan is queued.
     rto_armed: bool,
     /// The instant of the last `TOK_PUMP` queued (see
-    /// [`RdmaHost::pump_at`]). Pumps are only ever queued strictly in the
+    /// [`Active::pump_at`]). Pumps are only ever queued strictly in the
     /// future, so the initial zero matches none.
     pump_queued: SimTime,
-    /// Telemetry instruments; `None` while the hub is disabled, so an
-    /// unobserved host carries one null pointer.
-    tele: Option<Box<NicTele>>,
-    /// Counters.
-    pub stats: HostStats,
 }
 
-impl RdmaHost {
-    /// Build a host from its configuration.
-    pub fn new(cfg: NicConfig) -> RdmaHost {
-        RdmaHost {
-            mtt: cfg.rx.mtt.map(|m| Box::new(MttCache::new(m))),
-            tele: NicTele::register(cfg.telemetry.clone(), &cfg.name),
-            cfg,
+impl NicWork {
+    fn new(cfg: &NicConfig) -> Box<NicWork> {
+        Box::new(NicWork {
             qps: Vec::new(),
             host_app: HostApp::None,
             ctrl: VecDeque::new(),
@@ -424,22 +443,175 @@ impl RdmaHost {
             rx_occupancy: 0,
             rx_busy: false,
             host_xoff: false,
+            mtt: cfg.rx.mtt.map(|m| Box::new(MttCache::new(m))),
             last_rx_progress: SimTime::ZERO,
             storm: false,
             pause_gen_disabled: false,
             tick_armed: false,
             rto_armed: false,
             pump_queued: SimTime::ZERO,
+        })
+    }
+}
+
+impl RdmaHost {
+    /// Build a host from its configuration.
+    pub fn new(cfg: NicConfig) -> RdmaHost {
+        RdmaHost {
+            tele: NicTele::register(cfg.telemetry.clone(), &cfg.name),
+            cfg,
+            work: None,
             stats: HostStats::default(),
         }
     }
 
+    /// The host with its working state, materialising it.
+    fn active(&mut self) -> Active<'_> {
+        let w = self.work.get_or_insert_with(|| NicWork::new(&self.cfg));
+        Active {
+            cfg: &self.cfg,
+            tele: self.tele.as_deref(),
+            stats: &mut self.stats,
+            w,
+        }
+    }
+
+    /// The host with its working state, or `None` while it has none.
+    fn running(&mut self) -> Option<Active<'_>> {
+        let w = self.work.as_deref_mut()?;
+        Some(Active {
+            cfg: &self.cfg,
+            tele: self.tele.as_deref(),
+            stats: &mut self.stats,
+            w,
+        })
+    }
+
+    fn qps(&self) -> &[Qp] {
+        self.work.as_ref().map_or(&[], |w| &w.qps)
+    }
+
+    /// The configuration.
+    pub fn config(&self) -> &NicConfig {
+        &self.cfg
+    }
+
+    /// Create a QP to `peer_ip`/`peer_qp`. `udp_src` is the per-QP random
+    /// UDP source port (the ECMP path selector); both ends must agree on
+    /// each other's QP numbers. On a world that has already run, follow
+    /// with a [`TOK_WAKE`].
+    pub fn add_qp(&mut self, peer_ip: u32, peer_qp: u32, udp_src: u16, app: QpApp) -> QpHandle {
+        let w = self.work.get_or_insert_with(|| NicWork::new(&self.cfg));
+        let qpn = w.qps.len() as u32;
+        let mut qp = Qp {
+            endpoint: QpEndpoint::new(self.cfg.qp_defaults),
+            peer_ip,
+            peer_qp,
+            udp_src,
+            cc: SenderCc::new(&self.cfg.cc, self.cfg.link_bps),
+            np: NpState::default(),
+            next_tx_ps: 0,
+            app,
+            pending_rtt: VecDeque::new(),
+            rx_offset: 0,
+            posted: 0,
+            burst_remaining: match app {
+                QpApp::Burst { count, .. } => count,
+                _ => 0,
+            },
+            wr_seq: 0,
+        };
+        // Prime saturating apps here so QPs created mid-run start sending
+        // once the host is woken ([`TOK_WAKE`]).
+        qp.refill_app();
+        w.qps.push(qp);
+        if let Some(t) = self.tele.as_deref_mut() {
+            let (hub, name) = (&t.hub, &self.cfg.name);
+            let cc_name = self.cfg.cc.name();
+            let retransmits = hub.counter(&format!("nic.{name}.qp.{qpn}.retransmits"));
+            let rate_changes = hub.counter(&format!("nic.{name}.qp.{qpn}.{cc_name}.rate_changes"));
+            t.qp_retransmits.push(retransmits);
+            t.qp_rate_changes.push(rate_changes);
+        }
+        QpHandle(qpn)
+    }
+
+    /// Install a host-level application.
+    pub fn set_host_app(&mut self, app: HostApp) {
+        self.active().w.host_app = app;
+    }
+
+    /// Post a work request on a QP (programmatic workloads; `tracked`
+    /// pushes an RTT measurement start for the message). Outside the
+    /// event loop on a world that has already run, follow with a
+    /// [`TOK_WAKE`].
+    pub fn post(&mut self, qp: QpHandle, verb: Verb, now: SimTime, tracked: bool) {
+        self.active().w.qps[qp.0 as usize].post(verb, now, tracked);
+    }
+
+    /// Read access to a QP's transport endpoint (stats, goodput).
+    pub fn qp_endpoint(&self, qp: QpHandle) -> &QpEndpoint {
+        &self.qps()[qp.0 as usize].endpoint
+    }
+
+    /// Current congestion-controlled pacing rate of a QP, b/s (line rate
+    /// when congestion control is off).
+    pub fn qp_rate_bps(&self, qp: QpHandle) -> f64 {
+        self.qps()[qp.0 as usize].cc.rate_bps()
+    }
+
+    /// Number of QPs.
+    pub fn qp_count(&self) -> usize {
+        self.qps().len()
+    }
+
+    /// Sum of goodput bytes over all QPs (receiver side).
+    pub fn total_goodput_bytes(&self) -> u64 {
+        self.qps().iter().map(|q| q.endpoint.goodput_bytes()).sum()
+    }
+
+    /// Is the NIC in storm mode?
+    pub fn in_storm(&self) -> bool {
+        self.work.as_ref().is_some_and(|w| w.storm)
+    }
+
+    /// MTT cache (hits, misses), if an MTT model is configured.
+    pub fn mtt_counters(&self) -> Option<(u64, u64)> {
+        match &self.work {
+            Some(w) => w.mtt.as_ref().map(|m| m.counters()),
+            None => self.cfg.rx.mtt.map(|_| (0, 0)),
+        }
+    }
+
+    /// Has the NIC watchdog disabled pause generation?
+    pub fn pause_generation_disabled(&self) -> bool {
+        self.work.as_ref().is_some_and(|w| w.pause_gen_disabled)
+    }
+
+    /// Put the NIC into §4.3 storm mode immediately: the receive pipeline
+    /// halts and the NIC pauses its switch port continuously. Prefer
+    /// scheduling [`TOK_INJECT_STORM`] for mid-run injection.
+    pub fn inject_storm(&mut self) {
+        self.active().w.storm = true;
+    }
+}
+
+/// A host with its working state, for the length of one call: the
+/// configuration, counters and instruments beside the [`NicWork`] box.
+struct Active<'a> {
+    cfg: &'a NicConfig,
+    tele: Option<&'a NicTele>,
+    stats: &'a mut HostStats,
+    w: &'a mut NicWork,
+}
+
+impl Active<'_> {
     /// Forward a QP's queued transport events (rollbacks) to the
     /// telemetry bus. Always drained so the queue stays bounded even with
     /// telemetry disabled.
     fn drain_transport_events(&mut self, qpn: u32, now_ps: u64) {
-        while let Some(ev) = self.qps[qpn as usize].endpoint.pop_event() {
-            let Some(t) = &self.tele else {
+        while let Some(ev) = self.w.qps[qpn as usize].endpoint.pop_event() {
+            let Some(t) = self.tele else {
                 continue;
             };
             match ev {
@@ -465,129 +637,23 @@ impl RdmaHost {
 
     /// Count one event on the counter `id` names, if telemetry is on.
     fn incr(&self, id: impl Fn(&NicTele) -> CounterId) {
-        if let Some(t) = &self.tele {
+        if let Some(t) = self.tele {
             t.hub.incr(id(t));
         }
     }
 
     /// Record a flight-recorder event, if telemetry is on.
     fn trace(&self, now_ps: u64, ev: TraceEvent) {
-        if let Some(t) = &self.tele {
+        if let Some(t) = self.tele {
             t.hub.trace(now_ps, t.scope, ev);
         }
-    }
-
-    /// The configuration.
-    pub fn config(&self) -> &NicConfig {
-        &self.cfg
-    }
-
-    /// Create a QP to `peer_ip`/`peer_qp`. `udp_src` is the per-QP random
-    /// UDP source port (the ECMP path selector); both ends must agree on
-    /// each other's QP numbers. On a world that has already run, follow
-    /// with a [`TOK_WAKE`].
-    pub fn add_qp(&mut self, peer_ip: u32, peer_qp: u32, udp_src: u16, app: QpApp) -> QpHandle {
-        let qpn = self.qps.len() as u32;
-        let mut qp = Qp {
-            endpoint: QpEndpoint::new(self.cfg.qp_defaults),
-            peer_ip,
-            peer_qp,
-            udp_src,
-            cc: SenderCc::new(&self.cfg.cc, self.cfg.link_bps),
-            np: NpState::default(),
-            next_tx_ps: 0,
-            app,
-            pending_rtt: VecDeque::new(),
-            rx_offset: 0,
-            posted: 0,
-            burst_remaining: match app {
-                QpApp::Burst { count, .. } => count,
-                _ => 0,
-            },
-            wr_seq: 0,
-        };
-        // Prime saturating apps here so QPs created mid-run start sending
-        // once the host is woken ([`TOK_WAKE`]).
-        qp.refill_app();
-        self.qps.push(qp);
-        if let Some(t) = self.tele.as_deref_mut() {
-            let (hub, name) = (&t.hub, &t.name);
-            let cc_name = self.cfg.cc.name();
-            let retransmits = hub.counter(&format!("nic.{name}.qp.{qpn}.retransmits"));
-            let rate_changes = hub.counter(&format!("nic.{name}.qp.{qpn}.{cc_name}.rate_changes"));
-            t.qp_retransmits.push(retransmits);
-            t.qp_rate_changes.push(rate_changes);
-        }
-        QpHandle(qpn)
-    }
-
-    /// Install a host-level application.
-    pub fn set_host_app(&mut self, app: HostApp) {
-        self.host_app = app;
-    }
-
-    /// Post a work request on a QP (programmatic workloads; `tracked`
-    /// pushes an RTT measurement start for the message). Outside the
-    /// event loop on a world that has already run, follow with a
-    /// [`TOK_WAKE`].
-    pub fn post(&mut self, qp: QpHandle, verb: Verb, now: SimTime, tracked: bool) {
-        let q = &mut self.qps[qp.0 as usize];
-        let wr = WrId(q.wr_seq);
-        q.wr_seq += 1;
-        q.endpoint.post(verb, wr);
-        if tracked {
-            q.pending_rtt.push_back(now.as_ps());
-        }
-    }
-
-    /// Read access to a QP's transport endpoint (stats, goodput).
-    pub fn qp_endpoint(&self, qp: QpHandle) -> &QpEndpoint {
-        &self.qps[qp.0 as usize].endpoint
-    }
-
-    /// Current congestion-controlled pacing rate of a QP, b/s (line rate
-    /// when congestion control is off).
-    pub fn qp_rate_bps(&self, qp: QpHandle) -> f64 {
-        self.qps[qp.0 as usize].cc.rate_bps()
-    }
-
-    /// Number of QPs.
-    pub fn qp_count(&self) -> usize {
-        self.qps.len()
-    }
-
-    /// Sum of goodput bytes over all QPs (receiver side).
-    pub fn total_goodput_bytes(&self) -> u64 {
-        self.qps.iter().map(|q| q.endpoint.goodput_bytes()).sum()
-    }
-
-    /// Is the NIC in storm mode?
-    pub fn in_storm(&self) -> bool {
-        self.storm
-    }
-
-    /// MTT cache (hits, misses), if an MTT model is configured.
-    pub fn mtt_counters(&self) -> Option<(u64, u64)> {
-        self.mtt.as_ref().map(|m| m.counters())
-    }
-
-    /// Has the NIC watchdog disabled pause generation?
-    pub fn pause_generation_disabled(&self) -> bool {
-        self.pause_gen_disabled
-    }
-
-    /// Put the NIC into §4.3 storm mode immediately: the receive pipeline
-    /// halts and the NIC pauses its switch port continuously. Prefer
-    /// scheduling [`TOK_INJECT_STORM`] for mid-run injection.
-    pub fn inject_storm(&mut self) {
-        self.storm = true;
     }
 
     // ---- packet materialization ----
 
     fn next_ip_id(&mut self) -> u16 {
-        let id = self.ip_id;
-        self.ip_id = self.ip_id.wrapping_add(1);
+        let id = self.w.ip_id;
+        self.w.ip_id = self.w.ip_id.wrapping_add(1);
         id
     }
 
@@ -599,7 +665,7 @@ impl RdmaHost {
     }
 
     fn materialize(&mut self, qpn: u32, desc: &PacketDesc, ctx: &mut Ctx<'_>) -> Packet {
-        let q = &self.qps[qpn as usize];
+        let q = &self.w.qps[qpn as usize];
         let prio = RDMA_PRIORITY;
         let (peer_ip, peer_qp, udp_src) = (q.peer_ip, q.peer_qp, q.udp_src);
         let ecn = if desc.opcode.carries_data() {
@@ -662,38 +728,38 @@ impl RdmaHost {
         let port = PortId(0);
         while !ctx.port_busy(port) && ctx.port_connected(port) {
             // Pause frames leave no matter what.
-            if let Some(p) = self.pause_out.pop_front() {
+            if let Some(p) = self.w.pause_out.pop_front() {
                 ctx.transmit(port, p).expect("port checked idle");
                 continue;
             }
-            if self.storm {
+            if self.w.storm {
                 return; // storm mode: no data, no control
             }
             let now = ctx.now();
-            let paused_until = self.paused_until[RDMA_PRIORITY.index()];
+            let paused_until = self.w.paused_until[RDMA_PRIORITY.index()];
             if paused_until > now {
                 // Our lossless class is paused; wake when it expires.
                 self.pump_at(paused_until, ctx);
                 return;
             }
-            if let Some(p) = self.ctrl.pop_front() {
+            if let Some(p) = self.w.ctrl.pop_front() {
                 self.stats.tx_bytes += p.wire_size() as u64;
                 ctx.transmit(port, p).expect("port checked idle");
                 continue;
             }
             // Data: round-robin over QPs, honouring per-QP pacing.
-            let n = self.qps.len();
+            let n = self.w.qps.len();
             let mut earliest: Option<u64> = None;
             let mut picked = None;
             for step in 0..n {
-                let i = (self.rr + step) % n;
-                if !self.qps[i].endpoint.has_data_tx() {
+                let i = (self.w.rr + step) % n;
+                if !self.w.qps[i].endpoint.has_data_tx() {
                     continue;
                 }
-                let t = self.qps[i].next_tx_ps;
+                let t = self.w.qps[i].next_tx_ps;
                 if t <= now.as_ps() {
                     picked = Some(i);
-                    self.rr = (i + 1) % n;
+                    self.w.rr = (i + 1) % n;
                     break;
                 }
                 earliest = Some(earliest.map_or(t, |e: u64| e.min(t)));
@@ -704,7 +770,7 @@ impl RdmaHost {
                 }
                 return;
             };
-            let desc = self.qps[i]
+            let desc = self.w.qps[i]
                 .endpoint
                 .next_data_tx(now.as_ps())
                 .expect("has_data_tx checked");
@@ -712,9 +778,9 @@ impl RdmaHost {
             self.arm_rto_scan(ctx);
             let pkt = self.materialize(i as u32, &desc, ctx);
             let bytes = pkt.wire_size() as u64;
-            let rate = self.qps[i].cc.rate_bps();
+            let rate = self.w.qps[i].cc.rate_bps();
             let gap_ps = (bytes as f64 * 8.0 * 1e12 / rate) as u64;
-            let q = &mut self.qps[i];
+            let q = &mut self.w.qps[i];
             q.next_tx_ps = now.as_ps().max(q.next_tx_ps) + gap_ps;
             let act = q.cc.on_signal(CcSignal::BytesSent { bytes }, now.as_ps());
             if let Some(act) = act {
@@ -732,17 +798,17 @@ impl RdmaHost {
     /// new: every state change that could enable a send runs the pump
     /// itself.
     fn pump_at(&mut self, at: SimTime, ctx: &mut Ctx<'_>) {
-        if self.pump_queued != at {
-            self.pump_queued = at;
+        if self.w.pump_queued != at {
+            self.w.pump_queued = at;
             ctx.set_timer_at(at, TOK_PUMP);
         }
     }
 
     /// Move a QP endpoint's pending control packets into the host queue.
     fn drain_ctrl(&mut self, qpn: u32, ctx: &mut Ctx<'_>) {
-        while let Some(desc) = self.qps[qpn as usize].endpoint.pop_ctrl_tx() {
+        while let Some(desc) = self.w.qps[qpn as usize].endpoint.pop_ctrl_tx() {
             let pkt = self.materialize(qpn, &desc, ctx);
-            self.ctrl.push_back(pkt);
+            self.w.ctrl.push_back(pkt);
         }
     }
 
@@ -756,36 +822,31 @@ impl RdmaHost {
             ack_req: false,
         };
         let pkt = self.materialize(qpn, &desc, ctx);
-        self.ctrl.push_back(pkt);
+        self.w.ctrl.push_back(pkt);
         self.stats.cnp_tx += 1;
         self.incr(|t| t.cnp_tx);
     }
 
     // ---- receive pipeline ----
 
+    /// A frame that passed the MAC filter.
     fn on_rx(&mut self, pkt: Packet, ctx: &mut Ctx<'_>) {
-        // NIC MAC filter: flooded copies of other hosts' frames (the §4.2
-        // scenario floods lossless packets to every port) are discarded
-        // in hardware before they can alias a local QP number.
-        if pkt.eth.dst != self.cfg.mac && !pkt.eth.dst.is_multicast() {
-            return;
-        }
-        if self.storm {
+        if self.w.storm {
             self.stats.rx_storm_dropped += 1;
             self.incr(|t| t.rx_storm_dropped);
             self.note_rx_pressure(ctx);
             return;
         }
         let bytes = pkt.wire_size() as u64;
-        if self.rx_occupancy + bytes > RX_BUFFER_BYTES {
+        if self.w.rx_occupancy + bytes > RX_BUFFER_BYTES {
             self.stats.rx_overflow += 1;
             self.incr(|t| t.rx_overflow);
             return;
         }
-        self.rx_occupancy += bytes;
-        self.rx_queue.push_back(pkt);
+        self.w.rx_occupancy += bytes;
+        self.w.rx_queue.push_back(pkt);
         self.note_rx_pressure(ctx);
-        if !self.rx_busy {
+        if !self.w.rx_busy {
             self.start_rx_service(ctx);
         }
     }
@@ -793,9 +854,9 @@ impl RdmaHost {
     /// Emit XOFF when the receive buffer crosses its threshold (the
     /// slow-receiver symptom's visible signature).
     fn note_rx_pressure(&mut self, ctx: &mut Ctx<'_>) {
-        let over = self.storm || self.rx_occupancy >= RX_XOFF_BYTES;
-        if over && !self.host_xoff && !self.pause_gen_disabled {
-            self.host_xoff = true;
+        let over = self.w.storm || self.w.rx_occupancy >= RX_XOFF_BYTES;
+        if over && !self.w.host_xoff && !self.w.pause_gen_disabled {
+            self.w.host_xoff = true;
             self.emit_pause(u16::MAX, ctx);
             ctx.set_timer(STORM_REFRESH, TOK_PAUSE_REFRESH);
         }
@@ -804,7 +865,7 @@ impl RdmaHost {
     fn emit_pause(&mut self, quanta: u16, ctx: &mut Ctx<'_>) {
         let prio = RDMA_PRIORITY;
         let pkt = self.pause_packet(prio, quanta, ctx);
-        self.pause_out.push_back(pkt);
+        self.w.pause_out.push_back(pkt);
         if quanta > 0 {
             self.stats.pause_tx += 1;
             self.incr(|t| t.pause_tx);
@@ -820,17 +881,17 @@ impl RdmaHost {
     }
 
     fn start_rx_service(&mut self, ctx: &mut Ctx<'_>) {
-        let Some(pkt) = self.rx_queue.front() else {
-            self.rx_busy = false;
+        let w = &mut *self.w;
+        let Some(pkt) = w.rx_queue.front() else {
+            w.rx_busy = false;
             return;
         };
-        self.rx_busy = true;
+        w.rx_busy = true;
         let mut delay = self.cfg.rx.per_packet_ps;
         // MTT translation for packets that DMA payload into host memory.
-        if let (Some(mtt), PacketKind::Roce(r)) = (self.mtt.as_mut(), &pkt.kind) {
+        if let (Some(mtt), PacketKind::Roce(r)) = (w.mtt.as_mut(), &pkt.kind) {
             if r.opcode.carries_data() {
-                let q = &self.qps.get(r.dest_qp as usize);
-                if let Some(q) = q {
+                if let Some(q) = w.qps.get(r.dest_qp as usize) {
                     delay += mtt.access(r.dest_qp as u64, q.rx_offset);
                 }
             }
@@ -839,16 +900,16 @@ impl RdmaHost {
     }
 
     fn finish_rx_service(&mut self, ctx: &mut Ctx<'_>) {
-        let Some(pkt) = self.rx_queue.pop_front() else {
-            self.rx_busy = false;
+        let Some(pkt) = self.w.rx_queue.pop_front() else {
+            self.w.rx_busy = false;
             return;
         };
-        self.rx_occupancy -= pkt.wire_size() as u64;
-        self.last_rx_progress = ctx.now();
+        self.w.rx_occupancy -= pkt.wire_size() as u64;
+        self.w.last_rx_progress = ctx.now();
         self.process_rx(pkt, ctx);
         // XON when the buffer has drained enough.
-        if self.host_xoff && !self.storm && self.rx_occupancy <= RX_XON_BYTES {
-            self.host_xoff = false;
+        if self.w.host_xoff && !self.w.storm && self.w.rx_occupancy <= RX_XON_BYTES {
+            self.w.host_xoff = false;
             self.emit_pause(0, ctx);
         }
         self.start_rx_service(ctx);
@@ -859,14 +920,14 @@ impl RdmaHost {
             return; // non-RoCE traffic (e.g. raw frames) is outside the NIC fast path
         };
         let qpn = r.dest_qp;
-        if qpn as usize >= self.qps.len() {
+        if qpn as usize >= self.w.qps.len() {
             return; // unknown QP (e.g. host considered "dead" has none)
         }
         self.stats.data_pkts_rx += 1;
         // DCQCN NP: CE-marked data triggers a (rate-limited) CNP.
         if pkt.ip.map(|ip| ip.ecn) == Some(EcnCodepoint::Ce) {
             let now = ctx.now().as_ps();
-            if self.qps[qpn as usize].np.on_ce_packet(now) {
+            if self.w.qps[qpn as usize].np.on_ce_packet(now) {
                 self.send_cnp(qpn, ctx);
             }
         }
@@ -874,7 +935,7 @@ impl RdmaHost {
             self.stats.cnp_rx += 1;
             self.incr(|t| t.cnp_rx);
             let now_ps = ctx.now().as_ps();
-            let act = self.qps[qpn as usize].cc.on_signal(CcSignal::Cnp, now_ps);
+            let act = self.w.qps[qpn as usize].cc.on_signal(CcSignal::Cnp, now_ps);
             if let Some(act) = act {
                 self.note_cc_action(qpn, act, now_ps);
             }
@@ -890,7 +951,7 @@ impl RdmaHost {
         };
         let now_ps = ctx.now().as_ps();
         {
-            let q = &mut self.qps[qpn as usize];
+            let q = &mut self.w.qps[qpn as usize];
             if r.opcode.carries_data() {
                 q.rx_offset += r.payload as u64;
             }
@@ -899,8 +960,8 @@ impl RdmaHost {
         // Delay-based controllers: feed the RTT samples this packet's
         // cumulative-ACK processing produced (no-op signals for DCQCN and
         // fixed-rate, so the paper-default event stream is untouched).
-        while let Some(rtt_ps) = self.qps[qpn as usize].endpoint.take_rtt_sample() {
-            let act = self.qps[qpn as usize]
+        while let Some(rtt_ps) = self.w.qps[qpn as usize].endpoint.take_rtt_sample() {
+            let act = self.w.qps[qpn as usize]
                 .cc
                 .on_signal(CcSignal::AckRtt { rtt_ps }, now_ps);
             if let Some(act) = act {
@@ -918,13 +979,13 @@ impl RdmaHost {
     /// streaming rate points — one trajectory point carrying the QP
     /// identity the flight event elides.
     fn note_cc_action(&mut self, qpn: u32, act: CcAction, now_ps: u64) {
-        let Some(t) = &self.tele else {
+        let Some(t) = self.tele else {
             return;
         };
         match act {
             CcAction::RateChange { rate_bps, cause } => {
                 t.hub.incr(t.qp_rate_changes[qpn as usize]);
-                let cc = self.qps[qpn as usize].cc.kind().name();
+                let cc = self.w.qps[qpn as usize].cc.kind().name();
                 let rate_mbps = (rate_bps / 1e6) as u32;
                 t.hub.trace(
                     now_ps,
@@ -949,13 +1010,15 @@ impl RdmaHost {
         }
     }
 
+    /// Act on a QP's completions in the order the endpoint queued them.
+    /// Nothing done here completes another message, so the loop sees
+    /// exactly the completions present when it starts.
     fn handle_completions(&mut self, qpn: u32, ctx: &mut Ctx<'_>) {
-        let completions = self.qps[qpn as usize].endpoint.take_completions();
-        for c in completions {
+        while let Some(c) = self.w.qps[qpn as usize].endpoint.pop_completion() {
             match c {
                 Completion::SendDone { .. } => {
                     self.stats.send_completions += 1;
-                    let q = &mut self.qps[qpn as usize];
+                    let q = &mut self.w.qps[qpn as usize];
                     if matches!(q.app, QpApp::Saturate { .. } | QpApp::Burst { .. }) {
                         q.posted = q.posted.saturating_sub(1);
                         q.refill_app();
@@ -966,10 +1029,10 @@ impl RdmaHost {
                 }
                 Completion::MessageReceived { .. } => {
                     let now = ctx.now().as_ps();
-                    let q = &mut self.qps[qpn as usize];
+                    let q = &mut self.w.qps[qpn as usize];
                     if let Some(sent) = q.pending_rtt.pop_front() {
                         self.stats.rtt_samples_ps.push(now - sent);
-                        if let Some(t) = &self.tele {
+                        if let Some(t) = self.tele {
                             t.hub.observe(t.rtt_ps, now - sent);
                         }
                     }
@@ -1005,11 +1068,11 @@ impl RdmaHost {
         let mut resumed = false;
         for (prio, quanta) in frame.entries() {
             if quanta == 0 {
-                self.paused_until[prio.index()] = ctx.now();
+                self.w.paused_until[prio.index()] = ctx.now();
                 resumed = true;
             } else {
                 let until = ctx.now() + SimTime(PfcPauseFrame::quanta_to_ps(quanta, rate));
-                self.paused_until[prio.index()] = until;
+                self.w.paused_until[prio.index()] = until;
                 self.pump_at(until, ctx);
             }
         }
@@ -1021,54 +1084,53 @@ impl RdmaHost {
     /// Queue the congestion-control tick if the host has come to own a
     /// QP since it last looked (at start, or on a [`TOK_WAKE`]).
     fn arm_cc_tick(&mut self, ctx: &mut Ctx<'_>) {
-        if self.tick_armed || self.qps.is_empty() {
+        if self.w.tick_armed || self.w.qps.is_empty() {
             return;
         }
         if let Some(period) = self.cfg.cc.tick_period_ps() {
-            self.tick_armed = true;
+            self.w.tick_armed = true;
             ctx.set_timer_on_grid(SimTime(period), TOK_CC_TICK);
         }
     }
 
     /// Queue the retransmission-timeout scan unless one already is.
     fn arm_rto_scan(&mut self, ctx: &mut Ctx<'_>) {
-        if !self.rto_armed {
-            self.rto_armed = true;
+        if !self.w.rto_armed {
+            self.w.rto_armed = true;
             ctx.set_timer_on_grid(RTO_SCAN, TOK_RTO);
         }
     }
 
     fn storm_tick(&mut self, ctx: &mut Ctx<'_>) {
-        if !self.storm {
+        if !self.w.storm {
             return;
         }
         // NIC watchdog: the micro-controller sees a stalled receive
         // pipeline that keeps generating pauses and cuts pause generation.
         // It never re-enables (§4.3): a stormed NIC "never comes back".
         if let Some(after) = self.cfg.nic_watchdog_after {
-            if !self.pause_gen_disabled && ctx.now().saturating_sub(self.last_rx_progress) >= after
+            if !self.w.pause_gen_disabled
+                && ctx.now().saturating_sub(self.w.last_rx_progress) >= after
             {
-                self.pause_gen_disabled = true;
+                self.w.pause_gen_disabled = true;
                 self.stats.nic_watchdog_fired += 1;
                 self.incr(|t| t.nic_watchdog_fired);
                 self.trace(ctx.now().as_ps(), TraceEvent::NicWatchdogFired);
             }
         }
-        if !self.pause_gen_disabled {
+        if !self.w.pause_gen_disabled {
             self.emit_pause(u16::MAX, ctx);
         }
         ctx.set_timer(STORM_REFRESH, TOK_STORM_TICK);
     }
-}
 
-impl Node for RdmaHost {
-    fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+    fn start(&mut self, ctx: &mut Ctx<'_>) {
         self.arm_cc_tick(ctx);
         // Prime per-QP apps.
-        for i in 0..self.qps.len() {
-            match self.qps[i].app {
+        for i in 0..self.w.qps.len() {
+            match self.w.qps[i].app {
                 QpApp::Saturate { .. } | QpApp::Burst { .. } => {
-                    self.qps[i].refill_app();
+                    self.w.qps[i].refill_app();
                 }
                 QpApp::Pinger { start_at, .. } => {
                     ctx.set_timer_at(start_at, TOK_QP_APP_BASE + i as u64);
@@ -1076,21 +1138,9 @@ impl Node for RdmaHost {
                 QpApp::Echo { .. } | QpApp::None => {}
             }
         }
-        if let HostApp::Fanout { start_at, .. } = &self.host_app {
+        if let HostApp::Fanout { start_at, .. } = &self.w.host_app {
             ctx.set_timer_at(*start_at, TOK_FANOUT);
         }
-        self.pump(ctx);
-    }
-
-    fn on_packet(&mut self, _port: PortId, pkt: Packet, ctx: &mut Ctx<'_>) {
-        if let PacketKind::Pfc(frame) = pkt.kind {
-            self.on_pause(&frame, ctx);
-            return;
-        }
-        self.on_rx(pkt, ctx);
-    }
-
-    fn on_port_idle(&mut self, _port: PortId, ctx: &mut Ctx<'_>) {
         self.pump(ctx);
     }
 
@@ -1099,15 +1149,15 @@ impl Node for RdmaHost {
             TOK_PUMP => self.pump(ctx),
             TOK_CC_TICK => {
                 let now_ps = ctx.now().as_ps();
-                for i in 0..self.qps.len() {
-                    let act = self.qps[i].cc.on_signal(CcSignal::Tick, now_ps);
+                for i in 0..self.w.qps.len() {
+                    let act = self.w.qps[i].cc.on_signal(CcSignal::Tick, now_ps);
                     if let Some(act) = act {
                         self.note_cc_action(i as u32, act, now_ps);
                     }
                 }
                 // Re-arm while the host still owns a QP (QPs are never
                 // removed, so in practice for good).
-                self.tick_armed = false;
+                self.w.tick_armed = false;
                 self.arm_cc_tick(ctx);
                 self.pump(ctx);
             }
@@ -1115,8 +1165,8 @@ impl Node for RdmaHost {
             TOK_RTO => {
                 let now = ctx.now().as_ps();
                 let mut unacked = false;
-                for i in 0..self.qps.len() {
-                    let ep = &mut self.qps[i].endpoint;
+                for i in 0..self.w.qps.len() {
+                    let ep = &mut self.w.qps[i].endpoint;
                     ep.check_timeout(now);
                     unacked |= ep.rto_deadline_ps().is_some();
                     self.drain_transport_events(i as u32, now);
@@ -1124,7 +1174,7 @@ impl Node for RdmaHost {
                 // Scan again only while something is still outstanding; a
                 // QP this scan rewound has nothing outstanding until the
                 // pump below resends, and that send re-arms.
-                self.rto_armed = unacked;
+                self.w.rto_armed = unacked;
                 if unacked {
                     ctx.set_timer_on_grid(RTO_SCAN, TOK_RTO);
                 }
@@ -1137,57 +1187,93 @@ impl Node for RdmaHost {
                 self.arm_rto_scan(ctx);
             }
             TOK_FANOUT => {
+                let w = &mut *self.w;
                 if let HostApp::Fanout {
                     qps,
                     interval,
                     query_len,
                     ..
-                } = self.host_app.clone()
+                } = &w.host_app
                 {
                     let now = ctx.now();
                     for qp in qps {
-                        self.post(qp, Verb::Send { len: query_len }, now, true);
+                        w.qps[qp.0 as usize].post(Verb::Send { len: *query_len }, now, true);
                     }
-                    ctx.set_timer(interval, TOK_FANOUT);
+                    ctx.set_timer(*interval, TOK_FANOUT);
                     self.pump(ctx);
                 }
             }
             // Keep the peer paused while we are still in XOFF.
-            TOK_PAUSE_REFRESH if self.host_xoff && !self.pause_gen_disabled => {
+            TOK_PAUSE_REFRESH if self.w.host_xoff && !self.w.pause_gen_disabled => {
                 self.emit_pause(u16::MAX, ctx);
                 ctx.set_timer(STORM_REFRESH, TOK_PAUSE_REFRESH);
             }
             TOK_STORM_TICK => self.storm_tick(ctx),
             TOK_INJECT_STORM => {
-                self.storm = true;
+                self.w.storm = true;
                 self.trace(ctx.now().as_ps(), TraceEvent::StormStart);
                 self.storm_tick(ctx);
             }
-            TOK_STOP_STORM if self.storm => {
-                self.storm = false;
+            TOK_STOP_STORM if self.w.storm => {
+                self.w.storm = false;
                 self.trace(ctx.now().as_ps(), TraceEvent::StormStop);
                 // Resume the peer if we were the ones holding it down
                 // (the watchdog-disabled case already stopped pausing).
-                if self.host_xoff && !self.pause_gen_disabled && self.rx_occupancy <= RX_XON_BYTES {
-                    self.host_xoff = false;
+                if self.w.host_xoff
+                    && !self.w.pause_gen_disabled
+                    && self.w.rx_occupancy <= RX_XON_BYTES
+                {
+                    self.w.host_xoff = false;
                     self.emit_pause(0, ctx);
                 }
                 self.pump(ctx);
             }
             t if t >= TOK_QP_APP_BASE => {
                 let i = (t - TOK_QP_APP_BASE) as usize;
+                let q = &mut self.w.qps[i];
                 if let QpApp::Pinger {
                     payload, interval, ..
-                } = self.qps[i].app
+                } = q.app
                 {
-                    let now = ctx.now();
-                    self.post(QpHandle(i as u32), Verb::Send { len: payload }, now, true);
+                    q.post(Verb::Send { len: payload }, ctx.now(), true);
                     ctx.set_timer(interval, TOK_QP_APP_BASE + i as u64);
                     self.pump(ctx);
                 }
             }
             _ => {}
         }
+    }
+}
+
+impl Node for RdmaHost {
+    fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+        if let Some(mut a) = self.running() {
+            a.start(ctx);
+        }
+    }
+
+    fn on_packet(&mut self, _port: PortId, pkt: Packet, ctx: &mut Ctx<'_>) {
+        if let PacketKind::Pfc(frame) = pkt.kind {
+            self.active().on_pause(&frame, ctx);
+            return;
+        }
+        // NIC MAC filter: flooded copies of other hosts' frames (the §4.2
+        // scenario floods lossless packets to every port) are discarded
+        // in hardware before they can alias a local QP number.
+        if pkt.eth.dst != self.cfg.mac && !pkt.eth.dst.is_multicast() {
+            return;
+        }
+        self.active().on_rx(pkt, ctx);
+    }
+
+    fn on_port_idle(&mut self, _port: PortId, ctx: &mut Ctx<'_>) {
+        if let Some(mut a) = self.running() {
+            a.pump(ctx);
+        }
+    }
+
+    fn on_timer(&mut self, token: u64, ctx: &mut Ctx<'_>) {
+        self.active().on_timer(token, ctx);
     }
 
     fn as_any(&self) -> &dyn Any {

@@ -207,6 +207,64 @@ struct PortState {
     up: bool,
 }
 
+/// One node's port slots, indexed by [`PortId`]. A node with at most
+/// one port — every server — keeps its slot inline rather than in a
+/// heap block of its own; a switch keeps a vector.
+#[derive(Debug, Clone)]
+enum PortTable {
+    One(Option<PortState>),
+    Many(Vec<Option<PortState>>),
+}
+
+impl PortTable {
+    #[inline]
+    fn get(&self, port: PortId) -> Option<&PortState> {
+        match self {
+            PortTable::One(s) if port.0 == 0 => s.as_ref(),
+            PortTable::One(_) => None,
+            PortTable::Many(v) => v.get(port.index()).and_then(|s| s.as_ref()),
+        }
+    }
+
+    #[inline]
+    fn get_mut(&mut self, port: PortId) -> Option<&mut PortState> {
+        match self {
+            PortTable::One(s) if port.0 == 0 => s.as_mut(),
+            PortTable::One(_) => None,
+            PortTable::Many(v) => v.get_mut(port.index()).and_then(|s| s.as_mut()),
+        }
+    }
+
+    fn iter(&self) -> impl Iterator<Item = &PortState> {
+        let slots = match self {
+            PortTable::One(s) => std::slice::from_ref(s),
+            PortTable::Many(v) => v.as_slice(),
+        };
+        slots.iter().flatten()
+    }
+
+    /// Wire `port`, growing the table to reach it. Panics if the port
+    /// is already connected.
+    fn connect(&mut self, port: PortId, state: PortState) {
+        if let PortTable::One(first) = self {
+            if port.0 != 0 {
+                *self = PortTable::Many(vec![first.take()]);
+            }
+        }
+        let slot = match self {
+            PortTable::One(s) => s,
+            PortTable::Many(v) => {
+                if v.len() <= port.index() {
+                    v.resize(port.index() + 1, None);
+                }
+                &mut v[port.index()]
+            }
+        };
+        assert!(slot.is_none(), "port {port:?} already connected");
+        *slot = Some(state);
+    }
+}
+
 /// A queued event. `Arrival` carries an index into the world's packet
 /// slab rather than a `Box<Packet>`, so the hot path recycles packet
 /// storage through a free list instead of allocating per transmission.
@@ -235,7 +293,7 @@ enum EventKind {
 struct WorldCore {
     now: SimTime,
     queue: EventQueue<EventKind>,
-    ports: Vec<Vec<Option<PortState>>>,
+    ports: Vec<PortTable>,
     rng: SimRng,
     next_packet_id: u64,
     events_processed: u64,
@@ -337,7 +395,7 @@ impl World {
     pub fn add_node(&mut self, node: Box<dyn Node>) -> NodeId {
         let id = NodeId(self.nodes.len() as u32);
         self.nodes.push(node);
-        self.core.ports.push(Vec::new());
+        self.core.ports.push(PortTable::One(None));
         id
     }
 
@@ -352,27 +410,24 @@ impl World {
         b_port: PortId,
         spec: LinkSpec,
     ) {
-        let slot = |ports: &mut Vec<Option<PortState>>, p: PortId| {
-            if ports.len() <= p.index() {
-                ports.resize(p.index() + 1, None);
-            }
-            assert!(ports[p.index()].is_none(), "port {p:?} already connected");
-            p.index()
-        };
-        let ia = slot(&mut self.core.ports[a.0 as usize], a_port);
-        self.core.ports[a.0 as usize][ia] = Some(PortState {
-            peer: Peer::Local(b, b_port),
-            spec,
-            busy_until: SimTime::ZERO,
-            up: true,
-        });
-        let ib = slot(&mut self.core.ports[b.0 as usize], b_port);
-        self.core.ports[b.0 as usize][ib] = Some(PortState {
-            peer: Peer::Local(a, a_port),
-            spec,
-            busy_until: SimTime::ZERO,
-            up: true,
-        });
+        self.core.ports[a.0 as usize].connect(
+            a_port,
+            PortState {
+                peer: Peer::Local(b, b_port),
+                spec,
+                busy_until: SimTime::ZERO,
+                up: true,
+            },
+        );
+        self.core.ports[b.0 as usize].connect(
+            b_port,
+            PortState {
+                peer: Peer::Local(a, a_port),
+                spec,
+                busy_until: SimTime::ZERO,
+                up: true,
+            },
+        );
     }
 
     /// Wire `port` on `node` to a port in *another shard's* world. The
@@ -383,20 +438,15 @@ impl World {
     /// routes them at the next epoch barrier. Both worlds must call
     /// this with mirrored [`RemotePort`]s and the same `spec`.
     pub fn connect_remote(&mut self, node: NodeId, port: PortId, spec: LinkSpec, peer: RemotePort) {
-        let ports = &mut self.core.ports[node.0 as usize];
-        if ports.len() <= port.index() {
-            ports.resize(port.index() + 1, None);
-        }
-        assert!(
-            ports[port.index()].is_none(),
-            "port {port:?} already connected"
+        self.core.ports[node.0 as usize].connect(
+            port,
+            PortState {
+                peer: Peer::Remote(peer),
+                spec,
+                busy_until: SimTime::ZERO,
+                up: true,
+            },
         );
-        ports[port.index()] = Some(PortState {
-            peer: Peer::Remote(peer),
-            spec,
-            busy_until: SimTime::ZERO,
-            up: true,
-        });
     }
 
     /// Drain the boundary outbox: every cross-shard packet sent since
@@ -415,8 +465,7 @@ impl World {
         self.core
             .ports
             .iter()
-            .flatten()
-            .flatten()
+            .flat_map(PortTable::iter)
             .filter(|s| matches!(s.peer, Peer::Remote(_)))
             .map(|s| s.spec.propagation)
             .min()
@@ -707,9 +756,7 @@ impl Ctx<'_> {
     }
 
     fn port(&self, port: PortId) -> Option<&PortState> {
-        self.core.ports[self.node.0 as usize]
-            .get(port.index())
-            .and_then(|s| s.as_ref())
+        self.core.ports[self.node.0 as usize].get(port)
     }
 
     /// Begin transmitting `pkt` on `port`. The port stays busy for the
@@ -719,8 +766,7 @@ impl Ctx<'_> {
     pub fn transmit(&mut self, port: PortId, pkt: Packet) -> Result<(), TxError> {
         let now = self.core.now;
         let state = self.core.ports[self.node.0 as usize]
-            .get_mut(port.index())
-            .and_then(|s| s.as_mut())
+            .get_mut(port)
             .filter(|s| s.up)
             .ok_or(TxError::Unconnected)?;
         if state.busy_until > now {
@@ -787,18 +833,12 @@ impl Ctx<'_> {
     /// packets are unaffected; new transmissions on a downed half fail
     /// with [`TxError::Unconnected`].
     pub fn set_link_up(&mut self, port: PortId, up: bool) -> bool {
-        let Some(state) = self.core.ports[self.node.0 as usize]
-            .get_mut(port.index())
-            .and_then(|s| s.as_mut())
-        else {
+        let Some(state) = self.core.ports[self.node.0 as usize].get_mut(port) else {
             return false;
         };
         state.up = up;
         if let Peer::Local(peer_node, peer_port) = state.peer {
-            if let Some(peer) = self.core.ports[peer_node.0 as usize]
-                .get_mut(peer_port.index())
-                .and_then(|s| s.as_mut())
-            {
+            if let Some(peer) = self.core.ports[peer_node.0 as usize].get_mut(peer_port) {
                 peer.up = up;
             }
         }

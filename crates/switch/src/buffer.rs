@@ -25,14 +25,15 @@ pub enum AdmitOutcome {
     Drop,
 }
 
-/// One (port, PG) ingress counter. `u32` bytes: no counter exceeds the
-/// buffer, which [`SharedBuffer::new`] bounds below 4 GiB.
+/// One port's ingress counters, one lane per PG. `u32` bytes: no
+/// counter exceeds the buffer, which [`SharedBuffer::new`] bounds below
+/// 4 GiB.
 #[derive(Debug, Clone, Copy, Default)]
-struct PgCounter {
-    shared: u32,
-    headroom: u32,
-    /// Currently in XOFF state (pause sent, XON pending).
-    xoff: bool,
+struct PortPgs {
+    shared: [u32; Priority::COUNT],
+    headroom: [u32; Priority::COUNT],
+    /// Bit `pg` set: that PG is in XOFF state (pause sent, XON pending).
+    xoff: u8,
 }
 
 /// The shared buffer of one switch.
@@ -44,7 +45,7 @@ pub struct SharedBuffer {
     /// Shared-pool capacity: total minus all headroom reservations.
     shared_capacity: u64,
     /// Per-(port, PG) counters.
-    counters: Vec<[PgCounter; Priority::COUNT]>,
+    counters: Vec<PortPgs>,
     /// Peak shared usage, for monitoring.
     peak_shared: u64,
     /// Memoized [`SharedBuffer::xoff_threshold`]: the float multiply only
@@ -76,7 +77,7 @@ impl SharedBuffer {
             shared_capacity: cfg.total_bytes - reserved,
             cfg,
             shared_used: 0,
-            counters: vec![[PgCounter::default(); Priority::COUNT]; ports as usize],
+            counters: vec![PortPgs::default(); ports as usize],
             peak_shared: 0,
             cached_threshold: 0,
         };
@@ -117,19 +118,20 @@ impl SharedBuffer {
     /// into headroom after the threshold; lossy packets drop.
     pub fn admit(&mut self, port: u16, pg: Priority, bytes: u64, lossless: bool) -> AdmitOutcome {
         let threshold = self.xoff_threshold();
-        let c = &mut self.counters[port as usize][pg.index()];
-        let room_in_shared = self.shared_used + bytes <= self.shared_capacity
-            && c.shared as u64 + bytes <= threshold;
+        let c = &mut self.counters[port as usize];
+        let (shared, headroom) = (&mut c.shared[pg.index()], &mut c.headroom[pg.index()]);
+        let room_in_shared =
+            self.shared_used + bytes <= self.shared_capacity && *shared as u64 + bytes <= threshold;
         if room_in_shared {
-            c.shared += bytes as u32;
+            *shared += bytes as u32;
             self.shared_used += bytes;
             self.peak_shared = self.peak_shared.max(self.shared_used);
             self.recompute_threshold();
             return AdmitOutcome::Shared;
         }
         if lossless {
-            if c.headroom as u64 + bytes <= self.cfg.headroom_per_port_pg {
-                c.headroom += bytes as u32;
+            if *headroom as u64 + bytes <= self.cfg.headroom_per_port_pg {
+                *headroom += bytes as u32;
                 return AdmitOutcome::Headroom;
             }
             // Headroom overrun: a configuration error (undersized
@@ -142,47 +144,65 @@ impl SharedBuffer {
 
     /// Release bytes previously admitted with `outcome`.
     pub fn release(&mut self, port: u16, pg: Priority, bytes: u64, outcome: AdmitOutcome) {
-        let c = &mut self.counters[port as usize][pg.index()];
+        let c = &mut self.counters[port as usize];
         match outcome {
             AdmitOutcome::Shared => {
-                debug_assert!(c.shared as u64 >= bytes && self.shared_used >= bytes);
-                c.shared -= bytes as u32;
+                let shared = &mut c.shared[pg.index()];
+                debug_assert!(*shared as u64 >= bytes && self.shared_used >= bytes);
+                *shared -= bytes as u32;
                 self.shared_used -= bytes;
                 self.recompute_threshold();
             }
             AdmitOutcome::Headroom => {
-                debug_assert!(c.headroom as u64 >= bytes);
-                c.headroom -= bytes as u32;
+                let headroom = &mut c.headroom[pg.index()];
+                debug_assert!(*headroom as u64 >= bytes);
+                *headroom -= bytes as u32;
             }
             AdmitOutcome::Drop => {}
         }
     }
 
+    /// (shared, headroom) bytes held for (`port`, `pg`).
+    fn held(&self, port: u16, pg: Priority) -> (u64, u64) {
+        let c = &self.counters[port as usize];
+        (c.shared[pg.index()] as u64, c.headroom[pg.index()] as u64)
+    }
+
     /// Total (shared + headroom) bytes held for (`port`, `pg`).
     pub fn occupancy(&self, port: u16, pg: Priority) -> u64 {
-        let c = &self.counters[port as usize][pg.index()];
-        c.shared as u64 + c.headroom as u64
+        let (shared, headroom) = self.held(port, pg);
+        shared + headroom
     }
 
     /// Should this counter be in XOFF? True once occupancy crosses the
     /// threshold (headroom use always implies XOFF).
     pub fn over_xoff(&self, port: u16, pg: Priority) -> bool {
-        let c = &self.counters[port as usize][pg.index()];
-        c.headroom > 0 || c.shared as u64 >= self.xoff_threshold()
+        let (shared, headroom) = self.held(port, pg);
+        headroom > 0 || shared >= self.xoff_threshold()
     }
 
     /// Should this counter be resumed? True once occupancy falls below
     /// threshold − hysteresis and headroom has drained.
     pub fn below_xon(&self, port: u16, pg: Priority) -> bool {
-        let c = &self.counters[port as usize][pg.index()];
-        c.headroom == 0
-            && c.shared as u64 <= self.xoff_threshold().saturating_sub(self.cfg.xon_delta)
+        let (shared, headroom) = self.held(port, pg);
+        headroom == 0 && shared <= self.xoff_threshold().saturating_sub(self.cfg.xon_delta)
     }
 
-    /// Read/modify the latched XOFF state (set when a pause is sent,
-    /// cleared when a resume is sent).
-    pub fn xoff_state(&mut self, port: u16, pg: Priority) -> &mut bool {
-        &mut self.counters[port as usize][pg.index()].xoff
+    /// The latched XOFF state: set when a pause is sent, cleared when a
+    /// resume is sent.
+    pub fn xoff(&self, port: u16, pg: Priority) -> bool {
+        self.counters[port as usize].xoff & (1 << pg.index()) != 0
+    }
+
+    /// Latch or clear the XOFF state of (`port`, `pg`).
+    pub fn set_xoff(&mut self, port: u16, pg: Priority, on: bool) {
+        let bit = 1 << pg.index();
+        let flags = &mut self.counters[port as usize].xoff;
+        if on {
+            *flags |= bit;
+        } else {
+            *flags &= !bit;
+        }
     }
 
     /// Shared-pool bytes currently in use.

@@ -304,11 +304,21 @@ impl EgressPort {
 }
 
 /// Per-port watchdog bookkeeping.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy)]
 struct WatchdogPort {
     lossless_disabled: bool,
     last_pause_rx: SimTime,
-    undrainable_since: Option<SimTime>,
+    /// When the port's lossless backlog stopped draining while pauses
+    /// kept arriving; [`SimTime::MAX`] while it is draining.
+    undrainable_since: SimTime,
+}
+
+impl WatchdogPort {
+    const IDLE: WatchdogPort = WatchdogPort {
+        lossless_disabled: false,
+        last_pause_rx: SimTime::ZERO,
+        undrainable_since: SimTime::MAX,
+    };
 }
 
 // Timer token encoding: top 8 bits = kind.
@@ -384,8 +394,9 @@ fn tok_refresh(port: PortId, pg: Priority) -> u64 {
     (TOK_PAUSE_REFRESH << TOK_KIND_SHIFT) | ((pg.index() as u64) << 16) | port.0 as u64
 }
 
-/// Pre-registered telemetry instrument ids (all sentinels when the hub is
-/// disabled, so the hot path pays a null check per site).
+/// Pre-registered telemetry instrument ids (sentinels when the hub is
+/// disabled, so the hot path pays a null check per site). The per-port
+/// tables are empty on a disabled hub: see [`SwitchTele::incr_port`].
 #[derive(Default)]
 struct SwitchTele {
     hub: MetricsHub,
@@ -404,17 +415,19 @@ struct SwitchTele {
 }
 
 impl SwitchTele {
+    /// Count one event on port `port`'s instrument in `ids` (one of the
+    /// per-port tables), if telemetry is on.
+    fn incr_port(&self, ids: &[CounterId], port: PortId) {
+        if let Some(&id) = ids.get(port.index()) {
+            self.hub.incr(id);
+        }
+    }
+
     fn register(hub: MetricsHub, name: &str, ports: usize) -> SwitchTele {
         if !hub.is_enabled() {
-            // Every id would come back a sentinel: format no names. The
-            // per-port tables stay indexable.
-            let per_port = vec![CounterId::sentinel(); ports];
-            return SwitchTele {
-                pause_tx: per_port.clone(),
-                resume_tx: per_port.clone(),
-                pause_rx: per_port,
-                ..SwitchTele::default()
-            };
+            // Every id would come back a sentinel: format no names and
+            // keep no per-port tables.
+            return SwitchTele::default();
         }
         let scope = hub.scope(&format!("switch.{name}"));
         let per_port = |leaf: &str| -> Vec<CounterId> {
@@ -539,7 +552,7 @@ impl Switch {
             routes: RouteTable::new(),
             peer_macs: vec![None; ports],
             egress: (0..ports).map(|_| None).collect(),
-            wd: vec![WatchdogPort::default(); ports],
+            wd: vec![WatchdogPort::IDLE; ports],
             spray_counter: 0,
             flow_cache: vec![None; FLOW_CACHE_SLOTS],
             flow_stats: FlowCacheStats::default(),
@@ -748,7 +761,7 @@ impl Switch {
         }
         if any_pause {
             self.stats.pause_rx[port.index()] += 1;
-            self.tele.hub.incr(self.tele.pause_rx[port.index()]);
+            self.tele.incr_port(&self.tele.pause_rx, port);
         }
         if resumed {
             self.try_send(port, ctx);
@@ -761,10 +774,10 @@ impl Switch {
         if !self.cfg.is_lossless(pg) {
             return;
         }
-        if !self.buffer.over_xoff(ingress.0, pg) || *self.buffer.xoff_state(ingress.0, pg) {
+        if !self.buffer.over_xoff(ingress.0, pg) || self.buffer.xoff(ingress.0, pg) {
             return;
         }
-        *self.buffer.xoff_state(ingress.0, pg) = true;
+        self.buffer.set_xoff(ingress.0, pg, true);
         self.send_xoff(ingress, pg, ctx);
     }
 
@@ -776,7 +789,7 @@ impl Switch {
     fn send_xoff(&mut self, port: PortId, pg: Priority, ctx: &mut Ctx<'_>) {
         self.send_pause(port, pg, u16::MAX, ctx);
         self.stats.pause_tx[port.index()] += 1;
-        self.tele.hub.incr(self.tele.pause_tx[port.index()]);
+        self.tele.incr_port(&self.tele.pause_tx, port);
         self.tele.hub.trace(
             ctx.now().as_ps(),
             self.tele.scope,
@@ -795,14 +808,14 @@ impl Switch {
     /// After ingress-counter drain, send XON upstream if we fell below the
     /// resume threshold.
     fn maybe_xon(&mut self, ingress: PortId, pg: Priority, ctx: &mut Ctx<'_>) {
-        if !*self.buffer.xoff_state(ingress.0, pg) {
+        if !self.buffer.xoff(ingress.0, pg) {
             return;
         }
         if self.buffer.below_xon(ingress.0, pg) {
-            *self.buffer.xoff_state(ingress.0, pg) = false;
+            self.buffer.set_xoff(ingress.0, pg, false);
             self.send_pause(ingress, pg, 0, ctx);
             self.stats.resume_tx[ingress.index()] += 1;
-            self.tele.hub.incr(self.tele.resume_tx[ingress.index()]);
+            self.tele.incr_port(&self.tele.resume_tx, ingress);
             self.tele.hub.trace(
                 ctx.now().as_ps(),
                 self.tele.scope,
@@ -1176,7 +1189,7 @@ impl Switch {
                 // Re-enable once the storm has been quiet long enough.
                 if now.saturating_sub(self.wd[p].last_pause_rx) >= wd_cfg.reenable_after {
                     self.wd[p].lossless_disabled = false;
-                    self.wd[p].undrainable_since = None;
+                    self.wd[p].undrainable_since = SimTime::MAX;
                     self.stats.watchdog_reenables += 1;
                     self.tele.hub.incr(self.tele.wd_reenables);
                     self.tele.hub.trace(
@@ -1191,12 +1204,16 @@ impl Switch {
                 .as_ref()
                 .is_some_and(|e| e.has_lossless_backlog(&self.cfg.lossless));
             if backlog && receiving_pauses {
-                let since = *self.wd[p].undrainable_since.get_or_insert(now);
+                let since = &mut self.wd[p].undrainable_since;
+                if *since == SimTime::MAX {
+                    *since = now;
+                }
+                let since = *since;
                 if now.saturating_sub(since) >= wd_cfg.disable_after {
                     self.trip_watchdog(PortId(p as u16), ctx);
                 }
             } else {
-                self.wd[p].undrainable_since = None;
+                self.wd[p].undrainable_since = SimTime::MAX;
             }
         }
         ctx.set_timer(wd_cfg.poll_every, TOK_WATCHDOG << TOK_KIND_SHIFT);
@@ -1358,7 +1375,7 @@ impl Node for Switch {
             TOK_PAUSE_REFRESH => {
                 let port = PortId((token & 0xffff) as u16);
                 let pg = Priority::new(((token >> 16) & 0x7) as u8);
-                if *self.buffer.xoff_state(port.0, pg) {
+                if self.buffer.xoff(port.0, pg) {
                     // Still over XOFF: refresh the pause.
                     self.send_xoff(port, pg, ctx);
                 }

@@ -4,6 +4,7 @@
 
 use std::any::Any;
 use std::collections::{HashMap, VecDeque};
+use std::sync::Arc;
 
 use rocescale_monitor::{CounterId, MetricsHub, ScopeId, TraceEvent};
 use rocescale_packet::{
@@ -115,8 +116,8 @@ pub struct ConnHandle(pub u32);
 /// TCP host configuration.
 #[derive(Debug, Clone)]
 pub struct TcpHostConfig {
-    /// Name for traces.
-    pub name: String,
+    /// Name for traces; shared with the topology node it was built from.
+    pub name: Arc<str>,
     /// NIC MAC.
     pub mac: MacAddr,
     /// Host IP.
@@ -135,7 +136,7 @@ pub struct TcpHostConfig {
 
 impl TcpHostConfig {
     /// A 40 GbE TCP host with defaults.
-    pub fn new(name: impl Into<String>, id: u32, ip: u32, gateway_mac: MacAddr) -> TcpHostConfig {
+    pub fn new(name: impl Into<Arc<str>>, id: u32, ip: u32, gateway_mac: MacAddr) -> TcpHostConfig {
         TcpHostConfig {
             name: name.into(),
             mac: MacAddr::from_id(id),
@@ -499,18 +500,20 @@ impl TcpHost {
         self.pump(ctx);
     }
 
+    /// Run every queued kernel op that is due, in queue order, compacting
+    /// the queue in place: ops not yet due keep their order at the front,
+    /// and ops the due ones queue land behind them.
     fn run_kernel(&mut self, ctx: &mut Ctx<'_>) {
         let now = ctx.now().as_ps();
-        let mut due: Vec<KernelOp> = Vec::new();
-        self.kernel_q.retain(|(fire, op)| {
-            if *fire <= now {
-                due.push(*op);
-                false
-            } else {
-                true
+        let queued = self.kernel_q.len();
+        let mut kept = 0;
+        for i in 0..queued {
+            let (fire, op) = self.kernel_q[i];
+            if fire > now {
+                self.kernel_q[kept] = (fire, op);
+                kept += 1;
+                continue;
             }
-        });
-        for op in due {
             match op {
                 KernelOp::TxMsg { conn, len, tracked } => {
                     let c = &mut self.conns[conn as usize];
@@ -544,6 +547,7 @@ impl TcpHost {
                 }
             }
         }
+        self.kernel_q.drain(kept..queued);
         self.pump(ctx);
     }
 

@@ -19,6 +19,8 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+use std::sync::Arc;
+
 use rocescale_sim::PortId;
 
 /// Role of a node in the Clos fabric.
@@ -40,7 +42,9 @@ pub struct TopoNode {
     /// Tier.
     pub tier: Tier,
     /// Human-readable name, e.g. `pod0-tor3` or `pod1-tor3-srv17`.
-    pub name: String,
+    /// Shared, not copied: the cluster builder hands the same string to
+    /// the host's config and the deadlock probe.
+    pub name: Arc<str>,
     /// Pod index (spines use `u32::MAX`).
     pub pod: u32,
     /// For servers: assigned IPv4 address.
@@ -51,9 +55,9 @@ pub struct TopoNode {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TopoLink {
     /// First endpoint (topology node index, port).
-    pub a: (usize, PortId),
+    pub a: (u32, PortId),
     /// Second endpoint.
-    pub b: (usize, PortId),
+    pub b: (u32, PortId),
     /// Line rate, b/s.
     pub rate_bps: u64,
     /// Cable length, metres (drives propagation delay and headroom).
@@ -89,9 +93,9 @@ pub struct Neighbor {
     /// This node's port.
     pub port: PortId,
     /// Node id at the far end.
-    pub peer: usize,
+    pub peer: u32,
     /// Index into [`Topology::links`].
-    pub link: usize,
+    pub link: u32,
 }
 
 /// A complete topology: nodes, links, and per-switch routes.
@@ -101,8 +105,11 @@ pub struct Topology {
     pub nodes: Vec<TopoNode>,
     /// Links.
     pub links: Vec<TopoLink>,
-    /// Routes per node id (empty for servers).
-    pub routes: Vec<Vec<RouteSpec>>,
+    /// Switch routes in compressed rows: node `i`'s table is
+    /// `route_rows[route_start[i]..route_start[i + 1]]` (see
+    /// [`Topology::routes`]), so a server's empty table is one offset.
+    route_rows: Vec<RouteSpec>,
+    route_start: Vec<u32>,
     /// Per-node adjacency over `links` as built by [`Topology::clos`], in
     /// compressed rows: node `i`'s neighbours are
     /// `adj[adj_start[i]..adj_start[i + 1]]`, in link order. Every
@@ -110,7 +117,7 @@ pub struct Topology {
     /// here in time proportional to the node's radix, not the fabric's
     /// link count.
     adj: Vec<Neighbor>,
-    adj_start: Vec<usize>,
+    adj_start: Vec<u32>,
 }
 
 /// Parameters of a Clos fabric.
@@ -186,6 +193,16 @@ impl ClosSpec {
     }
 }
 
+/// A node name, formatted into the reused `buf` so the name costs one
+/// allocation: its shared block.
+fn name(buf: &mut String, args: std::fmt::Arguments<'_>) -> Arc<str> {
+    use std::fmt::Write;
+    buf.clear();
+    buf.write_fmt(args)
+        .expect("formatting into a String cannot fail");
+    Arc::from(buf.as_str())
+}
+
 /// IP of server `s` under ToR `t` in pod `p`.
 pub fn server_ip(pod: u32, tor: u32, server: u32) -> u32 {
     0x0a000000 | (pod << 16) | (tor << 8) | (server + 1)
@@ -215,26 +232,28 @@ impl Topology {
         let mut t = Topology {
             nodes: Vec::new(),
             links: Vec::new(),
-            routes: Vec::new(),
+            route_rows: Vec::new(),
+            route_start: Vec::new(),
             adj: Vec::new(),
             adj_start: Vec::new(),
         };
-        let mut tor_ids = vec![vec![0usize; spec.tors_per_pod as usize]; spec.pods as usize];
-        let mut leaf_ids = vec![vec![0usize; spec.leaves_per_pod as usize]; spec.pods as usize];
-        let mut spine_ids = vec![0usize; spec.spines as usize];
+        let mut tor_ids = vec![vec![0u32; spec.tors_per_pod as usize]; spec.pods as usize];
+        let mut leaf_ids = vec![vec![0u32; spec.leaves_per_pod as usize]; spec.pods as usize];
+        let mut spine_ids = vec![0u32; spec.spines as usize];
+        let mut buf = String::new();
         // Nodes.
         for p in 0..spec.pods {
             for tor in 0..spec.tors_per_pod {
                 tor_ids[p as usize][tor as usize] = t.push(TopoNode {
                     tier: Tier::Tor,
-                    name: format!("pod{p}-tor{tor}"),
+                    name: name(&mut buf, format_args!("pod{p}-tor{tor}")),
                     pod: p,
                     ip: None,
                 });
                 for s in 0..spec.servers_per_tor {
                     t.push(TopoNode {
                         tier: Tier::Server,
-                        name: format!("pod{p}-tor{tor}-srv{s}"),
+                        name: name(&mut buf, format_args!("pod{p}-tor{tor}-srv{s}")),
                         pod: p,
                         ip: Some(server_ip(p, tor, s)),
                     });
@@ -243,7 +262,7 @@ impl Topology {
             for l in 0..spec.leaves_per_pod {
                 leaf_ids[p as usize][l as usize] = t.push(TopoNode {
                     tier: Tier::Leaf,
-                    name: format!("pod{p}-leaf{l}"),
+                    name: name(&mut buf, format_args!("pod{p}-leaf{l}")),
                     pod: p,
                     ip: None,
                 });
@@ -252,7 +271,7 @@ impl Topology {
         for s in 0..spec.spines {
             spine_ids[s as usize] = t.push(TopoNode {
                 tier: Tier::Spine,
-                name: format!("spine{s}"),
+                name: name(&mut buf, format_args!("spine{s}")),
                 pod: u32::MAX,
                 ip: None,
             });
@@ -263,7 +282,7 @@ impl Topology {
         //   Spine: pod-major × leaf index.
         for p in 0..spec.pods as usize {
             for (tor, &tor_id) in tor_ids[p].iter().enumerate() {
-                for s in 0..spec.servers_per_tor as usize {
+                for s in 0..spec.servers_per_tor {
                     let srv_id = tor_id + 1 + s;
                     t.links.push(TopoLink {
                         a: (srv_id, PortId(0)),
@@ -294,30 +313,30 @@ impl Topology {
                 }
             }
         }
-        // Routes (up-down).
-        t.routes = vec![Vec::new(); t.nodes.len()];
+        // Routes (up-down), gathered per node, then packed into rows.
+        let mut routes: Vec<Vec<RouteSpec>> = vec![Vec::new(); t.nodes.len()];
         for p in 0..spec.pods {
             for tor in 0..spec.tors_per_pod {
-                let tor_id = tor_ids[p as usize][tor as usize];
+                let tor_id = tor_ids[p as usize][tor as usize] as usize;
                 let uplinks: Vec<PortId> = (0..spec.leaves_per_pod)
                     .map(|l| PortId((spec.servers_per_tor + l) as u16))
                     .collect();
-                t.routes[tor_id].push(RouteSpec::Connected {
+                routes[tor_id].push(RouteSpec::Connected {
                     prefix: tor_subnet(p, tor),
                     len: 24,
                 });
                 // Everything else goes up.
-                t.routes[tor_id].push(RouteSpec::Via {
+                routes[tor_id].push(RouteSpec::Via {
                     prefix: 0x0a000000,
                     len: 8,
                     ports: uplinks,
                 });
             }
             for l in 0..spec.leaves_per_pod {
-                let leaf_id = leaf_ids[p as usize][l as usize];
+                let leaf_id = leaf_ids[p as usize][l as usize] as usize;
                 // Down: each ToR subnet of this pod via its ToR port.
                 for tor in 0..spec.tors_per_pod {
-                    t.routes[leaf_id].push(RouteSpec::Via {
+                    routes[leaf_id].push(RouteSpec::Via {
                         prefix: tor_subnet(p, tor),
                         len: 24,
                         ports: vec![PortId(tor as u16)],
@@ -327,7 +346,7 @@ impl Topology {
                 let uplinks: Vec<PortId> = (0..spec.spines_per_plane())
                     .map(|s| PortId((spec.tors_per_pod + s) as u16))
                     .collect();
-                t.routes[leaf_id].push(RouteSpec::Via {
+                routes[leaf_id].push(RouteSpec::Via {
                     prefix: 0x0a000000,
                     len: 8,
                     ports: uplinks,
@@ -336,32 +355,43 @@ impl Topology {
         }
         for s in 0..spec.spines {
             // A spine has exactly one leaf (its plane's) in each pod.
-            let spine_id = spine_ids[s as usize];
+            let spine_id = spine_ids[s as usize] as usize;
             for p in 0..spec.pods {
-                t.routes[spine_id].push(RouteSpec::Via {
+                routes[spine_id].push(RouteSpec::Via {
                     prefix: pod_prefix(p),
                     len: 16,
                     ports: vec![PortId(p as u16)],
                 });
             }
         }
+        t.route_start.reserve_exact(routes.len() + 1);
+        t.route_start.push(0);
+        for r in routes {
+            t.route_rows.extend(r);
+            t.route_start.push(t.route_rows.len() as u32);
+        }
         t.index_links();
         t
     }
 
-    fn push(&mut self, n: TopoNode) -> usize {
+    fn push(&mut self, n: TopoNode) -> u32 {
         self.nodes.push(n);
-        self.nodes.len() - 1
+        (self.nodes.len() - 1) as u32
+    }
+
+    /// The route table of `node` (empty for servers).
+    pub fn routes(&self, node: usize) -> &[RouteSpec] {
+        &self.route_rows[self.route_start[node] as usize..self.route_start[node + 1] as usize]
     }
 
     /// Build the adjacency rows from `links` (a counting sort by node,
     /// so each row keeps link order and the whole index is two
     /// allocations however many nodes there are).
     fn index_links(&mut self) {
-        let mut start = vec![0usize; self.nodes.len() + 1];
+        let mut start = vec![0u32; self.nodes.len() + 1];
         for l in &self.links {
-            start[l.a.0 + 1] += 1;
-            start[l.b.0 + 1] += 1;
+            start[l.a.0 as usize + 1] += 1;
+            start[l.b.0 as usize + 1] += 1;
         }
         for i in 0..self.nodes.len() {
             start[i + 1] += start[i];
@@ -375,12 +405,13 @@ impl Topology {
         let mut next = start.clone();
         for (link, l) in self.links.iter().enumerate() {
             for (me, peer) in [(l.a, l.b), (l.b, l.a)] {
-                adj[next[me.0]] = Neighbor {
+                let at = &mut next[me.0 as usize];
+                adj[*at as usize] = Neighbor {
                     port: me.1,
                     peer: peer.0,
-                    link,
+                    link: link as u32,
                 };
-                next[me.0] += 1;
+                *at += 1;
             }
         }
         self.adj = adj;
@@ -389,14 +420,14 @@ impl Topology {
 
     /// The cable ends at `node`, in link order.
     pub fn neighbors(&self, node: usize) -> &[Neighbor] {
-        &self.adj[self.adj_start[node]..self.adj_start[node + 1]]
+        &self.adj[self.adj_start[node] as usize..self.adj_start[node + 1] as usize]
     }
 
     /// The port of `node` cabled to `peer`, if they are adjacent.
     pub fn port_toward(&self, node: usize, peer: usize) -> Option<PortId> {
         self.neighbors(node)
             .iter()
-            .find(|n| n.peer == peer)
+            .find(|n| n.peer as usize == peer)
             .map(|n| n.port)
     }
 
@@ -435,8 +466,8 @@ impl Topology {
         let mut out: Vec<(PortId, usize)> = self
             .neighbors(tor)
             .iter()
-            .filter(|n| self.nodes[n.peer].tier == Tier::Server)
-            .map(|n| (n.port, n.peer))
+            .filter(|n| self.nodes[n.peer as usize].tier == Tier::Server)
+            .map(|n| (n.port, n.peer as usize))
             .collect();
         out.sort();
         out.into_iter().map(|(_, s)| s).collect()
@@ -446,8 +477,8 @@ impl Topology {
     pub fn tor_of_server(&self, server: usize) -> usize {
         self.neighbors(server)
             .iter()
-            .find(|n| self.nodes[n.peer].tier == Tier::Tor)
-            .map(|n| n.peer)
+            .find(|n| self.nodes[n.peer as usize].tier == Tier::Tor)
+            .map(|n| n.peer as usize)
             .unwrap_or_else(|| panic!("server {server} has no ToR link"))
     }
 }
@@ -526,7 +557,7 @@ impl Partition {
 
     /// Does `link` cross a shard boundary under this plan?
     pub fn is_cross(&self, link: &TopoLink) -> bool {
-        self.shard_of[link.a.0] != self.shard_of[link.b.0]
+        self.shard_of[link.a.0 as usize] != self.shard_of[link.b.0 as usize]
     }
 
     /// The links that cross shard boundaries (topology order).
@@ -616,7 +647,7 @@ mod tests {
         let spec = ClosSpec::uniform_40g(1, 2, 2, 2, 3);
         let t = Topology::clos(&spec);
         let tor0 = t.of_tier(Tier::Tor)[0];
-        let routes = &t.routes[tor0];
+        let routes = t.routes(tor0);
         assert!(routes
             .iter()
             .any(|r| matches!(r, RouteSpec::Connected { len: 24, .. })));
@@ -632,7 +663,7 @@ mod tests {
         let spec = ClosSpec::uniform_40g(2, 2, 2, 4, 2);
         let t = Topology::clos(&spec);
         let leaf0 = t.of_tier(Tier::Leaf)[0];
-        let up = t.routes[leaf0].iter().find_map(|r| match r {
+        let up = t.routes(leaf0).iter().find_map(|r| match r {
             RouteSpec::Via { len: 8, ports, .. } => Some(ports.len()),
             _ => None,
         });
@@ -644,8 +675,8 @@ mod tests {
         let spec = ClosSpec::uniform_40g(2, 2, 2, 4, 2);
         let t = Topology::clos(&spec);
         let spine0 = t.of_tier(Tier::Spine)[0];
-        assert_eq!(t.routes[spine0].len(), 2, "one /16 per pod");
-        for r in &t.routes[spine0] {
+        assert_eq!(t.routes(spine0).len(), 2, "one /16 per pod");
+        for r in t.routes(spine0) {
             match r {
                 RouteSpec::Via { len: 16, ports, .. } => assert_eq!(ports.len(), 1),
                 other => panic!("unexpected spine route {other:?}"),
@@ -682,11 +713,11 @@ mod tests {
                 let mut scan = Vec::new();
                 for (link, l) in t.links.iter().enumerate() {
                     for (me, peer) in [(l.a, l.b), (l.b, l.a)] {
-                        if me.0 == node {
+                        if me.0 as usize == node {
                             scan.push(Neighbor {
                                 port: me.1,
                                 peer: peer.0,
-                                link,
+                                link: link as u32,
                             });
                         }
                     }
@@ -695,12 +726,14 @@ mod tests {
                 let ports = scan.iter().map(|n| n.port.0 + 1).max().unwrap_or(0);
                 assert_eq!(t.port_count(node), ports);
                 for n in &scan {
-                    assert_eq!(t.port_toward(node, n.peer), Some(n.port));
+                    assert_eq!(t.port_toward(node, n.peer as usize), Some(n.port));
                 }
                 assert_eq!(t.port_toward(node, node), None);
                 if t.nodes[node].tier == Tier::Server {
-                    let tor = scan.iter().find(|n| t.nodes[n.peer].tier == Tier::Tor);
-                    assert_eq!(t.tor_of_server(node), tor.unwrap().peer);
+                    let tor = scan
+                        .iter()
+                        .find(|n| t.nodes[n.peer as usize].tier == Tier::Tor);
+                    assert_eq!(t.tor_of_server(node), tor.unwrap().peer as usize);
                 }
             }
         }
@@ -749,7 +782,7 @@ mod tests {
         let p = Partition::pods(&t, 4);
         assert!(p.cross_links(&t).count() > 0);
         for l in p.cross_links(&t) {
-            let tiers = (t.nodes[l.a.0].tier, t.nodes[l.b.0].tier);
+            let tiers = (t.nodes[l.a.0 as usize].tier, t.nodes[l.b.0 as usize].tier);
             assert!(
                 matches!(tiers, (Tier::Leaf, Tier::Spine) | (Tier::Spine, Tier::Leaf)),
                 "unexpected cross-shard link {:?}",

@@ -33,12 +33,13 @@ fn lookup(routes: &[RouteSpec], dst: u32) -> Option<&RouteSpec> {
 
 /// The node on the other end of (`node`, `port`).
 fn peer(topo: &Topology, node: usize, port: PortId) -> usize {
+    let me = (node as u32, port);
     for l in &topo.links {
-        if l.a == (node, port) {
-            return l.b.0;
+        if l.a == me {
+            return l.b.0 as usize;
         }
-        if l.b == (node, port) {
-            return l.a.0;
+        if l.b == me {
+            return l.a.0 as usize;
         }
     }
     panic!("route names unconnected port {port:?} on node {node}");
@@ -63,11 +64,12 @@ fn verify_pair(topo: &Topology, src: usize, dst: usize) -> Result<(), String> {
         // Server's first hop is its ToR.
         let mut tor = None;
         for l in &topo.links {
-            if l.a.0 == src && topo.nodes[l.b.0].tier == Tier::Tor {
-                tor = Some(l.b.0);
+            let (a, b) = (l.a.0 as usize, l.b.0 as usize);
+            if a == src && topo.nodes[b].tier == Tier::Tor {
+                tor = Some(b);
             }
-            if l.b.0 == src && topo.nodes[l.a.0].tier == Tier::Tor {
-                tor = Some(l.a.0);
+            if b == src && topo.nodes[a].tier == Tier::Tor {
+                tor = Some(a);
             }
         }
         tor.ok_or("server has no ToR")?
@@ -81,7 +83,7 @@ fn verify_pair(topo: &Topology, src: usize, dst: usize) -> Result<(), String> {
         if !seen.insert((node, went_down)) {
             continue;
         }
-        match lookup(&topo.routes[node], dst_ip) {
+        match lookup(topo.routes(node), dst_ip) {
             None => {
                 return Err(format!(
                     "{} has no route to {dst_ip:x}",

@@ -260,7 +260,7 @@ pub struct QpEndpoint {
 
     // ---- outputs ----
     ctrl_out: VecDeque<PacketDesc>,
-    completions: Vec<Completion>,
+    completions: VecDeque<Completion>,
     events_out: VecDeque<TransportEvent>,
 
     /// Counters.
@@ -295,7 +295,7 @@ impl QpEndpoint {
             cur_msg_bytes: 0,
             cur_msg_is_read_resp: false,
             ctrl_out: VecDeque::new(),
-            completions: Vec::new(),
+            completions: VecDeque::new(),
             events_out: VecDeque::new(),
             stats: QpStats::default(),
         }
@@ -438,9 +438,15 @@ impl QpEndpoint {
         self.ctrl_out.pop_front()
     }
 
-    /// Drain completions accumulated since the last call.
-    pub fn take_completions(&mut self) -> Vec<Completion> {
-        std::mem::take(&mut self.completions)
+    /// Drain completions accumulated since the last call. The queue
+    /// keeps its capacity, so steady traffic allocates nothing here.
+    pub fn take_completions(&mut self) -> std::collections::vec_deque::Drain<'_, Completion> {
+        self.completions.drain(..)
+    }
+
+    /// The oldest undrained completion, if any.
+    pub fn pop_completion(&mut self) -> Option<Completion> {
+        self.completions.pop_front()
     }
 
     /// Pop a telemetry event recorded since the last drain (rollbacks).
@@ -514,7 +520,7 @@ impl QpEndpoint {
             match m.kind {
                 TxKind::Send | TxKind::Write => {
                     if let Some(wr) = m.wr {
-                        self.completions.push(Completion::SendDone { wr });
+                        self.completions.push_back(Completion::SendDone { wr });
                     }
                 }
                 // READ requests complete when the response arrives, READ
@@ -761,10 +767,10 @@ impl QpEndpoint {
                     self.stats.goodput_bytes += self.cur_msg_bytes;
                     if desc.opcode == RoceOpcode::ReadResponse {
                         if let Some((wr, len)) = self.pending_reads.pop_front() {
-                            self.completions.push(Completion::ReadDone { wr, len });
+                            self.completions.push_back(Completion::ReadDone { wr, len });
                         }
                     } else if desc.opcode == RoceOpcode::Send {
-                        self.completions.push(Completion::MessageReceived {
+                        self.completions.push_back(Completion::MessageReceived {
                             len: self.cur_msg_bytes as u32,
                         });
                     }
@@ -877,10 +883,10 @@ mod tests {
         a.post(Verb::Send { len: 10_000 }, WrId(1));
         run_channel(&mut a, &mut b, 0, 100);
         assert_eq!(
-            a.take_completions(),
+            a.take_completions().collect::<Vec<_>>(),
             vec![Completion::SendDone { wr: WrId(1) }]
         );
-        let rx = b.take_completions();
+        let rx = b.take_completions().collect::<Vec<_>>();
         assert_eq!(rx, vec![Completion::MessageReceived { len: 10_000 }]);
         assert_eq!(b.goodput_bytes(), 10_000);
         // 10 packets: 9 full + 1 of 784 bytes.
@@ -923,6 +929,7 @@ mod tests {
         assert_eq!(b.goodput_bytes(), 100 * 1024);
         assert!(a
             .take_completions()
+            .collect::<Vec<_>>()
             .contains(&Completion::SendDone { wr: WrId(1) }));
         assert!(b.stats.naks_tx > 0, "losses must trigger NAKs");
         // Go-back-N wastes some transmissions but far fewer than 2x.
@@ -967,7 +974,7 @@ mod tests {
         while let Some(c) = b.pop_ctrl_tx() {
             a.on_packet(&c, now);
         }
-        assert!(a.take_completions().is_empty());
+        assert!(a.take_completions().collect::<Vec<_>>().is_empty());
         // Nothing happens until RTO fires.
         now += a.config().rto_ps + 1;
         assert!(a.check_timeout(now));
@@ -985,7 +992,7 @@ mod tests {
             a.on_packet(&c, now);
         }
         assert_eq!(
-            a.take_completions(),
+            a.take_completions().collect::<Vec<_>>(),
             vec![Completion::SendDone { wr: WrId(1) }]
         );
         assert_eq!(b.goodput_bytes(), 4096);
@@ -996,7 +1003,7 @@ mod tests {
         let (mut a, mut b) = pair(LossRecovery::GoBackN);
         a.post(Verb::Read { len: 8000 }, WrId(9));
         run_channel(&mut a, &mut b, 0, 200);
-        let done = a.take_completions();
+        let done = a.take_completions().collect::<Vec<_>>();
         assert_eq!(
             done,
             vec![Completion::ReadDone {
@@ -1015,7 +1022,7 @@ mod tests {
         a.post(Verb::Read { len: 64 * 1024 }, WrId(9));
         run_channel(&mut a, &mut b, 7, 10_000);
         assert_eq!(
-            a.take_completions(),
+            a.take_completions().collect::<Vec<_>>(),
             vec![Completion::ReadDone {
                 wr: WrId(9),
                 len: 64 * 1024
@@ -1032,6 +1039,7 @@ mod tests {
         run_channel(&mut a, &mut b, 0, 1000);
         let wrs: Vec<_> = a
             .take_completions()
+            .collect::<Vec<_>>()
             .into_iter()
             .map(|c| match c {
                 Completion::SendDone { wr } => wr.0,
@@ -1094,6 +1102,7 @@ mod tests {
                 a.on_packet(&c, now);
             }
             if a.take_completions()
+                .collect::<Vec<_>>()
                 .iter()
                 .any(|c| matches!(c, Completion::SendDone { .. }))
             {
@@ -1183,6 +1192,7 @@ mod tests {
         assert_eq!(b.goodput_bytes(), 100 * 1024);
         assert!(a
             .take_completions()
+            .collect::<Vec<_>>()
             .contains(&Completion::SendDone { wr: WrId(1) }));
         for psn in 0..100u32 {
             let expect = if drop.contains(&psn) { 2 } else { 1 };
@@ -1264,6 +1274,7 @@ mod tests {
         }
         assert!(a
             .take_completions()
+            .collect::<Vec<_>>()
             .contains(&Completion::SendDone { wr: WrId(1) }));
         assert_eq!(a.take_rtt_sample(), None, "retransmitted PSNs are evicted");
     }

@@ -272,7 +272,7 @@ fn grid_aligned_hub() -> MetricsHub {
 /// Whether switches `a` and `b` live in different shards of `c`.
 fn apart(c: &ShardedCluster, a: &str, b: &str) -> bool {
     let shard = |name: &str| {
-        let node = c.topology().nodes.iter().position(|n| n.name == name);
+        let node = c.topology().nodes.iter().position(|n| &*n.name == name);
         c.partition()
             .shard_of(node.expect("a switch of the fabric"))
     };
