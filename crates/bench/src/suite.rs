@@ -8,8 +8,8 @@
 
 use rocescale_core::scenarios::latency::LatencySummary;
 use rocescale_core::scenarios::{
-    buffer_misconfig, cc_ablation, cpu, dcqcn_ablation, deadlock, dscp_vlan, fleet_scale, headroom,
-    incident, latency, livelock, load_latency, pfc_basics, slow_receiver, spray, storm, throughput,
+    buffer_misconfig, cc_ablation, cpu, deadlock, dscp_vlan, fleet_scale, headroom, incident,
+    latency, livelock, load_latency, pfc_basics, slow_receiver, spray, storm, throughput,
 };
 use rocescale_core::{CcKind, InstrumentationProfile, PfcMode};
 use rocescale_monitor::Percentiles;
@@ -112,11 +112,12 @@ impl ScenarioReport for Fig2PfcBasics {
         );
         for pfc in [true, false] {
             // `--trace-out` captures the lossless (paper) arm.
-            let r = if pfc {
-                pfc_basics::run_traced(pfc, 4, dur, trace_instr(args))
+            let instr = if pfc {
+                trace_instr(args)
             } else {
-                pfc_basics::run(pfc, 4, dur)
+                InstrumentationProfile::paper_default()
             };
+            let r = pfc_basics::run(pfc, 4, dur, instr);
             t.row(vec![
                 Cell::Bool(r.pfc),
                 Cell::U64(r.pauses),
@@ -506,11 +507,12 @@ impl ScenarioReport for Fig9StormIncident {
         let dur = SimTime::from_millis(40);
         let mut rep = Report::new();
         rep.note("victim-pair availability per 4 ms window (storm starts at 8 ms)");
+        let arms = [false, true].map(|watchdogs| storm::run(watchdogs, dur));
         let mut avail = Table::new("availability", &["watchdogs", "t(ms)", "available(%)"]);
-        for watchdogs in [false, true] {
-            for (t, a) in storm::availability_series(watchdogs, dur, 10) {
+        for r in &arms {
+            for &(t, a) in &r.availability {
                 avail.row(vec![
-                    Cell::Bool(watchdogs),
+                    Cell::Bool(r.watchdogs),
                     Cell::U64(t.as_millis()),
                     Cell::F64 {
                         v: a * 100.0,
@@ -524,9 +526,8 @@ impl ScenarioReport for Fig9StormIncident {
             "pause frames received by servers (Figure 9(b) analogue)",
             &["watchdogs", "victim pause rx"],
         );
-        for watchdogs in [false, true] {
-            let r = storm::run(watchdogs, dur);
-            pauses.row(vec![Cell::Bool(watchdogs), Cell::U64(r.victim_pause_rx)]);
+        for r in &arms {
+            pauses.row(vec![Cell::Bool(r.watchdogs), Cell::U64(r.victim_pause_rx)]);
         }
         rep.table(pauses);
         rep
@@ -562,10 +563,11 @@ impl ScenarioReport for Fig10BufferMisconfig {
                 "cfg-deviations",
             ],
         );
-        for alpha in [1.0 / 64.0, 1.0 / 32.0, 1.0 / 16.0, 1.0 / 8.0] {
-            let r = buffer_misconfig::run(alpha, dur);
+        let arms = [1.0 / 64.0, 1.0 / 32.0, 1.0 / 16.0, 1.0 / 8.0]
+            .map(|alpha| buffer_misconfig::run(alpha, dur));
+        for r in &arms {
             t.row(vec![
-                Cell::s(format!("1/{:.0}", 1.0 / alpha)),
+                Cell::s(format!("1/{:.0}", 1.0 / r.alpha)),
                 Cell::U64(r.tor_pauses),
                 Cell::U64(r.server_pause_rx),
                 Cell::f1(r.latency.p50_us),
@@ -579,11 +581,11 @@ impl ScenarioReport for Fig10BufferMisconfig {
             "pause frames per window, Figure 10(b) form (cumulative at window end)",
             &["alpha", "t(ms)", "pauses"],
         );
-        for alpha in [1.0 / 64.0, 1.0 / 16.0] {
-            let s = buffer_misconfig::pause_series(alpha, dur, 5);
-            for (t_ps, v) in s.points() {
+        // The incident's α against the fleet standard.
+        for r in [&arms[0], &arms[2]] {
+            for (t_ps, v) in r.pause_series.points() {
                 series.row(vec![
-                    Cell::s(format!("1/{:.0}", 1.0 / alpha)),
+                    Cell::s(format!("1/{:.0}", 1.0 / r.alpha)),
                     Cell::U64(*t_ps / 1_000_000_000),
                     Cell::F64 { v: *v, prec: 0 },
                 ]);
@@ -781,10 +783,11 @@ impl ScenarioReport for ExpDcqcnAblation {
                 "ll drops",
             ],
         );
-        for dcqcn in [false, true] {
-            let r = dcqcn_ablation::run(dcqcn, 4, dur);
+        // §2's ablation is the `Off` and DCQCN arms of EXP-CC's incast.
+        for cc in [CcKind::Off, CcKind::Dcqcn] {
+            let r = cc_ablation::run(cc, 4, dur, InstrumentationProfile::paper_default());
             t.row(vec![
-                Cell::Bool(r.dcqcn),
+                Cell::Bool(r.cc == CcKind::Dcqcn),
                 Cell::U64(r.pauses),
                 Cell::U64(r.ecn_marked),
                 Cell::U64(r.cnps),
@@ -915,11 +918,12 @@ impl ScenarioReport for ExpCcAblation {
         );
         for cc in [CcKind::Off, CcKind::Dcqcn, CcKind::Timely] {
             // `--trace-out` captures the paper's deployed controller.
-            let r = if cc == CcKind::Dcqcn {
-                cc_ablation::run_traced(cc, 4, dur, trace_instr(args))
+            let instr = if cc == CcKind::Dcqcn {
+                trace_instr(args)
             } else {
-                cc_ablation::run(cc, 4, dur)
+                InstrumentationProfile::paper_default()
             };
+            let r = cc_ablation::run(cc, 4, dur, instr);
             t.row(vec![
                 Cell::s(r.cc.name()),
                 Cell::U64(r.pauses),
@@ -1055,7 +1059,7 @@ impl ScenarioReport for IncCascadeStorm {
          detector stays silent — a pause storm is a tree, not a cycle"
     }
     fn run(&self, args: &CliArgs) -> Report {
-        let r = incident::run_cascade_traced(SimTime::from_millis(12), trace_instr(args));
+        let r = incident::run_cascade(SimTime::from_millis(12), trace_instr(args));
         let mut t = Table::new(
             "cascade",
             &[

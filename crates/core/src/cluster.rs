@@ -1529,7 +1529,7 @@ mod tests {
                     effective > 1
                 );
                 assert_eq!(c.lookahead().is_some(), effective > 1);
-                (out, c.exchange_epochs(), c.boundary_messages())
+                (out, c.shard_stats())
             });
             assert_eq!(
                 threaded, serial,
@@ -1538,12 +1538,18 @@ mod tests {
             if effective == 1 {
                 assert_eq!(
                     serial,
-                    (reference, 0, 0),
+                    (reference, rocescale_sim::ShardStats::default()),
                     "one shard is build() byte for byte and never runs an exchange"
                 );
             } else {
-                assert!(serial.1 > 0, "multi-shard runs advance in epochs");
-                assert!(serial.2 > 0, "the flow crosses the boundary");
+                assert!(
+                    serial.1.epochs_executed > 0,
+                    "multi-shard runs advance in epochs"
+                );
+                assert!(
+                    serial.1.boundary_messages > 0,
+                    "the flow crosses the boundary"
+                );
             }
         }
     }

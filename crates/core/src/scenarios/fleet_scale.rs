@@ -187,6 +187,7 @@ pub fn run_spec(spec: ClosSpec, shards: u32, threaded: bool, dur: SimTime) -> Fl
 
     let pkt_size = std::mem::size_of::<rocescale_packet::Packet>() as u64;
     let timing = c.shard_timing();
+    let exchange = c.shard_stats();
     let per_shard: Vec<ShardLoad> = (0..c.shard_count())
         .map(|s| {
             let w = c.world(s);
@@ -209,9 +210,9 @@ pub fn run_spec(spec: ClosSpec, shards: u32, threaded: bool, dur: SimTime) -> Fl
         workers: timing.workers,
         digest: c.dispatch_digest(),
         events: c.events_processed(),
-        epochs: c.exchange_epochs(),
-        epochs_skipped: c.epochs_skipped(),
-        boundary_messages: c.boundary_messages(),
+        epochs: exchange.epochs_executed,
+        epochs_skipped: exchange.epochs_skipped,
+        boundary_messages: exchange.boundary_messages,
         lookahead_ps: c.lookahead().map_or(0, |l| l.as_ps()),
         goodput_bytes: c.total_rdma_goodput(),
         lossless_drops: c.lossless_drops(),

@@ -19,6 +19,7 @@
 //! each replay is exactly reproducible: the result carries the
 //! dispatch digest as a determinism pin.
 
+use rocescale_monitor::MetricsHub;
 use rocescale_nic::QpApp;
 use rocescale_sim::SimTime;
 use rocescale_switch::DropReason;
@@ -163,18 +164,17 @@ pub struct CascadeResult {
 /// cascades up while cross-rack senders keep pushing. At 6 ms the script
 /// stops both storms and the fabric drains. The switch watchdog is
 /// disarmed so recovery is attributable to the scripted stop alone.
-pub fn run_cascade(dur: SimTime) -> CascadeResult {
-    run_cascade_traced(dur, InstrumentationProfile::paper_default())
-}
-
-/// [`run_cascade`] under an explicit observation setup (`--trace-out`):
-/// the exported trace carries the storm's whole pause-propagation
+///
+/// The live deadlock detector needs a hub: a disabled one in `instr` is
+/// replaced by an enabled one, and an enabled one is kept, so the
+/// caller can read the run's metrics from it. A trace sink there
+/// (`--trace-out`) records the storm's whole pause-propagation
 /// timeline — `pause_tx`/`resume_tx` events cascading up the fabric —
-/// plus per-epoch queue samples. The hub is always enabled here (the
-/// live deadlock detector needs it), so the traced and untraced runs
-/// are the same configuration and pin the same dispatch digest.
-pub fn run_cascade_traced(dur: SimTime, mut instr: InstrumentationProfile) -> CascadeResult {
-    instr.telemetry = rocescale_monitor::MetricsHub::enabled();
+/// plus per-epoch queue samples. Every setup pins the same digest.
+pub fn run_cascade(dur: SimTime, mut instr: InstrumentationProfile) -> CascadeResult {
+    if !instr.telemetry.is_enabled() {
+        instr.telemetry = MetricsHub::enabled();
+    }
     let stop_at = SimTime::from_millis(6);
     let mut c = ClusterBuilder::two_tier(2, 4)
         .seed(23)
@@ -275,10 +275,7 @@ pub fn run_dead_remembered(dur: SimTime) -> DeadRememberedResult {
     let resurrect_at = SimTime::from_millis(6);
     let mut c = ClusterBuilder::single_tor(3)
         .seed(29)
-        .instrumentation(
-            InstrumentationProfile::paper_default()
-                .telemetry(rocescale_monitor::MetricsHub::enabled()),
-        )
+        .instrumentation(InstrumentationProfile::paper_default().telemetry(MetricsHub::enabled()))
         .faults(
             FaultProfile::paper_default()
                 .at(die_at, ScriptAction::ServerDeath { server: 1 })
@@ -331,9 +328,13 @@ mod tests {
         assert_eq!((r.digest, r.events), (r2.digest, r2.events));
     }
 
+    fn cascade(instr: InstrumentationProfile) -> CascadeResult {
+        run_cascade(SimTime::from_millis(12), instr)
+    }
+
     #[test]
     fn cascade_storm_recovers_on_scripted_stop_without_deadlock() {
-        let r = run_cascade(SimTime::from_millis(12));
+        let r = cascade(InstrumentationProfile::paper_default());
         assert!(r.storm_pauses > 0, "storms must generate pauses: {r:?}");
         assert!(r.storm_dropped > 0, "stormers drop their rx: {r:?}");
         assert!(
@@ -346,8 +347,18 @@ mod tests {
             r.cycle_epochs, 0,
             "a pause storm is a tree, not a cycle: {r:?}"
         );
-        let r2 = run_cascade(SimTime::from_millis(12));
+        let r2 = cascade(InstrumentationProfile::paper_default());
         assert_eq!((r.digest, r.events), (r2.digest, r2.events));
+    }
+
+    #[test]
+    fn cascade_records_into_the_callers_hub() {
+        let hub = MetricsHub::enabled();
+        let r = cascade(InstrumentationProfile::paper_default().telemetry(hub.clone()));
+        assert_eq!(hub.counter_value("monitor.deadlock.epochs"), Some(r.epochs));
+        assert_eq!(hub.counter_value("monitor.deadlock.cycles"), Some(0));
+        let own = cascade(InstrumentationProfile::paper_default());
+        assert_eq!((r.digest, r.events), (own.digest, own.events));
     }
 
     #[test]

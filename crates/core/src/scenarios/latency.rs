@@ -32,7 +32,8 @@ pub struct LatencySummary {
 }
 
 impl LatencySummary {
-    fn from(ps: &[u64]) -> LatencySummary {
+    /// Summarize RTT samples given in picoseconds.
+    pub(crate) fn from_samples(ps: &[u64]) -> LatencySummary {
         let mut p = Percentiles::from_samples(ps);
         let us = |v: Option<u64>| v.map_or(0.0, |v| v as f64 / 1e6);
         LatencySummary {
@@ -130,8 +131,8 @@ pub fn run(dur: SimTime, fanin: usize, resp_len: u32, interval: SimTime) -> Fig6
     let rdma_rtts = c.take_rdma_rtts();
     let tcp_rtts = c.take_tcp_rtts();
     Fig6Result {
-        rdma: LatencySummary::from(&rdma_rtts),
-        tcp: LatencySummary::from(&tcp_rtts),
+        rdma: LatencySummary::from_samples(&rdma_rtts),
+        tcp: LatencySummary::from_samples(&tcp_rtts),
         lossless_drops: c.lossless_drops(),
         rdma_samples_ps: rdma_rtts,
         tcp_samples_ps: tcp_rtts,

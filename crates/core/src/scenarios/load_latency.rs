@@ -8,7 +8,6 @@
 //! percentile latency of TCP did not change during the experiment …
 //! because we put RDMA and TCP packets into two different queues."
 
-use rocescale_monitor::Percentiles;
 use rocescale_nic::QpApp;
 use rocescale_sim::SimTime;
 use rocescale_tcp::TcpApp;
@@ -29,18 +28,6 @@ pub struct Fig8Result {
     pub tcp_loaded: LatencySummary,
     /// Drops during the whole run (zero: latency rose, loss did not).
     pub lossless_drops: u64,
-}
-
-fn summarize(samples: &[u64]) -> LatencySummary {
-    let mut p = Percentiles::from_samples(samples);
-    let us = |v: Option<u64>| v.map_or(0.0, |v| v as f64 / 1e6);
-    LatencySummary {
-        samples: p.count(),
-        p50_us: us(p.p50()),
-        p99_us: us(p.p99()),
-        p999_us: us(p.p999()),
-        max_us: us(p.max()),
-    }
 }
 
 /// Run: `idle_dur` of probes on a quiet fabric, then start the ToR-pair
@@ -128,10 +115,10 @@ pub fn run(idle_dur: SimTime, loaded_dur: SimTime) -> Fig8Result {
     let tcp_loaded = c.take_tcp_rtts();
 
     Fig8Result {
-        rdma_idle: summarize(&rdma_idle),
-        rdma_loaded: summarize(&rdma_loaded),
-        tcp_idle: summarize(&tcp_idle),
-        tcp_loaded: summarize(&tcp_loaded),
+        rdma_idle: LatencySummary::from_samples(&rdma_idle),
+        rdma_loaded: LatencySummary::from_samples(&rdma_loaded),
+        tcp_idle: LatencySummary::from_samples(&tcp_idle),
+        tcp_loaded: LatencySummary::from_samples(&tcp_loaded),
         lossless_drops: c.lossless_drops(),
     }
 }

@@ -17,8 +17,7 @@
 //! | [`buffer_misconfig`] | Figure 10 / §6.2 — α = 1/64 pause storm |
 //! | [`cpu`] | §1 — kernel TCP CPU cost vs RDMA |
 //! | [`spray`] | §8.1 — per-packet routing vs per-flow ECMP (future work) |
-//! | [`dcqcn_ablation`] | §2 — DCQCN reduces pauses; PFC is the last defense |
-//! | [`cc_ablation`] | §7 — pluggable CC: DCQCN vs TIMELY vs off on one incast |
+//! | [`cc_ablation`] | §2 & §7 — DCQCN vs TIMELY vs off on one incast; PFC is the last defense |
 //! | [`headroom`] | §2 — the gray-period headroom formula, validated by violation |
 //! | [`incident`] | §4/§6 — scripted incident replays: reroute, cascade storm, dead server |
 //! | [`fleet_scale`] | §6 — paper-scale fleet (4096 hosts) on sharded execution |
@@ -26,7 +25,6 @@
 pub mod buffer_misconfig;
 pub mod cc_ablation;
 pub mod cpu;
-pub mod dcqcn_ablation;
 pub mod deadlock;
 pub mod dscp_vlan;
 pub mod fleet_scale;

@@ -29,21 +29,11 @@ pub struct PfcBasicsResult {
     pub goodput_gbps: f64,
 }
 
-/// Run one arm: `fanin` senders saturate one receiver for `dur`.
-pub fn run(pfc: bool, fanin: u32, dur: SimTime) -> PfcBasicsResult {
-    run_traced(pfc, fanin, dur, InstrumentationProfile::paper_default())
-}
-
-/// [`run`] under an explicit observation setup — e.g. a `--trace-out`
-/// JSONL sink streaming the incast's hops, pauses and queue samples.
-/// Instrumentation is observation-only, so every arm's numbers are
-/// identical to the untraced run.
-pub fn run_traced(
-    pfc: bool,
-    fanin: u32,
-    dur: SimTime,
-    instr: InstrumentationProfile,
-) -> PfcBasicsResult {
+/// Run one arm: `fanin` senders saturate one receiver for `dur`,
+/// observed by `instr` — e.g. a `--trace-out` JSONL sink streaming the
+/// incast's hops, pauses and queue samples. Instrumentation is
+/// observation-only, so the numbers do not depend on it.
+pub fn run(pfc: bool, fanin: u32, dur: SimTime, instr: InstrumentationProfile) -> PfcBasicsResult {
     let mut c = ClusterBuilder::single_tor(fanin + 1)
         .fabric(FabricProfile::paper_default().pfc(pfc))
         // Raw PFC behaviour, no rate control assist.
@@ -82,13 +72,14 @@ mod tests {
     #[test]
     fn pfc_pauses_instead_of_dropping() {
         let dur = SimTime::from_millis(5);
-        let with = run(true, 4, dur);
+        let arm = |pfc| run(pfc, 4, dur, InstrumentationProfile::paper_default());
+        let with = arm(true);
         assert!(with.pauses > 0, "incast must trigger XOFF");
         assert!(with.resumes > 0, "drain must trigger XON");
         assert_eq!(with.drops, 0, "lossless: zero drops");
         assert!(with.goodput_gbps > 25.0, "receiver link stays busy");
 
-        let without = run(false, 4, dur);
+        let without = arm(false);
         assert!(without.drops > 0, "lossy: congestion drops");
         assert_eq!(without.pauses, 0, "no PFC for lossy classes");
     }

@@ -11,8 +11,12 @@ use rocescale_nic::{host::TOK_INJECT_STORM, QpApp};
 use rocescale_sim::SimTime;
 use rocescale_topology::Tier;
 
-use crate::cluster::{Cluster, ClusterBuilder, ServerId};
+use crate::cluster::{Cluster, ClusterBuilder};
 use crate::profiles::{FabricProfile, TransportProfile};
+
+/// Equal windows [`run`] splits a storm into for the Figure 9(a)
+/// availability series.
+pub const STORM_WINDOWS: u32 = 10;
 
 /// Result of one storm run.
 #[derive(Debug, Clone)]
@@ -31,6 +35,10 @@ pub struct StormResult {
     pub nic_watchdog_fired: bool,
     /// Did the switch watchdog disable lossless on the stormer's port?
     pub switch_watchdog_fired: bool,
+    /// Figure 9(a) over time: the fraction of victim pairs that made
+    /// progress in each of [`STORM_WINDOWS`] equal windows, stamped with
+    /// the window's end.
+    pub availability: Vec<(SimTime, f64)>,
 }
 
 /// Build a 2-rack cluster, run victim traffic across racks, and put one
@@ -87,20 +95,34 @@ pub fn run(watchdogs: bool, dur: SimTime) -> StormResult {
     let node = c.server_node(stormer);
     c.world.schedule_timer(storm_start, node, TOK_INJECT_STORM);
 
-    // Run to the 3/4 mark, snapshot victim progress, then finish.
+    // Run window by window, also stopping at the 3/4 mark to snapshot
+    // victim progress; a chunked run dispatches the one-shot event
+    // stream, so the stops change no number.
+    let goodput = |c: &Cluster| -> Vec<u64> {
+        pairs
+            .iter()
+            .map(|(_, b)| c.rdma(*b).total_goodput_bytes())
+            .collect()
+    };
     let three_q = SimTime(dur.as_ps() * 3 / 4);
-    c.run_until(three_q);
-    let mark: Vec<u64> = pairs
-        .iter()
-        .map(|(_, b)| c.rdma(*b).total_goodput_bytes())
-        .collect();
-    c.run_until(dur);
+    let mut mark = None;
+    let mut last = vec![0; pairs.len()];
+    let mut availability = Vec::new();
+    for w in 1..=STORM_WINDOWS {
+        let t = SimTime(dur.as_ps() * w as u64 / STORM_WINDOWS as u64);
+        if mark.is_none() && three_q <= t {
+            c.run_until(three_q);
+            mark = Some(goodput(&c));
+        }
+        c.run_until(t);
+        let now = goodput(&c);
+        let progressed = now.iter().zip(&last).filter(|(g, l)| g > l).count();
+        availability.push((t, progressed as f64 / pairs.len() as f64));
+        last = now;
+    }
+    let mark = mark.expect("the last window ends at `dur`, past the 3/4 mark");
 
-    let healthy = pairs
-        .iter()
-        .zip(&mark)
-        .filter(|((_, b), m)| c.rdma(*b).total_goodput_bytes() > **m)
-        .count();
+    let healthy = last.iter().zip(&mark).filter(|(g, m)| g > m).count();
     let victim_pause_rx: u64 = pairs
         .iter()
         .flat_map(|(a, b)| [a, b])
@@ -115,6 +137,7 @@ pub fn run(watchdogs: bool, dur: SimTime) -> StormResult {
         total_pairs: pairs.len(),
         nic_watchdog_fired: nic_fired,
         switch_watchdog_fired: switch_fired,
+        availability,
     }
 }
 
@@ -122,68 +145,6 @@ fn switch_watchdog_fired(c: &Cluster) -> bool {
     c.switches_of_tier(Tier::Tor)
         .into_iter()
         .any(|i| c.switch(i).stats.watchdog_disables > 0)
-}
-
-/// Availability time series for Figure 9(a): fraction of victim pairs
-/// making progress per window.
-pub fn availability_series(watchdogs: bool, dur: SimTime, windows: u32) -> Vec<(SimTime, f64)> {
-    let servers_per_tor = 6u32;
-    let mut c = ClusterBuilder::two_tier(2, servers_per_tor)
-        .fabric(FabricProfile::paper_default().switch_watchdog(watchdogs))
-        .transport(
-            TransportProfile::paper_default()
-                .nic_watchdog(watchdogs.then(|| SimTime::from_millis(5))),
-        )
-        .build();
-    let rack0 = c.servers_under(0, 0);
-    let rack1 = c.servers_under(0, 1);
-    let mut pairs: Vec<(ServerId, ServerId)> = Vec::new();
-    for i in 1..servers_per_tor as usize {
-        c.connect_qp(
-            rack0[i],
-            rack1[i],
-            (6000 + i) as u16,
-            QpApp::Saturate {
-                msg_len: 256 * 1024,
-                inflight: 2,
-            },
-            QpApp::Saturate {
-                msg_len: 256 * 1024,
-                inflight: 2,
-            },
-        );
-        pairs.push((rack0[i], rack1[i]));
-    }
-    c.connect_qp(
-        rack1[0],
-        rack0[0],
-        6999,
-        QpApp::Saturate {
-            msg_len: 256 * 1024,
-            inflight: 2,
-        },
-        QpApp::None,
-    );
-    let node = c.server_node(rack0[0]);
-    c.world
-        .schedule_timer(SimTime(dur.as_ps() / 5), node, TOK_INJECT_STORM);
-
-    let mut out = Vec::new();
-    let mut last: Vec<u64> = vec![0; pairs.len()];
-    for w in 1..=windows {
-        let t = SimTime(dur.as_ps() * w as u64 / windows as u64);
-        c.run_until(t);
-        let mut healthy = 0usize;
-        for (i, (_, b)) in pairs.iter().enumerate() {
-            let g = c.rdma(*b).total_goodput_bytes();
-            if g > last[i] {
-                healthy += 1;
-            }
-            last[i] = g;
-        }
-        out.push((t, healthy as f64 / pairs.len() as f64));
-    }
-    out
 }
 
 #[cfg(test)]
@@ -225,8 +186,8 @@ mod tests {
     #[test]
     fn availability_recovers_only_with_watchdogs() {
         let dur = SimTime::from_millis(40);
-        let without = availability_series(false, dur, 10);
-        let with = availability_series(true, dur, 10);
+        let without = run(false, dur).availability;
+        let with = run(true, dur).availability;
         let tail_without = without.last().unwrap().1;
         let tail_with = with.last().unwrap().1;
         assert!(tail_with > 0.99, "watchdogs: tail availability {tail_with}");

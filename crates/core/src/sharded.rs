@@ -50,25 +50,9 @@ impl Cluster<ShardedWorld> {
         self.world.set_threaded(threaded);
     }
 
-    /// Exchange epochs executed (0 until the first multi-shard run).
-    pub fn exchange_epochs(&self) -> u64 {
-        self.world.epochs()
-    }
-
-    /// Grid windows the exchange proved idle and jumped over (0 with one
-    /// shard).
-    pub fn epochs_skipped(&self) -> u64 {
-        self.world.epochs_skipped()
-    }
-
     /// Executed/skipped/boundary counters in one snapshot.
     pub fn shard_stats(&self) -> ShardStats {
         self.world.stats()
-    }
-
-    /// Boundary messages carried across shards so far.
-    pub fn boundary_messages(&self) -> u64 {
-        self.world.boundary_messages()
     }
 
     /// Per-shard wall-clock spent inside `World::run_until`, in

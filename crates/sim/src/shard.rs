@@ -846,31 +846,15 @@ impl ShardedWorld {
         self.worlds.iter().map(|w| w.events_processed()).sum()
     }
 
-    /// Exchange epochs actually executed (0 for single-shard runs —
-    /// there is no exchange to run). Windows the pacer jumped over are
-    /// counted separately in [`ShardedWorld::epochs_skipped`].
-    pub fn epochs(&self) -> u64 {
-        self.pacer.epochs
-    }
-
-    /// Grid windows the pacer stepped over without running a barrier;
-    /// see [`ShardStats`] for what `epochs() + epochs_skipped()` counts.
-    pub fn epochs_skipped(&self) -> u64 {
-        self.pacer.skipped
-    }
-
-    /// Snapshot of the exchange bookkeeping.
+    /// Snapshot of the exchange bookkeeping: epochs executed (0 for
+    /// single-shard runs — there is no exchange to run), grid windows
+    /// the pacer jumped over, and boundary messages carried so far.
     pub fn stats(&self) -> ShardStats {
         ShardStats {
             epochs_executed: self.pacer.epochs,
             epochs_skipped: self.pacer.skipped,
-            boundary_messages: self.boundary_messages(),
+            boundary_messages: self.lanes.iter().map(|l| l.sent).sum(),
         }
-    }
-
-    /// Boundary messages carried across shards so far.
-    pub fn boundary_messages(&self) -> u64 {
-        self.lanes.iter().map(|l| l.sent).sum()
     }
 
     /// Number of shards.
@@ -1092,8 +1076,9 @@ mod tests {
         let pinger: &Pinger = sw.world(0).node(NodeId(0));
         assert_eq!(pinger.sent, 20);
         // 20 pings + 10 echoes crossed the exchange.
-        assert_eq!(sw.boundary_messages(), 30);
-        assert!(sw.epochs() > 0);
+        let st = sw.stats();
+        assert_eq!(st.boundary_messages, 30);
+        assert!(st.epochs_executed > 0);
         // First ping: timer at 700 ns + 200 ns serialization + 500 ns
         // propagation = 1.4 µs; last at 700*20 + 200 + 500.
         assert_eq!(counter.last_at, SimTime::from_nanos(700 * 20 + 200 + 500));
@@ -1113,8 +1098,7 @@ mod tests {
         threaded.run_until(SimTime::from_micros(250));
         assert_eq!(serial.dispatch_digest(), threaded.dispatch_digest());
         assert_eq!(serial.events_processed(), threaded.events_processed());
-        assert_eq!(serial.epochs(), threaded.epochs());
-        assert_eq!(serial.boundary_messages(), threaded.boundary_messages());
+        assert_eq!(serial.stats(), threaded.stats());
         let a: &Counter = serial.world(1).node(NodeId(0));
         let b: &Counter = threaded.world(1).node(NodeId(0));
         assert_eq!((a.received, a.last_at), (b.received, b.last_at));
@@ -1138,17 +1122,10 @@ mod tests {
         let a: &Counter = one.node(NodeId(1));
         let b: &Counter = sw.world(1).node(NodeId(0));
         assert_eq!((a.received, a.last_at), (b.received, b.last_at));
-        assert_eq!(sw.boundary_messages(), 30, "20 pings and 10 echoes");
-        assert!(sw.epochs_skipped() > 0, "the quiet tail is skipped");
-        assert_eq!(sw.epochs() + sw.epochs_skipped(), 200);
-        assert_eq!(
-            sw.stats(),
-            ShardStats {
-                epochs_executed: sw.epochs(),
-                epochs_skipped: sw.epochs_skipped(),
-                boundary_messages: sw.boundary_messages(),
-            }
-        );
+        let st = sw.stats();
+        assert_eq!(st.boundary_messages, 30, "20 pings and 10 echoes");
+        assert!(st.epochs_skipped > 0, "the quiet tail is skipped");
+        assert_eq!(st.epochs_executed + st.epochs_skipped, 200);
     }
 
     #[test]
@@ -1184,8 +1161,9 @@ mod tests {
             sw.run_until(SimTime::from_micros(100));
             one.run_until(SimTime::from_micros(100));
             assert_eq!(sw.events_processed(), one.events_processed());
-            assert_eq!(sw.epochs() + sw.epochs_skipped(), 200);
-            sw.stats()
+            let st = sw.stats();
+            assert_eq!(st.epochs_executed + st.epochs_skipped, 200);
+            st
         };
         let (quiet, timed) = (run(false), run(true));
         assert_eq!(timed.epochs_executed, quiet.epochs_executed + 1);
@@ -1200,8 +1178,11 @@ mod tests {
         sharded.run_until(SimTime::from_micros(80));
         assert_eq!(sharded.dispatch_digest(), plain.dispatch_digest());
         assert_eq!(sharded.events_processed(), plain.events_processed());
-        assert_eq!(sharded.epochs(), 0, "no exchange with one shard");
-        assert_eq!(sharded.boundary_messages(), 0);
+        assert_eq!(
+            sharded.stats(),
+            ShardStats::default(),
+            "no exchange with one shard"
+        );
     }
 
     #[test]
@@ -1327,7 +1308,8 @@ mod tests {
                 let mut sw = ring(8, 2000);
                 let t0 = Instant::now();
                 sw.run_with_workers(SimTime::from_micros(1500), workers);
-                assert_eq!((sw.epochs(), sw.epochs_skipped()), (2804, 196));
+                let st = sw.stats();
+                assert_eq!((st.epochs_executed, st.epochs_skipped), (2804, 196));
                 t0.elapsed()
             };
             (0..3).map(|_| run()).min().expect("three runs")
@@ -1359,7 +1341,7 @@ mod tests {
             (
                 sw.dispatch_digest(),
                 sw.events_processed(),
-                sw.boundary_messages(),
+                sw.stats().boundary_messages,
             )
         };
         let one_shot = run(None, 1);
@@ -1428,7 +1410,7 @@ mod tests {
                 (counter.received, counter.last_at),
                 sw.dispatch_digest(),
                 sw.events_processed(),
-                sw.epochs() + sw.epochs_skipped(),
+                sw.stats().epochs_executed + sw.stats().epochs_skipped,
             )
         };
         let one_shot = run(&[20_000]);

@@ -156,11 +156,6 @@ impl SwitchStats {
     pub fn total_pause_tx(&self) -> u64 {
         self.pause_tx.iter().sum()
     }
-
-    /// Total XOFF pause frames received.
-    pub fn total_pause_rx(&self) -> u64 {
-        self.pause_rx.iter().sum()
-    }
 }
 
 /// Where a queued packet's bytes were admitted: the (ingress port, PG)

@@ -15,8 +15,8 @@ use rocescale::sim::SimTime;
 
 fn main() {
     let dur = SimTime::from_millis(40);
-    for watchdogs in [false, true] {
-        let r = storm::run(watchdogs, dur);
+    let arms = [false, true].map(|watchdogs| storm::run(watchdogs, dur));
+    for r in &arms {
         println!(
             "watchdogs {:<5} | healthy victim pairs {}/{} | victim pause frames {} | \
              nic wd fired: {} | switch wd fired: {}",
@@ -30,12 +30,12 @@ fn main() {
     }
     println!();
     println!("availability over time (Figure 9(a) shape), storm starts at 20% of the run:");
-    for watchdogs in [false, true] {
-        let series = storm::availability_series(watchdogs, dur, 10);
-        let cells: Vec<String> = series
+    for r in &arms {
+        let cells: Vec<String> = r
+            .availability
             .iter()
             .map(|(_, a)| format!("{:>4.0}%", a * 100.0))
             .collect();
-        println!("  watchdogs {:<5} {}", watchdogs, cells.join(" "));
+        println!("  watchdogs {:<5} {}", r.watchdogs, cells.join(" "));
     }
 }

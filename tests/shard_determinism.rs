@@ -28,9 +28,9 @@
 //!    range of shards when there are more shards than cores, is
 //!    byte-identical to the one-worker run.
 //! 7. Where the `run_until` deadlines fall never changes a result
-//!    either: one call, chunks on the 1.5 µs exchange grid, chunks off
-//!    it and the telemetry hub's own 100 µs chunking dispatch the same
-//!    event stream.
+//!    either, sharded or on one world: one call, chunks on the 1.5 µs
+//!    exchange grid, chunks off it and the telemetry hub's own 100 µs
+//!    chunking dispatch the same event stream.
 //!
 //! The sweeps below run every (topology, seed, shard-count) cell twice,
 //! threaded and serial, and every (topology, seed, workload, fault) cell
@@ -39,12 +39,12 @@
 //! message applied at the wrong instant all fail loudly here.
 
 use rocescale_core::{
-    ClusterBuilder, ExecutionProfile, FabricProfile, FaultProfile, InstrumentationProfile,
+    Cluster, ClusterBuilder, ExecutionProfile, FabricProfile, FaultProfile, InstrumentationProfile,
     ScriptAction, ServerId, ShardedCluster,
 };
 use rocescale_monitor::{MemorySink, MetricsHub, TelemetryConfig};
 use rocescale_nic::QpApp;
-use rocescale_sim::SimTime;
+use rocescale_sim::{SimTime, WorldSet};
 use rocescale_topology::ClosSpec;
 
 /// Must match `tests/golden_trace.rs` — the committed golden pin, whose
@@ -101,13 +101,18 @@ fn ring_cluster(b: ClusterBuilder, shards: u32, app: fn() -> QpApp) -> ShardedCl
     let mut c = b
         .execution(ExecutionProfile::Sharded { shards })
         .build_sharded();
+    connect_ring(&mut c, app);
+    c
+}
+
+/// One cross-pod `app` flow per pod, pod p to pod p + 1.
+fn connect_ring<W: WorldSet>(c: &mut Cluster<W>, app: fn() -> QpApp) {
     let pods = c.spec().pods;
     for p in 0..pods {
         let src = c.servers_under(p, 0)[0];
         let dst = c.servers_under((p + 1) % pods, 0)[1];
         c.connect_qp(src, dst, 6000 + p as u16, app(), QpApp::None);
     }
-    c
 }
 
 /// What [`Fingerprint`] holds, read off a finished run.
@@ -115,8 +120,8 @@ fn fingerprint(c: &ShardedCluster) -> Fingerprint {
     (
         c.dispatch_digest(),
         c.events_processed(),
-        c.exchange_epochs(),
-        c.boundary_messages(),
+        c.shard_stats().epochs_executed,
+        c.shard_stats().boundary_messages,
         c.counters_snapshot(),
     )
 }
@@ -333,12 +338,13 @@ fn n_shards_match_one_shard_across_the_sweep() {
                         assert_eq!(got.1, one.1, "merged counters: {cell}");
                         assert_eq!(got.2, one.2 + far_timers, "events: {cell}");
                         let l = c.lookahead().expect("boundary links").as_ps();
+                        let st = c.shard_stats();
                         assert_eq!(
-                            c.exchange_epochs() + c.epochs_skipped(),
+                            st.epochs_executed + st.epochs_skipped,
                             dur.as_ps() / l,
                             "window accounting: {cell}"
                         );
-                        skipped_anywhere += c.epochs_skipped();
+                        skipped_anywhere += st.epochs_skipped;
                     }
                 }
             }
@@ -480,15 +486,16 @@ fn a_drained_fabric_executes_no_further_epochs() {
             .map(|i| c.rdma(ServerId(i)).total_goodput_bytes())
             .sum();
         assert_eq!(goodput, 2 * 4 * 64 * 1024, "{arm}: bursts delivered");
-        let (executed, skipped) = (c.exchange_epochs(), c.epochs_skipped());
+        let drained_at = c.shard_stats();
         c.run_until(end);
+        let st = c.shard_stats();
         assert_eq!(
-            c.exchange_epochs() - executed,
+            st.epochs_executed - drained_at.epochs_executed,
             executed_in_tail,
             "{arm}: epochs executed after the bursts drained"
         );
         assert_eq!(
-            c.epochs_skipped() - skipped,
+            st.epochs_skipped - drained_at.epochs_skipped,
             tail_windows - executed_in_tail,
             "{arm}: the rest of the tail is skipped"
         );
@@ -521,6 +528,11 @@ fn more_shards_than_cores_match_the_one_worker_run() {
     assert_eq!(run(true), (one, one_stats));
 }
 
+/// The 4-pod fabric `run_in_steps` drives, at seed 21.
+fn steps_builder(hub: MetricsHub, faults: FaultProfile) -> ClusterBuilder {
+    builder(ClosSpec::uniform_40g(4, 2, 2, 4, 3), 21, hub, faults)
+}
+
 /// The saturating ring on the 4-pod fabric driven to 400 µs in steps
 /// of `step_ps` (`None`: one call), with or without the hub — whose
 /// 100 µs sampling cadence chunks the run by itself, off the 1.5 µs
@@ -532,15 +544,19 @@ fn run_in_steps(
     faults: FaultProfile,
     step_ps: Option<u64>,
 ) -> (u64, u64) {
-    let spec = ClosSpec::uniform_40g(4, 2, 2, 4, 3);
-    let dur = SimTime::from_micros(400);
     let hub = if hub_on {
         MetricsHub::enabled()
     } else {
         MetricsHub::disabled()
     };
-    let mut c = ring_cluster(builder(spec, 21, hub, faults), shards, saturate);
+    let mut c = ring_cluster(steps_builder(hub, faults), shards, saturate);
     c.set_threaded(threaded);
+    drive_in_steps(&mut c, step_ps)
+}
+
+/// Drive `c` to 400 µs in steps of `step_ps` (`None`: one call).
+fn drive_in_steps<W: WorldSet>(c: &mut Cluster<W>, step_ps: Option<u64>) -> (u64, u64) {
+    let dur = SimTime::from_micros(400);
     if let Some(step) = step_ps {
         let mut t = step;
         while t < dur.as_ps() {
@@ -563,6 +579,29 @@ fn chunked_drives_dispatch_the_one_shot_event_stream() {
     // window would — with a flap of the cross-shard link, off the grid,
     // in the script.
     let flapped = || flap(SimTime::from_nanos(100_700), SimTime::from_nanos(250_300));
+    // The one-world cluster (`build()`) first: scenarios that stop at
+    // window marks mid-run rely on it.
+    for flapped_run in [false, true] {
+        let one_world = |step_ps| {
+            let faults = if flapped_run {
+                flapped()
+            } else {
+                FaultProfile::paper_default()
+            };
+            let mut c = steps_builder(MetricsHub::disabled(), faults).build();
+            connect_ring(&mut c, saturate);
+            drive_in_steps(&mut c, step_ps)
+        };
+        let one_shot = one_world(None);
+        assert!(one_shot.1 > 50_000, "one world: {one_shot:?}");
+        for step_ps in [15_000_000u64, 1_000_007, 33_333_344] {
+            assert_eq!(
+                one_world(Some(step_ps)),
+                one_shot,
+                "one world flapped={flapped_run}: steps of {step_ps} ps"
+            );
+        }
+    }
     for shards in [2u32, 4] {
         for threaded in [true, false] {
             for flapped_run in [false, true] {
