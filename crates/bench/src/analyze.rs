@@ -4,7 +4,7 @@
 //! The export path (`--trace-out` on a scenario) streams four
 //! record classes — flight events, per-packet hops, per-epoch queue
 //! samples, CC rate points (see `rocescale_monitor::sink`). This module
-//! is the read side: [`TraceDoc`] loads any such file and renders
+//! is the read side: [`load`] parses any such file, [`analyze`] renders
 //!
 //! * a **record census** (what the trace contains),
 //! * a **queue-depth heatmap** — switch × time-window max backlog, the
@@ -13,15 +13,15 @@
 //!   `resume_tx` counts per window, the Figure 9(b) shape,
 //! * **CC rate trajectories** — the per-QP DCQCN/TIMELY rate curve.
 //!
-//! [`TraceDoc`] implements [`ScenarioReport`], so `rocescale
-//! trace-analyze` gets `--json` output (and `json-check` validation) for
-//! free from the same machinery every scenario uses.
+//! `rocescale trace-analyze` heads the report with id `TRACE` and
+//! [`CLAIM`], so its `--json` output (and `json-check` validation) is
+//! the schema every scenario emits.
 
 use std::collections::{BTreeMap, BTreeSet};
 
 use rocescale_monitor::ParsedRecord;
 
-use crate::report::{Cell, CliArgs, Report, ScenarioReport, Table};
+use crate::report::{Cell, Report, Table};
 
 /// Time windows trajectories are folded into: enough resolution to see
 /// a storm start and stop, few enough columns to render as text.
@@ -208,52 +208,16 @@ pub fn analyze(records: &[ParsedRecord]) -> Report {
     rep
 }
 
-/// An exported trace as a [`ScenarioReport`]: load a JSONL file, get
-/// the analysis rendered through the standard text/JSON machinery.
-pub struct TraceDoc {
-    title: String,
-    records: Vec<ParsedRecord>,
-}
+/// The paper claim a trace analysis is headed with.
+pub const CLAIM: &str = "queue-depth heatmaps, pause-propagation timelines and CC rate \
+     trajectories recovered offline from a streamed JSONL trace — the paper's time-series \
+     evidence, regenerable from any exported run";
 
-impl TraceDoc {
-    /// Load and strictly parse an exported trace file.
-    pub fn load(path: &str) -> Result<TraceDoc, String> {
-        let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-        Ok(TraceDoc::from_records(
-            path,
-            rocescale_monitor::parse_jsonl(&text).map_err(|e| format!("{path}: {e}"))?,
-        ))
-    }
-
-    /// Wrap already-parsed records (tests, in-process pipelines).
-    pub fn from_records(source: &str, records: Vec<ParsedRecord>) -> TraceDoc {
-        TraceDoc {
-            title: format!("exported trace analysis: {source}"),
-            records,
-        }
-    }
-
-    /// The parsed records, in file order.
-    pub fn records(&self) -> &[ParsedRecord] {
-        &self.records
-    }
-}
-
-impl ScenarioReport for TraceDoc {
-    fn id(&self) -> &str {
-        "TRACE"
-    }
-    fn title(&self) -> &str {
-        &self.title
-    }
-    fn claim(&self) -> &str {
-        "queue-depth heatmaps, pause-propagation timelines and CC rate trajectories \
-         recovered offline from a streamed JSONL trace — the paper's time-series \
-         evidence, regenerable from any exported run"
-    }
-    fn run(&self, _args: &CliArgs) -> Report {
-        analyze(&self.records)
-    }
+/// Read and strictly parse an exported trace file; the error names the
+/// file and, for a malformed record, its line.
+pub fn load(path: &str) -> Result<Vec<ParsedRecord>, String> {
+    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
+    rocescale_monitor::parse_jsonl(&text).map_err(|e| format!("{path}: {e}"))
 }
 
 #[cfg(test)]
@@ -355,18 +319,5 @@ mod tests {
         let rep = analyze(&[]);
         assert!(rep.tables.is_empty());
         assert_eq!(rep.notes.len(), 1);
-    }
-
-    #[test]
-    fn trace_doc_is_a_scenario_report() {
-        let doc = TraceDoc::from_records("test.jsonl", synthetic_trace());
-        assert_eq!(doc.id(), "TRACE");
-        assert!(doc.title().contains("test.jsonl"));
-        let rep = doc.run(&CliArgs::default());
-        let json = crate::report::to_json(&doc, &rep);
-        let parsed = rocescale_monitor::json::parse(&json.render()).unwrap();
-        for key in ["id", "title", "paper", "tables", "scalars", "notes"] {
-            assert!(parsed.get(key).is_some(), "missing {key}");
-        }
     }
 }

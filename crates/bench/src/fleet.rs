@@ -21,8 +21,8 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-use crate::report::{to_json, to_text, CliArgs};
-use crate::suite;
+use crate::report::{to_json, to_text, CliArgs, Header, Report};
+use crate::suite::{self, Scenario};
 use rocescale_monitor::Json;
 
 /// Run `count` jobs on `workers` threads; `f(i)` computes job `i`.
@@ -61,17 +61,31 @@ where
         .collect()
 }
 
-/// One scenario's rendered output from a fleet run.
+/// A report rendered both ways: what `rocescale` prints for one
+/// scenario, a trace analysis or the whole fleet.
 pub struct FleetOutcome {
-    /// Position in [`suite::all`] order.
-    pub index: usize,
-    /// Scenario id, e.g. `"FIG-2 (§2)"`.
-    pub id: String,
     /// Classic text rendering of the report.
     pub text: String,
-    /// JSON rendering of the report (same schema as `--json` on the
-    /// scenario run alone).
+    /// JSON rendering of the report (the schema of
+    /// [`crate::report`]).
     pub json: Json,
+}
+
+impl FleetOutcome {
+    /// Render `report` under `head`, as text and as JSON.
+    pub fn render(head: &Header, report: &Report) -> FleetOutcome {
+        FleetOutcome {
+            text: to_text(head, report),
+            json: to_json(head, report),
+        }
+    }
+
+    /// Run one scenario and render its report — the one path from a
+    /// scenario to its output, for `rocescale <name>` and for each fleet
+    /// job alike.
+    pub fn run(s: &Scenario, args: &CliArgs) -> FleetOutcome {
+        FleetOutcome::render(&s.header(), &(s.run)(args))
+    }
 }
 
 /// Indices into [`suite::all`] whose scenario id contains `needle`,
@@ -81,7 +95,7 @@ pub fn matching_indices(needle: &str) -> Vec<usize> {
     suite::all()
         .iter()
         .enumerate()
-        .filter(|(_, (_, s))| s.id().to_lowercase().contains(&needle))
+        .filter(|(_, s)| s.id.to_lowercase().contains(&needle))
         .map(|(i, _)| i)
         .collect()
 }
@@ -91,25 +105,24 @@ pub fn matching_indices(needle: &str) -> Vec<usize> {
 pub fn run_selected(args: &CliArgs, workers: usize, indices: &[usize]) -> Vec<FleetOutcome> {
     let scenarios = suite::all();
     run_indexed(indices.len(), workers, |k| {
-        let i = indices[k];
-        let (_, s) = scenarios[i];
-        let report = s.run(args);
-        FleetOutcome {
-            index: i,
-            id: s.id().to_string(),
-            text: to_text(s, &report),
-            json: to_json(s, &report),
-        }
+        FleetOutcome::run(&scenarios[indices[k]], args)
     })
 }
 
-/// Assemble fleet outcomes into the one-document JSON form:
-/// `{"scenarios": [<report>, ...]}` in suite order.
-pub fn suite_json(outcomes: &[FleetOutcome]) -> Json {
-    Json::obj(vec![(
-        "scenarios",
-        Json::Arr(outcomes.iter().map(|o| o.json.clone()).collect()),
-    )])
+/// The fleet's own output: the reports' texts separated by blank lines,
+/// and one JSON document `{"scenarios": [<report>, ...]}`, both in the
+/// order given.
+pub fn suite_outcome(outcomes: Vec<FleetOutcome>) -> FleetOutcome {
+    let text = outcomes
+        .iter()
+        .map(|o| o.text.as_str())
+        .collect::<Vec<_>>()
+        .join("\n");
+    let reports = outcomes.into_iter().map(|o| o.json).collect();
+    FleetOutcome {
+        text,
+        json: Json::obj(vec![("scenarios", Json::Arr(reports))]),
+    }
 }
 
 #[cfg(test)]

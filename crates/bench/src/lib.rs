@@ -2,12 +2,13 @@
 //!
 //! Every evaluation figure of the paper is a scenario that
 //! `rocescale <scenario>` regenerates (see `DESIGN.md` §4 for the index).
-//! Each scenario is a declarative [`ScenarioReport`] spec; [`main_for`]
-//! renders it either as aligned text tables (easy to diff against
-//! `EXPERIMENTS.md`) or, with `--json`, as machine-readable JSON. The
-//! scenario implementations live in [`suite`], and [`fleet`] runs the
-//! whole suite — or a declarative sweep — across worker threads with
-//! deterministic output.
+//! Each scenario is one row of the [`suite::all`] table: a name, a
+//! [`Header`] (id, title, paper claim) and a run function returning a
+//! [`Report`]. [`FleetOutcome::run`] is the one path from a scenario to
+//! its output — aligned text tables (easy to diff against
+//! `EXPERIMENTS.md`) and machine-readable JSON — whether
+//! `rocescale <scenario>` runs it alone or [`fleet`] runs the suite
+//! across worker threads with deterministic output.
 //!
 //! Flags are parsed once, by [`CliArgs::from_args`]; scenarios that
 //! support `--trace-out` stream a structured JSONL trace which
@@ -23,6 +24,6 @@ pub mod harness;
 pub mod report;
 pub mod suite;
 
-pub use analyze::TraceDoc;
 pub use fleet::{run_indexed, FleetOutcome};
-pub use report::{main_for, Cell, CliArgs, Report, ScenarioReport, Table};
+pub use report::{Cell, CliArgs, Header, Report, Table};
+pub use suite::Scenario;

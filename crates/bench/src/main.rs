@@ -28,11 +28,12 @@
 //!   changes wall-clock time, which goes to stderr.
 //! * `json-check` — reads one JSON document from stdin, parses it with
 //!   the in-tree strict parser and checks the report schema
-//!   (`id`/`title`/`paper`/`tables`/`scalars`/`notes`, each table
-//!   carrying `name`/`columns`/`rows` and every row as wide as its
-//!   column list). A fleet document is also accepted: every element is
-//!   validated and scenario ids must be unique. Exits non-zero with a
-//!   message on any violation — the CI gate for the JSON export path.
+//!   (string `id`/`title`/`paper`, a `scalars` object, `notes` strings,
+//!   and `tables` each carrying a string `name`, string `columns` and
+//!   `rows` as wide as that column list). A fleet document is also
+//!   accepted: every element is validated and scenario ids must be
+//!   unique. Exits non-zero with a message on any violation — the CI
+//!   gate for the JSON export path.
 //! * `trace-analyze` — reads a `--trace-out` JSONL export and renders
 //!   queue-depth heatmaps, pause-propagation timelines and CC rate
 //!   trajectories as a normal report (id `TRACE`), so `--json` pipes
@@ -41,8 +42,8 @@
 use std::io::Read;
 use std::time::Instant;
 
-use rocescale_bench::fleet::{matching_indices, run_selected, suite_json};
-use rocescale_bench::{main_for, suite, CliArgs, TraceDoc};
+use rocescale_bench::fleet::{matching_indices, run_selected, suite_outcome};
+use rocescale_bench::{analyze, suite, CliArgs, FleetOutcome, Header};
 use rocescale_monitor::{json, Json};
 
 fn usage(msg: &str) -> ! {
@@ -57,8 +58,8 @@ fn usage(msg: &str) -> ! {
          \x20      rocescale trace-analyze TRACE.jsonl [--json] [--json-out PATH]\n\
          scenarios:"
     );
-    for (name, s) in suite::all() {
-        eprintln!("  {name:<24}{}", s.id());
+    for s in suite::all() {
+        eprintln!("  {:<24}{}", s.name, s.id);
     }
     std::process::exit(2);
 }
@@ -77,14 +78,42 @@ fn main() {
             let [path] = cli.flags.as_slice() else {
                 usage("trace-analyze expects exactly one trace file argument");
             };
-            let doc = TraceDoc::load(path).unwrap_or_else(|e| usage(&e));
-            main_for(&doc, &cli);
+            let records = analyze::load(path).unwrap_or_else(|e| usage(&e));
+            let head = Header {
+                id: "TRACE",
+                title: &format!("exported trace analysis: {path}"),
+                claim: analyze::CLAIM,
+            };
+            emit(
+                &cli,
+                &FleetOutcome::render(&head, &analyze::analyze(&records)),
+            );
         }
-        name => match suite::all().iter().find(|(n, _)| *n == name) {
-            Some((_, s)) => main_for(*s, &cli),
+        name => match suite::all().iter().find(|s| s.name == name) {
+            Some(s) => emit(&cli, &FleetOutcome::run(s, &cli)),
             None => usage(&format!("unknown scenario or subcommand {name:?}")),
         },
     }
+}
+
+/// The one output path: write the JSON document to `--json-out` (whichever
+/// form stdout gets), print the text or, with `--json`, the JSON, and fail
+/// the run if a `--trace-out` export was cut short.
+fn emit(cli: &CliArgs, out: &FleetOutcome) {
+    if let Some(path) = &cli.json_out {
+        let doc = out.json.render() + "\n";
+        std::fs::write(path, doc).unwrap_or_else(|e| {
+            eprintln!("cannot write {path}: {e}");
+            std::process::exit(1);
+        });
+        eprintln!("wrote {path}");
+    }
+    if cli.json {
+        println!("{}", out.json.render());
+    } else {
+        print!("{}", out.text);
+    }
+    cli.trace_exports.exit_on_failure();
 }
 
 /// Pull `--only SUBSTR` out of the forwarded flag list (it addresses the
@@ -137,36 +166,20 @@ fn fleet(cli: &CliArgs) {
         json: cli.json,
         json_out: None,
         trace_out,
-        trace_exports: Default::default(),
+        trace_exports: cli.trace_exports.clone(),
         jobs: None,
         flags,
     };
 
     let t0 = Instant::now();
     let outcomes = run_selected(&args, jobs, &indices);
-    let secs = t0.elapsed().as_secs_f64();
-    if let Some(path) = &cli.json_out {
-        let doc = suite_json(&outcomes).render() + "\n";
-        std::fs::write(path, doc).unwrap_or_else(|e| usage(&format!("cannot write {path}: {e}")));
-        eprintln!("wrote {path}");
-    }
-    if cli.json {
-        println!("{}", suite_json(&outcomes).render());
-    } else {
-        for (i, o) in outcomes.iter().enumerate() {
-            if i > 0 {
-                println!();
-            }
-            print!("{}", o.text);
-        }
-    }
     eprintln!(
         "fleet: {} scenarios on {} worker(s) in {:.2}s",
         outcomes.len(),
         jobs,
-        secs
+        t0.elapsed().as_secs_f64()
     );
-    args.trace_exports.exit_on_failure();
+    emit(cli, &suite_outcome(outcomes));
 }
 
 fn check_fail(msg: &str) -> ! {
@@ -187,6 +200,9 @@ fn check_report(doc: &Json, ctx: &str) -> (String, usize, usize) {
             check_fail(&format!("{ctx}{key:?} must be a string"));
         }
     }
+    if !matches!(doc.get("scalars"), Some(Json::Obj(_))) {
+        check_fail(&format!("{ctx}\"scalars\" must be an object"));
+    }
     let Some(tables) = doc.get("tables").and_then(Json::as_arr) else {
         check_fail(&format!("{ctx}\"tables\" must be an array"));
     };
@@ -196,6 +212,11 @@ fn check_report(doc: &Json, ctx: &str) -> (String, usize, usize) {
         };
         if t.get("name").and_then(Json::as_str).is_none() {
             check_fail(&format!("{ctx}table {i}: \"name\" must be a string"));
+        }
+        if cols.iter().any(|c| c.as_str().is_none()) {
+            check_fail(&format!(
+                "{ctx}table {i}: every column name must be a string"
+            ));
         }
         let Some(rows) = t.get("rows").and_then(Json::as_arr) else {
             check_fail(&format!("{ctx}table {i}: \"rows\" must be an array"));
@@ -213,8 +234,9 @@ fn check_report(doc: &Json, ctx: &str) -> (String, usize, usize) {
             }
         }
     }
-    if doc.get("notes").and_then(Json::as_arr).is_none() {
-        check_fail(&format!("{ctx}\"notes\" must be an array"));
+    match doc.get("notes").and_then(Json::as_arr) {
+        Some(notes) if notes.iter().all(|n| n.as_str().is_some()) => {}
+        _ => check_fail(&format!("{ctx}\"notes\" must be an array of strings")),
     }
     let id = doc.get("id").and_then(Json::as_str).unwrap().to_string();
     let rows = tables

@@ -1,7 +1,7 @@
-//! Declarative experiment reports: one [`ScenarioReport`] per scenario,
-//! rendered either as the classic aligned-column tables or — with
-//! `--json` — as machine-readable JSON built on `rocescale_monitor::Json`
-//! (no external serialization dependency).
+//! Experiment reports: a [`Report`] under its [`Header`], rendered either
+//! as the classic aligned-column tables ([`to_text`]) or — with `--json`
+//! — as machine-readable JSON ([`to_json`]) built on
+//! `rocescale_monitor::Json` (no external serialization dependency).
 //!
 //! The JSON schema every scenario emits:
 //!
@@ -237,32 +237,35 @@ impl CliArgs {
         self.flags.iter().any(|f| f == flag)
     }
 
-    /// The token following a scenario-specific flag, if any
-    /// (`--shards 4` → `value("--shards") == Some("4")`).
-    pub fn value(&self, flag: &str) -> Option<&str> {
-        self.flags
-            .iter()
-            .position(|f| f == flag)
-            .and_then(|i| self.flags.get(i + 1))
-            .map(|s| s.as_str())
+    /// The token following a scenario-specific flag: `Ok(None)` when
+    /// the flag is absent (`--shards 4` → `value("--shards") ==
+    /// Ok(Some("4"))`), `Err` with a usage message when it is the last
+    /// argument.
+    pub fn value(&self, flag: &str) -> Result<Option<&str>, String> {
+        let Some(i) = self.flags.iter().position(|f| f == flag) else {
+            return Ok(None);
+        };
+        match self.flags.get(i + 1) {
+            Some(v) => Ok(Some(v.as_str())),
+            None => Err(format!("{flag} needs a value")),
+        }
     }
 }
 
-/// A declarative experiment: identity, the paper claim it reproduces,
-/// and a run function producing a [`Report`].
-pub trait ScenarioReport {
+/// What a rendered report is headed with: the scenario's identity and
+/// the paper claim it reproduces.
+#[derive(Debug, Clone, Copy)]
+pub struct Header<'a> {
     /// Short id, e.g. `"FIG-2 (§2)"`.
-    fn id(&self) -> &str;
+    pub id: &'a str,
     /// One-line human title.
-    fn title(&self) -> &str;
+    pub title: &'a str,
     /// The paper claim being reproduced.
-    fn claim(&self) -> &str;
-    /// Run the experiment.
-    fn run(&self, args: &CliArgs) -> Report;
+    pub claim: &'a str,
 }
 
 /// Render a report as the JSON schema documented at module level.
-pub fn to_json(s: &dyn ScenarioReport, r: &Report) -> Json {
+pub fn to_json(head: &Header, r: &Report) -> Json {
     let tables = r
         .tables
         .iter()
@@ -291,9 +294,9 @@ pub fn to_json(s: &dyn ScenarioReport, r: &Report) -> Json {
         .map(|(k, v)| (k.clone(), v.json()))
         .collect();
     Json::obj(vec![
-        ("id", Json::Str(s.id().to_string())),
-        ("title", Json::Str(s.title().to_string())),
-        ("paper", Json::Str(s.claim().to_string())),
+        ("id", Json::Str(head.id.to_string())),
+        ("title", Json::Str(head.title.to_string())),
+        ("paper", Json::Str(head.claim.to_string())),
         ("tables", Json::Arr(tables)),
         ("scalars", Json::Obj(scalars)),
         (
@@ -304,11 +307,11 @@ pub fn to_json(s: &dyn ScenarioReport, r: &Report) -> Json {
 }
 
 /// Render a report as the classic text form.
-pub fn to_text(s: &dyn ScenarioReport, r: &Report) -> String {
+pub fn to_text(head: &Header, r: &Report) -> String {
     let mut out = String::new();
     out.push_str("================================================================\n");
-    out.push_str(&format!("{} — {}\n", s.id(), s.title()));
-    out.push_str(&format!("paper: {}\n", s.claim()));
+    out.push_str(&format!("{} — {}\n", head.id, head.title));
+    out.push_str(&format!("paper: {}\n", head.claim));
     out.push_str("================================================================\n");
     for t in &r.tables {
         out.push('\n');
@@ -329,58 +332,30 @@ pub fn to_text(s: &dyn ScenarioReport, r: &Report) -> String {
     out
 }
 
-/// The shared `main`: run, print text or JSON, and honor `--json-out`
-/// (the JSON document is written to the file regardless of which form
-/// stdout gets).
-pub fn main_for(s: &dyn ScenarioReport, args: &CliArgs) {
-    let report = s.run(args);
-    if let Some(path) = &args.json_out {
-        let doc = to_json(s, &report).render() + "\n";
-        std::fs::write(path, doc).unwrap_or_else(|e| {
-            eprintln!("cannot write {path}: {e}");
-            std::process::exit(1);
-        });
-        eprintln!("wrote {path}");
-    }
-    if args.json {
-        println!("{}", to_json(s, &report).render());
-    } else {
-        print!("{}", to_text(s, &report));
-    }
-    args.trace_exports.exit_on_failure();
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    struct Fake;
-    impl ScenarioReport for Fake {
-        fn id(&self) -> &str {
-            "FIG-0"
-        }
-        fn title(&self) -> &str {
-            "fake"
-        }
-        fn claim(&self) -> &str {
-            "claims"
-        }
-        fn run(&self, _args: &CliArgs) -> Report {
-            let mut r = Report::new();
-            let mut t = Table::new("arms", &["arm", "goodput"]);
-            t.row(vec![Cell::s("a"), Cell::f2(1.5)]);
-            t.row(vec![Cell::s("b"), Cell::U64(3)]);
-            r.table(t);
-            r.scalar("ratio", Cell::f1(2.0));
-            r.note("hello");
-            r
-        }
+    const FAKE: Header = Header {
+        id: "FIG-0",
+        title: "fake",
+        claim: "claims",
+    };
+
+    fn fake_report() -> Report {
+        let mut r = Report::new();
+        let mut t = Table::new("arms", &["arm", "goodput"]);
+        t.row(vec![Cell::s("a"), Cell::f2(1.5)]);
+        t.row(vec![Cell::s("b"), Cell::U64(3)]);
+        r.table(t);
+        r.scalar("ratio", Cell::f1(2.0));
+        r.note("hello");
+        r
     }
 
     #[test]
     fn json_form_matches_schema() {
-        let rep = Fake.run(&CliArgs::default());
-        let j = to_json(&Fake, &rep);
+        let j = to_json(&FAKE, &fake_report());
         let parsed = rocescale_monitor::json::parse(&j.render()).unwrap();
         for key in ["id", "title", "paper", "tables", "scalars", "notes"] {
             assert!(parsed.get(key).is_some(), "missing {key}");
@@ -394,8 +369,7 @@ mod tests {
 
     #[test]
     fn text_form_aligns_columns() {
-        let rep = Fake.run(&CliArgs::default());
-        let text = to_text(&Fake, &rep);
+        let text = to_text(&FAKE, &fake_report());
         assert!(text.contains("FIG-0 — fake"));
         assert!(text.contains("arm"));
         assert!(text.contains("1.50"));
@@ -440,9 +414,13 @@ mod tests {
             flags: vec!["--shards".into(), "4".into(), "--serial".into()],
             ..CliArgs::default()
         };
-        assert_eq!(args.value("--shards"), Some("4"));
-        assert_eq!(args.value("--serial"), None, "no token follows");
-        assert_eq!(args.value("--absent"), None);
+        assert_eq!(args.value("--shards"), Ok(Some("4")));
+        assert_eq!(args.value("--absent"), Ok(None));
+        let err = args.value("--serial").unwrap_err();
+        assert!(
+            err.contains("--serial"),
+            "a flag given last has no value: {err}"
+        );
     }
 
     #[test]

@@ -4,8 +4,8 @@
 //! changes wall-clock time and nothing else.
 
 use rocescale_bench::fleet::run_indexed;
-use rocescale_bench::report::{to_json, Report, ScenarioReport};
-use rocescale_bench::{Cell, CliArgs, Table};
+use rocescale_bench::report::{to_json, Report};
+use rocescale_bench::{Cell, Header, Table};
 use rocescale_core::{CcKind, ClusterBuilder, FabricProfile, TransportProfile};
 use rocescale_nic::QpApp;
 
@@ -45,26 +45,6 @@ const CC: [Job; 3] = [
     job(true, CcKind::Off, 1),
 ];
 
-/// Identity for a job's report.
-struct JobReport {
-    id: String,
-}
-
-impl ScenarioReport for JobReport {
-    fn id(&self) -> &str {
-        &self.id
-    }
-    fn title(&self) -> &str {
-        "fleet job"
-    }
-    fn claim(&self) -> &str {
-        "fleet determinism fixture"
-    }
-    fn run(&self, _args: &CliArgs) -> Report {
-        unreachable!("reports are built by the job runner")
-    }
-}
-
 /// Run one job: drive a 5-to-1 incast for 1 ms, return (dispatch
 /// digest, rendered report JSON).
 fn run_job(job: &Job) -> (u64, String) {
@@ -97,10 +77,12 @@ fn run_job(job: &Job) -> (u64, String) {
     let mut rep = Report::new();
     rep.table(t);
     rep.scalar("events", Cell::U64(c.world.events_processed()));
-    let id = JobReport {
-        id: format!("pfc={},cc={},seed={}", job.pfc, job.cc.name(), job.seed),
+    let head = Header {
+        id: &format!("pfc={},cc={},seed={}", job.pfc, job.cc.name(), job.seed),
+        title: "fleet job",
+        claim: "fleet determinism fixture",
     };
-    (c.world.dispatch_digest(), to_json(&id, &rep).render())
+    (c.world.dispatch_digest(), to_json(&head, &rep).render())
 }
 
 /// Per-job digests and JSON for `jobs` run on `workers` threads.
@@ -133,7 +115,7 @@ fn suite_registry_is_fleet_ready() {
     // The fleet runs scenarios by index; the registry must stay stable
     // and Sync (shared across worker threads by reference).
     fn assert_sync<T: Sync + ?Sized>() {}
-    assert_sync::<dyn rocescale_bench::ScenarioReport + Sync>();
+    assert_sync::<rocescale_bench::Scenario>();
     assert_eq!(rocescale_bench::suite::all().len(), 21);
 }
 
