@@ -1073,7 +1073,7 @@ fn inc_fleet_scale(args: &CliArgs) -> Report {
             Cell::U64(s as u64),
             Cell::U64(l.events),
             Cell::U64(l.wheel_max_occupancy),
-            Cell::U64(l.slab_capacity as u64),
+            Cell::U64(l.slab_slots as u64),
             Cell::U64(l.slab_live as u64),
         ]);
     }

@@ -53,8 +53,9 @@ pub struct ShardLoad {
     pub events: u64,
     /// Peak timer-wheel occupancy (live entries) the shard reached.
     pub wheel_max_occupancy: u64,
-    /// Packet-slab slots the shard grew to.
-    pub slab_capacity: usize,
+    /// Packet-slab high-water mark: the most slots the shard ever used
+    /// at once (packets on wires and in switch queues).
+    pub slab_slots: usize,
     /// Packet-slab slots still live at the end of the run.
     pub slab_live: usize,
 }
@@ -93,7 +94,9 @@ pub struct FleetScaleResult {
     pub flow_cache_hits: u64,
     /// Flow-decision cache misses across every switch.
     pub flow_cache_misses: u64,
-    /// Total packet-slab footprint across shards, bytes.
+    /// Resident packet-slab bytes across shards: each shard's high-water
+    /// slot count times the packet size (the last chunk's untouched tail
+    /// is not counted).
     pub slab_bytes: u64,
     /// Per-shard engine load (index = shard).
     pub per_shard: Vec<ShardLoad>,
@@ -197,8 +200,8 @@ pub fn run_spec(spec: ClosSpec, shards: u32, threaded: bool, dur: SimTime) -> Fl
                 exchange_nanos: timing.exchange_nanos[s],
                 events: w.events_processed(),
                 wheel_max_occupancy: w.sched_stats().max_occupancy,
-                slab_capacity: w.packet_slab_capacity(),
-                slab_live: w.packet_slab_len(),
+                slab_slots: w.packet_slab_len(),
+                slab_live: w.packet_slab_len() - w.packet_slab_free(),
             }
         })
         .collect();
@@ -218,11 +221,7 @@ pub fn run_spec(spec: ClosSpec, shards: u32, threaded: bool, dur: SimTime) -> Fl
         lossless_drops: c.lossless_drops(),
         flow_cache_hits,
         flow_cache_misses,
-        slab_bytes: per_shard
-            .iter()
-            .map(|s| s.slab_capacity as u64)
-            .sum::<u64>()
-            * pkt_size,
+        slab_bytes: per_shard.iter().map(|s| s.slab_slots as u64).sum::<u64>() * pkt_size,
         per_shard,
     }
 }

@@ -265,6 +265,14 @@ impl PortTable {
     }
 }
 
+/// A packet held in the world's packet slab ([`Ctx::park`]): the handle a
+/// switch egress queue keeps instead of the packet. Spend it exactly
+/// once, with [`Ctx::transmit_parked`] or [`Ctx::discard`]; a handle
+/// dropped unspent leaks its slot until the world is dropped.
+#[must_use = "a parked packet holds a slab slot until it is transmitted or discarded"]
+#[derive(Debug)]
+pub struct Parked(u32);
+
 /// A queued event. `Arrival` carries an index into the world's packet
 /// slab rather than a `Box<Packet>`, so the hot path recycles packet
 /// storage through a free list instead of allocating per transmission.
@@ -297,8 +305,10 @@ struct WorldCore {
     rng: SimRng,
     next_packet_id: u64,
     events_processed: u64,
-    /// In-flight packet storage, indexed by `EventKind::Arrival::slot` —
-    /// a dense arena with an intrusive free list (see [`PacketArena`]).
+    /// Packet storage for every packet on a wire (indexed by
+    /// `EventKind::Arrival::slot`) or parked in a switch queue
+    /// ([`Parked`]) — a chunked arena with an intrusive free list (see
+    /// [`PacketArena`]).
     packets: PacketArena,
     /// Running fingerprint of the dispatch stream ([`fold_event`] of
     /// time, kind, node, detail per event) — the golden-trace hook: two
@@ -660,17 +670,20 @@ impl World {
         true
     }
 
-    /// Capacity of the in-flight packet slab (memory-bound tests).
+    /// Slots allocated for the packet slab: whole chunks, so up to one
+    /// chunk more than [`Self::packet_slab_len`].
     pub fn packet_slab_capacity(&self) -> usize {
         self.core.packets.capacity()
     }
 
-    /// Length of the in-flight packet slab.
+    /// Slots the packet slab has ever used — the most packets on wires
+    /// and in switch queues at once.
     pub fn packet_slab_len(&self) -> usize {
         self.core.packets.len()
     }
 
-    /// Vacant (recyclable) slots in the in-flight packet slab.
+    /// Vacant (recyclable) slots in the packet slab; `packet_slab_len()
+    /// − packet_slab_free()` packets are live.
     pub fn packet_slab_free(&self) -> usize {
         self.core.packets.free_len()
     }
@@ -764,6 +777,83 @@ impl Ctx<'_> {
     /// serialization plus propagation, and this node's
     /// [`Node::on_port_idle`] fires when serialization completes.
     pub fn transmit(&mut self, port: PortId, pkt: Packet) -> Result<(), TxError> {
+        let (arrive_at, peer) = self.start_tx(port, pkt.wire_size())?;
+        match peer {
+            Peer::Local(node, port) => {
+                let slot = self.core.store_packet(pkt);
+                self.core
+                    .push(arrive_at, EventKind::Arrival { node, port, slot });
+            }
+            Peer::Remote(to) => self.core.outbox.push(BoundaryMsg {
+                at: arrive_at,
+                to,
+                pkt,
+            }),
+        }
+        Ok(())
+    }
+
+    /// Store `pkt` in the world's packet slab until it is sent with
+    /// [`Self::transmit_parked`] or dropped with [`Self::discard`] — how
+    /// a switch queues a packet without holding it.
+    pub fn park(&mut self, pkt: Packet) -> Parked {
+        Parked(self.core.store_packet(pkt))
+    }
+
+    /// [`Self::transmit`] for a parked packet of `wire` bytes (its
+    /// [`Packet::wire_size`], which the caller keeps beside the handle so
+    /// scheduling never reads the slab). On a local link the packet's
+    /// slot becomes the peer's arrival as it is; on a boundary link the
+    /// packet moves into the outbox. On error the packet stays parked
+    /// and its handle comes back.
+    pub fn transmit_parked(
+        &mut self,
+        port: PortId,
+        p: Parked,
+        wire: u32,
+    ) -> Result<(), (TxError, Parked)> {
+        debug_assert_eq!(self.core.packets.get(p.0).wire_size(), wire);
+        let (arrive_at, peer) = match self.start_tx(port, wire) {
+            Ok(tx) => tx,
+            Err(e) => return Err((e, p)),
+        };
+        match peer {
+            Peer::Local(node, port) => {
+                self.core.push(
+                    arrive_at,
+                    EventKind::Arrival {
+                        node,
+                        port,
+                        slot: p.0,
+                    },
+                );
+            }
+            Peer::Remote(to) => {
+                let pkt = self.core.take_packet(p.0);
+                self.core.outbox.push(BoundaryMsg {
+                    at: arrive_at,
+                    to,
+                    pkt,
+                });
+            }
+        }
+        Ok(())
+    }
+
+    /// Drop a parked packet, freeing its slot.
+    pub fn discard(&mut self, p: Parked) {
+        self.core.take_packet(p.0);
+    }
+
+    /// Claim `port` for `wire` bytes: mark it busy for the serialization
+    /// time and schedule its [`Node::on_port_idle`]. Returns when the
+    /// packet reaches the far end — serialization plus propagation — and
+    /// who is there. On a boundary port the caller parks the packet in
+    /// the outbox with that time; the exchange injects it into the
+    /// destination world at the next epoch barrier (arrival ≥ now + min
+    /// cross-shard propagation ≥ the barrier — the conservative-lookahead
+    /// safety condition).
+    fn start_tx(&mut self, port: PortId, wire: u32) -> Result<(SimTime, Peer), TxError> {
         let now = self.core.now;
         let state = self.core.ports[self.node.0 as usize]
             .get_mut(port)
@@ -772,7 +862,7 @@ impl Ctx<'_> {
         if state.busy_until > now {
             return Err(TxError::Busy);
         }
-        let ser = SimTime(serialization_ps(pkt.wire_size(), state.spec.rate_bps));
+        let ser = SimTime(serialization_ps(wire, state.spec.rate_bps));
         let idle_at = now + ser;
         let arrive_at = idle_at + state.spec.propagation;
         state.busy_until = idle_at;
@@ -784,32 +874,7 @@ impl Ctx<'_> {
                 port,
             },
         );
-        match peer {
-            Peer::Local(peer_node, peer_port) => {
-                let slot = self.core.store_packet(pkt);
-                self.core.push(
-                    arrive_at,
-                    EventKind::Arrival {
-                        node: peer_node,
-                        port: peer_port,
-                        slot,
-                    },
-                );
-            }
-            // Boundary port: the packet leaves this shard. Park it in
-            // the outbox with its arrival time; the exchange injects it
-            // into the destination world at the next epoch barrier
-            // (arrive_at ≥ now + min cross-shard propagation ≥ the
-            // barrier — the conservative-lookahead safety condition).
-            Peer::Remote(to) => {
-                self.core.outbox.push(BoundaryMsg {
-                    at: arrive_at,
-                    to,
-                    pkt,
-                });
-            }
-        }
-        Ok(())
+        Ok((arrive_at, peer))
     }
 
     /// Fire [`Node::on_timer`] on this node after `delay` with `token`.

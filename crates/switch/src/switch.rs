@@ -8,7 +8,7 @@ use rocescale_monitor::{CounterId, HopRecord, MetricsHub, ScopeId, TraceEvent};
 use rocescale_packet::{
     EcnCodepoint, FiveTuple, MacAddr, Packet, PacketKind, PauseFrame, PfcPauseFrame, Priority,
 };
-use rocescale_sim::{Ctx, Node, PortId, SimTime, TxError};
+use rocescale_sim::{Ctx, Node, Parked, PortId, SimTime};
 
 use crate::buffer::{AdmitOutcome, SharedBuffer};
 use crate::config::{ClassifyMode, PortRole, SwitchConfig};
@@ -168,14 +168,23 @@ struct Acct {
     outcome: AdmitOutcome,
 }
 
-/// A packet queued at an egress port, remembering its ingress accounting.
-#[derive(Debug, Clone)]
+/// A packet queued at an egress port: a handle into the world's packet
+/// slab, the packet's wire size (everything DWRR and the byte counts
+/// read) and its ingress accounting. The packet itself stays parked in
+/// the slab — one pool for every queue, as in the shared-buffer ASIC —
+/// until it is transmitted or dropped.
+#[derive(Debug)]
 struct QueuedPkt {
-    pkt: Packet,
+    pkt: Parked,
+    bytes: u32,
     acct: Acct,
     /// This is a flood copy (dropped at the head of fabric-port queues).
     flood_copy: bool,
 }
+
+// A ring never shrinks, so its slot size times the deepest backlog the
+// queue has seen is what the queue keeps.
+const _: () = assert!(std::mem::size_of::<QueuedPkt>() == 16);
 
 /// DWRR quantum per weight unit, bytes.
 const DWRR_QUANTUM: u32 = 1600;
@@ -227,18 +236,17 @@ impl EgressPort {
         (0..Priority::COUNT).any(|i| lossless[i] && !self.queues[i].is_empty())
     }
 
-    fn push(&mut self, prio: usize, qp: QueuedPkt, bytes: u32) {
-        self.queue_bytes[prio] += bytes;
-        self.total += bytes;
+    fn push(&mut self, prio: usize, qp: QueuedPkt) {
+        self.queue_bytes[prio] += qp.bytes;
+        self.total += qp.bytes;
         self.queues[prio].push_back(qp);
     }
 
-    fn pop(&mut self, prio: usize) -> Option<(QueuedPkt, u32)> {
+    fn pop(&mut self, prio: usize) -> Option<QueuedPkt> {
         let qp = self.queues[prio].pop_front()?;
-        let bytes = qp.pkt.wire_size();
-        self.queue_bytes[prio] -= bytes;
-        self.total -= bytes;
-        Some((qp, bytes))
+        self.queue_bytes[prio] -= qp.bytes;
+        self.total -= qp.bytes;
+        Some(qp)
     }
 
     /// DWRR pick: returns the priority whose head packet should transmit.
@@ -253,7 +261,7 @@ impl EgressPort {
             if e.queues[i].is_empty() || e.paused_until[i] > now {
                 None
             } else {
-                Some(e.queues[i][0].pkt.wire_size())
+                Some(e.queues[i][0].bytes)
             }
         };
         // Continue the burst on the queue being served, if its deficit
@@ -666,6 +674,16 @@ impl Switch {
             .unwrap_or(0)
     }
 
+    /// Data packets queued across all egress ports. Each one holds a slot
+    /// in its world's packet slab until it is transmitted or dropped.
+    pub fn queued_packets(&self) -> usize {
+        self.egress
+            .iter()
+            .flatten()
+            .map(|e| e.queues.iter().map(VecDeque::len).sum::<usize>())
+            .sum()
+    }
+
     /// Bytes of lossless-class traffic queued across all egress ports —
     /// the backlog half of the deadlock signature (§4.2).
     pub fn lossless_backlog(&self) -> u64 {
@@ -1070,11 +1088,11 @@ impl Switch {
         e.push(
             prio.index(),
             QueuedPkt {
-                pkt,
+                pkt: ctx.park(pkt),
+                bytes,
                 acct,
                 flood_copy,
             },
-            bytes,
         );
         let total = e.total_bytes();
         if let Some((src_ip, dst_ip)) = hop_flow {
@@ -1139,10 +1157,12 @@ impl Switch {
             let Some(prio) = e.pick_queue(&self.cfg.weights, now) else {
                 return;
             };
-            let (qp, bytes) = e.pop(prio).expect("picked nonempty queue");
+            let qp = e.pop(prio).expect("picked nonempty queue");
+            let bytes = qp.bytes;
             // Flood copies die at the head of fabric-port queues: the
             // destination MAC matches no next hop (Figure 4).
             if qp.flood_copy && self.cfg.role(port.0) == PortRole::Fabric {
+                ctx.discard(qp.pkt);
                 self.release(qp.acct, bytes, ctx);
                 self.note_drop(DropReason::FloodCopyAtFabricHead, now);
                 continue; // same transmission opportunity: try the next packet
@@ -1151,11 +1171,8 @@ impl Switch {
             self.stats.tx_pkts[port.index()] += 1;
             self.stats.tx_bytes[port.index()] += bytes as u64;
             self.stats.tx_bytes_per_prio[prio] += bytes as u64;
-            match ctx.transmit(port, qp.pkt) {
-                Ok(()) => {}
-                Err(TxError::Busy | TxError::Unconnected) => {
-                    unreachable!("checked idle and connected")
-                }
+            if ctx.transmit_parked(port, qp.pkt, bytes).is_err() {
+                unreachable!("checked idle and connected");
             }
             return;
         }
@@ -1167,6 +1184,27 @@ impl Switch {
         self.buffer
             .release(acct.ingress.0, acct.pg, bytes as u64, acct.outcome);
         self.maybe_xon(acct.ingress, acct.pg, ctx);
+    }
+
+    /// Drop every packet queued for `prio` at `port`, front to back —
+    /// freeing its slab slot, releasing its buffer and counting the drop
+    /// as `reason` — and clear the priority's pause. A release can only
+    /// queue an XON and start it at once (or find its port busy), never
+    /// start a data packet, so flushing in place sends exactly what
+    /// emptying the queue first would.
+    fn flush_queue(&mut self, port: PortId, prio: usize, reason: DropReason, ctx: &mut Ctx<'_>) {
+        let Some(e) = self.egress[port.index()].as_deref_mut() else {
+            return;
+        };
+        e.paused_until[prio] = SimTime::ZERO;
+        while let Some(qp) = self.egress[port.index()]
+            .as_deref_mut()
+            .and_then(|e| e.pop(prio))
+        {
+            ctx.discard(qp.pkt);
+            self.release(qp.acct, qp.bytes, ctx);
+            self.note_drop(reason, ctx.now());
+        }
     }
 
     // ---- watchdog ----
@@ -1226,21 +1264,10 @@ impl Switch {
             self.tele.scope,
             TraceEvent::WatchdogDisabled { port: port.0 },
         );
-        let mut flushed = Vec::new();
-        if let Some(e) = self.egress[port.index()].as_deref_mut() {
-            for (i, is_ll) in self.cfg.lossless.iter().enumerate() {
-                if !is_ll {
-                    continue;
-                }
-                e.paused_until[i] = SimTime::ZERO;
-                while let Some((qp, bytes)) = e.pop(i) {
-                    flushed.push((qp.acct, bytes));
-                }
+        for i in 0..Priority::COUNT {
+            if self.cfg.lossless[i] {
+                self.flush_queue(port, i, DropReason::WatchdogLosslessOff, ctx);
             }
-        }
-        for (acct, bytes) in flushed {
-            self.release(acct, bytes, ctx);
-            self.note_drop(DropReason::WatchdogLosslessOff, ctx.now());
         }
         self.try_send(port, ctx);
     }
@@ -1274,16 +1301,8 @@ impl Switch {
         if on {
             return;
         }
-        let mut flushed = Vec::new();
-        for e in self.egress.iter_mut().flatten() {
-            e.paused_until[prio.index()] = SimTime::ZERO;
-            while let Some((qp, bytes)) = e.pop(prio.index()) {
-                flushed.push((qp.acct, bytes));
-            }
-        }
-        for (acct, bytes) in flushed {
-            self.release(acct, bytes, ctx);
-            self.note_drop(DropReason::AdminLosslessOff, ctx.now());
+        for p in 0..self.cfg.ports {
+            self.flush_queue(PortId(p), prio.index(), DropReason::AdminLosslessOff, ctx);
         }
         for p in 0..self.cfg.ports {
             self.try_send(PortId(p), ctx);
