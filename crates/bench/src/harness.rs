@@ -24,6 +24,15 @@ impl TraceExports {
         Ok(sink)
     }
 
+    /// Whether any export was opened.
+    pub fn opened(&self) -> bool {
+        !self
+            .0
+            .lock()
+            .expect("no panic while registering an export")
+            .is_empty()
+    }
+
     /// `"path: error"` for the first export that met an I/O error.
     pub fn failure(&self) -> Option<String> {
         let exports = self.0.lock().expect("no panic while registering an export");

@@ -11,7 +11,9 @@
 //! * `<scenario>` — one figure or experiment by name (`fig2_pfc_basics`,
 //!   …, `inc_fleet_scale`; `rocescale --help` lists them), rendered as
 //!   text tables or, with `--json`, as the report schema of
-//!   `rocescale_bench::report`.
+//!   `rocescale_bench::report`. `--trace-out PATH` streams the traced
+//!   arm's JSONL records to `PATH`; a scenario that streams none fails
+//!   the run instead of ignoring the flag.
 //! * `fleet` — the whole suite in one invocation, spread across `--jobs`
 //!   worker threads (default: available parallelism). `--only SUBSTR`
 //!   keeps the scenarios whose id contains `SUBSTR` (case-insensitive),
@@ -90,9 +92,24 @@ fn main() {
             );
         }
         name => match suite::all().iter().find(|s| s.name == name) {
-            Some(s) => emit(&cli, &FleetOutcome::run(s, &cli)),
+            Some(s) => {
+                let out = FleetOutcome::run(s, &cli);
+                require_trace_export(&cli, s.name);
+                emit(&cli, &out);
+            }
             None => usage(&format!("unknown scenario or subcommand {name:?}")),
         },
+    }
+}
+
+/// Fail a run given `--trace-out` (forwarded to it, for a fleet) whose
+/// scenario opened no export, rather than let the flag be ignored.
+fn require_trace_export(args: &CliArgs, scenario: &str) {
+    if let Some(path) = &args.trace_out {
+        if !args.trace_exports.opened() {
+            eprintln!("rocescale: {scenario} streams no trace; --trace-out {path} was not written");
+            std::process::exit(1);
+        }
     }
 }
 
@@ -173,6 +190,9 @@ fn fleet(cli: &CliArgs) {
 
     let t0 = Instant::now();
     let outcomes = run_selected(&args, jobs, &indices);
+    if let [only] = indices[..] {
+        require_trace_export(&args, suite::all()[only].name);
+    }
     eprintln!(
         "fleet: {} scenarios on {} worker(s) in {:.2}s",
         outcomes.len(),

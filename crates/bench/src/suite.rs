@@ -1033,7 +1033,9 @@ fn inc_dead_remembered(_args: &CliArgs) -> Report {
 /// `--tors-per-pod N` / `--servers-per-tor N` (fabric shape; `40`/`320`
 /// is the 102 400-host deployment class of §6), and `--dur-us N` (run
 /// horizon, default 600 µs — long enough for the burst workload to
-/// drain and the quiet tail to exercise epoch skipping).
+/// drain and the quiet tail to exercise epoch skipping). `--trace-out
+/// PATH` observes the whole fleet — a hub on every shard, its records
+/// streamed to `PATH`.
 fn inc_fleet_scale(args: &CliArgs) -> Report {
     let uint = |flag: &str, default: u32| -> u32 {
         let n = args.value(flag).and_then(|v| match v {
@@ -1063,6 +1065,7 @@ fn inc_fleet_scale(args: &CliArgs) -> Report {
         shards,
         !serial,
         SimTime::from_micros(dur_us as u64),
+        trace_instr(args),
     );
     let mut t = Table::new(
         "per-shard engine load",
@@ -1092,6 +1095,7 @@ fn inc_fleet_scale(args: &CliArgs) -> Report {
     rep.scalar("flow_cache_hit_rate", Cell::f2(r.flow_cache_hit_rate()));
     rep.scalar("slab_mb", Cell::f2(r.slab_bytes as f64 / 1e6));
     rep.table(t);
+    trace_note(&mut rep, args, "fleet");
     if walls {
         let ms = |nanos: u64| Cell::f2(nanos as f64 / 1e6);
         rep.scalar("workers", Cell::U64(r.workers as u64));

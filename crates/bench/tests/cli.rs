@@ -123,3 +123,37 @@ fn one_scenario_renders_as_its_fleet_element() {
         String::from_utf8(alone.stdout).unwrap()
     );
 }
+
+/// `--trace-out` is honoured or refused, never ignored: a scenario that
+/// streams no trace fails naming itself — alone, or as the one job of a
+/// fleet — and writes no file; one that streams writes the file.
+#[test]
+fn trace_out_is_written_or_refused_never_ignored() {
+    let dir = env!("CARGO_TARGET_TMPDIR");
+    let refused = format!("{dir}/trace_out_refused.jsonl");
+    let _ = std::fs::remove_file(&refused);
+    let alone = ["fig3_dscp_vs_vlan", "--trace-out", &refused];
+    let fleet = ["fleet", "--only", "FIG-3", "--trace-out", &refused];
+    for args in [&alone[..], &fleet[..]] {
+        let out = rocescale(args);
+        assert_eq!(out.status.code(), Some(1), "{args:?}");
+        let err = stderr(&out);
+        assert!(
+            err.contains("fig3_dscp_vs_vlan") && err.contains(&refused),
+            "{args:?}: {err}"
+        );
+        assert!(
+            out.stdout.is_empty(),
+            "{args:?}: no report for a refused run"
+        );
+        assert!(!std::path::Path::new(&refused).exists(), "{args:?}");
+    }
+
+    let written = format!("{dir}/trace_out_written.jsonl");
+    let _ = std::fs::remove_file(&written);
+    let out = rocescale(&["fig2_pfc_basics", "--trace-out", &written]);
+    assert!(out.status.success(), "{}", stderr(&out));
+    let len = std::fs::metadata(&written).map_or(0, |m| m.len());
+    assert!(len > 0, "fig2_pfc_basics streams its trace");
+    let _ = std::fs::remove_file(&written);
+}

@@ -4,7 +4,8 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 use rocescale_monitor::{
-    GaugeId, MemorySink, MetricsHub, Pingmesh, QueueSample, ScopeId, StreamRecord, TraceSink,
+    BlockId, GaugeId, Group, MemorySink, MetricsHub, Path, Pingmesh, QueueSample, ScopeId,
+    StreamRecord, TraceSink,
 };
 use rocescale_nic::{
     host::{TOK_INJECT_STORM, TOK_STOP_STORM},
@@ -642,7 +643,18 @@ impl ClusterBuilder {
         let obs = hubs
             .iter()
             .enumerate()
-            .map(|(s, hub)| ShardObs::register(hub, s as u32, &switches))
+            .map(|(s, hub)| {
+                let owned: Vec<(usize, ScopeId)> = switches
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, sw)| sw.shard == s as u32)
+                    .map(|(i, sw)| {
+                        let node: &Switch = worlds[s].node(sw.sim);
+                        (i, node.telemetry_scope())
+                    })
+                    .collect();
+                ShardObs::register(hub, &owned)
+            })
             .collect();
 
         Cluster {
@@ -698,34 +710,33 @@ fn probe(hub: &MetricsHub, topo: &Topology, switches: &[SwitchInfo]) -> Deadlock
     )
 }
 
-/// One shard's observation bank: the fleet-level gauges and trace scopes
-/// registered on that shard's hub (sentinels when telemetry is disabled),
-/// over the switches the shard owns.
+/// One shard's observation bank: the fleet-level gauges registered on
+/// that shard's hub (sentinels when telemetry is disabled), over the
+/// switches the shard owns.
 struct ShardObs {
-    engine_events: GaugeId,
-    engine_pending: GaugeId,
+    /// The [`ENGINE_GAUGES`] block.
+    engine: BlockId,
     /// Per owned switch: its index into the cluster's switch list, its
-    /// lossless-backlog gauge, and its trace scope (`switch.{name}` — the
-    /// same name the switch's own telemetry registers, so streamed queue
-    /// samples land under the same scope as its hop records and events).
-    switches: Vec<(usize, GaugeId, ScopeId)>,
+    /// trace scope — the one the switch registered, so streamed queue
+    /// samples land under the same scope as its hop records and events —
+    /// and its `lossless_backlog_bytes` gauge, registered under it.
+    switches: Vec<(usize, ScopeId, GaugeId)>,
 }
 
+/// The engine's gauges, `engine.{leaf}`, in block order: events
+/// dispatched, and events queued but not yet dispatched.
+const ENGINE_GAUGES: &[&str] = &["events_processed", "pending"];
+
 impl ShardObs {
-    fn register(hub: &MetricsHub, shard: u32, switches: &[SwitchInfo]) -> ShardObs {
+    fn register(hub: &MetricsHub, switches: &[(usize, ScopeId)]) -> ShardObs {
+        let engine = hub.register(Path::fixed("engine"), &[Group::gauges(ENGINE_GAUGES)]);
         ShardObs {
-            engine_events: hub.gauge("engine.events_processed"),
-            engine_pending: hub.gauge("engine.pending"),
+            engine: engine.base,
             switches: switches
                 .iter()
-                .enumerate()
-                .filter(|(_, sw)| sw.shard == shard)
-                .map(|(i, sw)| {
-                    (
-                        i,
-                        hub.gauge(&format!("switch.{}.lossless_backlog_bytes", sw.name)),
-                        hub.scope(&format!("switch.{}", sw.name)),
-                    )
+                .map(|&(i, scope)| {
+                    let backlog = &[Group::gauges(&["lossless_backlog_bytes"])];
+                    (i, scope, hub.register_in(scope, backlog).gauge(0))
                 })
                 .collect(),
         }
@@ -1099,10 +1110,11 @@ impl<W: WorldSet> Cluster<W> {
             if !hub.is_enabled() {
                 continue;
             }
-            hub.set_gauge(obs.engine_events, w.events_processed() as f64);
+            let [events, pending] = [0, 1].map(|k| obs.engine.gauge(k));
+            hub.set_gauge(events, w.events_processed() as f64);
             let st = w.sched_stats();
-            hub.set_gauge(obs.engine_pending, (st.pushed - st.dispatched) as f64);
-            for &(i, backlog, _) in &obs.switches {
+            hub.set_gauge(pending, (st.pushed - st.dispatched) as f64);
+            for &(i, _, backlog) in &obs.switches {
                 hub.set_gauge(backlog, self.switch(i).lossless_backlog() as f64);
             }
         }
@@ -1116,7 +1128,7 @@ impl<W: WorldSet> Cluster<W> {
             if !hub.streams_queues() {
                 continue;
             }
-            for &(i, _, scope) in &obs.switches {
+            for &(i, scope, _) in &obs.switches {
                 let sw = self.switch(i);
                 hub.stream_queue(
                     ns,
@@ -1683,6 +1695,27 @@ mod tests {
         pingmesh_probes_agree(builder(1).build());
         pingmesh_probes_agree(builder(1).build_sharded());
         pingmesh_probes_agree(builder(2).build_sharded());
+    }
+
+    /// A switch's scope, registered from structure, is what its name
+    /// looks up: queue samples the cluster streams for it, and a caller
+    /// that asks the hub by name, land under the switch's own scope.
+    #[test]
+    fn a_switch_scope_is_found_by_its_name() {
+        let c = ClusterBuilder::new(ClosSpec::uniform_40g(1, 2, 1, 1, 2))
+            .instrumentation(observed())
+            .build();
+        for i in 0..c.switch_count() {
+            let scope = c.switch(i).telemetry_scope();
+            assert_ne!(scope, ScopeId::sentinel());
+            let name = format!("switch.{}", c.switch_name(i));
+            assert_eq!(c.telemetry().scope(&name), scope, "{name}");
+        }
+        assert_eq!(
+            c.telemetry()
+                .gauge_value("switch.pod0-tor0.lossless_backlog_bytes"),
+            Some(0.0)
+        );
     }
 
     #[test]

@@ -19,7 +19,7 @@ use std::sync::Arc;
 
 use rocescale_monitor::deadlock::Snapshot;
 use rocescale_monitor::{
-    CounterId, GaugeId, MetricsHub, ProgressTracker, ScopeId, TraceEvent, WaitGraph,
+    BlockId, Group, MetricsHub, Path, ProgressTracker, ScopeId, TraceEvent, WaitGraph,
 };
 use rocescale_packet::Priority;
 use rocescale_sim::{NodeId, PortId, SimTime, World};
@@ -38,6 +38,12 @@ pub struct ProbeLink {
     pub peer: Arc<str>,
 }
 
+/// The probe's instruments, by their place in its block.
+const WAIT_EDGES: u32 = 0;
+const STUCK_DEVICES: u32 = 1;
+const CYCLES: u32 = 2;
+const EPOCHS: u32 = 3;
+
 /// Live deadlock detector: rebuilt wait graph + progress tracking per
 /// sampling epoch. Construct once per fabric (done automatically by
 /// `ClusterBuilder`), call [`observe`](DeadlockProbe::observe) at each
@@ -52,10 +58,9 @@ pub struct DeadlockProbe {
     window: u32,
     hub: MetricsHub,
     scope: ScopeId,
-    g_edges: GaugeId,
-    g_stuck: GaugeId,
-    c_cycles: CounterId,
-    c_epochs: CounterId,
+    /// The probe's block: `monitor.deadlock.{wait_edges,stuck_devices}`
+    /// gauges, then `monitor.deadlock.{cycles,epochs}` counters.
+    tele: BlockId,
     last_graph: WaitGraph,
     first_cycle_at: Option<SimTime>,
     cycle_epochs: u64,
@@ -76,12 +81,16 @@ impl DeadlockProbe {
         lossless: Vec<Priority>,
         window: u32,
     ) -> DeadlockProbe {
+        let block = hub.register(
+            Path::fixed("monitor.deadlock"),
+            &[
+                Group::gauges(&["wait_edges", "stuck_devices"]),
+                Group::counters(&["cycles", "epochs"]),
+            ],
+        );
         DeadlockProbe {
-            scope: hub.scope("monitor.deadlock"),
-            g_edges: hub.gauge("monitor.deadlock.wait_edges"),
-            g_stuck: hub.gauge("monitor.deadlock.stuck_devices"),
-            c_cycles: hub.counter("monitor.deadlock.cycles"),
-            c_epochs: hub.counter("monitor.deadlock.epochs"),
+            scope: block.scope,
+            tele: block.base,
             hub: hub.clone(),
             switches,
             links,
@@ -105,7 +114,7 @@ impl DeadlockProbe {
     /// any. Read-only on the worlds.
     pub fn observe(&mut self, worlds: &[World], now: SimTime) -> Option<Vec<String>> {
         self.epochs += 1;
-        self.hub.incr(self.c_epochs);
+        self.hub.incr(self.tele.counter(EPOCHS));
         // Topological half: rebuild the wait graph from pause state.
         let mut graph = WaitGraph::new();
         for l in &self.links {
@@ -134,13 +143,15 @@ impl DeadlockProbe {
             })
             .collect();
         let stuck = self.tracker.observe(&snaps);
-        self.hub.set_gauge(self.g_edges, graph.edge_count() as f64);
-        self.hub.set_gauge(self.g_stuck, stuck.len() as f64);
+        self.hub
+            .set_gauge(self.tele.gauge(WAIT_EDGES), graph.edge_count() as f64);
+        self.hub
+            .set_gauge(self.tele.gauge(STUCK_DEVICES), stuck.len() as f64);
         let cycle = graph.find_cycle();
         if let Some(c) = &cycle {
             self.cycle_epochs += 1;
             self.first_cycle_at.get_or_insert(now);
-            self.hub.incr(self.c_cycles);
+            self.hub.incr(self.tele.counter(CYCLES));
             self.hub.trace(
                 now.as_ps(),
                 self.scope,

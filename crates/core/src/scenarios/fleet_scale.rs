@@ -35,6 +35,7 @@ use rocescale_sim::SimTime;
 use rocescale_topology::ClosSpec;
 
 use crate::cluster::ClusterBuilder;
+use crate::instrument::InstrumentationProfile;
 use crate::profiles::ExecutionProfile;
 use crate::sharded::ShardedCluster;
 
@@ -153,14 +154,22 @@ pub fn spec_with(tors_per_pod: u32, servers_per_tor: u32) -> ClosSpec {
 /// run is roughly half busy ramp, half quiet tail.
 const BURST_MSGS: u32 = 10;
 
-/// Build the fleet at `shards` worker shards, drive the ring workload
-/// for `dur`, and collect the engine figures. `threaded = false` runs
-/// the exchange epochs serially on the caller's thread — a differential
-/// knob: results are byte-identical either way.
-pub fn run_spec(spec: ClosSpec, shards: u32, threaded: bool, dur: SimTime) -> FleetScaleResult {
+/// Build the fleet at `shards` worker shards, observed as `instr` says,
+/// drive the ring workload for `dur`, and collect the engine figures.
+/// `threaded = false` runs the exchange epochs serially on the caller's
+/// thread — a differential knob: results are byte-identical either way.
+/// Observation changes none of them.
+pub fn run_spec(
+    spec: ClosSpec,
+    shards: u32,
+    threaded: bool,
+    dur: SimTime,
+    instr: InstrumentationProfile,
+) -> FleetScaleResult {
     let mut c: ShardedCluster = ClusterBuilder::new(spec)
         .seed(41)
         .execution(ExecutionProfile::Sharded { shards })
+        .instrumentation(instr)
         .build_sharded();
     c.set_threaded(threaded);
 
@@ -226,9 +235,15 @@ pub fn run_spec(spec: ClosSpec, shards: u32, threaded: bool, dur: SimTime) -> Fl
     }
 }
 
-/// [`run_spec`] on the default 4096-host fabric.
+/// [`run_spec`] on the default 4096-host fabric, unobserved.
 pub fn run(shards: u32, threaded: bool, dur: SimTime) -> FleetScaleResult {
-    run_spec(spec(), shards, threaded, dur)
+    run_spec(
+        spec(),
+        shards,
+        threaded,
+        dur,
+        InstrumentationProfile::paper_default(),
+    )
 }
 
 #[cfg(test)]
@@ -285,7 +300,7 @@ mod tests {
         // them. Executed plus skipped is every 1.5 µs lookahead window
         // in (0, 600 µs].
         let dur = SimTime::from_micros(600);
-        let r = run_spec(spec_with(2, 2), 4, false, dur);
+        let r = run_spec(spec_with(2, 2), 4, false, dur, Default::default());
         assert!(r.epochs_skipped > 0, "the quiet tail must skip: {r:?}");
         assert_eq!(r.grid_windows(), dur.as_ps() / r.lookahead_ps);
         // Budget spent: every ring flow completed its full burst.

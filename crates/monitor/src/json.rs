@@ -189,6 +189,20 @@ pub fn write_str(s: &str, out: &mut Vec<u8>) {
     out.push(b'"');
 }
 
+/// Append a quoted JSON string whose text `write` appends in place —
+/// escaped after the fact in the rare case it needs it — so a name
+/// rendered from structure is written without a copy.
+pub(crate) fn write_str_with(out: &mut Vec<u8>, write: impl FnOnce(&mut Vec<u8>)) {
+    out.push(b'"');
+    let at = out.len();
+    write(out);
+    if out[at..].iter().copied().any(needs_escape) {
+        let raw = out.split_off(at);
+        write_escaped(&raw, out);
+    }
+    out.push(b'"');
+}
+
 /// The slow path of [`write_str`]: copy plain runs, expand the rest.
 fn write_escaped(s: &[u8], out: &mut Vec<u8>) {
     let mut plain_from = 0;

@@ -52,7 +52,7 @@ pub use sink::{
 };
 pub use stats::{Percentiles, TimeSeries};
 pub use telemetry::{
-    CounterId, FlightRecorder, GaugeId, HistogramId, HubJson, MetricsHub, ScopeId, TelemetryConfig,
-    TraceEvent, TraceRecord,
+    Block, BlockId, CounterId, FlightRecorder, GaugeId, Group, HistogramId, HubJson, MetricsHub,
+    Path, ScopeId, TelemetryConfig, TraceEvent, TraceRecord,
 };
 pub use writer::{SINK_BATCH_RECORDS, SINK_POOL_BATCHES};

@@ -9,7 +9,7 @@
 use std::collections::HashMap;
 
 use crate::stats::Percentiles;
-use crate::telemetry::{CounterId, HistogramId, MetricsHub};
+use crate::telemetry::{CounterId, Group, HistogramId, MetricsHub, Path, ScopeId};
 
 /// The standard Pingmesh probe payload.
 pub const PROBE_BYTES: u32 = 512;
@@ -23,6 +23,17 @@ pub enum Scope {
     IntraPodset,
     /// Across the spine layer.
     IntraDc,
+}
+
+impl Scope {
+    /// The hub scope its instruments are named under.
+    fn path(self) -> Path {
+        Path::fixed(match self {
+            Scope::IntraTor => "pingmesh.tor",
+            Scope::IntraPodset => "pingmesh.podset",
+            Scope::IntraDc => "pingmesh.dc",
+        })
+    }
 }
 
 impl core::fmt::Display for Scope {
@@ -56,15 +67,18 @@ pub struct Pingmesh {
     /// and exported traces, not just this struct's render. A disabled
     /// (or unbound) hub makes the mirroring a no-op.
     hub: MetricsHub,
-    /// Each scope's hub instruments, indexed by [`Scope`], each looked up
-    /// by name the first time it is needed — so the hub registers them
-    /// in the order it always did — and reused after that.
+    /// Each scope's hub instruments, indexed by [`Scope`], each
+    /// registered the first time it is needed — so only the instruments
+    /// a run used exist, each from its first use on — and reused after
+    /// that.
     ids: [ScopeIds; 3],
 }
 
-/// The hub instruments of one scope, `None` until first needed.
+/// The hub instruments of one scope and the hub scope they are named
+/// under, `None` until first needed.
 #[derive(Debug, Clone, Copy, Default)]
 struct ScopeIds {
+    scope: Option<ScopeId>,
     probes: Option<CounterId>,
     rtt: Option<HistogramId>,
     failures: Option<CounterId>,
@@ -88,24 +102,31 @@ impl Pingmesh {
     /// Record a probe outcome.
     pub fn record(&mut self, scope: Scope, result: ProbeResult) {
         self.total += 1;
-        let (hub, ids) = (&self.hub, &mut self.ids[scope as usize]);
-        let probes = *ids
-            .probes
-            .get_or_insert_with(|| hub.counter(&format!("pingmesh.{scope}.probes")));
+        let hub = &self.hub;
+        let ScopeIds {
+            scope: hub_scope,
+            probes,
+            rtt,
+            failures,
+        } = &mut self.ids[scope as usize];
+        let mut register = |group| {
+            let id = *hub_scope.get_or_insert_with(|| hub.register(scope.path(), &[]).scope);
+            hub.register_in(id, &[group])
+        };
+        let probes =
+            *probes.get_or_insert_with(|| register(Group::counters(&["probes"])).counter(0));
         hub.incr(probes);
         match result {
             ProbeResult::Rtt(ps) => {
                 self.per_scope.entry(scope).or_default().add(ps);
-                let rtt = *ids
-                    .rtt
-                    .get_or_insert_with(|| hub.histogram(&format!("pingmesh.{scope}.rtt_ps")));
+                let rtt = *rtt
+                    .get_or_insert_with(|| register(Group::histograms(&["rtt_ps"])).histogram(0));
                 hub.observe(rtt, ps);
             }
             ProbeResult::Failed => {
                 *self.failures.entry(scope).or_default() += 1;
-                let failures = *ids
-                    .failures
-                    .get_or_insert_with(|| hub.counter(&format!("pingmesh.{scope}.failures")));
+                let failures = *failures
+                    .get_or_insert_with(|| register(Group::counters(&["failures"])).counter(0));
                 hub.incr(failures);
             }
         }

@@ -35,13 +35,28 @@
 //!   `run_until` at sampling boundaries), so the golden dispatch digest
 //!   is byte-identical with telemetry on or off; a tier-1 test pins this.
 //!
-//! What the hub keeps grows with what changes, not with what exists: a
-//! sampled series stores a value only when it differs from the one
-//! before (`Steps`), and the JSON export ([`HubJson`]) is written
-//! straight from that state, with no [`Json`] tree in between.
+//! What the hub keeps grows with what changes, not with what exists:
+//!
+//! * **Names are structure.** A component registers its instruments as
+//!   one block ([`MetricsHub::register`]): its scope's [`Path`] (`nic` +
+//!   the host's shared name) and static [`Group`]s of leaves, under one
+//!   lock, for one base id ([`BlockId`]). An instrument is a row of
+//!   (path, leaf, index) — 12 bytes, no string — and its dotted name is
+//!   rendered only when something reads it: a snapshot, the export, a
+//!   lookup by name. The string API ([`MetricsHub::counter`] and
+//!   friends) stays for ad-hoc names, on the same tables.
+//! * **Series are one change log.** A sampling pass appends
+//!   `(instrument, pass, raw)` only where an instrument's raw value
+//!   differs from the one it had at the pass before; an instrument
+//!   starts at raw 0 at its first pass, which registration order gives.
+//!   An idle fleet's passes store nothing.
+//!
+//! The JSON export ([`HubJson`]) is written straight from that state,
+//! with no [`Json`] tree in between.
 
 use std::collections::HashMap;
 use std::collections::VecDeque;
+use std::ops::Range;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
@@ -90,6 +105,13 @@ pub struct HistogramId(u32);
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ScopeId(u32);
 
+/// Handle to a registered block of instruments: the block's `k`-th
+/// instrument, counting through its groups in order, has id `base + k`.
+/// Sentinel when the hub is disabled, and so is every id derived from
+/// it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct BlockId(u32);
+
 const SENTINEL: u32 = u32::MAX;
 
 /// Sink-filter bit for flight-recorder events ([`TraceFilter::bits`]).
@@ -125,6 +147,32 @@ impl ScopeId {
         ScopeId(SENTINEL)
     }
 }
+impl BlockId {
+    /// The id handed out by a disabled hub.
+    pub fn sentinel() -> BlockId {
+        BlockId(SENTINEL)
+    }
+
+    /// The block's `k`-th instrument, a counter. Real ids stay far below
+    /// `u32::MAX` (the value bank holds 2²⁴), so the saturating add keeps
+    /// a sentinel a sentinel and never reaches one from a real base.
+    #[inline]
+    pub fn counter(self, k: u32) -> CounterId {
+        CounterId(self.0.saturating_add(k))
+    }
+
+    /// The block's `k`-th instrument, a gauge.
+    #[inline]
+    pub fn gauge(self, k: u32) -> GaugeId {
+        GaugeId(self.0.saturating_add(k))
+    }
+
+    /// The block's `k`-th instrument, a histogram.
+    #[inline]
+    pub fn histogram(self, k: u32) -> HistogramId {
+        HistogramId(self.0.saturating_add(k))
+    }
+}
 
 // `Default` is the sentinel, so an instrument struct can derive the
 // all-sentinel value a disabled hub would hand out without formatting a
@@ -148,6 +196,120 @@ impl Default for ScopeId {
     fn default() -> ScopeId {
         ScopeId::sentinel()
     }
+}
+impl Default for BlockId {
+    fn default() -> BlockId {
+        BlockId::sentinel()
+    }
+}
+
+/// What a component is called, kept as structure: a static kind and,
+/// for one component of many, its instance name — `nic` and `s7` read
+/// `nic.s7`. A registered path is a flight-recorder scope, and the
+/// instruments of a block are named under it.
+#[derive(Debug, Clone)]
+pub struct Path {
+    kind: &'static str,
+    name: Option<Arc<str>>,
+}
+
+impl Path {
+    /// `{kind}.{name}`: one of many components of a kind (a host, a
+    /// switch). A name already shared (an `Arc<str>`) is not copied.
+    pub fn of(kind: &'static str, name: impl Into<Arc<str>>) -> Path {
+        Path {
+            kind,
+            name: Some(name.into()),
+        }
+    }
+
+    /// `kind` alone: a component there is one of (`monitor.deadlock`).
+    pub fn fixed(kind: &'static str) -> Path {
+        Path { kind, name: None }
+    }
+}
+
+/// What an instrument is.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+enum Kind {
+    Counter,
+    Gauge,
+    Histogram,
+}
+
+/// One group of a block's instruments, all of one kind: one per leaf,
+/// named `{scope}.{leaf}`; under a head, `{scope}.{head}.{leaf}`; or
+/// once per index of a range, `{scope}.{head}.{index}.{leaf}`, index
+/// outer — leaf `k` of index `i` is the group's `(i − start) ·
+/// leaves + k`-th instrument.
+#[derive(Debug, Clone, Copy)]
+pub struct Group {
+    kind: Kind,
+    leaves: &'static [&'static str],
+    head: &'static str,
+    indices: Option<(u32, u32)>,
+}
+
+impl Group {
+    /// A counter per leaf.
+    pub const fn counters(leaves: &'static [&'static str]) -> Group {
+        Group::of(Kind::Counter, leaves)
+    }
+
+    /// A gauge per leaf.
+    pub const fn gauges(leaves: &'static [&'static str]) -> Group {
+        Group::of(Kind::Gauge, leaves)
+    }
+
+    /// A histogram per leaf.
+    pub const fn histograms(leaves: &'static [&'static str]) -> Group {
+        Group::of(Kind::Histogram, leaves)
+    }
+
+    const fn of(kind: Kind, leaves: &'static [&'static str]) -> Group {
+        Group {
+            kind,
+            leaves,
+            head: "",
+            indices: None,
+        }
+    }
+
+    /// The leaves under `{head}.`, as in `drop.NoRoute`.
+    pub const fn under(self, head: &'static str) -> Group {
+        Group { head, ..self }
+    }
+
+    /// The leaves once per index of `indices`, under `{head}.{index}.`,
+    /// as in `port.2.pfc.xoff_tx`.
+    pub const fn over(self, head: &'static str, indices: Range<u32>) -> Group {
+        Group {
+            head,
+            indices: Some((indices.start, indices.end)),
+            ..self
+        }
+    }
+
+    /// The leaves under `{head}.{index}.`, as in `qp.0.retransmits`.
+    pub const fn at(self, head: &'static str, index: u32) -> Group {
+        self.over(head, index..index + 1)
+    }
+
+    /// Instruments in the group.
+    fn len(&self) -> u32 {
+        let (from, to) = self.indices.unwrap_or((0, 1));
+        to.saturating_sub(from) * self.leaves.len() as u32
+    }
+}
+
+/// What [`MetricsHub::register`] hands back: the component's scope and
+/// its block's base. All sentinels on a disabled hub.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Block {
+    /// The scope the component traces under.
+    pub scope: ScopeId,
+    /// The block's first instrument.
+    pub base: BlockId,
 }
 
 /// A structured trace event for the flight recorder.
@@ -375,12 +537,13 @@ impl FlightRecorder {
 /// allocation, all a small hub ever touches. Chunk `k` holds
 /// `CHUNK_SLOTS << k` slots, so capacity doubles with each chunk.
 const CHUNK_SLOTS: usize = 256;
-/// Chunk-table length: 256 × (2¹⁶ − 1) ≈ 16.7 M instruments of each
-/// type — a 51 200-host fleet registers ~0.4 M counters in 11 chunks.
+/// Chunk-table length: 256 × (2¹⁶ − 1) ≈ 16.7 M instruments — a
+/// 102 400-host fleet registers ~1.1 M in 13 chunks.
 const MAX_CHUNKS: usize = 16;
 
 /// Lock-free value store: a fixed table of lazily-initialized chunks of
-/// atomic slots, indexed directly by instrument id. Chunks are allocated
+/// atomic slots, indexed directly by instrument id (a counter's count, a
+/// gauge's `f64` bits; a histogram's slot stays 0). Chunks are allocated
 /// under the registration mutex (`ensure`); the update path does one
 /// bounds check, one `OnceLock` acquire-load, and one relaxed atomic op.
 /// Slots are never freed or moved, so a handle stays valid for the hub's
@@ -431,133 +594,545 @@ impl AtomicBank {
     fn load(&self, id: u32) -> u64 {
         self.slot(id).map_or(0, |s| s.load(Ordering::Relaxed))
     }
+
+    /// Raw values of ids `0..n`, in order, chunk by chunk. Registration
+    /// allocates chunks in id order, so the first `n` slots exist.
+    fn values(&self, n: usize) -> impl Iterator<Item = u64> + '_ {
+        self.chunks
+            .iter()
+            .map_while(OnceLock::get)
+            .flat_map(|c| c.iter().map(|v| v.load(Ordering::Relaxed)))
+            .take(n)
+    }
 }
 
-/// One instrument's sampled series, stored as its changes: a step
-/// `(sample, raw)` at the first sampling pass the instrument took part
-/// in and at every later pass whose raw bank value (a counter's count, a
-/// gauge's `f64` bits) differs from the one before. Its value at any
-/// pass is that of the last step at or before it, so an instrument that
-/// never moves costs one step however long the run.
-#[derive(Default)]
-struct Steps(Vec<(u32, u64)>);
+/// A registered path: a [`Path`]'s parts, or a whole name the string API
+/// registered, kept in [`Paths::text`].
+enum PathRow {
+    Parts(&'static str, Option<Arc<str>>),
+    Text(u32, u32),
+}
 
-impl Steps {
-    /// Take part in sampling pass `at` with raw value `raw`.
-    fn sample(&mut self, at: u32, raw: u64) {
-        if self.0.last().is_none_or(|&(_, last)| last != raw) {
-            self.0.push((at, raw));
+/// Scope names by [`ScopeId`]: the paths components registered and the
+/// whole names the string API did. Shared with the sink's writer
+/// thread, which resolves records' scopes through it.
+#[derive(Default)]
+pub(crate) struct Paths {
+    rows: Vec<PathRow>,
+    /// String-API names, end to end, so registering one allocates only
+    /// when this buffer doubles.
+    text: String,
+}
+
+impl Paths {
+    fn push(&mut self, row: PathRow) -> u32 {
+        let id = u32::try_from(self.rows.len()).expect("fewer than 2³² scopes");
+        self.rows.push(row);
+        id
+    }
+
+    /// Append the name of scope `id` (`?` for a foreign or sentinel id).
+    pub(crate) fn write(&self, id: ScopeId, out: &mut Vec<u8>) {
+        match self.rows.get(id.0 as usize) {
+            None => out.push(b'?'),
+            Some(PathRow::Parts(kind, name)) => {
+                out.extend_from_slice(kind.as_bytes());
+                if let Some(name) = name {
+                    out.push(b'.');
+                    out.extend_from_slice(name.as_bytes());
+                }
+            }
+            Some(PathRow::Text(from, to)) => {
+                out.extend_from_slice(&self.text.as_bytes()[*from as usize..*to as usize]);
+            }
         }
     }
 
-    /// `(t_ps, raw)` at every pass from the first one this series took
-    /// part in, the passes' times being `times`.
-    fn points<'a>(&'a self, times: &'a [u64]) -> impl Iterator<Item = (u64, u64)> + 'a {
-        self.0.iter().enumerate().flat_map(move |(k, &(at, raw))| {
-            let until = self
-                .0
-                .get(k + 1)
-                .map_or(times.len(), |&(next, _)| next as usize);
-            times[at as usize..until].iter().map(move |&t| (t, raw))
-        })
+    /// Register `name` whole.
+    fn push_text(&mut self, name: &str) -> u32 {
+        let offset = |n: usize| u32::try_from(n).expect("string-API names under 4 GiB");
+        let from = offset(self.text.len());
+        self.text.push_str(name);
+        let to = offset(self.text.len());
+        self.push(PathRow::Text(from, to))
     }
+}
+
+/// A leaf: `{head}.{index}.{tail}` when indexed, `{head}.{tail}` under a
+/// head, `tail` alone without. An empty tail is the string API's: the
+/// row's path is its whole name.
+#[derive(Clone, Copy)]
+struct Leaf {
+    kind: Kind,
+    head: &'static str,
+    indexed: bool,
+    tail: &'static str,
+}
+
+/// One instrument, named by structure: its scope's path and a leaf,
+/// with `index` filling an indexed leaf's slot.
+#[derive(Clone, Copy)]
+struct Row {
+    path: u32,
+    leaf: u32,
+    index: u32,
+}
+
+/// The instrument table: a row per id and the leaves the rows name.
+struct Names {
+    rows: Vec<Row>,
+    /// Leaves 0, 1 and 2 are the string API's counter, gauge and
+    /// histogram; a group's leaves follow as consecutive ids, interned
+    /// once per distinct group in `groups`.
+    leaves: Vec<Leaf>,
+    /// (kind, head, indexed, leaf set) → its first leaf.
+    groups: Vec<(Kind, &'static str, bool, &'static [&'static str], u32)>,
+}
+
+impl Names {
+    fn new() -> Names {
+        let whole = |kind| Leaf {
+            kind,
+            head: "",
+            indexed: false,
+            tail: "",
+        };
+        Names {
+            rows: Vec::new(),
+            leaves: vec![
+                whole(Kind::Counter),
+                whole(Kind::Gauge),
+                whole(Kind::Histogram),
+            ],
+            groups: Vec::new(),
+        }
+    }
+
+    fn kind(&self, id: u32) -> Kind {
+        self.leaves[self.rows[id as usize].leaf as usize].kind
+    }
+
+    /// The first leaf id of `g`'s leaves, interning them on first sight.
+    /// Few groups exist (a handful per component type), so a scan finds
+    /// them.
+    fn intern(&mut self, g: &Group) -> u32 {
+        let key = (g.kind, g.head, g.indices.is_some(), g.leaves);
+        if let Some(&(.., first)) = self
+            .groups
+            .iter()
+            .find(|(k, h, i, l, _)| (*k, *h, *i, *l) == key)
+        {
+            return first;
+        }
+        let first = self.leaves.len() as u32;
+        self.leaves.extend(g.leaves.iter().map(|&tail| Leaf {
+            kind: g.kind,
+            head: g.head,
+            indexed: key.2,
+            tail,
+        }));
+        self.groups.push((key.0, key.1, key.2, key.3, first));
+        first
+    }
+
+    /// Append instrument `id`'s dotted name.
+    fn write(&self, paths: &Paths, id: u32, out: &mut Vec<u8>) {
+        let row = self.rows[id as usize];
+        paths.write(ScopeId(row.path), out);
+        let leaf = self.leaves[row.leaf as usize];
+        if leaf.tail.is_empty() {
+            return;
+        }
+        out.push(b'.');
+        if !leaf.head.is_empty() {
+            out.extend_from_slice(leaf.head.as_bytes());
+            out.push(b'.');
+            if leaf.indexed {
+                json::write_u64(row.index as u64, out);
+                out.push(b'.');
+            }
+        }
+        out.extend_from_slice(leaf.tail.as_bytes());
+    }
+}
+
+/// FNV-1a over `name`, seeded with what the name is of, folded to 32
+/// bits.
+fn name_hash(of: u8, name: &[u8]) -> u32 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for &b in std::iter::once(&of).chain(name) {
+        h = (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    (h ^ (h >> 32)) as u32
+}
+
+/// What [`name_hash`] hashes a scope name as (instrument kinds are 0–2).
+const SCOPE_HASH: u8 = 3;
+
+/// The by-name lookup of a dense id range — instruments or scopes — for
+/// the string API. An open-addressing table of `(hash, id + 1)` that
+/// stores no name: a hash match is confirmed by rendering the
+/// candidate's. It holds the first id of each name and is brought up to
+/// date lazily (ids `..synced` are in), so a run that never looks a name
+/// up never builds it.
+#[derive(Default)]
+struct NameIndex {
+    /// Power-of-two length; `id + 1 == 0` is an empty slot.
+    slots: Vec<(u32, u32)>,
+    len: usize,
+    synced: u32,
+}
+
+impl NameIndex {
+    /// The id under `hash` that `is` confirms.
+    fn find(&self, hash: u32, mut is: impl FnMut(u32) -> bool) -> Option<u32> {
+        if self.slots.is_empty() {
+            return None;
+        }
+        let mask = self.slots.len() - 1;
+        let mut at = hash as usize & mask;
+        loop {
+            match self.slots[at] {
+                (_, 0) => return None,
+                (h, id) if h == hash && is(id - 1) => return Some(id - 1),
+                _ => at = (at + 1) & mask,
+            }
+        }
+    }
+
+    /// Add `id`, whose name is not in the table yet, under `hash`.
+    fn insert(&mut self, hash: u32, id: u32) {
+        if 2 * (self.len + 1) > self.slots.len() {
+            let cap = (2 * self.slots.len()).max(64);
+            let old = std::mem::replace(&mut self.slots, vec![(0, 0); cap]);
+            for (h, id) in old.into_iter().filter(|&(_, id)| id != 0) {
+                self.place(h, id);
+            }
+        }
+        self.place(hash, id + 1);
+        self.len += 1;
+    }
+
+    fn place(&mut self, hash: u32, entry: u32) {
+        let mask = self.slots.len() - 1;
+        let mut at = hash as usize & mask;
+        while self.slots[at].1 != 0 {
+            at = (at + 1) & mask;
+        }
+        self.slots[at] = (hash, entry);
+    }
+}
+
+/// One entry of the change log: at sampling pass `pass`, instrument `id`
+/// read `raw`, which differs from what it read at the pass before (or
+/// from 0 at its first pass).
+#[derive(Clone, Copy)]
+struct Change {
+    id: u32,
+    pass: u32,
+    raw: u64,
+}
+
+/// `(t_ps, raw)` at every pass from `first` on, for an instrument that
+/// starts at raw 0 at pass `first` and moves at `changes` (its own
+/// entries of the log, in pass order); the passes' times are `times`.
+fn points<'a>(
+    first: u32,
+    changes: &'a [Change],
+    times: &'a [u64],
+) -> impl Iterator<Item = (u64, u64)> + 'a {
+    let start = changes
+        .first()
+        .is_none_or(|c| c.pass != first)
+        .then_some((first, 0));
+    let mut steps = start
+        .into_iter()
+        .chain(changes.iter().map(|c| (c.pass, c.raw)))
+        .peekable();
+    std::iter::from_fn(move || {
+        let (at, raw) = steps.next()?;
+        let until = steps.peek().map_or(times.len(), |&(next, _)| next as usize);
+        Some(times[at as usize..until].iter().map(move |&t| (t, raw)))
+    })
+    .flatten()
 }
 
 struct HubInner {
     cfg: TelemetryConfig,
-    names: HashMap<String, u32>,
-    counter_names: Vec<String>,
-    counter_series: Vec<Steps>,
-    /// Counter ids ordered by name, brought up to date by
-    /// [`HubInner::sync_orders`] on the first snapshot/export after a
-    /// registration (registration itself only appends the name).
-    counters_by_name: Vec<u32>,
-    gauge_names: Vec<String>,
-    gauge_series: Vec<Steps>,
-    gauges_by_name: Vec<u32>,
-    histogram_names: Vec<String>,
-    histograms: Vec<Percentiles>,
-    histograms_by_name: Vec<u32>,
+    names: Names,
+    /// Instruments registered, per [`Kind`].
+    counts: [u32; 3],
+    /// Samples of each histogram, by id.
+    histograms: Vec<(u32, Percentiles)>,
+    /// Every instrument id ordered by (name, kind), brought up to date by
+    /// [`HubInner::sync_order`] on the first snapshot or export after a
+    /// registration.
+    by_name: Vec<u32>,
+    /// Instruments by (kind, name), for the string API.
+    instrument_index: NameIndex,
+    /// Scopes by name, for the string API.
+    scope_index: NameIndex,
+    /// Scratch for the name being looked up and for a candidate's.
+    name_buf: Vec<u8>,
+    candidate_buf: Vec<u8>,
     next_sample_ps: u64,
-    /// The time of every sampling pass, in order; a [`Steps`] names a
-    /// pass by its index here.
+    /// The time of every sampling pass, in order; the log names a pass
+    /// by its index here.
     sample_times: Vec<u64>,
+    /// `(pass, instruments registered by then)` at each pass that found
+    /// new instruments: an instrument's first pass is the first mark past
+    /// its id.
+    marks: Vec<(u32, u32)>,
+    /// Each instrument's raw value at the last pass (0 before its first).
+    last: Vec<u64>,
+    /// The change log, in pass order — or in (instrument, pass) order
+    /// after an export, which sorts it in place; later passes append.
+    log: Vec<Change>,
 }
 
 impl HubInner {
     fn new(cfg: TelemetryConfig) -> HubInner {
         HubInner {
             cfg,
-            names: HashMap::new(),
-            counter_names: Vec::new(),
-            counter_series: Vec::new(),
-            counters_by_name: Vec::new(),
-            gauge_names: Vec::new(),
-            gauge_series: Vec::new(),
-            gauges_by_name: Vec::new(),
-            histogram_names: Vec::new(),
+            names: Names::new(),
+            counts: [0; 3],
             histograms: Vec::new(),
-            histograms_by_name: Vec::new(),
+            by_name: Vec::new(),
+            instrument_index: NameIndex::default(),
+            scope_index: NameIndex::default(),
+            name_buf: Vec::new(),
+            candidate_buf: Vec::new(),
             next_sample_ps: 0,
             sample_times: Vec::new(),
+            marks: Vec::new(),
+            last: Vec::new(),
+            log: Vec::new(),
         }
     }
 
-    /// Bring the three name orders up to date with the instruments
-    /// registered since the last snapshot or export.
-    fn sync_orders(&mut self) {
-        sync_order(&mut self.counters_by_name, &self.counter_names);
-        sync_order(&mut self.gauges_by_name, &self.gauge_names);
-        sync_order(&mut self.histograms_by_name, &self.histogram_names);
+    /// Append one instrument; its id.
+    fn push_row(&mut self, bank: &AtomicBank, row: Row) -> u32 {
+        let id = self.names.rows.len() as u32;
+        bank.ensure(id);
+        self.names.rows.push(row);
+        let kind = self.names.leaves[row.leaf as usize].kind;
+        self.counts[kind as usize] += 1;
+        if kind == Kind::Histogram {
+            self.histograms.push((id, Percentiles::new()));
+        }
+        id
     }
+
+    /// Append `groups`' instruments under `path`; the first one's id.
+    fn push_block(&mut self, bank: &AtomicBank, path: u32, groups: &[Group]) -> u32 {
+        let base = self.names.rows.len() as u32;
+        self.names
+            .rows
+            .reserve(groups.iter().map(|g| g.len() as usize).sum());
+        for g in groups {
+            let first = self.names.intern(g);
+            let (from, to) = g.indices.unwrap_or((0, 1));
+            for index in from..to {
+                for k in 0..g.leaves.len() as u32 {
+                    let row = Row {
+                        path,
+                        leaf: first + k,
+                        index,
+                    };
+                    self.push_row(bank, row);
+                }
+            }
+        }
+        base
+    }
+
+    /// Bring the scope index up to date with `paths`.
+    fn sync_scopes(&mut self, paths: &Paths) {
+        while (self.scope_index.synced as usize) < paths.rows.len() {
+            let id = self.scope_index.synced;
+            self.name_buf.clear();
+            paths.write(ScopeId(id), &mut self.name_buf);
+            let hash = name_hash(SCOPE_HASH, &self.name_buf);
+            if self.find_scope(paths, hash).is_none() {
+                self.scope_index.insert(hash, id);
+            }
+            self.scope_index.synced += 1;
+        }
+    }
+
+    /// The first scope named `name_buf`'s text, hashed to `hash`.
+    fn find_scope(&mut self, paths: &Paths, hash: u32) -> Option<u32> {
+        let (want, buf) = (&self.name_buf, &mut self.candidate_buf);
+        self.scope_index.find(hash, |id| {
+            buf.clear();
+            paths.write(ScopeId(id), buf);
+            buf == want
+        })
+    }
+
+    /// Bring the instrument index up to date with the rows.
+    fn sync_instruments(&mut self, paths: &Paths) {
+        while (self.instrument_index.synced as usize) < self.names.rows.len() {
+            let id = self.instrument_index.synced;
+            let kind = self.names.kind(id);
+            self.name_buf.clear();
+            self.names.write(paths, id, &mut self.name_buf);
+            let hash = name_hash(kind as u8, &self.name_buf);
+            if self.find_instrument(paths, kind, hash).is_none() {
+                self.instrument_index.insert(hash, id);
+            }
+            self.instrument_index.synced += 1;
+        }
+    }
+
+    /// The first instrument of `kind` named `name_buf`'s text, hashed to
+    /// `hash`.
+    fn find_instrument(&mut self, paths: &Paths, kind: Kind, hash: u32) -> Option<u32> {
+        let (names, want, buf) = (&self.names, &self.name_buf, &mut self.candidate_buf);
+        self.instrument_index.find(hash, |id| {
+            buf.clear();
+            names.write(paths, id, buf);
+            names.kind(id) == kind && buf == want
+        })
+    }
+
+    /// The scope named `name`, registering it whole if there is none.
+    fn scope_named(&mut self, paths: &mut Paths, name: &str) -> u32 {
+        self.sync_scopes(paths);
+        self.name_buf.clear();
+        self.name_buf.extend_from_slice(name.as_bytes());
+        let hash = name_hash(SCOPE_HASH, name.as_bytes());
+        if let Some(id) = self.find_scope(paths, hash) {
+            return id;
+        }
+        let id = paths.push_text(name);
+        self.scope_index.insert(hash, id);
+        self.scope_index.synced += 1;
+        id
+    }
+
+    /// The instrument of `kind` named `name`, if registered.
+    fn lookup(&mut self, paths: &Paths, kind: Kind, name: &str) -> Option<u32> {
+        self.sync_instruments(paths);
+        self.name_buf.clear();
+        self.name_buf.extend_from_slice(name.as_bytes());
+        self.find_instrument(paths, kind, name_hash(kind as u8, name.as_bytes()))
+    }
+
+    /// The instrument of `kind` named `name`, registering it (its whole
+    /// name a scope path) if there is none.
+    fn named(&mut self, bank: &AtomicBank, paths: &mut Paths, kind: Kind, name: &str) -> u32 {
+        if let Some(id) = self.lookup(paths, kind, name) {
+            return id;
+        }
+        let path = self.scope_named(paths, name);
+        let row = Row {
+            path,
+            leaf: kind as u32,
+            index: 0,
+        };
+        let id = self.push_row(bank, row);
+        let hash = name_hash(kind as u8, name.as_bytes());
+        self.instrument_index.insert(hash, id);
+        self.instrument_index.synced += 1;
+        id
+    }
+
+    /// Bring the name order up to date with the instruments registered
+    /// since the last snapshot or export. Every name is rendered once
+    /// into one scratch buffer, dropped after the sort.
+    fn sync_order(&mut self, paths: &Paths) {
+        let n = self.names.rows.len();
+        if self.by_name.len() == n {
+            return;
+        }
+        let mut text = Vec::new();
+        let mut ends = Vec::with_capacity(n + 1);
+        ends.push(0u32);
+        for id in 0..n as u32 {
+            self.names.write(paths, id, &mut text);
+            ends.push(u32::try_from(text.len()).expect("instrument names under 4 GiB"));
+        }
+        let names = &self.names;
+        let name = |id: u32| &text[ends[id as usize] as usize..ends[id as usize + 1] as usize];
+        sort_order(&mut self.by_name, n as u32, |a, b| {
+            name(a)
+                .cmp(name(b))
+                .then_with(|| names.kind(a).cmp(&names.kind(b)))
+        });
+    }
+
+    /// The pass instrument `id` was first sampled at, if it has been.
+    fn first_pass(&self, id: u32) -> Option<u32> {
+        let m = self.marks.partition_point(|&(_, n)| n <= id);
+        self.marks.get(m).map(|&(pass, _)| pass)
+    }
+
+    /// Instrument `id`'s sampled series, `raw` read through `value`.
+    fn series(&self, id: u32, value: fn(u64) -> f64) -> TimeSeries {
+        let mut series = TimeSeries::new();
+        if let Some(first) = self.first_pass(id) {
+            let changes: Vec<Change> = self.log.iter().filter(|c| c.id == id).copied().collect();
+            for (t, raw) in points(first, &changes, &self.sample_times) {
+                series.push(t, value(raw));
+            }
+        }
+        series
+    }
+
+    /// The samples of histogram `id`.
+    fn histogram(&mut self, id: u32) -> Option<&mut Percentiles> {
+        let at = self
+            .histograms
+            .binary_search_by_key(&id, |(h, _)| *h)
+            .ok()?;
+        Some(&mut self.histograms[at].1)
+    }
+}
+
+/// The ids of `kind` in `by_name`, in its (name) order.
+fn ordered<'a>(by_name: &'a [u32], names: &'a Names, kind: Kind) -> impl Iterator<Item = u32> + 'a {
+    by_name
+        .iter()
+        .copied()
+        .filter(move |&id| names.kind(id) == kind)
 }
 
 #[cfg(test)]
 thread_local! {
-    /// Name comparisons [`sync_order`] has made on this thread.
+    /// Name comparisons [`sort_order`] has made on this thread.
     static ORDER_COMPARISONS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
 }
 
-/// Make `order` the ids of `names` (dense, `0..names.len()`) sorted by
-/// name. Ids registered since the last call are appended and merged by
-/// one stable sort, whose run detection passes over the already sorted
-/// prefix once — O(n log n) for a whole fleet's registrations, where an
-/// ordered insert per registration was O(n²). Names are unique per
-/// instrument type, so the order is unambiguous.
-fn sync_order(order: &mut Vec<u32>, names: &[String]) {
-    if order.len() == names.len() {
-        return;
-    }
-    order.extend(order.len() as u32..names.len() as u32);
+/// Make `order` the ids `0..n` sorted by `cmp`. Ids registered since the
+/// last call are appended and merged by one stable sort, whose run
+/// detection passes over the already sorted prefix once — O(n log n) for
+/// a whole fleet's registrations, where an ordered insert per
+/// registration was O(n²).
+fn sort_order(order: &mut Vec<u32>, n: u32, mut cmp: impl FnMut(u32, u32) -> std::cmp::Ordering) {
+    order.extend(order.len() as u32..n);
     order.sort_by(|&a, &b| {
         #[cfg(test)]
         ORDER_COMPARISONS.with(|c| c.set(c.get() + 1));
-        names[a as usize].cmp(&names[b as usize])
+        cmp(a, b)
     });
 }
 
-/// The name `id` was registered under (`"?"` for a foreign or sentinel
-/// id).
-pub(crate) fn scope_name(names: &[String], id: ScopeId) -> &str {
-    names.get(id.0 as usize).map_or("?", |n| n)
-}
-
-/// Shared state behind an enabled hub: the lock-free value banks, the
-/// flight recorder under its own small mutex, the scope names and the
+/// Shared state behind an enabled hub: the lock-free value bank, the
+/// flight recorder under its own small mutex, the scope paths and the
 /// attached sink's writer under one each, and everything rare
 /// (registration, series, histograms, sampling) under the inner mutex.
-/// Where locks nest, the order is `inner` → `scopes` → `flight`;
+/// Where locks nest, the order is `inner` → `paths` → `flight`;
 /// `stream` nests with none of them. The sink's writer thread takes
 /// none of `inner`, `stream` and `flight` — only its own lane and, once
-/// per batch, `scopes`.
+/// per batch, `paths`.
 struct HubShared {
-    counters: AtomicBank,
-    gauges: AtomicBank,
+    values: AtomicBank,
     flight: Mutex<FlightRecorder>,
     inner: Mutex<HubInner>,
     /// Scope names by [`ScopeId`], appended at registration. Shared with
     /// the writer thread, which resolves records' scopes through it.
-    scopes: Arc<Mutex<Vec<String>>>,
+    paths: Arc<Mutex<Paths>>,
     /// The attached sink's writer: the batch being filled and the thread
     /// that owns the sink (see `crate::writer`). Emission takes this
     /// lock and, once per batch, the writer's lane.
@@ -587,14 +1162,15 @@ impl Drop for HubShared {
 }
 
 impl HubShared {
-    /// Current value of counter `id`.
-    fn counter_val(&self, id: usize) -> u64 {
-        self.counters.load(id as u32)
-    }
-
-    /// Current value of gauge `id`.
-    fn gauge_val(&self, id: usize) -> f64 {
-        f64::from_bits(self.gauges.load(id as u32))
+    /// Lock the registration state and the scope paths, in that order.
+    fn lock(
+        &self,
+    ) -> (
+        std::sync::MutexGuard<'_, HubInner>,
+        std::sync::MutexGuard<'_, Paths>,
+    ) {
+        let h = self.inner.lock().unwrap();
+        (h, self.paths.lock().unwrap())
     }
 }
 
@@ -616,15 +1192,12 @@ impl std::fmt::Debug for MetricsHub {
         match &self.inner {
             None => write!(f, "MetricsHub(disabled)"),
             Some(s) => {
-                let h = s.inner.lock().unwrap();
+                let [counters, gauges, histograms] = s.inner.lock().unwrap().counts;
                 let flight_len = s.flight.lock().unwrap().len();
                 write!(
                     f,
-                    "MetricsHub({} counters, {} gauges, {} histograms, {} trace records)",
-                    h.counter_names.len(),
-                    h.gauge_names.len(),
-                    h.histograms.len(),
-                    flight_len
+                    "MetricsHub({counters} counters, {gauges} gauges, {histograms} histograms, \
+                     {flight_len} trace records)"
                 )
             }
         }
@@ -646,11 +1219,10 @@ impl MetricsHub {
     pub fn with_config(cfg: TelemetryConfig) -> MetricsHub {
         MetricsHub {
             inner: Some(Arc::new(HubShared {
-                counters: AtomicBank::new(),
-                gauges: AtomicBank::new(),
+                values: AtomicBank::new(),
                 flight: Mutex::new(FlightRecorder::new(cfg.flight_capacity)),
                 inner: Mutex::new(HubInner::new(cfg)),
-                scopes: Arc::default(),
+                paths: Arc::default(),
                 stream: Mutex::new(None),
                 sink_flags: AtomicU32::new(0),
             })),
@@ -665,75 +1237,71 @@ impl MetricsHub {
 
     // ---- registration -------------------------------------------------
 
-    /// Register (or look up) a counter under a hierarchical dotted name.
-    /// Re-registering a name returns the same id.
-    pub fn counter(&self, name: &str) -> CounterId {
+    /// Register a component: a new scope named `path` and, under it, the
+    /// instruments of `groups` as one block — one lock, no name
+    /// formatted, ids consecutive from the returned base in group order.
+    /// Each call makes new instruments: a component registers once.
+    pub fn register(&self, path: Path, groups: &[Group]) -> Block {
         let Some(s) = &self.inner else {
-            return CounterId::sentinel();
+            return Block::default();
         };
-        let mut h = s.inner.lock().unwrap();
-        let key = format!("c:{name}");
-        if let Some(&id) = h.names.get(&key) {
-            return CounterId(id);
+        let (mut h, mut paths) = s.lock();
+        let scope = paths.push(PathRow::Parts(path.kind, path.name));
+        drop(paths);
+        Block {
+            scope: ScopeId(scope),
+            base: BlockId(h.push_block(&s.values, scope, groups)),
         }
-        let id = h.counter_names.len() as u32;
-        s.counters.ensure(id);
-        h.counter_names.push(name.to_string());
-        h.counter_series.push(Steps::default());
-        h.names.insert(key, id);
-        CounterId(id)
+    }
+
+    /// Register `groups` as one more block of the component whose scope
+    /// (on this hub) is `scope` — a QP of a NIC, a gauge the cluster
+    /// keeps for a switch.
+    pub fn register_in(&self, scope: ScopeId, groups: &[Group]) -> BlockId {
+        match &self.inner {
+            Some(s) if scope != ScopeId::sentinel() => BlockId(
+                s.inner
+                    .lock()
+                    .unwrap()
+                    .push_block(&s.values, scope.0, groups),
+            ),
+            _ => BlockId::sentinel(),
+        }
+    }
+
+    /// Register (or look up) a counter under a hierarchical dotted name.
+    /// Re-registering a name returns the same id, and so does the name
+    /// of a counter a block registered.
+    pub fn counter(&self, name: &str) -> CounterId {
+        CounterId(self.named(Kind::Counter, name))
     }
 
     /// Register (or look up) a gauge.
     pub fn gauge(&self, name: &str) -> GaugeId {
-        let Some(s) = &self.inner else {
-            return GaugeId::sentinel();
-        };
-        let mut h = s.inner.lock().unwrap();
-        let key = format!("g:{name}");
-        if let Some(&id) = h.names.get(&key) {
-            return GaugeId(id);
-        }
-        let id = h.gauge_names.len() as u32;
-        s.gauges.ensure(id);
-        h.gauge_names.push(name.to_string());
-        h.gauge_series.push(Steps::default());
-        h.names.insert(key, id);
-        GaugeId(id)
+        GaugeId(self.named(Kind::Gauge, name))
     }
 
     /// Register (or look up) an exact histogram.
     pub fn histogram(&self, name: &str) -> HistogramId {
-        let Some(s) = &self.inner else {
-            return HistogramId::sentinel();
-        };
-        let mut h = s.inner.lock().unwrap();
-        let key = format!("h:{name}");
-        if let Some(&id) = h.names.get(&key) {
-            return HistogramId(id);
-        }
-        let id = h.histograms.len() as u32;
-        h.histograms.push(Percentiles::new());
-        h.histogram_names.push(name.to_string());
-        h.names.insert(key, id);
-        HistogramId(id)
+        HistogramId(self.named(Kind::Histogram, name))
     }
 
-    /// Register a flight-recorder scope (the emitting component's name).
+    fn named(&self, kind: Kind, name: &str) -> u32 {
+        let Some(s) = &self.inner else {
+            return SENTINEL;
+        };
+        let (mut h, mut paths) = s.lock();
+        h.named(&s.values, &mut paths, kind, name)
+    }
+
+    /// Register (or look up) a flight-recorder scope by name; a
+    /// component's registered scope is found by the name its path reads.
     pub fn scope(&self, name: &str) -> ScopeId {
         let Some(s) = &self.inner else {
             return ScopeId::sentinel();
         };
-        let mut h = s.inner.lock().unwrap();
-        let key = format!("s:{name}");
-        if let Some(&id) = h.names.get(&key) {
-            return ScopeId(id);
-        }
-        let mut names = s.scopes.lock().unwrap();
-        let id = names.len() as u32;
-        names.push(name.to_string());
-        h.names.insert(key, id);
-        ScopeId(id)
+        let (mut h, mut paths) = s.lock();
+        ScopeId(h.scope_named(&mut paths, name))
     }
 
     // ---- recording ----------------------------------------------------
@@ -746,7 +1314,7 @@ impl MetricsHub {
             return;
         }
         let Some(s) = &self.inner else { return };
-        if let Some(slot) = s.counters.slot(id.0) {
+        if let Some(slot) = s.values.slot(id.0) {
             slot.fetch_add(n, Ordering::Relaxed);
         }
     }
@@ -765,7 +1333,7 @@ impl MetricsHub {
             return;
         }
         let Some(s) = &self.inner else { return };
-        if let Some(slot) = s.gauges.slot(id.0) {
+        if let Some(slot) = s.values.slot(id.0) {
             slot.store(v.to_bits(), Ordering::Relaxed);
         }
     }
@@ -778,7 +1346,9 @@ impl MetricsHub {
             return;
         }
         if let Some(s) = &self.inner {
-            s.inner.lock().unwrap().histograms[id.0 as usize].add(v);
+            if let Some(p) = s.inner.lock().unwrap().histogram(id.0) {
+                p.add(v);
+            }
         }
     }
 
@@ -813,7 +1383,7 @@ impl MetricsHub {
         let Some(s) = &self.inner else {
             return Some(sink);
         };
-        let writer = SinkWriter::spawn(sink, s.scopes.clone());
+        let writer = SinkWriter::spawn(sink, s.paths.clone());
         let old = s.stream.lock().unwrap().replace(writer);
         s.sink_flags.store(filter.bits(), Ordering::Relaxed);
         old.map(drain)
@@ -939,9 +1509,10 @@ impl MetricsHub {
     /// Sample every counter and gauge into its time series if `now_ps`
     /// has reached the next sampling boundary. Multiple boundaries
     /// crossed in one call collapse into a single sample at `now_ps`
-    /// (series stay monotone; no catch-up fabrication). A series stores
-    /// the sample only if its value changed, so sampling instruments
-    /// that did not move allocates nothing.
+    /// (series stay monotone; no catch-up fabrication). Only an
+    /// instrument whose value moved since the pass before adds to the
+    /// change log, so a pass over instruments that did not move
+    /// allocates nothing.
     pub fn maybe_sample(&self, now_ps: u64) {
         let Some(s) = &self.inner else { return };
         let mut h = s.inner.lock().unwrap();
@@ -951,11 +1522,20 @@ impl MetricsHub {
         let h = &mut *h;
         let at = u32::try_from(h.sample_times.len()).expect("fewer than 2³² sampling passes");
         h.sample_times.push(now_ps);
-        for (id, steps) in h.counter_series.iter_mut().enumerate() {
-            steps.sample(at, s.counters.load(id as u32));
+        let n = h.names.rows.len();
+        if h.marks.last().map_or(0, |&(_, m)| m as usize) < n {
+            h.marks.push((at, n as u32));
         }
-        for (id, steps) in h.gauge_series.iter_mut().enumerate() {
-            steps.sample(at, s.gauges.load(id as u32));
+        h.last.resize(n, 0);
+        for (id, (last, raw)) in h.last.iter_mut().zip(s.values.values(n)).enumerate() {
+            if raw != *last {
+                *last = raw;
+                h.log.push(Change {
+                    id: id as u32,
+                    pass: at,
+                    raw,
+                });
+            }
         }
         let every = h.cfg.sample_every_ps.max(1);
         // Next boundary strictly after now.
@@ -971,75 +1551,80 @@ impl MetricsHub {
 
     // ---- inspection ---------------------------------------------------
 
+    /// Look instrument `name` of `kind` up and read it with `read`.
+    fn read<T>(
+        &self,
+        kind: Kind,
+        name: &str,
+        read: impl FnOnce(&mut HubInner, &AtomicBank, u32) -> Option<T>,
+    ) -> Option<T> {
+        let s = self.inner.as_ref()?;
+        let (mut h, paths) = s.lock();
+        let id = h.lookup(&paths, kind, name)?;
+        drop(paths);
+        read(&mut h, &s.values, id)
+    }
+
     /// Current value of a counter by name, if registered.
     pub fn counter_value(&self, name: &str) -> Option<u64> {
-        let s = self.inner.as_ref()?;
-        let h = s.inner.lock().unwrap();
-        let id = *h.names.get(&format!("c:{name}"))?;
-        Some(s.counter_val(id as usize))
+        self.read(Kind::Counter, name, |_, v, id| Some(v.load(id)))
     }
 
     /// Current value of a gauge by name, if registered.
     pub fn gauge_value(&self, name: &str) -> Option<f64> {
-        let s = self.inner.as_ref()?;
-        let h = s.inner.lock().unwrap();
-        let id = *h.names.get(&format!("g:{name}"))?;
-        Some(s.gauge_val(id as usize))
+        self.read(Kind::Gauge, name, |_, v, id| {
+            Some(f64::from_bits(v.load(id)))
+        })
     }
 
     /// A counter's sampled time series by name: one point per sampling
     /// pass since its registration.
     pub fn counter_series(&self, name: &str) -> Option<TimeSeries> {
-        let s = self.inner.as_ref()?;
-        let h = s.inner.lock().unwrap();
-        let id = *h.names.get(&format!("c:{name}"))?;
-        let mut series = TimeSeries::new();
-        for (t, raw) in h.counter_series[id as usize].points(&h.sample_times) {
-            series.push(t, raw as f64);
-        }
-        Some(series)
+        self.read(Kind::Counter, name, |h, _, id| {
+            Some(h.series(id, |raw| raw as f64))
+        })
+    }
+
+    /// A gauge's sampled time series by name, like
+    /// [`Self::counter_series`].
+    pub fn gauge_series(&self, name: &str) -> Option<TimeSeries> {
+        self.read(Kind::Gauge, name, |h, _, id| {
+            Some(h.series(id, f64::from_bits))
+        })
     }
 
     /// Clone of a histogram's samples by name.
     pub fn histogram_snapshot(&self, name: &str) -> Option<Percentiles> {
-        let s = self.inner.as_ref()?;
-        let h = s.inner.lock().unwrap();
-        let id = *h.names.get(&format!("h:{name}"))?;
-        Some(h.histograms[id as usize].clone())
+        self.read(Kind::Histogram, name, |h, _, id| h.histogram(id).cloned())
     }
 
-    /// All registered counter names (sorted) with current values. The
-    /// name order is cached: only the first call after a registration
-    /// sorts.
-    pub fn counters_snapshot(&self) -> Vec<(String, u64)> {
+    /// Every instrument of `kind` (sorted by name) with `value` of its
+    /// id. The name order is cached: only the first call after a
+    /// registration sorts.
+    fn snapshot<T>(&self, kind: Kind, value: impl Fn(&AtomicBank, u32) -> T) -> Vec<(String, T)> {
         let Some(s) = &self.inner else {
             return Vec::new();
         };
-        let mut h = s.inner.lock().unwrap();
-        h.sync_orders();
-        h.counters_by_name
-            .iter()
-            .map(|&id| {
-                (
-                    h.counter_names[id as usize].clone(),
-                    s.counter_val(id as usize),
-                )
+        let (mut h, paths) = s.lock();
+        h.sync_order(&paths);
+        ordered(&h.by_name, &h.names, kind)
+            .map(|id| {
+                let mut name = Vec::new();
+                h.names.write(&paths, id, &mut name);
+                let name = String::from_utf8(name).expect("names are strs and digits");
+                (name, value(&s.values, id))
             })
             .collect()
     }
 
-    /// All registered gauge names (sorted) with current values. Like
-    /// [`Self::counters_snapshot`], the order is cached.
+    /// All registered counter names (sorted) with current values.
+    pub fn counters_snapshot(&self) -> Vec<(String, u64)> {
+        self.snapshot(Kind::Counter, AtomicBank::load)
+    }
+
+    /// All registered gauge names (sorted) with current values.
     pub fn gauges_snapshot(&self) -> Vec<(String, f64)> {
-        let Some(s) = &self.inner else {
-            return Vec::new();
-        };
-        let mut h = s.inner.lock().unwrap();
-        h.sync_orders();
-        h.gauges_by_name
-            .iter()
-            .map(|&id| (h.gauge_names[id as usize].clone(), s.gauge_val(id as usize)))
-            .collect()
+        self.snapshot(Kind::Gauge, |v, id| f64::from_bits(v.load(id)))
     }
 
     /// Flight-recorder records (oldest retained first) with scope names
@@ -1048,17 +1633,15 @@ impl MetricsHub {
         let Some(s) = &self.inner else {
             return (Vec::new(), 0);
         };
-        let names = s.scopes.lock().unwrap();
+        let paths = s.paths.lock().unwrap();
         let flight = s.flight.lock().unwrap();
         let rows = flight
             .records()
             .map(|r| {
-                (
-                    r.seq,
-                    r.t_ps,
-                    scope_name(&names, r.scope).to_string(),
-                    r.event,
-                )
+                let mut scope = Vec::new();
+                paths.write(r.scope, &mut scope);
+                let scope = String::from_utf8(scope).expect("scope names are strs");
+                (r.seq, r.t_ps, scope, r.event)
             })
             .collect();
         (rows, flight.dropped())
@@ -1089,15 +1672,22 @@ impl MetricsHub {
         HubJson { hub: self }
     }
 
-    /// Append the export to `out`, straight from the hub's state.
+    /// Append the export to `out`, straight from the hub's state. Names
+    /// are rendered into `out` as they are written; the change log is
+    /// sorted in place by instrument, so each series is one run of it.
     fn write_json(&self, out: &mut Vec<u8>) {
         let Some(s) = &self.inner else {
             out.extend_from_slice(br#"{"enabled":false}"#);
             return;
         };
-        let mut h = s.inner.lock().unwrap();
-        h.sync_orders();
+        let (mut h, paths) = s.lock();
+        h.sync_order(&paths);
+        h.log.sort_unstable_by_key(|c| (c.id, c.pass));
         let h = &mut *h;
+        let key = |out: &mut Vec<u8>, id: u32| {
+            json::write_str_with(out, |out| h.names.write(&paths, id, out));
+            out.push(b':');
+        };
 
         out.extend_from_slice(br#"{"enabled":true,"sample_every_ps":"#);
         json::write_u64(h.cfg.sample_every_ps, out);
@@ -1105,93 +1695,96 @@ impl MetricsHub {
         json::write_u64(h.sample_times.len() as u64, out);
 
         out.extend_from_slice(br#","counters":"#);
-        let counters = h.counters_by_name.iter().map(|&id| id as usize);
-        json::write_obj(
+        json::write_list(
             out,
-            counters.map(|id| (&h.counter_names[id], id)),
-            |out, id| json::write_u64(s.counter_val(id), out),
+            *b"{}",
+            ordered(&h.by_name, &h.names, Kind::Counter),
+            |out, id| {
+                key(out, id);
+                json::write_u64(s.values.load(id), out);
+            },
         );
 
         out.extend_from_slice(br#","gauges":"#);
-        let gauges = h.gauges_by_name.iter().map(|&id| id as usize);
-        json::write_obj(out, gauges.map(|id| (&h.gauge_names[id], id)), |out, id| {
-            json::write_f64(s.gauge_val(id), out)
-        });
+        json::write_list(
+            out,
+            *b"{}",
+            ordered(&h.by_name, &h.names, Kind::Gauge),
+            |out, id| {
+                key(out, id);
+                json::write_f64(f64::from_bits(s.values.load(id)), out);
+            },
+        );
 
         // Summarised in place (the quantiles sort the samples once), so
         // the export holds no second copy of them.
         out.extend_from_slice(br#","histograms":"#);
-        let histograms = h.histograms_by_name.iter().map(|&id| id as usize);
-        json::write_obj(
-            out,
-            histograms.map(|id| (&h.histogram_names[id], id)),
-            |out, id| {
-                let p = &mut h.histograms[id];
-                let opt = |v: Option<u64>| v.map_or(Json::Null, Json::U64);
-                let summary = [
-                    ("count", Json::U64(p.count() as u64)),
-                    ("p50", opt(p.p50())),
-                    ("p99", opt(p.p99())),
-                    ("p999", opt(p.p999())),
-                    ("max", opt(p.max())),
-                    ("mean", p.mean().map_or(Json::Null, Json::F64)),
-                ];
-                json::write_obj(out, summary, |out, v| v.write(out));
-            },
-        );
+        let histograms = &mut h.histograms;
+        let ids = ordered(&h.by_name, &h.names, Kind::Histogram);
+        json::write_list(out, *b"{}", ids, |out, id| {
+            key(out, id);
+            let at = histograms.binary_search_by_key(&id, |(h, _)| *h);
+            let p = &mut histograms[at.expect("every histogram id has samples")].1;
+            let opt = |v: Option<u64>| v.map_or(Json::Null, Json::U64);
+            let summary = [
+                ("count", Json::U64(p.count() as u64)),
+                ("p50", opt(p.p50())),
+                ("p99", opt(p.p99())),
+                ("p999", opt(p.p999())),
+                ("max", opt(p.max())),
+                ("mean", p.mean().map_or(Json::Null, Json::F64)),
+            ];
+            json::write_obj(out, summary, |out, v| v.write(out));
+        });
 
-        // Counter and gauge series merge into one name-sorted map. Both
-        // sides are already sorted, so a linear merge suffices. A raw
+        // Counter and gauge series in one name-sorted map: the name
+        // order puts a counter before a gauge of the same name. A raw
         // value reads back as a count or as a gauge's bits.
         out.extend_from_slice(br#","series":"#);
-        let as_count: fn(u64) -> f64 = |raw| raw as f64;
-        let as_gauge: fn(u64) -> f64 = f64::from_bits;
-        let mut counters = h.counters_by_name.iter().map(|&id| id as usize).peekable();
-        let mut gauges = h.gauges_by_name.iter().map(|&id| id as usize).peekable();
-        let merged = std::iter::from_fn(|| {
-            let take_counter = match (counters.peek(), gauges.peek()) {
-                (Some(&c), Some(&g)) => h.counter_names[c] <= h.gauge_names[g],
-                (c, _) => c.is_some(),
+        let sampled = h.by_name.iter().filter_map(|&id| {
+            let value: fn(u64) -> f64 = match h.names.kind(id) {
+                Kind::Counter => |raw| raw as f64,
+                Kind::Gauge => f64::from_bits,
+                Kind::Histogram => return None,
             };
-            Some(if take_counter {
-                let id = counters.next()?;
-                (&h.counter_names[id], (&h.counter_series[id], as_count))
-            } else {
-                let id = gauges.next()?;
-                (&h.gauge_names[id], (&h.gauge_series[id], as_gauge))
-            })
+            Some((id, h.first_pass(id)?, value))
         });
-        json::write_obj(
-            out,
-            merged.filter(|(_, (steps, _))| !steps.0.is_empty()),
-            |out, (steps, value)| {
-                json::write_list(
-                    out,
-                    *b"[]",
-                    steps.points(&h.sample_times),
-                    |out, (t, raw)| {
-                        out.push(b'[');
-                        json::write_u64(t, out);
-                        out.push(b',');
-                        json::write_f64(value(raw), out);
-                        out.push(b']');
-                    },
-                );
-            },
-        );
+        json::write_list(out, *b"{}", sampled, |out, (id, first, value)| {
+            key(out, id);
+            let from = h.log.partition_point(|c| c.id < id);
+            let changes = &h.log[from..];
+            let changes = &changes[..changes.partition_point(|c| c.id == id)];
+            json::write_list(
+                out,
+                *b"[]",
+                points(first, changes, &h.sample_times),
+                |out, (t, raw)| {
+                    out.push(b'[');
+                    json::write_u64(t, out);
+                    out.push(b',');
+                    json::write_f64(value(raw), out);
+                    out.push(b']');
+                },
+            );
+        });
 
-        let names = s.scopes.lock().unwrap();
         let flight = s.flight.lock().unwrap();
         out.extend_from_slice(br#","flight_recorder":{"dropped":"#);
         json::write_u64(flight.dropped(), out);
         out.extend_from_slice(br#","total_recorded":"#);
         json::write_u64(flight.total_recorded(), out);
         out.extend_from_slice(br#","records":"#);
+        let scope = &mut h.name_buf;
         json::write_list(out, *b"[]", flight.records(), |out, r| {
+            scope.clear();
+            paths.write(r.scope, scope);
             let mut text = ObjectText::new(out);
             text.u64("seq", r.seq);
             text.u64("t_ps", r.t_ps);
-            text.str("scope", scope_name(&names, r.scope));
+            text.str(
+                "scope",
+                std::str::from_utf8(scope).expect("scope names are strs"),
+            );
             text.str("kind", r.event.kind());
             r.event.visit(&mut text);
             text.close();
@@ -1289,10 +1882,11 @@ mod tests {
         assert_eq!(hub.next_sample_ps(), Some(400));
     }
 
-    /// A series keeps a step only where its value moved — one for a
-    /// counter that stands still over 1 000 passes, one per move for a
-    /// counter that moves every third pass — and still reads back as a
-    /// point per pass since registration, a late registration included.
+    /// The change log keeps an entry only where a value moved — none for
+    /// a counter that stands still over 1 000 passes, one per move for a
+    /// counter that moves every third pass — and a series still reads
+    /// back as a point per pass since registration, a late registration
+    /// included.
     #[test]
     fn series_store_only_changes() {
         let hub = MetricsHub::with_config(TelemetryConfig {
@@ -1310,11 +1904,11 @@ mod tests {
             }
             hub.maybe_sample(pass * 10);
         }
-        let steps = |id: CounterId| {
+        let entries = |id: CounterId| {
             let h = hub.inner.as_ref().unwrap().inner.lock().unwrap();
-            h.counter_series[id.0 as usize].0.len()
+            h.log.iter().filter(|c| c.id == id.0).count()
         };
-        assert_eq!((steps(still), steps(moving)), (1, 334));
+        assert_eq!((entries(still), entries(moving)), (0, 334));
 
         let points = hub.counter_series("moving").unwrap().points().to_vec();
         assert_eq!(points.len(), 1000);

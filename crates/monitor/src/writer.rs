@@ -27,7 +27,7 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::{self, JoinHandle};
 
 use crate::sink::{RecordBody, StreamRecord, TraceSink};
-use crate::telemetry::{scope_name, ScopeId};
+use crate::telemetry::{Paths, ScopeId};
 
 /// Records per batch handed from the emitting thread to the writer.
 pub const SINK_BATCH_RECORDS: usize = 2048;
@@ -102,7 +102,7 @@ pub(crate) struct SinkWriter {
 impl SinkWriter {
     /// Allocate the pool and spawn the writer for `sink`; it resolves
     /// scopes through `names`, the hub's scope table.
-    pub(crate) fn spawn(sink: Box<dyn TraceSink>, names: Arc<Mutex<Vec<String>>>) -> SinkWriter {
+    pub(crate) fn spawn(sink: Box<dyn TraceSink>, names: Arc<Mutex<Paths>>) -> SinkWriter {
         let batch = || Vec::with_capacity(SINK_BATCH_RECORDS);
         let lane = Arc::new(Lane {
             state: Mutex::new(LaneState {
@@ -198,12 +198,15 @@ impl SinkWriter {
 
 /// The writer thread: write queued batches in order and run flushes
 /// until the lane closes, then give the sink back. Of the hub's locks it
-/// takes only the scope table's, once per batch.
+/// takes only the scope table's, once per batch. A scope's name is
+/// rendered into one buffer, again only when the scope changes from one
+/// record to the next.
 fn write_loop(
     mut sink: Box<dyn TraceSink>,
     lane: &Lane,
-    names: &Mutex<Vec<String>>,
+    names: &Mutex<Paths>,
 ) -> Box<dyn TraceSink> {
+    let mut scope = (ScopeId::sentinel(), Vec::new());
     let mut st = lane.lock();
     loop {
         let asked = st.flushes_asked;
@@ -213,9 +216,14 @@ fn write_loop(
             let names = names.lock().expect("no panic while registering a scope");
             let outcome = catch(|| {
                 for r in &batch {
+                    if r.scope != scope.0 || scope.1.is_empty() {
+                        scope.0 = r.scope;
+                        scope.1.clear();
+                        names.write(r.scope, &mut scope.1);
+                    }
                     sink.write(&StreamRecord {
                         t_ps: r.t_ps,
-                        scope: scope_name(&names, r.scope),
+                        scope: std::str::from_utf8(&scope.1).expect("scope names are strs"),
                         // Direct emission never knows its shard; the
                         // sharded merge stamps the tag when moving bank
                         // records into the final sink.

@@ -16,7 +16,9 @@ use std::sync::Arc;
 
 use rocescale_cc::{CcAction, CcKind, CcSignal, CongestionControl, SenderCc};
 use rocescale_dcqcn::NpState;
-use rocescale_monitor::{CounterId, HistogramId, MetricsHub, RatePoint, ScopeId, TraceEvent};
+use rocescale_monitor::{
+    BlockId, Group, HistogramId, MetricsHub, Path, RatePoint, ScopeId, TraceEvent,
+};
 use rocescale_packet::{
     EcnCodepoint, EthMeta, Ipv4Meta, MacAddr, Packet, PacketKind, PauseFrame, PfcPauseFrame,
     Priority, RoceOpcode, RocePacket,
@@ -243,6 +245,8 @@ struct Qp {
     /// Messages a Burst app may still post (0 once the budget drains).
     burst_remaining: u32,
     wr_seq: u64,
+    /// The QP's block of [`qp_counters`].
+    tele: BlockId,
 }
 
 impl Qp {
@@ -324,51 +328,73 @@ pub const TOK_WAKE: u64 = 102;
 const RTO_SCAN: SimTime = SimTime::from_micros(100);
 const STORM_REFRESH: SimTime = SimTime::from_micros(100);
 
-/// Pre-registered telemetry instrument ids. Only a host on an enabled
-/// hub has them; see [`RdmaHost::tele`].
+/// The host's counters, in its block's order: `nic.{name}.{leaf}`.
+const NIC_COUNTERS: &[&str] = &[
+    "pfc.xoff_tx",
+    "pfc.xoff_rx",
+    "dcqcn.cnp_tx",
+    "dcqcn.cnp_rx",
+    "rx.overflow",
+    "rx.storm_dropped",
+    "watchdog.fired",
+];
+
+/// A counter of the host's block, by its place in [`NIC_COUNTERS`].
+#[derive(Clone, Copy)]
+enum NicCounter {
+    PauseTx,
+    PauseRx,
+    CnpTx,
+    CnpRx,
+    RxOverflow,
+    RxStormDropped,
+    WatchdogFired,
+}
+
+/// The host's telemetry: its block — the [`NIC_COUNTERS`] and then the
+/// RTT histogram `nic.{name}.rtt_ps`, fed by Pinger/Fanout apps — and
+/// its trace scope. One word; all sentinels on a disabled hub, where
+/// registering formats and stores nothing. Each QP registers a block of
+/// its own under the host's scope ([`qp_counters`]).
+#[derive(Clone, Copy, Default)]
 struct NicTele {
-    hub: MetricsHub,
+    base: BlockId,
     scope: ScopeId,
-    pause_tx: CounterId,
-    pause_rx: CounterId,
-    cnp_tx: CounterId,
-    cnp_rx: CounterId,
-    rx_overflow: CounterId,
-    rx_storm_dropped: CounterId,
-    nic_watchdog_fired: CounterId,
-    /// RTT histogram (`nic.{name}.rtt_ps`), fed by Pinger/Fanout apps.
-    rtt_ps: HistogramId,
-    /// Per-QP `nic.{name}.qp.{qpn}.retransmits` (rollback PSN volume).
-    qp_retransmits: Vec<CounterId>,
-    /// Per-QP `nic.{name}.qp.{qpn}.{controller}.rate_changes` (pacing
-    /// rate moves, named for the controller that made them).
-    qp_rate_changes: Vec<CounterId>,
 }
 
 impl NicTele {
-    /// The host's instruments, or `None` on a disabled hub, where every id
-    /// would come back a sentinel: no names are formatted and nothing is
-    /// stored.
-    fn register(hub: MetricsHub, name: &str) -> Option<Box<NicTele>> {
-        if !hub.is_enabled() {
-            return None;
+    fn register(cfg: &NicConfig) -> NicTele {
+        let block = cfg.telemetry.register(
+            Path::of("nic", cfg.name.clone()),
+            &[
+                Group::counters(NIC_COUNTERS),
+                Group::histograms(&["rtt_ps"]),
+            ],
+        );
+        NicTele {
+            base: block.base,
+            scope: block.scope,
         }
-        Some(Box::new(NicTele {
-            scope: hub.scope(&format!("nic.{name}")),
-            pause_tx: hub.counter(&format!("nic.{name}.pfc.xoff_tx")),
-            pause_rx: hub.counter(&format!("nic.{name}.pfc.xoff_rx")),
-            cnp_tx: hub.counter(&format!("nic.{name}.dcqcn.cnp_tx")),
-            cnp_rx: hub.counter(&format!("nic.{name}.dcqcn.cnp_rx")),
-            rx_overflow: hub.counter(&format!("nic.{name}.rx.overflow")),
-            rx_storm_dropped: hub.counter(&format!("nic.{name}.rx.storm_dropped")),
-            nic_watchdog_fired: hub.counter(&format!("nic.{name}.watchdog.fired")),
-            rtt_ps: hub.histogram(&format!("nic.{name}.rtt_ps")),
-            qp_retransmits: Vec::new(),
-            qp_rate_changes: Vec::new(),
-            hub,
-        }))
+    }
+
+    fn rtt_ps(self) -> HistogramId {
+        self.base.histogram(NIC_COUNTERS.len() as u32)
     }
 }
+
+/// A QP's counters, `nic.{name}.qp.{qpn}.{leaf}`: the rollback PSN
+/// volume, and the pacing-rate moves named for the controller that made
+/// them.
+fn qp_counters(cc: CcKind) -> &'static [&'static str] {
+    match cc {
+        CcKind::Dcqcn => &["retransmits", "dcqcn.rate_changes"],
+        CcKind::Timely => &["retransmits", "timely.rate_changes"],
+        CcKind::Off => &["retransmits", "off.rate_changes"],
+    }
+}
+/// [`qp_counters`]' places.
+const QP_RETRANSMITS: u32 = 0;
+const QP_RATE_CHANGES: u32 = 1;
 
 /// The RDMA host node.
 ///
@@ -382,9 +408,8 @@ impl NicTele {
 /// frame for another MAC) is one that would find nothing to do.
 pub struct RdmaHost {
     cfg: NicConfig,
-    /// Telemetry instruments; `None` while the hub is disabled, so an
-    /// unobserved host carries one null pointer.
-    tele: Option<Box<NicTele>>,
+    /// Telemetry instruments (sentinels while the hub is disabled).
+    tele: NicTele,
     /// Working state; `None` until first use.
     work: Option<Box<NicWork>>,
     /// Counters.
@@ -458,7 +483,7 @@ impl RdmaHost {
     /// Build a host from its configuration.
     pub fn new(cfg: NicConfig) -> RdmaHost {
         RdmaHost {
-            tele: NicTele::register(cfg.telemetry.clone(), &cfg.name),
+            tele: NicTele::register(&cfg),
             cfg,
             work: None,
             stats: HostStats::default(),
@@ -470,7 +495,7 @@ impl RdmaHost {
         let w = self.work.get_or_insert_with(|| NicWork::new(&self.cfg));
         Active {
             cfg: &self.cfg,
-            tele: self.tele.as_deref(),
+            tele: self.tele,
             stats: &mut self.stats,
             w,
         }
@@ -481,7 +506,7 @@ impl RdmaHost {
         let w = self.work.as_deref_mut()?;
         Some(Active {
             cfg: &self.cfg,
-            tele: self.tele.as_deref(),
+            tele: self.tele,
             stats: &mut self.stats,
             w,
         })
@@ -520,19 +545,15 @@ impl RdmaHost {
                 _ => 0,
             },
             wr_seq: 0,
+            tele: self.cfg.telemetry.register_in(
+                self.tele.scope,
+                &[Group::counters(qp_counters(self.cfg.cc)).at("qp", qpn)],
+            ),
         };
         // Prime saturating apps here so QPs created mid-run start sending
         // once the host is woken ([`TOK_WAKE`]).
         qp.refill_app();
         w.qps.push(qp);
-        if let Some(t) = self.tele.as_deref_mut() {
-            let (hub, name) = (&t.hub, &self.cfg.name);
-            let cc_name = self.cfg.cc.name();
-            let retransmits = hub.counter(&format!("nic.{name}.qp.{qpn}.retransmits"));
-            let rate_changes = hub.counter(&format!("nic.{name}.qp.{qpn}.{cc_name}.rate_changes"));
-            t.qp_retransmits.push(retransmits);
-            t.qp_rate_changes.push(rate_changes);
-        }
         QpHandle(qpn)
     }
 
@@ -600,7 +621,7 @@ impl RdmaHost {
 /// configuration, counters and instruments beside the [`NicWork`] box.
 struct Active<'a> {
     cfg: &'a NicConfig,
-    tele: Option<&'a NicTele>,
+    tele: NicTele,
     stats: &'a mut HostStats,
     w: &'a mut NicWork,
 }
@@ -610,20 +631,19 @@ impl Active<'_> {
     /// telemetry bus. Always drained so the queue stays bounded even with
     /// telemetry disabled.
     fn drain_transport_events(&mut self, qpn: u32, now_ps: u64) {
-        while let Some(ev) = self.w.qps[qpn as usize].endpoint.pop_event() {
-            let Some(t) = self.tele else {
-                continue;
-            };
+        let hub = &self.cfg.telemetry;
+        let qp = &mut self.w.qps[qpn as usize];
+        while let Some(ev) = qp.endpoint.pop_event() {
             match ev {
                 TransportEvent::Rollback {
                     cause,
                     to_psn,
                     pkts,
                 } => {
-                    t.hub.add(t.qp_retransmits[qpn as usize], pkts as u64);
-                    t.hub.trace(
+                    hub.add(qp.tele.counter(QP_RETRANSMITS), pkts as u64);
+                    hub.trace(
                         now_ps,
-                        t.scope,
+                        self.tele.scope,
                         TraceEvent::Rollback {
                             cause,
                             to_psn,
@@ -635,18 +655,15 @@ impl Active<'_> {
         }
     }
 
-    /// Count one event on the counter `id` names, if telemetry is on.
-    fn incr(&self, id: impl Fn(&NicTele) -> CounterId) {
-        if let Some(t) = self.tele {
-            t.hub.incr(id(t));
-        }
+    /// Count one event on one of the host's counters, if telemetry is
+    /// on.
+    fn incr(&self, c: NicCounter) {
+        self.cfg.telemetry.incr(self.tele.base.counter(c as u32));
     }
 
     /// Record a flight-recorder event, if telemetry is on.
     fn trace(&self, now_ps: u64, ev: TraceEvent) {
-        if let Some(t) = self.tele {
-            t.hub.trace(now_ps, t.scope, ev);
-        }
+        self.cfg.telemetry.trace(now_ps, self.tele.scope, ev);
     }
 
     // ---- packet materialization ----
@@ -824,7 +841,7 @@ impl Active<'_> {
         let pkt = self.materialize(qpn, &desc, ctx);
         self.w.ctrl.push_back(pkt);
         self.stats.cnp_tx += 1;
-        self.incr(|t| t.cnp_tx);
+        self.incr(NicCounter::CnpTx);
     }
 
     // ---- receive pipeline ----
@@ -833,14 +850,14 @@ impl Active<'_> {
     fn on_rx(&mut self, pkt: Packet, ctx: &mut Ctx<'_>) {
         if self.w.storm {
             self.stats.rx_storm_dropped += 1;
-            self.incr(|t| t.rx_storm_dropped);
+            self.incr(NicCounter::RxStormDropped);
             self.note_rx_pressure(ctx);
             return;
         }
         let bytes = pkt.wire_size() as u64;
         if self.w.rx_occupancy + bytes > RX_BUFFER_BYTES {
             self.stats.rx_overflow += 1;
-            self.incr(|t| t.rx_overflow);
+            self.incr(NicCounter::RxOverflow);
             return;
         }
         self.w.rx_occupancy += bytes;
@@ -868,7 +885,7 @@ impl Active<'_> {
         self.w.pause_out.push_back(pkt);
         if quanta > 0 {
             self.stats.pause_tx += 1;
-            self.incr(|t| t.pause_tx);
+            self.incr(NicCounter::PauseTx);
             self.trace(
                 ctx.now().as_ps(),
                 TraceEvent::PauseTx {
@@ -933,7 +950,7 @@ impl Active<'_> {
         }
         if r.opcode == RoceOpcode::Cnp {
             self.stats.cnp_rx += 1;
-            self.incr(|t| t.cnp_rx);
+            self.incr(NicCounter::CnpRx);
             let now_ps = ctx.now().as_ps();
             let act = self.w.qps[qpn as usize].cc.on_signal(CcSignal::Cnp, now_ps);
             if let Some(act) = act {
@@ -979,26 +996,27 @@ impl Active<'_> {
     /// streaming rate points — one trajectory point carrying the QP
     /// identity the flight event elides.
     fn note_cc_action(&mut self, qpn: u32, act: CcAction, now_ps: u64) {
-        let Some(t) = self.tele else {
+        let hub = &self.cfg.telemetry;
+        if !hub.is_enabled() {
             return;
-        };
+        }
         match act {
             CcAction::RateChange { rate_bps, cause } => {
-                t.hub.incr(t.qp_rate_changes[qpn as usize]);
+                hub.incr(self.w.qps[qpn as usize].tele.counter(QP_RATE_CHANGES));
                 let cc = self.w.qps[qpn as usize].cc.kind().name();
                 let rate_mbps = (rate_bps / 1e6) as u32;
-                t.hub.trace(
+                hub.trace(
                     now_ps,
-                    t.scope,
+                    self.tele.scope,
                     TraceEvent::RateChange {
                         cc,
                         rate_mbps,
                         cause,
                     },
                 );
-                t.hub.stream_rate(
+                hub.stream_rate(
                     now_ps,
-                    t.scope,
+                    self.tele.scope,
                     RatePoint {
                         qp: qpn,
                         rate_mbps,
@@ -1032,9 +1050,7 @@ impl Active<'_> {
                     let q = &mut self.w.qps[qpn as usize];
                     if let Some(sent) = q.pending_rtt.pop_front() {
                         self.stats.rtt_samples_ps.push(now - sent);
-                        if let Some(t) = self.tele {
-                            t.hub.observe(t.rtt_ps, now - sent);
-                        }
+                        self.cfg.telemetry.observe(self.tele.rtt_ps(), now - sent);
                     }
                     if let QpApp::Echo { reply_len } = q.app {
                         let wr = WrId(q.wr_seq);
@@ -1050,7 +1066,7 @@ impl Active<'_> {
 
     fn on_pause(&mut self, frame: &PauseFrame, ctx: &mut Ctx<'_>) {
         self.stats.pause_rx += 1;
-        self.incr(|t| t.pause_rx);
+        self.incr(NicCounter::PauseRx);
         if let Some((prio, quanta)) = frame.entries().next() {
             if quanta > 0 {
                 self.trace(
@@ -1114,7 +1130,7 @@ impl Active<'_> {
             {
                 self.w.pause_gen_disabled = true;
                 self.stats.nic_watchdog_fired += 1;
-                self.incr(|t| t.nic_watchdog_fired);
+                self.incr(NicCounter::WatchdogFired);
                 self.trace(ctx.now().as_ps(), TraceEvent::NicWatchdogFired);
             }
         }

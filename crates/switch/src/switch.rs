@@ -4,7 +4,7 @@
 use std::any::Any;
 use std::collections::VecDeque;
 
-use rocescale_monitor::{CounterId, HopRecord, MetricsHub, ScopeId, TraceEvent};
+use rocescale_monitor::{BlockId, Group, HopRecord, MetricsHub, Path, ScopeId, TraceEvent};
 use rocescale_packet::{
     EcnCodepoint, FiveTuple, MacAddr, Packet, PacketKind, PauseFrame, PfcPauseFrame, Priority,
 };
@@ -52,7 +52,7 @@ pub enum DropReason {
 impl DropReason {
     /// Stable name, used as the telemetry counter leaf and flight-recorder
     /// reason string.
-    pub fn name(&self) -> &'static str {
+    pub const fn name(&self) -> &'static str {
         match self {
             DropReason::LossyOverflow => "LossyOverflow",
             DropReason::LosslessOverflow => "LosslessOverflow",
@@ -397,62 +397,87 @@ fn tok_refresh(port: PortId, pg: Priority) -> u64 {
     (TOK_PAUSE_REFRESH << TOK_KIND_SHIFT) | ((pg.index() as u64) << 16) | port.0 as u64
 }
 
-/// Pre-registered telemetry instrument ids (sentinels when the hub is
-/// disabled, so the hot path pays a null check per site). The per-port
-/// tables are empty on a disabled hub: see [`SwitchTele::incr_port`].
+/// [`DROP_REASONS`]' names: the leaves of `switch.{name}.drop.{Reason}`.
+const DROP_NAMES: [&str; DROP_REASONS.len()] = {
+    let mut names = [""; DROP_REASONS.len()];
+    let mut i = 0;
+    while i < names.len() {
+        names[i] = DROP_REASONS[i].name();
+        i += 1;
+    }
+    names
+};
+
+/// The switch's counters after its drop reasons, in block order.
+const SWITCH_COUNTERS: &[&str] = &["ecn_marked", "watchdog.disables", "watchdog.reenables"];
+
+/// Each port's counters, `switch.{name}.port.{p}.{leaf}`, in block order.
+const PORT_COUNTERS: &[&str] = &["pfc.xoff_tx", "pfc.xon_tx", "pfc.xoff_rx"];
+
+/// A counter of the switch's block after the drop reasons and before the
+/// ports, by its place in [`SWITCH_COUNTERS`].
+#[derive(Clone, Copy)]
+enum SwitchCounter {
+    EcnMarked,
+    WatchdogDisables,
+    WatchdogReenables,
+}
+
+/// A per-port counter, by its place in [`PORT_COUNTERS`].
+#[derive(Clone, Copy)]
+enum PortCounter {
+    PauseTx,
+    ResumeTx,
+    PauseRx,
+}
+
+/// The switch's telemetry: one block — a counter per drop reason, the
+/// [`SWITCH_COUNTERS`], then the [`PORT_COUNTERS`] of each port — and
+/// its trace scope; sentinels when the hub is disabled, so the hot path
+/// pays a null check per site.
 #[derive(Default)]
 struct SwitchTele {
     hub: MetricsHub,
     scope: ScopeId,
-    /// Per-port `switch.{name}.port.{p}.pfc.xoff_tx`.
-    pause_tx: Vec<CounterId>,
-    /// Per-port `…pfc.xon_tx`.
-    resume_tx: Vec<CounterId>,
-    /// Per-port `…pfc.xoff_rx`.
-    pause_rx: Vec<CounterId>,
-    /// Per-reason `switch.{name}.drop.{Reason}`.
-    drops: [CounterId; DROP_REASONS.len()],
-    ecn_marked: CounterId,
-    wd_disables: CounterId,
-    wd_reenables: CounterId,
+    base: BlockId,
 }
 
 impl SwitchTele {
-    /// Count one event on port `port`'s instrument in `ids` (one of the
-    /// per-port tables), if telemetry is on.
-    fn incr_port(&self, ids: &[CounterId], port: PortId) {
-        if let Some(&id) = ids.get(port.index()) {
-            self.hub.incr(id);
+    fn register(hub: MetricsHub, name: &str, ports: usize) -> SwitchTele {
+        if !hub.is_enabled() {
+            // Every id would come back a sentinel: copy no name.
+            return SwitchTele::default();
+        }
+        let block = hub.register(
+            Path::of("switch", name),
+            &[
+                Group::counters(&DROP_NAMES).under("drop"),
+                Group::counters(SWITCH_COUNTERS),
+                Group::counters(PORT_COUNTERS).over("port", 0..ports as u32),
+            ],
+        );
+        SwitchTele {
+            hub,
+            scope: block.scope,
+            base: block.base,
         }
     }
 
-    fn register(hub: MetricsHub, name: &str, ports: usize) -> SwitchTele {
-        if !hub.is_enabled() {
-            // Every id would come back a sentinel: format no names and
-            // keep no per-port tables.
-            return SwitchTele::default();
-        }
-        let scope = hub.scope(&format!("switch.{name}"));
-        let per_port = |leaf: &str| -> Vec<CounterId> {
-            (0..ports)
-                .map(|p| hub.counter(&format!("switch.{name}.port.{p}.pfc.{leaf}")))
-                .collect()
-        };
-        let pause_tx = per_port("xoff_tx");
-        let resume_tx = per_port("xon_tx");
-        let pause_rx = per_port("xoff_rx");
-        let drops = DROP_REASONS.map(|r| hub.counter(&format!("switch.{name}.drop.{}", r.name())));
-        SwitchTele {
-            scope,
-            pause_tx,
-            resume_tx,
-            pause_rx,
-            drops,
-            ecn_marked: hub.counter(&format!("switch.{name}.ecn_marked")),
-            wd_disables: hub.counter(&format!("switch.{name}.watchdog.disables")),
-            wd_reenables: hub.counter(&format!("switch.{name}.watchdog.reenables")),
-            hub,
-        }
+    /// Count one drop for reason `i` of [`DROP_REASONS`].
+    fn incr_drop(&self, i: usize) {
+        self.hub.incr(self.base.counter(i as u32));
+    }
+
+    /// Count one event on a switch-wide counter.
+    fn incr(&self, c: SwitchCounter) {
+        self.hub
+            .incr(self.base.counter((DROP_NAMES.len() + c as usize) as u32));
+    }
+
+    /// Count one event on port `port`'s counter `c`.
+    fn incr_port(&self, c: PortCounter, port: PortId) {
+        let k = DROP_NAMES.len() + SWITCH_COUNTERS.len() + port.index() * PORT_COUNTERS.len();
+        self.hub.incr(self.base.counter((k + c as usize) as u32));
     }
 }
 
@@ -577,7 +602,7 @@ impl Switch {
                 .iter()
                 .position(|r| *r == reason)
                 .expect("known");
-            self.tele.hub.incr(self.tele.drops[i]);
+            self.tele.incr_drop(i);
             let t = now.as_ps();
             self.tele.hub.trace(
                 t,
@@ -592,6 +617,13 @@ impl Switch {
                     .trace(t, self.tele.scope, TraceEvent::ArpIncompleteDrop);
             }
         }
+    }
+
+    /// The trace scope the switch registered (`switch.{name}`; the
+    /// sentinel when telemetry is off), for observers that stream on
+    /// its behalf.
+    pub fn telemetry_scope(&self) -> ScopeId {
+        self.tele.scope
     }
 
     /// The switch's router MAC.
@@ -774,7 +806,7 @@ impl Switch {
         }
         if any_pause {
             self.stats.pause_rx[port.index()] += 1;
-            self.tele.incr_port(&self.tele.pause_rx, port);
+            self.tele.incr_port(PortCounter::PauseRx, port);
         }
         if resumed {
             self.try_send(port, ctx);
@@ -802,7 +834,7 @@ impl Switch {
     fn send_xoff(&mut self, port: PortId, pg: Priority, ctx: &mut Ctx<'_>) {
         self.send_pause(port, pg, u16::MAX, ctx);
         self.stats.pause_tx[port.index()] += 1;
-        self.tele.incr_port(&self.tele.pause_tx, port);
+        self.tele.incr_port(PortCounter::PauseTx, port);
         self.tele.hub.trace(
             ctx.now().as_ps(),
             self.tele.scope,
@@ -828,7 +860,7 @@ impl Switch {
             self.buffer.set_xoff(ingress.0, pg, false);
             self.send_pause(ingress, pg, 0, ctx);
             self.stats.resume_tx[ingress.index()] += 1;
-            self.tele.incr_port(&self.tele.resume_tx, ingress);
+            self.tele.incr_port(PortCounter::ResumeTx, ingress);
             self.tele.hub.trace(
                 ctx.now().as_ps(),
                 self.tele.scope,
@@ -1068,7 +1100,7 @@ impl Switch {
                         ip.ecn = EcnCodepoint::Ce;
                     }
                     self.stats.ecn_marked += 1;
-                    self.tele.hub.incr(self.tele.ecn_marked);
+                    self.tele.incr(SwitchCounter::EcnMarked);
                 }
             }
         }
@@ -1224,7 +1256,7 @@ impl Switch {
                     self.wd[p].lossless_disabled = false;
                     self.wd[p].undrainable_since = SimTime::MAX;
                     self.stats.watchdog_reenables += 1;
-                    self.tele.hub.incr(self.tele.wd_reenables);
+                    self.tele.incr(SwitchCounter::WatchdogReenables);
                     self.tele.hub.trace(
                         now.as_ps(),
                         self.tele.scope,
@@ -1258,7 +1290,7 @@ impl Switch {
     fn trip_watchdog(&mut self, port: PortId, ctx: &mut Ctx<'_>) {
         self.wd[port.index()].lossless_disabled = true;
         self.stats.watchdog_disables += 1;
-        self.tele.hub.incr(self.tele.wd_disables);
+        self.tele.incr(SwitchCounter::WatchdogDisables);
         self.tele.hub.trace(
             ctx.now().as_ps(),
             self.tele.scope,

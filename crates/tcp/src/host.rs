@@ -6,7 +6,7 @@ use std::any::Any;
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 
-use rocescale_monitor::{CounterId, MetricsHub, ScopeId, TraceEvent};
+use rocescale_monitor::{BlockId, Group, MetricsHub, Path, ScopeId, TraceEvent};
 use rocescale_packet::{
     EcnCodepoint, EthMeta, Ipv4Meta, MacAddr, Packet, PacketKind, Priority, TcpFlags, TcpSegment,
 };
@@ -218,32 +218,42 @@ pub const TOK_WAKE: u64 = 102;
 // instants an always-armed scan would fire on.
 const RTO_SCAN: SimTime = SimTime::from_micros(250);
 
-/// Pre-registered telemetry instrument ids (sentinels when disabled).
-#[derive(Default)]
+/// The host's counters, `tcp.{name}.{leaf}`, in block order.
+const TCP_COUNTERS: &[&str] = &[
+    "segments_tx",
+    "segments_rx",
+    "fast_retransmits",
+    "timeouts",
+    "msgs_delivered",
+];
+
+/// A counter of the host's block, by its place in [`TCP_COUNTERS`].
+#[derive(Clone, Copy)]
+enum TcpCounter {
+    SegmentsTx,
+    SegmentsRx,
+    FastRetransmits,
+    Timeouts,
+    MsgsDelivered,
+}
+
+/// The host's telemetry: its block of [`TCP_COUNTERS`] and its trace
+/// scope (sentinels when the hub is disabled).
+#[derive(Clone, Copy, Default)]
 struct TcpTele {
-    hub: MetricsHub,
+    base: BlockId,
     scope: ScopeId,
-    segments_tx: CounterId,
-    segments_rx: CounterId,
-    fast_retransmits: CounterId,
-    timeouts: CounterId,
-    msgs_delivered: CounterId,
 }
 
 impl TcpTele {
-    fn register(hub: MetricsHub, name: &str) -> TcpTele {
-        if !hub.is_enabled() {
-            // Every id would come back a sentinel: format no names.
-            return TcpTele::default();
-        }
+    fn register(cfg: &TcpHostConfig) -> TcpTele {
+        let block = cfg.telemetry.register(
+            Path::of("tcp", cfg.name.clone()),
+            &[Group::counters(TCP_COUNTERS)],
+        );
         TcpTele {
-            scope: hub.scope(&format!("tcp.{name}")),
-            segments_tx: hub.counter(&format!("tcp.{name}.segments_tx")),
-            segments_rx: hub.counter(&format!("tcp.{name}.segments_rx")),
-            fast_retransmits: hub.counter(&format!("tcp.{name}.fast_retransmits")),
-            timeouts: hub.counter(&format!("tcp.{name}.timeouts")),
-            msgs_delivered: hub.counter(&format!("tcp.{name}.msgs_delivered")),
-            hub,
+            base: block.base,
+            scope: block.scope,
         }
     }
 }
@@ -276,7 +286,7 @@ impl TcpHost {
     /// Build a host.
     pub fn new(cfg: TcpHostConfig) -> TcpHost {
         TcpHost {
-            tele: TcpTele::register(cfg.telemetry.clone(), &cfg.name),
+            tele: TcpTele::register(&cfg),
             cfg,
             conns: Vec::new(),
             by_port: HashMap::new(),
@@ -290,6 +300,12 @@ impl TcpHost {
             rto_armed: false,
             stats: TcpHostStats::default(),
         }
+    }
+
+    /// Count one event on one of the host's counters, if telemetry is
+    /// on.
+    fn incr(&self, c: TcpCounter) {
+        self.cfg.telemetry.incr(self.tele.base.counter(c as u32));
     }
 
     /// The configuration.
@@ -392,7 +408,7 @@ impl TcpHost {
             }
             if let Some((ci, seg)) = self.rtx.pop_front() {
                 self.stats.segments_tx += 1;
-                self.tele.hub.incr(self.tele.segments_tx);
+                self.incr(TcpCounter::SegmentsTx);
                 self.stats.cpu_ps += TX_PS_PER_SEGMENT;
                 let p = self.segment_packet(ci, seg, ctx);
                 self.stats.tx_bytes += p.wire_size() as u64;
@@ -416,7 +432,7 @@ impl TcpHost {
                         ctx.set_timer_on_grid(RTO_SCAN, TOK_RTO);
                     }
                     self.stats.segments_tx += 1;
-                    self.tele.hub.incr(self.tele.segments_tx);
+                    self.incr(TcpCounter::SegmentsTx);
                     self.stats.cpu_ps += TX_PS_PER_SEGMENT;
                     let p = self.segment_packet(i as u32, seg, ctx);
                     self.stats.tx_bytes += p.wire_size() as u64;
@@ -438,7 +454,7 @@ impl TcpHost {
         let now_ps = ctx.now().as_ps();
         if seg.payload > 0 {
             self.stats.segments_rx += 1;
-            self.tele.hub.incr(self.tele.segments_rx);
+            self.incr(TcpCounter::SegmentsRx);
             self.stats.cpu_ps += RX_PS_PER_SEGMENT;
             let delivered = {
                 let c = &mut self.conns[ci as usize];
@@ -476,8 +492,8 @@ impl TcpHost {
             if retransmit {
                 let rseg = self.conns[ci as usize].tx.retransmit_segment(now_ps);
                 self.stats.fast_retransmits += 1;
-                self.tele.hub.incr(self.tele.fast_retransmits);
-                self.tele.hub.trace(
+                self.incr(TcpCounter::FastRetransmits);
+                self.cfg.telemetry.trace(
                     now_ps,
                     self.tele.scope,
                     TraceEvent::Rollback {
@@ -524,7 +540,7 @@ impl TcpHost {
                 }
                 KernelOp::RxDeliver { conn } => {
                     self.stats.msgs_delivered += 1;
-                    self.tele.hub.incr(self.tele.msgs_delivered);
+                    self.incr(TcpCounter::MsgsDelivered);
                     let app = self.conns[conn as usize].app;
                     match app {
                         TcpApp::Echo { reply_len } => {
@@ -598,9 +614,9 @@ impl Node for TcpHost {
                     unacked |= self.conns[i].tx.flight() > 0;
                     if self.conns[i].tx.check_rto(now) {
                         self.stats.timeouts += 1;
-                        self.tele.hub.incr(self.tele.timeouts);
+                        self.incr(TcpCounter::Timeouts);
                         let seg = self.conns[i].tx.retransmit_segment(now);
-                        self.tele.hub.trace(
+                        self.cfg.telemetry.trace(
                             now,
                             self.tele.scope,
                             TraceEvent::Rollback {
