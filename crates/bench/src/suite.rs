@@ -226,10 +226,10 @@ pub fn all() -> &'static [Scenario] {
         Scenario {
             name: "inc_reroute",
             id: "INC-REROUTE (§5)",
-            title: "incident replay: mid-incast reroute and the flow-cache miss storm",
-            claim: "opening the route table mid-incast flushes the hot flow-decision cache \
-             exactly once; live flows re-resolve (a miss storm) and the incast survives the path \
-             change",
+            title: "incident replay: mid-incast reroute onto the idle uplink",
+            claim: "pinning a ToR's ECMP uplink group mid-incast to the uplink its flows are not \
+             on moves every flow at once: the old uplink carries no data after the reroute, the \
+             pinned one none before it, and the incast survives the path change",
             run: inc_reroute,
         },
         Scenario {
@@ -936,30 +936,26 @@ fn inc_scripted_deadlock(_args: &CliArgs) -> Report {
     rep
 }
 
-/// Mid-incast reroute incident: one real flow-cache flush, a miss storm,
+/// Mid-incast reroute incident: every flow moves to the pinned uplink
 /// and the incast survives.
 fn inc_reroute(_args: &CliArgs) -> Report {
     let r = incident::run_reroute(SimTime::from_millis(10));
     let mut t = Table::new(
-        "reroute",
-        &[
-            "invalidations",
-            "hits",
-            "misses before",
-            "misses after",
-            "tail MB",
-        ],
+        "reroute (data packets per uplink)",
+        &["uplink", "pinned", "before", "after"],
     );
-    t.row(vec![
-        Cell::U64(r.invalidations),
-        Cell::U64(r.hits),
-        Cell::U64(r.misses_before),
-        Cell::U64(r.misses_after),
-        Cell::f1(r.tail_goodput_bytes as f64 / 1e6),
-    ]);
+    for (i, &port) in r.uplinks.iter().enumerate() {
+        t.row(vec![
+            Cell::U64(port as u64),
+            Cell::Bool(port == r.pinned),
+            Cell::U64(r.data_before[i]),
+            Cell::U64(r.data_after[i]),
+        ]);
+    }
     let mut rep = Report::new();
     rep.scalar("digest", Cell::U64(r.digest));
     rep.scalar("events", Cell::U64(r.events));
+    rep.scalar("tail_mb", Cell::f1(r.tail_goodput_bytes as f64 / 1e6));
     rep.table(t);
     rep
 }
@@ -1092,7 +1088,6 @@ fn inc_fleet_scale(args: &CliArgs) -> Report {
     rep.scalar("lookahead_us", Cell::f2(r.lookahead_ps as f64 / 1e6));
     rep.scalar("goodput_mb", Cell::f2(r.goodput_bytes as f64 / 1e6));
     rep.scalar("lossless_drops", Cell::U64(r.lossless_drops));
-    rep.scalar("flow_cache_hit_rate", Cell::f2(r.flow_cache_hit_rate()));
     rep.scalar("slab_mb", Cell::f2(r.slab_bytes as f64 / 1e6));
     rep.table(t);
     trace_note(&mut rep, args, "fleet");

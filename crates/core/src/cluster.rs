@@ -1268,18 +1268,6 @@ impl<W: WorldSet> Cluster<W> {
             .sum()
     }
 
-    /// Aggregate flow-cache hits and misses across every switch.
-    pub fn flow_cache_totals(&self) -> (u64, u64) {
-        let mut hits = 0;
-        let mut misses = 0;
-        for i in 0..self.switches.len() {
-            let st = self.switch(i).flow_cache_stats();
-            hits += st.hits;
-            misses += st.misses;
-        }
-        (hits, misses)
-    }
-
     /// Fleet counter snapshot: every shard bank's counters merged by
     /// name, duplicates summed, name-sorted — deterministic regardless
     /// of shard count or threading.
@@ -1393,10 +1381,13 @@ impl<W: WorldSet> Cluster<W> {
     /// what callers quote for percentiles, since per-shard gauge banks
     /// only see their own shard's latencies.
     ///
-    /// Because a host logs its RTT samples in completion order across all
-    /// of its prober QPs, per-pair attribution uses each *prober host's*
-    /// dominant scope: hosts whose probes span several scopes contribute
-    /// to each (per-QP logs would be the production refinement).
+    /// A host logs its RTT samples in one list across all of its prober
+    /// QPs, so attribution is per prober host, not per pair: the first
+    /// pair in `pairs` that a host probes drains all of its samples under
+    /// that pair's scope, and its later pairs find the list empty. With
+    /// `install_pingmesh(2, …)` the scope of a host's second pair gets
+    /// none of its samples (per-QP logs would be the production
+    /// refinement).
     pub fn pingmesh_report(&mut self, pairs: &[(ServerId, ServerId)]) -> Pingmesh {
         use rocescale_monitor::pingmesh::ProbeResult;
         let mut banks: Vec<Pingmesh> = self

@@ -283,7 +283,7 @@ pub enum ScriptAction {
         on: bool,
     },
     /// Replace the ECMP group for `prefix/len` on switch `switch` with
-    /// `ports` (switch-local port numbers), flushing its flow cache.
+    /// `ports` (switch-local port numbers).
     Reroute {
         /// Switch name.
         switch: String,

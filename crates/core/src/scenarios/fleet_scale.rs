@@ -16,9 +16,9 @@
 //! `shards > 1`) plus one intra-pod rack-to-rack flow per pod — because
 //! the point is the *engine*, not the traffic: the result reports the
 //! per-shard wall-clock split, exchange-epoch/skipped-epoch and
-//! boundary-message counts, timer-wheel occupancy, flow-cache hit
-//! rates, and packet-slab footprint that tell us whether sharding pays
-//! at fleet scale. The flows are [`QpApp::Burst`]s (bounded transfers),
+//! boundary-message counts, timer-wheel occupancy and packet-slab
+//! footprint that tell us whether sharding pays at fleet scale. The
+//! flows are [`QpApp::Burst`]s (bounded transfers),
 //! so the run has the bulk-transfer shape of real fleets: a busy ramp,
 //! then a quiet tail where only periodic host timers fire — which is
 //! exactly what the exchange skips over.
@@ -91,10 +91,6 @@ pub struct FleetScaleResult {
     pub goodput_bytes: u64,
     /// Lossless drops (must be 0 — PFC holds at scale).
     pub lossless_drops: u64,
-    /// Flow-decision cache hits across every switch.
-    pub flow_cache_hits: u64,
-    /// Flow-decision cache misses across every switch.
-    pub flow_cache_misses: u64,
     /// Resident packet-slab bytes across shards: each shard's high-water
     /// slot count times the packet size (the last chunk's untouched tail
     /// is not counted).
@@ -104,15 +100,6 @@ pub struct FleetScaleResult {
 }
 
 impl FleetScaleResult {
-    /// Flow-cache hit rate over the whole fabric, 0..=1.
-    pub fn flow_cache_hit_rate(&self) -> f64 {
-        let total = self.flow_cache_hits + self.flow_cache_misses;
-        if total == 0 {
-            return 0.0;
-        }
-        self.flow_cache_hits as f64 / total as f64
-    }
-
     /// The lookahead-grid windows of the run, executed or skipped.
     pub fn grid_windows(&self) -> u64 {
         self.epochs + self.epochs_skipped
@@ -214,7 +201,6 @@ pub fn run_spec(
             }
         })
         .collect();
-    let (flow_cache_hits, flow_cache_misses) = c.flow_cache_totals();
     FleetScaleResult {
         hosts: c.server_count(),
         switches: c.switch_count(),
@@ -228,8 +214,6 @@ pub fn run_spec(
         lookahead_ps: c.lookahead().map_or(0, |l| l.as_ps()),
         goodput_bytes: c.total_rdma_goodput(),
         lossless_drops: c.lossless_drops(),
-        flow_cache_hits,
-        flow_cache_misses,
         slab_bytes: per_shard.iter().map(|s| s.slab_slots as u64).sum::<u64>() * pkt_size,
         per_shard,
     }
@@ -263,7 +247,6 @@ mod tests {
         assert!(r.goodput_bytes > 0, "{r:?}");
         assert_eq!(r.lossless_drops, 0, "PFC must hold at scale: {r:?}");
         assert!(r.lookahead_ps > 0);
-        assert!(r.flow_cache_hits > 0, "caches must warm up: {r:?}");
         assert!(r.slab_bytes > 0);
         assert_eq!(r.per_shard.len(), 2);
         assert!(r.per_shard.iter().all(|s| s.events > 0));

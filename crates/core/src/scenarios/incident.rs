@@ -2,9 +2,9 @@
 //! cluster, each a deterministic, digest-pinnable rerun of an
 //! operational incident class from the paper:
 //!
-//! * [`run_reroute`] — a mid-incast reroute: the route table is opened
-//!   while the flow-decision cache is hot, forcing one real cache flush
-//!   and a miss storm as every live flow re-resolves.
+//! * [`run_reroute`] — a mid-incast reroute: a ToR's ECMP uplink group
+//!   is pinned to the uplink its flows are not on, and every live flow
+//!   moves there.
 //! * [`run_cascade`] — a cascading pause storm: two NICs start storming
 //!   at staggered times, pauses propagate ToR → leaf, a scripted stop
 //!   ends both storms and the fabric recovers. The live deadlock
@@ -45,15 +45,16 @@ fn saturate(c: &mut Cluster, from: ServerId, to: ServerId, udp_src: u16) {
 /// Result of the mid-incast reroute replay.
 #[derive(Debug, Clone)]
 pub struct RerouteResult {
-    /// Flow-cache invalidations on the rerouted ToR — must be exactly 1:
-    /// one scripted `routes_mut` open, one live cache, one real flush.
-    pub invalidations: u64,
-    /// Cache misses on that ToR before the reroute fired.
-    pub misses_before: u64,
-    /// Cache misses after — the miss storm as live flows re-resolve.
-    pub misses_after: u64,
-    /// Cache hits over the whole run (the cache must have been hot).
-    pub hits: u64,
+    /// The rerouted ToR's ECMP uplink ports, in route order.
+    pub uplinks: Vec<u16>,
+    /// The uplink the script pins the group to.
+    pub pinned: u16,
+    /// Data packets each uplink sent before the reroute (PFC frames
+    /// excluded), indexed like `uplinks`.
+    pub data_before: Vec<u64>,
+    /// Data packets each uplink sent from the reroute to the end of the
+    /// run, indexed like `uplinks`.
+    pub data_after: Vec<u64>,
     /// Receiver goodput in the last quarter of the run, bytes (the
     /// incast must survive the reroute).
     pub tail_goodput_bytes: u64,
@@ -65,8 +66,8 @@ pub struct RerouteResult {
 
 /// Mid-incast reroute: rack-1's ToR carries a 4-to-1 incast toward
 /// rack 0 over its ECMP uplinks; at 3 ms a scripted reroute pins the
-/// inter-rack prefix to a single uplink. Opening the route table flushes
-/// the hot flow cache (counted once) and every live flow takes a miss.
+/// inter-rack prefix to the second uplink. At seed 17 the ECMP hash puts
+/// all four flows on the first, so the reroute moves every one of them.
 pub fn run_reroute(dur: SimTime) -> RerouteResult {
     let reroute_at = SimTime::from_millis(3);
     let spec = ClosSpec::uniform_40g(1, 2, 2, 2, 4);
@@ -79,16 +80,17 @@ pub fn run_reroute(dur: SimTime) -> RerouteResult {
         .iter()
         .position(|n| &*n.name == tor)
         .expect("topology names its ToRs");
-    let (prefix, len, ports) = topo
+    let (prefix, len, uplinks) = topo
         .routes(tor_idx)
         .iter()
         .find_map(|r| match r {
             RouteSpec::Via { prefix, len, ports } if ports.len() > 1 => {
-                Some((*prefix, *len, ports.clone()))
+                Some((*prefix, *len, ports.iter().map(|p| p.0).collect::<Vec<_>>()))
             }
             _ => None,
         })
         .expect("ToR has an ECMP uplink route");
+    let pinned = uplinks[1];
 
     let mut c = ClusterBuilder::new(spec)
         .seed(17)
@@ -98,7 +100,7 @@ pub fn run_reroute(dur: SimTime) -> RerouteResult {
                 switch: tor.to_string(),
                 prefix,
                 len,
-                ports: vec![ports[0].0],
+                ports: vec![pinned],
             },
         ))
         .build();
@@ -111,8 +113,19 @@ pub fn run_reroute(dur: SimTime) -> RerouteResult {
         .find(|i| c.switch_name(*i) == tor)
         .expect("built cluster keeps topology names");
 
+    let data_sent = |c: &Cluster| -> Vec<u64> {
+        let st = &c.switch(tor_i).stats;
+        uplinks
+            .iter()
+            .map(|&p| {
+                let p = p as usize;
+                st.tx_pkts[p] - st.pause_tx[p] - st.resume_tx[p]
+            })
+            .collect()
+    };
+
     c.run_until(SimTime(reroute_at.as_ps() - 1));
-    let before = c.switch(tor_i).flow_cache_stats();
+    let data_before = data_sent(&c);
     let mut goodput_at_three_quarters = 0u64;
     let mut t = c.now();
     let step = SimTime::from_millis(1);
@@ -123,12 +136,16 @@ pub fn run_reroute(dur: SimTime) -> RerouteResult {
             goodput_at_three_quarters = c.total_rdma_goodput();
         }
     }
-    let after = c.switch(tor_i).flow_cache_stats();
+    let data_after = data_sent(&c)
+        .iter()
+        .zip(&data_before)
+        .map(|(end, before)| end - before)
+        .collect();
     RerouteResult {
-        invalidations: after.invalidations - before.invalidations,
-        misses_before: before.misses,
-        misses_after: after.misses,
-        hits: after.hits,
+        uplinks,
+        pinned,
+        data_before,
+        data_after,
         tail_goodput_bytes: c.total_rdma_goodput() - goodput_at_three_quarters,
         digest: c.world.dispatch_digest(),
         events: c.world.events_processed(),
@@ -309,17 +326,21 @@ mod tests {
     use super::*;
 
     #[test]
-    fn reroute_counts_one_real_flush_and_a_miss_storm() {
+    fn reroute_moves_every_flow_onto_the_pinned_uplink() {
         let r = run_reroute(SimTime::from_millis(10));
-        assert_eq!(
-            r.invalidations, 1,
-            "one scripted reroute on a hot cache = exactly one invalidation"
-        );
-        assert!(r.hits > 0, "the cache must have been hot: {r:?}");
-        assert!(
-            r.misses_after > r.misses_before,
-            "live flows must re-resolve after the flush: {r:?}"
-        );
+        for (i, &port) in r.uplinks.iter().enumerate() {
+            if port == r.pinned {
+                assert_eq!(
+                    r.data_before[i], 0,
+                    "the pinned uplink must carry no data before the reroute: {r:?}"
+                );
+            } else {
+                assert_eq!(
+                    r.data_after[i], 0,
+                    "the old uplink must carry no data after the reroute: {r:?}"
+                );
+            }
+        }
         assert!(
             r.tail_goodput_bytes > 128 * 1024,
             "the incast must survive the reroute: {r:?}"

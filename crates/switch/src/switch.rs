@@ -6,7 +6,7 @@ use std::collections::VecDeque;
 
 use rocescale_monitor::{BlockId, Group, HopRecord, MetricsHub, Path, ScopeId, TraceEvent};
 use rocescale_packet::{
-    EcnCodepoint, FiveTuple, MacAddr, Packet, PacketKind, PauseFrame, PfcPauseFrame, Priority,
+    EcnCodepoint, MacAddr, Packet, PacketKind, PauseFrame, PfcPauseFrame, Priority,
 };
 use rocescale_sim::{Ctx, Node, Parked, PortId, SimTime};
 
@@ -364,8 +364,8 @@ pub enum AdminAction {
         /// Static XOFF threshold in bytes (used when `alpha` is `None`).
         xoff_static: u64,
     },
-    /// Replace the ECMP group for `prefix/len` mid-run (through
-    /// [`Switch::routes_mut`], so the flow cache flushes).
+    /// Replace the ECMP group for `prefix/len` mid-run; the next packet
+    /// routed by that prefix takes the new group.
     Reroute {
         /// Route prefix (host byte order).
         prefix: u32,
@@ -481,41 +481,15 @@ impl SwitchTele {
     }
 }
 
-/// Slots in the per-switch flow-decision cache (power of two,
-/// direct-mapped). 1024 × 24-byte entries ≈ 24 KiB per switch.
-const FLOW_CACHE_SLOTS: usize = 1024;
-
-/// One resolved ECMP decision: this exact five-tuple egresses on `port`.
-#[derive(Clone, Copy)]
-struct FlowCacheEntry {
-    key: FiveTuple,
-    port: PortId,
-}
-
-/// Flow-decision cache effectiveness counters.
+/// Always zero. Retained, with [`Switch::flow_cache_stats`], only
+/// because the frozen `examples/benchmark/src/fabric.rs` reads both; the
+/// next `benchmark` PR drops them.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FlowCacheStats {
-    /// Lookups answered from the cache (FIB walk + ECMP hash skipped).
+    /// Always zero.
     pub hits: u64,
-    /// Lookups that fell through to the full route lookup.
+    /// Always zero.
     pub misses: u64,
-    /// Times the whole cache was flushed because the route table was
-    /// opened for mutation.
-    pub invalidations: u64,
-}
-
-/// Direct-mapped slot for a five-tuple: a cheap word mix, deliberately
-/// *not* [`hash_five_tuple`] — the cache must be faster than the hash it
-/// short-circuits, and correctness never depends on this function (hits
-/// require full key equality).
-#[inline]
-fn flow_slot(t: &FiveTuple) -> usize {
-    let x = (t.src_ip as u64)
-        ^ ((t.dst_ip as u64) << 16)
-        ^ ((t.src_port as u64) << 32)
-        ^ ((t.dst_port as u64) << 43)
-        ^ ((t.protocol as u64) << 59);
-    (x.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 54) as usize % FLOW_CACHE_SLOTS
 }
 
 /// The switch node.
@@ -544,12 +518,6 @@ pub struct Switch {
     wd: Vec<WatchdogPort>,
     /// Round-robin counter for per-packet spraying (§8.1 ablation).
     spray_counter: u64,
-    /// Direct-mapped five-tuple → egress-port cache for ECMP `Via`
-    /// decisions; flushed whenever the route table is opened for
-    /// mutation ([`Switch::routes_mut`]).
-    flow_cache: Vec<Option<FlowCacheEntry>>,
-    /// Flow-cache effectiveness counters.
-    flow_stats: FlowCacheStats,
     /// Telemetry instruments (sentinels when the hub is disabled).
     tele: SwitchTele,
     /// Parked fault-script actions, addressed by admin timer tokens.
@@ -582,8 +550,6 @@ impl Switch {
             egress: (0..ports).map(|_| None).collect(),
             wd: vec![WatchdogPort::IDLE; ports],
             spray_counter: 0,
-            flow_cache: vec![None; FLOW_CACHE_SLOTS],
-            flow_stats: FlowCacheStats::default(),
             tele,
             admin: Vec::new(),
             stats: SwitchStats::new(ports),
@@ -636,29 +602,14 @@ impl Switch {
         &self.cfg
     }
 
-    /// Mutable route table (topology wiring). Opening the table for
-    /// mutation flushes the flow-decision cache: cached egress ports were
-    /// resolved against the table about to change, and a stale `Via`
-    /// decision would silently diverge from the FIB.
-    ///
-    /// `invalidations` counts only *real* flushes — at least one live
-    /// entry discarded. Opening an empty cache (build-time wiring, or
-    /// repeated reroutes before any traffic) costs nothing and is not an
-    /// invalidation event.
+    /// Mutable route table (topology wiring, scripted reroutes).
     pub fn routes_mut(&mut self) -> &mut RouteTable {
-        let mut flushed = false;
-        for e in self.flow_cache.iter_mut() {
-            flushed |= e.take().is_some();
-        }
-        if flushed {
-            self.flow_stats.invalidations += 1;
-        }
         &mut self.routes
     }
 
-    /// Flow-decision cache effectiveness counters.
+    /// Always zero: see [`FlowCacheStats`].
     pub fn flow_cache_stats(&self) -> FlowCacheStats {
-        self.flow_stats
+        FlowCacheStats::default()
     }
 
     /// Set the L3 peer MAC behind a fabric port (topology wiring).
@@ -938,55 +889,24 @@ impl Switch {
                 Via(PortId),
                 Connected,
             }
-            // Flow-decision cache: a five-tuple previously resolved to an
-            // ECMP `Via` port short-circuits the FIB walk and the ECMP
-            // hash. A hit requires full key equality, and the cache only
-            // ever holds tuple-selected `Via` decisions, so for any fixed
-            // route table the answer is bit-identical to the slow path;
-            // `routes_mut` flushes it before the table can change.
-            // Spraying bypasses it (the decision is stateful per packet).
-            let cached = if self.cfg.per_packet_spraying {
-                None
-            } else {
-                pkt.five_tuple().and_then(|t| {
-                    let hit = self.flow_cache[flow_slot(&t)]
-                        .filter(|e| e.key == t)
-                        .map(|e| e.port);
-                    if hit.is_some() {
-                        self.flow_stats.hits += 1;
-                    } else {
-                        self.flow_stats.misses += 1;
-                    }
-                    hit
-                })
-            };
-            let decision = if let Some(port) = cached {
-                Decision::Via(port)
-            } else {
-                match self.routes.lookup(dst_ip) {
-                    None => {
-                        self.note_drop(DropReason::NoRoute, now);
-                        return;
-                    }
-                    Some(NextHop::Via(group)) => {
-                        let port = if self.cfg.per_packet_spraying {
-                            self.spray_counter += 1;
-                            group.ports()[(self.spray_counter as usize) % group.ports().len()]
-                        } else {
-                            match pkt.five_tuple() {
-                                Some(t) => {
-                                    let port = group.select(&t, self.salt);
-                                    self.flow_cache[flow_slot(&t)] =
-                                        Some(FlowCacheEntry { key: t, port });
-                                    port
-                                }
-                                None => group.ports()[(dst_ip as usize) % group.ports().len()],
-                            }
-                        };
-                        Decision::Via(port)
-                    }
-                    Some(NextHop::Connected) => Decision::Connected,
+            let decision = match self.routes.lookup(dst_ip) {
+                None => {
+                    self.note_drop(DropReason::NoRoute, now);
+                    return;
                 }
+                Some(NextHop::Via(group)) => {
+                    let port = if self.cfg.per_packet_spraying {
+                        self.spray_counter += 1;
+                        group.ports()[(self.spray_counter as usize) % group.ports().len()]
+                    } else {
+                        match pkt.five_tuple() {
+                            Some(t) => group.select(&t, self.salt),
+                            None => group.ports()[(dst_ip as usize) % group.ports().len()],
+                        }
+                    };
+                    Decision::Via(port)
+                }
+                Some(NextHop::Connected) => Decision::Connected,
             };
             match decision {
                 Decision::Via(port) => {
@@ -1375,7 +1295,7 @@ impl Switch {
                 }
             }
             AdminAction::Reroute { prefix, len, ports } => {
-                self.routes_mut()
+                self.routes
                     .replace(prefix, len, crate::routing::EcmpGroup::new(ports));
             }
             AdminAction::EvictMac { mac } => self.evict_mac(mac),

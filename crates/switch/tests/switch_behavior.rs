@@ -547,18 +547,20 @@ fn ecmp_spreads_qps_across_uplinks() {
             );
         }
     }
-    // The repeated five-tuples were served by the flow-decision cache:
-    // 40 QPs → 40 misses (first packet of each), the rest hits.
-    let stats = world.node::<Switch>(sw_id).flow_cache_stats();
-    assert_eq!(stats.hits + stats.misses, 400);
-    assert!(stats.hits >= 300, "cache barely used: {stats:?}");
+    // Every packet left on its own five-tuple's salted hash pick.
+    let group = EcmpGroup::new(vec![PortId(1), PortId(2)]);
+    for (up, port) in [(up1, PortId(1)), (up2, PortId(2))] {
+        for p in &world.node::<TestHost>(up).received {
+            assert_eq!(group.select(&p.five_tuple().unwrap(), 7), port);
+        }
+    }
 }
 
-/// A route change through `routes_mut` must flush the flow-decision
-/// cache: flows that cached an ECMP pick on the old table follow the new
-/// table immediately, not their stale cached port.
+/// A route change through `routes_mut` takes effect for live flows at
+/// once: flows that hashed onto either uplink under the old table all
+/// follow the new one.
 #[test]
-fn flow_cache_invalidated_on_route_change() {
+fn route_change_moves_live_flows() {
     let sw_mac = MacAddr::from_id(100);
     let a_mac = MacAddr::from_id(1);
     let mut cfg = SwitchConfig::new("leaf", 3);
@@ -595,16 +597,14 @@ fn flow_cache_invalidated_on_route_change() {
     };
     enqueue(&mut world, 0);
     assert!(world.run_until_idle(1_000_000));
-    let warm = world.node::<Switch>(sw_id).flow_cache_stats();
-    assert!(warm.hits > 0, "cache never hit during warmup: {warm:?}");
     let before1 = world.node::<TestHost>(up1).received.len();
     let before2 = world.node::<TestHost>(up2).received.len();
     assert!(
         before1 > 0 && before2 > 0,
         "ECMP imbalance: {before1}/{before2}"
     );
-    // Reroute: a /32 for the destination via uplink 2 only. `routes_mut`
-    // must flush every cached decision, including flows pinned to port 1.
+    // Reroute: a /32 for the destination via uplink 2 only, including
+    // for the flows that hashed onto port 1.
     world
         .node_mut::<Switch>(sw_id)
         .routes_mut()
@@ -614,10 +614,8 @@ fn flow_cache_invalidated_on_route_change() {
     assert!(world.run_until_idle(1_000_000));
     let after1 = world.node::<TestHost>(up1).received.len();
     let after2 = world.node::<TestHost>(up2).received.len();
-    assert_eq!(after1, before1, "stale cached decision used after reroute");
+    assert_eq!(after1, before1, "old decision used after reroute");
     assert_eq!(after2, before2 + 100, "reroute did not take effect");
-    let stats = world.node::<Switch>(sw_id).flow_cache_stats();
-    assert!(stats.invalidations >= 1, "no flush recorded: {stats:?}");
 }
 
 /// Three egress ports of one switch go idle on the same tick, over and
