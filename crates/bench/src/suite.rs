@@ -942,13 +942,14 @@ fn inc_reroute(_args: &CliArgs) -> Report {
     let r = incident::run_reroute(SimTime::from_millis(10));
     let mut t = Table::new(
         "reroute (data packets per uplink)",
-        &["uplink", "pinned", "before", "after"],
+        &["uplink", "pinned", "before", "queued", "after"],
     );
     for (i, &port) in r.uplinks.iter().enumerate() {
         t.row(vec![
             Cell::U64(port as u64),
             Cell::Bool(port == r.pinned),
             Cell::U64(r.data_before[i]),
+            Cell::U64(r.queued_at_reroute[i]),
             Cell::U64(r.data_after[i]),
         ]);
     }

@@ -30,12 +30,6 @@ use crate::profiles::{
     ExecutionProfile, FabricProfile, FaultProfile, ScriptAction, TransportProfile,
 };
 
-/// Per-shard world-seed stride: shard `s` seeds its world with
-/// `seed + s * STRIDE`, so shard 0 keeps the builder's seed (and thus
-/// the single-shard event stream) while other shards draw independent
-/// streams.
-const SHARD_SEED_STRIDE: u64 = 0x9E37_79B9_7F4A_7C15;
-
 /// Park an admin action in a switch and schedule the timer that fires it
 /// — the build-time translation of one scripted incident step.
 fn sched_admin(world: &mut World, at: SimTime, sim: NodeId, action: AdminAction) {
@@ -273,9 +267,11 @@ impl ClusterBuilder {
         } else {
             Vec::new()
         };
-        let mut worlds: Vec<World> = (0..nshards as u64)
-            .map(|s| {
-                let mut w = World::new(self.seed.wrapping_add(s.wrapping_mul(SHARD_SEED_STRIDE)));
+        let mut worlds: Vec<World> = (0..nshards)
+            .map(|_| {
+                // Every shard keys its draws on the cluster seed: a draw
+                // names what it decides, never where that is simulated.
+                let mut w = World::new(self.seed);
                 w.set_profile_mode(self.instr.profile);
                 w
             })

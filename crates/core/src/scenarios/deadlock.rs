@@ -516,18 +516,27 @@ mod tests {
     /// byte-wise FNV-1a to one multiply per event (from
     /// 10008809752035063281 / 1482366 and 12484319062180651156 /
     /// 2413761).
+    ///
+    /// Re-pinned a fourth time when ECN marking became a draw keyed on
+    /// the packet (from 1769131210903183254 / 1482366 and
+    /// 2822457155538983313 / 2413761). The ramp marks other packets, so
+    /// the senders pace differently. Fix off, the wedge forms at another
+    /// instant: `[start, arrival, port idle, timer]` went `[10, 656727,
+    /// 656727, 168902]` → `[10, 538186, 538186, 140753]`. Fix on, every
+    /// per-kind count stayed `[10, 1083413, 1083415, 246923]`; only
+    /// which packets carried CE, and so the stream's contents, moved.
     #[test]
     fn scripted_replay_digests_are_pinned() {
         let off = run_scripted(false, SimTime::from_millis(40));
         assert_eq!(
             (off.digest, off.events),
-            (1769131210903183254, 1482366),
+            (5229551613961174605, 1217135),
             "fix-off replay deviates from its committed trace"
         );
         let on = run_scripted(true, SimTime::from_millis(40));
         assert_eq!(
             (on.digest, on.events),
-            (2822457155538983313, 2413761),
+            (12927064539079872690, 2413761),
             "fix-on replay deviates from its committed trace"
         );
     }

@@ -35,17 +35,18 @@ const PMAX: f64 = 0.01;
 
 /// The congestion point (switch): RED/WRED marking on instantaneous egress
 /// queue length, as the DCQCN paper recommends. Decide whether to CE-mark
-/// a packet arriving to an egress queue of `queue_bytes`, given a uniform
-/// random draw in `[0,1)`. Marking is memoryless, so this function is the
-/// whole congestion point.
-pub fn should_mark(queue_bytes: u64, uniform_draw: f64) -> bool {
+/// a packet arriving to an egress queue of `queue_bytes`. `draw` yields a
+/// uniform value in `[0, 1)` and is called only inside (Kmin, Kmax), where
+/// it can change the outcome. Marking is memoryless, so this function is
+/// the whole congestion point.
+pub fn should_mark(queue_bytes: u64, draw: impl FnOnce() -> f64) -> bool {
     if queue_bytes <= KMIN_BYTES {
         false
     } else if queue_bytes >= KMAX_BYTES {
         true
     } else {
         let frac = (queue_bytes - KMIN_BYTES) as f64 / (KMAX_BYTES - KMIN_BYTES) as f64;
-        uniform_draw < frac * PMAX
+        draw() < frac * PMAX
     }
 }
 
@@ -379,14 +380,16 @@ mod tests {
 
     #[test]
     fn cp_marking_ramp() {
-        // Below Kmin: never.
-        assert!(!should_mark(10 * 1024, 0.0));
-        // Above Kmax: always.
-        assert!(should_mark(300 * 1024, 0.999));
+        // Outside (Kmin, Kmax) the outcome is fixed and nothing is drawn.
+        let no_draw = || -> f64 { panic!("drew outside the ramp") };
+        assert!(!should_mark(10 * 1024, no_draw));
+        assert!(!should_mark(KMIN_BYTES, no_draw));
+        assert!(should_mark(KMAX_BYTES, no_draw));
+        assert!(should_mark(300 * 1024, no_draw));
         // Midpoint: probability pmax/2.
         let mid = (40 + (200 - 40) / 2) * 1024;
-        assert!(should_mark(mid, 0.004));
-        assert!(!should_mark(mid, 0.006));
+        assert!(should_mark(mid, || 0.004));
+        assert!(!should_mark(mid, || 0.006));
     }
 
     /// Closed-loop stability: if the congestion point marks only while the

@@ -14,9 +14,10 @@
 //! 1. Events are ordered by `(time, sequence-number)`, the sequence number
 //!    being a monotone counter assigned at scheduling time, so simultaneous
 //!    events fire in a defined order.
-//! 2. All randomness flows from one seeded in-tree [`SimRng`] owned by
-//!    the [`World`] — no external PRNG crate, so identical seeds give
-//!    identical runs regardless of dependency version drift.
+//! 2. Every random decision is [`rng::keyed`] on the world's seed and on
+//!    what it decides ([`Ctx::draw`]); no device holds random state, so a
+//!    draw does not depend on draw order, on other devices' draws or on
+//!    which shard's world the device lives in.
 //!
 //! The design follows smoltcp's event-driven philosophy: protocol logic
 //! lives in plain state machines (see `rocescale-transport`,
@@ -28,7 +29,7 @@
 #![warn(missing_docs)]
 
 mod arena;
-mod rng;
+pub mod rng;
 pub mod sched;
 mod shard;
 mod time;

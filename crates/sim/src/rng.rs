@@ -1,15 +1,32 @@
-//! In-tree deterministic PRNG: SplitMix64 seeding + xoshiro256**.
-//!
-//! The simulator previously drew randomness from the external `rand`
-//! crate's `SmallRng`. That coupled reproducibility to a registry
-//! dependency (hermetic/offline builds broke) and to `rand`'s freedom to
-//! change `SmallRng`'s algorithm between versions — which would silently
-//! change every seeded scenario. This module pins the generator in-tree:
-//! identical seeds give identical runs on every toolchain, forever.
-//!
-//! The algorithms are the public-domain SplitMix64 (seed expansion) and
-//! xoshiro256** 1.0 (Blackman & Vigna), the same pair `rand`'s own
-//! `SmallRng` has used on 64-bit targets.
+//! In-tree deterministic randomness. Every random decision of the
+//! simulation draws [`keyed`]`(seed, key)`, the key naming what is decided
+//! (a flow's five-tuple, one packet at one egress port, one message
+//! through one socket): a pure function of the seed and that key, not of
+//! draw order, of other devices' draws or of the shard a device lives
+//! in. [`SimRng`] (SplitMix64 seeding + xoshiro256** 1.0, the pair
+//! `rand`'s `SmallRng` used on 64-bit targets) is a stream generator for
+//! tests and workload generators.
+
+/// SplitMix64's increment, the golden-ratio constant.
+const GOLDEN: u64 = 0x9e37_79b9_7f4a_7c15;
+
+/// The stateless draw: start from `seed ^ GOLDEN`, then for each word of
+/// `key` apply one SplitMix64 step to `x + word`.
+pub fn keyed(seed: u64, key: &[u64]) -> u64 {
+    key.iter()
+        .fold(seed ^ GOLDEN, |x, &w| splitmix64(x.wrapping_add(w)).1)
+}
+
+/// The top 53 bits of `x` as a uniform `f64` in `[0, 1)`.
+pub fn unit(x: u64) -> f64 {
+    (x >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
+}
+
+/// `x` scaled into `[0, bound)` by a multiply-high (bias below
+/// `bound / 2^64`). `bound` must be non-zero.
+pub fn below(x: u64, bound: u64) -> u64 {
+    ((x as u128 * bound as u128) >> 64) as u64
+}
 
 /// A small, fast, deterministic PRNG (xoshiro256**) seeded via SplitMix64.
 ///
@@ -23,7 +40,7 @@ pub struct SimRng {
 /// One step of SplitMix64; used to expand a 64-bit seed into the 256-bit
 /// xoshiro state so that similar seeds still give uncorrelated streams.
 const fn splitmix64(state: u64) -> (u64, u64) {
-    let state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+    let state = state.wrapping_add(GOLDEN);
     let mut z = state;
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
@@ -58,11 +75,6 @@ impl SimRng {
     /// Next 32 random bits.
     pub fn next_u32(&mut self) -> u32 {
         (self.next_u64() >> 32) as u32
-    }
-
-    /// Uniform `f64` in `[0, 1)` with 53 bits of precision.
-    pub fn gen_f64(&mut self) -> f64 {
-        (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
     }
 
     /// Uniform integer in `[range.start, range.end)`. Panics if empty.
@@ -100,13 +112,51 @@ impl SimRng {
 
     /// Bernoulli draw: true with probability `p` (clamped to `[0, 1]`).
     pub fn gen_bool(&mut self, p: f64) -> bool {
-        self.gen_f64() < p
+        unit(self.next_u64()) < p
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn keyed_is_a_pure_function_of_seed_and_key() {
+        assert_eq!(keyed(7, &[1, 2, 3]), keyed(7, &[1, 2, 3]));
+        // Every word, its position and the seed matter.
+        let base = keyed(7, &[1, 2, 3]);
+        for other in [
+            keyed(8, &[1, 2, 3]),
+            keyed(7, &[1, 2, 4]),
+            keyed(7, &[2, 1, 3]),
+            keyed(7, &[1, 2]),
+            keyed(7, &[1, 2, 3, 0]),
+        ] {
+            assert_ne!(base, other);
+        }
+        // The empty key is the seed's own mix.
+        assert_eq!(keyed(0, &[]), GOLDEN);
+    }
+
+    #[test]
+    fn keyed_draws_are_roughly_uniform() {
+        let mut counts = [0u32; 8];
+        let mut sum = 0.0;
+        for i in 0..80_000u64 {
+            let x = keyed(42, &[3, i]);
+            counts[below(x, 8) as usize] += 1;
+            sum += unit(x);
+        }
+        for c in counts {
+            assert!(
+                (9_000..11_000).contains(&c),
+                "bucket count {c} far from 10k"
+            );
+        }
+        assert!((sum / 80_000.0 - 0.5).abs() < 0.01);
+        assert_eq!(below(u64::MAX, 10), 9);
+        assert_eq!(below(0, 10), 0);
+    }
 
     #[test]
     fn xoshiro_reference_vector() {
@@ -146,8 +196,8 @@ mod tests {
     #[test]
     fn f64_in_unit_interval() {
         let mut r = SimRng::from_seed(7);
-        for _ in 0..10_000 {
-            let x = r.gen_f64();
+        for x in (0..10_000).map(|_| r.next_u64()).chain([0, u64::MAX]) {
+            let x = unit(x);
             assert!((0.0..1.0).contains(&x), "{x} out of [0,1)");
         }
     }

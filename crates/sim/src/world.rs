@@ -5,7 +5,6 @@ use std::any::Any;
 use rocescale_packet::Packet;
 
 use crate::arena::PacketArena;
-use crate::rng::SimRng;
 use crate::sched::{EngineKind, EventQueue, SchedStats};
 use crate::time::SimTime;
 use crate::{serialization_ps, PROPAGATION_PS_PER_METER};
@@ -302,7 +301,8 @@ struct WorldCore {
     now: SimTime,
     queue: EventQueue<EventKind>,
     ports: Vec<PortTable>,
-    rng: SimRng,
+    /// The cluster seed [`Ctx::draw`] keys on.
+    seed: u64,
     next_packet_id: u64,
     events_processed: u64,
     /// Packet storage for every packet on a wire (indexed by
@@ -380,14 +380,15 @@ pub struct World {
 }
 
 impl World {
-    /// Create an empty world with a deterministic RNG seed.
+    /// Create an empty world whose random decisions are keyed on `seed`
+    /// (see [`Ctx::draw`]).
     pub fn new(seed: u64) -> World {
         World {
             core: WorldCore {
                 now: SimTime::ZERO,
                 queue: EventQueue::new(EngineKind::Wheel),
                 ports: Vec::new(),
-                rng: SimRng::from_seed(seed),
+                seed,
                 next_packet_id: 1,
                 events_processed: 0,
                 packets: PacketArena::new(),
@@ -732,9 +733,12 @@ impl Ctx<'_> {
         self.node
     }
 
-    /// The world's deterministic RNG.
-    pub fn rng(&mut self) -> &mut SimRng {
-        &mut self.core.rng
+    /// [`crate::rng::keyed`] on the world's seed: the random word of the
+    /// decision `key` names. Key on what is decided, never on a
+    /// [`NodeId`] (shard-local) or on how many draws the device or world
+    /// made before, so the draw is the same in every shard layout.
+    pub fn draw(&self, key: &[u64]) -> u64 {
+        crate::rng::keyed(self.core.seed, key)
     }
 
     fn fold_digest(&mut self, time: SimTime, tag: u64, node: NodeId, detail: u64) {
@@ -956,6 +960,7 @@ impl Ctx<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rng::SimRng;
     use rocescale_packet::{EthMeta, MacAddr, Packet, PacketKind};
 
     /// A node that sends `count` raw frames back-to-back and records what

@@ -11,7 +11,7 @@ use std::any::Any;
 use std::cell::Cell;
 
 use rocescale_packet::Packet;
-use rocescale_sim::{Ctx, Node, PortId, SimTime, World};
+use rocescale_sim::{Ctx, Node, PortId, SimRng, SimTime, World};
 
 thread_local! {
     /// Allocation events (alloc, alloc_zeroed, realloc) on this thread.
@@ -54,15 +54,16 @@ unsafe impl GlobalAlloc for Counting {
 static GLOBAL: Counting = Counting;
 
 /// Keeps `pending` timers queued: each one that fires re-arms itself
-/// 1 ns to 2 ms ahead, drawn from the world's RNG — deadlines that land
-/// in level-0, level-1 and level-2 slots alike.
+/// 1 ns to 2 ms ahead, drawn from the node's own RNG — deadlines that
+/// land in level-0, level-1 and level-2 slots alike.
 struct Ticker {
     pending: u64,
+    rng: SimRng,
 }
 
 impl Ticker {
-    fn arm(ctx: &mut Ctx<'_>) {
-        let delay = 1_000 + ctx.rng().gen_below(2_000_000_000);
+    fn arm(&mut self, ctx: &mut Ctx<'_>) {
+        let delay = 1_000 + self.rng.gen_below(2_000_000_000);
         ctx.set_timer(SimTime(delay), 0);
     }
 }
@@ -70,12 +71,12 @@ impl Ticker {
 impl Node for Ticker {
     fn on_start(&mut self, ctx: &mut Ctx<'_>) {
         for _ in 0..self.pending {
-            Ticker::arm(ctx);
+            self.arm(ctx);
         }
     }
     fn on_packet(&mut self, _: PortId, _: Packet, _: &mut Ctx<'_>) {}
     fn on_timer(&mut self, _: u64, ctx: &mut Ctx<'_>) {
-        Ticker::arm(ctx);
+        self.arm(ctx);
     }
     fn as_any(&self) -> &dyn Any {
         self
@@ -89,7 +90,10 @@ impl Node for Ticker {
 fn wheel_allocations_grow_with_log_peak_pending_not_slots_touched() {
     for pending in [16u64, 256, 4096] {
         let mut w = World::new(3);
-        w.add_node(Box::new(Ticker { pending }));
+        w.add_node(Box::new(Ticker {
+            pending,
+            rng: SimRng::from_seed(3),
+        }));
         let before = ALLOCS.with(Cell::get);
         w.run_until(SimTime::from_millis(20));
         let allocs = ALLOCS.with(Cell::get) - before;

@@ -8,6 +8,7 @@
 //! hash reproduces.
 
 use rocescale_packet::FiveTuple;
+use rocescale_sim::rng::keyed;
 use rocescale_sim::PortId;
 
 /// A set of equal-cost egress ports.
@@ -42,21 +43,17 @@ impl EcmpGroup {
     }
 }
 
-/// Deterministic 64-bit mix of the five-tuple (SplitMix64 finalizer — no
-/// external dependency, stable across runs).
+/// The five-tuple's ECMP hash: [`keyed`] on the switch's salt, the tuple
+/// packed into three words.
 pub fn hash_five_tuple(t: &FiveTuple, salt: u64) -> u64 {
-    let mut x = salt ^ 0x9e37_79b9_7f4a_7c15;
-    for word in [
-        t.src_ip as u64,
-        t.dst_ip as u64,
-        ((t.protocol as u64) << 32) | ((t.src_port as u64) << 16) | t.dst_port as u64,
-    ] {
-        x = x.wrapping_add(word).wrapping_add(0x9e37_79b9_7f4a_7c15);
-        x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        x ^= x >> 31;
-    }
-    x
+    keyed(
+        salt,
+        &[
+            t.src_ip as u64,
+            t.dst_ip as u64,
+            ((t.protocol as u64) << 32) | ((t.src_port as u64) << 16) | t.dst_port as u64,
+        ],
+    )
 }
 
 #[derive(Debug, Clone)]
@@ -214,6 +211,39 @@ mod tests {
             .filter(|sp| g.select(&tuple(*sp), 1) != g.select(&tuple(*sp), 2))
             .count();
         assert!(differs > 50, "only {differs}/100 differ");
+    }
+
+    /// The hash is the fold ECMP always used, bit for bit, so no flow's
+    /// path moved when it became a [`keyed`] draw. The reference below is
+    /// that fold as it was written inline.
+    #[test]
+    fn hash_is_the_historical_five_tuple_fold() {
+        fn reference(t: &FiveTuple, salt: u64) -> u64 {
+            let mut x = salt ^ 0x9e37_79b9_7f4a_7c15;
+            for word in [
+                t.src_ip as u64,
+                t.dst_ip as u64,
+                ((t.protocol as u64) << 32) | ((t.src_port as u64) << 16) | t.dst_port as u64,
+            ] {
+                x = x.wrapping_add(word).wrapping_add(0x9e37_79b9_7f4a_7c15);
+                x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+                x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+                x ^= x >> 31;
+            }
+            x
+        }
+        let mut rng = rocescale_sim::SimRng::from_seed(0xEC3F);
+        for _ in 0..100_000 {
+            let t = FiveTuple {
+                src_ip: rng.next_u32(),
+                dst_ip: rng.next_u32(),
+                protocol: rng.next_u32() as u8,
+                src_port: rng.next_u32() as u16,
+                dst_port: rng.next_u32() as u16,
+            };
+            let salt = rng.next_u64();
+            assert_eq!(hash_five_tuple(&t, salt), reference(&t, salt));
+        }
     }
 
     #[test]

@@ -8,6 +8,7 @@ use rocescale_monitor::{BlockId, Group, HopRecord, MetricsHub, Path, ScopeId, Tr
 use rocescale_packet::{
     EcnCodepoint, MacAddr, Packet, PacketKind, PauseFrame, PfcPauseFrame, Priority,
 };
+use rocescale_sim::rng::unit;
 use rocescale_sim::{Ctx, Node, Parked, PortId, SimTime};
 
 use crate::buffer::{AdmitOutcome, SharedBuffer};
@@ -657,13 +658,18 @@ impl Switch {
             .unwrap_or(0)
     }
 
+    /// Data packets queued at one egress port, across all classes.
+    pub fn egress_packets(&self, port: PortId) -> usize {
+        self.egress[port.index()]
+            .as_ref()
+            .map_or(0, |e| e.queues.iter().map(VecDeque::len).sum())
+    }
+
     /// Data packets queued across all egress ports. Each one holds a slot
     /// in its world's packet slab until it is transmitted or dropped.
     pub fn queued_packets(&self) -> usize {
-        self.egress
-            .iter()
-            .flatten()
-            .map(|e| e.queues.iter().map(VecDeque::len).sum::<usize>())
+        (0..self.egress.len() as u16)
+            .map(|p| self.egress_packets(PortId(p)))
             .sum()
     }
 
@@ -1009,19 +1015,17 @@ impl Switch {
             return;
         }
         // DCQCN congestion point: mark on egress queue depth at enqueue.
-        // Marking is memoryless, so `cfg.ecn` is its whole state.
+        // Marking is memoryless, so `cfg.ecn` is its whole state. The
+        // ramp's draw is keyed on this packet at this port and instant.
         let e = self.egress[egress.index()].get_or_insert_with(Box::default);
-        if pkt.ip.map(|ip| ip.ecn) == Some(EcnCodepoint::Ect) {
+        if let Some(ip) = pkt.ip.as_mut().filter(|ip| ip.ecn == EcnCodepoint::Ect) {
             let depth = e.queue_bytes[prio.index()] as u64;
-            if self.cfg.ecn[prio.index()] {
-                let draw: f64 = ctx.rng().gen_f64();
-                if rocescale_dcqcn::should_mark(depth, draw) {
-                    if let Some(ip) = pkt.ip.as_mut() {
-                        ip.ecn = EcnCodepoint::Ce;
-                    }
-                    self.stats.ecn_marked += 1;
-                    self.tele.incr(SwitchCounter::EcnMarked);
-                }
+            let (src, id, now) = (ip.src as u64, ip.id as u64, ctx.now().as_ps());
+            let draw = || unit(ctx.draw(&[self.salt, egress.0 as u64, src, id, now]));
+            if self.cfg.ecn[prio.index()] && rocescale_dcqcn::should_mark(depth, draw) {
+                ip.ecn = EcnCodepoint::Ce;
+                self.stats.ecn_marked += 1;
+                self.tele.incr(SwitchCounter::EcnMarked);
             }
         }
         // Hop streaming: capture flow identity before the packet moves

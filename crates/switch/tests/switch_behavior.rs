@@ -701,3 +701,79 @@ fn same_tick_port_idles_each_start_their_next_frame_in_event_order() {
     }
     assert_eq!(world.node::<Switch>(sw_id).stats.total_drops(), 0);
 }
+
+/// Marking draws are keyed on the packet, port and instant, not taken
+/// from a stream shared by the world: the packets of flow A → B the ramp
+/// marks are the same whether or not an unrelated flow C → D is marked
+/// at another egress port at the same time.
+#[test]
+fn a_flows_marks_do_not_depend_on_other_ports_draws() {
+    const IP_C: u32 = 0x0a000003;
+    const IP_D: u32 = 0x0a000004;
+    let run = |with_other_flow: bool| {
+        let sw_mac = MacAddr::from_id(100);
+        let macs = [1, 2, 3, 4].map(MacAddr::from_id);
+        let ips = [IP_A, IP_B, IP_C, IP_D];
+        let mut cfg = SwitchConfig::new("tor", 4);
+        cfg.port_roles = vec![PortRole::Server; 4];
+        // Static XOFF: each ingress pauses on its own occupancy, so the
+        // other flow cannot move A's queue through the shared buffer.
+        cfg.buffer.alpha = None;
+        let mut sw = Switch::new(cfg, sw_mac, 7);
+        sw.routes_mut().add_connected(0x0a000000, 24);
+        for (i, (&ip, &mac)) in ips.iter().zip(&macs).enumerate() {
+            sw.seed_arp(ip, mac, SimTime::ZERO);
+            sw.seed_mac(mac, PortId(i as u16), SimTime::ZERO);
+        }
+        let mut world = World::new(42);
+        let sw_id = world.add_node(Box::new(sw));
+        let hosts: Vec<NodeId> = macs
+            .iter()
+            .enumerate()
+            .map(|(i, &mac)| {
+                let h = world.add_node(Box::new(TestHost::new(mac)));
+                // Receivers B and D are slow, so both egress queues climb
+                // the marking ramp.
+                let bps = [40_000_000_000, 4_000_000_000][i % 2];
+                world.connect(
+                    h,
+                    PortId(0),
+                    sw_id,
+                    PortId(i as u16),
+                    LinkSpec::with_length(bps, 2),
+                );
+                h
+            })
+            .collect();
+        let senders = if with_other_flow { 2 } else { 1 };
+        for s in 0..senders {
+            let (src, dst) = (2 * s, 2 * s + 1);
+            let host = world.node_mut::<TestHost>(hosts[src]);
+            for i in 0..2000u64 {
+                host.queue.push_back(roce_data(
+                    i, macs[src], sw_mac, ips[src], ips[dst], 3, i as u16, 1024, 5000,
+                ));
+            }
+        }
+        assert!(world.run_until_idle(10_000_000));
+        let b = world.node::<TestHost>(hosts[1]);
+        let ce = b
+            .received
+            .iter()
+            .filter(|p| p.ip.unwrap().ecn == EcnCodepoint::Ce);
+        let marked: Vec<u16> = ce.map(|p| p.ip.unwrap().id).collect();
+        let d_marked = world.node::<Switch>(sw_id).stats.ecn_marked - marked.len() as u64;
+        (marked, world.node::<TestHost>(hosts[0]).pause_rx, d_marked)
+    };
+    let (alone, alone_pauses, _) = run(false);
+    let (shared, shared_pauses, other_marks) = run(true);
+    assert!(
+        !alone.is_empty() && other_marks > 0,
+        "both queues must mark"
+    );
+    assert_eq!(
+        alone_pauses, shared_pauses,
+        "A must see the same PFC either way"
+    );
+    assert_eq!(alone, shared, "A's marks moved with C → D's traffic");
+}

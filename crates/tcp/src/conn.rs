@@ -247,7 +247,10 @@ impl TcpSender {
                 self.stats.timeouts += 1;
                 self.ssthresh = (self.flight() as f64 / 2.0).max(2.0 * MSS as f64);
                 self.cwnd = MSS as f64;
-                self.recover = None;
+                // Each partial ACK retransmits the next hole (RFC 6582
+                // §3.2): the collapsed cwnd sends nothing new, so a
+                // second hole would otherwise wait a doubled RTO.
+                self.recover = Some(self.snd_nxt);
                 self.dupacks = 0;
                 self.timing = None;
                 // Exponential backoff.
@@ -468,6 +471,43 @@ mod tests {
         assert_eq!(tx.cwnd(), 1460, "RTO collapses cwnd to 1 MSS");
         let d2 = tx.rto_deadline_ps().unwrap();
         assert!(d2 - d >= d, "backoff grows the deadline");
+    }
+
+    #[test]
+    fn a_timeout_recovers_every_hole_of_its_window_without_another() {
+        let mut tx = TcpSender::default();
+        let mut rx = TcpReceiver::new();
+        tx.write_message(10 * 1460);
+        let mut segs = Vec::new();
+        while let Some(s) = tx.next_segment(0) {
+            segs.push(s);
+        }
+        // Segments 0 and 5 are lost and too few follow 5 for three
+        // duplicate ACKs to have fired before the timeout.
+        for (i, s) in segs.iter().enumerate() {
+            if i != 0 && i != 5 {
+                rx.on_segment(s.seq, s.payload, s.flags.psh);
+            }
+        }
+        let d = tx.rto_deadline_ps().unwrap();
+        assert!(tx.check_rto(d));
+        let r = tx.retransmit_segment(d);
+        rx.on_segment(r.seq, r.payload, r.flags.psh);
+        assert_eq!(
+            rx.ack_value(),
+            segs[5].seq,
+            "the ACK stops at the second hole"
+        );
+        assert!(
+            tx.on_ack(rx.ack_value(), d + 1),
+            "a partial ACK retransmits the next hole"
+        );
+        let r = tx.retransmit_segment(d + 1);
+        assert_eq!(r.seq, segs[5].seq);
+        rx.on_segment(r.seq, r.payload, r.flags.psh);
+        assert!(!tx.on_ack(rx.ack_value(), d + 2));
+        assert!(tx.is_idle());
+        assert_eq!(tx.stats.timeouts, 1);
     }
 
     #[test]

@@ -10,12 +10,14 @@ use rocescale_monitor::{BlockId, Group, MetricsHub, Path, ScopeId, TraceEvent};
 use rocescale_packet::{
     EcnCodepoint, EthMeta, Ipv4Meta, MacAddr, Packet, PacketKind, Priority, TcpFlags, TcpSegment,
 };
-use rocescale_sim::{Ctx, Node, PortId, SimRng, SimTime};
+use rocescale_sim::rng::{below, unit};
+use rocescale_sim::{Ctx, Node, PortId, SimTime};
 
 use crate::conn::{TcpReceiver, TcpSender};
 
 /// Kernel-stack processing delay applied to every message on its way into
-/// and out of the socket layer. Sampled per crossing; the tail is what
+/// and out of the socket layer. Drawn per crossing, keyed on the host,
+/// connection, direction and the message's ordinal; the tail is what
 /// "can be as high as tens of milliseconds" in the paper's words, though
 /// the defaults here keep the median in the tens of microseconds the
 /// paper's Figure 6 implies.
@@ -53,13 +55,15 @@ impl KernelModel {
         }
     }
 
-    fn sample(&self, rng: &mut SimRng) -> u64 {
+    /// One crossing's delay; `draw(i)` is the crossing's `i`-th random
+    /// word (jitter, hiccup coin, hiccup length).
+    fn sample(&self, draw: impl Fn(u64) -> u64) -> u64 {
         let mut d = self.base_ps;
         if self.jitter_ps > 0 {
-            d += rng.gen_range(0..self.jitter_ps);
+            d += below(draw(0), self.jitter_ps);
         }
-        if self.tail_prob > 0.0 && rng.gen_f64() < self.tail_prob {
-            d += rng.gen_range(0..self.tail_extra_ps.max(1));
+        if self.tail_prob > 0.0 && unit(draw(1)) < self.tail_prob {
+            d += below(draw(2), self.tail_extra_ps.max(1));
         }
         d
     }
@@ -189,7 +193,13 @@ struct Conn {
     peer_port: u16,
     app: TcpApp,
     pending_rtt: VecDeque<u64>,
+    /// Messages that have entered the kernel path, `[TX, RX]`.
+    kernel_msgs: [u64; 2],
 }
+
+/// Kernel-path directions: down the send path, up the receive path.
+const TX: usize = 0;
+const RX: usize = 1;
 
 #[derive(Debug, Clone, Copy)]
 enum KernelOp {
@@ -333,6 +343,7 @@ impl TcpHost {
             peer_port,
             app,
             pending_rtt: VecDeque::new(),
+            kernel_msgs: [0; 2],
         });
         self.by_port.insert(local_port, idx);
         ConnHandle(idx)
@@ -345,9 +356,18 @@ impl TcpHost {
         p
     }
 
+    /// The kernel delay of the next message crossing connection `conn`'s
+    /// socket in direction `dir`.
+    fn kernel_delay(&mut self, conn: u32, dir: usize, ctx: &Ctx<'_>) -> u64 {
+        let n = self.conns[conn as usize].kernel_msgs[dir];
+        self.conns[conn as usize].kernel_msgs[dir] += 1;
+        let key = |i| [self.cfg.ip as u64, conn as u64, dir as u64, n, i];
+        self.cfg.kernel.sample(|i| ctx.draw(&key(i)))
+    }
+
     /// Post a message send through the kernel path.
     pub fn post_message(&mut self, conn: ConnHandle, len: u32, tracked: bool, ctx: &mut Ctx<'_>) {
-        let delay = self.cfg.kernel.sample(ctx.rng());
+        let delay = self.kernel_delay(conn.0, TX, ctx);
         self.stats.cpu_ps += PS_PER_MESSAGE;
         let fire = ctx.now().as_ps() + delay;
         self.kernel_q.push((
@@ -480,7 +500,7 @@ impl TcpHost {
             self.acks.push_back(p);
             for _ in 0..delivered {
                 // Each message climbs the kernel receive path.
-                let delay = self.cfg.kernel.sample(ctx.rng());
+                let delay = self.kernel_delay(ci, RX, ctx);
                 self.stats.cpu_ps += PS_PER_MESSAGE;
                 let fire = now_ps + delay;
                 self.kernel_q.push((fire, KernelOp::RxDeliver { conn: ci }));
@@ -682,13 +702,16 @@ mod tests {
 
     #[test]
     fn kernel_model_sampling_bounds() {
-        let mut rng = SimRng::from_seed(3);
         let m = KernelModel::default();
-        for _ in 0..1000 {
-            let d = m.sample(&mut rng);
+        let mut hiccups = 0;
+        for n in 0..10_000u64 {
+            let d = m.sample(|i| rocescale_sim::rng::keyed(3, &[n, i]));
             assert!(d >= m.base_ps);
-            assert!(d <= m.base_ps + m.jitter_ps + m.tail_extra_ps);
+            assert!(d < m.base_ps + m.jitter_ps + m.tail_extra_ps);
+            hiccups += (d >= m.base_ps + m.jitter_ps) as u32;
         }
-        assert_eq!(KernelModel::none().sample(&mut rng), 0);
+        // tail_prob 0.005 of 10 000 crossings.
+        assert!((25..80).contains(&hiccups), "{hiccups} hiccups");
+        assert_eq!(KernelModel::none().sample(|_| panic!("drew")), 0);
     }
 }

@@ -1,7 +1,8 @@
-//! The TCP host's retransmission-timeout scan is demand-armed: queued
-//! only while some connection has unacknowledged data, and while queued
-//! it fires on multiples of 250 µs from t = 0 — the instants the
-//! always-armed scan of earlier versions fired on.
+//! The TCP host's timing: the retransmission-timeout scan is
+//! demand-armed — queued only while some connection has unacknowledged
+//! data, and while queued it fires on multiples of 250 µs from t = 0,
+//! the instants the always-armed scan of earlier versions fired on —
+//! and a connection's kernel delays are its own.
 
 use std::any::Any;
 
@@ -153,4 +154,48 @@ fn tail_loss_times_out_on_the_grid_and_the_scan_stops_once_acked() {
     expected.push(SimTime::from_micros(15_250));
     assert_eq!(world.node::<Spy>(a).scans(), expected);
     assert_eq!(world.node::<Spy>(b).scans(), vec![]);
+}
+
+/// A connection's kernel delays are keyed on the connection and its
+/// message, not drawn from a stream every connection of the world
+/// shares: `a`'s ping RTTs on connection 0 are the same whether or not
+/// connection 1 carries pings the other way on the same two hosts.
+#[test]
+fn a_connections_kernel_delays_do_not_depend_on_other_connections() {
+    let run = |other_busy: bool| {
+        let mut world = World::new(13);
+        let (mut a, mut b) = (host(0), host(1));
+        let ping = |start_us| TcpApp::Pinger {
+            payload: 100,
+            interval: SimTime::from_micros(100),
+            start_at: SimTime::from_micros(start_us),
+        };
+        let echo = TcpApp::Echo { reply_len: 100 };
+        a.add_conn(IP_B, 40_000, 40_001, ping(10));
+        b.add_conn(IP_A, 40_001, 40_000, echo);
+        let (b_app, a_app) = if other_busy {
+            (ping(60), echo)
+        } else {
+            (TcpApp::None, TcpApp::None)
+        };
+        b.add_conn(IP_A, 41_000, 41_001, b_app);
+        a.add_conn(IP_B, 41_001, 41_000, a_app);
+        let a = world.add_node(Box::new(a));
+        let b = world.add_node(Box::new(b));
+        world.connect(a, PortId(0), b, PortId(0), LinkSpec::server_40g());
+        world.run_until(SimTime::from_millis(5));
+        let rtts = |n| world.node::<TcpHost>(n).stats.rtt_samples_ps.clone();
+        (rtts(a), rtts(b))
+    };
+    let (quiet, none) = run(false);
+    let (busy, other) = run(true);
+    assert!(
+        none.is_empty() && other.len() > 40,
+        "connection 1 must carry pings"
+    );
+    assert!(quiet.len() > 40);
+    assert_eq!(
+        quiet, busy,
+        "connection 0's RTTs moved with connection 1's traffic"
+    );
 }

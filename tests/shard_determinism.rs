@@ -11,14 +11,18 @@
 //! 3. Scripted faults keep both — including a link flap on a
 //!    *cross-shard* fabric link, where each end is flipped by its own
 //!    switch's admin action in its own world.
-//! 4. N shards simulate the network one shard does. With nothing drawn
-//!    from the per-shard RNGs (ECN off, RDMA hosts only), every shard
-//!    count delivers the one-shard run's goodput and merged counters
-//!    over its events — plus, per cross-shard link-down, the far end's
-//!    own admin timer — and the windows the exchange executed and
-//!    skipped add up to every lookahead-grid window of the run, even
-//!    when a scripted fault lands in a span the fleet is otherwise quiet
-//!    for.
+//! 4. N shards simulate the network one shard does, on the paper-default
+//!    fabric with ECN marking on: every random draw is keyed on what it
+//!    decides, not on the shard's world, so every shard count delivers
+//!    the one-shard run's goodput and merged counters over its events —
+//!    plus, per cross-shard link-down, the far end's own admin timer —
+//!    and the windows the exchange executed and skipped add up to every
+//!    lookahead-grid window of the run, even when a scripted fault lands
+//!    in a span the fleet is otherwise quiet for. This is an equality
+//!    over the sweep's RDMA cells, not a theorem: events that land on one
+//!    instant from different shards are dispatched in an order that
+//!    depends on the shard count (a TCP ring over the same 88 cells
+//!    differs by one event in 6); see DESIGN.md §Sharded execution.
 //! 5. Observation runs bank-per-shard: a trace sink attached to a
 //!    multi-shard build receives every shard's records merged in
 //!    `(time, shard, emission)` order, byte-identical threaded vs
@@ -48,10 +52,10 @@ use rocescale_sim::{SimTime, WorldSet};
 use rocescale_topology::ClosSpec;
 
 /// Must match `tests/golden_trace.rs` — the committed golden pin, whose
-/// delta from the previous pins is accounted for there (last: the
-/// per-event fold, 9215484005407342413 → this, same 13397 events).
-const GOLDEN_DIGEST: u64 = 15309240181080181627;
-const GOLDEN_EVENTS: u64 = 13397;
+/// delta from the previous pins is accounted for there (last: keyed ECN
+/// draws, 15309240181080181627 over 13397 events → this).
+const GOLDEN_DIGEST: u64 = 15201413384809415068;
+const GOLDEN_EVENTS: u64 = 13256;
 
 fn saturate() -> QpApp {
     QpApp::Saturate {
@@ -258,12 +262,6 @@ fn cross_boundary_link_flap_is_deterministic() {
     );
 }
 
-/// The fabric of the shard-count oracle: ECN marking draws from the
-/// world's RNG, and each shard's world has its own, so it is off.
-fn no_ecn() -> FabricProfile {
-    FabricProfile::paper_default().ecn(false)
-}
-
 /// A hub sampling every 150 µs, a multiple of the 1.5 µs lookahead: its
 /// chunking of `run_until` never cuts a grid window, so the windows of a
 /// run are exactly its lookahead-grid windows.
@@ -297,7 +295,7 @@ fn n_shards_match_one_shard_across_the_sweep() {
     // sweep has quiet tails to skip.
     let dur = SimTime::from_micros(450);
     let flapped_at = || flap(SimTime::from_micros(320), SimTime::from_micros(360));
-    let mut skipped_anywhere = 0u64;
+    let (mut skipped_anywhere, mut marked_anywhere) = (0u64, 0u64);
     for spec in [
         ClosSpec::uniform_40g(2, 1, 2, 2, 2),
         ClosSpec::uniform_40g(4, 2, 2, 4, 3),
@@ -312,7 +310,7 @@ fn n_shards_match_one_shard_across_the_sweep() {
                         } else {
                             FaultProfile::paper_default()
                         };
-                        let b = builder(spec, seed, grid_aligned_hub(), faults).fabric(no_ecn());
+                        let b = builder(spec, seed, grid_aligned_hub(), faults);
                         let mut c = ring_cluster(b, shards, app);
                         // One worker: threaded ≡ serial is pinned above,
                         // and the cells stay cheap on a busy machine.
@@ -327,6 +325,8 @@ fn n_shards_match_one_shard_across_the_sweep() {
                     };
                     let (one, _) = run(1);
                     assert!(one.0 > 0);
+                    let marks = one.1.iter().filter(|(k, _)| k.ends_with(".ecn_marked"));
+                    marked_anywhere += marks.map(|(_, v)| v).sum::<u64>();
                     for shards in 2..=spec.pods {
                         let cell = format!(
                             "pods={} seed={seed} {workload} flapped={flapped} shards={shards}",
@@ -354,6 +354,10 @@ fn n_shards_match_one_shard_across_the_sweep() {
         skipped_anywhere > 0,
         "the burst workload must leave windows to skip somewhere in the sweep"
     );
+    assert!(
+        marked_anywhere > 0,
+        "the sweep must mark somewhere, or it does not exercise the draw"
+    );
 }
 
 #[test]
@@ -366,7 +370,7 @@ fn script_action_inside_a_quiet_span_forces_its_window_to_execute() {
     // four more events dispatch, and the run still matches one shard.
     let spec = ClosSpec::uniform_40g(2, 1, 2, 2, 2);
     let run = |shards: u32, faults: FaultProfile| {
-        let b = builder(spec, 7, MetricsHub::enabled(), faults).fabric(no_ecn());
+        let b = builder(spec, 7, MetricsHub::enabled(), faults);
         let mut c = ring_cluster(b, shards, burst);
         c.run_until(SimTime::from_micros(500));
         (
