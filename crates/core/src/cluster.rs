@@ -3,9 +3,10 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
+use rocescale_cc::CcKind;
+use rocescale_monitor::config::{diff, ConfigDeviation, RdmaConfig};
 use rocescale_monitor::{
-    BlockId, GaugeId, Group, MemorySink, MetricsHub, Path, Pingmesh, QueueSample, ScopeId,
-    StreamRecord, TraceSink,
+    BlockId, Group, MemorySink, MetricsHub, Path, Pingmesh, QueueSample, StreamRecord, TraceSink,
 };
 use rocescale_nic::{
     host::{TOK_INJECT_STORM, TOK_STOP_STORM},
@@ -22,7 +23,7 @@ use rocescale_switch::{
 };
 use rocescale_tcp::{ConnHandle, TcpApp, TcpHost, TcpHostConfig};
 use rocescale_topology::{ClosSpec, Partition, RouteSpec, Tier, Topology};
-use rocescale_transport::QpConfig;
+use rocescale_transport::{LossRecovery, QpConfig};
 
 use crate::detect::{DeadlockProbe, ProbeLink};
 use crate::instrument::InstrumentationProfile;
@@ -636,20 +637,11 @@ impl ClusterBuilder {
         }
 
         let deadlock = probe(&hubs[0], &topo, &switches);
-        let obs = hubs
+        let engine = hubs
             .iter()
-            .enumerate()
-            .map(|(s, hub)| {
-                let owned: Vec<(usize, ScopeId)> = switches
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, sw)| sw.shard == s as u32)
-                    .map(|(i, sw)| {
-                        let node: &Switch = worlds[s].node(sw.sim);
-                        (i, node.telemetry_scope())
-                    })
-                    .collect();
-                ShardObs::register(hub, &owned)
+            .map(|hub| {
+                hub.register(Path::fixed("engine"), &[Group::gauges(ENGINE_GAUGES)])
+                    .base
             })
             .collect();
 
@@ -661,7 +653,7 @@ impl ClusterBuilder {
             servers,
             switches,
             hubs,
-            obs,
+            engine,
             deadlock,
             banks,
             sink: deferred_sink.map(|(sink, _)| sink),
@@ -706,38 +698,9 @@ fn probe(hub: &MetricsHub, topo: &Topology, switches: &[SwitchInfo]) -> Deadlock
     )
 }
 
-/// One shard's observation bank: the fleet-level gauges registered on
-/// that shard's hub (sentinels when telemetry is disabled), over the
-/// switches the shard owns.
-struct ShardObs {
-    /// The [`ENGINE_GAUGES`] block.
-    engine: BlockId,
-    /// Per owned switch: its index into the cluster's switch list, its
-    /// trace scope — the one the switch registered, so streamed queue
-    /// samples land under the same scope as its hop records and events —
-    /// and its `lossless_backlog_bytes` gauge, registered under it.
-    switches: Vec<(usize, ScopeId, GaugeId)>,
-}
-
 /// The engine's gauges, `engine.{leaf}`, in block order: events
 /// dispatched, and events queued but not yet dispatched.
 const ENGINE_GAUGES: &[&str] = &["events_processed", "pending"];
-
-impl ShardObs {
-    fn register(hub: &MetricsHub, switches: &[(usize, ScopeId)]) -> ShardObs {
-        let engine = hub.register(Path::fixed("engine"), &[Group::gauges(ENGINE_GAUGES)]);
-        ShardObs {
-            engine: engine.base,
-            switches: switches
-                .iter()
-                .map(|&(i, scope)| {
-                    let backlog = &[Group::gauges(&["lossless_backlog_bytes"])];
-                    (i, scope, hub.register_in(scope, backlog).gauge(0))
-                })
-                .collect(),
-        }
-    }
-}
 
 /// One server's row. Indices are `u32`: a fleet is mostly these rows.
 #[derive(Debug)]
@@ -787,7 +750,8 @@ pub struct Cluster<W = World> {
     switches: Vec<SwitchInfo>,
     /// Per-shard telemetry banks; shard 0's is the builder's hub.
     hubs: Vec<MetricsHub>,
-    obs: Vec<ShardObs>,
+    /// Each shard's [`ENGINE_GAUGES`] block on its hub.
+    engine: Vec<BlockId>,
     deadlock: DeadlockProbe,
     /// Per-shard trace banks (parallel to `hubs`) and the caller's sink
     /// they merge into; both empty/none unless a sink was configured on
@@ -1062,13 +1026,16 @@ impl<W: WorldSet> Cluster<W> {
     ///
     /// With telemetry enabled the run is chunked at sample boundaries so
     /// every shard bank samples its time series on the hub's cadence,
-    /// fleet gauges refresh, each switch streams one [`QueueSample`]
-    /// into its owning shard's bank (with a queue-class trace sink), and
-    /// the deadlock probe reads the pause/occupancy view across all
-    /// shard worlds at the barrier. Chunked `run_until` dispatches the
-    /// exact same event sequence as one big call, so the dispatch digest
-    /// is byte-identical with telemetry (and any sink) on or off,
-    /// threaded or serial.
+    /// device counters and fleet gauges refresh ([`Self::publish_gauges`]),
+    /// each switch streams one [`QueueSample`] into its owning shard's
+    /// bank (with a queue-class trace sink), and the deadlock probe reads
+    /// the pause/occupancy view across all shard worlds at the barrier.
+    /// The counters are published once more after the last dispatch, so
+    /// the hub's counts equal the devices' stats whenever `run_until`
+    /// returns. Chunked `run_until` dispatches the exact same event
+    /// sequence as one big call, so the dispatch digest is
+    /// byte-identical with telemetry (and any sink) on or off, threaded
+    /// or serial.
     pub fn run_until(&mut self, t: SimTime) {
         self.deliver_wakes();
         if self.hubs[0].is_enabled() {
@@ -1086,6 +1053,7 @@ impl<W: WorldSet> Cluster<W> {
             }
         }
         self.world.run_until(t);
+        self.publish_counters();
         // A run boundary is where readers expect the exported trace to
         // be complete: drain every hub's writer thread into its sink (the
         // caller's with one shard, a bank with several), then move every
@@ -1097,45 +1065,63 @@ impl<W: WorldSet> Cluster<W> {
         self.merge_trace_banks();
     }
 
-    /// Refresh each shard's fleet-level gauges (engine progress,
-    /// per-switch lossless backlog) from live state. Called
+    /// Refresh the hub from live state: every device's counters (copies
+    /// of its stats, e.g. [`Switch::publish_counters`]), each switch's
+    /// lossless backlog, and each shard's engine progress. Called
     /// automatically at each sample boundary; call manually before
     /// rendering JSON mid-run.
     pub fn publish_gauges(&self) {
-        for ((obs, hub), w) in self.obs.iter().zip(&self.hubs).zip(self.world.worlds()) {
-            if !hub.is_enabled() {
-                continue;
-            }
-            let [events, pending] = [0, 1].map(|k| obs.engine.gauge(k));
+        if !self.hubs[0].is_enabled() {
+            return;
+        }
+        self.publish_counters();
+        for i in 0..self.switches.len() {
+            self.switch(i).publish_gauges();
+        }
+        for ((hub, engine), w) in self.hubs.iter().zip(&self.engine).zip(self.world.worlds()) {
+            let [events, pending] = [0, 1].map(|k| engine.gauge(k));
             hub.set_gauge(events, w.events_processed() as f64);
             let st = w.sched_stats();
             hub.set_gauge(pending, (st.pushed - st.dispatched) as f64);
-            for &(i, _, backlog) in &obs.switches {
-                hub.set_gauge(backlog, self.switch(i).lossless_backlog() as f64);
+        }
+    }
+
+    /// Copy every device's stats into its shard's hub: the hub's device
+    /// counters are these copies, never counts of their own.
+    fn publish_counters(&self) {
+        if !self.hubs[0].is_enabled() {
+            return;
+        }
+        for i in 0..self.switches.len() {
+            self.switch(i).publish_counters();
+        }
+        for s in &self.servers {
+            match s.kind {
+                ServerKind::Rdma => self.node::<RdmaHost>(s.shard, s.sim).publish_counters(),
+                ServerKind::Tcp => self.node::<TcpHost>(s.shard, s.sim).publish_counters(),
             }
         }
     }
 
-    /// Stream one queue-depth sample per switch into its owning shard's
-    /// bank at epoch boundary `ns` (no-op for shards without a
-    /// queue-class sink).
+    /// Stream one queue-depth sample per switch, under the switch's own
+    /// scope, into its owning shard's bank at epoch boundary `ns` (no-op
+    /// for shards without a queue-class sink).
     fn stream_queue_samples(&self, ns: u64) {
-        for (obs, hub) in self.obs.iter().zip(&self.hubs) {
+        for (i, info) in self.switches.iter().enumerate() {
+            let hub = &self.hubs[info.shard as usize];
             if !hub.streams_queues() {
                 continue;
             }
-            for &(i, scope, _) in &obs.switches {
-                let sw = self.switch(i);
-                hub.stream_queue(
-                    ns,
-                    scope,
-                    QueueSample {
-                        backlog_bytes: sw.lossless_backlog(),
-                        max_port_bytes: sw.max_egress_depth(),
-                        tx_pkts: sw.total_data_tx_pkts(),
-                    },
-                );
-            }
+            let sw = self.switch(i);
+            hub.stream_queue(
+                ns,
+                sw.telemetry_scope(),
+                QueueSample {
+                    backlog_bytes: sw.lossless_backlog(),
+                    max_port_bytes: sw.max_egress_depth(),
+                    tx_pkts: sw.total_data_tx_pkts(),
+                },
+            );
         }
     }
 
@@ -1262,6 +1248,44 @@ impl<W: WorldSet> Cluster<W> {
             .filter(|s| s.kind == ServerKind::Rdma)
             .map(|s| self.node::<RdmaHost>(s.shard, s.sim).total_goodput_bytes())
             .sum()
+    }
+
+    /// The configuration monitor (§5.1): each live switch's running
+    /// [`SwitchConfig`] against `desired`'s switch-side fields (PFC
+    /// classification, lossless classes, buffer α, ECN on the lossless
+    /// classes, watchdog, the §4.2 ARP fix), then each RDMA host's
+    /// [`NicConfig`] against the host-side ones (PFC tagging, DCQCN,
+    /// go-back-N, NIC watchdog). Switches in [`Self::switch`] order, then
+    /// hosts in server order; empty on a fabric running `desired`.
+    pub fn config_deviations(&self, desired: &RdmaConfig) -> Vec<ConfigDeviation> {
+        let mut out = Vec::new();
+        for i in 0..self.switches.len() {
+            let cfg = self.switch(i).config();
+            let lossless = |p: &u8| cfg.lossless[*p as usize];
+            let marks = |p: &u8| cfg.ecn[*p as usize];
+            let running = RdmaConfig {
+                dscp_based_pfc: cfg.classify == ClassifyMode::Dscp,
+                lossless_classes: (0..Priority::COUNT as u8).filter(lossless).collect(),
+                buffer_alpha: cfg.buffer.alpha,
+                ecn: desired.lossless_classes.iter().all(marks),
+                watchdogs: cfg.watchdog.enabled,
+                drop_lossless_on_incomplete_arp: cfg.drop_lossless_on_incomplete_arp,
+                ..desired.clone()
+            };
+            out.extend(diff(&cfg.name, desired, &running));
+        }
+        for s in self.servers.iter().filter(|s| s.kind == ServerKind::Rdma) {
+            let cfg = self.node::<RdmaHost>(s.shard, s.sim).config();
+            let running = RdmaConfig {
+                dscp_based_pfc: cfg.pfc_mode == HostPfcMode::Dscp,
+                dcqcn: cfg.cc == CcKind::Dcqcn,
+                go_back_n: cfg.qp_defaults.recovery == LossRecovery::GoBackN,
+                watchdogs: cfg.nic_watchdog_after.is_some(),
+                ..desired.clone()
+            };
+            out.extend(diff(&cfg.name, desired, &running));
+        }
+        out
     }
 
     /// Fleet counter snapshot: every shard bank's counters merged by
@@ -1409,6 +1433,7 @@ impl<W: WorldSet> Cluster<W> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rocescale_monitor::ScopeId;
 
     fn saturate() -> QpApp {
         QpApp::Saturate {
@@ -1682,6 +1707,47 @@ mod tests {
         pingmesh_probes_agree(builder(1).build());
         pingmesh_probes_agree(builder(1).build_sharded());
         pingmesh_probes_agree(builder(2).build_sharded());
+    }
+
+    /// The configuration monitor reads the running fabric: a paper-default
+    /// build deviates nowhere, a host built without DCQCN shows up at
+    /// once, and a scripted α change shows up once it has fired.
+    #[test]
+    fn config_deviations_follow_the_running_configuration() {
+        use rocescale_monitor::config::RdmaConfig;
+        let alpha = ScriptAction::PfcThreshold {
+            switch: "pod0-tor1".into(),
+            alpha: Some(1.0 / 64.0),
+            xoff_static: 256 * 1024,
+        };
+        let build = |tweak: bool| {
+            ClusterBuilder::two_tier(2, 2)
+                .faults(FaultProfile::default().at(SimTime::from_micros(50), alpha.clone()))
+                .host_tweak(move |i, cfg| {
+                    if tweak && i == 3 {
+                        cfg.cc = rocescale_cc::CcKind::Off;
+                    }
+                })
+                .build()
+        };
+        let desired = RdmaConfig::paper_recommended();
+        let found = |c: &Cluster| -> Vec<(String, String)> {
+            let devs = c.config_deviations(&desired).into_iter();
+            devs.map(|d| (d.device, d.field)).collect()
+        };
+        let mut c = build(false);
+        assert_eq!(found(&c), []);
+        c.run_until(SimTime::from_micros(100));
+        let alpha_off = ("pod0-tor1".to_string(), "buffer_alpha".to_string());
+        assert_eq!(found(&c), std::slice::from_ref(&alpha_off));
+        let dcqcn_off = (
+            c.rdma(ServerId(3)).config().name.to_string(),
+            "dcqcn".into(),
+        );
+        let mut c = build(true);
+        assert_eq!(found(&c), std::slice::from_ref(&dcqcn_off));
+        c.run_until(SimTime::from_micros(100));
+        assert_eq!(found(&c), [alpha_off, dcqcn_off]);
     }
 
     /// A switch's scope, registered from structure, is what its name

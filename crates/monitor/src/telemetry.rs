@@ -17,12 +17,14 @@
 //!   `Option<Arc<..>>`; a disabled hub hands out sentinel instrument ids
 //!   without allocating and every record call is an inlined no-op behind
 //!   a single sentinel compare.
-//! * **Lock-free on the hot path.** Counter and gauge *updates* are the
-//!   per-packet/per-event path (every hop increments several counters),
-//!   so they never take a lock: values live in preallocated chunks of
+//! * **Lock-free updates.** Values live in preallocated chunks of
 //!   `AtomicU64` slots indexed directly by the `CounterId`/`GaugeId`
 //!   handed out at registration, and an update is one relaxed
-//!   `fetch_add`/`store` with no allocation. Only registration,
+//!   `fetch_add`/`store` with no allocation. Devices count in their own
+//!   stats and publish them with [`MetricsHub::set_counter`] at each
+//!   sample boundary, so the per-packet path never touches the hub;
+//!   [`MetricsHub::incr`]/[`MetricsHub::add`] serve observers that own
+//!   no stats (pingmesh, the deadlock probe). Only registration,
 //!   sampling, and snapshot/export — the rare paths — take the `Mutex`.
 //!   The flight recorder keeps its own small mutex, separate from the
 //!   registration lock: trace events (drops, pauses, watchdog fires) are
@@ -1325,16 +1327,25 @@ impl MetricsHub {
         self.add(id, 1);
     }
 
+    /// Set a counter to `v`, a count its owner keeps itself — how
+    /// devices publish their stats. Lock-free: one relaxed store.
+    #[inline]
+    pub fn set_counter(&self, id: CounterId, v: u64) {
+        self.store(id.0, v);
+    }
+
     /// Set a gauge's current value. Lock-free: one relaxed store of the
     /// value's bit pattern.
     #[inline]
     pub fn set_gauge(&self, id: GaugeId, v: f64) {
-        if id.0 == SENTINEL {
-            return;
-        }
-        let Some(s) = &self.inner else { return };
-        if let Some(slot) = s.values.slot(id.0) {
-            slot.store(v.to_bits(), Ordering::Relaxed);
+        self.store(id.0, v.to_bits());
+    }
+
+    /// Store `raw` into instrument `id`'s slot; a sentinel has none.
+    #[inline]
+    fn store(&self, id: u32, raw: u64) {
+        if let Some(slot) = self.inner.as_ref().and_then(|s| s.values.slot(id)) {
+            slot.store(raw, Ordering::Relaxed);
         }
     }
 

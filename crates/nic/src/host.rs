@@ -339,23 +339,12 @@ const NIC_COUNTERS: &[&str] = &[
     "watchdog.fired",
 ];
 
-/// A counter of the host's block, by its place in [`NIC_COUNTERS`].
-#[derive(Clone, Copy)]
-enum NicCounter {
-    PauseTx,
-    PauseRx,
-    CnpTx,
-    CnpRx,
-    RxOverflow,
-    RxStormDropped,
-    WatchdogFired,
-}
-
 /// The host's telemetry: its block — the [`NIC_COUNTERS`] and then the
 /// RTT histogram `nic.{name}.rtt_ps`, fed by Pinger/Fanout apps — and
 /// its trace scope. One word; all sentinels on a disabled hub, where
 /// registering formats and stores nothing. Each QP registers a block of
-/// its own under the host's scope ([`qp_counters`]).
+/// its own under the host's scope ([`qp_counters`]). The counters are
+/// copies, made by [`RdmaHost::publish_counters`].
 #[derive(Clone, Copy, Default)]
 struct NicTele {
     base: BlockId,
@@ -382,8 +371,9 @@ impl NicTele {
     }
 }
 
-/// A QP's counters, `nic.{name}.qp.{qpn}.{leaf}`: the rollback PSN
-/// volume, and the pacing-rate moves named for the controller that made
+/// A QP's counters, `nic.{name}.qp.{qpn}.{leaf}`: the packets its
+/// transport retransmitted (`QpStats::retx_pkts`), and the pacing-rate
+/// moves (`SenderCc::rate_changes`) named for the controller that made
 /// them.
 fn qp_counters(cc: CcKind) -> &'static [&'static str] {
     match cc {
@@ -392,9 +382,6 @@ fn qp_counters(cc: CcKind) -> &'static [&'static str] {
         CcKind::Off => &["retransmits", "off.rate_changes"],
     }
 }
-/// [`qp_counters`]' places.
-const QP_RETRANSMITS: u32 = 0;
-const QP_RATE_CHANGES: u32 = 1;
 
 /// The RDMA host node.
 ///
@@ -609,11 +596,36 @@ impl RdmaHost {
         self.work.as_ref().is_some_and(|w| w.pause_gen_disabled)
     }
 
-    /// Put the NIC into §4.3 storm mode immediately: the receive pipeline
-    /// halts and the NIC pauses its switch port continuously. Prefer
-    /// scheduling [`TOK_INJECT_STORM`] for mid-run injection.
-    pub fn inject_storm(&mut self) {
-        self.active().w.storm = true;
+    /// Times a QP's congestion controller moved its pacing rate.
+    pub fn qp_rate_changes(&self, qp: QpHandle) -> u64 {
+        self.qps()[qp.0 as usize].cc.rate_changes()
+    }
+
+    /// Copy [`HostStats`]' event counts, and each QP's retransmitted
+    /// packets and rate moves, into the host's telemetry blocks — the hub
+    /// reads these counts, it keeps none of its own.
+    pub fn publish_counters(&self) {
+        let (hub, s) = (&self.cfg.telemetry, &self.stats);
+        // In `NIC_COUNTERS`' order.
+        let host = [
+            s.pause_tx,
+            s.pause_rx,
+            s.cnp_tx,
+            s.cnp_rx,
+            s.rx_overflow,
+            s.rx_storm_dropped,
+            s.nic_watchdog_fired,
+        ];
+        for (k, v) in host.into_iter().enumerate() {
+            hub.set_counter(self.tele.base.counter(k as u32), v);
+        }
+        for qp in self.qps() {
+            // In `qp_counters`' order.
+            let values = [qp.endpoint.stats.retx_pkts, qp.cc.rate_changes()];
+            for (k, v) in values.into_iter().enumerate() {
+                hub.set_counter(qp.tele.counter(k as u32), v);
+            }
+        }
     }
 }
 
@@ -627,8 +639,8 @@ struct Active<'a> {
 }
 
 impl Active<'_> {
-    /// Forward a QP's queued transport events (rollbacks) to the
-    /// telemetry bus. Always drained so the queue stays bounded even with
+    /// Forward a QP's queued transport events (rollbacks) to the flight
+    /// recorder. Always drained so the queue stays bounded even with
     /// telemetry disabled.
     fn drain_transport_events(&mut self, qpn: u32, now_ps: u64) {
         let hub = &self.cfg.telemetry;
@@ -640,7 +652,6 @@ impl Active<'_> {
                     to_psn,
                     pkts,
                 } => {
-                    hub.add(qp.tele.counter(QP_RETRANSMITS), pkts as u64);
                     hub.trace(
                         now_ps,
                         self.tele.scope,
@@ -653,12 +664,6 @@ impl Active<'_> {
                 }
             }
         }
-    }
-
-    /// Count one event on one of the host's counters, if telemetry is
-    /// on.
-    fn incr(&self, c: NicCounter) {
-        self.cfg.telemetry.incr(self.tele.base.counter(c as u32));
     }
 
     /// Record a flight-recorder event, if telemetry is on.
@@ -841,7 +846,6 @@ impl Active<'_> {
         let pkt = self.materialize(qpn, &desc, ctx);
         self.w.ctrl.push_back(pkt);
         self.stats.cnp_tx += 1;
-        self.incr(NicCounter::CnpTx);
     }
 
     // ---- receive pipeline ----
@@ -850,14 +854,12 @@ impl Active<'_> {
     fn on_rx(&mut self, pkt: Packet, ctx: &mut Ctx<'_>) {
         if self.w.storm {
             self.stats.rx_storm_dropped += 1;
-            self.incr(NicCounter::RxStormDropped);
             self.note_rx_pressure(ctx);
             return;
         }
         let bytes = pkt.wire_size() as u64;
         if self.w.rx_occupancy + bytes > RX_BUFFER_BYTES {
             self.stats.rx_overflow += 1;
-            self.incr(NicCounter::RxOverflow);
             return;
         }
         self.w.rx_occupancy += bytes;
@@ -885,7 +887,6 @@ impl Active<'_> {
         self.w.pause_out.push_back(pkt);
         if quanta > 0 {
             self.stats.pause_tx += 1;
-            self.incr(NicCounter::PauseTx);
             self.trace(
                 ctx.now().as_ps(),
                 TraceEvent::PauseTx {
@@ -950,7 +951,6 @@ impl Active<'_> {
         }
         if r.opcode == RoceOpcode::Cnp {
             self.stats.cnp_rx += 1;
-            self.incr(NicCounter::CnpRx);
             let now_ps = ctx.now().as_ps();
             let act = self.w.qps[qpn as usize].cc.on_signal(CcSignal::Cnp, now_ps);
             if let Some(act) = act {
@@ -991,10 +991,10 @@ impl Active<'_> {
         self.pump(ctx);
     }
 
-    /// Record a congestion-control action: per-QP counter plus a trace
-    /// event naming the controller that acted, plus — with a sink
-    /// streaming rate points — one trajectory point carrying the QP
-    /// identity the flight event elides.
+    /// Record a congestion-control action: a trace event naming the
+    /// controller that acted, plus — with a sink streaming rate points —
+    /// one trajectory point carrying the QP identity the flight event
+    /// elides.
     fn note_cc_action(&mut self, qpn: u32, act: CcAction, now_ps: u64) {
         let hub = &self.cfg.telemetry;
         if !hub.is_enabled() {
@@ -1002,7 +1002,6 @@ impl Active<'_> {
         }
         match act {
             CcAction::RateChange { rate_bps, cause } => {
-                hub.incr(self.w.qps[qpn as usize].tele.counter(QP_RATE_CHANGES));
                 let cc = self.w.qps[qpn as usize].cc.kind().name();
                 let rate_mbps = (rate_bps / 1e6) as u32;
                 hub.trace(
@@ -1066,7 +1065,6 @@ impl Active<'_> {
 
     fn on_pause(&mut self, frame: &PauseFrame, ctx: &mut Ctx<'_>) {
         self.stats.pause_rx += 1;
-        self.incr(NicCounter::PauseRx);
         if let Some((prio, quanta)) = frame.entries().next() {
             if quanta > 0 {
                 self.trace(
@@ -1130,7 +1128,6 @@ impl Active<'_> {
             {
                 self.w.pause_gen_disabled = true;
                 self.stats.nic_watchdog_fired += 1;
-                self.incr(NicCounter::WatchdogFired);
                 self.trace(ctx.now().as_ps(), TraceEvent::NicWatchdogFired);
             }
         }

@@ -15,7 +15,7 @@
 //!   pages that covers 8 MB — misses stall the pipeline, the buffer
 //!   crosses its XOFF threshold, and the host itself emits pause frames:
 //!   the §4.4 *slow-receiver symptom*. The mitigation is 2 MB pages.
-//! * **The storm bug** ([`host::RdmaHost::inject_storm`]): "a bug in the
+//! * **The storm bug** ([`host::TOK_INJECT_STORM`]): "a bug in the
 //!   NIC's receiving pipeline … the NIC's receiving buffer filled, and the
 //!   NIC began to send out pause frames all the time" (§4.3). The
 //!   NIC-side watchdog — a micro-controller that disables pause generation

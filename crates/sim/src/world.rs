@@ -549,7 +549,7 @@ impl World {
     /// Switch dispatch profiling on or off. Dispatch order, simulated
     /// results, and the digest are unaffected; only wall-clock
     /// bookkeeping changes. Accumulation continues across a mid-run
-    /// switch; use [`Self::reset_event_profile`] for a clean window.
+    /// switch: read [`Self::event_profile`] at both ends of a window.
     pub fn set_profile_mode(&mut self, mode: ProfileMode) {
         self.profile_on = mode == ProfileMode::On;
     }
@@ -558,11 +558,6 @@ impl World {
     /// [`ProfileMode::On`] was set before running).
     pub fn event_profile(&self) -> EventProfile {
         self.profile
-    }
-
-    /// Zero the accumulated dispatch profile (e.g. to exclude warmup).
-    pub fn reset_event_profile(&mut self) {
-        self.profile = EventProfile::default();
     }
 
     /// Borrow a node, downcast to its concrete type.

@@ -4,7 +4,7 @@
 use std::any::Any;
 use std::collections::VecDeque;
 
-use rocescale_monitor::{BlockId, Group, HopRecord, MetricsHub, Path, ScopeId, TraceEvent};
+use rocescale_monitor::{Block, Group, HopRecord, MetricsHub, Path, ScopeId, TraceEvent};
 use rocescale_packet::{
     EcnCodepoint, MacAddr, Packet, PacketKind, PauseFrame, PfcPauseFrame, Priority,
 };
@@ -70,6 +70,7 @@ impl DropReason {
     }
 }
 
+/// Every reason, in declaration order: `reason as usize` is its place.
 const DROP_REASONS: [DropReason; 11] = [
     DropReason::LossyOverflow,
     DropReason::LosslessOverflow,
@@ -132,20 +133,12 @@ impl SwitchStats {
 
     /// Count a drop.
     pub fn drop(&mut self, reason: DropReason) {
-        let i = DROP_REASONS
-            .iter()
-            .position(|r| *r == reason)
-            .expect("known reason");
-        self.drops[i] += 1;
+        self.drops[reason as usize] += 1;
     }
 
     /// Read a drop counter.
     pub fn drops_of(&self, reason: DropReason) -> u64 {
-        let i = DROP_REASONS
-            .iter()
-            .position(|r| *r == reason)
-            .expect("known reason");
-        self.drops[i]
+        self.drops[reason as usize]
     }
 
     /// Sum of all drops.
@@ -403,6 +396,7 @@ const DROP_NAMES: [&str; DROP_REASONS.len()] = {
     let mut names = [""; DROP_REASONS.len()];
     let mut i = 0;
     while i < names.len() {
+        assert!(DROP_REASONS[i] as usize == i, "declaration order");
         names[i] = DROP_REASONS[i].name();
         i += 1;
     }
@@ -415,71 +409,25 @@ const SWITCH_COUNTERS: &[&str] = &["ecn_marked", "watchdog.disables", "watchdog.
 /// Each port's counters, `switch.{name}.port.{p}.{leaf}`, in block order.
 const PORT_COUNTERS: &[&str] = &["pfc.xoff_tx", "pfc.xon_tx", "pfc.xoff_rx"];
 
-/// A counter of the switch's block after the drop reasons and before the
-/// ports, by its place in [`SWITCH_COUNTERS`].
-#[derive(Clone, Copy)]
-enum SwitchCounter {
-    EcnMarked,
-    WatchdogDisables,
-    WatchdogReenables,
-}
-
-/// A per-port counter, by its place in [`PORT_COUNTERS`].
-#[derive(Clone, Copy)]
-enum PortCounter {
-    PauseTx,
-    ResumeTx,
-    PauseRx,
-}
-
-/// The switch's telemetry: one block — a counter per drop reason, the
-/// [`SWITCH_COUNTERS`], then the [`PORT_COUNTERS`] of each port — and
-/// its trace scope; sentinels when the hub is disabled, so the hot path
-/// pays a null check per site.
-#[derive(Default)]
-struct SwitchTele {
-    hub: MetricsHub,
-    scope: ScopeId,
-    base: BlockId,
-}
-
-impl SwitchTele {
-    fn register(hub: MetricsHub, name: &str, ports: usize) -> SwitchTele {
-        if !hub.is_enabled() {
-            // Every id would come back a sentinel: copy no name.
-            return SwitchTele::default();
-        }
-        let block = hub.register(
-            Path::of("switch", name),
-            &[
-                Group::counters(&DROP_NAMES).under("drop"),
-                Group::counters(SWITCH_COUNTERS),
-                Group::counters(PORT_COUNTERS).over("port", 0..ports as u32),
-            ],
-        );
-        SwitchTele {
-            hub,
-            scope: block.scope,
-            base: block.base,
-        }
+/// The switch's telemetry: its trace scope and one block — a counter per
+/// drop reason, the [`SWITCH_COUNTERS`], the [`PORT_COUNTERS`] of each
+/// port, then the `lossless_backlog_bytes` gauge; sentinels when the hub
+/// is disabled. The counters are copies of [`SwitchStats`], made by
+/// [`Switch::publish_counters`].
+fn register_tele(hub: &MetricsHub, name: &str, ports: usize) -> Block {
+    if !hub.is_enabled() {
+        // Every id would come back a sentinel: copy no name.
+        return Block::default();
     }
-
-    /// Count one drop for reason `i` of [`DROP_REASONS`].
-    fn incr_drop(&self, i: usize) {
-        self.hub.incr(self.base.counter(i as u32));
-    }
-
-    /// Count one event on a switch-wide counter.
-    fn incr(&self, c: SwitchCounter) {
-        self.hub
-            .incr(self.base.counter((DROP_NAMES.len() + c as usize) as u32));
-    }
-
-    /// Count one event on port `port`'s counter `c`.
-    fn incr_port(&self, c: PortCounter, port: PortId) {
-        let k = DROP_NAMES.len() + SWITCH_COUNTERS.len() + port.index() * PORT_COUNTERS.len();
-        self.hub.incr(self.base.counter((k + c as usize) as u32));
-    }
+    hub.register(
+        Path::of("switch", name),
+        &[
+            Group::counters(&DROP_NAMES).under("drop"),
+            Group::counters(SWITCH_COUNTERS),
+            Group::counters(PORT_COUNTERS).over("port", 0..ports as u32),
+            Group::gauges(&["lossless_backlog_bytes"]),
+        ],
+    )
 }
 
 /// Always zero. Retained, with [`Switch::flow_cache_stats`], only
@@ -519,8 +467,9 @@ pub struct Switch {
     wd: Vec<WatchdogPort>,
     /// Round-robin counter for per-packet spraying (§8.1 ablation).
     spray_counter: u64,
-    /// Telemetry instruments (sentinels when the hub is disabled).
-    tele: SwitchTele,
+    /// Telemetry scope and instruments (sentinels when the hub is
+    /// disabled).
+    tele: Block,
     /// Parked fault-script actions, addressed by admin timer tokens.
     admin: Vec<AdminAction>,
     /// Counters.
@@ -542,7 +491,7 @@ impl Switch {
             "DWRR weights {:?} overflow the 32-bit deficit counters",
             cfg.weights
         );
-        let tele = SwitchTele::register(cfg.telemetry.clone(), &cfg.name, ports);
+        let tele = register_tele(&cfg.telemetry, &cfg.name, ports);
         Switch {
             mac_table: MacTable::default(),
             arp_table: ArpTable::default(),
@@ -561,29 +510,44 @@ impl Switch {
         }
     }
 
-    /// Count a drop in both the legacy stats and the telemetry bus.
+    /// Count a drop and record it in the flight recorder.
     fn note_drop(&mut self, reason: DropReason, now: SimTime) {
         self.stats.drop(reason);
-        if self.tele.hub.is_enabled() {
-            let i = DROP_REASONS
-                .iter()
-                .position(|r| *r == reason)
-                .expect("known");
-            self.tele.incr_drop(i);
-            let t = now.as_ps();
-            self.tele.hub.trace(
-                t,
-                self.tele.scope,
-                TraceEvent::Drop {
-                    reason: reason.name(),
-                },
-            );
-            if reason == DropReason::IncompleteArpLossless {
-                self.tele
-                    .hub
-                    .trace(t, self.tele.scope, TraceEvent::ArpIncompleteDrop);
-            }
+        let (hub, scope, t) = (&self.cfg.telemetry, self.tele.scope, now.as_ps());
+        hub.trace(
+            t,
+            scope,
+            TraceEvent::Drop {
+                reason: reason.name(),
+            },
+        );
+        if reason == DropReason::IncompleteArpLossless {
+            hub.trace(t, scope, TraceEvent::ArpIncompleteDrop);
         }
+    }
+
+    /// Copy [`SwitchStats`]' drops, ECN marks, watchdog actions and
+    /// per-port PFC frames into the switch's telemetry block — the hub
+    /// reads these counts, it keeps none of its own.
+    pub fn publish_counters(&self) {
+        let (hub, base, s) = (&self.cfg.telemetry, self.tele.base, &self.stats);
+        let ports = s.pause_tx.iter().zip(&s.resume_tx).zip(&s.pause_rx);
+        let values = s
+            .drops
+            .iter()
+            .copied()
+            .chain([s.ecn_marked, s.watchdog_disables, s.watchdog_reenables])
+            .chain(ports.flat_map(|((&xoff, &xon), &rx)| [xoff, xon, rx]));
+        for (k, v) in values.enumerate() {
+            hub.set_counter(base.counter(k as u32), v);
+        }
+    }
+
+    /// Set the switch's `lossless_backlog_bytes` gauge from its queues.
+    pub fn publish_gauges(&self) {
+        let k = DROP_NAMES.len() + SWITCH_COUNTERS.len() + self.wd.len() * PORT_COUNTERS.len();
+        let (hub, base) = (&self.cfg.telemetry, self.tele.base);
+        hub.set_gauge(base.gauge(k as u32), self.lossless_backlog() as f64);
     }
 
     /// The trace scope the switch registered (`switch.{name}`; the
@@ -749,7 +713,7 @@ impl Switch {
                 any_pause = true;
                 let until = now + SimTime(PfcPauseFrame::quanta_to_ps(quanta, rate));
                 e.paused_until[prio.index()] = until;
-                self.tele.hub.trace(
+                self.cfg.telemetry.trace(
                     now.as_ps(),
                     self.tele.scope,
                     TraceEvent::PauseRx {
@@ -763,7 +727,6 @@ impl Switch {
         }
         if any_pause {
             self.stats.pause_rx[port.index()] += 1;
-            self.tele.incr_port(PortCounter::PauseRx, port);
         }
         if resumed {
             self.try_send(port, ctx);
@@ -791,8 +754,7 @@ impl Switch {
     fn send_xoff(&mut self, port: PortId, pg: Priority, ctx: &mut Ctx<'_>) {
         self.send_pause(port, pg, u16::MAX, ctx);
         self.stats.pause_tx[port.index()] += 1;
-        self.tele.incr_port(PortCounter::PauseTx, port);
-        self.tele.hub.trace(
+        self.cfg.telemetry.trace(
             ctx.now().as_ps(),
             self.tele.scope,
             TraceEvent::PauseTx {
@@ -817,8 +779,7 @@ impl Switch {
             self.buffer.set_xoff(ingress.0, pg, false);
             self.send_pause(ingress, pg, 0, ctx);
             self.stats.resume_tx[ingress.index()] += 1;
-            self.tele.incr_port(PortCounter::ResumeTx, ingress);
-            self.tele.hub.trace(
+            self.cfg.telemetry.trace(
                 ctx.now().as_ps(),
                 self.tele.scope,
                 TraceEvent::ResumeTx {
@@ -1025,13 +986,12 @@ impl Switch {
             if self.cfg.ecn[prio.index()] && rocescale_dcqcn::should_mark(depth, draw) {
                 ip.ecn = EcnCodepoint::Ce;
                 self.stats.ecn_marked += 1;
-                self.tele.incr(SwitchCounter::EcnMarked);
             }
         }
         // Hop streaming: capture flow identity before the packet moves
         // into the queue. Guarded so a detached sink keeps the
         // per-packet path at one relaxed load.
-        let hop_flow = if self.tele.hub.streams_hops() {
+        let hop_flow = if self.cfg.telemetry.streams_hops() {
             Some(pkt.ip.map_or((0, 0), |ip| (ip.src, ip.dst)))
         } else {
             None
@@ -1052,7 +1012,7 @@ impl Switch {
         );
         let total = e.total_bytes();
         if let Some((src_ip, dst_ip)) = hop_flow {
-            self.tele.hub.stream_hop(
+            self.cfg.telemetry.stream_hop(
                 ctx.now().as_ps(),
                 self.tele.scope,
                 HopRecord {
@@ -1180,8 +1140,7 @@ impl Switch {
                     self.wd[p].lossless_disabled = false;
                     self.wd[p].undrainable_since = SimTime::MAX;
                     self.stats.watchdog_reenables += 1;
-                    self.tele.incr(SwitchCounter::WatchdogReenables);
-                    self.tele.hub.trace(
+                    self.cfg.telemetry.trace(
                         now.as_ps(),
                         self.tele.scope,
                         TraceEvent::WatchdogReenabled { port: p as u16 },
@@ -1214,8 +1173,7 @@ impl Switch {
     fn trip_watchdog(&mut self, port: PortId, ctx: &mut Ctx<'_>) {
         self.wd[port.index()].lossless_disabled = true;
         self.stats.watchdog_disables += 1;
-        self.tele.incr(SwitchCounter::WatchdogDisables);
-        self.tele.hub.trace(
+        self.cfg.telemetry.trace(
             ctx.now().as_ps(),
             self.tele.scope,
             TraceEvent::WatchdogDisabled { port: port.0 },
@@ -1282,6 +1240,9 @@ impl Switch {
                 self.set_lossless(Priority::new(prio), on, ctx);
             }
             AdminAction::SetThresholds { alpha, xoff_static } => {
+                // The running configuration follows, as with lossless
+                // classes: [`Switch::config`] is what the monitor reads.
+                (self.cfg.buffer.alpha, self.cfg.buffer.xoff_static) = (alpha, xoff_static);
                 self.buffer.set_thresholds(alpha, xoff_static);
                 // A tighter threshold can put counters over XOFF right
                 // now — surface the pauses immediately, as the ASIC's

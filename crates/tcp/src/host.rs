@@ -237,18 +237,9 @@ const TCP_COUNTERS: &[&str] = &[
     "msgs_delivered",
 ];
 
-/// A counter of the host's block, by its place in [`TCP_COUNTERS`].
-#[derive(Clone, Copy)]
-enum TcpCounter {
-    SegmentsTx,
-    SegmentsRx,
-    FastRetransmits,
-    Timeouts,
-    MsgsDelivered,
-}
-
-/// The host's telemetry: its block of [`TCP_COUNTERS`] and its trace
-/// scope (sentinels when the hub is disabled).
+/// The host's telemetry: its block of [`TCP_COUNTERS`] — copies of its
+/// stats, made by [`TcpHost::publish_counters`] — and its trace scope
+/// (sentinels when the hub is disabled).
 #[derive(Clone, Copy, Default)]
 struct TcpTele {
     base: BlockId,
@@ -312,10 +303,22 @@ impl TcpHost {
         }
     }
 
-    /// Count one event on one of the host's counters, if telemetry is
-    /// on.
-    fn incr(&self, c: TcpCounter) {
-        self.cfg.telemetry.incr(self.tele.base.counter(c as u32));
+    /// Copy [`TcpHostStats`]' event counts into the host's telemetry
+    /// block — the hub reads these counts, it keeps none of its own.
+    pub fn publish_counters(&self) {
+        let s = &self.stats;
+        // In `TCP_COUNTERS`' order.
+        let values = [
+            s.segments_tx,
+            s.segments_rx,
+            s.fast_retransmits,
+            s.timeouts,
+            s.msgs_delivered,
+        ];
+        for (k, v) in values.into_iter().enumerate() {
+            let id = self.tele.base.counter(k as u32);
+            self.cfg.telemetry.set_counter(id, v);
+        }
     }
 
     /// The configuration.
@@ -428,7 +431,6 @@ impl TcpHost {
             }
             if let Some((ci, seg)) = self.rtx.pop_front() {
                 self.stats.segments_tx += 1;
-                self.incr(TcpCounter::SegmentsTx);
                 self.stats.cpu_ps += TX_PS_PER_SEGMENT;
                 let p = self.segment_packet(ci, seg, ctx);
                 self.stats.tx_bytes += p.wire_size() as u64;
@@ -452,7 +454,6 @@ impl TcpHost {
                         ctx.set_timer_on_grid(RTO_SCAN, TOK_RTO);
                     }
                     self.stats.segments_tx += 1;
-                    self.incr(TcpCounter::SegmentsTx);
                     self.stats.cpu_ps += TX_PS_PER_SEGMENT;
                     let p = self.segment_packet(i as u32, seg, ctx);
                     self.stats.tx_bytes += p.wire_size() as u64;
@@ -474,7 +475,6 @@ impl TcpHost {
         let now_ps = ctx.now().as_ps();
         if seg.payload > 0 {
             self.stats.segments_rx += 1;
-            self.incr(TcpCounter::SegmentsRx);
             self.stats.cpu_ps += RX_PS_PER_SEGMENT;
             let delivered = {
                 let c = &mut self.conns[ci as usize];
@@ -512,7 +512,6 @@ impl TcpHost {
             if retransmit {
                 let rseg = self.conns[ci as usize].tx.retransmit_segment(now_ps);
                 self.stats.fast_retransmits += 1;
-                self.incr(TcpCounter::FastRetransmits);
                 self.cfg.telemetry.trace(
                     now_ps,
                     self.tele.scope,
@@ -560,7 +559,6 @@ impl TcpHost {
                 }
                 KernelOp::RxDeliver { conn } => {
                     self.stats.msgs_delivered += 1;
-                    self.incr(TcpCounter::MsgsDelivered);
                     let app = self.conns[conn as usize].app;
                     match app {
                         TcpApp::Echo { reply_len } => {
@@ -634,7 +632,6 @@ impl Node for TcpHost {
                     unacked |= self.conns[i].tx.flight() > 0;
                     if self.conns[i].tx.check_rto(now) {
                         self.stats.timeouts += 1;
-                        self.incr(TcpCounter::Timeouts);
                         let seg = self.conns[i].tx.retransmit_segment(now);
                         self.cfg.telemetry.trace(
                             now,

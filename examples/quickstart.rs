@@ -8,7 +8,7 @@
 
 use rocescale::core::{ClusterBuilder, ServerId};
 use rocescale::monitor::pingmesh::{ProbeResult, Scope};
-use rocescale::monitor::{Percentiles, Pingmesh};
+use rocescale::monitor::Pingmesh;
 use rocescale::nic::QpApp;
 use rocescale::sim::SimTime;
 
@@ -62,8 +62,6 @@ fn main() {
     }
     println!("{}", pingmesh.render());
 
-    let mut p = Percentiles::new();
-    let _ = &mut p;
     println!(
         "fleet counters: {} switch pauses, {} lossless drops (must be 0)",
         cluster.total_switch_pause_tx(),

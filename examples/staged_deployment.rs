@@ -7,19 +7,22 @@
 //! The same cross-rack incast workload runs at each stage; where PFC is
 //! not yet enabled, RDMA traffic rides lossy classes and congestion
 //! sheds packets (go-back-N recovers, at a goodput cost). Only the full
-//! rollout is loss-free end to end — and the config monitor shows which
-//! devices deviate from the end-state configuration at each stage.
+//! rollout is loss-free end to end — and the config monitor, walking
+//! each stage's running fabric, shows which devices do not yet run the
+//! end state's lossless classes.
 //!
 //! ```sh
 //! cargo run --release --example staged_deployment
 //! ```
 
 use rocescale::core::{CcKind, ClusterBuilder, DeploymentStage, FabricProfile, TransportProfile};
-use rocescale::monitor::config::{diff, RdmaConfig};
+use rocescale::monitor::config::RdmaConfig;
 use rocescale::nic::QpApp;
 use rocescale::switch::DropReason;
 
 fn main() {
+    let desired = RdmaConfig::paper_recommended();
+    let mut monitor = Vec::new();
     println!(
         "{:<10} {:>14} {:>12} {:>12} {:>14}",
         "stage", "goodput(Gb/s)", "lossy drops", "ll drops", "pauses"
@@ -57,17 +60,26 @@ fn main() {
             c.lossless_drops(),
             c.total_switch_pause_tx(),
         );
+        let devices: Vec<String> = c
+            .config_deviations(&desired)
+            .into_iter()
+            .filter(|d| d.field == "lossless_classes")
+            .map(|d| d.device)
+            .collect();
+        monitor.push((stage, devices));
     }
 
     println!();
-    println!("config monitor view during the Podset stage (spines not yet lossless):");
-    let desired = RdmaConfig::paper_recommended();
-    let mut spine_running = desired.clone();
-    spine_running.lossless_classes = vec![];
-    for dev in diff("spine17", &desired, &spine_running) {
-        println!(
-            "  {}: {} desired {} but running {}",
-            dev.device, dev.field, dev.desired, dev.running
-        );
+    println!(
+        "config monitor: devices running other lossless classes than {:?}",
+        desired.lossless_classes
+    );
+    for (stage, devices) in monitor {
+        let listed = if devices.is_empty() {
+            "none".to_string()
+        } else {
+            devices.join(" ")
+        };
+        println!("  {:<8} {listed}", format!("{stage:?}:"));
     }
 }

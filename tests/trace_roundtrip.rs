@@ -119,14 +119,20 @@ fn exported_bytes_are_pinned() {
 /// histogram, sampled series and flight record — is pinned the same
 /// way, so how the hub stores its series and how it writes the export
 /// can never change a byte of it. Re-pinned with the JSONL export above
-/// (from 58 425 B, FNV-1a 13 918 432 773 278 566 827).
+/// (from 58 425 B, FNV-1a 13 918 432 773 278 566 827), and once more
+/// when the hub began reading device counters instead of keeping its
+/// own: each QP's `dcqcn.rate_changes` reads `SenderCc::rate_changes`,
+/// which counts DCQCN's timer increases as well as its cuts, so the four
+/// counters went from 11 to 46 each (44 → 184 in all) and their series
+/// moved with them; every other byte is unchanged (from 57 937 B, FNV-1a
+/// 12 170 321 948 484 211 905).
 #[test]
 fn hub_export_bytes_are_pinned() {
     let cl = run_incast(InstrumentationProfile::paper_default().telemetry(MetricsHub::enabled()));
     let text = cl.telemetry().render_json().render();
     assert_eq!(
         (text.len(), fnv1a(text.as_bytes())),
-        (57_937, 12_170_321_948_484_211_905)
+        (57_945, 1_281_369_649_921_412_353)
     );
     // The pin covers every section with content in it.
     let doc = rocescale_monitor::json::parse(&text).unwrap();
