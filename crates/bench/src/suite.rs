@@ -628,7 +628,7 @@ fn fig10_buffer_misconfig(_args: &CliArgs) -> Report {
             Cell::U64(r.server_pause_rx),
             Cell::f1(r.latency.p50_us),
             Cell::f1(r.latency.p99_us),
-            Cell::U64(r.config_deviations as u64),
+            Cell::U64(r.config_deviations.len() as u64),
         ]);
     }
     let mut rep = Report::new();

@@ -101,8 +101,9 @@ pub enum CcAction {
     RateChange {
         /// The new pacing rate, bits/second.
         rate_bps: f64,
-        /// What moved it (`"cnp"`, `"rtt-low"`, `"rtt-high"`,
-        /// `"gradient-rise"`, `"gradient-fall"`).
+        /// What moved it (DCQCN: `"cnp"`, `"byte-counter"`, `"timer"`;
+        /// TIMELY: `"rtt-low"`, `"rtt-high"`, `"gradient-rise"`,
+        /// `"gradient-fall"`).
         cause: &'static str,
     },
 }
@@ -311,27 +312,30 @@ impl CongestionControl for SenderCc {
     #[inline]
     fn on_signal(&mut self, sig: CcSignal, now_ps: u64) -> Option<CcAction> {
         match self {
-            SenderCc::Dcqcn(rp) => match sig {
-                CcSignal::Cnp => {
-                    let before = rp.rate_bps();
-                    rp.on_cnp();
-                    let after = rp.rate_bps();
-                    (after != before).then_some(CcAction::RateChange {
-                        rate_bps: after,
-                        cause: "cnp",
-                    })
-                }
-                CcSignal::BytesSent { bytes } => {
-                    rp.on_bytes_sent(bytes);
-                    None
-                }
-                CcSignal::Tick => {
-                    rp.on_alpha_timer();
-                    rp.on_increase_timer();
-                    None
-                }
-                CcSignal::AckRtt { .. } => None,
-            },
+            SenderCc::Dcqcn(rp) => {
+                let before = rp.rate_bps();
+                let cause = match sig {
+                    CcSignal::Cnp => {
+                        rp.on_cnp();
+                        "cnp"
+                    }
+                    CcSignal::BytesSent { bytes } => {
+                        rp.on_bytes_sent(bytes);
+                        "byte-counter"
+                    }
+                    CcSignal::Tick => {
+                        rp.on_alpha_timer();
+                        rp.on_increase_timer();
+                        "timer"
+                    }
+                    CcSignal::AckRtt { .. } => return None,
+                };
+                let after = rp.rate_bps();
+                (after != before).then_some(CcAction::RateChange {
+                    rate_bps: after,
+                    cause,
+                })
+            }
             SenderCc::Timely(t) => match sig {
                 CcSignal::AckRtt { rtt_ps } => t.on_rtt(rtt_ps, now_ps),
                 CcSignal::Cnp | CcSignal::BytesSent { .. } | CcSignal::Tick => None,
@@ -442,9 +446,9 @@ mod tests {
         assert_eq!(s.samples(), 2, "samples still refresh the gradient");
     }
 
-    /// Through the enum, DCQCN is its reaction point: CNPs cut the rate
-    /// (surfacing as actions), RTT samples do nothing, and a tick runs
-    /// both RP timers.
+    /// Through the enum, DCQCN is its reaction point: CNPs cut the rate,
+    /// RTT samples do nothing, and a tick runs both RP timers; every move
+    /// of the rate surfaces as an action naming its cause.
     #[test]
     fn dcqcn_sender_runs_its_reaction_point() {
         let mut cc = SenderCc::new(&CcKind::Dcqcn, LINE);
@@ -454,9 +458,22 @@ mod tests {
             panic!("a CNP must cut the rate");
         };
         assert_eq!((rate_bps, cause), (20e9, "cnp"));
-        assert_eq!(cc.on_signal(CcSignal::Tick, 1), None);
-        assert!(cc.rate_bps() > 20e9, "a tick starts fast recovery");
+        let Some(CcAction::RateChange { rate_bps, cause }) = cc.on_signal(CcSignal::Tick, 1) else {
+            panic!("a tick starts fast recovery");
+        };
+        assert!(rate_bps > 20e9 && rate_bps == cc.rate_bps());
+        assert_eq!(cause, "timer");
         assert_eq!(cc.rate_changes(), 2);
+        // The byte counter moves the rate once per stage it completes.
+        let mut moves = 0;
+        while moves == 0 {
+            let act = cc.on_signal(CcSignal::BytesSent { bytes: 1 << 20 }, 2);
+            if let Some(CcAction::RateChange { cause, .. }) = act {
+                assert_eq!(cause, "byte-counter");
+                moves += 1;
+            }
+        }
+        assert_eq!(cc.rate_changes(), 3);
         assert_eq!(cc.kind(), CcKind::Dcqcn);
     }
 

@@ -3,8 +3,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
-use rocescale_cc::CcKind;
-use rocescale_monitor::config::{diff, ConfigDeviation, RdmaConfig};
+use rocescale_monitor::config::{ConfigDeviation, ConfigField};
 use rocescale_monitor::{
     BlockId, Group, MemorySink, MetricsHub, Path, Pingmesh, QueueSample, StreamRecord, TraceSink,
 };
@@ -12,18 +11,17 @@ use rocescale_nic::{
     host::{TOK_INJECT_STORM, TOK_STOP_STORM},
     HostPfcMode, NicConfig, QpApp, QpHandle, RdmaHost,
 };
-use rocescale_packet::{MacAddr, Priority};
+use rocescale_packet::MacAddr;
 use rocescale_sim::{
     merged_digest, LinkSpec, Node, NodeId, PortId, RemotePort, ShardedWorld, SimTime, World,
     WorldSet,
 };
 use rocescale_switch::{
     AdminAction, BufferConfig, ClassifyMode, DropReason, EcmpGroup, PortRole, Switch, SwitchConfig,
-    WatchdogConfig,
 };
 use rocescale_tcp::{ConnHandle, TcpApp, TcpHost, TcpHostConfig};
 use rocescale_topology::{ClosSpec, Partition, RouteSpec, Tier, Topology};
-use rocescale_transport::{LossRecovery, QpConfig};
+use rocescale_transport::QpConfig;
 
 use crate::detect::{DeadlockProbe, ProbeLink};
 use crate::instrument::InstrumentationProfile;
@@ -283,31 +281,6 @@ impl ClusterBuilder {
         let switch_mac = |idx: usize| MacAddr::from_id(0x00F0_0000 + idx as u32);
         let server_mac = |idx: usize| MacAddr::from_id(idx as u32 + 1);
 
-        // Peer role/mac per link endpoint for switch construction.
-        let classify = match self.fabric.pfc_mode {
-            PfcMode::Dscp => ClassifyMode::Dscp,
-            PfcMode::Vlan => ClassifyMode::Vlan,
-        };
-        let pfc_enabled = self.fabric.pfc_enabled;
-        let stage = self.fabric.stage;
-        // The paper's two lossless classes, which are also the two that
-        // ECN marks.
-        const RDMA_CLASSES: [bool; 8] = [false, false, false, true, true, false, false, false];
-        let lossless_for = |tier: Tier| -> [bool; 8] {
-            let on = pfc_enabled
-                && match tier {
-                    Tier::Tor => stage.tor(),
-                    Tier::Leaf => stage.leaf(),
-                    Tier::Spine => stage.spine(),
-                    Tier::Server => true,
-                };
-            if on {
-                RDMA_CLASSES
-            } else {
-                [false; 8]
-            }
-        };
-
         // Each node's (shard, shard-local sim id) once instantiated.
         let mut sim_ids: Vec<Option<(u32, NodeId)>> = vec![None; n];
         let mut servers: Vec<ServerInfo> = Vec::new();
@@ -320,8 +293,7 @@ impl ClusterBuilder {
             }
             let ports = topo.port_count(idx);
             let mut cfg = SwitchConfig::new(&*node.name, ports);
-            cfg.classify = classify;
-            cfg.lossless = lossless_for(node.tier);
+            fabric_settings(&self.fabric, node.tier, &mut cfg);
             // Port roles from the topology; headroom for the worst link
             // the switch terminates — the fastest and the longest.
             let mut roles = vec![PortRole::Fabric; ports as usize];
@@ -335,25 +307,7 @@ impl ClusterBuilder {
                 }
             }
             cfg.port_roles = roles;
-            cfg.buffer = BufferConfig {
-                total_bytes: 12 << 20,
-                headroom_per_port_pg: BufferConfig::headroom_for(max_bps, max_meters, 1120),
-                alpha: self.fabric.alpha,
-                xoff_static: 256 * 1024,
-                xon_delta: 2 * 1120,
-            };
-            cfg.ecn = if self.fabric.ecn {
-                RDMA_CLASSES
-            } else {
-                [false; 8]
-            };
-            cfg.watchdog = WatchdogConfig {
-                enabled: self.fabric.switch_watchdog,
-                ..WatchdogConfig::default()
-            };
-            // The §4.2 deadlock fix, always on: the scenarios that model
-            // a fabric without it build their switches by hand.
-            cfg.drop_lossless_on_incomplete_arp = true;
+            cfg.buffer.headroom_per_port_pg = BufferConfig::headroom_for(max_bps, max_meters, 1120);
             cfg.drop_ip_id_low_byte = self.faults.drop_ip_id_low_byte;
             let shard = partition.shard_of(idx);
             cfg.telemetry = hubs[shard as usize].clone();
@@ -415,19 +369,7 @@ impl ClusterBuilder {
                 ServerKind::Rdma => {
                     let mut cfg = NicConfig::new(node.name.clone(), idx as u32 + 1, ip, gateway);
                     cfg.link_bps = link_bps;
-                    cfg.pfc_mode = match self.fabric.pfc_mode {
-                        PfcMode::Dscp => HostPfcMode::Dscp,
-                        PfcMode::Vlan => HostPfcMode::Vlan { vid: 100 },
-                    };
-                    cfg.qp_defaults = QpConfig {
-                        recovery: self.transport.recovery,
-                        rto_ps: self.transport.qp_rto.as_ps(),
-                        ..QpConfig::default()
-                    };
-                    // Sender-role congestion control, run at the host's
-                    // line rate.
-                    cfg.cc = self.transport.cc;
-                    cfg.nic_watchdog_after = self.transport.nic_watchdog;
+                    transport_settings(&self.fabric, &self.transport, &mut cfg);
                     cfg.telemetry = hubs[shard as usize].clone();
                     (self.host_tweak)(order, &mut cfg);
                     worlds[shard as usize].add_node(Box::new(RdmaHost::new(cfg)))
@@ -662,40 +604,78 @@ impl ClusterBuilder {
     }
 }
 
-/// The live deadlock probe over a built fabric: every switch keyed by
-/// (name, shard, sim id), watching every switch egress that faces
+/// The RDMA-relevant settings `fabric` asks of a switch at `tier`: PFC
+/// classification and lossless classes, α, ECN classes, the storm
+/// watchdog and the §4.2 ARP fix. Every switch is built through it, and
+/// the configuration monitor checks every running switch against it.
+fn fabric_settings(fabric: &FabricProfile, tier: Tier, cfg: &mut SwitchConfig) {
+    // The paper's two lossless classes, which are also the two that ECN
+    // marks.
+    const RDMA_CLASSES: [bool; 8] = [false, false, false, true, true, false, false, false];
+    let classes = |on: bool| if on { RDMA_CLASSES } else { [false; 8] };
+    let stage = fabric.stage;
+    cfg.classify = match fabric.pfc_mode {
+        PfcMode::Dscp => ClassifyMode::Dscp,
+        PfcMode::Vlan => ClassifyMode::Vlan,
+    };
+    cfg.lossless = classes(
+        fabric.pfc_enabled
+            && match tier {
+                Tier::Tor => stage.tor(),
+                Tier::Leaf => stage.leaf(),
+                Tier::Spine => stage.spine(),
+                Tier::Server => true,
+            },
+    );
+    cfg.buffer.alpha = fabric.alpha;
+    cfg.ecn = classes(fabric.ecn);
+    cfg.watchdog.enabled = fabric.switch_watchdog;
+    // The §4.2 deadlock fix, always on: the scenarios that model a fabric
+    // without it build their switches by hand.
+    cfg.drop_lossless_on_incomplete_arp = true;
+}
+
+/// The settings the profiles ask of an RDMA host: PFC tagging, loss
+/// recovery and retransmission timeout, congestion control (run at the
+/// host's line rate) and the NIC watchdog. Every RDMA host is built
+/// through it, and the configuration monitor checks every running one
+/// against it.
+fn transport_settings(fabric: &FabricProfile, transport: &TransportProfile, cfg: &mut NicConfig) {
+    cfg.pfc_mode = match fabric.pfc_mode {
+        PfcMode::Dscp => HostPfcMode::Dscp,
+        PfcMode::Vlan => HostPfcMode::Vlan { vid: 100 },
+    };
+    cfg.qp_defaults = QpConfig {
+        recovery: transport.recovery,
+        rto_ps: transport.qp_rto.as_ps(),
+        ..QpConfig::default()
+    };
+    cfg.cc = transport.cc;
+    cfg.nic_watchdog_after = transport.nic_watchdog;
+}
+
+/// The live deadlock probe over a built fabric: topology node indices
+/// are its vertex ids, and it watches every switch egress that faces
 /// another device (fabric links both directions, plus switch→server
 /// ports so storm victims show up as wait-chain leaves), for the two
 /// lossless priorities.
 fn probe(hub: &MetricsHub, topo: &Topology, switches: &[SwitchInfo]) -> DeadlockProbe {
     // Topology node id → position in `switches`.
     let mut switch_at: Vec<Option<u32>> = vec![None; topo.nodes.len()];
-    for (i, s) in switches.iter().enumerate() {
-        switch_at[s.topo_idx as usize] = Some(i as u32);
+    for (i, s) in (0..).zip(switches) {
+        switch_at[s.topo_idx as usize] = Some(i);
     }
-    let mut links = Vec::new();
-    for l in &topo.links {
-        for (me, peer) in [(l.a, l.b), (l.b, l.a)] {
-            let Some(sw_idx) = switch_at[me.0 as usize] else {
-                continue;
-            };
-            links.push(ProbeLink {
-                switch: sw_idx,
-                port: me.1,
-                peer: topo.nodes[peer.0 as usize].name.clone(),
-            });
-        }
-    }
-    DeadlockProbe::new(
-        hub,
-        switches
-            .iter()
-            .map(|s| (s.name.to_string(), s.shard, s.sim))
-            .collect(),
-        links,
-        vec![Priority::new(3), Priority::new(4)],
-        3,
-    )
+    let ends = topo.links.iter().flat_map(|l| [(l.a, l.b), (l.b, l.a)]);
+    let links = ends.filter_map(|(me, peer)| {
+        Some(ProbeLink {
+            switch: switch_at[me.0 as usize]?,
+            port: me.1,
+            peer: peer.0,
+        })
+    });
+    let names = topo.nodes.iter().map(|n| n.name.clone()).collect();
+    let at = switches.iter().map(|s| (s.topo_idx, s.shard, s.sim));
+    DeadlockProbe::new(hub, names, at.collect(), links.collect())
 }
 
 /// The engine's gauges, `engine.{leaf}`, in block order: events
@@ -1251,39 +1231,45 @@ impl<W: WorldSet> Cluster<W> {
     }
 
     /// The configuration monitor (§5.1): each live switch's running
-    /// [`SwitchConfig`] against `desired`'s switch-side fields (PFC
-    /// classification, lossless classes, buffer α, ECN on the lossless
-    /// classes, watchdog, the §4.2 ARP fix), then each RDMA host's
-    /// [`NicConfig`] against the host-side ones (PFC tagging, DCQCN,
-    /// go-back-N, NIC watchdog). Switches in [`Self::switch`] order, then
-    /// hosts in server order; empty on a fabric running `desired`.
-    pub fn config_deviations(&self, desired: &RdmaConfig) -> Vec<ConfigDeviation> {
+    /// [`SwitchConfig`], then each RDMA host's [`NicConfig`], against the
+    /// settings the builder derives from `fabric` and `transport` for the
+    /// device's tier: switches in [`Self::switch`] order, then hosts in
+    /// server order. Empty on a fabric running the profiles it was built
+    /// from.
+    pub fn config_deviations(
+        &self,
+        fabric: &FabricProfile,
+        transport: &TransportProfile,
+    ) -> Vec<ConfigDeviation> {
+        use ConfigField::*;
         let mut out = Vec::new();
-        for i in 0..self.switches.len() {
-            let cfg = self.switch(i).config();
-            let lossless = |p: &u8| cfg.lossless[*p as usize];
-            let marks = |p: &u8| cfg.ecn[*p as usize];
-            let running = RdmaConfig {
-                dscp_based_pfc: cfg.classify == ClassifyMode::Dscp,
-                lossless_classes: (0..Priority::COUNT as u8).filter(lossless).collect(),
-                buffer_alpha: cfg.buffer.alpha,
-                ecn: desired.lossless_classes.iter().all(marks),
-                watchdogs: cfg.watchdog.enabled,
-                drop_lossless_on_incomplete_arp: cfg.drop_lossless_on_incomplete_arp,
-                ..desired.clone()
-            };
-            out.extend(diff(&cfg.name, desired, &running));
+        let mut flag = |device: &str, field, same: bool| {
+            if !same {
+                let device = device.to_string();
+                out.push(ConfigDeviation { device, field });
+            }
+        };
+        for (i, info) in self.switches.iter().enumerate() {
+            let (r, mut w) = (self.switch(i).config(), self.switch(i).config().clone());
+            fabric_settings(fabric, info.tier, &mut w);
+            flag(&r.name, PfcClassification, w.classify == r.classify);
+            flag(&r.name, LosslessClasses, w.lossless == r.lossless);
+            flag(&r.name, Alpha, w.buffer.alpha == r.buffer.alpha);
+            flag(&r.name, EcnClasses, w.ecn == r.ecn);
+            flag(&r.name, Watchdog, w.watchdog == r.watchdog);
+            let arp = w.drop_lossless_on_incomplete_arp == r.drop_lossless_on_incomplete_arp;
+            flag(&r.name, ArpFix, arp);
         }
         for s in self.servers.iter().filter(|s| s.kind == ServerKind::Rdma) {
-            let cfg = self.node::<RdmaHost>(s.shard, s.sim).config();
-            let running = RdmaConfig {
-                dscp_based_pfc: cfg.pfc_mode == HostPfcMode::Dscp,
-                dcqcn: cfg.cc == CcKind::Dcqcn,
-                go_back_n: cfg.qp_defaults.recovery == LossRecovery::GoBackN,
-                watchdogs: cfg.nic_watchdog_after.is_some(),
-                ..desired.clone()
-            };
-            out.extend(diff(&cfg.name, desired, &running));
+            let r = self.node::<RdmaHost>(s.shard, s.sim).config();
+            let mut w = r.clone();
+            transport_settings(fabric, transport, &mut w);
+            flag(&r.name, PfcTagging, w.pfc_mode == r.pfc_mode);
+            flag(&r.name, Cc, w.cc == r.cc);
+            let recovery = w.qp_defaults.recovery == r.qp_defaults.recovery;
+            flag(&r.name, LossRecovery, recovery);
+            let watchdog = w.nic_watchdog_after == r.nic_watchdog_after;
+            flag(&r.name, NicWatchdog, watchdog);
         }
         out
     }
@@ -1711,10 +1697,12 @@ mod tests {
 
     /// The configuration monitor reads the running fabric: a paper-default
     /// build deviates nowhere, a host built without DCQCN shows up at
-    /// once, and a scripted α change shows up once it has fired.
+    /// once, a scripted α change shows up once it has fired, and desired
+    /// profiles the fabric was not built from name the fields they differ
+    /// in, on the tiers they differ on.
     #[test]
     fn config_deviations_follow_the_running_configuration() {
-        use rocescale_monitor::config::RdmaConfig;
+        use rocescale_monitor::ConfigField::{self, *};
         let alpha = ScriptAction::PfcThreshold {
             switch: "pod0-tor1".into(),
             alpha: Some(1.0 / 64.0),
@@ -1730,24 +1718,48 @@ mod tests {
                 })
                 .build()
         };
-        let desired = RdmaConfig::paper_recommended();
-        let found = |c: &Cluster| -> Vec<(String, String)> {
-            let devs = c.config_deviations(&desired).into_iter();
-            devs.map(|d| (d.device, d.field)).collect()
+        let (fabric, transport) = (
+            FabricProfile::paper_default(),
+            TransportProfile::paper_default(),
+        );
+        let found = |c: &Cluster, fabric: &FabricProfile, transport: &TransportProfile| {
+            let devs = c.config_deviations(fabric, transport).into_iter();
+            devs.map(|d| (d.device, d.field))
+                .collect::<Vec<(String, ConfigField)>>()
         };
         let mut c = build(false);
-        assert_eq!(found(&c), []);
+        assert_eq!(found(&c, &fabric, &transport), []);
         c.run_until(SimTime::from_micros(100));
-        let alpha_off = ("pod0-tor1".to_string(), "buffer_alpha".to_string());
-        assert_eq!(found(&c), std::slice::from_ref(&alpha_off));
-        let dcqcn_off = (
-            c.rdma(ServerId(3)).config().name.to_string(),
-            "dcqcn".into(),
+        let alpha_off = ("pod0-tor1".to_string(), Alpha);
+        assert_eq!(
+            found(&c, &fabric, &transport),
+            std::slice::from_ref(&alpha_off)
         );
+        let host3 = c.rdma(ServerId(3)).config().name.to_string();
         let mut c = build(true);
-        assert_eq!(found(&c), std::slice::from_ref(&dcqcn_off));
+        assert_eq!(found(&c, &fabric, &transport), [(host3.clone(), Cc)]);
         c.run_until(SimTime::from_micros(100));
-        assert_eq!(found(&c), [alpha_off, dcqcn_off]);
+        assert_eq!(found(&c, &fabric, &transport), [alpha_off, (host3, Cc)]);
+
+        // A ToR-only rollout is what the leaves and spines run short of;
+        // a go-back-0, VLAN-tagging transport is what every host runs
+        // short of.
+        let c = build(false);
+        let tor_only = fabric.clone().stage(crate::DeploymentStage::TorOnly);
+        let listed = found(&c, &tor_only, &transport);
+        assert_eq!(listed.len(), 4, "{listed:?}");
+        assert!(listed
+            .iter()
+            .all(|(d, f)| *f == LosslessClasses && !d.contains("tor")));
+        let vlan = fabric.clone().pfc_mode(PfcMode::Vlan);
+        let gb0 = transport.recovery(rocescale_transport::LossRecovery::GoBack0);
+        let fields =
+            |l: Vec<(String, ConfigField)>| l.into_iter().map(|(_, f)| f).collect::<Vec<_>>();
+        let mut want = vec![PfcClassification; 6];
+        for _ in 0..4 {
+            want.extend([PfcTagging, LossRecovery]);
+        }
+        assert_eq!(fields(found(&c, &vlan, &gb0)), want);
     }
 
     /// A switch's scope, registered from structure, is what its name

@@ -1,19 +1,15 @@
 //! Live PFC-deadlock detection over a running fabric (§4.2).
 //!
-//! The `monitor` crate supplies the two halves of the deadlock
-//! signature — [`ProgressTracker`] (behavioural: lossless backlog with
-//! zero transmit progress across rounds) and [`WaitGraph`] (topological:
-//! a cycle of paused egress ports with backlog behind them). This module
-//! wires both to *real switch state*: at every telemetry sampling epoch
-//! [`DeadlockProbe::observe`] rebuilds the wait graph from each switch's
-//! pause timers and per-priority egress depths, feeds per-switch
-//! tx/backlog snapshots to the tracker, and surfaces
-//! `monitor.deadlock.*` metrics plus a
-//! [`TraceEvent::DeadlockSuspected`] record whenever a cycle is present.
-//!
-//! The probe is a pure observer: it reads the world and writes only to
-//! the telemetry hub, so it cannot perturb the dispatch digest — the
-//! golden-trace pin holds with the detector live.
+//! [`DeadlockProbe`] wires the `monitor` crate's two halves of the
+//! deadlock signature to real switch state. At every telemetry sampling
+//! epoch it rebuilds the [`WaitGraph`] (topological: paused egress ports
+//! with backlog behind them) from each switch's pause timers and egress
+//! depths, and feeds per-switch tx/backlog snapshots to the
+//! [`ProgressTracker`] (behavioural: backlog without progress), both over
+//! vertex ids and buffers it keeps; it publishes `monitor.deadlock.*` and
+//! a [`TraceEvent::DeadlockSuspected`] record whenever a cycle is present.
+//! It reads the worlds and writes only to the hub, so it cannot perturb
+//! the dispatch digest — the golden-trace pin holds with it live.
 
 use std::sync::Arc;
 
@@ -26,17 +22,21 @@ use rocescale_sim::{NodeId, PortId, SimTime, World};
 use rocescale_switch::Switch;
 
 /// One monitored egress: `switch` (index into the probe's switch list)
-/// sends toward the device called `peer` on `port`.
+/// sends toward vertex `peer` on `port`.
 #[derive(Debug, Clone)]
 pub struct ProbeLink {
     /// Index into the probe's switch list.
     pub switch: u32,
     /// Egress port on that switch.
     pub port: PortId,
-    /// Display name of the device behind the port (switch or server),
-    /// shared with its topology node.
-    pub peer: Arc<str>,
+    /// Vertex id of the device behind the port (switch or server).
+    pub peer: u32,
 }
+
+/// The priorities that can pause: the paper's two lossless classes.
+const LOSSLESS: [Priority; 2] = [Priority::new(3), Priority::new(4)];
+/// Consecutive zero-progress rounds before a device counts as stuck.
+const WINDOW: u32 = 3;
 
 /// The probe's instruments, by their place in its block.
 const WAIT_EDGES: u32 = 0;
@@ -44,42 +44,39 @@ const STUCK_DEVICES: u32 = 1;
 const CYCLES: u32 = 2;
 const EPOCHS: u32 = 3;
 
-/// Live deadlock detector: rebuilt wait graph + progress tracking per
-/// sampling epoch. Construct once per fabric (done automatically by
-/// `ClusterBuilder`), call [`observe`](DeadlockProbe::observe) at each
-/// epoch.
+/// Live deadlock detector, built once per fabric (`ClusterBuilder` does),
+/// [`observe`](DeadlockProbe::observe)d at each sampling epoch.
 pub struct DeadlockProbe {
-    /// (display name, owning shard, shard-local sim id).
-    switches: Vec<(String, u32, NodeId)>,
+    /// Display name of every vertex id.
+    names: Vec<Arc<str>>,
+    /// (vertex id, owning shard, shard-local sim id), in tracker order.
+    switches: Vec<(u32, u32, NodeId)>,
     links: Vec<ProbeLink>,
-    lossless: Vec<Priority>,
     tracker: ProgressTracker,
-    /// Consecutive stuck rounds required for the behavioural half.
-    window: u32,
     hub: MetricsHub,
     scope: ScopeId,
     /// The probe's block: `monitor.deadlock.{wait_edges,stuck_devices}`
     /// gauges, then `monitor.deadlock.{cycles,epochs}` counters.
     tele: BlockId,
-    last_graph: WaitGraph,
+    graph: WaitGraph,
+    /// The last epoch's wait cycle (empty: none), and every vertex on a
+    /// cycle of its graph.
+    cycle: Vec<u32>,
+    members: Vec<u32>,
     first_cycle_at: Option<SimTime>,
     cycle_epochs: u64,
     epochs: u64,
 }
 
 impl DeadlockProbe {
-    /// Build a probe over `switches` — each (display name, owning shard,
+    /// Build a probe over `switches` — each (vertex id, owning shard,
     /// shard-local sim node); a one-world fabric puts every switch on
-    /// shard 0 — watching `links`, treating `lossless` priorities as
-    /// pause-eligible. `window` is the number of consecutive
-    /// zero-progress rounds before a device counts as stuck (3 matches
-    /// the offline detector's convention).
+    /// shard 0 — watching `links`. `names[v]` names vertex `v`.
     pub fn new(
         hub: &MetricsHub,
-        switches: Vec<(String, u32, NodeId)>,
+        names: Vec<Arc<str>>,
+        switches: Vec<(u32, u32, NodeId)>,
         links: Vec<ProbeLink>,
-        lossless: Vec<Priority>,
-        window: u32,
     ) -> DeadlockProbe {
         let block = hub.register(
             Path::fixed("monitor.deadlock"),
@@ -92,12 +89,13 @@ impl DeadlockProbe {
             scope: block.scope,
             tele: block.base,
             hub: hub.clone(),
+            names,
+            tracker: ProgressTracker::new(switches.len()),
             switches,
             links,
-            lossless,
-            tracker: ProgressTracker::new(),
-            window,
-            last_graph: WaitGraph::new(),
+            graph: WaitGraph::new(),
+            cycle: Vec::new(),
+            members: Vec::new(),
             first_cycle_at: None,
             cycle_epochs: 0,
             epochs: 0,
@@ -105,74 +103,79 @@ impl DeadlockProbe {
     }
 
     /// Run one detection epoch against live switch state: `worlds[s]`
-    /// is shard `s`'s world (a one-world fabric passes a one-element
-    /// slice) and every monitored switch is read from its owning shard.
-    /// Called at a barrier (all shards at a common horizon), the
-    /// pause/occupancy view is exactly what a single merged world would
-    /// show — pause state and egress depths are plain per-switch state,
-    /// not in-flight events. Returns the wait cycle found this epoch, if
-    /// any. Read-only on the worlds.
+    /// is shard `s`'s world, and every switch is read from its owning
+    /// shard. At a barrier this is exactly a merged world's view: pause
+    /// state and egress depths are per-switch state, not in-flight events.
+    /// Returns the wait cycle found this epoch, if any: the first one a
+    /// depth-first search meets, starting from waiting devices in name
+    /// order.
     pub fn observe(&mut self, worlds: &[World], now: SimTime) -> Option<Vec<String>> {
         self.epochs += 1;
         self.hub.incr(self.tele.counter(EPOCHS));
+        let switch =
+            |&(_, shard, sim): &(u32, u32, NodeId)| worlds[shard as usize].node::<Switch>(sim);
         // Topological half: rebuild the wait graph from pause state.
-        let mut graph = WaitGraph::new();
+        self.graph.clear();
         for l in &self.links {
-            let (ref name, shard, sim) = self.switches[l.switch as usize];
-            let sw = worlds[shard as usize].node::<Switch>(sim);
-            for prio in &self.lossless {
-                if sw.is_paused(l.port, *prio, now) && sw.egress_depth_prio(l.port, *prio) > 0 {
-                    graph.add_edge(name.clone(), &*l.peer);
-                    break;
-                }
+            let s = &self.switches[l.switch as usize];
+            let sw = switch(s);
+            let waits = |&prio: &Priority| {
+                sw.is_paused(l.port, prio, now) && sw.egress_depth_prio(l.port, prio) > 0
+            };
+            if LOSSLESS.iter().any(waits) {
+                self.graph.add_edge(s.0, l.peer);
             }
         }
         // Behavioural half: per-switch progress snapshots.
-        let snaps: Vec<(String, Snapshot)> = self
-            .switches
-            .iter()
-            .map(|(name, shard, sim)| {
-                let sw = worlds[*shard as usize].node::<Switch>(*sim);
-                (
-                    name.clone(),
-                    Snapshot {
-                        tx_pkts: sw.total_data_tx_pkts(),
-                        backlog_bytes: sw.lossless_backlog(),
-                    },
-                )
-            })
-            .collect();
-        let stuck = self.tracker.observe(&snaps);
-        self.hub
-            .set_gauge(self.tele.gauge(WAIT_EDGES), graph.edge_count() as f64);
-        self.hub
-            .set_gauge(self.tele.gauge(STUCK_DEVICES), stuck.len() as f64);
-        let cycle = graph.find_cycle();
-        if let Some(c) = &cycle {
-            self.cycle_epochs += 1;
-            self.first_cycle_at.get_or_insert(now);
-            self.hub.incr(self.tele.counter(CYCLES));
-            self.hub.trace(
-                now.as_ps(),
-                self.scope,
-                TraceEvent::DeadlockSuspected {
-                    cycle_len: c.len().min(u16::MAX as usize) as u16,
-                },
-            );
+        let stuck = self.tracker.observe(self.switches.iter().map(|s| {
+            let sw = switch(s);
+            Snapshot {
+                tx_pkts: sw.total_data_tx_pkts(),
+                backlog_bytes: sw.lossless_backlog(),
+            }
+        }));
+        let (hub, tele, graph) = (&self.hub, self.tele, &mut self.graph);
+        hub.set_gauge(tele.gauge(WAIT_EDGES), graph.edge_count() as f64);
+        hub.set_gauge(tele.gauge(STUCK_DEVICES), stuck as f64);
+        let names = &self.names;
+        self.members.clear();
+        if !graph.find_cycle(|v| &names[v as usize], &mut self.cycle) {
+            return None;
         }
-        self.last_graph = graph;
-        cycle
+        graph.cycle_members(&mut self.members);
+        self.cycle_epochs += 1;
+        self.first_cycle_at.get_or_insert(now);
+        self.hub.incr(self.tele.counter(CYCLES));
+        let cycle_len = self.cycle.len().min(u16::MAX as usize) as u16;
+        let suspected = TraceEvent::DeadlockSuspected { cycle_len };
+        self.hub.trace(now.as_ps(), self.scope, suspected);
+        self.last_cycle()
     }
 
-    /// The corroborated verdict as of the last epoch: devices stuck for
-    /// the probe's full window *and* on a wait-graph cycle.
+    /// The corroborated verdict as of the last epoch, sorted: devices
+    /// stuck for the probe's full window *and* on a wait-graph cycle. A
+    /// genuine PFC deadlock is a cyclic buffer dependency involving ≥ 2
+    /// devices (or a pathological self-wait); requiring cycle membership
+    /// keeps storm victims — stuck but waiting on a chain, not a cycle —
+    /// out of the verdict.
     pub fn verdict(&self) -> Vec<String> {
-        self.tracker.deadlocked(self.window, &self.last_graph)
+        let on_cycle = |n: &String| self.members.iter().any(|&v| *self.names[v as usize] == **n);
+        self.stuck().into_iter().filter(on_cycle).collect()
     }
 
-    /// Devices failing the behavioural half alone (stuck, cycle or not).
+    /// Devices failing the behavioural half alone (stuck, cycle or not),
+    /// sorted.
     pub fn stuck(&self) -> Vec<String> {
-        self.tracker.stuck(self.window)
+        let name = |i: u32| self.names[self.switches[i as usize].0 as usize].to_string();
+        let mut v: Vec<String> = self.tracker.stuck(WINDOW).map(name).collect();
+        v.sort();
+        v
+    }
+
+    /// The wait cycle of the last epoch, if it had one.
+    pub fn last_cycle(&self) -> Option<Vec<String>> {
+        let name = |v: &u32| self.names[*v as usize].to_string();
+        (!self.cycle.is_empty()).then(|| self.cycle.iter().map(name).collect())
     }
 
     /// First sim time a wait cycle was observed, if ever.
@@ -188,10 +191,5 @@ impl DeadlockProbe {
     /// Total detection epochs run.
     pub fn epochs(&self) -> u64 {
         self.epochs
-    }
-
-    /// The wait graph from the last epoch.
-    pub fn last_graph(&self) -> &WaitGraph {
-        &self.last_graph
     }
 }

@@ -24,11 +24,12 @@
 //! With the paper's fix (drop lossless packets on incomplete ARP), the
 //! flood never happens and traffic to live servers keeps flowing.
 
+use std::sync::Arc;
+
 use rocescale_cc::CcKind;
 use rocescale_monitor::MetricsHub;
 use rocescale_nic::{NicConfig, QpApp, RdmaHost};
 use rocescale_packet::MacAddr;
-use rocescale_packet::Priority;
 use rocescale_sim::{LinkSpec, NodeId, PortId, SimTime, World};
 use rocescale_switch::{AdminAction, DropReason, EcmpGroup, PortRole, Switch, SwitchConfig};
 use rocescale_transport::QpConfig;
@@ -259,11 +260,14 @@ struct Watched {
 /// port, so its wait edges keep the order in which FIG-4 has always
 /// searched them: its reported cycle does not depend on the probe.
 fn watch(f: &mut Fabric, dur: SimTime) -> Watched {
-    let switches = [("T0", f.t0), ("T1", f.t1), ("La", f.la), ("Lb", f.lb)];
+    // The fragment numbers its own vertices: the four switches first, in
+    // the probe's switch order, then the servers.
+    const NAMES: [&str; 10] = ["T0", "T1", "La", "Lb", "S1", "S2", "S3", "S4", "S5", "S6"];
+    let switches = [f.t0, f.t1, f.la, f.lb];
     let link = |switch: u32, port: u16, peer: &str| ProbeLink {
         switch,
         port: PortId(port),
-        peer: peer.into(),
+        peer: NAMES.iter().position(|n| *n == peer).expect("named") as u32,
     };
     let links = vec![
         link(0, 0, "S1"),
@@ -283,13 +287,9 @@ fn watch(f: &mut Fabric, dur: SimTime) -> Watched {
     ];
     let mut probe = DeadlockProbe::new(
         &MetricsHub::disabled(),
-        switches
-            .iter()
-            .map(|(n, id)| (n.to_string(), 0, *id))
-            .collect(),
+        NAMES.iter().map(|n| Arc::from(*n)).collect(),
+        (0..).zip(switches).map(|(v, id)| (v, 0, id)).collect(),
         links,
-        vec![Priority::new(3), Priority::new(4)],
-        3,
     );
 
     let sample = SimTime::from_millis(2);
@@ -307,7 +307,7 @@ fn watch(f: &mut Fabric, dur: SimTime) -> Watched {
     let sum = |stat: fn(&Switch) -> u64| -> u64 {
         switches
             .iter()
-            .map(|(_, id)| stat(f.world.node::<Switch>(*id)))
+            .map(|id| stat(f.world.node::<Switch>(*id)))
             .sum()
     };
     Watched {
@@ -329,10 +329,10 @@ pub fn run(fix_enabled: bool, dur: SimTime) -> DeadlockResult {
         tail_goodput_bytes: w.tail_goodput_bytes,
         fix_drops: w.fix_drops,
         pauses: w.pauses,
-        // The pause-wait graph of the last epoch, at the end of the run:
-        // edge A→B when A's egress port toward B is paused for a lossless
+        // The wait cycle of the last epoch, at the end of the run: edge
+        // A→B when A's egress port toward B is paused for a lossless
         // class with backlog behind it.
-        wait_cycle: w.probe.last_graph().find_cycle(),
+        wait_cycle: w.probe.last_cycle(),
     }
 }
 

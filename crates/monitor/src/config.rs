@@ -6,152 +6,42 @@
 //! The §6.2 incident is the motivating case: a newly introduced switch
 //! type silently shipped with dynamic-buffer α = 1/64 where the fleet
 //! standard was 1/16, and thousands of servers saw pause storms at
-//! midnight. A desired-vs-running diff of exactly the fields below would
-//! have flagged it before traffic did.
+//! midnight. A desired-vs-running check of exactly the fields below would
+//! have flagged it before traffic did. The check itself walks a running
+//! fabric (`Cluster::config_deviations` in the core crate); this module
+//! names what it reports.
 
-/// The RDMA-relevant configuration of a switch or server, §5.1's "global
-/// part" plus safety features.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RdmaConfig {
-    /// DSCP-based (true) or VLAN-based (false) PFC.
-    pub dscp_based_pfc: bool,
-    /// Which of the 8 classes are lossless.
-    pub lossless_classes: Vec<u8>,
-    /// Dynamic buffer α (None = static thresholds).
-    pub buffer_alpha: Option<f64>,
-    /// DCQCN enabled.
-    pub dcqcn: bool,
-    /// ECN marking enabled on lossless classes.
-    pub ecn: bool,
-    /// Go-back-N (true) vs go-back-0 (false) NIC loss recovery.
-    pub go_back_n: bool,
-    /// Storm watchdogs armed.
-    pub watchdogs: bool,
-    /// Drop lossless packets on incomplete ARP entries (§4.2 fix).
-    pub drop_lossless_on_incomplete_arp: bool,
-}
-
-impl RdmaConfig {
-    /// The paper's recommended end-state configuration.
-    pub fn paper_recommended() -> RdmaConfig {
-        RdmaConfig {
-            dscp_based_pfc: true,
-            lossless_classes: vec![3, 4],
-            buffer_alpha: Some(1.0 / 16.0),
-            dcqcn: true,
-            ecn: true,
-            go_back_n: true,
-            watchdogs: true,
-            drop_lossless_on_incomplete_arp: true,
-        }
-    }
+/// An RDMA-relevant configuration field of a switch or an RDMA host,
+/// §5.1's "global part" plus the safety features.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ConfigField {
+    /// Switch: DSCP- or VLAN-based PFC classification.
+    PfcClassification,
+    /// Switch: which of the 8 classes are lossless.
+    LosslessClasses,
+    /// Switch: dynamic-buffer α (or static thresholds).
+    Alpha,
+    /// Switch: which classes ECN marks.
+    EcnClasses,
+    /// Switch: the PFC-storm watchdog.
+    Watchdog,
+    /// Switch: dropping lossless packets on incomplete ARP (§4.2 fix).
+    ArpFix,
+    /// RDMA host: DSCP or VLAN PFC tagging.
+    PfcTagging,
+    /// RDMA host: the congestion-control algorithm.
+    Cc,
+    /// RDMA host: the NIC's loss-recovery scheme.
+    LossRecovery,
+    /// RDMA host: the NIC-side storm watchdog.
+    NicWatchdog,
 }
 
 /// One detected deviation between desired and running configuration.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ConfigDeviation {
     /// Device name.
     pub device: String,
     /// Field that deviates.
-    pub field: String,
-    /// Desired value, rendered.
-    pub desired: String,
-    /// Running value, rendered.
-    pub running: String,
-}
-
-/// Diff a running config against the desired one.
-pub fn diff(device: &str, desired: &RdmaConfig, running: &RdmaConfig) -> Vec<ConfigDeviation> {
-    let mut out = Vec::new();
-    let mut check = |field: &'static str, d: String, r: String| {
-        if d != r {
-            out.push(ConfigDeviation {
-                device: device.to_string(),
-                field: field.to_string(),
-                desired: d,
-                running: r,
-            });
-        }
-    };
-    check(
-        "dscp_based_pfc",
-        desired.dscp_based_pfc.to_string(),
-        running.dscp_based_pfc.to_string(),
-    );
-    check(
-        "lossless_classes",
-        format!("{:?}", desired.lossless_classes),
-        format!("{:?}", running.lossless_classes),
-    );
-    check(
-        "buffer_alpha",
-        format!("{:?}", desired.buffer_alpha),
-        format!("{:?}", running.buffer_alpha),
-    );
-    check(
-        "dcqcn",
-        desired.dcqcn.to_string(),
-        running.dcqcn.to_string(),
-    );
-    check("ecn", desired.ecn.to_string(), running.ecn.to_string());
-    check(
-        "go_back_n",
-        desired.go_back_n.to_string(),
-        running.go_back_n.to_string(),
-    );
-    check(
-        "watchdogs",
-        desired.watchdogs.to_string(),
-        running.watchdogs.to_string(),
-    );
-    check(
-        "drop_lossless_on_incomplete_arp",
-        desired.drop_lossless_on_incomplete_arp.to_string(),
-        running.drop_lossless_on_incomplete_arp.to_string(),
-    );
-    out
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn identical_configs_have_no_deviations() {
-        let c = RdmaConfig::paper_recommended();
-        assert!(diff("tor0", &c, &c).is_empty());
-    }
-
-    /// The §6.2 incident: a new switch type running α = 1/64.
-    #[test]
-    fn alpha_misconfiguration_detected() {
-        let desired = RdmaConfig::paper_recommended();
-        let mut running = desired.clone();
-        running.buffer_alpha = Some(1.0 / 64.0);
-        let devs = diff("new-tor-type-7", &desired, &running);
-        assert_eq!(devs.len(), 1);
-        assert_eq!(devs[0].field, "buffer_alpha");
-        assert!(devs[0].desired.contains("0.0625"));
-    }
-
-    #[test]
-    fn multiple_deviations_all_reported() {
-        let desired = RdmaConfig::paper_recommended();
-        let mut running = desired.clone();
-        running.go_back_n = false;
-        running.watchdogs = false;
-        running.lossless_classes = vec![3];
-        let devs = diff("srv42", &desired, &running);
-        assert_eq!(devs.len(), 3);
-    }
-
-    #[test]
-    fn fleet_tooling_type_bounds() {
-        // Compile-time check that fleet tooling can clone, compare, and
-        // render these (serialization itself is out of tree since the
-        // serde dependency was removed for hermetic builds).
-        fn assert_fleet_ready<T: Clone + PartialEq + std::fmt::Debug>() {}
-        assert_fleet_ready::<RdmaConfig>();
-        assert_fleet_ready::<ConfigDeviation>();
-    }
+    pub field: ConfigField,
 }

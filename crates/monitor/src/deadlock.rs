@@ -7,8 +7,10 @@
 //! (transmitted-packet counter, lossless backlog bytes) and reports
 //! devices that made zero transmit progress across a full window while
 //! holding backlog.
-
-use std::collections::HashMap;
+//!
+//! Both halves work on dense `u32` ids and keep their buffers from round
+//! to round; names are the caller's (a cluster's vertex ids are its
+//! topology node indices).
 
 /// One device snapshot.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -19,87 +21,82 @@ pub struct Snapshot {
     pub backlog_bytes: u64,
 }
 
-/// Tracks progress between snapshot rounds.
-#[derive(Debug, Clone, Default)]
+/// Tracks the progress of a fixed set of devices between snapshot rounds:
+/// device `i` is position `i` of every round.
+#[derive(Debug, Clone)]
 pub struct ProgressTracker {
-    last: HashMap<String, Snapshot>,
-    /// Devices stuck (no progress + backlog) and for how many rounds.
-    stuck_rounds: HashMap<String, u32>,
+    /// Each device's snapshot in the last round, if there was one.
+    last: Vec<Option<Snapshot>>,
+    /// Consecutive rounds each device has been stuck (0: not stuck).
+    stuck_rounds: Vec<u32>,
 }
 
 impl ProgressTracker {
-    /// Empty tracker.
-    pub fn new() -> ProgressTracker {
-        ProgressTracker::default()
+    /// A tracker over `devices` devices.
+    pub fn new(devices: usize) -> ProgressTracker {
+        ProgressTracker {
+            last: vec![None; devices],
+            stuck_rounds: vec![0; devices],
+        }
     }
 
-    /// Feed one round of snapshots (all devices at the same instant).
-    /// Returns the devices that were stuck this round.
-    ///
-    /// A device absent from a round is treated as reset: its history is
-    /// discarded, so a device that stops being snapshotted (decommissioned,
-    /// renamed, scraped out of rotation) cannot stay "stuck" forever on
-    /// stale state.
-    pub fn observe(&mut self, round: &[(String, Snapshot)]) -> Vec<String> {
-        let mut stuck = Vec::new();
-        for (name, snap) in round {
-            let prev = self.last.insert(name.clone(), *snap);
-            if let Some(prev) = prev {
-                if snap.tx_pkts == prev.tx_pkts && snap.backlog_bytes > 0 {
-                    let c = self.stuck_rounds.entry(name.clone()).or_insert(0);
-                    *c += 1;
-                    stuck.push(name.clone());
-                } else {
-                    self.stuck_rounds.remove(name);
-                }
-            }
+    /// Feed one round: every device's snapshot, in device order, all at
+    /// the same instant. Returns how many devices were stuck (no transmit
+    /// progress since the last round, lossless backlog held) this round.
+    pub fn observe(&mut self, round: impl IntoIterator<Item = Snapshot>) -> usize {
+        let (mut seen, mut stuck) = (0, 0);
+        for (i, snap) in round.into_iter().enumerate() {
+            let prev = self.last[i].replace(snap);
+            let stalled = prev.is_some_and(|p| p.tx_pkts == snap.tx_pkts) && snap.backlog_bytes > 0;
+            stuck += stalled as usize;
+            self.stuck_rounds[i] = if stalled { self.stuck_rounds[i] + 1 } else { 0 };
+            seen = i + 1;
         }
-        // Absence is reset: forget devices not in this round.
-        let seen: std::collections::HashSet<&str> = round.iter().map(|(n, _)| n.as_str()).collect();
-        self.last.retain(|n, _| seen.contains(n.as_str()));
-        self.stuck_rounds.retain(|n, _| seen.contains(n.as_str()));
+        assert_eq!(seen, self.last.len(), "a round snapshots every device");
         stuck
     }
 
-    /// Devices stuck for at least `rounds` consecutive rounds — the
-    /// behavioural *suspicion*. This alone cannot distinguish a deadlock
-    /// from a storm victim (a single device starved by a pause storm also
-    /// makes zero progress while holding backlog); use
-    /// [`ProgressTracker::deadlocked`] for the corroborated verdict.
-    pub fn stuck(&self, rounds: u32) -> Vec<String> {
-        let mut v: Vec<String> = self
-            .stuck_rounds
-            .iter()
-            .filter(|(_, c)| **c >= rounds)
-            .map(|(n, _)| n.clone())
-            .collect();
-        v.sort();
-        v
-    }
-
-    /// The deadlock verdict: devices stuck for at least `rounds`
-    /// consecutive rounds **and** on a cycle of the pause-wait graph. A
-    /// genuine PFC deadlock is a cyclic buffer dependency involving ≥ 2
-    /// devices (or a pathological self-wait); requiring cycle membership
-    /// keeps storm victims — stuck but waiting on a chain, not a cycle —
-    /// out of the verdict.
-    pub fn deadlocked(&self, rounds: u32, graph: &WaitGraph) -> Vec<String> {
-        let members = graph.cycle_members();
-        self.stuck(rounds)
-            .into_iter()
-            .filter(|n| members.iter().any(|m| m == n))
-            .collect()
+    /// Devices stuck for at least `rounds` (≥ 1) consecutive rounds, in
+    /// device order — the behavioural *suspicion*. This alone cannot
+    /// distinguish a deadlock from a storm victim (a single device starved
+    /// by a pause storm also makes zero progress while holding backlog);
+    /// the verdict also asks for membership of a [`WaitGraph`] cycle.
+    pub fn stuck(&self, rounds: u32) -> impl Iterator<Item = u32> + '_ {
+        (0..)
+            .zip(&self.stuck_rounds)
+            .filter(move |&(_, &c)| c >= rounds.max(1))
+            .map(|(i, _)| i)
     }
 }
 
-/// A pause-wait graph: directed edges `A → B` meaning device A's egress
-/// toward B is paused (A waits on B to resume it) while A holds lossless
+/// A pause-wait graph: directed edges `a → b` meaning device a's egress
+/// toward b is paused (a waits on b to resume it) while a holds lossless
 /// backlog for that port. A cycle in this graph is the §4.2 "cyclic
 /// buffer dependency" — the topological signature of a PFC deadlock,
 /// complementing [`ProgressTracker`]'s behavioural one.
+///
+/// Both searches walk one adjacency, built from the edges when a search
+/// starts: the vertices on some edge, ascending, each with its
+/// successors in the order their edges were added.
 #[derive(Debug, Clone, Default)]
 pub struct WaitGraph {
-    edges: Vec<(String, String)>,
+    edges: Vec<(u32, u32)>,
+    /// Every vertex on an edge, ascending; a search numbers them by
+    /// position here.
+    verts: Vec<u32>,
+    /// Successors of position `k`: `succ[first[k]..first[k + 1]]`.
+    first: Vec<u32>,
+    succ: Vec<u32>,
+    /// Per position: when the search entered it (`u32::MAX`: not yet),
+    /// the earliest entry it reaches (Tarjan's low-link), and whether it
+    /// is open — on the DFS path, or on Tarjan's component stack.
+    entered: Vec<u32>,
+    low: Vec<u32>,
+    open: Vec<bool>,
+    /// The depth-first walk: (position, successors tried).
+    call: Vec<(u32, u32)>,
+    /// The DFS start order, or Tarjan's component stack.
+    list: Vec<u32>,
 }
 
 impl WaitGraph {
@@ -108,10 +105,15 @@ impl WaitGraph {
         WaitGraph::default()
     }
 
+    /// Remove every edge, keeping the buffers.
+    pub fn clear(&mut self) {
+        self.edges.clear();
+    }
+
     /// Add a wait edge: `from`'s egress toward `to` is paused with
     /// backlog behind it.
-    pub fn add_edge(&mut self, from: impl Into<String>, to: impl Into<String>) {
-        self.edges.push((from.into(), to.into()));
+    pub fn add_edge(&mut self, from: u32, to: u32) {
+        self.edges.push((from, to));
     }
 
     /// Number of edges.
@@ -119,14 +121,342 @@ impl WaitGraph {
         self.edges.len()
     }
 
-    /// Find one cycle, if any, as the list of devices around it.
-    pub fn find_cycle(&self) -> Option<Vec<String>> {
+    /// Build the adjacency from the edges and clear the search state.
+    fn index(&mut self) {
+        let verts = &mut self.verts;
+        verts.clear();
+        verts.extend(self.edges.iter().flat_map(|&(a, b)| [a, b]));
+        verts.sort_unstable();
+        verts.dedup();
+        let n = verts.len();
+        let pos = |v: u32| verts.binary_search(&v).expect("an edge's vertex") as u32;
+        let first = &mut self.first;
+        first.clear();
+        first.resize(n + 1, 0);
+        for &(a, _) in &self.edges {
+            first[pos(a) as usize + 1] += 1;
+        }
+        for k in 1..=n {
+            first[k] += first[k - 1];
+        }
+        // Fill each source's slots in edge order, then shift the starts back.
+        self.succ.resize(self.edges.len(), 0);
+        for &(a, b) in &self.edges {
+            let k = pos(a) as usize;
+            self.succ[first[k] as usize] = pos(b);
+            first[k] += 1;
+        }
+        first.rotate_right(1);
+        first[0] = 0;
+        self.entered.clear();
+        self.entered.resize(n, u32::MAX);
+        self.low.resize(n, 0);
+        self.open.clear();
+        self.open.resize(n, false);
+        self.call.clear();
+        self.list.clear();
+    }
+
+    /// Successors of position `k`.
+    fn succ_of(&self, k: u32) -> &[u32] {
+        &self.succ[self.first[k as usize] as usize..self.first[k as usize + 1] as usize]
+    }
+
+    /// Enter position `k` as the search's `index`-th vertex.
+    fn enter(&mut self, k: u32, index: u32) {
+        let k = k as usize;
+        (self.entered[k], self.low[k], self.open[k]) = (index, index, true);
+    }
+
+    /// Find one cycle: a depth-first search from each vertex with a
+    /// successor, tried in ascending `key` order, following edges in the
+    /// order they were added; the first edge back onto the search path
+    /// closes the cycle. Writes the vertices around it into `cycle`
+    /// (cleared first), starting after the vertex the back edge reaches
+    /// and ending with it, and returns whether there was one.
+    pub fn find_cycle<K: Ord>(
+        &mut self,
+        mut key: impl FnMut(u32) -> K,
+        cycle: &mut Vec<u32>,
+    ) -> bool {
+        self.index();
+        cycle.clear();
+        let mut starts = std::mem::take(&mut self.list);
+        starts.extend((0..self.verts.len() as u32).filter(|&k| !self.succ_of(k).is_empty()));
+        starts.sort_unstable_by_key(|&k| key(self.verts[k as usize]));
+        for &start in &starts {
+            if self.entered[start as usize] == u32::MAX {
+                self.call.push((start, 0));
+            }
+            while let Some(&(v, tried)) = self.call.last() {
+                if tried == 0 {
+                    self.enter(v, 0);
+                }
+                self.call.last_mut().expect("on the path").1 += 1;
+                match self.succ_of(v).get(tried as usize).copied() {
+                    Some(w) if self.entered[w as usize] == u32::MAX => self.call.push((w, 0)),
+                    Some(w) if self.open[w as usize] => {
+                        let at = self.call.iter().rposition(|&(u, _)| u == w).expect("open");
+                        let path = self.call[at + 1..].iter().map(|&(u, _)| u).chain([w]);
+                        cycle.extend(path.map(|u| self.verts[u as usize]));
+                        break;
+                    }
+                    Some(_) => {}
+                    None => {
+                        self.open[v as usize] = false;
+                        self.call.pop();
+                    }
+                }
+            }
+            if !cycle.is_empty() {
+                break;
+            }
+        }
+        self.list = starts;
+        !cycle.is_empty()
+    }
+
+    /// Every vertex on *some* cycle, ascending, into `members` (cleared
+    /// first): the union of strongly connected components of size ≥ 2,
+    /// plus self-loops (Tarjan's algorithm, iteratively). A vertex merely
+    /// downstream of a cycle — a storm victim on a pause chain — is not
+    /// in it.
+    pub fn cycle_members(&mut self, members: &mut Vec<u32>) {
+        self.index();
+        members.clear();
+        let mut next = 0;
+        for root in 0..self.verts.len() as u32 {
+            if self.entered[root as usize] == u32::MAX {
+                self.call.push((root, 0));
+            }
+            while let Some(&(v, tried)) = self.call.last() {
+                let k = v as usize;
+                if tried == 0 {
+                    self.enter(v, next);
+                    next += 1;
+                    self.list.push(v);
+                }
+                self.call.last_mut().expect("on the path").1 += 1;
+                match self.succ_of(v).get(tried as usize).copied() {
+                    Some(w) if self.entered[w as usize] == u32::MAX => self.call.push((w, 0)),
+                    Some(w) if self.open[w as usize] => {
+                        self.low[k] = self.low[k].min(self.entered[w as usize]);
+                    }
+                    Some(_) => {}
+                    None => {
+                        self.call.pop();
+                        if let Some(&(p, _)) = self.call.last() {
+                            self.low[p as usize] = self.low[p as usize].min(self.low[k]);
+                        }
+                        if self.low[k] < self.entered[k] {
+                            continue;
+                        }
+                        // Root of a component: pop it off.
+                        let at = self.list.iter().rposition(|&u| u == v).expect("stacked");
+                        let cyclic = self.list.len() - at >= 2 || self.succ_of(v).contains(&v);
+                        for u in self.list.drain(at..) {
+                            self.open[u as usize] = false;
+                            if cyclic {
+                                members.push(self.verts[u as usize]);
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        members.sort_unstable();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use rocescale_sim::SimRng;
+
+    fn snap(tx: u64, backlog: u64) -> Snapshot {
+        Snapshot {
+            tx_pkts: tx,
+            backlog_bytes: backlog,
+        }
+    }
+
+    fn stuck(t: &ProgressTracker, rounds: u32) -> Vec<u32> {
+        t.stuck(rounds).collect()
+    }
+
+    /// A graph over named vertices: vertex `i` is `names[i]`.
+    fn named(names: &[&str], edges: &[(&str, &str)]) -> WaitGraph {
+        let id = |n: &str| names.iter().position(|m| *m == n).unwrap() as u32;
+        let mut g = WaitGraph::new();
+        for (a, b) in edges {
+            g.add_edge(id(a), id(b));
+        }
+        g
+    }
+
+    /// The cycle `find_cycle` reports, by name, starting from vertices in
+    /// name order.
+    fn cycle_of(g: &mut WaitGraph, names: &[&str]) -> Option<Vec<String>> {
+        let mut cycle = Vec::new();
+        g.find_cycle(|v| names[v as usize], &mut cycle).then(|| {
+            let name = |v: &u32| names[*v as usize].to_string();
+            cycle.iter().map(name).collect()
+        })
+    }
+
+    fn members_of(g: &mut WaitGraph) -> Vec<u32> {
+        let mut members = Vec::new();
+        g.cycle_members(&mut members);
+        members
+    }
+
+    #[test]
+    fn progress_is_not_deadlock() {
+        let mut t = ProgressTracker::new(1);
+        t.observe([snap(100, 5000)]);
+        t.observe([snap(200, 5000)]);
+        t.observe([snap(300, 9000)]);
+        assert!(stuck(&t, 1).is_empty());
+    }
+
+    #[test]
+    fn zero_progress_with_backlog_is_stuck() {
+        let mut t = ProgressTracker::new(2);
+        for round in 0..4 {
+            let n = t.observe([snap(100, 5000), snap(80, 3000)]);
+            assert_eq!(n, if round == 0 { 0 } else { 2 });
+        }
+        assert_eq!(stuck(&t, 3), [0, 1]);
+        assert_eq!(stuck(&t, 4), []);
+    }
+
+    #[test]
+    fn idle_device_is_not_stuck() {
+        let mut t = ProgressTracker::new(1);
+        for _ in 0..4 {
+            t.observe([snap(100, 0)]); // no backlog: just idle
+        }
+        assert!(stuck(&t, 1).is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "a round snapshots every device")]
+    fn a_round_must_cover_every_device() {
+        ProgressTracker::new(2).observe([snap(1, 1)]);
+    }
+
+    #[test]
+    fn recovery_resets_the_counter() {
+        let mut t = ProgressTracker::new(1);
+        t.observe([snap(100, 5000)]);
+        t.observe([snap(100, 5000)]); // stuck 1
+        t.observe([snap(150, 1000)]); // progress
+        t.observe([snap(150, 1000)]); // stuck 1 again
+        assert!(stuck(&t, 2).is_empty());
+        assert_eq!(stuck(&t, 1), [0]);
+    }
+
+    /// The corroborated verdict: only stuck devices on a wait-graph cycle
+    /// are deadlocked. A storm victim (stuck, but waiting on a chain) is
+    /// excluded.
+    #[test]
+    fn deadlock_verdict_requires_cycle_membership() {
+        // Devices and vertices share ids here: T0, T1, victim.
+        let mut t = ProgressTracker::new(3);
+        for _ in 0..4 {
+            t.observe([snap(10, 5000), snap(20, 5000), snap(30, 4000)]);
+        }
+        assert_eq!(stuck(&t, 3), [0, 1, 2]);
+        let mut g = WaitGraph::new();
+        g.add_edge(0, 1);
+        g.add_edge(1, 0);
+        g.add_edge(2, 0); // chained onto the cycle, not in it
+        let members = members_of(&mut g);
+        let verdict: Vec<u32> = t.stuck(3).filter(|i| members.contains(i)).collect();
+        assert_eq!(verdict, [0, 1]);
+        // No cycle at all: nobody is deadlocked, however stuck.
+        assert!(members_of(&mut WaitGraph::new()).is_empty());
+    }
+
+    const FIG4: [&str; 6] = ["T0", "T1", "La", "Lb", "T9", "server42"];
+
+    #[test]
+    fn wait_graph_finds_the_fig4_cycle() {
+        // The paper's cycle: T1 → La → T0 → Lb → T1, plus a harmless
+        // dangling wait (a slow receiver).
+        let edges = [
+            ("La", "T1"),
+            ("T0", "La"),
+            ("Lb", "T0"),
+            ("T1", "Lb"),
+            ("T9", "server42"),
+        ];
+        let mut g = named(&FIG4, &edges);
+        let cycle = cycle_of(&mut g, &FIG4).expect("cycle exists");
+        assert_eq!(cycle, ["T1", "Lb", "T0", "La"]);
+        assert_eq!(members_of(&mut g), [0, 1, 2, 3]);
+    }
+
+    #[test]
+    fn wait_graph_acyclic_is_clean() {
+        // A pause *chain* (storm propagation) is not a deadlock.
+        let mut g = WaitGraph::new();
+        g.add_edge(7, 5);
+        g.add_edge(5, 3);
+        g.add_edge(3, 900);
+        assert_eq!(g.edge_count(), 3);
+        assert!(!g.find_cycle(|v| v, &mut Vec::new()));
+        assert!(members_of(&mut g).is_empty());
+    }
+
+    #[test]
+    fn wait_graph_self_loop() {
+        let mut g = WaitGraph::new();
+        g.add_edge(4, 4);
+        let mut cycle = Vec::new();
+        assert!(g.find_cycle(|v| v, &mut cycle));
+        assert_eq!(cycle, [4]);
+        assert_eq!(members_of(&mut g), [4]);
+    }
+
+    /// `cycle_members` returns exactly the union of cyclic components:
+    /// the Figure-4 cycle, not the chains hanging off it.
+    #[test]
+    fn cycle_members_excludes_chains() {
+        let names = ["La", "Lb", "T0", "T1", "victim", "T9", "server42"];
+        let edges = [
+            ("La", "T1"),
+            ("T0", "La"),
+            ("Lb", "T0"),
+            ("T1", "Lb"),
+            ("victim", "La"),   // waits on the cycle, not in it
+            ("T9", "server42"), // disconnected chain
+        ];
+        assert_eq!(members_of(&mut named(&names, &edges)), [0, 1, 2, 3]);
+    }
+
+    /// A graph cleared and refilled searches only its new edges.
+    #[test]
+    fn a_cleared_graph_forgets_its_edges() {
+        let mut g = named(&FIG4, &[("T0", "T1"), ("T1", "T0")]);
+        assert_eq!(members_of(&mut g), [0, 1]);
+        g.clear();
+        assert_eq!(g.edge_count(), 0);
+        g.add_edge(2, 3);
+        assert_eq!(cycle_of(&mut g, &FIG4), None);
+        assert!(members_of(&mut g).is_empty());
+    }
+
+    // ---- the name-keyed search, kept as the oracle for the one above ----
+
+    /// The name-keyed DFS `find_cycle` replaced: starts from every vertex
+    /// with a successor in name order, follows edges in insertion order.
+    fn oracle_find_cycle(edges: &[(String, String)]) -> Option<Vec<String>> {
         use std::collections::HashMap;
         let mut adj: HashMap<&str, Vec<&str>> = HashMap::new();
-        for (a, b) in &self.edges {
+        for (a, b) in edges {
             adj.entry(a).or_default().push(b);
         }
-        // Iterative DFS with colouring; deterministic order.
         let mut nodes: Vec<&str> = adj.keys().copied().collect();
         nodes.sort_unstable();
         #[derive(Clone, Copy, PartialEq)]
@@ -144,8 +474,7 @@ impl WaitGraph {
             let mut stack = vec![(start, 0usize)];
             color.insert(start, Color::Gray);
             while let Some((node, idx)) = stack.pop() {
-                let next = adj.get(node).and_then(|v| v.get(idx)).copied();
-                match next {
+                match adj.get(node).and_then(|v| v.get(idx)).copied() {
                     Some(succ) => {
                         stack.push((node, idx + 1));
                         match *color.get(succ).unwrap_or(&Color::White) {
@@ -155,7 +484,6 @@ impl WaitGraph {
                                 stack.push((succ, 0));
                             }
                             Color::Gray => {
-                                // Found a cycle: walk parents back to succ.
                                 let mut cycle = vec![succ.to_string()];
                                 let mut cur = node;
                                 while cur != succ {
@@ -177,24 +505,18 @@ impl WaitGraph {
         None
     }
 
-    /// Every device on *some* cycle: the union of strongly connected
-    /// components of size ≥ 2, plus self-loops. Sorted and deduplicated.
-    /// This is the corroboration set [`ProgressTracker::deadlocked`]
-    /// intersects with — a device merely downstream of a cycle (a storm
-    /// victim on a pause chain) is not in it.
-    pub fn cycle_members(&self) -> Vec<String> {
+    /// The name-keyed Tarjan `cycle_members` replaced: sorted names of
+    /// every vertex in a cyclic component.
+    fn oracle_cycle_members(edges: &[(String, String)]) -> Vec<String> {
         use std::collections::HashMap;
-        let mut adj: HashMap<&str, Vec<&str>> = HashMap::new();
-        let mut nodes: Vec<&str> = Vec::new();
-        for (a, b) in &self.edges {
-            adj.entry(a).or_default().push(b);
-            nodes.push(a);
-            nodes.push(b);
-        }
+        let mut nodes: Vec<&str> = edges.iter().flat_map(|(a, b)| [&**a, &**b]).collect();
         nodes.sort_unstable();
         nodes.dedup();
-
-        // Iterative Tarjan SCC, deterministic over the sorted node list.
+        let idx_of: HashMap<&str, usize> = nodes.iter().enumerate().map(|(i, n)| (*n, i)).collect();
+        let mut succs: Vec<Vec<usize>> = vec![Vec::new(); nodes.len()];
+        for (a, b) in edges {
+            succs[idx_of[&**a]].push(idx_of[&**b]);
+        }
         #[derive(Default, Clone, Copy)]
         struct NodeState {
             index: u32,
@@ -202,15 +524,6 @@ impl WaitGraph {
             on_stack: bool,
             visited: bool,
         }
-        let idx_of: HashMap<&str, usize> = nodes.iter().enumerate().map(|(i, n)| (*n, i)).collect();
-        let succs: Vec<Vec<usize>> = nodes
-            .iter()
-            .map(|n| {
-                adj.get(n)
-                    .map(|v| v.iter().map(|s| idx_of[s]).collect())
-                    .unwrap_or_default()
-            })
-            .collect();
         let mut state = vec![NodeState::default(); nodes.len()];
         let mut next_index = 0u32;
         let mut stack: Vec<usize> = Vec::new();
@@ -219,18 +532,18 @@ impl WaitGraph {
             if state[root].visited {
                 continue;
             }
-            // (node, next-successor cursor)
             let mut call: Vec<(usize, usize)> = vec![(root, 0)];
             while let Some(frame) = call.last_mut() {
-                let v = frame.0;
-                let cursor = frame.1;
+                let (v, cursor) = (frame.0, frame.1);
                 frame.1 += 1;
                 if cursor == 0 {
-                    state[v].visited = true;
-                    state[v].index = next_index;
-                    state[v].lowlink = next_index;
+                    state[v] = NodeState {
+                        index: next_index,
+                        lowlink: next_index,
+                        on_stack: true,
+                        visited: true,
+                    };
                     next_index += 1;
-                    state[v].on_stack = true;
                     stack.push(v);
                 }
                 if let Some(&w) = succs[v].get(cursor) {
@@ -245,18 +558,16 @@ impl WaitGraph {
                         state[p].lowlink = state[p].lowlink.min(state[v].lowlink);
                     }
                     if state[v].lowlink == state[v].index {
-                        // Root of an SCC: pop it off.
-                        let mut scc: Vec<usize> = Vec::new();
+                        let mut scc = Vec::new();
                         loop {
-                            let w = stack.pop().expect("tarjan stack underflow");
+                            let w = stack.pop().unwrap();
                             state[w].on_stack = false;
                             scc.push(w);
                             if w == v {
                                 break;
                             }
                         }
-                        let cyclic = scc.len() >= 2 || succs[v].contains(&v);
-                        if cyclic {
+                        if scc.len() >= 2 || succs[v].contains(&v) {
                             members.extend(scc.iter().map(|i| nodes[*i].to_string()));
                         }
                     }
@@ -264,174 +575,63 @@ impl WaitGraph {
             }
         }
         members.sort();
-        members.dedup();
         members
     }
-}
 
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn snap(tx: u64, backlog: u64) -> Snapshot {
-        Snapshot {
-            tx_pkts: tx,
-            backlog_bytes: backlog,
-        }
-    }
-
+    /// Seeded random graphs — self-loops, chains off cycles, several
+    /// components, duplicate edges, names whose order is not the ids' —
+    /// give the id-keyed searches exactly the oracle's cycle and members,
+    /// through one graph cleared and refilled for every case.
     #[test]
-    fn progress_is_not_deadlock() {
-        let mut t = ProgressTracker::new();
-        t.observe(&[("sw0".into(), snap(100, 5000))]);
-        t.observe(&[("sw0".into(), snap(200, 5000))]);
-        t.observe(&[("sw0".into(), snap(300, 9000))]);
-        assert!(t.stuck(1).is_empty());
-    }
-
-    #[test]
-    fn zero_progress_with_backlog_is_stuck() {
-        let mut t = ProgressTracker::new();
-        for _ in 0..4 {
-            t.observe(&[
-                ("sw0".into(), snap(100, 5000)),
-                ("sw1".into(), snap(80, 3000)),
-            ]);
-        }
-        assert_eq!(t.stuck(3), vec!["sw0".to_string(), "sw1".to_string()]);
-    }
-
-    #[test]
-    fn idle_device_is_not_stuck() {
-        let mut t = ProgressTracker::new();
-        for _ in 0..4 {
-            t.observe(&[("sw0".into(), snap(100, 0))]); // no backlog: just idle
-        }
-        assert!(t.stuck(1).is_empty());
-    }
-
-    /// Regression: a device that disappears from the snapshot rounds must
-    /// not stay "stuck" forever — absence is reset. Before the fix,
-    /// `sw0` here would remain in the verdict indefinitely on stale state.
-    #[test]
-    fn absent_device_resets_instead_of_sticking_forever() {
-        let mut t = ProgressTracker::new();
-        for _ in 0..4 {
-            t.observe(&[
-                ("sw0".into(), snap(100, 5000)),
-                ("sw1".into(), snap(80, 3000)),
-            ]);
-        }
-        assert_eq!(t.stuck(3), vec!["sw0".to_string(), "sw1".to_string()]);
-        // sw0 drops out of the scrape: only sw1 may stay stuck.
-        t.observe(&[("sw1".into(), snap(80, 3000))]);
-        assert_eq!(t.stuck(3), vec!["sw1".to_string()]);
-        // And when sw0 comes back, its history restarts from zero:
-        // one stuck round is not enough for a 3-round verdict.
-        t.observe(&[
-            ("sw0".into(), snap(100, 5000)),
-            ("sw1".into(), snap(80, 3000)),
-        ]);
-        t.observe(&[
-            ("sw0".into(), snap(100, 5000)),
-            ("sw1".into(), snap(80, 3000)),
-        ]);
-        assert_eq!(t.stuck(3), vec!["sw1".to_string()]);
-    }
-
-    /// The corroborated verdict: only stuck devices on a wait-graph cycle
-    /// are deadlocked. A storm victim (stuck, but waiting on a chain) is
-    /// excluded — the satellite-3 fix.
-    #[test]
-    fn deadlock_verdict_requires_cycle_membership() {
-        let mut t = ProgressTracker::new();
-        for _ in 0..4 {
-            t.observe(&[
-                ("T0".into(), snap(10, 5000)),
-                ("T1".into(), snap(20, 5000)),
-                ("victim".into(), snap(30, 4000)), // stuck, but not cyclic
-            ]);
-        }
-        assert_eq!(
-            t.stuck(3),
-            vec!["T0".to_string(), "T1".to_string(), "victim".to_string()]
-        );
+    fn id_searches_match_the_name_keyed_oracle() {
+        let mut rng = SimRng::from_seed(43);
         let mut g = WaitGraph::new();
-        g.add_edge("T0", "T1");
-        g.add_edge("T1", "T0");
-        g.add_edge("victim", "T0"); // chained onto the cycle, not in it
-        assert_eq!(
-            t.deadlocked(3, &g),
-            vec!["T0".to_string(), "T1".to_string()]
-        );
-        // No cycle at all: nobody is deadlocked, however stuck.
-        assert!(t.deadlocked(3, &WaitGraph::new()).is_empty());
-    }
-
-    #[test]
-    fn wait_graph_finds_the_fig4_cycle() {
-        // The paper's cycle: T1 → La → T0 → Lb → T1.
-        let mut g = WaitGraph::new();
-        g.add_edge("La", "T1");
-        g.add_edge("T0", "La");
-        g.add_edge("Lb", "T0");
-        g.add_edge("T1", "Lb");
-        // Plus a harmless dangling wait (a slow receiver).
-        g.add_edge("T9", "server42");
-        let cycle = g.find_cycle().expect("cycle exists");
-        assert_eq!(cycle.len(), 4);
-        for n in ["T0", "T1", "La", "Lb"] {
-            assert!(cycle.contains(&n.to_string()), "{n} missing from {cycle:?}");
-        }
-    }
-
-    #[test]
-    fn wait_graph_acyclic_is_clean() {
-        let mut g = WaitGraph::new();
-        // A pause *chain* (storm propagation) is not a deadlock.
-        g.add_edge("spine", "leaf");
-        g.add_edge("leaf", "tor");
-        g.add_edge("tor", "server0");
-        assert_eq!(g.edge_count(), 3);
-        assert!(g.find_cycle().is_none());
-    }
-
-    #[test]
-    fn wait_graph_self_loop() {
-        let mut g = WaitGraph::new();
-        g.add_edge("sw", "sw");
-        assert_eq!(g.find_cycle(), Some(vec!["sw".to_string()]));
-        assert_eq!(g.cycle_members(), vec!["sw".to_string()]);
-    }
-
-    /// `cycle_members` returns exactly the union of cyclic SCCs: the
-    /// Figure-4 cycle, not the dangling chain hanging off it.
-    #[test]
-    fn cycle_members_excludes_chains() {
-        let mut g = WaitGraph::new();
-        g.add_edge("La", "T1");
-        g.add_edge("T0", "La");
-        g.add_edge("Lb", "T0");
-        g.add_edge("T1", "Lb");
-        g.add_edge("victim", "La"); // waits on the cycle, not in it
-        g.add_edge("T9", "server42"); // disconnected chain
-        assert_eq!(
-            g.cycle_members(),
-            ["La", "Lb", "T0", "T1"]
+        let (mut cycles, mut loops, mut multi) = (0, 0, 0);
+        for case in 0..400 {
+            let n = 1 + rng.gen_index(24);
+            // Vertex `v` is named by a shuffled number, so name order
+            // and id order disagree.
+            let mut labels: Vec<usize> = (0..n).collect();
+            for i in (1..n).rev() {
+                labels.swap(i, rng.gen_index(i + 1));
+            }
+            let names: Vec<String> = labels.iter().map(|l| format!("sw{l}")).collect();
+            // Sparse to dense, so both acyclic and cyclic graphs occur;
+            // ids are spread out so the graph numbers them itself.
+            let m = rng.gen_index(2 * n + 1);
+            let edges: Vec<(u32, u32)> = (0..m)
+                .map(|_| (rng.gen_index(n) as u32, rng.gen_index(n) as u32))
+                .collect();
+            let id = |v: u32| v * 1000 + 7;
+            g.clear();
+            for &(a, b) in &edges {
+                g.add_edge(id(a), id(b));
+            }
+            let by_name: Vec<(String, String)> = edges
                 .iter()
-                .map(|s| s.to_string())
-                .collect::<Vec<_>>()
+                .map(|&(a, b)| (names[a as usize].clone(), names[b as usize].clone()))
+                .collect();
+            let name = |v: &u32| names[((v - 7) / 1000) as usize].clone();
+            let mut cycle = Vec::new();
+            let found = g.find_cycle(|v| &names[((v - 7) / 1000) as usize], &mut cycle);
+            let expect = oracle_find_cycle(&by_name);
+            assert_eq!(
+                found.then(|| cycle.iter().map(name).collect()),
+                expect,
+                "case {case}"
+            );
+            let mut members: Vec<String> = members_of(&mut g).iter().map(name).collect();
+            members.sort();
+            let oracle = oracle_cycle_members(&by_name);
+            assert_eq!(members, oracle, "case {case}");
+            cycles += expect.is_some() as u32;
+            loops += edges.iter().any(|(a, b)| a == b) as u32;
+            multi += (oracle.len() >= 4 && oracle.len() < n) as u32;
+        }
+        // The cases cover what they claim to.
+        assert!(
+            cycles > 100 && cycles < 390 && loops > 50 && multi > 20,
+            "{cycles} {loops} {multi}"
         );
-        assert!(WaitGraph::new().cycle_members().is_empty());
-    }
-
-    #[test]
-    fn recovery_resets_the_counter() {
-        let mut t = ProgressTracker::new();
-        t.observe(&[("sw0".into(), snap(100, 5000))]);
-        t.observe(&[("sw0".into(), snap(100, 5000))]); // stuck 1
-        t.observe(&[("sw0".into(), snap(150, 1000))]); // progress
-        t.observe(&[("sw0".into(), snap(150, 1000))]); // stuck 1 again
-        assert!(t.stuck(2).is_empty());
     }
 }

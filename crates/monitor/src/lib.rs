@@ -9,13 +9,15 @@
 //!   for pause-frame counts (the per-5-minute plots of Figures 9 and 10).
 //! * [`pingmesh`] — aggregation of RDMA Pingmesh probe results per
 //!   (source, destination) pair (§5.3).
-//! * [`config`] — configuration management and monitoring (§5.1): desired
-//!   vs running RDMA/PFC configuration diffing. The §6.2 buffer
-//!   misconfiguration (a new switch type shipping α = 1/64 instead of
-//!   1/16) is exactly the class of deviation this catches.
-//! * [`deadlock`] — progress tracking over counter snapshots: detects the
-//!   PFC deadlock signature (lossless backlog with zero transmit progress
-//!   across consecutive samples, §4.2).
+//! * [`config`] — configuration management and monitoring (§5.1): the
+//!   fields a desired-vs-running check of a switch or RDMA host reports.
+//!   The §6.2 buffer misconfiguration (a new switch type shipping
+//!   α = 1/64 instead of 1/16) is exactly the class of deviation it
+//!   catches.
+//! * [`deadlock`] — progress tracking over counter snapshots and cycle
+//!   search over pause-wait edges, on dense ids: the PFC deadlock
+//!   signature (lossless backlog with zero transmit progress across
+//!   consecutive samples, on a cyclic buffer dependency, §4.2).
 //!
 //! Tying them together, [`telemetry`] is the unified bus: a
 //! [`MetricsHub`] of typed instruments (counters, gauges, exact
@@ -41,7 +43,7 @@ pub mod stats;
 pub mod telemetry;
 mod writer;
 
-pub use config::{ConfigDeviation, RdmaConfig};
+pub use config::{ConfigDeviation, ConfigField};
 pub use deadlock::{ProgressTracker, WaitGraph};
 pub use json::Json;
 pub use pingmesh::Pingmesh;

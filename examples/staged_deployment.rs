@@ -7,21 +7,24 @@
 //! The same cross-rack incast workload runs at each stage; where PFC is
 //! not yet enabled, RDMA traffic rides lossy classes and congestion
 //! sheds packets (go-back-N recovers, at a goodput cost). Only the full
-//! rollout is loss-free end to end — and the config monitor, walking
-//! each stage's running fabric, shows which devices do not yet run the
-//! end state's lossless classes.
+//! rollout is loss-free end to end — and the config monitor, checking
+//! each stage's running fabric against the end state's profiles (PFC up
+//! to the spine), lists the devices whose lossless classes are not yet
+//! the ones the end state derives for their tier.
 //!
 //! ```sh
 //! cargo run --release --example staged_deployment
 //! ```
 
 use rocescale::core::{CcKind, ClusterBuilder, DeploymentStage, FabricProfile, TransportProfile};
-use rocescale::monitor::config::RdmaConfig;
+use rocescale::monitor::config::ConfigField;
 use rocescale::nic::QpApp;
 use rocescale::switch::DropReason;
 
 fn main() {
-    let desired = RdmaConfig::paper_recommended();
+    // The end state: the paper's fabric, PFC up to the spine.
+    let desired = FabricProfile::paper_default();
+    let transport = TransportProfile::paper_default().cc(CcKind::Off);
     let mut monitor = Vec::new();
     println!(
         "{:<10} {:>14} {:>12} {:>12} {:>14}",
@@ -33,8 +36,8 @@ fn main() {
         DeploymentStage::Spine,
     ] {
         let mut c = ClusterBuilder::two_tier(2, 4)
-            .fabric(FabricProfile::paper_default().stage(stage))
-            .transport(TransportProfile::paper_default().cc(CcKind::Off))
+            .fabric(desired.clone().stage(stage))
+            .transport(transport)
             .seed(13)
             .build();
         let rack0 = c.servers_under(0, 0);
@@ -61,9 +64,9 @@ fn main() {
             c.total_switch_pause_tx(),
         );
         let devices: Vec<String> = c
-            .config_deviations(&desired)
+            .config_deviations(&desired, &transport)
             .into_iter()
-            .filter(|d| d.field == "lossless_classes")
+            .filter(|d| d.field == ConfigField::LosslessClasses)
             .map(|d| d.device)
             .collect();
         monitor.push((stage, devices));
@@ -71,8 +74,8 @@ fn main() {
 
     println!();
     println!(
-        "config monitor: devices running other lossless classes than {:?}",
-        desired.lossless_classes
+        "config monitor: devices whose lossless classes are not yet the {:?} stage's",
+        desired.stage
     );
     for (stage, devices) in monitor {
         let listed = if devices.is_empty() {

@@ -93,6 +93,25 @@ fn exported_file_round_trips_to_the_memory_sinks_records() {
     }
 }
 
+/// Every move of a DCQCN rate is traced: the `rate_change` flight
+/// records and the `cc_rate` trajectory points of a run each number what
+/// its controllers count in the hub's `dcqcn.rate_changes` — the cuts a
+/// CNP makes and the timer and byte-counter increases alike.
+#[test]
+fn every_dcqcn_rate_move_is_traced() {
+    let mem = MemorySink::new();
+    let cl = run_incast(InstrumentationProfile::paper_default().trace_sink(mem.clone()));
+    let moves: u64 = cl
+        .counters_snapshot()
+        .into_iter()
+        .filter(|(name, _)| name.ends_with(".dcqcn.rate_changes"))
+        .map(|(_, v)| v)
+        .sum();
+    assert_eq!(moves, 184);
+    assert_eq!(mem.count_kind("rate_change") as u64, moves);
+    assert_eq!(mem.count_kind("cc_rate") as u64, moves);
+}
+
 /// The exported bytes themselves are pinned — line count, byte length
 /// and a 64-bit FNV-1a digest of the whole file — so where and when the
 /// records are encoded (which thread, which batch, which drain point)
@@ -100,7 +119,11 @@ fn exported_file_round_trips_to_the_memory_sinks_records() {
 /// marking became a keyed draw: the ramp marks other packets, so the
 /// export went from 5 005 lines (4 849 hops, 60 queue samples, 48 rate
 /// points, 48 rate changes; 732 613 B) to 4 997 (44 rate points and
-/// rate changes, the rest equal).
+/// rate changes, the rest equal). Re-pinned once more when DCQCN's
+/// increases began to be traced: 184 rate points and 184 rate changes
+/// (44 CNP cuts, 140 timer increases), the 4 849 hops and 60 queue
+/// samples unchanged — 5 277 lines (from 731 222 B, FNV-1a
+/// 5 875 742 969 836 194 538).
 #[test]
 fn exported_bytes_are_pinned() {
     let path = temp_path("pinned");
@@ -111,7 +134,7 @@ fn exported_bytes_are_pinned() {
     let lines = bytes.iter().filter(|&&b| b == b'\n').count();
     assert_eq!(
         (lines, bytes.len(), fnv1a(&bytes)),
-        (4_997, 731_222, 5_875_742_969_836_194_538)
+        (5_277, 764_002, 15_530_529_633_463_037_178)
     );
 }
 
@@ -125,14 +148,18 @@ fn exported_bytes_are_pinned() {
 /// which counts DCQCN's timer increases as well as its cuts, so the four
 /// counters went from 11 to 46 each (44 → 184 in all) and their series
 /// moved with them; every other byte is unchanged (from 57 937 B, FNV-1a
-/// 12 170 321 948 484 211 905).
+/// 12 170 321 948 484 211 905). Re-pinned with the JSONL export when
+/// DCQCN's increases began to be traced: the flight recorder holds and
+/// counts 184 `rate_change` records where it held 44 (its only records),
+/// every other byte unchanged
+/// (from 57 945 B, FNV-1a 1 281 369 649 921 412 353).
 #[test]
 fn hub_export_bytes_are_pinned() {
     let cl = run_incast(InstrumentationProfile::paper_default().telemetry(MetricsHub::enabled()));
     let text = cl.telemetry().render_json().render();
     assert_eq!(
         (text.len(), fnv1a(text.as_bytes())),
-        (57_945, 1_281_369_649_921_412_353)
+        (75_470, 9_137_442_130_623_906_926)
     );
     // The pin covers every section with content in it.
     let doc = rocescale_monitor::json::parse(&text).unwrap();
