@@ -1,10 +1,11 @@
 //! Trace analysis: fold an exported JSONL trace back into paper-figure
 //! tables through the standard [`Report`] renderer.
 //!
-//! The export path (`--trace-out` on a scenario) streams four
-//! record classes — flight events, per-packet hops, per-epoch queue
-//! samples, CC rate points (see `rocescale_monitor::sink`). This module
-//! is the read side: [`load`] parses any such file, [`analyze`] renders
+//! The export path (`--trace-out` on a scenario) streams three record
+//! classes — flight events (CC `rate_change` moves among them),
+//! per-packet hops and per-epoch queue samples (see
+//! `rocescale_monitor::sink`). This module is the read side: [`load`]
+//! parses any such file, [`analyze`] renders
 //!
 //! * a **record census** (what the trace contains),
 //! * a **queue-depth heatmap** — switch × time-window max backlog, the
@@ -131,9 +132,9 @@ fn pause_timeline(records: &[ParsedRecord], axis: TimeAxis) -> Option<Table> {
 }
 
 fn rate_trajectories(records: &[ParsedRecord], axis: TimeAxis) -> Option<Table> {
-    // (nic scope, qp) -> window -> last rate point in that window.
+    // (nic scope, qp) -> window -> last rate change in that window.
     let mut series: BTreeMap<(&str, u64), BTreeMap<u64, &ParsedRecord>> = BTreeMap::new();
-    for r in records.iter().filter(|r| r.kind == "cc_rate") {
+    for r in records.iter().filter(|r| r.kind == "rate_change") {
         let qp = r.u64_field("qp").unwrap_or(0);
         series
             .entry((&r.scope, qp))
@@ -144,7 +145,7 @@ fn rate_trajectories(records: &[ParsedRecord], axis: TimeAxis) -> Option<Table> 
         return None;
     }
     let mut t = Table::new(
-        "cc rate trajectories (last rate point per window)",
+        "cc rate trajectories (last rate change per window)",
         &["nic", "qp", "cc", "t(us)", "rate(Mb/s)", "cause"],
     );
     for ((scope, qp), windows) in series {
@@ -184,7 +185,7 @@ pub fn analyze(records: &[ParsedRecord]) -> Report {
     }
     match rate_trajectories(records, axis) {
         Some(t) => rep.table(t),
-        None => rep.note("no cc_rate points in this trace (congestion control off or idle)"),
+        None => rep.note("no rate_change events in this trace (congestion control off or idle)"),
     }
 
     let hop_bytes: u64 = records
@@ -256,7 +257,7 @@ mod tests {
             (6_000_000_000, 24_000, "increase"),
         ] {
             lines += &format!(
-                "{{\"t_ps\":{t},\"scope\":\"nic.s1\",\"kind\":\"cc_rate\",\
+                "{{\"t_ps\":{t},\"scope\":\"nic.s1\",\"kind\":\"rate_change\",\
                  \"qp\":0,\"rate_mbps\":{rate},\"cc\":\"dcqcn\",\"cause\":\"{cause}\"}}\n"
             );
         }

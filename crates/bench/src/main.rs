@@ -25,7 +25,7 @@
 //!   byte for byte (CI does, across `--jobs 1` and `--jobs 2`).
 //!   `--trace-out` is forwarded when exactly one scenario is selected;
 //!   with several racing to stream into one file the lines would
-//!   interleave, so the fleet drops the flag with a warning instead.
+//!   interleave, so the fleet refuses the flag (exit 2, nothing run).
 //!   Stdout is a pure function of the job list — worker count only
 //!   changes wall-clock time, which goes to stderr.
 //! * `json-check` — reads one JSON document from stdin, parses it with
@@ -166,23 +166,18 @@ fn fleet(cli: &CliArgs) {
         }
         None => (0..suite::all().len()).collect(),
     };
-    let trace_out = match (&cli.trace_out, indices.len()) {
-        (Some(path), 1) => Some(path.clone()),
-        (Some(_), n) => {
-            eprintln!(
-                "fleet: --trace-out needs a single scenario ({n} selected); \
-                 narrow with --only. Ignoring."
-            );
-            None
-        }
-        (None, _) => None,
-    };
+    if cli.trace_out.is_some() && indices.len() != 1 {
+        usage(&format!(
+            "fleet --trace-out needs a single scenario ({} selected); narrow with --only",
+            indices.len()
+        ));
+    }
     // The per-scenario view: the output flags the fleet owns must not
     // also fire inside every worker.
     let args = CliArgs {
         json: cli.json,
         json_out: None,
-        trace_out,
+        trace_out: cli.trace_out.clone(),
         trace_exports: cli.trace_exports.clone(),
         jobs: None,
         flags,

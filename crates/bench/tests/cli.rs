@@ -126,7 +126,8 @@ fn one_scenario_renders_as_its_fleet_element() {
 
 /// `--trace-out` is honoured or refused, never ignored: a scenario that
 /// streams no trace fails naming itself — alone, or as the one job of a
-/// fleet — and writes no file; one that streams writes the file.
+/// fleet — and writes no file; one that streams writes the file; a fleet
+/// of several is refused before it runs.
 #[test]
 fn trace_out_is_written_or_refused_never_ignored() {
     let dir = env!("CARGO_TARGET_TMPDIR");
@@ -156,4 +157,16 @@ fn trace_out_is_written_or_refused_never_ignored() {
     let len = std::fs::metadata(&written).map_or(0, |m| m.len());
     assert!(len > 0, "fig2_pfc_basics streams its trace");
     let _ = std::fs::remove_file(&written);
+
+    // Several scenarios cannot share one trace file: a usage error before
+    // any of them runs, naming how many were selected.
+    let out = rocescale(&["fleet", "--only", "(§2)", "--trace-out", &written]);
+    assert_eq!(out.status.code(), Some(2));
+    let err = stderr(&out);
+    assert!(
+        err.contains("--trace-out") && err.contains("3 selected"),
+        "{err}"
+    );
+    assert!(out.stdout.is_empty(), "no report for a refused run");
+    assert!(!std::path::Path::new(&written).exists());
 }

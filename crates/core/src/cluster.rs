@@ -1376,16 +1376,12 @@ impl<W: WorldSet> Cluster<W> {
 
     /// Aggregate all collected probe RTTs into a fleet Pingmesh report.
     ///
-    /// Each RTT sample is mirrored into the *prober's owning shard's*
-    /// bank, so with telemetry enabled the per-scope counters and
-    /// percentiles also land in hub snapshots and exported traces
-    /// (`pingmesh.{tor,podset,dc}.*`) next to that shard's other metrics
-    /// and merge by name in [`counters_snapshot`](Self::counters_snapshot).
-    /// With one shard that bank *is* the fleet aggregate and is returned
-    /// as is (each sample recorded once); with several, the samples are
-    /// recorded once more into an unbound fleet aggregate — which is
-    /// what callers quote for percentiles, since per-shard gauge banks
-    /// only see their own shard's latencies.
+    /// Each RTT sample is recorded once, into one report bound to
+    /// [`telemetry`](Self::telemetry) — shard 0's hub, where the deadlock
+    /// probe registers too — so with telemetry enabled the per-scope
+    /// counters and RTT histograms (`pingmesh.{tor,podset,dc}.*`) land in
+    /// hub snapshots and exports next to the other fleet monitors, and
+    /// count every shard's probes.
     ///
     /// A host logs its RTT samples in one list across all of its prober
     /// QPs, so attribution is per prober host, not per pair: the first
@@ -1396,23 +1392,14 @@ impl<W: WorldSet> Cluster<W> {
     /// refinement).
     pub fn pingmesh_report(&mut self, pairs: &[(ServerId, ServerId)]) -> Pingmesh {
         use rocescale_monitor::pingmesh::ProbeResult;
-        let mut banks: Vec<Pingmesh> = self
-            .hubs
-            .iter()
-            .map(|h| Pingmesh::with_hub(h.clone()))
-            .collect();
-        let mut fleet = (banks.len() > 1).then(Pingmesh::new);
+        let mut report = Pingmesh::with_hub(self.telemetry().clone());
         for (a, b) in pairs {
             let scope = self.scope_of(*a, *b);
-            let shard = self.servers[a.0].shard as usize;
             for s in std::mem::take(&mut self.rdma_mut(*a).stats.rtt_samples_ps) {
-                banks[shard].record(scope, ProbeResult::Rtt(s));
-                if let Some(fleet) = &mut fleet {
-                    fleet.record(scope, ProbeResult::Rtt(s));
-                }
+                report.record(scope, ProbeResult::Rtt(s));
             }
         }
-        fleet.unwrap_or_else(|| banks.pop().expect("one shard, one bank"))
+        report
     }
 }
 
@@ -1667,13 +1654,27 @@ mod tests {
         assert!(c.tcp(tcp[0]).sender_stats(ca).bytes_acked >= 100_000);
     }
 
-    /// Pingmesh on any world set: every sample lands once in its
-    /// prober's shard bank, and the returned report counts each once.
+    /// Pingmesh on any world set: the report and the fleet hub
+    /// (`telemetry()`) hold the same samples, scope by scope — every
+    /// shard's probes, each once — and the probe counters merged over
+    /// every shard's hub count each probe once too.
     fn pingmesh_probes_agree<W: WorldSet>(mut c: Cluster<W>) {
+        use rocescale_monitor::pingmesh::Scope;
         let pairs = c.install_pingmesh(2, SimTime::from_micros(100));
         c.run_for_millis(1);
-        let report = c.pingmesh_report(&pairs);
+        let mut report = c.pingmesh_report(&pairs);
         assert!(report.total() > 0);
+        let mut recorded = 0;
+        for scope in [Scope::IntraTor, Scope::IntraPodset, Scope::IntraDc] {
+            let in_report = report.scope_mut(scope).map_or(0, |p| p.count());
+            let in_hub = c
+                .telemetry()
+                .histogram_snapshot(&format!("pingmesh.{scope}.rtt_ps"))
+                .map_or(0, |h| h.count());
+            assert_eq!(in_report, in_hub, "{scope}");
+            recorded += in_report as u64;
+        }
+        assert_eq!(recorded, report.total());
         let in_banks: u64 = c
             .counters_snapshot()
             .into_iter()

@@ -60,7 +60,7 @@ impl InstrumentationProfile {
     }
 
     /// Attach a streaming trace sink receiving every record class
-    /// (events, hops, queue samples, rate points).
+    /// (flight events, rate changes among them; hops; queue samples).
     pub fn trace_sink(self, sink: impl TraceSink + 'static) -> Self {
         self.trace_sink_filtered(sink, TraceFilter::all())
     }

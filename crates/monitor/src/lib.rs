@@ -26,10 +26,11 @@
 //! events. [`json`] provides the serde-free JSON tree every experiment
 //! renders its machine-readable report through. [`sink`] is the
 //! unbounded export path: a [`TraceSink`] attached to the hub streams
-//! every structured record — flight-recorder events plus per-packet
-//! hops, queue-depth samples and CC rate trajectories — out of the run
-//! as line-delimited JSON for offline analysis (`trace_analyze`), encoded
-//! on a writer thread of the sink's own rather than the emitting thread.
+//! every structured record — flight-recorder events (CC rate moves
+//! among them) plus per-packet hops and queue-depth samples — out of the
+//! run as line-delimited JSON for offline analysis (`trace_analyze`),
+//! encoded on a writer thread of the sink's own rather than the emitting
+//! thread.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -49,8 +50,7 @@ pub use json::Json;
 pub use pingmesh::Pingmesh;
 pub use sink::{
     parse_jsonl, parse_line, FieldSink, HopRecord, IoErrorLatch, JsonlSink, MemorySink,
-    OwnedRecord, ParsedRecord, QueueSample, RatePoint, RecordBody, StreamRecord, TraceFilter,
-    TraceSink,
+    OwnedRecord, ParsedRecord, QueueSample, RecordBody, StreamRecord, TraceFilter, TraceSink,
 };
 pub use stats::{Percentiles, TimeSeries};
 pub use telemetry::{

@@ -6,10 +6,10 @@
 //! time (Figure 10), pause propagation (Figure 9), DCQCN rate curves,
 //! RTT distributions (Figure 6). This module is the export path those
 //! figures need: a [`TraceSink`] receives every record the fabric emits
-//! — flight-recorder events, per-packet hop records, periodic queue-depth
-//! samples, and congestion-control rate-change points — as it happens,
-//! and streams it out of the simulation (to a JSONL file, or into memory
-//! for tests) instead of into a bounded ring.
+//! — flight-recorder events (congestion-control rate changes among
+//! them), per-packet hop records and periodic queue-depth samples — as
+//! it happens, and streams it out of the simulation (to a JSONL file,
+//! or into memory for tests) instead of into a bounded ring.
 //!
 //! Invariants:
 //!
@@ -132,20 +132,6 @@ pub struct QueueSample {
     pub tx_pkts: u64,
 }
 
-/// One congestion-control rate change on a QP — a point on the CC rate
-/// trajectory the DCQCN/TIMELY plots are drawn from.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RatePoint {
-    /// QP number on the emitting NIC.
-    pub qp: u32,
-    /// New sending rate, Mbit/s.
-    pub rate_mbps: u32,
-    /// Controller that acted (`"dcqcn"`, `"timely"`).
-    pub cc: &'static str,
-    /// What moved it (`"cnp"`, `"increase"`, `"rtt-high"`, …).
-    pub cause: &'static str,
-}
-
 /// The payload of one streamed record.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum RecordBody {
@@ -156,8 +142,6 @@ pub enum RecordBody {
     Hop(HopRecord),
     /// A periodic per-switch queue-depth sample.
     Queue(QueueSample),
-    /// A CC rate-change trajectory point.
-    Rate(RatePoint),
 }
 
 impl RecordBody {
@@ -167,7 +151,6 @@ impl RecordBody {
             RecordBody::Event(e) => e.kind(),
             RecordBody::Hop(_) => "hop",
             RecordBody::Queue(_) => "queue",
-            RecordBody::Rate(_) => "cc_rate",
         }
     }
 }
@@ -215,12 +198,6 @@ impl StreamRecord<'_> {
                 out.u64("max_port_bytes", q.max_port_bytes);
                 out.u64("tx_pkts", q.tx_pkts);
             }
-            RecordBody::Rate(r) => {
-                out.u64("qp", r.qp as u64);
-                out.u64("rate_mbps", r.rate_mbps as u64);
-                out.str("cc", r.cc);
-                out.str("cause", r.cause);
-            }
         }
     }
 
@@ -254,8 +231,6 @@ pub struct TraceFilter {
     pub hops: bool,
     /// Periodic queue-depth samples.
     pub queues: bool,
-    /// CC rate-change points.
-    pub rates: bool,
 }
 
 impl TraceFilter {
@@ -265,7 +240,6 @@ impl TraceFilter {
             events: true,
             hops: true,
             queues: true,
-            rates: true,
         }
     }
 
@@ -280,10 +254,7 @@ impl TraceFilter {
     /// The bitmask the hub's lock-free emission guard loads. Non-zero
     /// exactly when at least one class is selected.
     pub fn bits(&self) -> u32 {
-        (self.events as u32)
-            | (self.hops as u32) << 1
-            | (self.queues as u32) << 2
-            | (self.rates as u32) << 3
+        (self.events as u32) | (self.hops as u32) << 1 | (self.queues as u32) << 2
     }
 }
 
@@ -489,8 +460,8 @@ pub struct ParsedRecord {
     pub t_ps: u64,
     /// Emitting component.
     pub scope: String,
-    /// Record kind tag (`"hop"`, `"queue"`, `"cc_rate"`, or an event
-    /// kind like `"pause_tx"`).
+    /// Record kind tag (`"hop"`, `"queue"`, or an event kind like
+    /// `"pause_tx"` or `"rate_change"`).
     pub kind: String,
     /// Kind-specific fields in line order.
     pub fields: Vec<(String, Json)>,
@@ -606,7 +577,7 @@ mod tests {
                 // Shard-tagged, as the sharded merge emits: the tag must
                 // survive the render → parse → re-render round trip.
                 shard: Some(2),
-                body: RecordBody::Rate(RatePoint {
+                body: RecordBody::Event(TraceEvent::RateChange {
                     qp: 0,
                     rate_mbps: 20_000,
                     cc: "dcqcn",
@@ -657,7 +628,7 @@ mod tests {
         assert_eq!(parsed.len(), 4);
         assert_eq!(parsed[0].kind, "hop");
         assert_eq!(parsed[1].kind, "pause_tx");
-        assert_eq!(parsed[2].kind, "cc_rate");
+        assert_eq!(parsed[2].kind, "rate_change");
         assert_eq!(parsed[3].kind, "queue");
         assert_eq!(parsed[3].u64_field("backlog_bytes"), Some(1 << 20));
         assert_eq!(parsed[2].str_field("cc"), Some("dcqcn"));
@@ -787,13 +758,12 @@ mod tests {
 
     #[test]
     fn filter_bits() {
-        assert_eq!(TraceFilter::all().bits(), 0b1111);
-        assert_eq!(TraceFilter::no_hops().bits(), 0b1101);
+        assert_eq!(TraceFilter::all().bits(), 0b111);
+        assert_eq!(TraceFilter::no_hops().bits(), 0b101);
         let none = TraceFilter {
             events: false,
             hops: false,
             queues: false,
-            rates: false,
         };
         assert_eq!(none.bits(), 0);
     }

@@ -8,8 +8,8 @@
 //! instruments under hierarchical dotted names
 //! (`switch.t0.port.2.pfc.xoff_tx`, `nic.s7.qp.0.retransmits`) in one
 //! hub, and noteworthy transitions (drops with reason, pause TX/RX,
-//! watchdog fires, ARP-incomplete drops, go-back-N rollbacks, DCQCN rate
-//! cuts) land in a flight-recorder ring for post-mortem inspection.
+//! watchdog fires, go-back-N rollbacks, congestion-control rate moves)
+//! land in a flight-recorder ring for post-mortem inspection.
 //!
 //! Three invariants shape the design:
 //!
@@ -23,8 +23,10 @@
 //!   `fetch_add`/`store` with no allocation. Devices count in their own
 //!   stats and publish them with [`MetricsHub::set_counter`] at each
 //!   sample boundary, so the per-packet path never touches the hub;
-//!   [`MetricsHub::incr`]/[`MetricsHub::add`] serve observers that own
-//!   no stats (pingmesh, the deadlock probe). Only registration,
+//!   [`MetricsHub::incr`]/[`MetricsHub::add`] serve observers that
+//!   count as they go, off the packet path — pingmesh per probe, the
+//!   deadlock probe per epoch — and keep their own totals as well
+//!   (`Pingmesh::total`, `DeadlockProbe::epochs`). Only registration,
 //!   sampling, and snapshot/export — the rare paths — take the `Mutex`.
 //!   The flight recorder keeps its own small mutex, separate from the
 //!   registration lock: trace events (drops, pauses, watchdog fires) are
@@ -64,7 +66,7 @@ use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
 use crate::json::{self, Json};
 use crate::sink::{
-    FieldSink, HopRecord, ObjectText, QueueSample, RatePoint, RecordBody, TraceFilter, TraceSink,
+    FieldSink, HopRecord, ObjectText, QueueSample, RecordBody, TraceFilter, TraceSink,
 };
 use crate::stats::{Percentiles, TimeSeries};
 use crate::writer::SinkWriter;
@@ -122,8 +124,6 @@ const SINK_EVENTS: u32 = 1;
 const SINK_HOPS: u32 = 1 << 1;
 /// Sink-filter bit for periodic queue-depth samples.
 const SINK_QUEUES: u32 = 1 << 2;
-/// Sink-filter bit for CC rate-change points.
-const SINK_RATES: u32 = 1 << 3;
 
 impl CounterId {
     /// The id handed out by a disabled hub.
@@ -360,9 +360,6 @@ pub enum TraceEvent {
     },
     /// The NIC-side pause-storm watchdog fired (§4.3 mitigation).
     NicWatchdogFired,
-    /// A lossless-class packet was dropped on an incomplete ARP entry
-    /// instead of being flooded (§4.2 mitigation).
-    ArpIncompleteDrop,
     /// A transport sender rolled its send window back (go-back-N /
     /// go-back-0).
     Rollback {
@@ -374,12 +371,15 @@ pub enum TraceEvent {
         /// volume).
         pkts: u32,
     },
-    /// A congestion controller changed a QP's sending rate.
+    /// A congestion controller changed a QP's sending rate: one point
+    /// on the CC rate trajectory the DCQCN/TIMELY plots are drawn from.
     RateChange {
-        /// Which controller acted (`"dcqcn"`, `"timely"`).
-        cc: &'static str,
+        /// QP number on the emitting NIC.
+        qp: u32,
         /// New rate in Mbit/s.
         rate_mbps: u32,
+        /// Which controller acted (`"dcqcn"`, `"timely"`).
+        cc: &'static str,
         /// What moved it (`"cnp"`, `"increase"`, `"rtt-high"`, …).
         cause: &'static str,
     },
@@ -406,7 +406,6 @@ impl TraceEvent {
             TraceEvent::WatchdogDisabled { .. } => "watchdog_disabled",
             TraceEvent::WatchdogReenabled { .. } => "watchdog_reenabled",
             TraceEvent::NicWatchdogFired => "nic_watchdog_fired",
-            TraceEvent::ArpIncompleteDrop => "arp_incomplete_drop",
             TraceEvent::Rollback { .. } => "rollback",
             TraceEvent::RateChange { .. } => "rate_change",
             TraceEvent::StormStart => "storm_start",
@@ -439,21 +438,20 @@ impl TraceEvent {
                 out.u64("pkts", pkts as u64);
             }
             TraceEvent::RateChange {
-                cc,
+                qp,
                 rate_mbps,
+                cc,
                 cause,
             } => {
-                out.str("cc", cc);
+                out.u64("qp", qp as u64);
                 out.u64("rate_mbps", rate_mbps as u64);
+                out.str("cc", cc);
                 out.str("cause", cause);
             }
             TraceEvent::DeadlockSuspected { cycle_len } => {
                 out.u64("cycle_len", cycle_len as u64);
             }
-            TraceEvent::NicWatchdogFired
-            | TraceEvent::ArpIncompleteDrop
-            | TraceEvent::StormStart
-            | TraceEvent::StormStop => {}
+            TraceEvent::NicWatchdogFired | TraceEvent::StormStart | TraceEvent::StormStop => {}
         }
     }
 }
@@ -1447,14 +1445,6 @@ impl MetricsHub {
             .is_some_and(|s| s.sink_flags.load(Ordering::Relaxed) & SINK_QUEUES != 0)
     }
 
-    /// Whether CC rate-change points are being streamed.
-    #[inline]
-    pub fn streams_rates(&self) -> bool {
-        self.inner
-            .as_ref()
-            .is_some_and(|s| s.sink_flags.load(Ordering::Relaxed) & SINK_RATES != 0)
-    }
-
     /// Stream one per-packet hop record (guard with
     /// [`Self::streams_hops`] to skip field extraction when detached).
     #[inline]
@@ -1469,14 +1459,6 @@ impl MetricsHub {
     pub fn stream_queue(&self, t_ps: u64, scope: ScopeId, q: QueueSample) {
         if self.streams_queues() {
             self.stream(t_ps, scope, RecordBody::Queue(q));
-        }
-    }
-
-    /// Stream one CC rate-change trajectory point.
-    #[inline]
-    pub fn stream_rate(&self, t_ps: u64, scope: ScopeId, r: RatePoint) {
-        if self.streams_rates() {
-            self.stream(t_ps, scope, RecordBody::Rate(r));
         }
     }
 
@@ -2143,8 +2125,9 @@ mod tests {
             5,
             s,
             TraceEvent::RateChange {
-                cc: "dcqcn",
+                qp: 0,
                 rate_mbps: 1000,
+                cc: "dcqcn",
                 cause: "cnp",
             },
         );
@@ -2267,12 +2250,12 @@ mod tests {
         assert!(late <= 2 * N, "{late} comparisons to merge one late name");
     }
 
-    /// A sink attached to the hub receives flight events (teed), hop
-    /// records, queue samples, and rate points with scope names
-    /// resolved, honors the filter, and stops cleanly on detach.
+    /// A sink attached to the hub receives flight events (teed, rate
+    /// changes among them), hop records and queue samples with scope
+    /// names resolved, honors the filter, and stops cleanly on detach.
     #[test]
     fn sink_tee_streams_filtered_records() {
-        use crate::sink::{HopRecord, MemorySink, QueueSample, RatePoint, TraceFilter};
+        use crate::sink::{HopRecord, MemorySink, QueueSample, TraceFilter};
         let hub = MetricsHub::enabled();
         let sw = hub.scope("switch.t0");
         let nic = hub.scope("nic.s1");
@@ -2293,7 +2276,7 @@ mod tests {
         hub.attach_sink(Box::new(mem.clone()), TraceFilter::no_hops());
         assert!(hub.has_sink());
         assert!(!hub.streams_hops());
-        assert!(hub.streams_queues() && hub.streams_rates());
+        assert!(hub.streams_queues());
 
         hub.trace(10, sw, TraceEvent::PauseTx { port: 2, prio: 3 });
         hub.stream_hop(
@@ -2317,10 +2300,10 @@ mod tests {
                 tx_pkts: 1,
             },
         );
-        hub.stream_rate(
+        hub.trace(
             13,
             nic,
-            RatePoint {
+            TraceEvent::RateChange {
                 qp: 0,
                 rate_mbps: 40_000,
                 cc: "dcqcn",
@@ -2334,10 +2317,13 @@ mod tests {
         assert_eq!(recs[0].body.kind(), "pause_tx");
         assert_eq!(recs[0].scope, "switch.t0");
         assert_eq!(recs[1].body.kind(), "queue");
-        assert_eq!(recs[2].body.kind(), "cc_rate");
+        assert_eq!(recs[2].body.kind(), "rate_change");
         assert_eq!(recs[2].scope, "nic.s1");
-        // The flight recorder still got the event (tee, not a move).
-        assert_eq!(hub.flight_kind_counts(), vec![("pause_tx", 1)]);
+        // The flight recorder still got the events (tee, not a move).
+        assert_eq!(
+            hub.flight_kind_counts(),
+            vec![("pause_tx", 1), ("rate_change", 1)]
+        );
 
         hub.detach_sink();
         assert!(!hub.has_sink());

@@ -48,6 +48,10 @@ struct RawRecord {
     body: RecordBody,
 }
 
+// The emitter copies one record per call under the stream lock, and the
+// pool preallocates `SINK_POOL_BATCHES × SINK_BATCH_RECORDS` of them.
+const _: () = assert!(std::mem::size_of::<RawRecord>() == 64);
+
 type Batch = Vec<RawRecord>;
 
 /// What the two sides share, under the lane's mutex.

@@ -10,7 +10,7 @@
 //! need every escape the renderer knows.
 
 use rocescale_monitor::{
-    parse_line, HopRecord, JsonlSink, MemorySink, QueueSample, RatePoint, RecordBody, StreamRecord,
+    parse_line, HopRecord, JsonlSink, MemorySink, QueueSample, RecordBody, StreamRecord,
     TraceEvent, TraceSink,
 };
 use rocescale_sim::SimRng;
@@ -62,25 +62,25 @@ fn event(rng: &mut SimRng, variant: u64) -> TraceEvent {
         4 => TraceEvent::WatchdogDisabled { port },
         5 => TraceEvent::WatchdogReenabled { port },
         6 => TraceEvent::NicWatchdogFired,
-        7 => TraceEvent::ArpIncompleteDrop,
-        8 => TraceEvent::Rollback {
+        7 => TraceEvent::Rollback {
             cause: word(rng),
             to_psn: int(rng, u32::MAX as u64) as u32,
             pkts: int(rng, u32::MAX as u64) as u32,
         },
-        9 => TraceEvent::RateChange {
-            cc: word(rng),
+        8 => TraceEvent::RateChange {
+            qp: int(rng, u32::MAX as u64) as u32,
             rate_mbps: int(rng, u32::MAX as u64) as u32,
+            cc: word(rng),
             cause: word(rng),
         },
-        10 => TraceEvent::StormStart,
-        11 => TraceEvent::StormStop,
+        9 => TraceEvent::StormStart,
+        10 => TraceEvent::StormStop,
         _ => TraceEvent::DeadlockSuspected {
             cycle_len: int(rng, u16::MAX as u64) as u16,
         },
     }
 }
-const EVENT_VARIANTS: u64 = 13;
+const EVENT_VARIANTS: u64 = 12;
 
 fn body(rng: &mut SimRng, case: u64) -> RecordBody {
     match case {
@@ -97,13 +97,7 @@ fn body(rng: &mut SimRng, case: u64) -> RecordBody {
             max_port_bytes: int(rng, u64::MAX),
             tx_pkts: int(rng, u64::MAX),
         }),
-        2 => RecordBody::Rate(RatePoint {
-            qp: int(rng, u32::MAX as u64) as u32,
-            rate_mbps: int(rng, u32::MAX as u64) as u32,
-            cc: word(rng),
-            cause: word(rng),
-        }),
-        n => RecordBody::Event(event(rng, n - 3)),
+        n => RecordBody::Event(event(rng, n - 2)),
     }
 }
 
@@ -128,7 +122,7 @@ fn text_tree_and_reparse_agree_on_every_kind() {
             shard: rng
                 .gen_bool(0.5)
                 .then(|| int(&mut rng, u32::MAX as u64) as u32),
-            body: body(&mut rng, i % (3 + EVENT_VARIANTS)),
+            body: body(&mut rng, i % (2 + EVENT_VARIANTS)),
         };
         kinds.insert(rec.body.kind());
 
@@ -147,7 +141,7 @@ fn text_tree_and_reparse_agree_on_every_kind() {
             "shard tag present exactly when stamped"
         );
     }
-    assert_eq!(kinds.len() as u64, 3 + EVENT_VARIANTS, "{kinds:?}");
+    assert_eq!(kinds.len() as u64, 2 + EVENT_VARIANTS, "{kinds:?}");
 }
 
 /// What `JsonlSink` hands its writer is the same text, one line per
@@ -177,7 +171,7 @@ fn jsonl_sink_emits_the_visitor_text() {
             t_ps: i,
             scope: &scope,
             shard: (i % 3 == 0).then_some(i as u32),
-            body: body(&mut rng, i % (3 + EVENT_VARIANTS)),
+            body: body(&mut rng, i % (2 + EVENT_VARIANTS)),
         };
         jsonl.write(&rec);
         copy.write(&rec);

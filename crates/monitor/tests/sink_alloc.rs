@@ -1,7 +1,7 @@
 //! The per-record allocation budget of the streaming trace path is
 //! **zero** on every thread: once the hub, the sink's writer thread and
 //! batch pool, the sink's line buffer and the flight ring have reached
-//! their steady state, emitting a hop, queue, rate or event record
+//! their steady state, emitting a hop, queue or event record
 //! through `MetricsHub` into a `JsonlSink` touches the heap not once —
 //! neither on the emitting thread nor on the writer thread that encodes
 //! it. This test owns the process's allocator to prove it, counting
@@ -11,9 +11,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::io::Write;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 
-use rocescale_monitor::{
-    HopRecord, JsonlSink, MetricsHub, QueueSample, RatePoint, TraceEvent, TraceFilter,
-};
+use rocescale_monitor::{HopRecord, JsonlSink, MetricsHub, QueueSample, TraceEvent, TraceFilter};
 
 /// Allocation events (alloc, alloc_zeroed, realloc) on every thread.
 /// Relaxed: the count publishes nothing, and the writer thread's events
@@ -61,9 +59,9 @@ impl Write for Discard {
     }
 }
 
-/// One record of each class at step `n`; values cycle through every
-/// digit count so the line length (and any growth it could cause) is
-/// exercised during warm-up.
+/// One hop, one queue sample and two events at step `n`; values cycle
+/// through every digit count so the line length (and any growth it could
+/// cause) is exercised during warm-up.
 fn emit(hub: &MetricsHub, sw: rocescale_monitor::ScopeId, nic: rocescale_monitor::ScopeId, n: u64) {
     let big = u64::MAX >> (n % 64);
     hub.stream_hop(
@@ -87,17 +85,17 @@ fn emit(hub: &MetricsHub, sw: rocescale_monitor::ScopeId, nic: rocescale_monitor
             tx_pkts: n,
         },
     );
-    hub.stream_rate(
+    // An event goes to the flight ring and is teed into the sink.
+    hub.trace(
         n * 217_200,
         nic,
-        RatePoint {
+        TraceEvent::RateChange {
             qp: n as u32,
             rate_mbps: (big % 40_000) as u32,
             cc: "dcqcn",
             cause: "cnp",
         },
     );
-    // An event goes to the flight ring and is teed into the sink.
     hub.trace(
         n * 217_200,
         nic,
@@ -131,8 +129,8 @@ fn steady_state_records_do_not_allocate() {
     let steady = allocs() - before;
     assert_eq!(
         steady, 0,
-        "40 000 steady-state records (10 000 of each class), emitted and written, \
-         allocated {steady} times"
+        "40 000 steady-state records (10 000 hops, 10 000 queue samples, 20 000 \
+         events), emitted and written, allocated {steady} times"
     );
     // The counter does count: the guard above is not vacuous.
     let v = std::hint::black_box(vec![0u8; 64]);

@@ -16,9 +16,7 @@ use std::sync::Arc;
 
 use rocescale_cc::{CcAction, CcKind, CcSignal, CongestionControl, SenderCc};
 use rocescale_dcqcn::NpState;
-use rocescale_monitor::{
-    BlockId, Group, HistogramId, MetricsHub, Path, RatePoint, ScopeId, TraceEvent,
-};
+use rocescale_monitor::{BlockId, Group, HistogramId, MetricsHub, Path, ScopeId, TraceEvent};
 use rocescale_packet::{
     EcnCodepoint, EthMeta, Ipv4Meta, MacAddr, Packet, PacketKind, PauseFrame, PfcPauseFrame,
     Priority, RoceOpcode, RocePacket,
@@ -991,39 +989,24 @@ impl Active<'_> {
         self.pump(ctx);
     }
 
-    /// Record a congestion-control action: a trace event naming the
-    /// controller that acted, plus — with a sink streaming rate points —
-    /// one trajectory point carrying the QP identity the flight event
-    /// elides.
+    /// Record a congestion-control action: one trace event naming the
+    /// QP, its new rate, the controller that acted and why.
     fn note_cc_action(&mut self, qpn: u32, act: CcAction, now_ps: u64) {
         let hub = &self.cfg.telemetry;
         if !hub.is_enabled() {
             return;
         }
         match act {
-            CcAction::RateChange { rate_bps, cause } => {
-                let cc = self.w.qps[qpn as usize].cc.kind().name();
-                let rate_mbps = (rate_bps / 1e6) as u32;
-                hub.trace(
-                    now_ps,
-                    self.tele.scope,
-                    TraceEvent::RateChange {
-                        cc,
-                        rate_mbps,
-                        cause,
-                    },
-                );
-                hub.stream_rate(
-                    now_ps,
-                    self.tele.scope,
-                    RatePoint {
-                        qp: qpn,
-                        rate_mbps,
-                        cc,
-                        cause,
-                    },
-                );
-            }
+            CcAction::RateChange { rate_bps, cause } => hub.trace(
+                now_ps,
+                self.tele.scope,
+                TraceEvent::RateChange {
+                    qp: qpn,
+                    rate_mbps: (rate_bps / 1e6) as u32,
+                    cc: self.w.qps[qpn as usize].cc.kind().name(),
+                    cause,
+                },
+            ),
         }
     }
 

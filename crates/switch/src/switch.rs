@@ -513,17 +513,13 @@ impl Switch {
     /// Count a drop and record it in the flight recorder.
     fn note_drop(&mut self, reason: DropReason, now: SimTime) {
         self.stats.drop(reason);
-        let (hub, scope, t) = (&self.cfg.telemetry, self.tele.scope, now.as_ps());
-        hub.trace(
-            t,
-            scope,
+        self.cfg.telemetry.trace(
+            now.as_ps(),
+            self.tele.scope,
             TraceEvent::Drop {
                 reason: reason.name(),
             },
         );
-        if reason == DropReason::IncompleteArpLossless {
-            hub.trace(t, scope, TraceEvent::ArpIncompleteDrop);
-        }
     }
 
     /// Copy [`SwitchStats`]' drops, ECN marks, watchdog actions and

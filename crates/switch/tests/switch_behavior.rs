@@ -4,6 +4,7 @@
 use std::any::Any;
 use std::collections::VecDeque;
 
+use rocescale_monitor::{MetricsHub, TraceEvent};
 use rocescale_packet::{
     EcnCodepoint, EthMeta, Ipv4Meta, MacAddr, Packet, PacketKind, PauseFrame, PfcPauseFrame,
     Priority, RoceOpcode, RocePacket,
@@ -399,6 +400,8 @@ fn incomplete_arp_floods() {
 fn deadlock_fix_drops_lossless_on_incomplete_arp() {
     let mut cfg = SwitchConfig::new("tor", 2);
     cfg.drop_lossless_on_incomplete_arp = true;
+    let hub = MetricsHub::enabled();
+    cfg.telemetry = hub.clone();
     let mut t = tor_pair(cfg, false);
     t.world.node_mut::<Switch>(t.sw).evict_mac(t.b_mac);
     queue_burst(&mut t, 5, 3); // lossless class
@@ -408,6 +411,14 @@ fn deadlock_fix_drops_lossless_on_incomplete_arp() {
     assert_eq!(sw.stats.drops_of(DropReason::IncompleteArpLossless), 5);
     let b = t.world.node::<TestHost>(t.b);
     assert_eq!(b.received.len(), 5, "lossy packets still flooded through");
+    // One flight record per drop: its reason says it was the §4.2 fix.
+    let (records, evicted) = hub.flight_snapshot();
+    assert_eq!(evicted, 0);
+    let events: Vec<TraceEvent> = records.into_iter().map(|(.., e)| e).collect();
+    let drop = TraceEvent::Drop {
+        reason: DropReason::IncompleteArpLossless.name(),
+    };
+    assert_eq!(events, [drop; 5]);
 }
 
 /// §3: VLAN-based PFC forces server ports into trunk mode, which drops the

@@ -204,9 +204,9 @@ fn run_instrumented(instr: InstrumentationProfile) -> (u64, u64) {
 }
 
 /// A streaming trace sink must be a pure observer: the pinned scenario
-/// with a live sink — per-packet hops, queue samples, rate points and
-/// teed flight events all flowing — reproduces the exact golden digest
-/// while actually exporting a substantial trace.
+/// with a live sink — per-packet hops, queue samples and teed flight
+/// events, rate changes among them, all flowing — reproduces the exact
+/// golden digest while actually exporting a substantial trace.
 #[test]
 fn trace_sink_does_not_perturb_the_dispatch_trace() {
     let mem = MemorySink::new();
@@ -222,14 +222,14 @@ fn trace_sink_does_not_perturb_the_dispatch_trace() {
     );
     // And the sink must really have streamed the run, not no-opped:
     // every packet enqueue is a hop, each telemetry epoch a queue
-    // sample per switch, and DCQCN activity shows up as rate points.
+    // sample per switch, and DCQCN activity shows up as rate changes.
     assert!(
         mem.count_kind("hop") > 1000,
         "hops: {}",
         mem.count_kind("hop")
     );
     assert!(mem.count_kind("queue") > 0, "queue samples missing");
-    assert!(mem.count_kind("cc_rate") > 0, "rate points missing");
+    assert!(mem.count_kind("rate_change") > 0, "rate changes missing");
 }
 
 /// Attaching a sink without a hub must imply an enabled hub (otherwise

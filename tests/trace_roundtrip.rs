@@ -4,8 +4,10 @@
 //! byte-identically — the property `trace_analyze` relies on.
 
 use rocescale_core::{Cluster, ClusterBuilder, InstrumentationProfile, ServerId};
-use rocescale_monitor::{parse_jsonl, JsonlSink, MemorySink, MetricsHub, TraceFilter};
-use rocescale_nic::QpApp;
+use rocescale_monitor::{
+    parse_jsonl, JsonlSink, MemorySink, MetricsHub, RecordBody, TraceEvent, TraceFilter,
+};
+use rocescale_nic::{QpApp, QpHandle};
 use rocescale_sim::SimTime;
 
 /// 64-bit FNV-1a over `bytes`.
@@ -16,7 +18,7 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 }
 
 /// A short single-ToR incast with DCQCN on: produces every record class
-/// (hops, queue samples, pause/resume events, cc_rate points).
+/// (hops, queue samples, flight events with DCQCN's rate changes).
 fn run_incast(instr: InstrumentationProfile) -> Cluster {
     let mut cl = ClusterBuilder::single_tor(5)
         .seed(11)
@@ -82,10 +84,10 @@ fn exported_file_round_trips_to_the_memory_sinks_records() {
     }
 
     // The run exercised every record class the analyzer handles: hops,
-    // queue samples, rate points, and teed flight events (DCQCN's
-    // `rate_change` — a 2 ms slow-started incast never reaches XOFF, so
-    // pauses are covered by the scenario-level exports instead).
-    for kind in ["hop", "queue", "cc_rate", "rate_change"] {
+    // queue samples and teed flight events (DCQCN's `rate_change` — a
+    // 2 ms slow-started incast never reaches XOFF, so pauses are covered
+    // by the scenario-level exports instead).
+    for kind in ["hop", "queue", "rate_change"] {
         assert!(
             parsed.iter().any(|p| p.kind == kind),
             "trace is missing {kind:?} records"
@@ -93,23 +95,38 @@ fn exported_file_round_trips_to_the_memory_sinks_records() {
     }
 }
 
-/// Every move of a DCQCN rate is traced: the `rate_change` flight
-/// records and the `cc_rate` trajectory points of a run each number what
-/// its controllers count in the hub's `dcqcn.rate_changes` — the cuts a
-/// CNP makes and the timer and byte-counter increases alike.
+/// Every move of a DCQCN rate is traced once: per QP, the `rate_change`
+/// records under its host's scope that name it number what its
+/// controller counts (`RdmaHost::qp_rate_changes`) — the cuts a CNP
+/// makes and the timer and byte-counter increases alike.
 #[test]
 fn every_dcqcn_rate_move_is_traced() {
     let mem = MemorySink::new();
     let cl = run_incast(InstrumentationProfile::paper_default().trace_sink(mem.clone()));
-    let moves: u64 = cl
-        .counters_snapshot()
-        .into_iter()
-        .filter(|(name, _)| name.ends_with(".dcqcn.rate_changes"))
-        .map(|(_, v)| v)
-        .sum();
+    let records = mem.records();
+    let mut moves = 0;
+    for i in 1..5usize {
+        let host = cl.rdma(ServerId(i));
+        let scope = format!("nic.{}", host.config().name);
+        assert_eq!(host.qp_count(), 1);
+        let traced = records
+            .iter()
+            .filter(|r| r.scope == scope)
+            .filter(|r| {
+                matches!(
+                    r.body,
+                    RecordBody::Event(TraceEvent::RateChange { qp: 0, .. })
+                )
+            })
+            .count() as u64;
+        assert_eq!(traced, host.qp_rate_changes(QpHandle(0)), "{scope}");
+        moves += traced;
+    }
     assert_eq!(moves, 184);
     assert_eq!(mem.count_kind("rate_change") as u64, moves);
-    assert_eq!(mem.count_kind("cc_rate") as u64, moves);
+    // A rate move is one record: the run streams no kind besides these.
+    let kinds: std::collections::BTreeSet<_> = records.iter().map(|r| r.body.kind()).collect();
+    assert_eq!(kinds, ["hop", "queue", "rate_change"].into());
 }
 
 /// The exported bytes themselves are pinned — line count, byte length
@@ -123,7 +140,12 @@ fn every_dcqcn_rate_move_is_traced() {
 /// increases began to be traced: 184 rate points and 184 rate changes
 /// (44 CNP cuts, 140 timer increases), the 4 849 hops and 60 queue
 /// samples unchanged — 5 277 lines (from 731 222 B, FNV-1a
-/// 5 875 742 969 836 194 538).
+/// 5 875 742 969 836 194 538). Re-pinned when a rate move became one
+/// record: the 184 rate-point lines went and each `rate_change` line now
+/// carries their fields in their order (`qp`, `rate_mbps`, `cc`,
+/// `cause`), so the export is the old one with the old `rate_change`
+/// lines removed and the rate points' kind renamed `rate_change` —
+/// 5 093 lines (from 764 002 B, FNV-1a 15 530 529 633 463 037 178).
 #[test]
 fn exported_bytes_are_pinned() {
     let path = temp_path("pinned");
@@ -134,7 +156,7 @@ fn exported_bytes_are_pinned() {
     let lines = bytes.iter().filter(|&&b| b == b'\n').count();
     assert_eq!(
         (lines, bytes.len(), fnv1a(&bytes)),
-        (5_277, 764_002, 15_530_529_633_463_037_178)
+        (5_093, 743_586, 11_708_710_830_650_097_574)
     );
 }
 
@@ -152,14 +174,18 @@ fn exported_bytes_are_pinned() {
 /// DCQCN's increases began to be traced: the flight recorder holds and
 /// counts 184 `rate_change` records where it held 44 (its only records),
 /// every other byte unchanged
-/// (from 57 945 B, FNV-1a 1 281 369 649 921 412 353).
+/// (from 57 945 B, FNV-1a 1 281 369 649 921 412 353). Re-pinned when a
+/// rate move became one record: each of the 184 flight records gained
+/// `"qp":0,` (7 B) and lists its fields as `qp`, `rate_mbps`, `cc`,
+/// `cause`; every other field and section is equal (from 75 470 B, FNV-1a
+/// 9 137 442 130 623 906 926).
 #[test]
 fn hub_export_bytes_are_pinned() {
     let cl = run_incast(InstrumentationProfile::paper_default().telemetry(MetricsHub::enabled()));
     let text = cl.telemetry().render_json().render();
     assert_eq!(
         (text.len(), fnv1a(text.as_bytes())),
-        (75_470, 9_137_442_130_623_906_926)
+        (76_758, 9_821_464_603_921_423_846)
     );
     // The pin covers every section with content in it.
     let doc = rocescale_monitor::json::parse(&text).unwrap();
@@ -185,5 +211,5 @@ fn no_hops_filter_is_respected_end_to_end() {
     );
     assert_eq!(mem.count_kind("hop"), 0, "hops must be filtered");
     assert!(mem.count_kind("queue") > 0, "queue samples still flow");
-    assert!(mem.count_kind("cc_rate") > 0, "rate points still flow");
+    assert!(mem.count_kind("rate_change") > 0, "rate changes still flow");
 }
