@@ -217,10 +217,10 @@ pub fn all() -> &'static [Scenario] {
         Scenario {
             name: "inc_scripted_deadlock",
             id: "INC-DEADLOCK (§4.2)",
-            title: "incident replay: scripted MAC eviction forms a live deadlock",
-            claim: "evicting a dead server's MAC entry mid-run (ARP surviving) recreates the §4.2 \
-             deadlock while traffic flows: the live detector reports the wait cycle mid-run; with \
-             drop-on-incomplete-ARP the same script stays cycle-free",
+            title: "incident replay: scripted server deaths form a live deadlock",
+            claim: "two servers dying mid-run (link down, MAC entry evicted, ARP surviving) \
+             recreate the §4.2 deadlock while traffic flows: the live detector reports the wait \
+             cycle mid-run; with drop-on-incomplete-ARP the same script stays cycle-free",
             run: inc_scripted_deadlock,
         },
         Scenario {
@@ -335,8 +335,8 @@ fn fig3_dscp_vs_vlan(_args: &CliArgs) -> Report {
 }
 
 /// Figure 4 / §4.2 — PFC + Ethernet flooding deadlock, and the
-/// drop-on-incomplete-ARP fix.
-fn fig4_deadlock(_args: &CliArgs) -> Report {
+/// drop-on-incomplete-ARP fix: S2 and S3 are dead from the start.
+fn fig4_deadlock(args: &CliArgs) -> Report {
     let dur = SimTime::from_millis(40);
     let mut t = Table::new(
         "arms",
@@ -350,7 +350,13 @@ fn fig4_deadlock(_args: &CliArgs) -> Report {
     );
     let mut rep = Report::new();
     for fix in [false, true] {
-        let r = deadlock::run(fix, dur);
+        // `--trace-out` captures the arm that deadlocks.
+        let instr = if fix {
+            InstrumentationProfile::paper_default()
+        } else {
+            trace_instr(args)
+        };
+        let r = deadlock::run(fix, SimTime::ZERO, dur, instr);
         t.row(vec![
             Cell::Bool(r.fix_enabled),
             Cell::s(format!("{:?}", r.deadlocked_switches)),
@@ -364,6 +370,7 @@ fn fig4_deadlock(_args: &CliArgs) -> Report {
         }
     }
     rep.table(t);
+    trace_note(&mut rep, args, "fix=false");
     rep
 }
 
@@ -896,11 +903,11 @@ fn exp_cc_ablation(args: &CliArgs) -> Report {
     rep
 }
 
-/// §4.2 incident replay — the deadlock formed *live* by a scripted MAC
-/// eviction, watched by the in-fabric detector; then the same script
-/// with the fix on.
+/// §4.2 incident replay — the deadlock formed *live* by S2 and S3 dying
+/// at 4 ms, watched by the in-fabric detector; then the same script with
+/// the fix on.
 fn inc_scripted_deadlock(_args: &CliArgs) -> Report {
-    let dur = SimTime::from_millis(40);
+    let (die_at, dur) = (SimTime::from_millis(4), SimTime::from_millis(40));
     let mut t = Table::new(
         "arms",
         &[
@@ -915,7 +922,8 @@ fn inc_scripted_deadlock(_args: &CliArgs) -> Report {
     );
     let mut rep = Report::new();
     for fix in [false, true] {
-        let r = deadlock::run_scripted(fix, dur);
+        let instr = InstrumentationProfile::paper_default();
+        let r = deadlock::run(fix, die_at, dur, instr);
         t.row(vec![
             Cell::Bool(r.fix_enabled),
             match r.first_cycle_at {
@@ -931,7 +939,7 @@ fn inc_scripted_deadlock(_args: &CliArgs) -> Report {
         rep.scalar(format!("digest_fix_{fix}"), Cell::U64(r.digest));
         rep.scalar(format!("events_fix_{fix}"), Cell::U64(r.events));
     }
-    rep.note(format!("evictions fire at 4 ms on both ToRs; run = {dur}"));
+    rep.note(format!("S2 and S3 die at {die_at}; run = {dur}"));
     rep.table(t);
     rep
 }

@@ -23,7 +23,7 @@ use rocescale_tcp::{ConnHandle, TcpApp, TcpHost, TcpHostConfig};
 use rocescale_topology::{ClosSpec, Partition, RouteSpec, Tier, Topology};
 use rocescale_transport::QpConfig;
 
-use crate::detect::{DeadlockProbe, ProbeLink};
+use crate::detect::DeadlockProbe;
 use crate::instrument::InstrumentationProfile;
 use crate::profiles::{
     ExecutionProfile, FabricProfile, FaultProfile, ScriptAction, TransportProfile,
@@ -578,7 +578,8 @@ impl ClusterBuilder {
             }
         }
 
-        let deadlock = probe(&hubs[0], &topo, &switches);
+        let at = switches.iter().map(|s| (s.topo_idx, s.shard, s.sim));
+        let deadlock = DeadlockProbe::new(&hubs[0], &topo, at.collect());
         let engine = hubs
             .iter()
             .map(|hub| {
@@ -630,8 +631,9 @@ fn fabric_settings(fabric: &FabricProfile, tier: Tier, cfg: &mut SwitchConfig) {
     cfg.buffer.alpha = fabric.alpha;
     cfg.ecn = classes(fabric.ecn);
     cfg.watchdog.enabled = fabric.switch_watchdog;
-    // The §4.2 deadlock fix, always on: the scenarios that model a fabric
-    // without it build their switches by hand.
+    // The §4.2 deadlock fix, always on: FIG-4's and INC-DEADLOCK's
+    // fix-off arms turn it off with a `switch_tweak`, which the
+    // configuration monitor reports as `ArpFix` on every switch.
     cfg.drop_lossless_on_incomplete_arp = true;
 }
 
@@ -652,30 +654,6 @@ fn transport_settings(fabric: &FabricProfile, transport: &TransportProfile, cfg:
     };
     cfg.cc = transport.cc;
     cfg.nic_watchdog_after = transport.nic_watchdog;
-}
-
-/// The live deadlock probe over a built fabric: topology node indices
-/// are its vertex ids, and it watches every switch egress that faces
-/// another device (fabric links both directions, plus switch→server
-/// ports so storm victims show up as wait-chain leaves), for the two
-/// lossless priorities.
-fn probe(hub: &MetricsHub, topo: &Topology, switches: &[SwitchInfo]) -> DeadlockProbe {
-    // Topology node id → position in `switches`.
-    let mut switch_at: Vec<Option<u32>> = vec![None; topo.nodes.len()];
-    for (i, s) in (0..).zip(switches) {
-        switch_at[s.topo_idx as usize] = Some(i);
-    }
-    let ends = topo.links.iter().flat_map(|l| [(l.a, l.b), (l.b, l.a)]);
-    let links = ends.filter_map(|(me, peer)| {
-        Some(ProbeLink {
-            switch: switch_at[me.0 as usize]?,
-            port: me.1,
-            peer: peer.0,
-        })
-    });
-    let names = topo.nodes.iter().map(|n| n.name.clone()).collect();
-    let at = switches.iter().map(|s| (s.topo_idx, s.shard, s.sim));
-    DeadlockProbe::new(hub, names, at.collect(), links.collect())
 }
 
 /// The engine's gauges, `engine.{leaf}`, in block order: events

@@ -20,17 +20,16 @@ use rocescale_monitor::{
 use rocescale_packet::Priority;
 use rocescale_sim::{NodeId, PortId, SimTime, World};
 use rocescale_switch::Switch;
+use rocescale_topology::Topology;
 
 /// One monitored egress: `switch` (index into the probe's switch list)
 /// sends toward vertex `peer` on `port`.
 #[derive(Debug, Clone)]
-pub struct ProbeLink {
-    /// Index into the probe's switch list.
-    pub switch: u32,
-    /// Egress port on that switch.
-    pub port: PortId,
+struct ProbeLink {
+    switch: u32,
+    port: PortId,
     /// Vertex id of the device behind the port (switch or server).
-    pub peer: u32,
+    peer: u32,
 }
 
 /// The priorities that can pause: the paper's two lossless classes.
@@ -44,10 +43,11 @@ const STUCK_DEVICES: u32 = 1;
 const CYCLES: u32 = 2;
 const EPOCHS: u32 = 3;
 
-/// Live deadlock detector, built once per fabric (`ClusterBuilder` does),
+/// Live deadlock detector, built once per fabric by `ClusterBuilder`,
 /// [`observe`](DeadlockProbe::observe)d at each sampling epoch.
 pub struct DeadlockProbe {
-    /// Display name of every vertex id.
+    /// Display name of every vertex id: topology node indices are the
+    /// vertex ids.
     names: Vec<Arc<str>>,
     /// (vertex id, owning shard, shard-local sim id), in tracker order.
     switches: Vec<(u32, u32, NodeId)>,
@@ -69,15 +69,30 @@ pub struct DeadlockProbe {
 }
 
 impl DeadlockProbe {
-    /// Build a probe over `switches` — each (vertex id, owning shard,
-    /// shard-local sim node); a one-world fabric puts every switch on
-    /// shard 0 — watching `links`. `names[v]` names vertex `v`.
-    pub fn new(
+    /// Build a probe over `topo`'s `switches` — each (topology node
+    /// index, owning shard, shard-local sim node); a one-world fabric
+    /// puts every switch on shard 0. It watches every switch egress that
+    /// faces another device (fabric links both directions, plus
+    /// switch→server ports so storm victims show up as wait-chain
+    /// leaves), in the topology's link order.
+    pub(crate) fn new(
         hub: &MetricsHub,
-        names: Vec<Arc<str>>,
+        topo: &Topology,
         switches: Vec<(u32, u32, NodeId)>,
-        links: Vec<ProbeLink>,
     ) -> DeadlockProbe {
+        // Topology node index → position in `switches`.
+        let mut switch_at: Vec<Option<u32>> = vec![None; topo.nodes.len()];
+        for (i, &(v, _, _)) in (0..).zip(&switches) {
+            switch_at[v as usize] = Some(i);
+        }
+        let ends = topo.links.iter().flat_map(|l| [(l.a, l.b), (l.b, l.a)]);
+        let links = ends.filter_map(|(me, peer)| {
+            Some(ProbeLink {
+                switch: switch_at[me.0 as usize]?,
+                port: me.1,
+                peer: peer.0,
+            })
+        });
         let block = hub.register(
             Path::fixed("monitor.deadlock"),
             &[
@@ -89,10 +104,10 @@ impl DeadlockProbe {
             scope: block.scope,
             tele: block.base,
             hub: hub.clone(),
-            names,
+            links: links.collect(),
+            names: topo.nodes.iter().map(|n| n.name.clone()).collect(),
             tracker: ProgressTracker::new(switches.len()),
             switches,
-            links,
             graph: WaitGraph::new(),
             cycle: Vec::new(),
             members: Vec::new(),

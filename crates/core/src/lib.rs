@@ -33,7 +33,7 @@ pub mod sharded;
 
 pub use cluster::{Cluster, ClusterBuilder, PfcMode, ServerId, ServerKind};
 pub use deployment::DeploymentStage;
-pub use detect::{DeadlockProbe, ProbeLink};
+pub use detect::DeadlockProbe;
 pub use instrument::InstrumentationProfile;
 pub use profiles::{ExecutionProfile, FabricProfile, FaultProfile, ScriptAction, TransportProfile};
 pub use rocescale_cc::CcKind;

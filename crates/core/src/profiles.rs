@@ -7,8 +7,9 @@
 //!
 //! * [`FabricProfile`] — what the *switches* do: PFC flavour and reach,
 //!   buffer sharing, ECN marking and the storm watchdog. (The §4.2
-//!   deadlock fix is always on; the §4.2 and §8.1 scenarios that turn
-//!   it off or spray packets build their switches by hand.)
+//!   deadlock fix is always on; FIG-4's and INC-DEADLOCK's fix-off arms
+//!   turn it off with a `ClusterBuilder::switch_tweak`, and §8.1's
+//!   packet-spraying diamond builds its switches by hand.)
 //! * [`TransportProfile`] — what the *NICs* do: loss recovery, DCQCN,
 //!   retransmission timeouts, the NIC-side storm watchdog.
 //! * [`FaultProfile`] — what goes *wrong*: the §4.1 deterministic drop

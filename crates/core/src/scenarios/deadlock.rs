@@ -1,7 +1,9 @@
 //! Figure 4 / §4.2 — the PFC deadlock created by Ethernet flooding, and
 //! the fix.
 //!
-//! The exact four-switch fragment of the paper's example:
+//! The paper's four-switch Clos fragment, built by `ClusterBuilder` as
+//! one pod of two ToRs and two leaves with no spine (T0 = `pod0-tor0`,
+//! T1 = `pod0-tor1`, La = `pod0-leaf0`, Lb = `pod0-leaf1`):
 //!
 //! ```text
 //!        La        Lb
@@ -12,38 +14,66 @@
 //! ```
 //!
 //! * S1 → S3 (dead) and S1 → S5: path {T0, La, T1} (purple / black).
-//! * S4 → S2 (dead): path {T1, Lb, T0} (blue). S4 → S5 adds the incast
-//!   on T1's port to S5.
-//! * S2 and S3 are dead: their MAC-table entries have timed out (5 min)
-//!   while their ARP entries survive (4 h) — the "incomplete ARP entry".
-//!   The ToRs flood their lossless packets; flood copies parked on paused
-//!   fabric ports close the cyclic buffer dependency and the fabric
-//!   freezes: "Once the deadlock occurs, it does not go away even if we
-//!   restart all the servers."
+//! * S4 → S2 (dead): path {T1, Lb, T0} (blue). S4 → S5 and S6 → S5 add
+//!   the incast on T1's port to S5.
+//! * S2 and S3 die (`ScriptAction::ServerDeath`): their links go down
+//!   and their MAC entries are evicted while their ARP entries survive —
+//!   the "incomplete ARP entry". The ToRs flood their lossless packets;
+//!   flood copies parked on paused fabric ports close the cyclic buffer
+//!   dependency and the fabric freezes: "Once the deadlock occurs, it
+//!   does not go away even if we restart all the servers."
 //!
 //! With the paper's fix (drop lossless packets on incomplete ARP), the
 //! flood never happens and traffic to live servers keeps flowing.
-
-use std::sync::Arc;
+//!
+//! FIG-4 kills the two servers before the first packet (`die_at` = 0);
+//! INC-DEADLOCK replays the incident live, killing them at 4 ms while
+//! traffic flows. The cluster's own deadlock probe watches both.
 
 use rocescale_cc::CcKind;
-use rocescale_monitor::MetricsHub;
-use rocescale_nic::{NicConfig, QpApp, RdmaHost};
-use rocescale_packet::MacAddr;
-use rocescale_sim::{LinkSpec, NodeId, PortId, SimTime, World};
-use rocescale_switch::{AdminAction, DropReason, EcmpGroup, PortRole, Switch, SwitchConfig};
-use rocescale_transport::QpConfig;
+use rocescale_monitor::{MetricsHub, TelemetryConfig};
+use rocescale_nic::QpApp;
+use rocescale_sim::SimTime;
+use rocescale_switch::{DropReason, EcmpGroup};
+use rocescale_topology::{tor_subnet, ClosSpec, Tier};
 
-use crate::detect::{DeadlockProbe, ProbeLink};
+use crate::cluster::{Cluster, ClusterBuilder, ServerId};
+use crate::instrument::InstrumentationProfile;
+use crate::profiles::{FaultProfile, ScriptAction, TransportProfile};
 
-/// Result of one deadlock run.
+/// The paper's servers, in build order: S1, S2 and S6 under T0, S3, S4
+/// and S5 under T1.
+const S1: ServerId = ServerId(0);
+const S2: ServerId = ServerId(1);
+const S6: ServerId = ServerId(2);
+const S3: ServerId = ServerId(3);
+const S4: ServerId = ServerId(4);
+const S5: ServerId = ServerId(5);
+
+const SATURATE: QpApp = QpApp::Saturate {
+    msg_len: 1 << 20,
+    inflight: 4,
+};
+
+/// Result of one §4.2 run.
 #[derive(Debug, Clone)]
 pub struct DeadlockResult {
     /// Was the drop-on-incomplete-ARP fix enabled?
     pub fix_enabled: bool,
-    /// Switches stuck (zero tx progress with lossless backlog) for the
-    /// whole tail of the run.
+    /// When S2 and S3 died.
+    pub die_at: SimTime,
+    /// The corroborated end-of-run verdict: switches stuck (zero tx
+    /// progress with lossless backlog) and on a wait cycle.
     pub deadlocked_switches: Vec<String>,
+    /// The pause-wait cycle of the last epoch, if one exists — the §4.2
+    /// "cyclic buffer dependency" rendered as switch names.
+    pub wait_cycle: Option<Vec<String>>,
+    /// First epoch at which the probe saw a wait cycle, if ever.
+    pub first_cycle_at: Option<SimTime>,
+    /// Detection epochs with a cycle present.
+    pub cycle_epochs: u64,
+    /// Total detection epochs run.
+    pub epochs: u64,
     /// S5's received goodput during the *last quarter* of the run, bytes
     /// (zero once the fabric is wedged; healthy with the fix).
     pub tail_goodput_bytes: u64,
@@ -51,386 +81,155 @@ pub struct DeadlockResult {
     pub fix_drops: u64,
     /// Pause frames sent by all four switches.
     pub pauses: u64,
-    /// The pause-wait cycle at the end of the run, if one exists — the
-    /// §4.2 "cyclic buffer dependency" rendered as device names.
-    pub wait_cycle: Option<Vec<String>>,
-}
-
-const IP_S1: u32 = 0x0a000001;
-const IP_S2: u32 = 0x0a000002;
-const IP_S3: u32 = 0x0a000101;
-const IP_S4: u32 = 0x0a000102;
-const IP_S5: u32 = 0x0a000103;
-const IP_S6: u32 = 0x0a000003;
-
-struct Fabric {
-    world: World,
-    t0: NodeId,
-    t1: NodeId,
-    la: NodeId,
-    lb: NodeId,
-    s1: NodeId,
-    s4: NodeId,
-    s5: NodeId,
-    s6: NodeId,
-}
-
-fn build(fix_enabled: bool) -> Fabric {
-    build_with_macs(fix_enabled, false)
-}
-
-/// `dead_macs_seeded` = true starts S2/S3 fully resolved (alive in both
-/// ARP and MAC tables) so a scripted mid-run `EvictMac` can recreate the
-/// §4.2 "dead but remembered" state while traffic is already flowing.
-fn build_with_macs(fix_enabled: bool, dead_macs_seeded: bool) -> Fabric {
-    let mac = MacAddr::from_id;
-    let (t0_mac, t1_mac, la_mac, lb_mac) = (mac(0xf0), mac(0xf1), mac(0xfa), mac(0xfb));
-    let sw_cfg = |name: &str, ports: u16, roles: Vec<PortRole>| {
-        let mut cfg = SwitchConfig::new(name, ports);
-        cfg.port_roles = roles;
-        cfg.drop_lossless_on_incomplete_arp = fix_enabled;
-        cfg
-    };
-    use PortRole::{Fabric as F, Server as S};
-
-    // T0: p0=S1 p1=S2(dead) p2=La p3=Lb p4=S6
-    let mut t0 = Switch::new(sw_cfg("T0", 5, vec![S, S, F, F, S]), t0_mac, 10);
-    t0.routes_mut().add_connected(0x0a000000, 25);
-    // Force S1's cross traffic through La (the paper's path {T0,La,T1}).
-    t0.routes_mut()
-        .add(0x0a000100, 25, EcmpGroup::single(PortId(2)));
-    t0.set_peer_mac(PortId(2), la_mac);
-    t0.set_peer_mac(PortId(3), lb_mac);
-    t0.seed_arp(IP_S1, mac(1), SimTime::ZERO);
-    t0.seed_arp(IP_S2, mac(2), SimTime::ZERO);
-    t0.seed_arp(IP_S6, mac(6), SimTime::ZERO);
-    t0.seed_mac(mac(1), PortId(0), SimTime::ZERO);
-    t0.seed_mac(mac(6), PortId(4), SimTime::ZERO);
-    // S2 is dead: MAC entry expired, ARP entry alive — the incomplete
-    // entry (its MAC is deliberately NOT seeded)... unless the scripted
-    // variant starts it alive and evicts it mid-run.
-    if dead_macs_seeded {
-        t0.seed_mac(mac(2), PortId(1), SimTime::ZERO);
-    }
-
-    // T1: p0=S3(dead) p1=S4 p2=S5 p3=La p4=Lb
-    let mut t1 = Switch::new(sw_cfg("T1", 5, vec![S, S, S, F, F]), t1_mac, 11);
-    t1.routes_mut().add_connected(0x0a000100, 25);
-    // Force S4's cross traffic through Lb (the paper's path {T1,Lb,T0}).
-    t1.routes_mut()
-        .add(0x0a000000, 25, EcmpGroup::single(PortId(4)));
-    t1.set_peer_mac(PortId(3), la_mac);
-    t1.set_peer_mac(PortId(4), lb_mac);
-    t1.seed_arp(IP_S3, mac(3), SimTime::ZERO);
-    t1.seed_arp(IP_S4, mac(4), SimTime::ZERO);
-    t1.seed_arp(IP_S5, mac(5), SimTime::ZERO);
-    t1.seed_mac(mac(4), PortId(1), SimTime::ZERO);
-    t1.seed_mac(mac(5), PortId(2), SimTime::ZERO);
-    // S3 dead: no MAC entry (same scripted-variant exception as S2).
-    if dead_macs_seeded {
-        t1.seed_mac(mac(3), PortId(0), SimTime::ZERO);
-    }
-
-    // Leaves: p0=T0 p1=T1.
-    let mut la = Switch::new(sw_cfg("La", 2, vec![F, F]), la_mac, 12);
-    la.routes_mut()
-        .add(0x0a000000, 25, EcmpGroup::single(PortId(0)));
-    la.routes_mut()
-        .add(0x0a000100, 25, EcmpGroup::single(PortId(1)));
-    la.set_peer_mac(PortId(0), t0_mac);
-    la.set_peer_mac(PortId(1), t1_mac);
-    let mut lb = Switch::new(sw_cfg("Lb", 2, vec![F, F]), lb_mac, 13);
-    lb.routes_mut()
-        .add(0x0a000000, 25, EcmpGroup::single(PortId(0)));
-    lb.routes_mut()
-        .add(0x0a000100, 25, EcmpGroup::single(PortId(1)));
-    lb.set_peer_mac(PortId(0), t0_mac);
-    lb.set_peer_mac(PortId(1), t1_mac);
-
-    let host = |name: &str, id: u32, ip: u32, gw: MacAddr| {
-        let mut cfg = NicConfig::new(name, id, ip, gw);
-        cfg.cc = CcKind::Off; // raw PFC dynamics, as in the paper's stress test
-        cfg.qp_defaults = QpConfig {
-            rto_ps: 200_000_000, // 200 µs: senders to dead peers keep the wire busy
-            ..QpConfig::default()
-        };
-        RdmaHost::new(cfg)
-    };
-
-    let mut world = World::new(99);
-    let t0 = world.add_node(Box::new(t0));
-    let t1 = world.add_node(Box::new(t1));
-    let la = world.add_node(Box::new(la));
-    let lb = world.add_node(Box::new(lb));
-    let s1 = world.add_node(Box::new(host("S1", 1, IP_S1, t0_mac)));
-    let s2 = world.add_node(Box::new(host("S2", 2, IP_S2, t0_mac)));
-    let s3 = world.add_node(Box::new(host("S3", 3, IP_S3, t1_mac)));
-    let s4 = world.add_node(Box::new(host("S4", 4, IP_S4, t1_mac)));
-    let s5 = world.add_node(Box::new(host("S5", 5, IP_S5, t1_mac)));
-    // S6: the "other sources" of the paper's incast on T1's port to S5.
-    let s6 = world.add_node(Box::new(host("S6", 6, IP_S6, t0_mac)));
-
-    let l = LinkSpec::server_40g;
-    world.connect(s1, PortId(0), t0, PortId(0), l());
-    world.connect(s2, PortId(0), t0, PortId(1), l());
-    world.connect(s3, PortId(0), t1, PortId(0), l());
-    world.connect(s4, PortId(0), t1, PortId(1), l());
-    world.connect(s5, PortId(0), t1, PortId(2), l());
-    world.connect(s6, PortId(0), t0, PortId(4), l());
-    let f = LinkSpec::tor_leaf_40g;
-    world.connect(t0, PortId(2), la, PortId(0), f());
-    world.connect(t1, PortId(3), la, PortId(1), f());
-    world.connect(t0, PortId(3), lb, PortId(0), f());
-    world.connect(t1, PortId(4), lb, PortId(1), f());
-
-    Fabric {
-        world,
-        t0,
-        t1,
-        la,
-        lb,
-        s1,
-        s4,
-        s5,
-        s6,
-    }
-}
-
-/// Wire a one-way saturating QP from host `a` toward `peer_ip`. The peer
-/// may be dead (S2/S3): data then flows unacknowledged, the RTO keeps the
-/// wire busy — exactly the paper's stress condition. For live peers,
-/// `live_peer` creates the responder end.
-fn saturate_toward(
-    world: &mut World,
-    a: NodeId,
-    peer_ip: u32,
-    live_peer: Option<NodeId>,
-    udp_src: u16,
-) {
-    let a_ip = world.node::<RdmaHost>(a).config().ip;
-    let a_qpn = world.node::<RdmaHost>(a).qp_count() as u32;
-    let peer_qpn = live_peer
-        .map(|p| world.node::<RdmaHost>(p).qp_count() as u32)
-        .unwrap_or(0);
-    world.node_mut::<RdmaHost>(a).add_qp(
-        peer_ip,
-        peer_qpn,
-        udp_src,
-        QpApp::Saturate {
-            msg_len: 1 << 20,
-            inflight: 4,
-        },
-    );
-    if let Some(p) = live_peer {
-        world
-            .node_mut::<RdmaHost>(p)
-            .add_qp(a_ip, a_qpn, udp_src, QpApp::None);
-    }
-}
-
-/// The §4.2 traffic matrix. S1 → S3 (dead; the purple packets) and
-/// S1 → S5 (the black packets); S4 → S2 (dead; the blue packets) and
-/// S4 → S5, the incast co-source congesting T1's port to S5; and S6 → S5:
-/// "T1.p2 is congested due to incast traffic from S1 and other sources"
-/// — the demand on S5's port must exceed its rate for the black packets
-/// to queue.
-fn start_traffic(f: &mut Fabric) {
-    saturate_toward(&mut f.world, f.s1, IP_S3, None, 7001);
-    saturate_toward(&mut f.world, f.s1, IP_S5, Some(f.s5), 7002);
-    saturate_toward(&mut f.world, f.s4, IP_S2, None, 7003);
-    saturate_toward(&mut f.world, f.s4, IP_S5, Some(f.s5), 7004);
-    saturate_toward(&mut f.world, f.s6, IP_S5, Some(f.s5), 7005);
-}
-
-/// What a [`DeadlockProbe`] watching every 2 ms saw over a run of `dur`,
-/// with the fabric's end-of-run counters.
-struct Watched {
-    probe: DeadlockProbe,
-    /// S5's goodput over the last quarter of the run, bytes.
-    tail_goodput_bytes: u64,
-    /// Lossless packets dropped by the fix, all four switches.
-    fix_drops: u64,
-    /// Pause frames sent by all four switches.
-    pauses: u64,
-}
-
-/// Run `f` for `dur` under a live detector over every switch egress
-/// (fabric links in both directions; server ports appear as chain leaves,
-/// never cycles), sampling every 2 ms. Each switch's links are listed by
-/// port, so its wait edges keep the order in which FIG-4 has always
-/// searched them: its reported cycle does not depend on the probe.
-fn watch(f: &mut Fabric, dur: SimTime) -> Watched {
-    // The fragment numbers its own vertices: the four switches first, in
-    // the probe's switch order, then the servers.
-    const NAMES: [&str; 10] = ["T0", "T1", "La", "Lb", "S1", "S2", "S3", "S4", "S5", "S6"];
-    let switches = [f.t0, f.t1, f.la, f.lb];
-    let link = |switch: u32, port: u16, peer: &str| ProbeLink {
-        switch,
-        port: PortId(port),
-        peer: NAMES.iter().position(|n| *n == peer).expect("named") as u32,
-    };
-    let links = vec![
-        link(0, 0, "S1"),
-        link(0, 1, "S2"),
-        link(0, 2, "La"),
-        link(0, 3, "Lb"),
-        link(0, 4, "S6"),
-        link(1, 0, "S3"),
-        link(1, 1, "S4"),
-        link(1, 2, "S5"),
-        link(1, 3, "La"),
-        link(1, 4, "Lb"),
-        link(2, 0, "T0"),
-        link(2, 1, "T1"),
-        link(3, 0, "T0"),
-        link(3, 1, "T1"),
-    ];
-    let mut probe = DeadlockProbe::new(
-        &MetricsHub::disabled(),
-        NAMES.iter().map(|n| Arc::from(*n)).collect(),
-        (0..).zip(switches).map(|(v, id)| (v, 0, id)).collect(),
-        links,
-    );
-
-    let sample = SimTime::from_millis(2);
-    let mut t = SimTime::ZERO;
-    let mut goodput_at_three_quarters = 0u64;
-    while t < dur {
-        t += sample;
-        f.world.run_until(t);
-        probe.observe(std::slice::from_ref(&f.world), t);
-        if t.as_ps() * 4 <= dur.as_ps() * 3 {
-            goodput_at_three_quarters = f.world.node::<RdmaHost>(f.s5).total_goodput_bytes();
-        }
-    }
-    let final_goodput = f.world.node::<RdmaHost>(f.s5).total_goodput_bytes();
-    let sum = |stat: fn(&Switch) -> u64| -> u64 {
-        switches
-            .iter()
-            .map(|id| stat(f.world.node::<Switch>(*id)))
-            .sum()
-    };
-    Watched {
-        probe,
-        tail_goodput_bytes: final_goodput.saturating_sub(goodput_at_three_quarters),
-        fix_drops: sum(|sw| sw.stats.drops_of(DropReason::IncompleteArpLossless)),
-        pauses: sum(|sw| sw.stats.total_pause_tx()),
-    }
-}
-
-/// Run the Figure 4 scenario for `dur`, sampling progress every 2 ms.
-pub fn run(fix_enabled: bool, dur: SimTime) -> DeadlockResult {
-    let mut f = build(fix_enabled);
-    start_traffic(&mut f);
-    let w = watch(&mut f, dur);
-    DeadlockResult {
-        fix_enabled,
-        deadlocked_switches: w.probe.verdict(),
-        tail_goodput_bytes: w.tail_goodput_bytes,
-        fix_drops: w.fix_drops,
-        pauses: w.pauses,
-        // The wait cycle of the last epoch, at the end of the run: edge
-        // A→B when A's egress port toward B is paused for a lossless
-        // class with backlog behind it.
-        wait_cycle: w.probe.last_cycle(),
-    }
-}
-
-/// Result of one scripted §4.2 incident replay.
-#[derive(Debug, Clone)]
-pub struct ScriptedDeadlockResult {
-    /// Was the drop-on-incomplete-ARP fix enabled?
-    pub fix_enabled: bool,
-    /// When the scripted MAC evictions fired.
-    pub evict_at: SimTime,
-    /// First epoch at which the live detector saw a wait cycle, if ever.
-    pub first_cycle_at: Option<SimTime>,
-    /// Detection epochs with a cycle present / total epochs run.
-    pub cycle_epochs: u64,
-    /// Total detection epochs run.
-    pub epochs: u64,
-    /// The corroborated end-of-run verdict (stuck ∩ on a wait cycle).
-    pub deadlocked_switches: Vec<String>,
-    /// Lossless packets dropped by the fix (zero with the fix off).
-    pub fix_drops: u64,
-    /// S5's goodput over the last quarter of the run, bytes.
-    pub tail_goodput_bytes: u64,
     /// Dispatch digest of the whole run (determinism pin).
     pub digest: u64,
     /// Events dispatched (pairs with the digest pin).
     pub events: u64,
 }
 
-/// The §4.2 incident as a *live replay*: S2 and S3 start healthy (fully
-/// resolved), traffic flows, then a scripted admin action evicts their
-/// MAC entries mid-run — the switch tables now hold the "dead but
-/// remembered" state the paper describes, while ARP entries survive.
-/// A [`DeadlockProbe`] watches the fabric every 2 ms.
-///
-/// * Fix off: the flood starts at eviction, the cyclic buffer dependency
-///   forms, and the probe reports a live wait cycle mid-run.
-/// * Fix on: lossless packets to the evicted MACs are dropped instead of
-///   flooded; every epoch stays cycle-free and S5 keeps receiving.
-pub fn run_scripted(fix_enabled: bool, dur: SimTime) -> ScriptedDeadlockResult {
-    let mut f = build_with_macs(fix_enabled, true);
-    // Same traffic matrix as [`run`] — but S2/S3 are reachable at first.
-    start_traffic(&mut f);
+/// Raw PFC dynamics, as in the paper's stress test, and a 200 µs RTO:
+/// senders to dead peers keep the wire busy.
+fn transport() -> TransportProfile {
+    TransportProfile::paper_default()
+        .cc(CcKind::Off)
+        .qp_rto(SimTime::from_micros(200))
+}
 
-    // The incident: both ToRs lose the dead servers' MAC entries at the
-    // same maintenance tick (the paper's 5-minute MAC timeout, compressed).
-    let evict_at = SimTime::from_millis(4);
-    let mac = MacAddr::from_id;
-    for (tor, victim) in [(f.t0, mac(2)), (f.t1, mac(3))] {
-        let token = f
-            .world
-            .node_mut::<Switch>(tor)
-            .schedule_admin(AdminAction::EvictMac { mac: victim });
-        f.world.schedule_timer(evict_at, tor, token);
+/// The fragment with the fix on or off, S2 and S3 dying at `die_at`,
+/// the paper's paths pinned and the §4.2 traffic matrix wired. Its hub
+/// samples, and its probe observes, every 2 ms; `instr` adds its
+/// profiler and trace sink.
+fn cluster(fix_enabled: bool, die_at: SimTime, instr: InstrumentationProfile) -> Cluster {
+    let hub = MetricsHub::with_config(TelemetryConfig {
+        sample_every_ps: SimTime::from_millis(2).as_ps(),
+        ..TelemetryConfig::default()
+    });
+    let deaths = [S2, S3].iter().fold(FaultProfile::paper_default(), |f, s| {
+        f.at(die_at, ScriptAction::ServerDeath { server: s.0 })
+    });
+    let mut c = ClusterBuilder::new(ClosSpec::uniform_40g(1, 2, 2, 0, 3))
+        .transport(transport())
+        .faults(deaths)
+        .instrumentation(instr.telemetry(hub))
+        .switch_tweak(move |_, cfg| cfg.drop_lossless_on_incomplete_arp = fix_enabled)
+        .build();
+
+    // The paper's paths: T0 reaches T1's rack over La (S1's purple and
+    // black packets), T1 reaches T0's rack over Lb (S4's blue ones).
+    // ToR `i` is switch `i`: the builder keeps the topology's order.
+    let topo = c.topology();
+    let (tors, leaves) = (topo.of_tier(Tier::Tor), topo.of_tier(Tier::Leaf));
+    let via = |tor: usize, leaf: usize| topo.port_toward(tors[tor], leaves[leaf]);
+    let pins = [(0, 1, via(0, 0)), (1, 0, via(1, 1))];
+    for (tor, dst, port) in pins {
+        let port = port.expect("every ToR reaches every leaf");
+        c.switch_mut(tor)
+            .routes_mut()
+            .add(tor_subnet(0, dst), 24, EcmpGroup::single(port));
     }
 
-    let w = watch(&mut f, dur);
-    ScriptedDeadlockResult {
+    // The §4.2 traffic matrix. S1 → S3 (the purple packets) and S4 → S2
+    // (the blue ones) are one-sided: a dead server owns no QP, and the
+    // data flows unacknowledged. S1 → S5 (the black packets), S4 → S5
+    // and S6 → S5: "T1.p2 is congested due to incast traffic from S1
+    // and other sources" — the demand on S5's port must exceed its rate
+    // for the black packets to queue.
+    let dead_peer = |c: &mut Cluster, from: ServerId, to: ServerId, udp_src: u16| {
+        let ip = c.server_ip(to);
+        c.rdma_mut(from).add_qp(ip, 0, udp_src, SATURATE);
+    };
+    dead_peer(&mut c, S1, S3, 7001);
+    c.connect_qp(S1, S5, 7002, SATURATE, QpApp::None);
+    dead_peer(&mut c, S4, S2, 7003);
+    c.connect_qp(S4, S5, 7004, SATURATE, QpApp::None);
+    c.connect_qp(S6, S5, 7005, SATURATE, QpApp::None);
+    c
+}
+
+/// Run the §4.2 fragment for `dur` with S2 and S3 dying at `die_at`,
+/// observed by `instr` (its profiler and trace sink; the run brings its
+/// own hub).
+///
+/// * Fix off: the flood starts at the deaths, the cyclic buffer
+///   dependency forms, and the probe reports a wait cycle and the four
+///   wedged switches; S5 stops receiving.
+/// * Fix on: lossless packets to the dead servers are dropped instead of
+///   flooded; every epoch stays cycle-free and S5 keeps receiving.
+pub fn run(
+    fix_enabled: bool,
+    die_at: SimTime,
+    dur: SimTime,
+    instr: InstrumentationProfile,
+) -> DeadlockResult {
+    let mut c = cluster(fix_enabled, die_at, instr);
+    c.run_until(SimTime(dur.as_ps() / 4 * 3));
+    let goodput_at_three_quarters = c.rdma(S5).total_goodput_bytes();
+    c.run_until(dur);
+    let probe = c.deadlock_probe();
+    DeadlockResult {
         fix_enabled,
-        evict_at,
-        first_cycle_at: w.probe.first_cycle_at(),
-        cycle_epochs: w.probe.cycle_epochs(),
-        epochs: w.probe.epochs(),
-        deadlocked_switches: w.probe.verdict(),
-        fix_drops: w.fix_drops,
-        tail_goodput_bytes: w.tail_goodput_bytes,
-        digest: f.world.dispatch_digest(),
-        events: f.world.events_processed(),
+        die_at,
+        deadlocked_switches: probe.verdict(),
+        wait_cycle: probe.last_cycle(),
+        first_cycle_at: probe.first_cycle_at(),
+        cycle_epochs: probe.cycle_epochs(),
+        epochs: probe.epochs(),
+        tail_goodput_bytes: c.rdma(S5).total_goodput_bytes() - goodput_at_three_quarters,
+        fix_drops: c.total_drops_of(DropReason::IncompleteArpLossless),
+        pauses: c.total_switch_pause_tx(),
+        digest: c.dispatch_digest(),
+        events: c.events_processed(),
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use rocescale_monitor::config::ConfigField;
+
     use super::*;
+    use crate::profiles::FabricProfile;
+
+    const SWITCHES: [&str; 4] = ["pod0-leaf0", "pod0-leaf1", "pod0-tor0", "pod0-tor1"];
+
+    fn arm(fix: bool, die_at: SimTime) -> DeadlockResult {
+        let instr = InstrumentationProfile::paper_default();
+        run(fix, die_at, SimTime::from_millis(40), instr)
+    }
+
+    /// FIG-4: S2 and S3 are dead from the start.
+    fn fig4(fix: bool) -> DeadlockResult {
+        arm(fix, SimTime::ZERO)
+    }
+
+    /// INC-DEADLOCK: S2 and S3 die at 4 ms, while traffic flows.
+    fn scripted(fix: bool) -> DeadlockResult {
+        arm(fix, SimTime::from_millis(4))
+    }
 
     /// The §4.2 discovery: flooding + PFC deadlocks a Clos fragment, and
     /// the deadlock is permanent.
     #[test]
     fn flooding_plus_pfc_deadlocks() {
-        let r = run(false, SimTime::from_millis(40));
-        assert!(
-            r.deadlocked_switches.len() >= 2,
-            "a pause cycle needs ≥2 switches, got {:?}",
-            r.deadlocked_switches
+        let r = fig4(false);
+        assert_eq!(
+            r.deadlocked_switches, SWITCHES,
+            "the pause cycle wedges all four switches"
         );
         assert_eq!(
             r.tail_goodput_bytes, 0,
             "once wedged, even the live S5 flow stops"
         );
         assert!(r.pauses > 0);
-        let cycle = r.wait_cycle.expect("a wait cycle must exist in deadlock");
-        assert!(cycle.len() >= 2, "cycle {cycle:?}");
+        let mut cycle = r.wait_cycle.expect("a wait cycle must exist in deadlock");
+        cycle.sort();
+        assert_eq!(cycle, SWITCHES, "the cycle runs through all four");
     }
 
     /// The fix: drop lossless packets on incomplete ARP entries — no
     /// flood, no cycle, live traffic unharmed.
     #[test]
     fn drop_on_incomplete_arp_prevents_deadlock() {
-        let r = run(true, SimTime::from_millis(40));
+        let r = fig4(true);
         assert!(
             r.deadlocked_switches.is_empty(),
             "no deadlock expected, got {:?}",
@@ -445,17 +244,17 @@ mod tests {
         assert!(r.wait_cycle.is_none(), "no wait cycle with the fix");
     }
 
-    /// Scripted replay, fix off: the fabric is healthy until the MAC
-    /// eviction, then the live detector reports a wait cycle *mid-run*
-    /// and the corroborated verdict names ≥2 switches. Digest-pinned.
+    /// Scripted replay, fix off: the fabric is healthy until the servers
+    /// die, then the live detector reports a wait cycle *mid-run* and
+    /// the corroborated verdict names ≥2 switches. Digest-pinned.
     #[test]
     fn scripted_eviction_forms_live_cycle() {
-        let r = run_scripted(false, SimTime::from_millis(40));
+        let r = scripted(false);
         let first = r.first_cycle_at.expect("detector must fire mid-run");
         assert!(
-            first >= r.evict_at,
-            "no cycle before the eviction: {first} < {}",
-            r.evict_at
+            first >= r.die_at,
+            "no cycle before the deaths: {first} < {}",
+            r.die_at
         );
         assert!(
             first < SimTime::from_millis(40),
@@ -475,7 +274,7 @@ mod tests {
     /// the fix clears every injected cycle. Digest-pinned.
     #[test]
     fn scripted_eviction_with_fix_stays_clear() {
-        let r = run_scripted(true, SimTime::from_millis(40));
+        let r = scripted(true);
         assert_eq!(
             r.cycle_epochs, 0,
             "fix on ⇒ no epoch may see a cycle (first at {:?})",
@@ -488,6 +287,28 @@ mod tests {
             "S5 keeps receiving: {} bytes",
             r.tail_goodput_bytes
         );
+    }
+
+    /// §5.1's configuration monitor catches the missing §4.2 fix: built
+    /// without it, each of the four switches deviates in `ArpFix` alone
+    /// from the paper's fabric; built with it, nothing deviates.
+    #[test]
+    fn the_config_monitor_names_every_switch_without_the_fix() {
+        for fix in [false, true] {
+            let c = cluster(fix, SimTime::ZERO, InstrumentationProfile::paper_default());
+            let found: Vec<_> = c
+                .config_deviations(&FabricProfile::paper_default(), &transport())
+                .into_iter()
+                .map(|d| (d.device, d.field))
+                .collect();
+            // Switch order: the ToRs, then the leaves.
+            let want: Vec<_> = ["pod0-tor0", "pod0-tor1", "pod0-leaf0", "pod0-leaf1"]
+                .iter()
+                .filter(|_| !fix)
+                .map(|s| (s.to_string(), ConfigField::ArpFix))
+                .collect();
+            assert_eq!(found, want, "fix={fix}");
+        }
     }
 
     /// Digest pins for both arms of the scripted incident: scripted
@@ -525,18 +346,28 @@ mod tests {
     /// 656727, 168902]` → `[10, 538186, 538186, 140753]`. Fix on, every
     /// per-kind count stayed `[10, 1083413, 1083415, 246923]`; only
     /// which packets carried CE, and so the stream's contents, moved.
+    ///
+    /// Re-pinned a fifth time when the fragment moved onto
+    /// `ClusterBuilder` (from 5229551613961174605 / 1217135 and
+    /// 12927064539079872690 / 2413761): other MACs, port numbers, ECMP
+    /// salts, headroom and seed, and `ServerDeath` (link down as well as
+    /// the MAC eviction) in place of a bare eviction. Fix off, the wedge
+    /// forms at 6 ms instead of 22 ms: `[start, arrival, port idle,
+    /// timer]` went `[10, 538186, 538186, 140753]` → `[10, 143536,
+    /// 143536, 45173]`. Fix on, `[10, 1083413, 1083415, 246923]` →
+    /// `[10, 1083604, 1083607, 247260]`.
     #[test]
     fn scripted_replay_digests_are_pinned() {
-        let off = run_scripted(false, SimTime::from_millis(40));
+        let off = scripted(false);
         assert_eq!(
             (off.digest, off.events),
-            (5229551613961174605, 1217135),
+            (887388360255071908, 332255),
             "fix-off replay deviates from its committed trace"
         );
-        let on = run_scripted(true, SimTime::from_millis(40));
+        let on = scripted(true);
         assert_eq!(
             (on.digest, on.events),
-            (12927064539079872690, 2413761),
+            (15481030527652128113, 2414481),
             "fix-on replay deviates from its committed trace"
         );
     }

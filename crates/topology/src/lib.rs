@@ -220,13 +220,20 @@ pub fn pod_prefix(pod: u32) -> u32 {
 
 impl Topology {
     /// Build a Clos fabric from its spec. Panics if `spines` is not a
-    /// multiple of `leaves_per_pod` (planes must be uniform).
+    /// multiple of `leaves_per_pod` (planes must be uniform), or if
+    /// several pods have no spine to join them. One pod needs none: its
+    /// leaves then carry only their down routes (FIG-4's fragment).
     pub fn clos(spec: &ClosSpec) -> Topology {
         assert_eq!(
             spec.spines % spec.leaves_per_pod,
             0,
             "spines must divide evenly into {} planes",
             spec.leaves_per_pod
+        );
+        assert!(
+            spec.spines > 0 || spec.pods <= 1,
+            "{} pods need spines to reach each other: {spec:?}",
+            spec.pods
         );
         let spines_per_plane = spec.spines_per_plane() as usize;
         let mut t = Topology {
@@ -342,10 +349,14 @@ impl Topology {
                         ports: vec![PortId(tor as u16)],
                     });
                 }
-                // Up: everything else via this leaf's spine plane.
+                // Up: everything else via this leaf's spine plane, if
+                // it has one.
                 let uplinks: Vec<PortId> = (0..spec.spines_per_plane())
                     .map(|s| PortId((spec.tors_per_pod + s) as u16))
                     .collect();
+                if uplinks.is_empty() {
+                    continue;
+                }
                 routes[leaf_id].push(RouteSpec::Via {
                     prefix: 0x0a000000,
                     len: 8,
@@ -668,6 +679,33 @@ mod tests {
             _ => None,
         });
         assert_eq!(up, Some(2), "2 spines per plane");
+    }
+
+    /// FIG-4's fragment: one pod, two ToRs, two leaves and no spine.
+    /// Each leaf routes down to the two ToR subnets and nowhere else.
+    #[test]
+    fn a_spineless_pod_has_only_down_routes() {
+        let t = Topology::clos(&ClosSpec::uniform_40g(1, 2, 2, 0, 3));
+        assert_eq!(t.of_tier(Tier::Tor).len() + t.of_tier(Tier::Leaf).len(), 4);
+        assert!(t.of_tier(Tier::Spine).is_empty());
+        let down: Vec<_> = (0..2)
+            .map(|tor| RouteSpec::Via {
+                prefix: tor_subnet(0, tor),
+                len: 24,
+                ports: vec![PortId(tor as u16)],
+            })
+            .collect();
+        for leaf in t.of_tier(Tier::Leaf) {
+            assert_eq!(t.routes(leaf), &down[..]);
+        }
+    }
+
+    /// Without spines, a packet bound for another pod would find no
+    /// route at its leaf and vanish.
+    #[test]
+    #[should_panic(expected = "2 pods need spines to reach each other")]
+    fn spineless_pods_are_refused() {
+        Topology::clos(&ClosSpec::uniform_40g(2, 2, 2, 0, 3));
     }
 
     #[test]

@@ -1,24 +1,26 @@
 //! Reproduce Figure 4 / §4.2: the PFC deadlock ("yes, it happened!").
 //!
-//! The exact four-switch Clos fragment of the paper: two dead servers
-//! leave *incomplete ARP entries* (IP→MAC alive for 4 hours, MAC→port
-//! expired after 5 minutes), the ToRs flood their lossless packets, flood
-//! copies park on paused fabric ports, and the pause-wait cycle
-//! T1→La→T0→Lb→T1 freezes the fabric permanently. The fix — dropping
-//! lossless packets on incomplete ARP entries — removes the flood and the
-//! cycle never forms.
+//! The paper's four-switch Clos fragment (one pod, two ToRs, two leaves,
+//! no spine): two dead servers leave *incomplete ARP entries* (IP→MAC
+//! alive for 4 hours, MAC→port expired after 5 minutes), the ToRs flood
+//! their lossless packets, flood copies park on paused fabric ports, and
+//! the pause-wait cycle through both ToRs and both leaves freezes the
+//! fabric permanently. The fix — dropping lossless packets on incomplete
+//! ARP entries — removes the flood and the cycle never forms.
 //!
 //! ```sh
 //! cargo run --release --example deadlock
 //! ```
 
 use rocescale::core::scenarios::deadlock;
+use rocescale::core::InstrumentationProfile;
 use rocescale::sim::SimTime;
 
 fn main() {
     let dur = SimTime::from_millis(40);
     for fix in [false, true] {
-        let r = deadlock::run(fix, dur);
+        let instr = InstrumentationProfile::paper_default();
+        let r = deadlock::run(fix, SimTime::ZERO, dur, instr);
         println!(
             "fix {:<5} | deadlocked switches: {:?}",
             r.fix_enabled, r.deadlocked_switches
