@@ -6,20 +6,25 @@
 use rocescale_bench::fleet::run_indexed;
 use rocescale_bench::report::{to_json, Report};
 use rocescale_bench::{Cell, Header, Table};
-use rocescale_core::{CcKind, ClusterBuilder, FabricProfile, TransportProfile};
+use rocescale_core::{CcKind, ClusterBuilder, DeploymentStage, FabricProfile, TransportProfile};
 use rocescale_nic::QpApp;
 
-/// One independent job: the PFC switch, the congestion controller and
-/// the RNG seed.
+/// One independent job: how far PFC reaches (everywhere or nowhere),
+/// the congestion controller and the RNG seed.
 #[derive(Debug, Clone, Copy)]
 struct Job {
-    pfc: bool,
+    stage: DeploymentStage,
     cc: CcKind,
     seed: u64,
 }
 
 const fn job(pfc: bool, cc: CcKind, seed: u64) -> Job {
-    Job { pfc, cc, seed }
+    let stage = if pfc {
+        DeploymentStage::Spine
+    } else {
+        DeploymentStage::Off
+    };
+    Job { stage, cc, seed }
 }
 
 /// PFC on/off × DCQCN on/off × 2 seed replicates = 8 jobs, seeds
@@ -49,7 +54,7 @@ const CC: [Job; 3] = [
 /// digest, rendered report JSON).
 fn run_job(job: &Job) -> (u64, String) {
     let mut c = ClusterBuilder::single_tor(6)
-        .fabric(FabricProfile::paper_default().pfc(job.pfc))
+        .fabric(FabricProfile::paper_default().stage(job.stage))
         .transport(TransportProfile::paper_default().cc(job.cc))
         .seed(job.seed)
         .build();
@@ -78,7 +83,12 @@ fn run_job(job: &Job) -> (u64, String) {
     rep.table(t);
     rep.scalar("events", Cell::U64(c.world.events_processed()));
     let head = Header {
-        id: &format!("pfc={},cc={},seed={}", job.pfc, job.cc.name(), job.seed),
+        id: &format!(
+            "stage={:?},cc={},seed={}",
+            job.stage,
+            job.cc.name(),
+            job.seed
+        ),
         title: "fleet job",
         claim: "fleet determinism fixture",
     };

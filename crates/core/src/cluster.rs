@@ -9,7 +9,7 @@ use rocescale_monitor::{
 };
 use rocescale_nic::{
     host::{TOK_INJECT_STORM, TOK_STOP_STORM},
-    HostPfcMode, NicConfig, QpApp, QpHandle, RdmaHost,
+    NicConfig, QpApp, QpHandle, RdmaHost,
 };
 use rocescale_packet::MacAddr;
 use rocescale_sim::{
@@ -17,7 +17,7 @@ use rocescale_sim::{
     WorldSet,
 };
 use rocescale_switch::{
-    AdminAction, BufferConfig, ClassifyMode, DropReason, EcmpGroup, PortRole, Switch, SwitchConfig,
+    AdminAction, BufferConfig, DropReason, EcmpGroup, PortRole, Switch, SwitchConfig, RDMA_CLASSES,
 };
 use rocescale_tcp::{ConnHandle, TcpApp, TcpHost, TcpHostConfig};
 use rocescale_topology::{ClosSpec, Partition, RouteSpec, Tier, Topology};
@@ -34,17 +34,6 @@ use crate::profiles::{
 fn sched_admin(world: &mut World, at: SimTime, sim: NodeId, action: AdminAction) {
     let token = world.node_mut::<Switch>(sim).schedule_admin(action);
     world.schedule_timer(at, sim, token);
-}
-
-/// PFC flavour for the whole cluster (§3).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PfcMode {
-    /// DSCP-based PFC: the paper's design. Layer-3 clean, access-mode
-    /// server ports.
-    Dscp,
-    /// VLAN-based PFC: the original design whose trunk-mode coupling
-    /// breaks PXE boot.
-    Vlan,
 }
 
 /// What runs on a server.
@@ -307,7 +296,7 @@ impl ClusterBuilder {
                 }
             }
             cfg.port_roles = roles;
-            cfg.buffer.headroom_per_port_pg = BufferConfig::headroom_for(max_bps, max_meters, 1120);
+            cfg.buffer.headroom_per_port_pg = BufferConfig::headroom_for(max_bps, max_meters);
             cfg.drop_ip_id_low_byte = self.faults.drop_ip_id_low_byte;
             let shard = partition.shard_of(idx);
             cfg.telemetry = hubs[shard as usize].clone();
@@ -439,7 +428,12 @@ impl ClusterBuilder {
                 switches
                     .iter()
                     .find(|s| &*s.name == name)
-                    .unwrap_or_else(|| panic!("script names unknown switch {name:?}"))
+                    .unwrap_or_else(|| {
+                        panic!(
+                            "script names unknown switch {name:?}: switches are named \
+                             pod{{p}}-tor{{t}}, pod{{p}}-leaf{{l}} and spine{{s}}"
+                        )
+                    })
             };
             // A server's ToR-side attachment: (ToR shard, ToR sim node,
             // ToR port facing the server, server topo index).
@@ -606,30 +600,20 @@ impl ClusterBuilder {
 }
 
 /// The RDMA-relevant settings `fabric` asks of a switch at `tier`: PFC
-/// classification and lossless classes, α, ECN classes, the storm
-/// watchdog and the §4.2 ARP fix. Every switch is built through it, and
-/// the configuration monitor checks every running switch against it.
+/// classification and lossless classes, α, the storm watchdog and the
+/// §4.2 ARP fix. Every switch is built through it, and the configuration
+/// monitor checks every running switch against it.
 fn fabric_settings(fabric: &FabricProfile, tier: Tier, cfg: &mut SwitchConfig) {
-    // The paper's two lossless classes, which are also the two that ECN
-    // marks.
-    const RDMA_CLASSES: [bool; 8] = [false, false, false, true, true, false, false, false];
-    let classes = |on: bool| if on { RDMA_CLASSES } else { [false; 8] };
     let stage = fabric.stage;
-    cfg.classify = match fabric.pfc_mode {
-        PfcMode::Dscp => ClassifyMode::Dscp,
-        PfcMode::Vlan => ClassifyMode::Vlan,
+    cfg.classify = fabric.pfc_mode;
+    let pfc = match tier {
+        Tier::Tor => stage.tor(),
+        Tier::Leaf => stage.leaf(),
+        Tier::Spine => stage.spine(),
+        Tier::Server => true,
     };
-    cfg.lossless = classes(
-        fabric.pfc_enabled
-            && match tier {
-                Tier::Tor => stage.tor(),
-                Tier::Leaf => stage.leaf(),
-                Tier::Spine => stage.spine(),
-                Tier::Server => true,
-            },
-    );
+    cfg.lossless = if pfc { RDMA_CLASSES } else { [false; 8] };
     cfg.buffer.alpha = fabric.alpha;
-    cfg.ecn = classes(fabric.ecn);
     cfg.watchdog.enabled = fabric.switch_watchdog;
     // The §4.2 deadlock fix, always on: FIG-4's and INC-DEADLOCK's
     // fix-off arms turn it off with a `switch_tweak`, which the
@@ -643,10 +627,7 @@ fn fabric_settings(fabric: &FabricProfile, tier: Tier, cfg: &mut SwitchConfig) {
 /// through it, and the configuration monitor checks every running one
 /// against it.
 fn transport_settings(fabric: &FabricProfile, transport: &TransportProfile, cfg: &mut NicConfig) {
-    cfg.pfc_mode = match fabric.pfc_mode {
-        PfcMode::Dscp => HostPfcMode::Dscp,
-        PfcMode::Vlan => HostPfcMode::Vlan { vid: 100 },
-    };
+    cfg.pfc_mode = fabric.pfc_mode;
     cfg.qp_defaults = QpConfig {
         recovery: transport.recovery,
         rto_ps: transport.qp_rto.as_ps(),
@@ -820,12 +801,6 @@ impl<W: WorldSet> Cluster<W> {
     /// The shard that owns a server.
     pub fn server_shard(&self, id: ServerId) -> u32 {
         self.servers[id.0].shard
-    }
-
-    /// The sim node id of a server within its shard's world (for
-    /// fault-injection timers).
-    pub fn server_node(&self, id: ServerId) -> NodeId {
-        self.servers[id.0].sim
     }
 
     /// Two servers share a ToR?
@@ -1230,10 +1205,9 @@ impl<W: WorldSet> Cluster<W> {
         for (i, info) in self.switches.iter().enumerate() {
             let (r, mut w) = (self.switch(i).config(), self.switch(i).config().clone());
             fabric_settings(fabric, info.tier, &mut w);
-            flag(&r.name, PfcClassification, w.classify == r.classify);
+            flag(&r.name, ConfigField::PfcMode, w.classify == r.classify);
             flag(&r.name, LosslessClasses, w.lossless == r.lossless);
             flag(&r.name, Alpha, w.buffer.alpha == r.buffer.alpha);
-            flag(&r.name, EcnClasses, w.ecn == r.ecn);
             flag(&r.name, Watchdog, w.watchdog == r.watchdog);
             let arp = w.drop_lossless_on_incomplete_arp == r.drop_lossless_on_incomplete_arp;
             flag(&r.name, ArpFix, arp);
@@ -1242,7 +1216,7 @@ impl<W: WorldSet> Cluster<W> {
             let r = self.node::<RdmaHost>(s.shard, s.sim).config();
             let mut w = r.clone();
             transport_settings(fabric, transport, &mut w);
-            flag(&r.name, PfcTagging, w.pfc_mode == r.pfc_mode);
+            flag(&r.name, ConfigField::PfcMode, w.pfc_mode == r.pfc_mode);
             flag(&r.name, Cc, w.cc == r.cc);
             let recovery = w.qp_defaults.recovery == r.qp_defaults.recovery;
             flag(&r.name, LossRecovery, recovery);
@@ -1419,7 +1393,7 @@ mod tests {
             for i in c.switches_of_tier(tier) {
                 assert_eq!(
                     c.switch(i).config().buffer.headroom_per_port_pg,
-                    BufferConfig::headroom_for(G100, cable_m, 1120),
+                    BufferConfig::headroom_for(G100, cable_m),
                     "{tier:?} headroom"
                 );
             }
@@ -1730,15 +1704,65 @@ mod tests {
         assert!(listed
             .iter()
             .all(|(d, f)| *f == LosslessClasses && !d.contains("tor")));
-        let vlan = fabric.clone().pfc_mode(PfcMode::Vlan);
+        let vlan = fabric.clone().pfc_mode(crate::PfcMode::Vlan);
         let gb0 = transport.recovery(rocescale_transport::LossRecovery::GoBack0);
         let fields =
             |l: Vec<(String, ConfigField)>| l.into_iter().map(|(_, f)| f).collect::<Vec<_>>();
-        let mut want = vec![PfcClassification; 6];
+        let mut want = vec![ConfigField::PfcMode; 6];
         for _ in 0..4 {
-            want.extend([PfcTagging, LossRecovery]);
+            want.extend([ConfigField::PfcMode, LossRecovery]);
         }
         assert_eq!(fields(found(&c, &vlan, &gb0)), want);
+    }
+
+    /// One PFC-mode field covers both ends of a link: in a DSCP fabric,
+    /// a ToR that classifies by VLAN and a host that tags by VLAN are
+    /// each reported, by name, under `ConfigField::PfcMode`.
+    #[test]
+    fn a_vlan_switch_or_host_is_reported_under_the_one_pfc_mode_field() {
+        let found = |vlan_tor: bool, vlan_host: bool| {
+            let c = ClusterBuilder::two_tier(2, 2)
+                .switch_tweak(move |name, cfg| {
+                    if vlan_tor && name == "pod0-tor1" {
+                        cfg.classify = crate::PfcMode::Vlan;
+                    }
+                })
+                .host_tweak(move |i, cfg| {
+                    if vlan_host && i == 2 {
+                        cfg.pfc_mode = crate::PfcMode::Vlan;
+                    }
+                })
+                .build();
+            let host2 = c.rdma(ServerId(2)).config().name.to_string();
+            let listed: Vec<_> = c
+                .config_deviations(&FabricProfile::default(), &TransportProfile::default())
+                .into_iter()
+                .map(|d| (d.device, d.field))
+                .collect();
+            (listed, host2)
+        };
+        let (listed, _) = found(true, false);
+        assert_eq!(listed, [("pod0-tor1".to_string(), ConfigField::PfcMode)]);
+        let (listed, host2) = found(false, true);
+        assert_eq!(listed, [(host2, ConfigField::PfcMode)]);
+    }
+
+    /// `DeploymentStage::Off` puts PFC on no tier: every switch runs an
+    /// empty lossless set, which is what the Off profile asks of it.
+    #[test]
+    fn an_off_stage_fabric_has_no_lossless_class_anywhere() {
+        let off = FabricProfile::default().stage(crate::DeploymentStage::Off);
+        let c = ClusterBuilder::two_tier(2, 2).fabric(off.clone()).build();
+        assert_eq!(c.switch_count(), 6);
+        for i in 0..c.switch_count() {
+            assert_eq!(
+                c.switch(i).config().lossless,
+                [false; 8],
+                "{}",
+                c.switch_name(i)
+            );
+        }
+        assert_eq!(c.config_deviations(&off, &TransportProfile::default()), []);
     }
 
     /// A switch's scope, registered from structure, is what its name
@@ -1943,6 +1967,46 @@ mod tests {
             after > during + 64 * 1024,
             "traffic must resume after re-up: {during} -> {after}"
         );
+    }
+
+    /// Scripts name switches as the builder does: a link flap and a
+    /// threshold rewrite on `pod0-tor0` build, and the rewrite lands on
+    /// that switch.
+    #[test]
+    fn a_script_names_switches_as_the_builder_does() {
+        let at = SimTime::from_micros(50);
+        let tor0 = || "pod0-tor0".to_string();
+        let link = ScriptAction::FabricLink {
+            a: tor0(),
+            b: "pod0-leaf1".into(),
+            up: false,
+        };
+        let alpha = ScriptAction::PfcThreshold {
+            switch: tor0(),
+            alpha: Some(1.0 / 64.0),
+            xoff_static: 256 * 1024,
+        };
+        let script = FaultProfile::paper_default().at(at, link).at(at, alpha);
+        let mut c = ClusterBuilder::two_tier(2, 2).faults(script).build();
+        c.run_until(SimTime::from_micros(100));
+        let listed: Vec<_> = c
+            .config_deviations(&FabricProfile::default(), &TransportProfile::default())
+            .into_iter()
+            .map(|d| (d.device, d.field))
+            .collect();
+        assert_eq!(listed, [(tor0(), ConfigField::Alpha)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "switches are named pod{p}-tor{t}, pod{p}-leaf{l} and spine{s}")]
+    fn a_script_naming_an_unknown_switch_panics_with_the_convention() {
+        let alpha = ScriptAction::PfcThreshold {
+            switch: "t0".into(),
+            alpha: None,
+            xoff_static: 256 * 1024,
+        };
+        let script = FaultProfile::paper_default().at(SimTime::from_micros(50), alpha);
+        ClusterBuilder::two_tier(2, 2).faults(script).build();
     }
 
     /// The probe reads every switch: traffic that flows never looks

@@ -8,6 +8,9 @@
 /// staged rollout controls.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum DeploymentStage {
+    /// PFC on no tier: every class is lossy everywhere (the best-effort
+    /// arm of Figures 2 and 7, before RDMA's rollout began).
+    Off,
     /// PFC on ToR switches only: RDMA is safe within a rack.
     TorOnly,
     /// PFC on ToR and Leaf switches: safe within a podset.
@@ -20,7 +23,7 @@ pub enum DeploymentStage {
 impl DeploymentStage {
     /// Is PFC enabled on ToR switches at this stage?
     pub fn tor(self) -> bool {
-        true
+        self >= DeploymentStage::TorOnly
     }
 
     /// Is PFC enabled on Leaf switches at this stage?
@@ -40,6 +43,9 @@ mod tests {
 
     #[test]
     fn stages_are_monotone() {
+        assert!(!DeploymentStage::Off.tor());
+        assert!(!DeploymentStage::Off.leaf());
+        assert!(!DeploymentStage::Off.spine());
         assert!(DeploymentStage::TorOnly.tor());
         assert!(!DeploymentStage::TorOnly.leaf());
         assert!(!DeploymentStage::TorOnly.spine());

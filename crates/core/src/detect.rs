@@ -19,7 +19,7 @@ use rocescale_monitor::{
 };
 use rocescale_packet::Priority;
 use rocescale_sim::{NodeId, PortId, SimTime, World};
-use rocescale_switch::Switch;
+use rocescale_switch::{Switch, RDMA_CLASSES};
 use rocescale_topology::Topology;
 
 /// One monitored egress: `switch` (index into the probe's switch list)
@@ -32,8 +32,6 @@ struct ProbeLink {
     peer: u32,
 }
 
-/// The priorities that can pause: the paper's two lossless classes.
-const LOSSLESS: [Priority; 2] = [Priority::new(3), Priority::new(4)];
 /// Consecutive zero-progress rounds before a device counts as stuck.
 const WINDOW: u32 = 3;
 
@@ -134,10 +132,13 @@ impl DeadlockProbe {
         for l in &self.links {
             let s = &self.switches[l.switch as usize];
             let sw = switch(s);
-            let waits = |&prio: &Priority| {
-                sw.is_paused(l.port, prio, now) && sw.egress_depth_prio(l.port, prio) > 0
+            // Only the RDMA classes can pause.
+            let waits = |prio: Priority| {
+                RDMA_CLASSES[prio.index()]
+                    && sw.is_paused(l.port, prio, now)
+                    && sw.egress_depth_prio(l.port, prio) > 0
             };
-            if LOSSLESS.iter().any(waits) {
+            if Priority::all().any(waits) {
                 self.graph.add_edge(s.0, l.peer);
             }
         }

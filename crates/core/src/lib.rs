@@ -31,10 +31,11 @@ pub mod profiles;
 pub mod scenarios;
 pub mod sharded;
 
-pub use cluster::{Cluster, ClusterBuilder, PfcMode, ServerId, ServerKind};
+pub use cluster::{Cluster, ClusterBuilder, ServerId, ServerKind};
 pub use deployment::DeploymentStage;
 pub use detect::DeadlockProbe;
 pub use instrument::InstrumentationProfile;
 pub use profiles::{ExecutionProfile, FabricProfile, FaultProfile, ScriptAction, TransportProfile};
 pub use rocescale_cc::CcKind;
+pub use rocescale_packet::PfcMode;
 pub use sharded::ShardedCluster;

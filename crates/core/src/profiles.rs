@@ -6,10 +6,10 @@
 //! together (the paper's §3–§7 narrative):
 //!
 //! * [`FabricProfile`] — what the *switches* do: PFC flavour and reach,
-//!   buffer sharing, ECN marking and the storm watchdog. (The §4.2
-//!   deadlock fix is always on; FIG-4's and INC-DEADLOCK's fix-off arms
-//!   turn it off with a `ClusterBuilder::switch_tweak`, and §8.1's
-//!   packet-spraying diamond builds its switches by hand.)
+//!   buffer sharing and the storm watchdog. (The §4.2 deadlock fix is
+//!   always on; FIG-4's and INC-DEADLOCK's fix-off arms turn it off with
+//!   a `ClusterBuilder::switch_tweak`, and §8.1's packet-spraying diamond
+//!   builds its switches by hand.)
 //! * [`TransportProfile`] — what the *NICs* do: loss recovery, DCQCN,
 //!   retransmission timeouts, the NIC-side storm watchdog.
 //! * [`FaultProfile`] — what goes *wrong*: the §4.1 deterministic drop
@@ -21,41 +21,38 @@
 //! that baseline.
 
 use rocescale_cc::CcKind;
+use rocescale_packet::PfcMode;
 use rocescale_sim::SimTime;
 use rocescale_transport::LossRecovery;
 
-use crate::cluster::PfcMode;
 use crate::deployment::DeploymentStage;
 
-/// Switch-side configuration: PFC, buffers, ECN, watchdog.
+/// Switch-side configuration: PFC, buffers, watchdog. The classes PFC
+/// protects and ECN marks are the paper's two RDMA classes
+/// ([`rocescale_switch::RDMA_CLASSES`]) on every fabric.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FabricProfile {
-    /// PFC flavour (§3): DSCP-based (the paper's design) or VLAN-based.
+    /// PFC flavour (§3): DSCP-based (the paper's design) or VLAN-based;
+    /// switches classify and RDMA hosts tag by it.
     pub pfc_mode: PfcMode,
-    /// Master PFC switch — `false` makes every class lossy everywhere
-    /// (the best-effort arm of Figure 2/7).
-    pub pfc_enabled: bool,
-    /// How far up the Clos PFC is enabled (§7's staged deployment).
+    /// How far up the Clos PFC is enabled (§6.1's staged deployment);
+    /// [`DeploymentStage::Off`] makes every class lossy everywhere.
     pub stage: DeploymentStage,
     /// Dynamic-buffer α (`None` = static thresholds). The §6.2 incident
     /// is `Some(1.0/64.0)`.
     pub alpha: Option<f64>,
-    /// ECN marking (DCQCN CP) at switches.
-    pub ecn: bool,
     /// Switch-side PFC-storm watchdog (§4.3).
     pub switch_watchdog: bool,
 }
 
 impl FabricProfile {
     /// The paper's deployed fabric: DSCP PFC to the spine, α = 1/16,
-    /// ECN on, watchdog armed.
+    /// watchdog armed.
     pub fn paper_default() -> FabricProfile {
         FabricProfile {
             pfc_mode: PfcMode::Dscp,
-            pfc_enabled: true,
             stage: DeploymentStage::Spine,
             alpha: Some(1.0 / 16.0),
-            ecn: true,
             switch_watchdog: true,
         }
     }
@@ -66,13 +63,7 @@ impl FabricProfile {
         self
     }
 
-    /// Enable/disable PFC entirely.
-    pub fn pfc(mut self, on: bool) -> Self {
-        self.pfc_enabled = on;
-        self
-    }
-
-    /// Deployment stage (how far up PFC is enabled).
+    /// Deployment stage (how far up PFC is enabled, if at all).
     pub fn stage(mut self, s: DeploymentStage) -> Self {
         self.stage = s;
         self
@@ -81,12 +72,6 @@ impl FabricProfile {
     /// Dynamic-buffer α (`None` = static thresholds).
     pub fn alpha(mut self, a: Option<f64>) -> Self {
         self.alpha = a;
-        self
-    }
-
-    /// Enable/disable ECN marking at switches.
-    pub fn ecn(mut self, on: bool) -> Self {
-        self.ecn = on;
         self
     }
 
@@ -230,9 +215,10 @@ pub enum ScriptAction {
         /// New administrative link state.
         up: bool,
     },
-    /// Flip the fabric link between two switches, by switch name
-    /// (e.g. `"t0"`, `"l1"`, `"s0"`). Panics at build time if no such
-    /// link exists — a misspelled script is a construction bug.
+    /// Flip the fabric link between two switches, by the builder's switch
+    /// names (`"pod0-tor0"`, `"pod0-leaf1"`, `"spine0"`). Panics at build
+    /// time if no such link exists — a misspelled script is a
+    /// construction bug.
     FabricLink {
         /// One endpoint switch name.
         a: String,
@@ -269,7 +255,7 @@ pub enum ScriptAction {
     /// Rewrite the PFC buffer thresholds on switch `switch` — the §6.2
     /// misconfiguration as a runtime event.
     PfcThreshold {
-        /// Switch name (e.g. `"t0"`).
+        /// Switch name (e.g. `"pod0-tor0"`).
         switch: String,
         /// Dynamic-sharing α, or `None` for static thresholds.
         alpha: Option<f64>,
@@ -339,7 +325,8 @@ mod tests {
     fn paper_defaults_match_deployed_config() {
         let f = FabricProfile::paper_default();
         assert_eq!(f.pfc_mode, PfcMode::Dscp);
-        assert!(f.pfc_enabled && f.ecn && f.switch_watchdog);
+        assert_eq!(f.stage, DeploymentStage::Spine);
+        assert!(f.switch_watchdog);
         assert!((f.alpha.unwrap() - 1.0 / 16.0).abs() < 1e-12);
         let t = TransportProfile::paper_default();
         assert_eq!(t.recovery, LossRecovery::GoBackN);
@@ -354,10 +341,9 @@ mod tests {
     #[test]
     fn setters_chain_into_ablations() {
         let f = FabricProfile::paper_default()
-            .pfc(false)
-            .alpha(Some(1.0 / 64.0))
-            .ecn(false);
-        assert!(!f.pfc_enabled && !f.ecn);
+            .stage(DeploymentStage::Off)
+            .alpha(Some(1.0 / 64.0));
+        assert_eq!(f.stage, DeploymentStage::Off);
         assert!((f.alpha.unwrap() - 1.0 / 64.0).abs() < 1e-12);
         let t = TransportProfile::paper_default()
             .recovery(LossRecovery::GoBack0)

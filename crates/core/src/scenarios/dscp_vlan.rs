@@ -12,12 +12,12 @@ use std::any::Any;
 use std::collections::VecDeque;
 
 use rocescale_nic::QpApp;
-use rocescale_packet::{EthMeta, MacAddr, Packet, PacketKind};
+use rocescale_packet::{EthMeta, MacAddr, Packet, PacketKind, PfcMode};
 use rocescale_sim::{Ctx, Node, PortId, SimTime};
 use rocescale_switch::DropReason;
 use rocescale_topology::Tier;
 
-use crate::cluster::{ClusterBuilder, PfcMode, ServerId};
+use crate::cluster::{ClusterBuilder, ServerId};
 use crate::profiles::{FabricProfile, TransportProfile};
 use crate::scenarios::gbps;
 use crate::CcKind;
@@ -163,10 +163,7 @@ pub fn run_pxe(mode: PfcMode, frames: u32) -> (u64, u64) {
     use rocescale_switch::{PortRole, Switch, SwitchConfig};
 
     let mut cfg = SwitchConfig::new("tor", 2);
-    cfg.classify = match mode {
-        PfcMode::Dscp => rocescale_switch::ClassifyMode::Dscp,
-        PfcMode::Vlan => rocescale_switch::ClassifyMode::Vlan,
-    };
+    cfg.classify = mode;
     cfg.port_roles = vec![PortRole::Server, PortRole::Server];
     let booter_mac = MacAddr::from_id(0x00AA_0001);
     let provisioning_mac = MacAddr::from_id(0x00AA_0002);

@@ -37,7 +37,7 @@ pub struct HeadroomResult {
 /// Run a 4:1 incast over 300 m server cables with headroom provisioned at
 /// `fraction` of the 300 m / 40 GbE requirement.
 pub fn run(fraction: f64, dur: SimTime) -> HeadroomResult {
-    let required = BufferConfig::headroom_for(40_000_000_000, 300, 1120);
+    let required = BufferConfig::headroom_for(40_000_000_000, 300);
     let provisioned = (required as f64 * fraction) as u64;
     let spec = ClosSpec {
         // Long server cables: the widest gray period the paper cites.

@@ -155,8 +155,8 @@ pub fn run_reroute(dur: SimTime) -> RerouteResult {
         queued_at_reroute,
         data_after,
         tail_goodput_bytes: c.total_rdma_goodput() - goodput_at_three_quarters,
-        digest: c.world.dispatch_digest(),
-        events: c.world.events_processed(),
+        digest: c.dispatch_digest(),
+        events: c.events_processed(),
     }
 }
 
@@ -273,8 +273,8 @@ pub fn run_cascade(dur: SimTime, mut instr: InstrumentationProfile) -> CascadeRe
         cycle_epochs: c.deadlock_probe().cycle_epochs(),
         epochs: c.deadlock_probe().epochs(),
         lossless_drops: c.lossless_drops(),
-        digest: c.world.dispatch_digest(),
-        events: c.world.events_processed(),
+        digest: c.dispatch_digest(),
+        events: c.events_processed(),
     }
 }
 
@@ -335,8 +335,8 @@ pub fn run_dead_remembered(dur: SimTime) -> DeadRememberedResult {
         goodput_while_dead: goodput_at_resurrect - goodput_before_death,
         goodput_after_resurrect: c.total_rdma_goodput() - goodput_at_resurrect,
         cycle_epochs: c.deadlock_probe().cycle_epochs(),
-        digest: c.world.dispatch_digest(),
-        events: c.world.events_processed(),
+        digest: c.dispatch_digest(),
+        events: c.events_processed(),
     }
 }
 

@@ -9,6 +9,7 @@ use rocescale_sim::SimTime;
 use rocescale_topology::Tier;
 
 use crate::cluster::{ClusterBuilder, ServerId};
+use crate::deployment::DeploymentStage;
 use crate::instrument::InstrumentationProfile;
 use crate::profiles::{FabricProfile, TransportProfile};
 use crate::scenarios::gbps;
@@ -35,7 +36,11 @@ pub struct PfcBasicsResult {
 /// observation-only, so the numbers do not depend on it.
 pub fn run(pfc: bool, fanin: u32, dur: SimTime, instr: InstrumentationProfile) -> PfcBasicsResult {
     let mut c = ClusterBuilder::single_tor(fanin + 1)
-        .fabric(FabricProfile::paper_default().pfc(pfc))
+        .fabric(FabricProfile::paper_default().stage(if pfc {
+            DeploymentStage::Spine
+        } else {
+            DeploymentStage::Off
+        }))
         // Raw PFC behaviour, no rate control assist.
         .transport(TransportProfile::paper_default().cc(CcKind::Off))
         .instrumentation(instr)

@@ -7,12 +7,12 @@
 //! (Figure 5). Figure 9 is the production incident: availability of
 //! unrelated servers collapses until the watchdogs contain the storm.
 
-use rocescale_nic::{host::TOK_INJECT_STORM, QpApp};
+use rocescale_nic::QpApp;
 use rocescale_sim::SimTime;
 use rocescale_topology::Tier;
 
-use crate::cluster::{Cluster, ClusterBuilder};
-use crate::profiles::{FabricProfile, TransportProfile};
+use crate::cluster::{Cluster, ClusterBuilder, ServerId};
+use crate::profiles::{FabricProfile, FaultProfile, ScriptAction, TransportProfile};
 
 /// Equal windows [`run`] splits a storm into for the Figure 9(a)
 /// availability series.
@@ -45,11 +45,17 @@ pub struct StormResult {
 /// server into storm mode at 20% of `dur`.
 pub fn run(watchdogs: bool, dur: SimTime) -> StormResult {
     let servers_per_tor = 6u32;
+    // The stormer is rack 0's first server, server 0 in build order.
+    let (stormer, storm_start) = (ServerId(0), SimTime(dur.as_ps() / 5));
     let mut c = ClusterBuilder::two_tier(2, servers_per_tor)
         .fabric(FabricProfile::paper_default().switch_watchdog(watchdogs))
         .transport(
             TransportProfile::paper_default()
                 .nic_watchdog(watchdogs.then(|| SimTime::from_millis(5))),
+        )
+        .faults(
+            FaultProfile::paper_default()
+                .at(storm_start, ScriptAction::StormStart { server: stormer.0 }),
         )
         .build();
     // Victim pairs: rack0 server i ↔ rack1 server i (skipping server 0 of
@@ -76,7 +82,7 @@ pub fn run(watchdogs: bool, dur: SimTime) -> StormResult {
         );
         pairs.push((a, b));
     }
-    let stormer = rack0[0];
+    assert_eq!(rack0[0], stormer);
     // Production traffic also flows *toward* the failing server: this is
     // what piles up behind the paused port and propagates the storm
     // (Figure 5 step 2: "the ToR switch in turn pauses all the rest
@@ -91,9 +97,6 @@ pub fn run(watchdogs: bool, dur: SimTime) -> StormResult {
         },
         QpApp::None,
     );
-    let storm_start = SimTime(dur.as_ps() / 5);
-    let node = c.server_node(stormer);
-    c.world.schedule_timer(storm_start, node, TOK_INJECT_STORM);
 
     // Run window by window, also stopping at the 3/4 mark to snapshot
     // victim progress; a chunked run dispatches the one-shot event

@@ -15,20 +15,17 @@
 /// §5.1's "global part" plus the safety features.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ConfigField {
-    /// Switch: DSCP- or VLAN-based PFC classification.
-    PfcClassification,
+    /// Switch or RDMA host: DSCP- or VLAN-based PFC — how the switch
+    /// classifies, or how the host tags.
+    PfcMode,
     /// Switch: which of the 8 classes are lossless.
     LosslessClasses,
     /// Switch: dynamic-buffer α (or static thresholds).
     Alpha,
-    /// Switch: which classes ECN marks.
-    EcnClasses,
     /// Switch: the PFC-storm watchdog.
     Watchdog,
     /// Switch: dropping lossless packets on incomplete ARP (§4.2 fix).
     ArpFix,
-    /// RDMA host: DSCP or VLAN PFC tagging.
-    PfcTagging,
     /// RDMA host: the congestion-control algorithm.
     Cc,
     /// RDMA host: the NIC's loss-recovery scheme.

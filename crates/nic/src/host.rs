@@ -18,8 +18,8 @@ use rocescale_cc::{CcAction, CcKind, CcSignal, CongestionControl, SenderCc};
 use rocescale_dcqcn::NpState;
 use rocescale_monitor::{BlockId, Group, HistogramId, MetricsHub, Path, ScopeId, TraceEvent};
 use rocescale_packet::{
-    EcnCodepoint, EthMeta, Ipv4Meta, MacAddr, Packet, PacketKind, PauseFrame, PfcPauseFrame,
-    Priority, RoceOpcode, RocePacket,
+    EcnCodepoint, EthMeta, Ipv4Meta, MacAddr, Packet, PacketKind, PauseFrame, PfcMode,
+    PfcPauseFrame, Priority, RoceOpcode, RocePacket,
 };
 use rocescale_sim::{Ctx, Node, PortId, SimTime};
 use rocescale_transport::{
@@ -28,21 +28,10 @@ use rocescale_transport::{
 
 use crate::mtt::{MttCache, MttConfig};
 
-/// How the host tags outgoing packets for PFC classification.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum HostPfcMode {
-    /// DSCP-based PFC (§3): untagged frames, priority in the IP DSCP
-    /// field (DSCP = priority value, the paper's identity mapping).
-    Dscp,
-    /// VLAN-based PFC: 802.1Q tag with PCP = priority and this VLAN ID.
-    Vlan {
-        /// VLAN ID for all tagged traffic.
-        vid: u16,
-    },
-}
-
 /// Priority class for RDMA traffic: the paper's bulk lossless class.
 const RDMA_PRIORITY: Priority = Priority::new(3);
+/// VLAN ID of every tagged frame under VLAN-based PFC.
+const VLAN_ID: u16 = 100;
 
 /// Receive buffer size in bytes.
 const RX_BUFFER_BYTES: u64 = 512 * 1024;
@@ -83,8 +72,9 @@ pub struct NicConfig {
     pub gateway_mac: MacAddr,
     /// Link rate, bits/second.
     pub link_bps: u64,
-    /// Tagging mode.
-    pub pfc_mode: HostPfcMode,
+    /// PFC tagging: the priority in the DSCP field of an untagged frame,
+    /// or in the PCP bits of an 802.1Q tag.
+    pub pfc_mode: PfcMode,
     /// Default transport configuration for new QPs.
     pub qp_defaults: QpConfig,
     /// Sender-side congestion control, run at `link_bps`: DCQCN reaction
@@ -114,7 +104,7 @@ impl NicConfig {
             ip,
             gateway_mac,
             link_bps: 40_000_000_000,
-            pfc_mode: HostPfcMode::Dscp,
+            pfc_mode: PfcMode::Dscp,
             qp_defaults: QpConfig::default(),
             cc: CcKind::Dcqcn,
             rx: RxConfig::default(),
@@ -679,8 +669,8 @@ impl Active<'_> {
 
     fn vlan_for(&self, prio: Priority) -> Option<(u8, u16)> {
         match self.cfg.pfc_mode {
-            HostPfcMode::Dscp => None,
-            HostPfcMode::Vlan { vid } => Some((prio.value(), vid)),
+            PfcMode::Dscp => None,
+            PfcMode::Vlan => Some((prio.value(), VLAN_ID)),
         }
     }
 

@@ -33,5 +33,5 @@
 pub mod host;
 pub mod mtt;
 
-pub use host::{HostApp, HostPfcMode, HostStats, NicConfig, QpApp, QpHandle, RdmaHost, RxConfig};
+pub use host::{HostApp, HostStats, NicConfig, QpApp, QpHandle, RdmaHost, RxConfig};
 pub use mtt::{MttCache, MttConfig};

@@ -4,10 +4,10 @@
 //! per instant.
 
 use rocescale_nic::host::TOK_INJECT_STORM;
-use rocescale_nic::{HostPfcMode, NicConfig, QpApp, RdmaHost};
-use rocescale_packet::MacAddr;
+use rocescale_nic::{NicConfig, QpApp, RdmaHost};
+use rocescale_packet::{MacAddr, PfcMode};
 use rocescale_sim::{LinkSpec, NodeId, PortId, SimTime, World};
-use rocescale_switch::{ClassifyMode, PortRole, Switch, SwitchConfig};
+use rocescale_switch::{PortRole, Switch, SwitchConfig};
 use rocescale_transport::Verb;
 
 const SUBNET: u32 = 0x0a000000;
@@ -79,9 +79,9 @@ fn connect_qp(
 #[test]
 fn vlan_mode_host_end_to_end() {
     let mut sw_cfg = SwitchConfig::new("tor", 2);
-    sw_cfg.classify = ClassifyMode::Vlan;
+    sw_cfg.classify = PfcMode::Vlan;
     let (mut world, sw, hosts) = star(2, sw_cfg, |_, cfg| {
-        cfg.pfc_mode = HostPfcMode::Vlan { vid: 100 };
+        cfg.pfc_mode = PfcMode::Vlan;
     });
     let (qa, qb) = connect_qp(
         &mut world,

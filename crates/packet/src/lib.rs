@@ -28,8 +28,8 @@ pub mod model;
 pub mod wire;
 
 pub use model::{
-    EcnCodepoint, EthMeta, FiveTuple, Ipv4Meta, L4Meta, Packet, PacketKind, PauseFrame, Priority,
-    RoceOpcode, RocePacket, TcpFlags, TcpSegment,
+    EcnCodepoint, EthMeta, FiveTuple, Ipv4Meta, L4Meta, Packet, PacketKind, PauseFrame, PfcMode,
+    Priority, RoceOpcode, RocePacket, TcpFlags, TcpSegment,
 };
 pub use wire::{
     arp::{ArpOp, ArpPacket},

@@ -49,6 +49,22 @@ impl core::fmt::Display for Priority {
     }
 }
 
+/// How a frame carries its PFC priority (§3) — one choice for the whole
+/// fabric: switches classify by it and hosts tag by it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum PfcMode {
+    /// DSCP-based PFC (Figure 3(b)), the paper's design: untagged frames,
+    /// priority in the IP DSCP field ("we simply map DSCP value i to PFC
+    /// priority i"); non-IP packets land in priority 0. Layer-3 clean,
+    /// access-mode server ports.
+    Dscp,
+    /// VLAN-based PFC (Figure 3(a)): an 802.1Q tag whose PCP bits carry
+    /// the priority ([`Packet::pcp_priority`]); untagged packets land in
+    /// priority 0. Server-facing ports must be in trunk mode, which is
+    /// what breaks PXE boot (§3).
+    Vlan,
+}
+
 /// ECN codepoint carried in the IP header.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum EcnCodepoint {

@@ -236,8 +236,7 @@ impl SharedBuffer {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    const LOSSLESS: [bool; 8] = [false, false, false, true, true, false, false, false];
+    use crate::config::RDMA_CLASSES as LOSSLESS;
 
     fn cfg(alpha: Option<f64>) -> BufferConfig {
         BufferConfig {

@@ -1,23 +1,18 @@
 //! Switch configuration: classification, buffers, PFC, watchdog.
 
 use rocescale_monitor::MetricsHub;
-use rocescale_packet::Priority;
+use rocescale_packet::{PfcMode, Priority};
 use rocescale_sim::SimTime;
 
-/// How the switch classifies packets into priority groups.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ClassifyMode {
-    /// VLAN-based PFC (Figure 3(a)): priority from the 802.1Q PCP bits.
-    /// Untagged packets land in priority 0 — and server-facing ports must
-    /// be in trunk mode for tagged traffic to work at all, which is what
-    /// breaks PXE boot (§3).
-    Vlan,
-    /// DSCP-based PFC (Figure 3(b)): priority from the IP DSCP field, the
-    /// paper's identity map ("we simply map DSCP value i to PFC priority
-    /// i") on its low three bits; non-IP packets land in priority 0. No
-    /// VLAN tag needed; packets survive L3 routing across subnets.
-    Dscp,
-}
+/// The paper's two RDMA classes (§2): the only priorities a
+/// shallow-buffer switch can afford to make lossless, and the ones its
+/// DCQCN congestion point ECN-marks.
+pub const RDMA_CLASSES: [bool; Priority::COUNT] =
+    [false, false, false, true, true, false, false, false];
+
+/// The largest frame a lossless PG's headroom must absorb, bytes — above
+/// the 1 086-byte frame of a 1 024-byte RoCEv2 payload (§5.4).
+const MAX_FRAME_BYTES: u32 = 1120;
 
 /// What a port connects to; drives watchdog scope, trunk semantics, and
 /// the flood-copy drop rule.
@@ -40,7 +35,7 @@ pub struct BufferConfig {
     /// Total packet buffer (the paper's ToR/Leaf ASICs: 9 MB or 12 MB).
     pub total_bytes: u64,
     /// Per-(port, lossless-PG) headroom reservation, bytes. Sized by
-    /// [`BufferConfig::headroom_for`] from cable length and MTU.
+    /// [`BufferConfig::headroom_for`] from link rate and cable length.
     pub headroom_per_port_pg: u64,
     /// If set, dynamic buffer sharing: XOFF threshold =
     /// `alpha × unallocated shared buffer` (the §6.2 α parameter:
@@ -56,16 +51,17 @@ pub struct BufferConfig {
 }
 
 impl BufferConfig {
-    /// The 802.1Qbb worst-case headroom for one (port, PG): two MTUs (one
-    /// in flight each way) + round-trip propagation + the peer's response
-    /// time, all converted to bytes at line rate.
-    pub fn headroom_for(rate_bps: u64, cable_meters: u32, mtu_bytes: u32) -> u64 {
+    /// The 802.1Qbb worst-case headroom for one (port, PG): two
+    /// `MAX_FRAME_BYTES` frames (one in flight each way) + round-trip
+    /// propagation + the peer's response time, all converted to bytes at
+    /// line rate.
+    pub fn headroom_for(rate_bps: u64, cable_meters: u32) -> u64 {
         let rtt_ps = 2 * cable_meters as u64 * rocescale_sim::PROPAGATION_PS_PER_METER;
         // Response time: one max-size frame serialization + PFC frame.
-        let resp_ps = rocescale_sim::serialization_ps(mtu_bytes + 64, rate_bps);
+        let resp_ps = rocescale_sim::serialization_ps(MAX_FRAME_BYTES + 64, rate_bps);
         let wire_ps = rtt_ps + resp_ps;
         let wire_bytes = (wire_ps as u128 * rate_bps as u128 / 8 / 1_000_000_000_000) as u64;
-        wire_bytes + 2 * mtu_bytes as u64
+        wire_bytes + 2 * MAX_FRAME_BYTES as u64
     }
 
     /// The paper's shallow-buffer ToR defaults: 12 MB shared buffer,
@@ -73,10 +69,10 @@ impl BufferConfig {
     pub fn tor_defaults() -> BufferConfig {
         BufferConfig {
             total_bytes: 12 << 20,
-            headroom_per_port_pg: BufferConfig::headroom_for(40_000_000_000, 300, 1120),
+            headroom_per_port_pg: BufferConfig::headroom_for(40_000_000_000, 300),
             alpha: Some(1.0 / 16.0),
             xoff_static: 256 * 1024,
-            xon_delta: 2 * 1120,
+            xon_delta: 2 * MAX_FRAME_BYTES as u64,
         }
     }
 }
@@ -116,17 +112,16 @@ pub struct SwitchConfig {
     pub ports: u16,
     /// Role of each port (defaults to `Server` if the vec is short).
     pub port_roles: Vec<PortRole>,
-    /// Classification mode.
-    pub classify: ClassifyMode,
-    /// Which priorities are lossless (PFC-protected). The paper can
-    /// afford exactly two on shallow-buffer switches (§2).
+    /// Classification: the priority group is read from the DSCP field or
+    /// the PCP bits; in VLAN mode server ports are trunk ports and drop
+    /// untagged frames.
+    pub classify: PfcMode,
+    /// Which priorities are lossless (PFC-protected): [`RDMA_CLASSES`] or
+    /// none. ECN marking ([`rocescale_dcqcn::should_mark`]) covers
+    /// [`RDMA_CLASSES`] whether or not they are lossless here.
     pub lossless: [bool; Priority::COUNT],
     /// Buffer and threshold configuration.
     pub buffer: BufferConfig,
-    /// ECN marking (DCQCN CP, [`rocescale_dcqcn::should_mark`]) per
-    /// priority: `true` enables marking on the egress queue of that
-    /// priority.
-    pub ecn: [bool; Priority::COUNT],
     /// DWRR scheduling weight per priority (0 = only served when all
     /// positive-weight queues are empty).
     pub weights: [u32; Priority::COUNT],
@@ -159,10 +154,9 @@ impl SwitchConfig {
             name: name.into(),
             ports,
             port_roles: Vec::new(),
-            classify: ClassifyMode::Dscp,
-            lossless: [false, false, false, true, true, false, false, false],
+            classify: PfcMode::Dscp,
+            lossless: RDMA_CLASSES,
             buffer: BufferConfig::tor_defaults(),
-            ecn: [false, false, false, true, true, false, false, false],
             weights: [1; 8],
             drop_lossless_on_incomplete_arp: false,
             watchdog: WatchdogConfig::default(),
@@ -192,8 +186,8 @@ mod tests {
 
     #[test]
     fn headroom_scales_with_distance() {
-        let near = BufferConfig::headroom_for(40_000_000_000, 2, 1120);
-        let far = BufferConfig::headroom_for(40_000_000_000, 300, 1120);
+        let near = BufferConfig::headroom_for(40_000_000_000, 2);
+        let far = BufferConfig::headroom_for(40_000_000_000, 300);
         assert!(far > near);
         // 300 m at 40G: RTT 3 µs = 15 kB wire + 2 MTU + response; ballpark
         // tens of kB — the reason shallow-buffer switches can afford only
@@ -204,9 +198,9 @@ mod tests {
     #[test]
     fn defaults_match_paper() {
         let c = SwitchConfig::new("tor0", 32);
-        assert_eq!(c.classify, ClassifyMode::Dscp);
-        assert_eq!(c.lossless.iter().filter(|l| **l).count(), 2);
-        assert_eq!(c.ecn, c.lossless, "ECN marks exactly the lossless classes");
+        assert_eq!(c.classify, PfcMode::Dscp);
+        assert_eq!(c.lossless, RDMA_CLASSES);
+        assert_eq!(RDMA_CLASSES.iter().filter(|l| **l).count(), 2);
         assert!((c.buffer.alpha.unwrap() - 1.0 / 16.0).abs() < 1e-9);
     }
 }

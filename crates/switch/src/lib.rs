@@ -42,7 +42,7 @@ pub mod switch;
 pub mod tables;
 
 pub use buffer::{AdmitOutcome, SharedBuffer};
-pub use config::{BufferConfig, ClassifyMode, PortRole, SwitchConfig, WatchdogConfig};
+pub use config::{BufferConfig, PortRole, SwitchConfig, WatchdogConfig, RDMA_CLASSES};
 pub use routing::{EcmpGroup, RouteTable};
 pub use switch::{AdminAction, DropReason, FlowCacheStats, Switch, SwitchStats};
 pub use tables::{ArpTable, MacTable};

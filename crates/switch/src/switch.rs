@@ -6,13 +6,13 @@ use std::collections::VecDeque;
 
 use rocescale_monitor::{Block, Group, HopRecord, MetricsHub, Path, ScopeId, TraceEvent};
 use rocescale_packet::{
-    EcnCodepoint, MacAddr, Packet, PacketKind, PauseFrame, PfcPauseFrame, Priority,
+    EcnCodepoint, MacAddr, Packet, PacketKind, PauseFrame, PfcMode, PfcPauseFrame, Priority,
 };
 use rocescale_sim::rng::unit;
 use rocescale_sim::{Ctx, Node, Parked, PortId, SimTime};
 
 use crate::buffer::{AdmitOutcome, SharedBuffer};
-use crate::config::{ClassifyMode, PortRole, SwitchConfig};
+use crate::config::{PortRole, SwitchConfig, RDMA_CLASSES};
 use crate::routing::{NextHop, RouteTable};
 use crate::tables::{ArpTable, MacTable};
 
@@ -681,8 +681,8 @@ impl Switch {
     fn classify(&self, pkt: &Packet) -> Priority {
         const UNTAGGED: Priority = Priority::new(0);
         match self.cfg.classify {
-            ClassifyMode::Vlan => pkt.pcp_priority().unwrap_or(UNTAGGED),
-            ClassifyMode::Dscp => pkt.ip.map_or(UNTAGGED, |ip| Priority::new(ip.dscp & 0x7)),
+            PfcMode::Vlan => pkt.pcp_priority().unwrap_or(UNTAGGED),
+            PfcMode::Dscp => pkt.ip.map_or(UNTAGGED, |ip| Priority::new(ip.dscp & 0x7)),
         }
     }
 
@@ -820,7 +820,7 @@ impl Switch {
 
         // VLAN-based PFC: trunk-mode server ports cannot accept untagged
         // packets — the PXE-boot breakage of §3.
-        if self.cfg.classify == ClassifyMode::Vlan
+        if self.cfg.classify == PfcMode::Vlan
             && pkt.eth.vlan.is_none()
             && self.cfg.role(ingress.0) == PortRole::Server
         {
@@ -971,15 +971,15 @@ impl Switch {
             self.note_drop(reason, ctx.now());
             return;
         }
-        // DCQCN congestion point: mark on egress queue depth at enqueue.
-        // Marking is memoryless, so `cfg.ecn` is its whole state. The
-        // ramp's draw is keyed on this packet at this port and instant.
+        // DCQCN congestion point: mark the RDMA classes on egress queue
+        // depth at enqueue. Marking is memoryless; the ramp's draw is
+        // keyed on this packet at this port and instant.
         let e = self.egress[egress.index()].get_or_insert_with(Box::default);
         if let Some(ip) = pkt.ip.as_mut().filter(|ip| ip.ecn == EcnCodepoint::Ect) {
             let depth = e.queue_bytes[prio.index()] as u64;
             let (src, id, now) = (ip.src as u64, ip.id as u64, ctx.now().as_ps());
             let draw = || unit(ctx.draw(&[self.salt, egress.0 as u64, src, id, now]));
-            if self.cfg.ecn[prio.index()] && rocescale_dcqcn::should_mark(depth, draw) {
+            if RDMA_CLASSES[prio.index()] && rocescale_dcqcn::should_mark(depth, draw) {
                 ip.ecn = EcnCodepoint::Ce;
                 self.stats.ecn_marked += 1;
             }

@@ -4,9 +4,7 @@
 
 use rocescale_packet::Priority;
 use rocescale_sim::SimRng;
-use rocescale_switch::{AdmitOutcome, BufferConfig, SharedBuffer};
-
-const LOSSLESS: [bool; 8] = [false, false, false, true, true, false, false, false];
+use rocescale_switch::{AdmitOutcome, BufferConfig, SharedBuffer, RDMA_CLASSES as LOSSLESS};
 
 fn cfg(alpha: Option<f64>) -> BufferConfig {
     BufferConfig {

@@ -6,11 +6,11 @@ use std::collections::VecDeque;
 
 use rocescale_monitor::{MetricsHub, TraceEvent};
 use rocescale_packet::{
-    EcnCodepoint, EthMeta, Ipv4Meta, MacAddr, Packet, PacketKind, PauseFrame, PfcPauseFrame,
-    Priority, RoceOpcode, RocePacket,
+    EcnCodepoint, EthMeta, Ipv4Meta, MacAddr, Packet, PacketKind, PauseFrame, PfcMode,
+    PfcPauseFrame, Priority, RoceOpcode, RocePacket,
 };
 use rocescale_sim::{Ctx, LinkSpec, Node, NodeId, PortId, SimTime, World};
-use rocescale_switch::{ClassifyMode, DropReason, EcmpGroup, PortRole, Switch, SwitchConfig};
+use rocescale_switch::{DropReason, EcmpGroup, PortRole, Switch, SwitchConfig};
 
 /// A scriptable host NIC for switch tests: sends a queue of packets as
 /// fast as its link (honouring PFC if asked), records what it receives.
@@ -441,7 +441,7 @@ fn vlan_trunk_mode_breaks_untagged_pxe() {
             0,
         )
     };
-    for (mode, delivered) in [(ClassifyMode::Vlan, 0usize), (ClassifyMode::Dscp, 3usize)] {
+    for (mode, delivered) in [(PfcMode::Vlan, 0usize), (PfcMode::Dscp, 3usize)] {
         let mut cfg = SwitchConfig::new("tor", 2);
         cfg.classify = mode;
         let mut t = tor_pair(cfg, false);
@@ -454,7 +454,7 @@ fn vlan_trunk_mode_breaks_untagged_pxe() {
         assert!(t.world.run_until_idle(100_000));
         let b = t.world.node::<TestHost>(t.b);
         assert_eq!(b.received.len(), delivered, "mode {mode:?}");
-        if mode == ClassifyMode::Vlan {
+        if mode == PfcMode::Vlan {
             let sw = t.world.node::<Switch>(t.sw);
             assert_eq!(sw.stats.drops_of(DropReason::UntaggedOnTrunk), 3);
         }

@@ -4,8 +4,8 @@
 //! level only. In the fourth step, we enabled PFC at the Podset level …
 //! In the last step, we enabled PFC up to the Spine switches."
 //!
-//! The same cross-rack incast workload runs at each stage; where PFC is
-//! not yet enabled, RDMA traffic rides lossy classes and congestion
+//! The same cross-rack incast workload runs at each stage, starting
+//! from a fabric with PFC on no tier; where PFC is not yet enabled, RDMA traffic rides lossy classes and congestion
 //! sheds packets (go-back-N recovers, at a goodput cost). Only the full
 //! rollout is loss-free end to end — and the config monitor, checking
 //! each stage's running fabric against the end state's profiles (PFC up
@@ -31,6 +31,7 @@ fn main() {
         "stage", "goodput(Gb/s)", "lossy drops", "ll drops", "pauses"
     );
     for stage in [
+        DeploymentStage::Off,
         DeploymentStage::TorOnly,
         DeploymentStage::Podset,
         DeploymentStage::Spine,
