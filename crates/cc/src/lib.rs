@@ -313,26 +313,17 @@ impl CongestionControl for SenderCc {
     fn on_signal(&mut self, sig: CcSignal, now_ps: u64) -> Option<CcAction> {
         match self {
             SenderCc::Dcqcn(rp) => {
-                let before = rp.rate_bps();
-                let cause = match sig {
-                    CcSignal::Cnp => {
-                        rp.on_cnp();
-                        "cnp"
-                    }
-                    CcSignal::BytesSent { bytes } => {
-                        rp.on_bytes_sent(bytes);
-                        "byte-counter"
-                    }
+                let (moved, cause) = match sig {
+                    CcSignal::Cnp => (rp.on_cnp(), "cnp"),
+                    CcSignal::BytesSent { bytes } => (rp.on_bytes_sent(bytes), "byte-counter"),
                     CcSignal::Tick => {
                         rp.on_alpha_timer();
-                        rp.on_increase_timer();
-                        "timer"
+                        (rp.on_increase_timer(), "timer")
                     }
                     CcSignal::AckRtt { .. } => return None,
                 };
-                let after = rp.rate_bps();
-                (after != before).then_some(CcAction::RateChange {
-                    rate_bps: after,
+                moved.then(|| CcAction::RateChange {
+                    rate_bps: rp.rate_bps(),
                     cause,
                 })
             }
@@ -475,6 +466,51 @@ mod tests {
         }
         assert_eq!(cc.rate_changes(), 3);
         assert_eq!(cc.kind(), CcKind::Dcqcn);
+    }
+
+    /// DCQCN's reaction point reports its own rate moves: over seeded
+    /// streams of CNPs, ticks and byte counts — some long enough to
+    /// complete several byte-counter stages in one call — a signal
+    /// yields a `RateChange` exactly when the rate before and after it
+    /// differ, carrying the rate after, and the moves reported are the
+    /// ones `rate_changes()` counts.
+    #[test]
+    fn dcqcn_reports_exactly_the_moves_a_before_after_compare_sees() {
+        let mut seed = 0xDC0C_u64;
+        let mut rand = move |n: u64| {
+            seed ^= seed << 13;
+            seed ^= seed >> 7;
+            seed ^= seed << 17;
+            seed % n
+        };
+        let mut total = 0;
+        for _ in 0..64 {
+            let mut cc = SenderCc::new(&CcKind::Dcqcn, LINE);
+            let mut reported = 0;
+            for t in 0..2000 {
+                let sig = match rand(10) {
+                    0 => CcSignal::Cnp,
+                    1 | 2 => CcSignal::Tick,
+                    3 => CcSignal::BytesSent {
+                        bytes: rand(40 << 20),
+                    },
+                    _ => CcSignal::BytesSent {
+                        bytes: 1 + rand(4096),
+                    },
+                };
+                let before = cc.rate_bps();
+                let action = cc.on_signal(sig, t);
+                let after = cc.rate_bps();
+                assert_eq!(action.is_some(), after != before, "{sig:?}");
+                if let Some(CcAction::RateChange { rate_bps, .. }) = action {
+                    assert_eq!(rate_bps, after);
+                    reported += 1;
+                }
+            }
+            assert_eq!(reported, cc.rate_changes());
+            total += reported;
+        }
+        assert!(total > 10_000, "{total} moves");
     }
 
     #[test]

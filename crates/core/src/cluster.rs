@@ -522,51 +522,10 @@ impl ClusterBuilder {
                             },
                         );
                     }
-                    ScriptAction::PfcThreshold {
-                        switch,
-                        alpha,
-                        xoff_static,
-                    } => {
+                    ScriptAction::Switch { switch, action } => {
                         let sw = find_switch(switch);
-                        sched_admin(
-                            &mut worlds[sw.shard as usize],
-                            *at,
-                            sw.sim,
-                            AdminAction::SetThresholds {
-                                alpha: *alpha,
-                                xoff_static: *xoff_static,
-                            },
-                        );
-                    }
-                    ScriptAction::SetLossless { switch, prio, on } => {
-                        let sw = find_switch(switch);
-                        sched_admin(
-                            &mut worlds[sw.shard as usize],
-                            *at,
-                            sw.sim,
-                            AdminAction::SetLossless {
-                                prio: *prio,
-                                on: *on,
-                            },
-                        );
-                    }
-                    ScriptAction::Reroute {
-                        switch,
-                        prefix,
-                        len,
-                        ports,
-                    } => {
-                        let sw = find_switch(switch);
-                        sched_admin(
-                            &mut worlds[sw.shard as usize],
-                            *at,
-                            sw.sim,
-                            AdminAction::Reroute {
-                                prefix: *prefix,
-                                len: *len,
-                                ports: ports.iter().map(|p| PortId(*p)).collect(),
-                            },
-                        );
+                        let world = &mut worlds[sw.shard as usize];
+                        sched_admin(world, *at, sw.sim, action.clone());
                     }
                 }
             }
@@ -1013,9 +972,11 @@ impl<W: WorldSet> Cluster<W> {
         }
         for ((hub, engine), w) in self.hubs.iter().zip(&self.engine).zip(self.world.worlds()) {
             let [events, pending] = [0, 1].map(|k| engine.gauge(k));
-            hub.set_gauge(events, w.events_processed() as f64);
             let st = w.sched_stats();
-            hub.set_gauge(pending, (st.pushed - st.dispatched) as f64);
+            hub.update(|u| {
+                u.set_gauge(events, w.events_processed() as f64);
+                u.set_gauge(pending, (st.pushed - st.dispatched) as f64);
+            });
         }
     }
 
@@ -1656,10 +1617,12 @@ mod tests {
     #[test]
     fn config_deviations_follow_the_running_configuration() {
         use rocescale_monitor::ConfigField::{self, *};
-        let alpha = ScriptAction::PfcThreshold {
+        let alpha = ScriptAction::Switch {
             switch: "pod0-tor1".into(),
-            alpha: Some(1.0 / 64.0),
-            xoff_static: 256 * 1024,
+            action: AdminAction::SetThresholds {
+                alpha: Some(1.0 / 64.0),
+                xoff_static: 256 * 1024,
+            },
         };
         let build = |tweak: bool| {
             ClusterBuilder::two_tier(2, 2)
@@ -1886,10 +1849,9 @@ mod tests {
                     )
                     .at(
                         SimTime::from_millis(3),
-                        ScriptAction::SetLossless {
+                        ScriptAction::Switch {
                             switch: "pod0-tor0".to_string(),
-                            prio: 3,
-                            on: false,
+                            action: AdminAction::SetLossless { prio: 3, on: false },
                         },
                     ),
             )
@@ -1981,10 +1943,12 @@ mod tests {
             b: "pod0-leaf1".into(),
             up: false,
         };
-        let alpha = ScriptAction::PfcThreshold {
+        let alpha = ScriptAction::Switch {
             switch: tor0(),
-            alpha: Some(1.0 / 64.0),
-            xoff_static: 256 * 1024,
+            action: AdminAction::SetThresholds {
+                alpha: Some(1.0 / 64.0),
+                xoff_static: 256 * 1024,
+            },
         };
         let script = FaultProfile::paper_default().at(at, link).at(at, alpha);
         let mut c = ClusterBuilder::two_tier(2, 2).faults(script).build();
@@ -2000,10 +1964,12 @@ mod tests {
     #[test]
     #[should_panic(expected = "switches are named pod{p}-tor{t}, pod{p}-leaf{l} and spine{s}")]
     fn a_script_naming_an_unknown_switch_panics_with_the_convention() {
-        let alpha = ScriptAction::PfcThreshold {
+        let alpha = ScriptAction::Switch {
             switch: "t0".into(),
-            alpha: None,
-            xoff_static: 256 * 1024,
+            action: AdminAction::SetThresholds {
+                alpha: None,
+                xoff_static: 256 * 1024,
+            },
         };
         let script = FaultProfile::paper_default().at(SimTime::from_micros(50), alpha);
         ClusterBuilder::two_tier(2, 2).faults(script).build();
@@ -2052,14 +2018,14 @@ mod tests {
         assert!(c.deadlock_probe().verdict().is_empty());
     }
 
-    /// Every shard's hub is built from the caller's whole telemetry
-    /// configuration, not just its sampling cadence: an eight-record
-    /// flight ring stays eight records on shard 1 too.
+    /// Every shard's hub is built from the caller's telemetry
+    /// configuration: a 50 µs cadence is shard 1's cadence too, and
+    /// shard 1's flight recorder holds what its own (pod 1) devices
+    /// traced.
     #[test]
     fn every_shard_hub_keeps_the_callers_telemetry_config() {
         let cfg = rocescale_monitor::TelemetryConfig {
-            flight_capacity: 8,
-            ..Default::default()
+            sample_every_ps: 50_000_000,
         };
         let mut c = ClusterBuilder::new(ClosSpec::uniform_40g(2, 1, 2, 2, 4))
             .instrumentation(
@@ -2067,8 +2033,8 @@ mod tests {
             )
             .execution(ExecutionProfile::Sharded { shards: 2 })
             .build_sharded();
-        // Incast into the last server, in pod 1: its ToR pauses and
-        // records it on shard 1.
+        // Incast into the last server, in pod 1: its rack's senders cut
+        // their rates and record it on shard 1.
         let dst = ServerId(c.server_count() - 1);
         for s in 0..c.server_count() - 1 {
             c.connect_qp(ServerId(s), dst, 6000 + s as u16, saturate(), QpApp::None);
@@ -2077,12 +2043,10 @@ mod tests {
         assert_eq!(c.shard_count(), 2);
         for s in 0..2 {
             assert_eq!(c.hub(s).config(), Some(cfg), "shard {s}");
+            assert_eq!(c.hub(s).samples_taken(), 20, "shard {s}");
         }
-        let (records, dropped) = c.hub(1).flight_snapshot();
-        assert!(
-            records.len() <= 8 && dropped > 0,
-            "{} records kept, {dropped} evicted",
-            records.len()
-        );
+        let (records, _) = c.hub(1).flight_snapshot();
+        assert!(!records.is_empty());
+        assert!(records.iter().all(|r| r.2.contains("pod1")), "{records:?}");
     }
 }

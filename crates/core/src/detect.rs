@@ -6,8 +6,10 @@
 //! with backlog behind them) from each switch's pause timers and egress
 //! depths, and feeds per-switch tx/backlog snapshots to the
 //! [`ProgressTracker`] (behavioural: backlog without progress), both over
-//! vertex ids and buffers it keeps; it publishes `monitor.deadlock.*` and
-//! a [`TraceEvent::DeadlockSuspected`] record whenever a cycle is present.
+//! vertex ids and buffers it keeps. Each epoch it publishes
+//! `monitor.deadlock.*` — copies of its own epoch and cycle counts and
+//! the epoch's graph sizes — and a [`TraceEvent::DeadlockSuspected`]
+//! record whenever a cycle is present.
 //! It reads the worlds and writes only to the hub, so it cannot perturb
 //! the dispatch digest — the golden-trace pin holds with it live.
 
@@ -124,7 +126,6 @@ impl DeadlockProbe {
     /// order.
     pub fn observe(&mut self, worlds: &[World], now: SimTime) -> Option<Vec<String>> {
         self.epochs += 1;
-        self.hub.incr(self.tele.counter(EPOCHS));
         let switch =
             |&(_, shard, sim): &(u32, u32, NodeId)| worlds[shard as usize].node::<Switch>(sim);
         // Topological half: rebuild the wait graph from pause state.
@@ -150,18 +151,24 @@ impl DeadlockProbe {
                 backlog_bytes: sw.lossless_backlog(),
             }
         }));
-        let (hub, tele, graph) = (&self.hub, self.tele, &mut self.graph);
-        hub.set_gauge(tele.gauge(WAIT_EDGES), graph.edge_count() as f64);
-        hub.set_gauge(tele.gauge(STUCK_DEVICES), stuck as f64);
-        let names = &self.names;
+        let (graph, names) = (&mut self.graph, &self.names);
         self.members.clear();
-        if !graph.find_cycle(|v| &names[v as usize], &mut self.cycle) {
+        let found = graph.find_cycle(|v| &names[v as usize], &mut self.cycle);
+        if found {
+            graph.cycle_members(&mut self.members);
+            self.cycle_epochs += 1;
+            self.first_cycle_at.get_or_insert(now);
+        }
+        let tele = self.tele;
+        self.hub.update(|v| {
+            v.set_gauge(tele.gauge(WAIT_EDGES), graph.edge_count() as f64);
+            v.set_gauge(tele.gauge(STUCK_DEVICES), stuck as f64);
+            v.set_counter(tele.counter(CYCLES), self.cycle_epochs);
+            v.set_counter(tele.counter(EPOCHS), self.epochs);
+        });
+        if !found {
             return None;
         }
-        graph.cycle_members(&mut self.members);
-        self.cycle_epochs += 1;
-        self.first_cycle_at.get_or_insert(now);
-        self.hub.incr(self.tele.counter(CYCLES));
         let cycle_len = self.cycle.len().min(u16::MAX as usize) as u16;
         let suspected = TraceEvent::DeadlockSuspected { cycle_len };
         self.hub.trace(now.as_ps(), self.scope, suspected);

@@ -38,4 +38,5 @@ pub use instrument::InstrumentationProfile;
 pub use profiles::{ExecutionProfile, FabricProfile, FaultProfile, ScriptAction, TransportProfile};
 pub use rocescale_cc::CcKind;
 pub use rocescale_packet::PfcMode;
+pub use rocescale_switch::AdminAction;
 pub use sharded::ShardedCluster;

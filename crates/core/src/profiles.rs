@@ -23,6 +23,7 @@
 use rocescale_cc::CcKind;
 use rocescale_packet::PfcMode;
 use rocescale_sim::SimTime;
+use rocescale_switch::AdminAction;
 use rocescale_transport::LossRecovery;
 
 use crate::deployment::DeploymentStage;
@@ -252,37 +253,17 @@ pub enum ScriptAction {
         /// Server index (build order).
         server: usize,
     },
-    /// Rewrite the PFC buffer thresholds on switch `switch` — the §6.2
-    /// misconfiguration as a runtime event.
-    PfcThreshold {
-        /// Switch name (e.g. `"pod0-tor0"`).
-        switch: String,
-        /// Dynamic-sharing α, or `None` for static thresholds.
-        alpha: Option<f64>,
-        /// Static XOFF threshold in bytes (used when `alpha` is `None`).
-        xoff_static: u64,
-    },
-    /// Turn lossless mode for a priority on or off on switch `switch`,
-    /// flushing queued lossless packets on disable.
-    SetLossless {
+    /// Run an administrative action on switch `switch` (a builder name,
+    /// e.g. `"pod0-tor0"`): the §6.2 threshold rewrite
+    /// ([`AdminAction::SetThresholds`]), turning a lossless class off or
+    /// on ([`AdminAction::SetLossless`], flushing queued lossless
+    /// packets on disable), or an ECMP reroute ([`AdminAction::Reroute`],
+    /// switch-local ports).
+    Switch {
         /// Switch name.
         switch: String,
-        /// Priority class index.
-        prio: u8,
-        /// New lossless state.
-        on: bool,
-    },
-    /// Replace the ECMP group for `prefix/len` on switch `switch` with
-    /// `ports` (switch-local port numbers).
-    Reroute {
-        /// Switch name.
-        switch: String,
-        /// Route prefix (host byte order).
-        prefix: u32,
-        /// Prefix length in bits.
-        len: u8,
-        /// New equal-cost egress ports.
-        ports: Vec<u16>,
+        /// What the switch does.
+        action: AdminAction,
     },
 }
 

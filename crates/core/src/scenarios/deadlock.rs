@@ -102,7 +102,6 @@ fn transport() -> TransportProfile {
 fn cluster(fix_enabled: bool, die_at: SimTime, instr: InstrumentationProfile) -> Cluster {
     let hub = MetricsHub::with_config(TelemetryConfig {
         sample_every_ps: SimTime::from_millis(2).as_ps(),
-        ..TelemetryConfig::default()
     });
     let deaths = [S2, S3].iter().fold(FaultProfile::paper_default(), |f, s| {
         f.at(die_at, ScriptAction::ServerDeath { server: s.0 })

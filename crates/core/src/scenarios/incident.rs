@@ -22,7 +22,7 @@
 use rocescale_monitor::MetricsHub;
 use rocescale_nic::QpApp;
 use rocescale_sim::{PortId, SimTime};
-use rocescale_switch::DropReason;
+use rocescale_switch::{AdminAction, DropReason};
 use rocescale_topology::{ClosSpec, RouteSpec, Topology};
 
 use crate::cluster::{Cluster, ClusterBuilder, ServerId};
@@ -99,11 +99,13 @@ pub fn run_reroute(dur: SimTime) -> RerouteResult {
         .seed(17)
         .faults(FaultProfile::paper_default().at(
             reroute_at,
-            ScriptAction::Reroute {
+            ScriptAction::Switch {
                 switch: tor.to_string(),
-                prefix,
-                len,
-                ports: vec![pinned],
+                action: AdminAction::Reroute {
+                    prefix,
+                    len,
+                    ports: vec![PortId(pinned)],
+                },
             },
         ))
         .build();

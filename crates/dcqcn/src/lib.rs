@@ -148,28 +148,33 @@ impl RpState {
         self.alpha
     }
 
-    /// Times the enforced rate `Rc` actually moved (decreases and
-    /// recovery steps that changed the pacing rate) — the telemetry
-    /// bus's `rate_change` event count.
+    /// Calls to [`Self::on_cnp`], [`Self::on_bytes_sent`] and
+    /// [`Self::on_increase_timer`] that moved the enforced rate `Rc` —
+    /// the telemetry bus's `rate_change` event count.
     pub fn rate_changes(&self) -> u64 {
         self.rate_changes
     }
 
+    /// Count one rate move if `moved`; hands `moved` back.
+    fn counted(&mut self, moved: bool) -> bool {
+        self.rate_changes += moved as u64;
+        moved
+    }
+
     /// A CNP arrived: multiplicative decrease and reset the recovery
-    /// machinery. `Rt ← Rc; Rc ← Rc·(1 − α/2)`.
-    pub fn on_cnp(&mut self) {
+    /// machinery. `Rt ← Rc; Rc ← Rc·(1 − α/2)`. Returns whether `Rc`
+    /// moved.
+    pub fn on_cnp(&mut self) -> bool {
         self.cnp_this_period = true;
         self.cut_ever = true;
         self.rt = self.rc;
         let old_rc = self.rc;
         self.rc = (self.rc * (1.0 - self.alpha / 2.0)).max(MIN_RATE_BPS);
-        if self.rc != old_rc {
-            self.rate_changes += 1;
-        }
         self.alpha = (1.0 - G) * self.alpha + G;
         self.bytes_since = 0;
         self.bc_stage = 0;
         self.t_stage = 0;
+        self.counted(self.rc != old_rc)
     }
 
     /// Alpha-update timer expired (call every [`TIMER_PS`]): if no CNP
@@ -181,31 +186,37 @@ impl RpState {
         self.cnp_this_period = false;
     }
 
-    /// Account `bytes` sent on this QP; may trigger a byte-counter stage.
-    pub fn on_bytes_sent(&mut self, bytes: u64) {
+    /// Account `bytes` sent on this QP; may trigger byte-counter stages.
+    /// Returns whether `Rc` moved.
+    pub fn on_bytes_sent(&mut self, bytes: u64) -> bool {
         if !self.cut_ever {
-            return; // still at line rate, nothing to recover
+            return false; // still at line rate, nothing to recover
         }
         self.bytes_since += bytes;
+        let mut moved = false;
         while self.bytes_since >= BYTE_COUNTER {
             self.bytes_since -= BYTE_COUNTER;
             self.bc_stage = self.bc_stage.saturating_add(1);
-            self.increase();
+            moved |= self.increase();
         }
+        self.counted(moved)
     }
 
-    /// Rate-increase timer expired (call every [`TIMER_PS`]).
-    pub fn on_increase_timer(&mut self) {
+    /// Rate-increase timer expired (call every [`TIMER_PS`]). Returns
+    /// whether `Rc` moved.
+    pub fn on_increase_timer(&mut self) -> bool {
         if !self.cut_ever {
-            return;
+            return false;
         }
         self.t_stage = self.t_stage.saturating_add(1);
-        self.increase();
+        let moved = self.increase();
+        self.counted(moved)
     }
 
     /// One recovery step; phase depends on how many stages each counter
-    /// has accumulated since the last decrease.
-    fn increase(&mut self) {
+    /// has accumulated since the last decrease. Returns whether `Rc`
+    /// moved: `Rc ≤ Rt` always holds, so a step only raises it.
+    fn increase(&mut self) -> bool {
         if self.bc_stage > F_STAGES && self.t_stage > F_STAGES {
             // Hyper increase: both counters deep into recovery.
             self.rt = (self.rt + RHAI_BPS).min(self.line_rate_bps);
@@ -216,9 +227,7 @@ impl RpState {
         // Fast recovery (and every phase): close half the gap to target.
         let old_rc = self.rc;
         self.rc = ((self.rt + self.rc) / 2.0).min(self.line_rate_bps);
-        if self.rc != old_rc {
-            self.rate_changes += 1;
-        }
+        self.rc != old_rc
     }
 }
 

@@ -55,6 +55,6 @@ pub use sink::{
 pub use stats::{Percentiles, TimeSeries};
 pub use telemetry::{
     Block, BlockId, CounterId, FlightRecorder, GaugeId, Group, HistogramId, HubJson, MetricsHub,
-    Path, ScopeId, TelemetryConfig, TraceEvent, TraceRecord,
+    Path, ScopeId, TelemetryConfig, TraceEvent, TraceRecord, Values,
 };
 pub use writer::{SINK_BATCH_RECORDS, SINK_POOL_BATCHES};

@@ -59,29 +59,30 @@ pub enum ProbeResult {
 #[derive(Debug, Clone, Default)]
 pub struct Pingmesh {
     per_scope: HashMap<Scope, Percentiles>,
-    failures: HashMap<Scope, u64>,
-    total: u64,
+    /// Each scope's probe and failure counts and hub instruments,
+    /// indexed by [`Scope`].
+    counts: [ScopeCounts; 3],
     /// Telemetry hub the aggregation is mirrored into, if bound: each
-    /// scope's RTTs feed a `pingmesh.{scope}.rtt_ps` histogram, plus
-    /// probe/failure counters — so Pingmesh shows up in hub snapshots
-    /// and exported traces, not just this struct's render. A disabled
-    /// (or unbound) hub makes the mirroring a no-op.
+    /// scope's RTTs feed a `pingmesh.{scope}.rtt_ps` histogram, and its
+    /// probe/failure counters are copies of the counts kept here — so
+    /// Pingmesh shows up in hub snapshots and exported traces, not just
+    /// this struct's render. A disabled (or unbound) hub makes the
+    /// mirroring a no-op.
     hub: MetricsHub,
-    /// Each scope's hub instruments, indexed by [`Scope`], each
-    /// registered the first time it is needed — so only the instruments
-    /// a run used exist, each from its first use on — and reused after
-    /// that.
-    ids: [ScopeIds; 3],
 }
 
-/// The hub instruments of one scope and the hub scope they are named
-/// under, `None` until first needed.
+/// One scope's counts, and the hub instruments that copy them and the
+/// hub scope they are named under — each instrument registered the
+/// first time it is needed, so only the instruments a run used exist,
+/// each from its first use on.
 #[derive(Debug, Clone, Copy, Default)]
-struct ScopeIds {
+struct ScopeCounts {
+    probes: u64,
+    failures: u64,
     scope: Option<ScopeId>,
-    probes: Option<CounterId>,
-    rtt: Option<HistogramId>,
-    failures: Option<CounterId>,
+    probes_id: Option<CounterId>,
+    rtt_id: Option<HistogramId>,
+    failures_id: Option<CounterId>,
 }
 
 impl Pingmesh {
@@ -99,35 +100,40 @@ impl Pingmesh {
         }
     }
 
-    /// Record a probe outcome.
+    /// Record a probe outcome, and publish the scope's counts to the hub
+    /// under one lock.
     pub fn record(&mut self, scope: Scope, result: ProbeResult) {
-        self.total += 1;
         let hub = &self.hub;
-        let ScopeIds {
-            scope: hub_scope,
-            probes,
-            rtt,
-            failures,
-        } = &mut self.ids[scope as usize];
+        let c = &mut self.counts[scope as usize];
+        c.probes += 1;
+        let hub_scope = &mut c.scope;
         let mut register = |group| {
             let id = *hub_scope.get_or_insert_with(|| hub.register(scope.path(), &[]).scope);
             hub.register_in(id, &[group])
         };
-        let probes =
-            *probes.get_or_insert_with(|| register(Group::counters(&["probes"])).counter(0));
-        hub.incr(probes);
+        let probes = *c
+            .probes_id
+            .get_or_insert_with(|| register(Group::counters(&["probes"])).counter(0));
         match result {
             ProbeResult::Rtt(ps) => {
                 self.per_scope.entry(scope).or_default().add(ps);
-                let rtt = *rtt
+                let rtt = *c
+                    .rtt_id
                     .get_or_insert_with(|| register(Group::histograms(&["rtt_ps"])).histogram(0));
-                hub.observe(rtt, ps);
+                hub.update(|v| {
+                    v.set_counter(probes, c.probes);
+                    v.observe(rtt, ps);
+                });
             }
             ProbeResult::Failed => {
-                *self.failures.entry(scope).or_default() += 1;
-                let failures = *failures
+                c.failures += 1;
+                let failures = *c
+                    .failures_id
                     .get_or_insert_with(|| register(Group::counters(&["failures"])).counter(0));
-                hub.incr(failures);
+                hub.update(|v| {
+                    v.set_counter(probes, c.probes);
+                    v.set_counter(failures, c.failures);
+                });
             }
         }
     }
@@ -141,12 +147,12 @@ impl Pingmesh {
 
     /// Total probes recorded.
     pub fn total(&self) -> u64 {
-        self.total
+        self.counts.iter().map(|c| c.probes).sum()
     }
 
     /// Failure count for a scope.
     pub fn failures(&self, scope: Scope) -> u64 {
-        self.failures.get(&scope).copied().unwrap_or(0)
+        self.counts[scope as usize].failures
     }
 
     /// Percentile access for a scope.

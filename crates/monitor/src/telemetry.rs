@@ -17,22 +17,20 @@
 //!   `Option<Arc<..>>`; a disabled hub hands out sentinel instrument ids
 //!   without allocating and every record call is an inlined no-op behind
 //!   a single sentinel compare.
-//! * **Lock-free updates.** Values live in preallocated chunks of
-//!   `AtomicU64` slots indexed directly by the `CounterId`/`GaugeId`
-//!   handed out at registration, and an update is one relaxed
-//!   `fetch_add`/`store` with no allocation. Devices count in their own
-//!   stats and publish them with [`MetricsHub::set_counter`] at each
-//!   sample boundary, so the per-packet path never touches the hub;
-//!   [`MetricsHub::incr`]/[`MetricsHub::add`] serve observers that
-//!   count as they go, off the packet path — pingmesh per probe, the
-//!   deadlock probe per epoch — and keep their own totals as well
-//!   (`Pingmesh::total`, `DeadlockProbe::epochs`). Only registration,
-//!   sampling, and snapshot/export — the rare paths — take the `Mutex`.
-//!   The flight recorder keeps its own small mutex, separate from the
-//!   registration lock: trace events (drops, pauses, watchdog fires) are
-//!   orders of magnitude rarer than counter bumps. A record streamed to
-//!   an attached sink is copied, raw, into a batch under a mutex of its
-//!   own and encoded on the sink's writer thread (`crate::writer`).
+//! * **The hub holds copies.** Every counter and gauge is a copy of a
+//!   count its owner keeps: devices count in their own stats and the
+//!   deadlock probe and Pingmesh in their own fields, and each owner
+//!   writes its whole block with one [`MetricsHub::update`] — one
+//!   acquisition of the hub's lock — at a sample boundary or when its
+//!   count moves. The values are plain `u64`s (a gauge's `f64` bits)
+//!   under the lock that registration, sampling and export take too.
+//!   Histograms and trace records are recorded when they happen: an
+//!   observation takes that lock, and a trace record takes one emission
+//!   lock, shared by the flight recorder and the attached sink's batch.
+//!   A record streamed to the sink is copied, raw, into that batch and
+//!   encoded on the sink's writer thread (`crate::writer`). So the
+//!   per-packet path touches only the sink's filter word (`sink_flags`)
+//!   and, for a record it streams, the emission lock.
 //! * **Digest neutrality.** The hub never schedules simulator events,
 //!   never draws randomness, and never touches packet contents — it only
 //!   observes. Sampling is driven by the caller (the cluster chunks its
@@ -61,8 +59,8 @@
 use std::collections::HashMap;
 use std::collections::VecDeque;
 use std::ops::Range;
-use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock, PoisonError};
+use std::sync::atomic::{AtomicU32, Ordering};
+use std::sync::{Arc, Mutex, PoisonError};
 
 use crate::json::{self, Json};
 use crate::sink::{
@@ -79,19 +77,19 @@ pub struct TelemetryConfig {
     /// simulated default is 100 µs so short experiments still get a
     /// usable series.
     pub sample_every_ps: u64,
-    /// Flight-recorder capacity in records; the oldest record is evicted
-    /// (and counted) once full.
-    pub flight_capacity: usize,
 }
 
 impl Default for TelemetryConfig {
     fn default() -> TelemetryConfig {
         TelemetryConfig {
             sample_every_ps: 100_000_000, // 100 µs
-            flight_capacity: 4096,
         }
     }
 }
+
+/// A hub's flight-recorder capacity in records; the oldest record is
+/// evicted (and counted) once full.
+const FLIGHT_CAPACITY: usize = 4096;
 
 /// Handle to a registered counter. Sentinel when the hub is disabled.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -156,8 +154,9 @@ impl BlockId {
     }
 
     /// The block's `k`-th instrument, a counter. Real ids stay far below
-    /// `u32::MAX` (the value bank holds 2²⁴), so the saturating add keeps
-    /// a sentinel a sentinel and never reaches one from a real base.
+    /// `u32::MAX` (an instrument's row and value alone are 20 bytes), so
+    /// the saturating add keeps a sentinel a sentinel and never reaches
+    /// one from a real base.
     #[inline]
     pub fn counter(self, k: u32) -> CounterId {
         CounterId(self.0.saturating_add(k))
@@ -533,79 +532,6 @@ impl FlightRecorder {
     }
 }
 
-/// Slots in the first lazily-allocated chunk: 256 × 8 bytes = one 2 KiB
-/// allocation, all a small hub ever touches. Chunk `k` holds
-/// `CHUNK_SLOTS << k` slots, so capacity doubles with each chunk.
-const CHUNK_SLOTS: usize = 256;
-/// Chunk-table length: 256 × (2¹⁶ − 1) ≈ 16.7 M instruments — a
-/// 102 400-host fleet registers ~1.1 M in 13 chunks.
-const MAX_CHUNKS: usize = 16;
-
-/// Lock-free value store: a fixed table of lazily-initialized chunks of
-/// atomic slots, indexed directly by instrument id (a counter's count, a
-/// gauge's `f64` bits; a histogram's slot stays 0). Chunks are allocated
-/// under the registration mutex (`ensure`); the update path does one
-/// bounds check, one `OnceLock` acquire-load, and one relaxed atomic op.
-/// Slots are never freed or moved, so a handle stays valid for the hub's
-/// lifetime.
-struct AtomicBank {
-    chunks: [OnceLock<Box<[AtomicU64]>>; MAX_CHUNKS],
-}
-
-/// Where `id` lives: (chunk, slot within it). Chunk `k` starts at id
-/// `CHUNK_SLOTS × (2ᵏ − 1)`.
-#[inline]
-fn bank_index(id: u32) -> (usize, usize) {
-    let idx = id as usize;
-    let chunk = (idx / CHUNK_SLOTS + 1).ilog2() as usize;
-    (chunk, idx - CHUNK_SLOTS * ((1 << chunk) - 1))
-}
-
-impl AtomicBank {
-    fn new() -> AtomicBank {
-        AtomicBank {
-            chunks: std::array::from_fn(|_| OnceLock::new()),
-        }
-    }
-
-    /// Allocate the chunk holding `id` if it does not exist yet. Called
-    /// at registration time, under the registration mutex.
-    fn ensure(&self, id: u32) {
-        let (chunk, _) = bank_index(id);
-        assert!(
-            chunk < MAX_CHUNKS,
-            "telemetry instrument id {id} exceeds bank capacity"
-        );
-        self.chunks[chunk].get_or_init(|| {
-            (0..CHUNK_SLOTS << chunk)
-                .map(|_| AtomicU64::new(0))
-                .collect()
-        });
-    }
-
-    /// The slot for `id`, if its chunk has been allocated.
-    #[inline]
-    fn slot(&self, id: u32) -> Option<&AtomicU64> {
-        let (chunk, slot) = bank_index(id);
-        self.chunks.get(chunk)?.get().map(|c| &c[slot])
-    }
-
-    /// Current raw value of `id` (0 if the chunk was never allocated).
-    fn load(&self, id: u32) -> u64 {
-        self.slot(id).map_or(0, |s| s.load(Ordering::Relaxed))
-    }
-
-    /// Raw values of ids `0..n`, in order, chunk by chunk. Registration
-    /// allocates chunks in id order, so the first `n` slots exist.
-    fn values(&self, n: usize) -> impl Iterator<Item = u64> + '_ {
-        self.chunks
-            .iter()
-            .map_while(OnceLock::get)
-            .flat_map(|c| c.iter().map(|v| v.load(Ordering::Relaxed)))
-            .take(n)
-    }
-}
-
 /// A registered path: a [`Path`]'s parts, or a whole name the string API
 /// registered, kept in [`Paths::text`].
 enum PathRow {
@@ -862,6 +788,9 @@ struct HubInner {
     names: Names,
     /// Instruments registered, per [`Kind`].
     counts: [u32; 3],
+    /// Each instrument's current raw value, by id: a counter's count, a
+    /// gauge's `f64` bits; a histogram's stays 0.
+    values: Vec<u64>,
     /// Samples of each histogram, by id.
     histograms: Vec<(u32, Percentiles)>,
     /// Every instrument id ordered by (name, kind), brought up to date by
@@ -896,6 +825,7 @@ impl HubInner {
             cfg,
             names: Names::new(),
             counts: [0; 3],
+            values: Vec::new(),
             histograms: Vec::new(),
             by_name: Vec::new(),
             instrument_index: NameIndex::default(),
@@ -911,10 +841,10 @@ impl HubInner {
     }
 
     /// Append one instrument; its id.
-    fn push_row(&mut self, bank: &AtomicBank, row: Row) -> u32 {
+    fn push_row(&mut self, row: Row) -> u32 {
         let id = self.names.rows.len() as u32;
-        bank.ensure(id);
         self.names.rows.push(row);
+        self.values.push(0);
         let kind = self.names.leaves[row.leaf as usize].kind;
         self.counts[kind as usize] += 1;
         if kind == Kind::Histogram {
@@ -924,11 +854,11 @@ impl HubInner {
     }
 
     /// Append `groups`' instruments under `path`; the first one's id.
-    fn push_block(&mut self, bank: &AtomicBank, path: u32, groups: &[Group]) -> u32 {
+    fn push_block(&mut self, path: u32, groups: &[Group]) -> u32 {
         let base = self.names.rows.len() as u32;
-        self.names
-            .rows
-            .reserve(groups.iter().map(|g| g.len() as usize).sum());
+        let n = groups.iter().map(|g| g.len() as usize).sum();
+        self.names.rows.reserve(n);
+        self.values.reserve(n);
         for g in groups {
             let first = self.names.intern(g);
             let (from, to) = g.indices.unwrap_or((0, 1));
@@ -939,7 +869,7 @@ impl HubInner {
                         leaf: first + k,
                         index,
                     };
-                    self.push_row(bank, row);
+                    self.push_row(row);
                 }
             }
         }
@@ -1021,7 +951,7 @@ impl HubInner {
 
     /// The instrument of `kind` named `name`, registering it (its whole
     /// name a scope path) if there is none.
-    fn named(&mut self, bank: &AtomicBank, paths: &mut Paths, kind: Kind, name: &str) -> u32 {
+    fn named(&mut self, paths: &mut Paths, kind: Kind, name: &str) -> u32 {
         if let Some(id) = self.lookup(paths, kind, name) {
             return id;
         }
@@ -1031,7 +961,7 @@ impl HubInner {
             leaf: kind as u32,
             index: 0,
         };
-        let id = self.push_row(bank, row);
+        let id = self.push_row(row);
         let hash = name_hash(kind as u8, name.as_bytes());
         self.instrument_index.insert(hash, id);
         self.instrument_index.synced += 1;
@@ -1080,6 +1010,18 @@ impl HubInner {
         series
     }
 
+    /// Instrument `id`'s current raw value (0 for a foreign id).
+    fn value(&self, id: u32) -> u64 {
+        self.values.get(id as usize).copied().unwrap_or(0)
+    }
+
+    /// Set instrument `id`'s raw value; a sentinel or foreign id has none.
+    fn store(&mut self, id: u32, raw: u64) {
+        if let Some(v) = self.values.get_mut(id as usize) {
+            *v = raw;
+        }
+    }
+
     /// The samples of histogram `id`.
     fn histogram(&mut self, id: u32) -> Option<&mut Percentiles> {
         let at = self
@@ -1118,25 +1060,30 @@ fn sort_order(order: &mut Vec<u32>, n: u32, mut cmp: impl FnMut(u32, u32) -> std
     });
 }
 
-/// Shared state behind an enabled hub: the lock-free value bank, the
-/// flight recorder under its own small mutex, the scope paths and the
-/// attached sink's writer under one each, and everything rare
-/// (registration, series, histograms, sampling) under the inner mutex.
-/// Where locks nest, the order is `inner` → `paths` → `flight`;
-/// `stream` nests with none of them. The sink's writer thread takes
-/// none of `inner`, `stream` and `flight` — only its own lane and, once
-/// per batch, `paths`.
+/// What emission writes to, under one lock: the flight recorder and the
+/// attached sink's writer — the batch being filled and the thread that
+/// owns the sink (see `crate::writer`).
+struct Emit {
+    flight: FlightRecorder,
+    writer: Option<SinkWriter>,
+}
+
+/// Shared state behind an enabled hub: everything but emission
+/// (registration, values, series, histograms, sampling) under the inner
+/// mutex, the scope paths under one of their own, and the flight
+/// recorder and the attached sink's writer under the emission mutex.
+/// Where locks nest, the order is `inner` → `emit` → `paths`: an emitter
+/// that hands a batch over may wait, holding `emit`, for the writer
+/// thread, which resolves the batch's scopes under `paths` — so nothing
+/// may wait for `emit` while it holds `paths`. The writer thread takes
+/// neither `inner` nor `emit` — only its own lane and, once per batch,
+/// `paths`.
 struct HubShared {
-    values: AtomicBank,
-    flight: Mutex<FlightRecorder>,
     inner: Mutex<HubInner>,
+    emit: Mutex<Emit>,
     /// Scope names by [`ScopeId`], appended at registration. Shared with
     /// the writer thread, which resolves records' scopes through it.
     paths: Arc<Mutex<Paths>>,
-    /// The attached sink's writer: the batch being filled and the thread
-    /// that owns the sink (see `crate::writer`). Emission takes this
-    /// lock and, once per batch, the writer's lane.
-    stream: Mutex<Option<SinkWriter>>,
     /// [`TraceFilter::bits`] of the attached sink, 0 when detached. The
     /// per-packet emission guard is one relaxed load of this word — with
     /// no sink the hop path costs a single compare, like a disabled hub.
@@ -1150,12 +1097,8 @@ impl Drop for HubShared {
     /// thread unwinds from that very panic), and the panic hook printed
     /// the sink's message when it happened.
     fn drop(&mut self) {
-        let writer = self
-            .stream
-            .get_mut()
-            .unwrap_or_else(PoisonError::into_inner)
-            .take();
-        if let Some(w) = writer {
+        let emit = self.emit.get_mut().unwrap_or_else(PoisonError::into_inner);
+        if let Some(w) = emit.writer.take() {
             let _ = w.close();
         }
     }
@@ -1174,14 +1117,40 @@ impl HubShared {
     }
 }
 
+/// The hub's instruments, open for one [`MetricsHub::update`]: every
+/// write through it lands under the one lock that call took.
+pub struct Values<'a> {
+    inner: &'a mut HubInner,
+}
+
+impl Values<'_> {
+    /// Set a counter to `v`, a count its owner keeps itself.
+    #[inline]
+    pub fn set_counter(&mut self, id: CounterId, v: u64) {
+        self.inner.store(id.0, v);
+    }
+
+    /// Set a gauge's current value (kept as its bit pattern).
+    #[inline]
+    pub fn set_gauge(&mut self, id: GaugeId, v: f64) {
+        self.inner.store(id.0, v.to_bits());
+    }
+
+    /// Record one histogram observation.
+    #[inline]
+    pub fn observe(&mut self, id: HistogramId, v: u64) {
+        if let Some(p) = self.inner.histogram(id.0) {
+            p.add(v);
+        }
+    }
+}
+
 /// Cloneable handle to the telemetry bus. `MetricsHub::disabled()` (the
 /// `Default`) is a free-to-clone null hub; [`MetricsHub::enabled`] backs
-/// the handle with shared state. Counter/gauge updates go straight to
-/// atomic slots (see `AtomicBank`); the mutexes guard only
-/// registration, sampling, snapshots, and the flight recorder. The
-/// handle stays `Send + Sync` for the fleet runner, which constructs
-/// whole clusters inside worker threads; a poisoned lock (a panic
-/// mid-registration) is a bug we surface by unwrapping.
+/// the handle with shared state. The handle stays `Send + Sync` for the
+/// fleet runner, which constructs whole clusters inside worker threads;
+/// a poisoned lock (a panic mid-registration) is a bug we surface by
+/// unwrapping.
 #[derive(Clone, Default)]
 pub struct MetricsHub {
     inner: Option<Arc<HubShared>>,
@@ -1193,7 +1162,7 @@ impl std::fmt::Debug for MetricsHub {
             None => write!(f, "MetricsHub(disabled)"),
             Some(s) => {
                 let [counters, gauges, histograms] = s.inner.lock().unwrap().counts;
-                let flight_len = s.flight.lock().unwrap().len();
+                let flight_len = s.emit.lock().unwrap().flight.len();
                 write!(
                     f,
                     "MetricsHub({counters} counters, {gauges} gauges, {histograms} histograms, \
@@ -1219,11 +1188,12 @@ impl MetricsHub {
     pub fn with_config(cfg: TelemetryConfig) -> MetricsHub {
         MetricsHub {
             inner: Some(Arc::new(HubShared {
-                values: AtomicBank::new(),
-                flight: Mutex::new(FlightRecorder::new(cfg.flight_capacity)),
                 inner: Mutex::new(HubInner::new(cfg)),
+                emit: Mutex::new(Emit {
+                    flight: FlightRecorder::new(FLIGHT_CAPACITY),
+                    writer: None,
+                }),
                 paths: Arc::default(),
-                stream: Mutex::new(None),
                 sink_flags: AtomicU32::new(0),
             })),
         }
@@ -1250,7 +1220,7 @@ impl MetricsHub {
         drop(paths);
         Block {
             scope: ScopeId(scope),
-            base: BlockId(h.push_block(&s.values, scope, groups)),
+            base: BlockId(h.push_block(scope, groups)),
         }
     }
 
@@ -1259,12 +1229,9 @@ impl MetricsHub {
     /// keeps for a switch.
     pub fn register_in(&self, scope: ScopeId, groups: &[Group]) -> BlockId {
         match &self.inner {
-            Some(s) if scope != ScopeId::sentinel() => BlockId(
-                s.inner
-                    .lock()
-                    .unwrap()
-                    .push_block(&s.values, scope.0, groups),
-            ),
+            Some(s) if scope != ScopeId::sentinel() => {
+                BlockId(s.inner.lock().unwrap().push_block(scope.0, groups))
+            }
             _ => BlockId::sentinel(),
         }
     }
@@ -1291,7 +1258,7 @@ impl MetricsHub {
             return SENTINEL;
         };
         let (mut h, mut paths) = s.lock();
-        h.named(&s.values, &mut paths, kind, name)
+        h.named(&mut paths, kind, name)
     }
 
     /// Register (or look up) a flight-recorder scope by name; a
@@ -1306,73 +1273,67 @@ impl MetricsHub {
 
     // ---- recording ----------------------------------------------------
 
-    /// Add `n` to a counter. Lock-free: one relaxed `fetch_add` on the
-    /// preallocated slot; a no-op behind a single compare when disabled.
+    /// Write instruments under one acquisition of the hub's lock: how an
+    /// owner publishes its block of copies. `f` is not called on a
+    /// disabled hub.
     #[inline]
-    pub fn add(&self, id: CounterId, n: u64) {
-        if id.0 == SENTINEL {
-            return;
-        }
-        let Some(s) = &self.inner else { return };
-        if let Some(slot) = s.values.slot(id.0) {
-            slot.fetch_add(n, Ordering::Relaxed);
+    pub fn update(&self, f: impl FnOnce(&mut Values<'_>)) {
+        if let Some(s) = &self.inner {
+            f(&mut Values {
+                inner: &mut s.inner.lock().unwrap(),
+            });
         }
     }
 
-    /// Increment a counter by one.
-    #[inline]
-    pub fn incr(&self, id: CounterId) {
-        self.add(id, 1);
-    }
-
-    /// Set a counter to `v`, a count its owner keeps itself — how
-    /// devices publish their stats. Lock-free: one relaxed store.
+    /// Set a counter to `v`, a count its owner keeps itself.
     #[inline]
     pub fn set_counter(&self, id: CounterId, v: u64) {
-        self.store(id.0, v);
+        if id.0 != SENTINEL {
+            self.update(|u| u.set_counter(id, v));
+        }
     }
 
-    /// Set a gauge's current value. Lock-free: one relaxed store of the
-    /// value's bit pattern.
+    /// Set a gauge's current value.
     #[inline]
     pub fn set_gauge(&self, id: GaugeId, v: f64) {
-        self.store(id.0, v.to_bits());
-    }
-
-    /// Store `raw` into instrument `id`'s slot; a sentinel has none.
-    #[inline]
-    fn store(&self, id: u32, raw: u64) {
-        if let Some(slot) = self.inner.as_ref().and_then(|s| s.values.slot(id)) {
-            slot.store(raw, Ordering::Relaxed);
+        if id.0 != SENTINEL {
+            self.update(|u| u.set_gauge(id, v));
         }
     }
 
-    /// Record one histogram observation. Histograms stay under the inner
-    /// mutex: observations are per-message (RTT samples), not per-packet.
+    /// Record one histogram observation.
     #[inline]
     pub fn observe(&self, id: HistogramId, v: u64) {
-        if id.0 == SENTINEL {
-            return;
-        }
-        if let Some(s) = &self.inner {
-            if let Some(p) = s.inner.lock().unwrap().histogram(id.0) {
-                p.add(v);
-            }
+        if id.0 != SENTINEL {
+            self.update(|u| u.observe(id, v));
         }
     }
 
-    /// Append a trace event to the flight recorder. Takes only the
-    /// recorder's own mutex, never the registration lock — unless a
-    /// sink is attached with the events class selected, in which case
-    /// the event is also teed into the unbounded stream.
+    /// Increment a counter by one, under the hub's lock. No device or
+    /// observer counts in the hub — each publishes copies of its own
+    /// counts — so this serves ad-hoc callers and the benchmark's
+    /// `monitor.incr_ns` kernel.
+    #[inline]
+    pub fn incr(&self, id: CounterId) {
+        if id.0 != SENTINEL {
+            self.update(|u| u.inner.store(id.0, u.inner.value(id.0) + 1));
+        }
+    }
+
+    /// Append a trace event to the flight recorder and, if a sink is
+    /// attached with the events class selected, tee it into the stream:
+    /// one acquisition of the emission lock, never the registration lock.
     #[inline]
     pub fn trace(&self, t_ps: u64, scope: ScopeId, event: TraceEvent) {
-        if let Some(s) = &self.inner {
-            s.flight.lock().unwrap().record(t_ps, scope, event);
-            if s.sink_flags.load(Ordering::Relaxed) & SINK_EVENTS != 0 {
-                self.stream(t_ps, scope, RecordBody::Event(event));
+        let Some(s) = &self.inner else { return };
+        let tee = s.sink_flags.load(Ordering::Relaxed) & SINK_EVENTS != 0;
+        self.with_emit(|e| {
+            e.flight.record(t_ps, scope, event);
+            match &mut e.writer {
+                Some(w) if tee => w.push(t_ps, scope, RecordBody::Event(event)),
+                _ => Ok(()),
             }
-        }
+        });
     }
 
     // ---- trace streaming ----------------------------------------------
@@ -1393,7 +1354,7 @@ impl MetricsHub {
             return Some(sink);
         };
         let writer = SinkWriter::spawn(sink, s.paths.clone());
-        let old = s.stream.lock().unwrap().replace(writer);
+        let old = s.emit.lock().unwrap().writer.replace(writer);
         s.sink_flags.store(filter.bits(), Ordering::Relaxed);
         old.map(drain)
     }
@@ -1403,7 +1364,7 @@ impl MetricsHub {
     pub fn detach_sink(&self) -> Option<Box<dyn TraceSink>> {
         let s = self.inner.as_ref()?;
         s.sink_flags.store(0, Ordering::Relaxed);
-        let old = s.stream.lock().unwrap().take();
+        let old = s.emit.lock().unwrap().writer.take();
         old.map(drain)
     }
 
@@ -1472,12 +1433,17 @@ impl MetricsHub {
         self.with_writer(|w| w.push(t_ps, scope, body));
     }
 
-    /// Run `f` on the attached sink's writer, if any, and raise the
-    /// sink's panic it reports on this thread — after the `stream` lock
-    /// is released, so the panic poisons nothing.
+    /// Run `f` on the attached sink's writer, if any.
     fn with_writer(&self, f: impl FnOnce(&mut SinkWriter) -> Result<(), String>) {
+        self.with_emit(|e| e.writer.as_mut().map_or(Ok(()), f));
+    }
+
+    /// Run `f` under the emission lock and raise the sink's panic it
+    /// reports on this thread — after the lock is released, so the panic
+    /// poisons nothing.
+    fn with_emit(&self, f: impl FnOnce(&mut Emit) -> Result<(), String>) {
         let Some(s) = &self.inner else { return };
-        let outcome = s.stream.lock().unwrap().as_mut().map_or(Ok(()), f);
+        let outcome = f(&mut s.emit.lock().unwrap());
         if let Err(msg) = outcome {
             sink_panicked(&msg);
         }
@@ -1520,7 +1486,7 @@ impl MetricsHub {
             h.marks.push((at, n as u32));
         }
         h.last.resize(n, 0);
-        for (id, (last, raw)) in h.last.iter_mut().zip(s.values.values(n)).enumerate() {
+        for (id, (last, &raw)) in h.last.iter_mut().zip(&h.values).enumerate() {
             if raw != *last {
                 *last = raw;
                 h.log.push(Change {
@@ -1549,31 +1515,29 @@ impl MetricsHub {
         &self,
         kind: Kind,
         name: &str,
-        read: impl FnOnce(&mut HubInner, &AtomicBank, u32) -> Option<T>,
+        read: impl FnOnce(&mut HubInner, u32) -> Option<T>,
     ) -> Option<T> {
         let s = self.inner.as_ref()?;
         let (mut h, paths) = s.lock();
         let id = h.lookup(&paths, kind, name)?;
         drop(paths);
-        read(&mut h, &s.values, id)
+        read(&mut h, id)
     }
 
     /// Current value of a counter by name, if registered.
     pub fn counter_value(&self, name: &str) -> Option<u64> {
-        self.read(Kind::Counter, name, |_, v, id| Some(v.load(id)))
+        self.read(Kind::Counter, name, |h, id| Some(h.value(id)))
     }
 
     /// Current value of a gauge by name, if registered.
     pub fn gauge_value(&self, name: &str) -> Option<f64> {
-        self.read(Kind::Gauge, name, |_, v, id| {
-            Some(f64::from_bits(v.load(id)))
-        })
+        self.read(Kind::Gauge, name, |h, id| Some(f64::from_bits(h.value(id))))
     }
 
     /// A counter's sampled time series by name: one point per sampling
     /// pass since its registration.
     pub fn counter_series(&self, name: &str) -> Option<TimeSeries> {
-        self.read(Kind::Counter, name, |h, _, id| {
+        self.read(Kind::Counter, name, |h, id| {
             Some(h.series(id, |raw| raw as f64))
         })
     }
@@ -1581,20 +1545,20 @@ impl MetricsHub {
     /// A gauge's sampled time series by name, like
     /// [`Self::counter_series`].
     pub fn gauge_series(&self, name: &str) -> Option<TimeSeries> {
-        self.read(Kind::Gauge, name, |h, _, id| {
+        self.read(Kind::Gauge, name, |h, id| {
             Some(h.series(id, f64::from_bits))
         })
     }
 
     /// Clone of a histogram's samples by name.
     pub fn histogram_snapshot(&self, name: &str) -> Option<Percentiles> {
-        self.read(Kind::Histogram, name, |h, _, id| h.histogram(id).cloned())
+        self.read(Kind::Histogram, name, |h, id| h.histogram(id).cloned())
     }
 
     /// Every instrument of `kind` (sorted by name) with `value` of its
     /// id. The name order is cached: only the first call after a
     /// registration sorts.
-    fn snapshot<T>(&self, kind: Kind, value: impl Fn(&AtomicBank, u32) -> T) -> Vec<(String, T)> {
+    fn snapshot<T>(&self, kind: Kind, value: impl Fn(u64) -> T) -> Vec<(String, T)> {
         let Some(s) = &self.inner else {
             return Vec::new();
         };
@@ -1605,19 +1569,19 @@ impl MetricsHub {
                 let mut name = Vec::new();
                 h.names.write(&paths, id, &mut name);
                 let name = String::from_utf8(name).expect("names are strs and digits");
-                (name, value(&s.values, id))
+                (name, value(h.value(id)))
             })
             .collect()
     }
 
     /// All registered counter names (sorted) with current values.
     pub fn counters_snapshot(&self) -> Vec<(String, u64)> {
-        self.snapshot(Kind::Counter, AtomicBank::load)
+        self.snapshot(Kind::Counter, |raw| raw)
     }
 
     /// All registered gauge names (sorted) with current values.
     pub fn gauges_snapshot(&self) -> Vec<(String, f64)> {
-        self.snapshot(Kind::Gauge, |v, id| f64::from_bits(v.load(id)))
+        self.snapshot(Kind::Gauge, f64::from_bits)
     }
 
     /// Flight-recorder records (oldest retained first) with scope names
@@ -1626,8 +1590,9 @@ impl MetricsHub {
         let Some(s) = &self.inner else {
             return (Vec::new(), 0);
         };
+        let emit = s.emit.lock().unwrap();
         let paths = s.paths.lock().unwrap();
-        let flight = s.flight.lock().unwrap();
+        let flight = &emit.flight;
         let rows = flight
             .records()
             .map(|r| {
@@ -1645,9 +1610,9 @@ impl MetricsHub {
         let Some(s) = &self.inner else {
             return Vec::new();
         };
-        let flight = s.flight.lock().unwrap();
+        let emit = s.emit.lock().unwrap();
         let mut counts: HashMap<&'static str, u64> = HashMap::new();
-        for r in flight.records() {
+        for r in emit.flight.records() {
             *counts.entry(r.event.kind()).or_insert(0) += 1;
         }
         let mut out: Vec<_> = counts.into_iter().collect();
@@ -1673,7 +1638,9 @@ impl MetricsHub {
             out.extend_from_slice(br#"{"enabled":false}"#);
             return;
         };
-        let (mut h, paths) = s.lock();
+        let mut h = s.inner.lock().unwrap();
+        let emit = s.emit.lock().unwrap();
+        let paths = s.paths.lock().unwrap();
         h.sync_order(&paths);
         h.log.sort_unstable_by_key(|c| (c.id, c.pass));
         let h = &mut *h;
@@ -1694,7 +1661,7 @@ impl MetricsHub {
             ordered(&h.by_name, &h.names, Kind::Counter),
             |out, id| {
                 key(out, id);
-                json::write_u64(s.values.load(id), out);
+                json::write_u64(h.values[id as usize], out);
             },
         );
 
@@ -1705,7 +1672,7 @@ impl MetricsHub {
             ordered(&h.by_name, &h.names, Kind::Gauge),
             |out, id| {
                 key(out, id);
-                json::write_f64(f64::from_bits(s.values.load(id)), out);
+                json::write_f64(f64::from_bits(h.values[id as usize]), out);
             },
         );
 
@@ -1761,7 +1728,7 @@ impl MetricsHub {
             );
         });
 
-        let flight = s.flight.lock().unwrap();
+        let flight = &emit.flight;
         out.extend_from_slice(br#","flight_recorder":{"dropped":"#);
         json::write_u64(flight.dropped(), out);
         out.extend_from_slice(br#","total_recorded":"#);
@@ -1828,7 +1795,7 @@ mod tests {
         let h = hub.histogram("nic.s0.rtt_ps");
         let s = hub.scope("switch.t0");
         assert_eq!(c, CounterId::sentinel());
-        hub.add(c, 5);
+        hub.set_counter(c, 5);
         hub.incr(c);
         hub.set_gauge(g, 1.0);
         hub.observe(h, 9);
@@ -1847,7 +1814,8 @@ mod tests {
         let b = hub.counter("switch.t0.port.2.pfc.xoff_tx");
         assert_eq!(a, b);
         hub.incr(a);
-        hub.add(b, 2);
+        hub.incr(b);
+        hub.incr(b);
         assert_eq!(hub.counter_value("switch.t0.port.2.pfc.xoff_tx"), Some(3));
         // Same leaf name under a different instrument type is distinct.
         let g = hub.gauge("switch.t0.port.2.pfc.xoff_tx");
@@ -1860,14 +1828,13 @@ mod tests {
     fn sampling_boundaries() {
         let hub = MetricsHub::with_config(TelemetryConfig {
             sample_every_ps: 100,
-            flight_capacity: 8,
         });
         let c = hub.counter("x");
         hub.maybe_sample(0); // boundary 0: sample
-        hub.add(c, 1);
+        hub.incr(c);
         hub.maybe_sample(50); // before next boundary: no sample
         hub.maybe_sample(100); // boundary
-        hub.add(c, 1);
+        hub.incr(c);
         hub.maybe_sample(350); // skipped two boundaries: one sample, not three
         assert_eq!(hub.samples_taken(), 3);
         let series = hub.counter_series("x").unwrap();
@@ -1884,7 +1851,6 @@ mod tests {
     fn series_store_only_changes() {
         let hub = MetricsHub::with_config(TelemetryConfig {
             sample_every_ps: 10,
-            flight_capacity: 8,
         });
         let still = hub.counter("still");
         let moving = hub.counter("moving");
@@ -1920,14 +1886,13 @@ mod tests {
     /// hub gets a seeded mix of counters and gauges (non-finite and
     /// negative-zero gauge values, names that need escaping, one name
     /// that is both a counter and a gauge, registrations between passes),
-    /// a histogram with samples and one without, and a wrapped flight
-    /// ring.
+    /// a histogram with samples and one without, and a flight ring
+    /// wrapped by three records.
     #[test]
     fn export_is_the_tree_of_a_point_per_pass_model() {
         use std::collections::BTreeMap;
         let hub = MetricsHub::with_config(TelemetryConfig {
             sample_every_ps: 10,
-            flight_capacity: 4,
         });
         let mut seed = 0x5EED_u64;
         let mut rand = move |n: u64| {
@@ -1960,9 +1925,8 @@ mod tests {
                 match (*gauge, rand(3)) {
                     (_, 0) => {}
                     (false, _) => {
-                        let by = rand(1 << 40);
-                        hub.add(CounterId(*id), by);
-                        *value += by as f64;
+                        *value += rand(1 << 40) as f64;
+                        hub.set_counter(CounterId(*id), *value as u64);
                     }
                     (true, _) => {
                         let v = gauge_values[rand(gauge_values.len() as u64) as usize];
@@ -1991,8 +1955,9 @@ mod tests {
             TraceEvent::PauseTx { port: 2, prio: 3 },
             TraceEvent::StormStart,
         ];
-        for (t, e) in events.iter().cycle().take(7).enumerate() {
-            hub.trace(t as u64, scope, *e);
+        let traced = FLIGHT_CAPACITY as u64 + 3;
+        for (t, e) in (0..traced).zip(events.iter().cycle()) {
+            hub.trace(t, scope, *e);
         }
 
         let values = |gauge: bool| {
@@ -2036,7 +2001,7 @@ mod tests {
                 (name.clone(), Json::Arr(points.collect()))
             })
             .collect();
-        let records = (3..7u64)
+        let records = (3..traced)
             .map(|seq| {
                 let mut pairs: Vec<(String, Json)> = Vec::new();
                 let event = events[seq as usize % 3];
@@ -2063,7 +2028,7 @@ mod tests {
                 "flight_recorder",
                 Json::obj(vec![
                     ("dropped", Json::U64(3)),
-                    ("total_recorded", Json::U64(7)),
+                    ("total_recorded", Json::U64(traced)),
                     ("records", Json::Arr(records)),
                 ]),
             ),
@@ -2110,12 +2075,11 @@ mod tests {
     fn render_json_is_sorted_and_parseable() {
         let hub = MetricsHub::with_config(TelemetryConfig {
             sample_every_ps: 10,
-            flight_capacity: 4,
         });
         let z = hub.counter("z.last");
         let a = hub.counter("a.first");
-        hub.add(z, 9);
-        hub.add(a, 1);
+        hub.set_counter(z, 9);
+        hub.set_counter(a, 1);
         let h = hub.histogram("nic.s0.rtt_ps");
         for v in [10, 20, 30] {
             hub.observe(h, v);
@@ -2161,7 +2125,7 @@ mod tests {
         let hub = MetricsHub::enabled();
         let c = hub.counter("shared");
         let clone = hub.clone();
-        clone.add(c, 4);
+        clone.set_counter(c, 4);
         assert_eq!(hub.counter_value("shared"), Some(4));
     }
 
@@ -2190,27 +2154,6 @@ mod tests {
         assert_eq!(hub.gauges_snapshot()[0].0, "g.late");
     }
 
-    /// The value bank's chunks double in size and tile the id space
-    /// without gap or overlap.
-    #[test]
-    fn bank_chunks_tile_the_id_space() {
-        assert_eq!(bank_index(0), (0, 0));
-        assert_eq!(bank_index(255), (0, 255));
-        assert_eq!(bank_index(256), (1, 0));
-        assert_eq!(bank_index(767), (1, 511));
-        assert_eq!(bank_index(768), (2, 0));
-        let mut next = (0, 0);
-        for id in 0..100_000u32 {
-            assert_eq!(bank_index(id), next);
-            next = if next.1 + 1 == CHUNK_SLOTS << next.0 {
-                (next.0 + 1, 0)
-            } else {
-                (next.0, next.1 + 1)
-            };
-        }
-        assert!(bank_index(u32::MAX).0 >= MAX_CHUNKS, "ensure() rejects it");
-    }
-
     /// Fleet-scale registration is O(n log n): 200 000 counters
     /// registered in reverse name order (the worst case for the ordered
     /// insert this replaced: every insert at the front, 2·10¹⁰ element
@@ -2226,14 +2169,13 @@ mod tests {
         let c0 = comparisons();
         for i in (0..N).rev() {
             let id = hub.counter(&format!("nic.s{i:06}.pfc.xoff_rx"));
-            hub.add(id, i);
+            hub.set_counter(id, i);
         }
         assert_eq!(comparisons(), c0, "registration compares nothing");
         let snap = hub.counters_snapshot();
         assert_eq!(snap.len() as u64, N);
         assert!(snap.windows(2).all(|w| w[0].0 < w[1].0), "sorted by name");
-        // Ids far past the first chunk of the value bank keep their own
-        // slots.
+        // Every id keeps its own value.
         assert!(snap.iter().zip(0..N).all(|((_, v), i)| *v == i));
         let first = comparisons() - c0;
         let n_log_n = N * (N as f64).log2().ceil() as u64;
@@ -2332,7 +2274,7 @@ mod tests {
     }
 
     /// Updates from several threads land without loss — the property the
-    /// atomic bank must give the fleet's Send story.
+    /// fleet's Send story needs.
     #[test]
     fn concurrent_updates_are_not_lost() {
         let hub = MetricsHub::enabled();

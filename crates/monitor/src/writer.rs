@@ -48,7 +48,7 @@ struct RawRecord {
     body: RecordBody,
 }
 
-// The emitter copies one record per call under the stream lock, and the
+// The emitter copies one record per call under the emission lock, and the
 // pool preallocates `SINK_POOL_BATCHES × SINK_BATCH_RECORDS` of them.
 const _: () = assert!(std::mem::size_of::<RawRecord>() == 64);
 
@@ -96,7 +96,7 @@ impl Lane {
 /// The emitting side of an attached sink: the batch being filled and the
 /// writer thread, which owns the sink until [`SinkWriter::close`]
 /// returns it. Only one thread at a time uses it (the hub keeps it under
-/// its `stream` mutex), so every wake-up has one waiter.
+/// its emission mutex), so every wake-up has one waiter.
 pub(crate) struct SinkWriter {
     batch: Batch,
     lane: Arc<Lane>,

@@ -83,10 +83,7 @@ fn series_keep_only_changes_and_the_export_builds_only_its_output() {
     const GAUGES: u64 = 512;
     const MOVING: u64 = 16;
     const PASSES: u64 = 200;
-    let hub = MetricsHub::with_config(TelemetryConfig {
-        sample_every_ps: 1,
-        flight_capacity: 16,
-    });
+    let hub = MetricsHub::with_config(TelemetryConfig { sample_every_ps: 1 });
     let counters: Vec<_> = (0..COUNTERS)
         .map(|i| hub.counter(&format!("nic.s{i:04}.qp.0.retransmits")))
         .collect();
@@ -212,7 +209,7 @@ fn register_fleet(blocks: bool) -> (u64, u64) {
 }
 
 /// Registration grows the hub's tables — rows, paths, the string API's
-/// name text and lookup index, the value bank's chunks — each by
+/// name text and lookup index, the values — each by
 /// doubling, and allocates nothing per instrument: 12 100 instruments
 /// and 1 000 scopes cost a few doublings of a handful of tables, where
 /// a `format!`, a map key and a name copy per instrument cost three
@@ -367,7 +364,8 @@ fn bits(series: TimeSeries, counter: bool) -> Vec<(u64, u64)> {
 
 /// A seeded run checked against the step model, byte for byte: blocks
 /// and string-API names registered before the first pass and between
-/// passes (some bumped before their first pass), counters added to,
+/// passes (some bumped before their first pass), counters set to growing
+/// counts,
 /// gauges set — to NaN, −0.0, and back to a value they had before —
 /// histograms observed, passes that skip boundaries, and exports in
 /// mid-run (which sort the change log in place) as well as at the end.
@@ -376,7 +374,6 @@ fn series_and_export_match_the_step_model() {
     const EVERY: u64 = 10;
     let hub = MetricsHub::with_config(TelemetryConfig {
         sample_every_ps: EVERY,
-        flight_capacity: 16,
     });
     let mut seed = 0xC0FF_EE00_u64;
     let mut rand = move |n: u64| {
@@ -471,9 +468,8 @@ fn series_and_export_match_the_step_model() {
             }
             match m.id {
                 Id::Counter(id) => {
-                    let by = rand(1 << 40);
-                    hub.add(id, by);
-                    m.raw += by;
+                    m.raw += rand(1 << 40);
+                    hub.set_counter(id, m.raw);
                 }
                 Id::Gauge(id) => {
                     let v = gauge_values[rand(gauge_values.len() as u64) as usize];

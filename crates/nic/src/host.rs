@@ -590,10 +590,11 @@ impl RdmaHost {
     }
 
     /// Copy [`HostStats`]' event counts, and each QP's retransmitted
-    /// packets and rate moves, into the host's telemetry blocks — the hub
-    /// reads these counts, it keeps none of its own.
+    /// packets and rate moves, into the host's telemetry blocks, under
+    /// one acquisition of the hub's lock — the hub reads these counts, it
+    /// keeps none of its own.
     pub fn publish_counters(&self) {
-        let (hub, s) = (&self.cfg.telemetry, &self.stats);
+        let s = &self.stats;
         // In `NIC_COUNTERS`' order.
         let host = [
             s.pause_tx,
@@ -604,16 +605,18 @@ impl RdmaHost {
             s.rx_storm_dropped,
             s.nic_watchdog_fired,
         ];
-        for (k, v) in host.into_iter().enumerate() {
-            hub.set_counter(self.tele.base.counter(k as u32), v);
-        }
-        for qp in self.qps() {
-            // In `qp_counters`' order.
-            let values = [qp.endpoint.stats.retx_pkts, qp.cc.rate_changes()];
-            for (k, v) in values.into_iter().enumerate() {
-                hub.set_counter(qp.tele.counter(k as u32), v);
+        self.cfg.telemetry.update(|u| {
+            for (k, v) in host.into_iter().enumerate() {
+                u.set_counter(self.tele.base.counter(k as u32), v);
             }
-        }
+            for qp in self.qps() {
+                // In `qp_counters`' order.
+                let values = [qp.endpoint.stats.retx_pkts, qp.cc.rate_changes()];
+                for (k, v) in values.into_iter().enumerate() {
+                    u.set_counter(qp.tele.counter(k as u32), v);
+                }
+            }
+        });
     }
 }
 

@@ -523,8 +523,9 @@ impl Switch {
     }
 
     /// Copy [`SwitchStats`]' drops, ECN marks, watchdog actions and
-    /// per-port PFC frames into the switch's telemetry block — the hub
-    /// reads these counts, it keeps none of its own.
+    /// per-port PFC frames into the switch's telemetry block, under one
+    /// acquisition of the hub's lock — the hub reads these counts, it
+    /// keeps none of its own.
     pub fn publish_counters(&self) {
         let (hub, base, s) = (&self.cfg.telemetry, self.tele.base, &self.stats);
         let ports = s.pause_tx.iter().zip(&s.resume_tx).zip(&s.pause_rx);
@@ -534,9 +535,11 @@ impl Switch {
             .copied()
             .chain([s.ecn_marked, s.watchdog_disables, s.watchdog_reenables])
             .chain(ports.flat_map(|((&xoff, &xon), &rx)| [xoff, xon, rx]));
-        for (k, v) in values.enumerate() {
-            hub.set_counter(base.counter(k as u32), v);
-        }
+        hub.update(|u| {
+            for (k, v) in values.enumerate() {
+                u.set_counter(base.counter(k as u32), v);
+            }
+        });
     }
 
     /// Set the switch's `lossless_backlog_bytes` gauge from its queues.

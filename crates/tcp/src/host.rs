@@ -304,7 +304,8 @@ impl TcpHost {
     }
 
     /// Copy [`TcpHostStats`]' event counts into the host's telemetry
-    /// block — the hub reads these counts, it keeps none of its own.
+    /// block, under one acquisition of the hub's lock — the hub reads
+    /// these counts, it keeps none of its own.
     pub fn publish_counters(&self) {
         let s = &self.stats;
         // In `TCP_COUNTERS`' order.
@@ -315,10 +316,11 @@ impl TcpHost {
             s.timeouts,
             s.msgs_delivered,
         ];
-        for (k, v) in values.into_iter().enumerate() {
-            let id = self.tele.base.counter(k as u32);
-            self.cfg.telemetry.set_counter(id, v);
-        }
+        self.cfg.telemetry.update(|u| {
+            for (k, v) in values.into_iter().enumerate() {
+                u.set_counter(self.tele.base.counter(k as u32), v);
+            }
+        });
     }
 
     /// The configuration.

@@ -139,16 +139,15 @@ fn telemetry_does_not_perturb_the_dispatch_trace() {
 /// golden digest.
 #[test]
 fn unfired_fault_script_preserves_the_golden_trace() {
-    use rocescale_core::{FaultProfile, ScriptAction};
+    use rocescale_core::{AdminAction, FaultProfile, ScriptAction};
     let mut cl = ClusterBuilder::two_tier(2, 4)
         .seed(7)
         .instrumentation(InstrumentationProfile::paper_default().telemetry(MetricsHub::enabled()))
         .faults(FaultProfile::paper_default().at(
             SimTime::from_millis(1000), // run ends at 500 µs: never fires
-            ScriptAction::SetLossless {
+            ScriptAction::Switch {
                 switch: "pod0-tor0".to_string(),
-                prio: 3,
-                on: false,
+                action: AdminAction::SetLossless { prio: 3, on: false },
             },
         ))
         .build();

@@ -1,8 +1,9 @@
-//! The hub's device counters are copies of the devices' own stats, never
-//! counts of their own: after any `run_until`, every `switch.*`, `nic.*`,
+//! The hub's counters are copies of their owners' counts, never counts of
+//! their own: after any `run_until`, every `switch.*`, `nic.*`,
 //! `nic.*.qp.*` and `tcp.*` counter in the merged snapshot equals the
-//! stats field it publishes — on one shard and on two, with the run ending
-//! between two sample boundaries.
+//! stats field it publishes, and `monitor.deadlock.{epochs,cycles}` the
+//! deadlock probe's own counts — on one shard and on two, with the run
+//! ending between two sample boundaries.
 
 use std::collections::BTreeMap;
 
@@ -76,8 +77,8 @@ fn load<W: WorldSet>(c: &mut Cluster<W>) {
     }
 }
 
-/// Every device counter the hub should hold, by name, read from the
-/// devices' stats.
+/// Every device and deadlock-probe counter the hub should hold, by
+/// name, read from the devices' stats and the probe.
 fn stats_twins<W: WorldSet>(c: &Cluster<W>) -> BTreeMap<String, u64> {
     let mut m = BTreeMap::new();
     for i in 0..c.switch_count() {
@@ -130,16 +131,20 @@ fn stats_twins<W: WorldSet>(c: &Cluster<W>) -> BTreeMap<String, u64> {
             m.insert(format!("{tcp}.{leaf}"), v);
         }
     }
+    let probe = c.deadlock_probe();
+    m.insert("monitor.deadlock.epochs".into(), probe.epochs());
+    m.insert("monitor.deadlock.cycles".into(), probe.cycle_epochs());
     m
 }
 
-/// The snapshot's device counters equal their twins, name for name.
+/// The snapshot's device and probe counters equal their twins, name for
+/// name.
 fn assert_hub_equals_stats<W: WorldSet>(c: &Cluster<W>, at: &str) {
     let hub: BTreeMap<String, u64> = c
         .counters_snapshot()
         .into_iter()
         .filter(|(name, _)| {
-            ["switch.", "nic.", "tcp."]
+            ["switch.", "nic.", "tcp.", "monitor.deadlock."]
                 .iter()
                 .any(|p| name.starts_with(p))
         })
@@ -178,6 +183,7 @@ fn check<W: WorldSet>(mut c: Cluster<W>, shards: usize) {
         ".retransmits",
         ".dcqcn.rate_changes",
         ".segments_rx",
+        ".deadlock.epochs",
     ] {
         assert!(total(&twins, suffix) > 0, "nothing counted {suffix}");
     }

@@ -17,7 +17,7 @@ use rocescale::core::{
 };
 use rocescale::nic::{QpApp, QpHandle};
 use rocescale::sim::{SimTime, WorldSet};
-use rocescale::switch::DropReason;
+use rocescale::switch::{AdminAction, DropReason};
 use rocescale::topology::ClosSpec;
 use rocescale::transport::Verb;
 
@@ -193,10 +193,9 @@ fn an_admin_lossless_off_flush_frees_every_flushed_slot() {
                 )
                 .at(
                     SimTime::from_millis(3),
-                    ScriptAction::SetLossless {
+                    ScriptAction::Switch {
                         switch: tor.clone(),
-                        prio: 3,
-                        on: false,
+                        action: AdminAction::SetLossless { prio: 3, on: false },
                     },
                 )
                 .at(
@@ -205,10 +204,9 @@ fn an_admin_lossless_off_flush_frees_every_flushed_slot() {
                 )
                 .at(
                     SimTime::from_millis(5),
-                    ScriptAction::SetLossless {
+                    ScriptAction::Switch {
                         switch: tor,
-                        prio: 3,
-                        on: true,
+                        action: AdminAction::SetLossless { prio: 3, on: true },
                     },
                 ),
         )

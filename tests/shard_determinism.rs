@@ -268,7 +268,6 @@ fn cross_boundary_link_flap_is_deterministic() {
 fn grid_aligned_hub() -> MetricsHub {
     MetricsHub::with_config(TelemetryConfig {
         sample_every_ps: SimTime::from_micros(150).as_ps(),
-        ..TelemetryConfig::default()
     })
 }
 

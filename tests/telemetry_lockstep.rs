@@ -1,15 +1,14 @@
-//! Model check for the lock-free telemetry hub.
+//! Model check for the telemetry hub under concurrent use.
 //!
 //! Four threads share one hub and run seeded streams of registrations,
-//! `add`/`incr` and `set_gauge` calls over more than 768 counters and
-//! gauges each — so instrument ids cross from the value bank's first
-//! chunk (ids 0–255) through the second (256–767) into the third, with
-//! chunks allocated while other threads update. A `BTreeMap` per
-//! instrument type is the model: counters sum every add (commutative, so
-//! thread interleaving cannot matter), and each gauge is set by one
-//! thread only, so its last write is well defined. The hub's snapshots
-//! must equal the model, entry for entry, in the model's iteration
-//! order — which is the name order the snapshots promise.
+//! `incr` and `set_gauge` calls over more than 768 counters and gauges
+//! each — so the hub's value table grows while other threads update it.
+//! A `BTreeMap` per instrument type is the model: counters count every
+//! `incr` (commutative, so thread interleaving cannot matter), and each
+//! gauge is set by one thread only, so its last write is well defined.
+//! The hub's snapshots must equal the model, entry for entry, in the
+//! model's iteration order — which is the name order the snapshots
+//! promise.
 //!
 //! That the hub never steers the simulation is pinned separately, by
 //! `golden_trace::telemetry_does_not_perturb_the_dispatch_trace`.
@@ -31,8 +30,7 @@ fn name(kind: &str, i: u64) -> String {
     format!("{kind}.{:04}", (i * 7919) % 10_000)
 }
 
-/// What one thread did: counter adds and gauge sets by name, in the
-/// order it made them.
+/// What one thread did: counter increments and gauge sets by name.
 #[derive(Default)]
 struct Model {
     counters: BTreeMap<String, u64>,
@@ -48,16 +46,8 @@ fn drive(hub: &MetricsHub, t: u64) -> Model {
         match rng.gen_below(10) {
             0..=6 => {
                 let n = name("c", rng.gen_below(COUNTERS));
-                let id = hub.counter(&n);
-                let by = if rng.gen_bool(0.5) {
-                    hub.incr(id);
-                    1
-                } else {
-                    let by = rng.gen_below(1 << 20);
-                    hub.add(id, by);
-                    by
-                };
-                *model.counters.entry(n).or_insert(0) += by;
+                hub.incr(hub.counter(&n));
+                *model.counters.entry(n).or_insert(0) += 1;
             }
             _ => {
                 let i = rng.gen_below(GAUGES / THREADS) * THREADS + t;
